@@ -5,9 +5,10 @@ Prepending x to a strictly positive sequence keeps it strictly positive
 exactly when x exceeds the infimum of the reciprocal integral; equality
 gives a singularly positive (determinate) extension -- only for odd top
 degree on (0, inf), in both parities on (0, 1] -- and below the infimum the
-extension is not positive at all.  The decisions here are made by exact
-Hankel classification of the extended sequence, so the knife-edge cases are
-exact even where the threshold value itself is only a floating limit.
+extension is not positive at all.  The threshold is an exact rational for
+exact input in both parities; for even top degree on (0, inf) it is not
+attained, so prepending it gives no extension.  The decisions here are made
+by exact Hankel classification of the extended sequence.
 """
 
 from __future__ import annotations

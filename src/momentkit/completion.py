@@ -120,14 +120,13 @@ class _DomainOps:
     def is_strict(self, seq) -> bool:
         return self.classify(seq).kind is PositivityClass.STRICTLY_POSITIVE
 
-    def threshold(self, seq):
-        """(value, exact?) of the strict-slot threshold for prepending."""
+    def threshold(self, seq) -> Scalar:
+        """Strict-slot threshold for prepending: the reciprocal infimum,
+        exact for exact input."""
         from .extremal import reciprocal_inf_half_open, reciprocal_inf_ray
         if isinstance(self.domain, Ray):
-            n = len(seq) - 1
-            value = reciprocal_inf_ray(seq)
-            return value, not isinstance(value, float)
-        return reciprocal_inf_half_open(seq), True
+            return reciprocal_inf_ray(seq)
+        return reciprocal_inf_half_open(seq)
 
     def forced(self, seq, big_n):
         return forced_value(list(seq[:big_n + 1]), self.domain)
@@ -223,7 +222,7 @@ def _search_levels(problem: _LevelProblem, seqs, level: int = 0):
         next_seqs = [(forced_vals[c],) + tuple(seqs[c]) for c in range(len(seqs))]
         return _search_levels(problem, next_seqs, level + 1)
 
-    thresholds = {c: ops.threshold(seqs[c])[0] for c in free_idx}
+    thresholds = {c: ops.threshold(seqs[c]) for c in free_idx}
     lower = forced_sum + sum(problem.masses[c] * thresholds[c] for c in free_idx)
     feasible_here, provably_bad, banded = _compare_to_target(lower, target, is_bound)
     if provably_bad:
@@ -276,7 +275,7 @@ def _search_levels(problem: _LevelProblem, seqs, level: int = 0):
                     x = (float(thresholds[c])
                          + share * float(residual) / float(problem.masses[c]))
                     try:
-                        nxt, _ = ops.threshold((x,) + tuple(float(v) for v in seqs[c]))
+                        nxt = ops.threshold((x,) + tuple(float(v) for v in seqs[c]))
                     except Exception:
                         return math.inf
                     total += float(problem.masses[c]) * float(nxt)
@@ -524,7 +523,7 @@ def _subnormal_certificate(pw: PartialWeights, vec, windows) -> SolveOutcome:
                                       Ray())
         else:
             # even-length window at the maximal atom count: extend once more
-            theta, _ = _RAY_OPS.threshold(window)
+            theta = _RAY_OPS.threshold(window)
             probe = _accepted_extension(window, theta)
             mu = _certificate_measure([probe] + window[:big_n], first_index - 1,
                                       [probe] + window, Ray())

@@ -12,9 +12,10 @@ sidesteps any orientation bookkeeping and stays rational even when the atoms
 are irrational.
 
 On (0, inf) the supremum is unbounded (witnessed constructively) and the
-infimum is exact for odd top degree; for even top degree it is the floating
-limit of the compact values over a geometrically growing right endpoint.
-On (0, 1] the infimum is exact in both parities.
+infimum is exact in both parities: attained by the minimal measure for odd
+top degree, and for even top degree equal to the value of the odd prefix
+(dropping the top moment) without being attained.  On (0, 1] the infimum is
+exact in both parities.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ from .measure import AtomicMeasure
 from .numeric import Polynomial, Scalar
 from .positivity import PositivityClass, _values, classify_compact, classify_half_open, classify_ray
 from .principal import PrincipalKind, bordered_hankel_poly, principal_polynomial
-
-EVEN_LIMIT_REL_TOL = 1e-9
-EVEN_LIMIT_MAX_Q = 40
-
 
 @dataclass(frozen=True)
 class ExtremalBounds:
@@ -98,38 +95,6 @@ def _first_strict_interval(values, q_max=30):
     raise ConvergenceError("no strictly positive compact window found")
 
 
-def _even_ray_limit(values) -> float:
-    """Floating limit of the compact infimum as the right endpoint grows
-    geometrically; per-interval values are exact, acceptance needs three
-    consecutive relative steps below tolerance, and the result is
-    Aitken-accelerated."""
-    a, b0, q0 = _first_strict_interval(values)
-    vals = []
-    small_steps = 0
-    for q in range(q0, EVEN_LIMIT_MAX_Q + 1):
-        b = Fraction(2 ** q)
-        v_low, v_up = compact_reciprocal_values(values, a, b)
-        vals.append(float(min(v_low, v_up)))
-        if len(vals) >= 2:
-            scale = max(1.0, abs(vals[-1]))
-            if abs(vals[-1] - vals[-2]) < EVEN_LIMIT_REL_TOL * scale:
-                small_steps += 1
-                if small_steps >= 3:
-                    break
-            else:
-                small_steps = 0
-    else:
-        raise ConvergenceError("compact infima did not settle before the cap")
-    if len(vals) >= 3:
-        v0, v1, v2 = vals[-3], vals[-2], vals[-1]
-        denom = v2 - 2 * v1 + v0
-        if denom != 0:
-            accel = v2 - (v2 - v1) ** 2 / denom
-            if math.isfinite(accel):
-                return accel
-    return vals[-1]
-
-
 def _singular_reciprocal(values) -> Scalar:
     """Reciprocal moment of the unique measure of a singularly positive
     window, via the support polynomial's backward moment recurrence -- exact
@@ -150,10 +115,32 @@ def _singular_reciprocal(values) -> Scalar:
 
 def reciprocal_inf_ray(s) -> Scalar:
     """Infimum of the reciprocal integral over representing measures on
-    (0, inf): exact (rational) for odd top degree, a floating limit for even
-    top degree.  A single-moment window has infimum 0 (mass drifts right);
-    a singularly positive window is determinate, so the value is the unique
-    measure's reciprocal moment."""
+    (0, inf), exact in both parities.  A single-moment window has infimum 0
+    (mass drifts right); a singularly positive window is determinate, so the
+    value is the unique measure's reciprocal moment.
+
+    Odd top degree: the infimum is attained by the unique minimal measure,
+    whose atoms are the roots of the bordered Hankel polynomial.
+
+    Even top degree, s = s_0..s_2m strictly positive: the infimum equals the
+    odd-prefix value for p = s_0..s_2m-1 and is not attained.
+      * Lower bound: every representing measure of s also represents p.
+      * Upper bound: p's unique m-atom minimal measure nu has H_{m+1}(nu)
+        singular, while H_{m+1}(s) is positive definite and differs from it
+        only in the corner, so c = s_2m - nu_2m > 0.  For a large atom b
+        and 0 <= c' <= 2c, the prefix p - c' (b^(k-2m))_{k<2m} is within
+        2c/b of p; strict positivity is an open condition, so it stays
+        strictly positive, and its minimal measure nu' moves continuously
+        with it.  The measure nu' + (c'/b^2m) delta_b represents that
+        prefix plus the removed mass, i.e. p, and its 2m-th moment is
+        nu'_2m + c' = nu_2m + c' + o(1): below s_2m at c' = 0, above it at
+        c' = 2c, so equal to it for some c' in between.  That measure
+        represents s with reciprocal integral
+        int 1/t dnu' + c'/b^(2m+1)  ->  int 1/t dnu  as b -> inf.
+      * Not attained: a measure of s attaining the value would be a
+        minimizer for p, hence nu, whose 2m-th moment is not s_2m.
+    The knife edge is therefore exact: prepending the value itself gives no
+    extension, and anything above it gives a strict one."""
     values = _values(s)
     verdict = classify_ray(values)
     if verdict.kind is PositivityClass.NOT_POSITIVE:
@@ -163,9 +150,8 @@ def reciprocal_inf_ray(s) -> Scalar:
     n = len(values) - 1
     if n == 0:
         return Fraction(0)
-    if n % 2 == 1:
-        return reciprocal_value_from_poly(bordered_hankel_poly(values), values)
-    return _even_ray_limit(values)
+    odd = values if n % 2 == 1 else values[:-1]
+    return reciprocal_value_from_poly(bordered_hankel_poly(odd), odd)
 
 
 def reciprocal_inf_half_open(s) -> Scalar:
@@ -190,7 +176,8 @@ def reciprocal_inf_half_open(s) -> Scalar:
 
 
 def reciprocal_sup_ray_bounds(s) -> ExtremalBounds:
-    """Bounds object for (0, inf): exact/limit infimum, unbounded supremum."""
+    """Bounds object for (0, inf): exact infimum (not attained for even top
+    degree), unbounded supremum."""
     values = _values(s)
     t_lo = reciprocal_inf_ray(values)
     return ExtremalBounds(t_lo, math.inf, None, None)

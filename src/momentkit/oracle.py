@@ -161,7 +161,10 @@ def sweep_reciprocal(values, domain: Domain, cfg: OracleConfig = OracleConfig())
             continue
         value, weights = best
         for _ in range(2):
-            support = grid[weights > 1e-12 * max(weights.max(), 1e-30)]
+            # an atom counts by its largest moment contribution, not its
+            # mass: a far atom with tiny mass can carry the top moment
+            contrib = weights * np.maximum(1.0, grid ** (len(values) - 1))
+            support = grid[contrib > 1e-12 * max(contrib.max(), 1e-30)]
             if support.size == 0:
                 break
             pieces = [np.geomspace(max(x / 1.25, lo), min(x * 1.25, hi),

@@ -18,9 +18,13 @@ from typing import Sequence
 
 from .errors import DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure
-from .numeric import Polynomial, Scalar, det_poly, real_roots, vandermonde_masses
+from .numeric import (Polynomial, Scalar, det_poly, real_roots, root_precision,
+                      vandermonde_masses)
 from .positivity import (PositivityClass, _values, classify_compact,
                          classify_half_open, classify_ray)
+
+
+MASS_REFINEMENTS = 3
 
 
 class PrincipalKind(Enum):
@@ -56,17 +60,27 @@ def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
 
     Raises DegenerateInput when the root count falls short of the degree or
     any mass fails to be positive; verifies the full window when the atoms
-    are exact.
+    are exact.  A mass computed from enclosures of irrational roots can take
+    the wrong sign when it is tiny (a far atom near an unattained infimum
+    carries mass ~1e-43), so the enclosures are narrowed by 2^-64 up to
+    MASS_REFINEMENTS times before a nonpositive mass is final.
     """
-    roots = real_roots(poly, lo, hi)
-    if len(roots) != poly.degree:
-        raise DegenerateInput(
-            f"expected {poly.degree} simple roots in range, found {len(roots)}")
-    masses = vandermonde_masses(roots, list(window))
+    width = root_precision()
+    for _ in range(MASS_REFINEMENTS + 1):
+        roots = real_roots(poly, lo, hi, precision=width)
+        if len(roots) != poly.degree:
+            raise DegenerateInput(
+                f"expected {poly.degree} simple roots in range, found {len(roots)}")
+        masses = vandermonde_masses(roots, list(window))
+        roots_exact = all(poly(r) == 0 for r in roots)
+        if all(mass > 0 for mass in masses) or roots_exact or any(
+                isinstance(r, float) for r in roots):
+            break
+        width /= 2 ** 64
     for mass in masses:
         if not mass > 0:
             raise DegenerateInput("nonpositive mass in principal construction")
-    exact = all(poly(r) == 0 for r in roots) and not any(
+    exact = roots_exact and not any(
         isinstance(v, float) for v in list(window) + list(roots))
     mu = AtomicMeasure(list(zip(roots, masses)), exact=exact)
     if mu.support_size != poly.degree:
@@ -132,7 +146,7 @@ class MinimalRayFamily:
     def atom_count(self) -> int:
         return (len(self.sequence) + 1) // 2
 
-    def threshold(self) -> float:
+    def threshold(self) -> Scalar:
         from .extremal import reciprocal_inf_ray
         return reciprocal_inf_ray(self.sequence)
 

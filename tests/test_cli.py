@@ -3,7 +3,11 @@ import os
 import subprocess
 import sys
 
+import momentkit
 from momentkit.cli import run
+
+# the child interpreter imports the same momentkit as this test process
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(momentkit.__file__))
 
 
 def _write(tmp_path, name, obj):
@@ -13,8 +17,11 @@ def _write(tmp_path, name, obj):
 
 
 def _run_cli(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "momentkit.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc
 
 

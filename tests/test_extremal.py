@@ -1,5 +1,4 @@
 import math
-import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -67,8 +66,8 @@ def test_reciprocal_inf_ray_paper_values():
 def test_reciprocal_inf_ray_even_limit():
     for s_minus1, lam_sq in ((2, 4), (3, 2), (F(3, 2), 9)):
         value = reciprocal_inf_ray([s_minus1, 1, lam_sq])
-        want = float(s_minus1) ** 2
-        assert abs(value - want) <= 1e-6 * want
+        assert isinstance(value, F)
+        assert value == F(s_minus1) ** 2
 
 
 def test_reciprocal_inf_single_moment():
@@ -120,21 +119,30 @@ def test_even_inf_strict_against_family(rng):
         window = moments(mu, 0, 2 * mu.support_size - 2)
         t = reciprocal_inf_ray(window)
         x = mu.moment(-1)
-        assert float(x) > t - 1e-9
+        assert x > t
         other = minimal_measure_with_reciprocal(window, x + 1)
-        assert float(other.moment(-1)) > t
+        assert other.moment(-1) > t
 
 
 def test_even_inf_truncation_observation(rng):
-    # observed: dropping the top moment does not change the even-case
-    # infimum; recorded as an observation, never relied upon
-    mismatches = []
+    # dropping the top moment does not change the even-case infimum: the
+    # theorem reciprocal_inf_ray rests on
     for _ in range(10):
         mu = random_rational_measure(rng, 2)
         window = list(moments(mu, 0, 2).values)
-        full = reciprocal_inf_ray(window)
-        truncated = reciprocal_inf_ray(window[:2])
-        if abs(float(full) - float(truncated)) > 1e-6 * max(1.0, abs(float(truncated))):
-            mismatches.append((window, full, truncated))
-    if mismatches:
-        warnings.warn(f"even-case truncation observation failed on {mismatches}")
+        assert reciprocal_inf_ray(window) == reciprocal_inf_ray(window[:2])
+
+
+def test_even_inf_knife_edge(rng):
+    # the infimum is not attained: prepending it gives no extension, and
+    # anything above it a strict one; float input lands on the exact value
+    from momentkit.backward import ExtensionClass, classify_backward
+    for _ in range(40):
+        mu = random_rational_measure(rng, rng.randint(2, 3))
+        window = list(moments(mu, 0, 2 * mu.support_size - 2).values)
+        t = reciprocal_inf_ray(window)
+        assert isinstance(t, F)
+        assert classify_backward(window, t).kind is ExtensionClass.NOT_EXTENSION
+        assert classify_backward(window, t + F(1, 10 ** 12)).kind is ExtensionClass.STRICT
+        approx = reciprocal_inf_ray([float(v) for v in window])
+        assert abs(approx - float(t)) <= 1e-9 * float(t)

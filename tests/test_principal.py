@@ -95,6 +95,19 @@ def test_minimal_measure_ray_examples():
     assert minimal_measure_ray([5, 9]).atoms == ((F(9, 5), 5),)
 
 
+def test_minimal_measure_ray_far_atom_tiny_mass():
+    # a window just above an even-window infimum: its second atom sits near
+    # 3e8 with mass ~2e-43, below what the default root enclosures resolve
+    window = [F(404354781408619061771104802047152496342648805823488,
+                572784281368294728143982190222496896115568748948035),
+              F(23803217599915040944956408690464, 30023040520313060558655462281361),
+              F(35030695453576, 39342165602515), F(1)]
+    mu = minimal_measure_ray(window)
+    assert mu.support_size == 2
+    assert all(mass > 0 for _, mass in mu.atoms)
+    assert 0 < mu.atoms[1][1] < F(1, 10 ** 40) and mu.atoms[1][0] > 10 ** 8
+
+
 def test_minimal_measure_ray_even_family():
     fam = minimal_measure_ray([2, 3, 5])
     assert isinstance(fam, MinimalRayFamily)
