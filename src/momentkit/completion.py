@@ -731,9 +731,19 @@ def flat_che_completion(pw: PartialWeights) -> SolveOutcome:
     for t in pw.trunk_sq:
         scale = scale * t
     # the root measure is t^-(kappa+1) d(scale * tau) plus its mass at zero
-    shared = CAMeasure(0, AtomicMeasure(
+    atoms = AtomicMeasure(
         [(pos, m * pos ** (kappa + 1) / scale) for pos, m in rho.positive.atoms],
-        exact=rho.positive.exact))
+        exact=rho.positive.exact)
+    if atoms.exact:
+        shared = CAMeasure(0, atoms)
+    else:
+        # enclosure midpoints of irrational atoms: take exact moments from
+        # the increments rho represents, t^k drho = c_{k+1} - c_k, run on by
+        # the recurrence of the atom polynomial rho was built from
+        deltas = [root_seq[k + 1] - root_seq[k] for k in range(len(root_seq) - 1)]
+        shared = RecurrentCAMeasure(MomentRecurrence(
+            _window_poly(deltas, HalfOpen()), -kappa - 1,
+            [d / scale for d in deltas], atoms_hint=atoms))
     branches = [FullBranch(cls.first_mass,
                            GeometricSumTail(cls.tail_sq, shared), cls.count)
                 for cls in pw.classes]

@@ -1,9 +1,15 @@
 """Scalar, dense symmetric matrix and polynomial kernel.
 
-Arithmetic is exact by default: scalars are `fractions.Fraction` and every
-determinant / elimination / root-isolation path stays rational.  If any input
-is a `float` the same code runs in floating mode, with sign tests widened to
-a relative tolerance (`eps`, default 1e-9).
+Exact input (`int` and `fractions.Fraction`) gives exact results.  The exact
+path clears denominators once and then runs on Python integers:
+fraction-free (Bareiss) elimination for determinants, leading minors,
+bordered determinant polynomials and the pivoted LDL^T form classification;
+primitive integer Sturm chains, evaluated by homogeneous Horner at rational
+points, for root isolation.  `Fraction`s appear only in the results.
+
+Input containing a `float` takes a separate floating path: ordinary
+elimination with sign tests widened to a relative tolerance (`eps`, default
+1e-9), and numpy for polynomial roots.
 
 Hankel forms here are catastrophically ill-conditioned, and the verdicts the
 rest of the package needs (definite vs. singular vs. indefinite) sit exactly
@@ -74,33 +80,43 @@ def as_fraction(x: Scalar) -> Fraction:
     return Fraction(x)
 
 
-def sign(x: Scalar, tol: Scalar = 0) -> int:
-    if x > tol:
-        return 1
-    if x < -tol:
-        return -1
-    return 0
+def _integer_scale(values) -> tuple:
+    """(ints, L) for exact `values`: L is their least common denominator and
+    ints[i] = L * values[i], computed without rational arithmetic."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _simplest(lo: int, hi: int, den: int) -> tuple:
+    """(p, q): the rational with the smallest denominator in the closed
+    interval [lo/den, hi/den], lo <= hi, den > 0; q > 0 and gcd(p, q) = 1."""
+    if lo <= 0 <= hi:
+        return 0, 1
+    if hi < 0:
+        p, q = _simplest(-hi, -lo, den)
+        return -p, q
+    # continued-fraction descent on [a/b, c/d]; p1/q1, p0/q0 are the last
+    # two convergents of the common expansion
+    a, b, c, d = lo, den, hi, den
+    p1, p0, q1, q0 = 1, 0, 0, 1
+    while True:
+        whole, rest = divmod(a, b)
+        if rest == 0:
+            tail = whole
+            break
+        if (whole + 1) * d <= c:
+            tail = whole + 1
+            break
+        a, b, c, d = d, c - whole * d, b, rest
+        p1, p0, q1, q0 = p1 * whole + p0, p1, q1 * whole + q0, q1
+    return p1 * tail + p0, q1 * tail + q0
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """Rational with the smallest denominator in the closed interval [lo, hi]."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo == hi:
-        return lo
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -simplest_between(-hi, -lo)
-    # now 0 < lo < hi
-    fl = lo.numerator // lo.denominator
-    if lo == fl:
-        return lo
-    if fl + 1 <= hi:
-        return Fraction(fl + 1)
-    rest = simplest_between(1 / (hi - fl), 1 / (lo - fl))
-    return fl + 1 / rest
+    lo, hi = sorted((Fraction(lo), Fraction(hi)))
+    (lo_n, hi_n), den = _integer_scale((lo, hi))
+    return Fraction(*_simplest(lo_n, hi_n, den))
 
 
 # --------------------------------------------------------------------------
@@ -118,7 +134,7 @@ class Polynomial:
     coeffs: tuple
 
     def __init__(self, coeffs: Sequence[Scalar]):
-        coeffs = [c if isinstance(c, float) else Fraction(c) for c in coeffs]
+        coeffs = [c if isinstance(c, (Fraction, float)) else Fraction(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -137,18 +153,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def scale(self, factor: Scalar) -> "Polynomial":
-        return Polynomial([c * factor for c in self.coeffs])
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Polynomial([c / lead for c in self.coeffs])
-
     def mul(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return Polynomial([])
@@ -162,65 +166,84 @@ class Polynomial:
         """Multiply by (c0 + c1*t)."""
         return self.mul(Polynomial([c0, c1]))
 
-    def deflate(self, root: Scalar) -> "Polynomial":
-        """Exact synthetic division by (t - root); remainder must vanish."""
-        out = []
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        rem = out.pop()
-        if rem != 0:
-            raise DegenerateInput("deflation by a non-root")
-        out.reverse()
-        return Polynomial(out)
-
     def shifted_quotient_at_zero(self) -> "Polynomial":
         """(p(t) - p(0)) / t."""
         return Polynomial(self.coeffs[1:])
 
 
-def _poly_rem(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Remainder of f by g over the rationals."""
-    fc = list(f.coeffs)
-    gc = g.coeffs
-    dg = len(gc) - 1
-    lead = gc[-1]
-    while len(fc) - 1 >= dg and fc:
-        q = fc[-1] / lead
-        shift = len(fc) - 1 - dg
-        for i, c in enumerate(gc):
-            fc[shift + i] -= q * c
-        while fc and fc[-1] == 0:
-            fc.pop()
-    return Polynomial(fc)
+# --------------------------------------------------------------------------
+# integer polynomials and Sturm root isolation
+# --------------------------------------------------------------------------
+#
+# An integer polynomial is a list of ints, lowest degree first, with a
+# nonzero leading entry.  Dividing one by a positive constant changes none of
+# the signs below, so every polynomial is kept primitive.
+
+def _horner(coeffs, num: int, den: int) -> int:
+    """den^d * p(num/den) for d = deg p: the homogeneous form
+    sum c_i num^i den^(d-i), with the sign of p(num/den) when den > 0."""
+    acc = 0
+    power = 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * power
+        power *= den
+    return acc
 
 
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    while not g.is_zero():
-        r = _poly_rem(f, g)
-        f, g = g, (r.monic() if not r.is_zero() else r)
-    return f.monic() if not f.is_zero() else f
+def _primitive(ints) -> list:
+    """Divide integer coefficients by their (positive) content."""
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
 
 
-def _sturm_chain(p: Polynomial) -> list:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if rem.is_zero():
+def _deflate(coeffs, root: Fraction) -> list:
+    """Quotient by (den t - num) at a root num/den; integral and primitive
+    again by Gauss's lemma."""
+    num, den = root.numerator, root.denominator
+    out = [0] * (len(coeffs) - 1)
+    acc = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = (coeffs[i] + num * acc) // den
+        out[i - 1] = acc
+    return out
+
+
+def _negated_remainder(f, g) -> list:
+    """Primitive part of -rem(f, g), reached by scaling f by |lead(g)| (a
+    positive factor) before each reduction step; [] when g divides f."""
+    f = list(f)
+    lead = g[-1]
+    factor, orient = abs(lead), (1 if lead > 0 else -1)
+    dg = len(g) - 1
+    while len(f) > dg:
+        top = f[-1] * orient
+        shift = len(f) - 1 - dg
+        f = [c * factor for c in f]
+        for i, c in enumerate(g):
+            f[shift + i] -= top * c
+        while f and f[-1] == 0:
+            f.pop()
+    return _primitive([-c for c in f]) if f else []
+
+
+def _sturm_chain(p) -> list:
+    """Sturm chain of an integer polynomial, each member divided by a
+    positive constant (sign counts are unchanged).  It ends at a constant,
+    or at a nonconstant gcd(p, p') when p has a repeated root."""
+    chain = [p]
+    if len(p) > 1:
+        chain.append(_primitive([k * c for k, c in enumerate(p)][1:]))
+    while len(chain[-1]) > 1:
+        rem = _negated_remainder(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append(rem.scale(-1))
-    if chain[-1].is_zero():
-        chain.pop()
+        chain.append(rem)
     return chain
 
 
-def _sign_variations(chain, x) -> int:
-    signs = []
-    for q in chain:
-        s = sign(q(x))
-        if s != 0:
-            signs.append(s)
+def _sign_variations(chain, x: Fraction) -> int:
+    signs = [v > 0 for v in (_horner(q, x.numerator, x.denominator) for q in chain)
+             if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -232,40 +255,78 @@ def root_precision() -> Fraction:
     return DEFAULT_ROOT_PRECISION
 
 
-def _try_exact_root(p: Polynomial, lo: Fraction, hi: Fraction):
-    cand = simplest_between(lo, hi)
-    if p(cand) == 0:
-        return cand
-    return None
+class RootEnclosure:
+    """One root in a list from `root_enclosures`.
+
+    `root` holds the value once it is known exactly (a rational root, or a
+    floating root from the floating path).  Otherwise lo/den < root < hi/den
+    isolates a simple root of the integer polynomial `coeffs`, which is
+    nonzero at both ends, and `refine` narrows that interval in place: a
+    later call with a finer width continues the same bisection.
+    """
+
+    __slots__ = ("coeffs", "lo", "hi", "den", "root")
+
+    def __init__(self, coeffs=None, lo: Optional[Fraction] = None,
+                 hi: Optional[Fraction] = None, root: Optional[Scalar] = None):
+        self.coeffs, self.root = coeffs, root
+        if root is None:
+            (self.lo, self.hi), self.den = _integer_scale((lo, hi))
+
+    def refine(self, width) -> Scalar:
+        """The root when it is found to be rational (or is floating),
+        otherwise the midpoint of an enclosure of width <= `width`.  A
+        rational root num/den in lowest terms is found whenever
+        den^2 * width < 1: it is then the simplest rational of the final
+        enclosure."""
+        if self.root is not None:
+            return self.root
+        coeffs, lo, hi, den = self.coeffs, self.lo, self.hi, self.den
+        width = Fraction(width)
+        lo_positive = _horner(coeffs, lo, den) > 0
+        rounds = 0
+        while (hi - lo) * width.denominator > width.numerator * den:
+            # the snap only shortens the loop: once the simplest rational of
+            # an enclosure is the root, it is the simplest of every later one
+            if rounds & (rounds - 1) == 0 and self._try_exact_root(lo, hi, den):
+                return self.root
+            lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
+            value = _horner(coeffs, mid, den)
+            if value == 0:
+                self.root = Fraction(mid, den)
+                return self.root
+            if (value > 0) == lo_positive:
+                lo = mid
+            else:
+                hi = mid
+            rounds += 1
+        self.lo, self.hi, self.den = lo, hi, den
+        if self._try_exact_root(lo, hi, den):
+            return self.root
+        mid = Fraction(lo + hi, 2 * den)
+        if _horner(coeffs, mid.numerator, mid.denominator) == 0:
+            self.root = mid
+        return mid
+
+    def _try_exact_root(self, lo: int, hi: int, den: int) -> bool:
+        """Settle `root` if the simplest rational in [lo/den, hi/den] is one."""
+        num, q = _simplest(lo, hi, den)
+        if _horner(self.coeffs, num, q) == 0:
+            self.root = Fraction(num, q)
+            return True
+        return False
 
 
-def _refine_root(p: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> Fraction:
-    """Bisect a sign-changing enclosure; return an exact root when the root is
-    rational, otherwise the midpoint of an enclosure of width <= `width`."""
-    slo = sign(p(lo))
-    if slo == 0:
-        return lo
-    if sign(p(hi)) == 0:
-        return hi
-    rounds = 0
-    while hi - lo > width:
-        if rounds % 3 == 0:
-            exact = _try_exact_root(p, lo, hi)
-            if exact is not None:
-                return exact
-        mid = (lo + hi) / 2
-        sm = sign(p(mid))
-        if sm == 0:
+def _nonroot_split(coeffs, a: Fraction, b: Fraction) -> Fraction:
+    """A split point strictly inside (a, b) where the polynomial does not
+    vanish; at most deg(p) probes can fail."""
+    span = b - a
+    steps = len(coeffs) + 1
+    for i in range(steps):
+        mid = a + span * Fraction(2 * i + steps, 4 * steps)
+        if _horner(coeffs, mid.numerator, mid.denominator) != 0:
             return mid
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-        rounds += 1
-    exact = _try_exact_root(p, lo, hi)
-    if exact is not None:
-        return exact
-    return (lo + hi) / 2
+    raise DegenerateInput("could not find a non-root split point")
 
 
 def _real_roots_float(p: Polynomial, lo: float, hi: float, eps: float) -> list:
@@ -290,6 +351,58 @@ def _real_roots_float(p: Polynomial, lo: float, hi: float, eps: float) -> list:
     return dedup
 
 
+def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
+                    eps: float = DEFAULT_EPS) -> list:
+    """Every real root of `p` in [lo, hi], ascending, as a RootEnclosure.
+
+    Exact input is isolated by Sturm sequences of the primitive integer
+    polynomial: roots at lo and hi come out exact, interior roots as
+    isolating intervals for `RootEnclosure.refine`.  Floating input gives
+    numpy's roots, already settled.  Repeated roots raise DegenerateInput:
+    every polynomial this package feeds in here is guaranteed simple by the
+    theory, so a multiple root signals corrupted input.
+    """
+    if p.is_zero():
+        raise DegenerateInput("zero polynomial has no isolated roots")
+    if any(isinstance(x, float) for x in (*p.coeffs, lo, hi)):
+        return [RootEnclosure(root=x)
+                for x in _real_roots_float(p, float(lo), float(hi), eps)]
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ShapeError("empty interval")
+    if p.degree == 0:
+        return []
+    work = _primitive(_integer_scale(p.coeffs)[0])
+    first, last = [], []
+    # endpoint roots, then strictly interior isolation
+    if _horner(work, lo.numerator, lo.denominator) == 0:
+        first.append(RootEnclosure(root=lo))
+        work = _deflate(work, lo)
+    if hi != lo and _horner(work, hi.numerator, hi.denominator) == 0:
+        last.append(RootEnclosure(root=hi))
+        work = _deflate(work, hi)
+    chain = _sturm_chain(work)
+    # p is squarefree iff what is left is, and no deflated root remains
+    if (len(chain[-1]) > 1 or _horner(work, lo.numerator, lo.denominator) == 0
+            or _horner(work, hi.numerator, hi.denominator) == 0):
+        raise DegenerateInput("polynomial has a repeated root")
+    interior = []
+    if len(work) > 1:
+        # intervals are half-open (a, b] with the polynomial nonzero at both
+        # endpoints, so Sturm counts stay exact; left halves go first
+        stack = [(lo, _sign_variations(chain, lo), hi, _sign_variations(chain, hi))]
+        while stack:
+            a, va, b, vb = stack.pop()
+            if va - vb == 1:
+                interior.append(RootEnclosure(work, a, b))
+            elif va - vb > 1:
+                mid = _nonroot_split(work, a, b)
+                vm = _sign_variations(chain, mid)
+                stack.append((mid, vm, b, vb))
+                stack.append((a, va, mid, vm))
+    return first + interior + last
+
+
 def real_roots(p: Polynomial, lo: Scalar, hi: Scalar,
                precision: Optional[Fraction] = None,
                eps: float = DEFAULT_EPS) -> list:
@@ -297,63 +410,15 @@ def real_roots(p: Polynomial, lo: Scalar, hi: Scalar,
 
     Exact mode (rational coefficients) isolates by Sturm bisection, snaps
     rational roots exactly, and narrows irrational ones to enclosures of the
-    requested width.  Repeated roots raise DegenerateInput: every polynomial
-    this package feeds in here is guaranteed simple by the theory, so a
-    multiple root signals corrupted input.
+    requested width (their midpoints are returned).  Snapping is certain
+    for a rational root num/den with den^2 * width < 1; a root with a
+    larger denominator may come back as an enclosure midpoint like an
+    irrational one (see `RootEnclosure.refine`).  Repeated roots raise
+    DegenerateInput; see `root_enclosures`.
     """
-    if p.is_zero():
-        raise DegenerateInput("zero polynomial has no isolated roots")
-    if not (all_exact(p.coeffs) and is_exact(lo) and is_exact(hi)):
-        return _real_roots_float(p, float(lo), float(hi), eps)
-    lo, hi = as_fraction(lo), as_fraction(hi)
-    if lo > hi:
-        raise ShapeError("empty interval")
-    if p.degree == 0:
-        return []
-    g = poly_gcd(p, p.derivative())
-    if g.degree > 0:
-        raise DegenerateInput("polynomial has a repeated root")
+    enclosures = root_enclosures(p, lo, hi, eps)
     width = precision if precision is not None else root_precision()
-
-    roots = []
-    work = p
-    # endpoint roots, then strictly interior isolation
-    if work(lo) == 0:
-        roots.append(lo)
-        work = work.deflate(lo)
-    if not work.is_zero() and work.degree >= 0 and work(hi) == 0 and hi != lo:
-        roots.append(hi)
-        work = work.deflate(hi)
-    if work.degree >= 1:
-        chain = _sturm_chain(work)
-        # intervals are half-open (a, b] with p nonzero at both endpoints
-        # (endpoint roots were deflated above), so Sturm counts stay exact
-        stack = [(lo, hi, _sign_variations(chain, lo) - _sign_variations(chain, hi))]
-        while stack:
-            a, b, count = stack.pop()
-            if count <= 0:
-                continue
-            if count == 1:
-                roots.append(_refine_root(work, a, b, width))
-                continue
-            mid = _nonroot_split(work, a, b)
-            va, vm, vb = (_sign_variations(chain, a), _sign_variations(chain, mid),
-                          _sign_variations(chain, b))
-            stack.append((a, mid, va - vm))
-            stack.append((mid, b, vm - vb))
-    return sorted(roots)
-
-
-def _nonroot_split(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
-    """A split point strictly inside (a, b) where p does not vanish; at most
-    deg(p) probes can fail."""
-    span = b - a
-    steps = p.degree + 2
-    for i in range(steps):
-        mid = a + span * Fraction(2 * i + steps, 4 * steps)
-        if p(mid) != 0:
-            return mid
-    raise DegenerateInput("could not find a non-root split point")
+    return [e.refine(width) for e in enclosures]
 
 
 # --------------------------------------------------------------------------
@@ -367,7 +432,7 @@ class SymMatrix:
     rows: tuple
 
     def __init__(self, rows):
-        rows = tuple(tuple(x if isinstance(x, float) else Fraction(x) for x in r)
+        rows = tuple(tuple(x if isinstance(x, (Fraction, float)) else Fraction(x) for x in r)
                      for r in rows)
         n = len(rows)
         for r in rows:
@@ -431,56 +496,59 @@ def hankel(values, offset: int, order: int) -> SymMatrix:
                       for i in range(order)])
 
 
-def classify_form(m: SymMatrix, eps: Optional[float] = None) -> FormVerdict:
-    """Classify a symmetric form by diagonally pivoted congruence elimination.
+class _Congruence:
+    """Bookkeeping of a diagonally pivoted congruence elimination, shared by
+    the integer and the floating path.
 
-    Exact inputs give an exact verdict.  Floating inputs use |x| <= eps*scale
-    as the zero test.  The returned witness is exact in rational mode: the
-    kernel vector satisfies M v = 0, the negative witness v has v'Mv < 0.
+    The trailing block of `a` is a positive multiple of the current Schur
+    complement, so the pivot choice and every sign match those of the Schur
+    complement itself.  Column k of the unit lower factor L is
+    lower[i][k] / heads[k].
     """
-    n = m.order
-    if n == 0:
-        return FormVerdict(FormClass.POSITIVE_DEFINITE)
-    a = [list(r) for r in m.rows]
-    exact = all(all_exact(r) for r in a)
-    if exact:
-        a = [[as_fraction(x) for x in r] for r in a]
-    if eps is None:
-        eps = 0.0 if exact else DEFAULT_EPS
-    if exact:
-        thresh = 0
-    else:
-        scale = max(max(abs(x) for x in r) for r in a)
-        thresh = eps * max(scale, 1.0)
-    one = Fraction(1) if exact else 1.0
-    lower = [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
-    perm = list(range(n))
-    pivots = []
 
-    def map_back(y):
-        # solve L^T z = y (unit diagonal), then undo the permutation
-        z = list(y)
-        for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n):
-                z[i] -= lower[j][i] * z[j]
-        out = [0 * one] * n
-        for pos, orig in enumerate(perm):
+    def __init__(self, a, thresh):
+        n = len(a)
+        self.a, self.thresh = a, thresh
+        self.perm = list(range(n))
+        self.lower = [[0] * n for _ in range(n)]
+        self.heads = []
+        self.pivots = []
+
+    def map_back(self, y) -> tuple:
+        """z with L^T z = y, in the original order of the coordinates."""
+        z = self.solve_transposed(y)
+        out = [None] * len(y)
+        for pos, orig in enumerate(self.perm):
             out[orig] = z[pos]
         return tuple(out)
 
-    def swap(k, j):
+    def solve_transposed(self, y) -> list:
+        # row i of L^T scaled by heads[i] is an integer row
+        n, lower, heads = len(y), self.lower, self.heads
+        u = [[heads[i] if j == i else lower[j][i] for j in range(n)]
+             if i < len(heads) else [int(j == i) for j in range(n)]
+             for i in range(n)]
+        c = [y[i] * heads[i] if i < len(heads) else y[i] for i in range(n)]
+        num, den = _solve_upper(u, c)
+        return [Fraction(v, den) for v in num]
+
+    def swap(self, k, j):
         if k == j:
             return
+        a, lower = self.a, self.lower
         a[k], a[j] = a[j], a[k]
         for row in a:
             row[k], row[j] = row[j], row[k]
-        perm[k], perm[j] = perm[j], perm[k]
+        self.perm[k], self.perm[j] = self.perm[j], self.perm[k]
         # only the already-computed multiplier columns move with the rows
         for col in range(k):
             lower[k][col], lower[j][col] = lower[j][col], lower[k][col]
 
-    for k in range(n):
-        # best available diagonal pivot
+    def choose_pivot(self, k) -> Optional[FormVerdict]:
+        """Swap the largest diagonal entry of the trailing block into place
+        k; the verdict instead when no positive pivot is left."""
+        a, n, thresh = self.a, len(self.a), self.thresh
+        unit = [int(i == k) for i in range(n)]
         j = max(range(k, n), key=lambda i: abs(a[i][i]))
         if abs(a[j][j]) <= thresh:
             off = None
@@ -489,34 +557,85 @@ def classify_form(m: SymMatrix, eps: Optional[float] = None) -> FormVerdict:
                     if abs(a[i][l]) > thresh and (off is None or abs(a[i][l]) > abs(a[off[0]][off[1]])):
                         off = (i, l)
             if off is None:
-                kernel = map_back([one if i == k else 0 * one for i in range(n)])
                 return FormVerdict(FormClass.POSITIVE_SEMIDEFINITE_SINGULAR,
-                                   tuple(pivots), kernel=kernel)
+                                   tuple(self.pivots), kernel=self.map_back(unit))
             i, l = off
-            y = [0 * one] * n
-            y[i] = one
-            y[l] = -one if a[i][l] > 0 else one
-            witness = map_back(y)
-            return FormVerdict(FormClass.INDEFINITE, tuple(pivots),
-                               negative_witness=witness)
-        if a[j][j] < 0:
-            swap(k, j)
-            witness = map_back([one if i == k else 0 * one for i in range(n)])
-            return FormVerdict(FormClass.INDEFINITE, tuple(pivots),
-                               negative_witness=witness)
-        swap(k, j)
-        piv = a[k][k]
-        pivots.append(piv)
+            y = [0] * n
+            y[i] = 1
+            y[l] = -1 if a[i][l] > 0 else 1
+            return FormVerdict(FormClass.INDEFINITE, tuple(self.pivots),
+                               negative_witness=self.map_back(y))
+        self.swap(k, j)
+        if a[k][k] < 0:
+            return FormVerdict(FormClass.INDEFINITE, tuple(self.pivots),
+                               negative_witness=self.map_back(unit))
+        return None
+
+
+def classify_form(m: SymMatrix, eps: Optional[float] = None) -> FormVerdict:
+    """Classify a symmetric form by diagonally pivoted congruence elimination.
+
+    Exact inputs give an exact verdict: the form is scaled to integers by
+    its least common denominator and eliminated fraction-free (symmetric
+    Bareiss), whose entries are the Schur complements times a positive
+    leading minor; the pivots are the ratios of consecutive minors.  The
+    kernel vector satisfies M v = 0, the negative witness v has v'Mv < 0.
+    Floating inputs use |x| <= eps*scale as the zero test (eps is ignored
+    for exact input).
+    """
+    n = m.order
+    if n == 0:
+        return FormVerdict(FormClass.POSITIVE_DEFINITE)
+    if any(isinstance(x, float) for row in m.rows for x in row):
+        return _classify_form_float(m, DEFAULT_EPS if eps is None else eps)
+    ints, scale = _integer_scale([x for row in m.rows for x in row])
+    elim = _Congruence([ints[i * n:(i + 1) * n] for i in range(n)], 0)
+    a = elim.a
+    prev = 1
+    for k in range(n):
+        verdict = elim.choose_pivot(k)
+        if verdict is not None:
+            return verdict
+        piv, top = a[k][k], a[k]
+        elim.pivots.append(Fraction(piv, prev * scale))
+        elim.heads.append(piv)
         for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
+            elim.lower[i][k] = f
+            for l in range(i, n):
+                row[l] = a[l][i] = (row[l] * piv - f * top[l]) // prev
+        prev = piv
+    return FormVerdict(FormClass.POSITIVE_DEFINITE, tuple(elim.pivots))
+
+
+class _FloatCongruence(_Congruence):
+    def solve_transposed(self, y) -> list:
+        z = [float(v) for v in y]
+        for i in range(len(z) - 1, -1, -1):
+            for j in range(i + 1, len(z)):
+                if self.lower[j][i]:
+                    z[i] -= self.lower[j][i] / self.heads[i] * z[j]
+        return z
+
+
+def _classify_form_float(m: SymMatrix, eps: float) -> FormVerdict:
+    a = [[float(x) for x in row] for row in m.rows]
+    n = len(a)
+    thresh = eps * max(1.0, max(abs(x) for row in a for x in row))
+    elim = _FloatCongruence(a, thresh)
+    for k in range(n):
+        verdict = elim.choose_pivot(k)
+        if verdict is not None:
+            return verdict
+        piv = a[k][k]
+        elim.pivots.append(piv)
+        elim.heads.append(piv)
+        for i in range(k + 1, n):
+            elim.lower[i][k] = a[i][k]
             f = a[i][k] / piv
-            lower[i][k] = f
             for l in range(k + 1, n):
                 a[i][l] -= f * a[k][l]
-        # clear the pivot row/column only after every row used it
-        for i in range(k + 1, n):
-            a[i][k] = 0 * one
-            a[k][i] = 0 * one
-    return FormVerdict(FormClass.POSITIVE_DEFINITE, tuple(pivots))
+    return FormVerdict(FormClass.POSITIVE_DEFINITE, tuple(elim.pivots))
 
 
 def kernel_vector(m: SymMatrix):
@@ -531,8 +650,62 @@ def kernel_vector(m: SymMatrix):
 # determinants and linear solves
 # --------------------------------------------------------------------------
 
+def _integer_columns(rows) -> tuple:
+    """Integer copy of an exact matrix with column j multiplied by the least
+    common denominator of its entries, and the list of those multipliers."""
+    cols = [_integer_scale(col) for col in zip(*rows)]
+    return [[col[i] for col, _ in cols] for i in range(len(rows))], [s for _, s in cols]
+
+
+def _bareiss_step(a, k: int, prev: int):
+    """Fraction-free elimination below the pivot a[k][k] (nonzero), `prev`
+    being the previous pivot (1 at k = 0).  By Sylvester's identity the
+    entries below and right of the pivot become the minors on rows
+    0..k, i and columns 0..k, j, so the division is exact."""
+    piv, top = a[k][k], a[k]
+    for row in a[k + 1:]:
+        f = row[k]
+        for j in range(k + 1, len(row)):
+            row[j] = (row[j] * piv - f * top[j]) // prev
+
+
+def _eliminate(a, steps: int) -> int:
+    """Run `steps` Bareiss steps on the integer matrix `a` in place, swapping
+    in a lower row at a zero pivot.  Returns the sign of the row permutation,
+    or 0 when some column has no pivot (the first `steps` columns are
+    dependent)."""
+    sign_acc, prev = 1, 1
+    for k in range(steps):
+        if a[k][k] == 0:
+            row = next((i for i in range(k + 1, len(a)) if a[i][k] != 0), None)
+            if row is None:
+                return 0
+            a[k], a[row] = a[row], a[k]
+            sign_acc = -sign_acc
+        _bareiss_step(a, k, prev)
+        prev = a[k][k]
+    return sign_acc
+
+
+def _solve_upper(u, c) -> tuple:
+    """(num, den) with x_i = num[i] / den solving the upper triangular
+    integer system u x = c (nonzero diagonal), by back substitution over one
+    common denominator."""
+    n = len(c)
+    num, den = [0] * n, 1
+    for i in range(n - 1, -1, -1):
+        total = c[i] * den - sum(u[i][j] * num[j] for j in range(i + 1, n))
+        d = u[i][i]
+        if d != 1:
+            for j in range(i + 1, n):
+                num[j] *= d
+            den *= d
+        num[i] = total
+    return num, den
+
+
 def det(rows) -> Scalar:
-    """Determinant; fraction-free (Bareiss) in exact mode."""
+    """Determinant; fraction-free (Bareiss) on integers for exact input."""
     a = [list(r) for r in rows]
     n = len(a)
     for r in a:
@@ -540,35 +713,34 @@ def det(rows) -> Scalar:
             raise ShapeError("determinant of a non-square layout")
     if n == 0:
         return Fraction(1)
-    if not all(all_exact(r) for r in a):
+    if any(isinstance(x, float) for r in a for x in r):
         return _det_float(a)
-    # clear denominators column by column to keep Bareiss in integers
-    scale = Fraction(1)
-    for j in range(n):
-        denom = 1
-        for i in range(n):
-            denom = denom * as_fraction(a[i][j]).denominator // math.gcd(
-                denom, as_fraction(a[i][j]).denominator)
-        if denom != 1:
-            scale /= denom
-            for i in range(n):
-                a[i][j] = a[i][j] * denom
-    a = [[int(x) for x in row] for row in a]
-    sign_acc = 1
-    prev = 1
-    for k in range(n - 1):
+    a, scales = _integer_columns(a)
+    return Fraction(_eliminate(a, n - 1) * a[-1][-1], math.prod(scales))
+
+
+def leading_minors(rows) -> list:
+    """Leading principal minors of orders 1, 2, ... of a square matrix, up to
+    and including the first that vanishes.  Exact input takes them all from
+    one unpivoted Bareiss pass (the k-th pivot is the k-th minor)."""
+    n = len(rows)
+    minors = []
+    if any(isinstance(x, float) for r in rows for x in r):
+        for r in range(1, n + 1):
+            minors.append(_det_float([row[:r] for row in rows[:r]]))
+            if minors[-1] == 0:
+                break
+        return minors
+    a, scales = _integer_columns(rows)
+    prev, den = 1, 1
+    for k in range(n):
+        den *= scales[k]
+        minors.append(Fraction(a[k][k], den))
         if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign_acc = -sign_acc
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+            break
+        _bareiss_step(a, k, prev)
         prev = a[k][k]
-    return scale * sign_acc * a[n - 1][n - 1]
+    return minors
 
 
 def _det_float(a) -> float:
@@ -591,12 +763,23 @@ def _det_float(a) -> float:
 
 
 def solve_linear(rows, rhs):
-    """Solve a square linear system by Gaussian elimination with pivoting."""
+    """Solve a square linear system: fraction-free elimination and integer
+    back substitution for exact input, Gaussian elimination with partial
+    pivoting for floating input."""
     n = len(rows)
     a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    exact = all(all_exact(r) for r in a)
-    if exact:
-        a = [[as_fraction(x) for x in r] for r in a]
+    if any(isinstance(x, float) for r in a for x in r):
+        return _solve_linear_float(a)
+    a, scales = _integer_columns(a)
+    if _eliminate(a, n - 1) == 0 or a[n - 1][n - 1] == 0:
+        raise DegenerateInput("singular linear system")
+    # column j was scaled by scales[j], the right-hand side by scales[n]
+    num, den = _solve_upper(a, [row[n] for row in a])
+    return [Fraction(v * s, den * scales[n]) for v, s in zip(num, scales)]
+
+
+def _solve_linear_float(a) -> list:
+    n = len(a)
     for k in range(n):
         piv = max(range(k, n), key=lambda i: abs(a[i][k]))
         if a[piv][k] == 0:
@@ -611,16 +794,17 @@ def solve_linear(rows, rhs):
     for i in range(n - 1, -1, -1):
         acc = a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))
         x[i] = acc / a[i][i]
-    if exact:
-        x = [as_fraction(v) for v in x]
     return x
 
 
 def det_poly(rows, degrees: Optional[Sequence[int]] = None) -> Polynomial:
     """Determinant of a layout whose last column is monomials t^degrees[j].
 
-    Built by cofactor expansion along the monomial column; the coefficient of
-    t^degrees[j] is the signed minor obtained by deleting row j.
+    The coefficient of t^degrees[j] is the cofactor of that column's row j:
+    the determinant of the layout with the unit vector e_j as last column.
+    Exact input gets all m + 1 of them from one fraction-free elimination
+    of [rows | I]: after m steps its last row holds det[rows | e_j] for
+    every j.  Floating input expands along the monomial column.
     """
     m = len(rows) - 1
     if m < 0:
@@ -632,11 +816,19 @@ def det_poly(rows, degrees: Optional[Sequence[int]] = None) -> Polynomial:
         degrees = list(range(m + 1))
     if len(degrees) != m + 1:
         raise ShapeError("one monomial degree per row is required")
-    coeffs = [0] * (max(degrees) + 1) if degrees else []
-    for j in range(m + 1):
-        minor_rows = [rows[i] for i in range(m + 1) if i != j]
-        minor = det(minor_rows) if m > 0 else Fraction(1)
-        coeffs[degrees[j]] += (-1) ** (j + m) * minor
+    if any(isinstance(x, float) for r in rows for x in r):
+        cofactors = [(-1) ** (j + m) * det([rows[i] for i in range(m + 1) if i != j])
+                     for j in range(m + 1)]
+    else:
+        a, scales = _integer_columns(rows)
+        for i, row in enumerate(a):
+            row.extend(int(i == j) for j in range(m + 1))
+        sign_acc = _eliminate(a, m)
+        scale = math.prod(scales)
+        cofactors = [Fraction(sign_acc * c, scale) for c in a[m][m:]]
+    coeffs = [0] * (max(degrees) + 1)
+    for j, c in enumerate(cofactors):
+        coeffs[degrees[j]] += c
     return Polynomial(coeffs)
 
 

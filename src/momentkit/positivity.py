@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 from .errors import (DegenerateInput, DomainError, NotAMomentSequence)
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
 from .numeric import (FormClass, FormVerdict, Polynomial, Scalar, classify_form,
-                      det, hankel, real_roots, solve_linear)
+                      hankel, leading_minors, real_roots, solve_linear)
 
 DEFAULT_GRID_Q = 12
 
@@ -216,12 +216,8 @@ def classify(s, domain: Domain, eps: Optional[float] = None,
 def _leading_rank(mat) -> int:
     """Largest r with a nonsingular leading r x r block (moment matrices of
     finitely atomic measures have nested nonsingular leading blocks)."""
-    order = mat.order
-    for r in range(order):
-        block = [row[:r + 1] for row in mat.rows[:r + 1]]
-        if det(block) == 0:
-            return r
-    return order
+    minors = leading_minors(mat.rows)
+    return next((r for r, d in enumerate(minors) if d == 0), mat.order)
 
 
 def _kernel_poly_roots(mat, lo, hi) -> list:

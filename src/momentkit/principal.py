@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure
-from .numeric import (Polynomial, Scalar, det_poly, real_roots, root_precision,
+from .numeric import (Polynomial, Scalar, det_poly, root_enclosures, root_precision,
                       vandermonde_masses)
 from .positivity import (PositivityClass, _values, classify_compact,
                          classify_half_open, classify_ray)
@@ -62,25 +62,26 @@ def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
     any mass fails to be positive; verifies the full window when the atoms
     are exact.  A mass computed from enclosures of irrational roots can take
     the wrong sign when it is tiny (a far atom near an unattained infimum
-    carries mass ~1e-43), so the enclosures are narrowed by 2^-64 up to
-    MASS_REFINEMENTS times before a nonpositive mass is final.
+    carries mass ~1e-43), so the roots are isolated once and their
+    enclosures narrowed by 2^-64 up to MASS_REFINEMENTS times before a
+    nonpositive mass is final.
     """
+    enclosures = root_enclosures(poly, lo, hi)
+    if len(enclosures) != poly.degree:
+        raise DegenerateInput(
+            f"expected {poly.degree} simple roots in range, found {len(enclosures)}")
     width = root_precision()
     for _ in range(MASS_REFINEMENTS + 1):
-        roots = real_roots(poly, lo, hi, precision=width)
-        if len(roots) != poly.degree:
-            raise DegenerateInput(
-                f"expected {poly.degree} simple roots in range, found {len(roots)}")
+        roots = [e.refine(width) for e in enclosures]
         masses = vandermonde_masses(roots, list(window))
-        roots_exact = all(poly(r) == 0 for r in roots)
-        if all(mass > 0 for mass in masses) or roots_exact or any(
-                isinstance(r, float) for r in roots):
+        settled = all(e.root is not None for e in enclosures)
+        if settled or all(mass > 0 for mass in masses):
             break
         width /= 2 ** 64
     for mass in masses:
         if not mass > 0:
             raise DegenerateInput("nonpositive mass in principal construction")
-    exact = roots_exact and not any(
+    exact = settled and not any(
         isinstance(v, float) for v in list(window) + list(roots))
     mu = AtomicMeasure(list(zip(roots, masses)), exact=exact)
     if mu.support_size != poly.degree:

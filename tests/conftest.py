@@ -2,8 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from momentkit.measure import AtomicMeasure
+
+# property tests replay the same examples on every run and stay short
+settings.register_profile("momentkit", derandomize=True, deadline=None,
+                          max_examples=40)
+settings.load_profile("momentkit")
 
 
 def rational(rng, num_max=24, den_max=12):

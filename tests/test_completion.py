@@ -253,3 +253,16 @@ def test_solve_che_two_trunk_levels():
     tau = out.certificate.measures[0]
     assert tau.positive.atoms == ((1, F(1, 10)),)
     assert out.certificate.verify(depth=12)
+
+
+def test_flat_che_irrational_atoms_certificate_verifies():
+    # the shared measure's atoms are irrational roots, known only by
+    # enclosures; the certificate must still verify exactly
+    tail = (F(188533, 181648), F(962996, 942665))
+    pw = PartialWeights([F(169957, 150040), F(217558, 115981)],
+                        [BranchClass(F(1271536, 6628323), tail, 1),
+                         BranchClass(F(5812736, 6628323), tail, 1)])
+    out = flat_che_completion(pw)
+    assert out.status is SolveStatus.FEASIBLE
+    assert not out.certificate.measures[0].positive.exact
+    assert out.certificate.verify(64)

@@ -1,0 +1,151 @@
+"""Property tests of the exact kernel against sympy.
+
+Form classification is compared with the inertia read off sympy's exact
+characteristic polynomial (Descartes' rule of signs is exact for the
+real-rooted characteristic polynomial of a symmetric matrix); root isolation
+with sympy's exact real-root isolation.
+"""
+
+import itertools
+from fractions import Fraction as F
+
+import sympy
+from hypothesis import given, strategies as st
+
+from momentkit.numeric import (FormClass, Polynomial, SymMatrix, classify_form,
+                               det, leading_minors, real_roots, root_precision)
+
+SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def _sym(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _variations(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+@st.composite
+def forms(draw):
+    """Sum of r rational rank-one squares, n <= 7, sometimes minus one."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(0, n))
+    vectors = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n),
+                            min_size=r, max_size=r))
+    if draw(st.booleans()):
+        weight = draw(st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8))
+        w = draw(st.lists(SMALL, min_size=n, max_size=n))
+        negative = [(-weight, w)]
+    else:
+        negative = []
+    terms = [(F(1), v) for v in vectors] + negative
+    return [[sum((c * v[i] * v[j] for c, v in terms), F(0)) for j in range(n)]
+            for i in range(n)]
+
+
+@given(forms())
+def test_classify_form_matches_sympy_inertia(rows):
+    n = len(rows)
+    m = SymMatrix(rows)
+    verdict = classify_form(m)
+    exact = sympy.Matrix([[_sym(x) for x in row] for row in rows])
+    coeffs = exact.charpoly().all_coeffs()               # highest degree first
+    negative = _variations([c * (-1) ** k for k, c in enumerate(reversed(coeffs))])
+    zero = next(k for k, c in enumerate(reversed(coeffs)) if c != 0)
+    if negative:
+        want = FormClass.INDEFINITE
+    elif zero:
+        want = FormClass.POSITIVE_SEMIDEFINITE_SINGULAR
+    else:
+        want = FormClass.POSITIVE_DEFINITE
+    assert verdict.kind is want
+
+    if want is FormClass.POSITIVE_SEMIDEFINITE_SINGULAR:
+        v = verdict.kernel
+        assert any(v) and all(
+            sum((rows[i][j] * v[j] for j in range(n)), F(0)) == 0 for i in range(n))
+    if want is FormClass.INDEFINITE:
+        assert m.quadratic_form(verdict.negative_witness) < 0
+
+    # the pivots are ratios of nested principal minors: every prefix product
+    # is a principal minor of that order, the full product the determinant
+    assert all(p > 0 for p in verdict.pivots)
+    products = list(itertools.accumulate(verdict.pivots, lambda a, b: a * b))
+    for k, product in enumerate(products, start=1):
+        assert product in {det([[rows[i][j] for j in s] for i in s])
+                           for s in itertools.combinations(range(n), k)}
+    full_det = exact.det()
+    assert det(rows) == full_det
+    if want is FormClass.POSITIVE_DEFINITE:
+        assert products[-1] == full_det
+    minors = leading_minors(rows)
+    assert minors == [exact[:k, :k].det() for k in range(1, len(minors) + 1)]
+    assert minors[-1] == 0 or len(minors) == n
+
+
+EXTREME = st.builds(lambda m, e: F(m) * F(2) ** e,
+                    st.integers(1, 15), st.integers(-40, 40))
+
+
+@st.composite
+def root_problems(draw):
+    """A squarefree polynomial of degree <= 12 with planted rational roots
+    (moderate, extreme in [2^-40, 2^40], clustered down to 2^-36 apart) and
+    irrational pairs +-sqrt(q), and an interval that may end at a root."""
+    roots = set(draw(st.lists(
+        st.one_of(st.fractions(min_value=-20, max_value=20, max_denominator=16),
+                  EXTREME),
+        max_size=6)))
+    if draw(st.booleans()):
+        base = draw(st.fractions(min_value=0, max_value=4, max_denominator=16))
+        gap = F(1, 2 ** draw(st.integers(10, 36)))
+        roots.update(base + i * gap for i in range(1, draw(st.integers(2, 3)) + 1))
+    squares = set(draw(st.lists(
+        st.tuples(st.sampled_from((2, 3, 5, 7)),
+                  st.one_of(st.fractions(min_value=F(1, 16), max_value=16,
+                                         max_denominator=16),
+                            EXTREME)),
+        max_size=3)))
+    roots = sorted(roots)[:12 - 2 * len(squares)]
+    poly = Polynomial([draw(st.sampled_from((F(-3, 2), F(1), F(7, 5))))])
+    for r in roots:
+        poly = poly.mul_linear(-r, 1)
+    for prime, s in squares:
+        poly = poly.mul(Polynomial([-prime * s * s, 0, 1]))
+    if poly.degree < 1:
+        poly = poly.mul_linear(-1, 1)
+        roots = [F(1)]
+    bound = 1 + max(abs(c) for c in poly.coeffs) / abs(poly.coeffs[-1])
+    ends = [-bound, bound, F(0)] + list(roots)
+    lo, hi = sorted((draw(st.sampled_from(ends)), draw(st.sampled_from(ends))))
+    if lo == hi:
+        lo, hi = -bound, bound
+    return poly, roots, lo, hi
+
+
+@given(root_problems())
+def test_real_roots_match_sympy(problem):
+    poly, planted, lo, hi = problem
+    width = root_precision()
+    ours = real_roots(poly, lo, hi)
+    x = sympy.Symbol("x")
+    exact = sympy.Poly([_sym(c) for c in reversed(poly.coeffs)], x)
+    theirs = exact.intervals(inf=_sym(lo), sup=_sym(hi), fast=True)
+    assert len(ours) == len(theirs) == exact.count_roots(_sym(lo), _sym(hi))
+    assert ours == sorted(ours) and len(set(ours)) == len(ours)
+    assert all(lo <= root <= hi for root in ours)
+    for r in planted:
+        # snapping is promised for den^2 * width < 1; every other planted
+        # root is checked below like an irrational one
+        if lo <= r <= hi and r.denominator ** 2 * width < 1:
+            assert r in ours
+    for root, ((a, b), _) in zip(ours, theirs):
+        if a == b:
+            assert root == a
+        elif exact.eval(_sym(root)) != 0:
+            # an irrational root: the enclosure around the midpoint holds it
+            left, right = _sym(root - width / 2), _sym(root + width / 2)
+            assert left <= b and a <= right
+            assert exact.count_roots(left, right) == 1
