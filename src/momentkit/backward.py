@@ -21,10 +21,10 @@ from typing import Optional, Sequence
 from .errors import (ArityError, BadIndex, DomainError, InfeasibleChoice,
                      NotStrictlyPositive, OutOfRange)
 from .measure import AtomicMeasure, MomentSequence, tilt
-from .numeric import Polynomial, Scalar
+from .numeric import Scalar
 from .positivity import (HalfOpen, PositivityClass, Ray, _values, classify_half_open,
                          classify_ray, recover_minimal_measure)
-from .principal import bordered_hankel_poly, measure_from_poly, root_bound
+from .principal import atom_polynomial, measure_from_poly, root_bound
 
 
 class ExtensionClass(Enum):
@@ -81,17 +81,9 @@ def forced_value(tail: Sequence[Scalar], domain=Ray()) -> Scalar:
 def minimal_measure_window(window, domain) -> AtomicMeasure:
     """Minimal measure of a strictly positive window of even length on the
     ray, or of odd/even length on (0, 1] (2K moments starting deepest)."""
-    window = list(window)
-    if isinstance(domain, Ray):
-        poly = bordered_hankel_poly(window)
-        return measure_from_poly(poly, window, Fraction(0), root_bound(poly))
-    if len(window) % 2 == 0:
-        poly = bordered_hankel_poly(window)
-    else:
-        diffs = [window[k] - window[k + 1] for k in range(len(window) - 1)]
-        inner = bordered_hankel_poly(diffs) if diffs else Polynomial([1])
-        poly = inner.mul_linear(1, -1)
-    return measure_from_poly(poly, window, Fraction(0), Fraction(1))
+    poly = atom_polynomial(window, domain)
+    hi = root_bound(poly) if isinstance(domain, Ray) else Fraction(1)
+    return measure_from_poly(poly, window, Fraction(0), hi)
 
 
 def extend_with_index(s, r: int, K, free: Sequence[Scalar] = (),

@@ -110,10 +110,10 @@ def _run_classify(obj, exact, options):
     seq = _parse_seq(obj["sequence"], exact)
     domain = _domain(obj, exact)
     eps = float(options["tolerance"])
-    verdict = classify(seq, domain, eps=eps, q_max=options["grid_q"])
+    verdict = classify(seq, domain, eps=eps)
     payload = {"class": verdict.kind.value}
     if verdict.is_positive:
-        payload["index"] = _fmt(index(seq, domain, eps=eps, q_max=options["grid_q"]))
+        payload["index"] = _fmt(index(seq, domain, eps=eps))
     code = EXIT_OK if verdict.is_positive else EXIT_NEGATIVE
     return payload, code
 
@@ -281,7 +281,7 @@ def _run_oracle_verify(obj, exact, options):
     seq = _parse_seq(obj["sequence"], True)
     domain = _domain(obj, True)
     cfg = OracleConfig(resolution=int(obj.get("resolution", 700)),
-                       grid_q=int(options.get("grid_q", 10)),
+                       grid_q=int(options.get("grid_q", 12)),
                        seed=int(options.get("seed", 0)))
     verdict = grid_classify(seq, domain, cfg)
     payload = {"grid_class": verdict.value}
@@ -311,8 +311,7 @@ _HANDLERS = {
 
 def run(path, flags=None) -> tuple:
     """Process one problem file; returns (payload dict, exit code)."""
-    flags = flags or argparse.Namespace(float=False, tolerance=1e-9, depth=12,
-                                        grid_q=12, seed=0)
+    flags = flags or argparse.Namespace(float=False, tolerance=1e-9, depth=12, seed=0)
     started = time.time()
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -320,8 +319,7 @@ def run(path, flags=None) -> tuple:
     except (OSError, json.JSONDecodeError) as exc:
         return {"error": {"kind": "input", "message": str(exc)}}, EXIT_INPUT
     exact = obj.get("arithmetic", "float" if flags.float else "exact") == "exact"
-    options = {"tolerance": flags.tolerance, "depth": flags.depth,
-               "grid_q": flags.grid_q, "seed": flags.seed}
+    options = {"tolerance": flags.tolerance, "depth": flags.depth, "seed": flags.seed}
     options.update(obj.get("options", {}))
     kind = obj.get("kind")
     handler = _HANDLERS.get(kind)
@@ -362,7 +360,6 @@ def main(argv=None) -> int:
     ap.add_argument("--tolerance", type=float, default=1e-9)
     ap.add_argument("--depth", type=int, default=12,
                     help="certificate verification depth")
-    ap.add_argument("--grid-q", dest="grid_q", type=int, default=12)
     ap.add_argument("--seed", type=int, default=0)
     fmt = ap.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="pretty", action="store_false",
@@ -377,7 +374,7 @@ def main(argv=None) -> int:
         files = sorted(p for p in Path(args.batch).glob("*.json")
                        if not p.name.endswith(".result.json"))
         flags_dict = {"float": args.float, "tolerance": args.tolerance,
-                      "depth": args.depth, "grid_q": args.grid_q, "seed": args.seed}
+                      "depth": args.depth, "seed": args.seed}
         worst = EXIT_OK
         with ProcessPoolExecutor() as pool:
             for out_path, code in pool.map(_process_one,

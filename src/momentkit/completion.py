@@ -27,9 +27,9 @@ from .alternating import CAMeasure, has_ca_extension
 from .backward import forced_value, minimal_measure_window
 from .errors import (BadIndex, DegenerateInput, PreconditionError, Unsupported)
 from .measure import AtomicMeasure, MomentRecurrence, MomentSequence, tilt
-from .numeric import Polynomial, Scalar, as_fraction, format_scalar
+from .numeric import Scalar, as_fraction, format_scalar
 from .positivity import HalfOpen, PositivityClass, Ray, classify_half_open, classify_ray
-from .principal import bordered_hankel_poly
+from .principal import atom_polynomial, bordered_hankel_poly
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
                    MeasureTail, PartialWeights, verify_che_certificate,
                    verify_subnormal_certificate)
@@ -371,15 +371,6 @@ def _k_vectors(per_class_options):
 # certificate assembly
 # --------------------------------------------------------------------------
 
-def _window_poly(window, domain) -> Polynomial:
-    window = list(window)
-    if isinstance(domain, Ray) or len(window) % 2 == 0:
-        return bordered_hankel_poly(window)
-    diffs = [window[k] - window[k + 1] for k in range(len(window) - 1)]
-    inner = bordered_hankel_poly(diffs) if diffs else Polynomial([1])
-    return inner.mul_linear(1, -1)
-
-
 def _certificate_measure(window, first_index: int, full_window, domain):
     """Measure for a completed branch: explicit atoms when they are exact,
     otherwise a moment recurrence seeded with the full extension (exact
@@ -389,7 +380,7 @@ def _certificate_measure(window, first_index: int, full_window, domain):
     shifted = tilt(zero_based, -first_index)
     if zero_based.exact:
         return shifted
-    poly = _window_poly(window, domain)
+    poly = atom_polynomial(window, domain)
     return MomentRecurrence(poly, first_index, list(full_window), atoms_hint=shifted)
 
 
@@ -742,7 +733,7 @@ def flat_che_completion(pw: PartialWeights) -> SolveOutcome:
         # the recurrence of the atom polynomial rho was built from
         deltas = [root_seq[k + 1] - root_seq[k] for k in range(len(root_seq) - 1)]
         shared = RecurrentCAMeasure(MomentRecurrence(
-            _window_poly(deltas, HalfOpen()), -kappa - 1,
+            atom_polynomial(deltas, HalfOpen()), -kappa - 1,
             [d / scale for d in deltas], atoms_hint=atoms))
     branches = [FullBranch(cls.first_mass,
                            GeometricSumTail(cls.tail_sq, shared), cls.count)

@@ -26,10 +26,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DegenerateInput, NotStrictlyPositive
-from .measure import AtomicMeasure
+from .measure import AtomicMeasure, MomentRecurrence
 from .numeric import Polynomial, Scalar
-from .positivity import PositivityClass, _values, classify_compact, classify_half_open, classify_ray
-from .principal import PrincipalKind, bordered_hankel_poly, principal_polynomial
+from .positivity import (HalfOpen, PositivityClass, Ray, _determinate_poly, _values,
+                         classify_compact, classify_half_open, classify_ray)
+from .principal import PrincipalKind, atom_polynomial, bordered_hankel_poly, principal_polynomial
 
 @dataclass(frozen=True)
 class ExtremalBounds:
@@ -87,29 +88,21 @@ def reciprocal_extremes_compact(s, a: Scalar, b: Scalar,
     return ExtremalBounds(pairs[0][0], pairs[1][0], measures[0], measures[1])
 
 
-def _first_strict_interval(values, q_max=30):
-    for q in range(1, q_max + 1):
+def _first_strict_interval(values):
+    for q in range(1, 31):
         a, b = Fraction(1, 2 ** q), Fraction(2 ** q)
         if classify_compact(values, a, b).kind is PositivityClass.STRICTLY_POSITIVE:
             return a, b, q
     raise ConvergenceError("no strictly positive compact window found")
 
 
-def _singular_reciprocal(values) -> Scalar:
+def _singular_reciprocal(values, domain) -> Scalar:
     """Reciprocal moment of the unique measure of a singularly positive
     window, via the support polynomial's backward moment recurrence -- exact
-    even when the atoms are irrational.  The support size r is the Hankel
-    rank and 2r never exceeds the window length for singular windows."""
-    from .measure import MomentRecurrence
-    from .numeric import hankel
-    from .positivity import _leading_rank
-    if all(v == 0 for v in values):
+    even when the atoms are irrational."""
+    poly = _determinate_poly(values, domain)
+    if poly.degree == 0:  # the zero window
         return Fraction(0)
-    n = len(values) - 1
-    r = _leading_rank(hankel(values, 0, n // 2 + 1))
-    if r == 0:
-        return Fraction(0)
-    poly = bordered_hankel_poly(list(values[:2 * r]))
     return MomentRecurrence(poly, 0, list(values)).moment(-1)
 
 
@@ -146,7 +139,7 @@ def reciprocal_inf_ray(s) -> Scalar:
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotStrictlyPositive("sequence is not positive on (0, inf)")
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        return _singular_reciprocal(values)
+        return _singular_reciprocal(values, Ray())
     n = len(values) - 1
     if n == 0:
         return Fraction(0)
@@ -164,15 +157,8 @@ def reciprocal_inf_half_open(s) -> Scalar:
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotStrictlyPositive("sequence is not positive on (0, 1]")
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        return _singular_reciprocal(values)
-    n = len(values) - 1
-    if n % 2 == 1:
-        poly = bordered_hankel_poly(values)
-    else:
-        diffs = [values[k] - values[k + 1] for k in range(n)]
-        inner = bordered_hankel_poly(diffs) if diffs else Polynomial([1])
-        poly = inner.mul_linear(1, -1)
-    return reciprocal_value_from_poly(poly, values)
+        return _singular_reciprocal(values, HalfOpen())
+    return reciprocal_value_from_poly(atom_polynomial(values, HalfOpen()), values)
 
 
 def reciprocal_sup_ray_bounds(s) -> ExtremalBounds:

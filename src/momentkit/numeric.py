@@ -41,14 +41,6 @@ DEFAULT_EPS = 1e-9
 # scalar helpers
 # --------------------------------------------------------------------------
 
-def is_exact(x: Scalar) -> bool:
-    return not isinstance(x, float)
-
-
-def all_exact(values) -> bool:
-    return all(is_exact(v) for v in values)
-
-
 def parse_scalar(text: str, exact: bool = True) -> Scalar:
     """Parse a decimal or ``p/q`` string.
 
@@ -403,6 +395,16 @@ def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
     return first + interior + last
 
 
+def count_roots(p: Polynomial, lo: Scalar, hi: Scalar) -> Optional[int]:
+    """Number of real roots of the exact, nonzero polynomial `p` in
+    (lo, hi], read from the sign variations of one Sturm chain at the two
+    ends; no root is isolated.  None when p has a repeated root."""
+    chain = _sturm_chain(_primitive(_integer_scale(p.coeffs)[0]))
+    if len(chain[-1]) > 1:
+        return None
+    return _sign_variations(chain, Fraction(lo)) - _sign_variations(chain, Fraction(hi))
+
+
 def real_roots(p: Polynomial, lo: Scalar, hi: Scalar,
                precision: Optional[Fraction] = None,
                eps: float = DEFAULT_EPS) -> list:
@@ -719,17 +721,27 @@ def det(rows) -> Scalar:
     return Fraction(_eliminate(a, n - 1) * a[-1][-1], math.prod(scales))
 
 
-def leading_minors(rows) -> list:
+def leading_minors(rows, eps: Optional[float] = None) -> list:
     """Leading principal minors of orders 1, 2, ... of a square matrix, up to
     and including the first that vanishes.  Exact input takes them all from
-    one unpivoted Bareiss pass (the k-th pivot is the k-th minor)."""
+    one unpivoted Bareiss pass (the k-th pivot is the k-th minor).  Floating
+    input takes them from one unpivoted elimination that reads the k-th
+    pivot as zero when |pivot| <= eps * max(1, |m_kk|)."""
     n = len(rows)
     minors = []
     if any(isinstance(x, float) for r in rows for x in r):
-        for r in range(1, n + 1):
-            minors.append(_det_float([row[:r] for row in rows[:r]]))
-            if minors[-1] == 0:
+        a = [[float(x) for x in row] for row in rows]
+        tol = DEFAULT_EPS if eps is None else eps
+        for k in range(n):
+            piv = a[k][k]
+            small = abs(piv) <= tol * max(1.0, abs(rows[k][k]))
+            minors.append(0.0 if small else piv * (minors[-1] if minors else 1.0))
+            if small:
                 break
+            for row in a[k + 1:]:
+                f = row[k] / piv
+                for j in range(k + 1, n):
+                    row[j] -= f * a[k][j]
         return minors
     a, scales = _integer_columns(rows)
     prev, den = 1, 1

@@ -2,14 +2,13 @@
 
 Three domains are supported: a compact interval [a, b], the open ray
 (0, inf), and the half-open interval (0, 1].  On [a, b] the classification
-is the classical pair of Hankel-form tests.  On the ray and on (0, 1] the
-primary criterion is the limiting pair of those forms (b -> inf resp.
-a -> 0 at b = 1); when the limiting pair is not definite, an expanding grid
-of compact intervals separates the singularly positive sequences from the
-non-positive ones.
-
-The singular case comes with an exact witness: the unique representing
-measure, recovered from kernel polynomials of the singular criterion forms.
+is the classical pair of Hankel-form tests.  On the ray and on (0, 1] a
+sequence is strictly positive exactly when the limiting pair of those forms
+(b -> inf resp. a -> 0 at b = 1) is positive definite.  Otherwise it is
+positive only if it is determinate (Curto-Fialkow, "Recursiveness,
+positivity, and truncated moment problems", Houston J. Math. 1991), which
+`_determinate_poly` decides exactly from the support polynomial of the
+unique measure; that measure is the exact witness of the singular case.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInput, DomainError, NotAMomentSequence)
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
-from .numeric import (FormClass, FormVerdict, Polynomial, Scalar, classify_form,
-                      hankel, leading_minors, real_roots, solve_linear)
-
-DEFAULT_GRID_Q = 12
+from .numeric import (DEFAULT_EPS, FormClass, FormVerdict, Polynomial, Scalar,
+                      classify_form, count_roots, hankel, leading_minors, real_roots,
+                      solve_linear)
 
 
 # --------------------------------------------------------------------------
@@ -67,7 +65,7 @@ class PositivityVerdict:
     kind: PositivityClass
     #: verdicts for the two criterion forms (PD pivots / kernel vectors)
     forms: tuple = ()
-    #: interval the verdict was decided on (grid fallback), if any
+    #: interval the verdict was decided on (set by classify_compact only)
     interval: Optional[tuple] = None
 
     @property
@@ -144,68 +142,97 @@ def half_open_limit_matrices(values: Sequence[Scalar]):
 
 
 def _nonneg_check(values, eps):
-    tol = 0
-    if any(isinstance(v, float) for v in values):
-        tol = (eps if eps is not None else 1e-9) * max(1.0, max(abs(v) for v in values))
     for v in values:
-        if v < -tol:
+        if v < 0 and not _reads_zero(v, max(abs(x) for x in values), eps):
             raise DomainError(f"negative entry {v!r} in a sequence on a positive domain")
 
 
-def _grid_intervals(q_max: int, half_open: bool):
-    for q in range(1, q_max + 1):
-        a = Fraction(1, 2 ** q)
-        b = Fraction(1) if half_open else Fraction(2 ** q)
-        yield a, b
+def _reads_zero(x: Scalar, scale, eps: Optional[float]) -> bool:
+    """x == 0 for exact x; for a float, |x| <= eps * max(1, scale), the zero
+    test of the floating form classification."""
+    if not isinstance(x, float):
+        return x == 0
+    return abs(x) <= (DEFAULT_EPS if eps is None else eps) * max(1.0, scale)
 
 
-def _grid_fallback(values, q_max, half_open, eps) -> PositivityVerdict:
-    for a, b in _grid_intervals(q_max, half_open):
-        verdict = classify_compact(values, a, b, eps)
-        if verdict.is_positive:
-            # positivity on some interval settles it; strictness cannot
-            # appear here once the limiting pair failed, but trust the
-            # compact verdict if it does
-            return verdict
-    return PositivityVerdict(PositivityClass.NOT_POSITIVE)
+def _determinate_poly(values, domain: Domain,
+                      eps: Optional[float] = None) -> Optional[Polynomial]:
+    """Monic support polynomial of a window that is determinate on the ray
+    or on (0, 1] (the constant 1 for the zero window); None when the window
+    is not positive there.
+
+    With r positive leading pivots of H(s) before the first zero one, p is
+    the bordered-Hankel polynomial of s_0..s_(2r-1).  The window passes when
+    p's recurrence generates all of it, p(0) != 0, and p has r distinct
+    roots in (0, root_bound(p)], resp. (0, 1]: the Vandermonde masses then
+    reproduce s and are positive, as H_r = V^T D V is positive definite.
+    A singular window always passes, its unique measure having r atoms.
+    Roots are counted on the binary-exact image of p by a Sturm chain and
+    never refined.  Floats read as zero by `_reads_zero` at the bounds
+    |c|_1 max|s| of a recurrence sum and |c|_1 of p(0) and p(1); on (0, 1]
+    a p(1) read as zero puts the root at 1.
+    """
+    from .principal import bordered_hankel_poly, root_bound
+    n = len(values) - 1
+    top = max(abs(v) for v in values)
+    minors = leading_minors(hankel(values, 0, n // 2 + 1).rows, eps)
+    r = len(minors) - 1 if minors[-1] == 0 else len(minors)
+    if any(d < 0 for d in minors) or 2 * r > n + 1:
+        return None
+    if r == 0:
+        return Polynomial([1]) if all(_reads_zero(v, top, eps) for v in values) else None
+    p = bordered_hankel_poly(values[:2 * r])
+    c = [x / p.coeffs[-1] for x in p.coeffs]
+    norm = sum(abs(x) for x in c)
+    for k in range(r, n - r + 1):  # k < r holds by construction
+        if not _reads_zero(sum(c[j] * values[k + j] for j in range(r + 1)), norm * top, eps):
+            return None
+    image = [Fraction(x) for x in c]
+    if isinstance(domain, HalfOpen):
+        hi = Fraction(1)
+        if _reads_zero(sum(c), norm, eps):  # p(1)
+            image[0] -= sum(image)
+    else:
+        hi = root_bound(Polynomial(image))
+    if _reads_zero(c[0], norm, eps) or count_roots(Polynomial(image), 0, hi) != r:
+        return None
+    return Polynomial(c)
 
 
-def _classify_limit(values, matrices, half_open, eps, q_max) -> PositivityVerdict:
-    from .numeric import all_exact
-    f1, f2 = classify_form(matrices[0], eps), classify_form(matrices[1], eps)
-    if f1.kind is FormClass.POSITIVE_DEFINITE and f2.kind is FormClass.POSITIVE_DEFINITE:
-        return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE, (f1, f2))
-    verdict = _grid_fallback(values, q_max, half_open=half_open, eps=eps)
-    if verdict.is_strict and all_exact(values):
-        # strictness on a compact subinterval forces the limiting pair PD
-        raise DegenerateInput("grid strictness contradicts the limiting pair")
-    return verdict
+def _classify_limit(values, matrices, domain, eps) -> PositivityVerdict:
+    forms = (classify_form(matrices[0], eps), classify_form(matrices[1], eps))
+    if all(f.kind is FormClass.POSITIVE_DEFINITE for f in forms):
+        return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE, forms)
+    if _determinate_poly(values, domain, eps) is None:
+        return PositivityVerdict(PositivityClass.NOT_POSITIVE, forms)
+    return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, forms)
 
 
-def classify_ray(s, eps: Optional[float] = None, q_max: int = DEFAULT_GRID_Q) -> PositivityVerdict:
-    """Classify on (0, inf): limiting Hankel pair, grid fallback for the
-    singular/non-positive boundary."""
+def classify_ray(s, eps: Optional[float] = None) -> PositivityVerdict:
+    """Classify on (0, inf): strictly positive when the limiting Hankel
+    pair H(s), H(s shifted by one) is positive definite, otherwise singularly
+    positive or not by the exact determinacy test `_determinate_poly`."""
     values = _values(s)
     _nonneg_check(values, eps)
-    return _classify_limit(values, ray_limit_matrices(values), False, eps, q_max)
+    return _classify_limit(values, ray_limit_matrices(values), Ray(), eps)
 
 
-def classify_half_open(s, eps: Optional[float] = None, q_max: int = DEFAULT_GRID_Q) -> PositivityVerdict:
-    """Classify on (0, 1]: the a -> 0 limit of the [a, 1] criteria, grid
-    fallback on [2^-q, 1] for the singular/non-positive boundary."""
+def classify_half_open(s, eps: Optional[float] = None) -> PositivityVerdict:
+    """Classify on (0, 1]: strictly positive when the a -> 0 limit of the
+    [a, 1] criterion pair is positive definite, otherwise singularly
+    positive or not by the exact determinacy test `_determinate_poly`."""
     values = _values(s)
     _nonneg_check(values, eps)
-    return _classify_limit(values, half_open_limit_matrices(values), True, eps, q_max)
+    return _classify_limit(values, half_open_limit_matrices(values), HalfOpen(), eps)
 
 
-def classify(s, domain: Domain, eps: Optional[float] = None,
-             q_max: int = DEFAULT_GRID_Q) -> PositivityVerdict:
+def classify(s, domain: Domain, eps: Optional[float] = None) -> PositivityVerdict:
     if isinstance(domain, Compact):
         return classify_compact(s, domain.a, domain.b, eps)
     if isinstance(domain, Ray):
-        return classify_ray(s, eps, q_max)
+        return classify_ray(s, eps)
     if isinstance(domain, HalfOpen):
-        return classify_half_open(s, eps, q_max)
+        return classify_half_open(s, eps)
     raise DomainError(f"unknown domain {domain!r}")
 
 
@@ -300,40 +327,26 @@ def recover_minimal_measure_compact(s, a: Scalar, b: Scalar) -> AtomicMeasure:
     return AtomicMeasure(pairs) if pairs else ZERO_MEASURE
 
 
-def recover_minimal_measure(s, domain: Domain,
-                            q_max: int = DEFAULT_GRID_Q) -> AtomicMeasure:
+def recover_minimal_measure(s, domain: Domain) -> AtomicMeasure:
     """Unique representing measure of a singularly positive sequence on a
-    ray / half-open / compact domain (exact arithmetic)."""
+    ray / half-open / compact domain; on the ray and on (0, 1] its atoms are
+    the roots of the support polynomial of `_determinate_poly`."""
     values = _values(s)
     if isinstance(domain, Compact):
         return recover_minimal_measure_compact(values, domain.a, domain.b)
     if all(v == 0 for v in values):
         return ZERO_MEASURE
-    half_open = isinstance(domain, HalfOpen)
-    for a, b in _grid_intervals(q_max, half_open):
-        verdict = classify_compact(values, a, b)
-        if verdict.is_positive:
-            return recover_minimal_measure_compact(values, a, b)
-    raise NotAMomentSequence("no positive interval found on the grid")
+    poly = _determinate_poly(values, domain)
+    if poly is None:
+        raise NotAMomentSequence("sequence is not positive on the domain")
+    from .principal import measure_from_poly, root_bound
+    hi = Fraction(1) if isinstance(domain, HalfOpen) else root_bound(poly)
+    return measure_from_poly(poly, values, Fraction(0), hi)
 
 
 # --------------------------------------------------------------------------
 # index
 # --------------------------------------------------------------------------
-
-def _measure_index(mu: AtomicMeasure, domain: Domain) -> Fraction:
-    if isinstance(domain, Ray):
-        return Fraction(mu.support_size)
-    total = Fraction(0)
-    for pos, _ in mu.atoms:
-        if isinstance(domain, Compact) and pos in (domain.a, domain.b):
-            total += Fraction(1, 2)
-        elif isinstance(domain, HalfOpen) and pos == 1:
-            total += Fraction(1, 2)
-        else:
-            total += 1
-    return total
-
 
 def _transform_rank(values, weights) -> int:
     """Rank of the Hankel form of the window transformed by a polynomial
@@ -349,18 +362,19 @@ def _transform_rank(values, weights) -> int:
     return _leading_rank(hankel(transformed, 0, order))
 
 
-def _singular_index(values, domain: Domain) -> Fraction:
-    """Index of a singularly positive sequence by exact rank counting: the
-    plain Hankel rank is the support size, and endpoint membership shows up
-    as a rank drop of the endpoint-annihilating transform."""
+def _singular_index(values, domain: Domain, eps: Optional[float] = None) -> Fraction:
+    """Index of a singularly positive sequence.  On the ray and on (0, 1]
+    it is the degree r of the support polynomial, less 1/2 on (0, 1] when 1
+    is a root.  On [a, b] it is counted by exact ranks: the plain Hankel
+    rank is the support size, and endpoint membership shows up as a rank
+    drop of the endpoint-annihilating transform."""
+    if not isinstance(domain, Compact):
+        poly = _determinate_poly(values, domain, eps)
+        at_one = isinstance(domain, HalfOpen) and _reads_zero(
+            poly(1), sum(abs(x) for x in poly.coeffs), eps)
+        return Fraction(poly.degree) - Fraction(int(at_one), 2)
     n = len(values) - 1
     support = _transform_rank(values, [1])
-    if isinstance(domain, Ray):
-        return Fraction(support)
-    if isinstance(domain, HalfOpen):
-        without_one = _transform_rank(values, [1, -1])     # (1 - t) weight
-        at_one = support - without_one
-        return Fraction(support) - Fraction(at_one, 2)
     a, b = domain.a, domain.b
     if n % 2 == 1:
         without_a = _transform_rank(values, [-a, 1])       # (t - a)
@@ -372,22 +386,21 @@ def _singular_index(values, domain: Domain) -> Fraction:
     return Fraction(support) - Fraction(ends, 2)
 
 
-def index(s, domain: Domain, eps: Optional[float] = None,
-          q_max: int = DEFAULT_GRID_Q):
+def index(s, domain: Domain, eps: Optional[float] = None):
     """Index of a positive sequence: ceil((n+1)/2) on the ray resp. (n+1)/2
     elsewhere when strictly positive, else the index of the unique measure
-    counted by exact Hankel ranks (endpoint atoms weighted 1/2 off the ray).
+    (endpoint atoms weighted 1/2 off the ray).
 
     Returns an int on the ray and a Fraction otherwise.
     """
     values = _values(s)
     n = len(values) - 1
-    verdict = classify(values, domain, eps, q_max)
+    verdict = classify(values, domain, eps)
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotAMomentSequence("sequence is not positive on the domain")
     if verdict.is_strict:
         if isinstance(domain, Ray):
             return -((n + 1) // -2)  # ceil((n+1)/2)
         return Fraction(n + 1, 2)
-    idx = _singular_index(values, domain)
+    idx = _singular_index(values, domain, eps)
     return int(idx) if isinstance(domain, Ray) else idx

@@ -20,8 +20,8 @@ from .errors import DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure
 from .numeric import (Polynomial, Scalar, det_poly, root_enclosures, root_precision,
                       vandermonde_masses)
-from .positivity import (PositivityClass, _values, classify_compact,
-                         classify_half_open, classify_ray)
+from .positivity import (HalfOpen, PositivityClass, Ray, _values, classify_compact,
+                         classify_half_open, classify_ray, recover_minimal_measure)
 
 
 MASS_REFINEMENTS = 3
@@ -44,6 +44,19 @@ def bordered_hankel_poly(window: Sequence[Scalar]) -> Polynomial:
     if poly.degree != m:
         raise DegenerateInput("bordered determinant degenerated (leading minor vanished)")
     return poly
+
+
+def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
+    """Atom polynomial of the minimal measure of a strictly positive window
+    on the ray or on (0, 1]: the bordered-Hankel polynomial of an
+    even-length window, and on (0, 1] for odd length (1 - t) times that of
+    the differences s_k - s_(k+1), whose measure carries the atom 1."""
+    window = list(window)
+    if isinstance(domain, Ray) or len(window) % 2 == 0:
+        return bordered_hankel_poly(window)
+    diffs = [window[k] - window[k + 1] for k in range(len(window) - 1)]
+    inner = bordered_hankel_poly(diffs) if diffs else Polynomial([1])
+    return inner.mul_linear(1, -1)
 
 
 def root_bound(poly: Polynomial) -> Fraction:
@@ -179,13 +192,6 @@ def minimal_measure_half_open(s) -> AtomicMeasure:
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotStrictlyPositive("sequence is not positive on (0, 1]")
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        from .positivity import HalfOpen, recover_minimal_measure
         return recover_minimal_measure(values, HalfOpen())
-    n = len(values) - 1
-    if n % 2 == 1:
-        poly = bordered_hankel_poly(values)
-    else:
-        diffs = [values[k] - values[k + 1] for k in range(n)]
-        inner = bordered_hankel_poly(diffs) if diffs else Polynomial([1])
-        poly = inner.mul_linear(1, -1)  # (1 - t) factor
-    return measure_from_poly(poly, values, Fraction(0), Fraction(1))
+    return measure_from_poly(atom_polynomial(values, HalfOpen()), values,
+                             Fraction(0), Fraction(1))

@@ -3,7 +3,8 @@
 Form classification is compared with the inertia read off sympy's exact
 characteristic polynomial (Descartes' rule of signs is exact for the
 real-rooted characteristic polynomial of a symmetric matrix); root isolation
-with sympy's exact real-root isolation.
+with sympy's exact real-root isolation.  Singular positivity on the ray and
+on (0, 1] is checked against planted measures with extreme atoms.
 """
 
 import itertools
@@ -12,8 +13,12 @@ from fractions import Fraction as F
 import sympy
 from hypothesis import given, strategies as st
 
+from momentkit.extremal import reciprocal_inf_half_open, reciprocal_inf_ray
+from momentkit.measure import AtomicMeasure, moments
 from momentkit.numeric import (FormClass, Polynomial, SymMatrix, classify_form,
-                               det, leading_minors, real_roots, root_precision)
+                               count_roots, det, leading_minors, real_roots,
+                               root_precision)
+from momentkit.positivity import HalfOpen, PositivityClass, Ray, classify, index
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -135,6 +140,7 @@ def test_real_roots_match_sympy(problem):
     theirs = exact.intervals(inf=_sym(lo), sup=_sym(hi), fast=True)
     assert len(ours) == len(theirs) == exact.count_roots(_sym(lo), _sym(hi))
     assert ours == sorted(ours) and len(set(ours)) == len(ours)
+    assert count_roots(poly, lo, hi) == sum(1 for root in ours if root > lo)
     assert all(lo <= root <= hi for root in ours)
     for r in planted:
         # snapping is promised for den^2 * width < 1; every other planted
@@ -149,3 +155,41 @@ def test_real_roots_match_sympy(problem):
             left, right = _sym(root - width / 2), _sym(root + width / 2)
             assert left <= b and a <= right
             assert exact.count_roots(left, right) == 1
+
+
+UNIT_EXTREME = st.builds(lambda m, e: F(m, 16) / F(2) ** e,
+                         st.integers(1, 15), st.integers(0, 36))
+
+
+@st.composite
+def planted_singular_windows(draw):
+    """A 1-3 atom measure with atoms in [2^-40, 2^40] on the ray, or in
+    [2^-40, 1] on (0, 1], seen through a window of length >= 2K + 1."""
+    half_open = draw(st.booleans())
+    if half_open:
+        atom = st.one_of(st.just(F(1)), UNIT_EXTREME)
+    else:
+        atom = st.builds(lambda m, e: F(m) * F(2) ** e,
+                         st.integers(1, 15), st.integers(-40, 36))
+    atoms = sorted(draw(st.sets(atom, min_size=1, max_size=3)))
+    masses = draw(st.lists(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8),
+                           min_size=len(atoms), max_size=len(atoms)))
+    n = draw(st.integers(2 * len(atoms), 2 * len(atoms) + 3))
+    cut = F(1, 2 ** draw(st.integers(1, 60)))
+    return (HalfOpen() if half_open else Ray()), AtomicMeasure(list(zip(atoms, masses))), n, cut
+
+
+@given(planted_singular_windows())
+def test_planted_singular_windows_classify_exactly(problem):
+    domain, mu, n, cut = problem
+    window = list(moments(mu, 0, n).values)
+    at_one = isinstance(domain, HalfOpen) and mu.max_atom() == 1
+    assert classify(window, domain).kind is PositivityClass.SINGULARLY_POSITIVE
+    assert index(window, domain) == mu.support_size - F(int(at_one), 2)
+    inf = reciprocal_inf_half_open if isinstance(domain, HalfOpen) else reciprocal_inf_ray
+    assert inf(window) == mu.moment(-1)
+    # the top even moment sits in the corner of the singular Hankel form,
+    # whose kernel has a nonzero last entry: lowering it breaks positivity
+    top = n - n % 2
+    window[top] -= window[top] * cut
+    assert classify(window, domain).kind is PositivityClass.NOT_POSITIVE

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+
+import momentkit
 
 from momentkit.errors import DomainError, NotAMomentSequence
 from momentkit.measure import moments
@@ -129,3 +134,62 @@ def test_classify_dispatch():
     assert classify([1, 1], Ray()).kind is S
     assert classify([1, 1], HalfOpen()).kind is G
     assert classify([1, 1], Compact(F(1, 2), 2)).kind is S
+
+
+def test_extreme_singular_windows():
+    # one atom outside [2^-12, 2^12], where a grid of compact intervals
+    # [2^-q, 2^q] with q <= 12 never looks
+    for window, domain, atom in [((1, 2 ** 13, 2 ** 26), Ray(), F(2 ** 13)),
+                                 ((1, F(1, 2 ** 13), F(1, 2 ** 26)), Ray(), F(1, 2 ** 13)),
+                                 ((1, F(1, 2 ** 14), F(1, 2 ** 28)), HalfOpen(), F(1, 2 ** 14))]:
+        assert classify(window, domain).kind is G
+        assert index(window, domain) == 1
+        mu = recover_minimal_measure(window, domain)
+        assert mu.exact and mu.atoms == ((atom, 1),)
+
+
+def test_float_verdicts(rng):
+    assert classify_ray([1.0, 0.1, 0.01]).kind is G
+    assert classify_half_open([1.0, 0.1, 0.01]).kind is G
+    assert classify_ray([1.0, 2.0, 4.0]).kind is G
+    assert classify_half_open([1.0, 2.0, 4.0]).kind is N
+    assert classify_ray([1, 1, 1, 1, 2]).kind is N
+    assert classify_half_open([1, 1, 1, 1, 2]).kind is N
+    # w delta_x + (1 - w) delta_1 seen through four moments: singular on
+    # (0, 1], although rounding moves the computed atom 1 off 1 about half
+    # the time
+    for _ in range(40):
+        x, w = rng.random(), rng.random()
+        window = [w * x ** k + (1 - w) for k in range(4)]
+        assert classify_half_open(window).kind is G
+        assert index(window, HalfOpen()) == F(3, 2)
+    # clustered atoms (25/8, 22/7, 24/7 on the ray; 2/7, 7/8, 8/9, 1 on
+    # (0, 1]): the float support polynomial is good to about 1e-9 only
+    clustered = [([F(1), F(1), F(5, 4)], [F(25, 8), F(22, 7), F(24, 7)], Ray(), 3),
+                 ([F(1), F(2), F(3, 2), F(5, 2)], [F(2, 7), F(7, 8), F(8, 9), F(1)],
+                  HalfOpen(), F(7, 2))]
+    for masses, atoms, domain, k in clustered:
+        window = [float(sum(m * a ** j for m, a in zip(masses, atoms))) for j in range(9)]
+        assert classify(window, domain).kind is G
+        assert index(window, domain) == k
+
+
+def test_float_singular_classification_imports_no_numpy():
+    # numpy adds about 12 MB to a process; classifying float windows near
+    # the singular boundary must not load it
+    code = "\n".join([
+        "import sys",
+        "from momentkit.positivity import HalfOpen, Ray, classify, index",
+        "for window in [(1.0, 0.1, 0.01), (1.0, 2.0, 4.0), (1.0, 1 / 3, 1 / 9),",
+        "               (1.0, 0.75, 0.625, 0.5625), (1.0, 1.0, 1.0, 1.0 + 1e-12)]:",
+        "    for domain in (Ray(), HalfOpen()):",
+        "        if classify(window, domain).is_positive:",
+        "            index(window, domain)",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(momentkit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
