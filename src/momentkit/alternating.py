@@ -53,12 +53,20 @@ class CAMeasure:
         return self.positive.moment(k)
 
     def geometric_sum(self, n: int) -> Scalar:
-        """Integral of 1 + t + ... + t^(n-1)."""
+        """Integral of 1 + t + ... + t^(n-1).  A rational atom x < 1 takes
+        the closed form (1 - x^n) / (1 - x): verification asks for every n
+        up to its depth, and a term-by-term sum costs n powers of x each
+        time, which is slow for atoms with large denominators."""
         total = Fraction(0)
         if n >= 1:
             total += self.zero_mass
-        for k in range(n):
-            total += self.positive.moment(k)
+        atoms = self.positive.atoms
+        if any(isinstance(v, float) for atom in atoms for v in atom):
+            for k in range(n):
+                total += self.positive.moment(k)
+            return total
+        for pos, mass in atoms:
+            total += mass * (n if pos == 1 else (1 - pos ** n) / (1 - pos))
         return total
 
     def scaled(self, factor: Scalar) -> "CAMeasure":
@@ -84,7 +92,7 @@ class CAExtensionVerdict:
     increment_class: Optional[PositivityClass] = None
 
 
-def _split_pairs(pairs) -> CAMeasure:
+def _split_pairs(pairs, exact: bool) -> CAMeasure:
     zero_mass = Fraction(0)
     atoms = []
     for pos, mass in pairs:
@@ -92,7 +100,7 @@ def _split_pairs(pairs) -> CAMeasure:
             zero_mass += mass
         else:
             atoms.append((pos, mass))
-    return CAMeasure(zero_mass, AtomicMeasure(atoms))
+    return CAMeasure(zero_mass, AtomicMeasure(atoms, exact=exact))
 
 
 def _minimal_zero_free(deltas) -> CAMeasure:
@@ -119,8 +127,8 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         return CAExtensionVerdict(False, None, verdict.kind)
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        pairs = recover_support_and_masses(deltas, Fraction(0), Fraction(1))
-        return CAExtensionVerdict(True, _split_pairs(pairs), verdict.kind)
+        pairs, exact = recover_support_and_masses(deltas, Fraction(0), Fraction(1))
+        return CAExtensionVerdict(True, _split_pairs(pairs, exact), verdict.kind)
     return CAExtensionVerdict(True, _minimal_zero_free(deltas), verdict.kind)
 
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +21,6 @@ from .extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
                        reciprocal_inf_ray, unbounded_reciprocal_witness)
 from .measure import AtomicMeasure
 from .numeric import format_scalar, parse_scalar
-from .oracle import OracleConfig, grid_classify, sweep_reciprocal
 from .positivity import (Compact, HalfOpen, PositivityClass, Ray, classify, index)
 from .principal import PrincipalKind, minimal_measure_half_open, minimal_measure_ray, principal_compact
 from .completion import (SolveStatus, flat_che_completion, kappa_infinite_probe,
@@ -278,6 +276,7 @@ def _run_verify(obj, exact, options):
 
 
 def _run_oracle_verify(obj, exact, options):
+    from .oracle import OracleConfig, grid_classify, sweep_reciprocal  # loads numpy
     seq = _parse_seq(obj["sequence"], True)
     domain = _domain(obj, True)
     cfg = OracleConfig(resolution=int(obj.get("resolution", 700)),
@@ -376,6 +375,7 @@ def main(argv=None) -> int:
         flags_dict = {"float": args.float, "tolerance": args.tolerance,
                       "depth": args.depth, "seed": args.seed}
         worst = EXIT_OK
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as pool:
             for out_path, code in pool.map(_process_one,
                                            [(str(f), flags_dict) for f in files]):

@@ -348,7 +348,8 @@ def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
     """Every real root of `p` in [lo, hi], ascending, as a RootEnclosure.
 
     Exact input is isolated by Sturm sequences of the primitive integer
-    polynomial: roots at lo and hi come out exact, interior roots as
+    polynomial: roots at lo and hi come out exact, and so does the root of
+    what is left when that is linear; other interior roots come out as
     isolating intervals for `RootEnclosure.refine`.  Floating input gives
     numpy's roots, already settled.  Repeated roots raise DegenerateInput:
     every polynomial this package feeds in here is guaranteed simple by the
@@ -379,7 +380,11 @@ def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
             or _horner(work, hi.numerator, hi.denominator) == 0):
         raise DegenerateInput("polynomial has a repeated root")
     interior = []
-    if len(work) > 1:
+    if len(work) == 2:  # a linear remainder has its root settled
+        root = Fraction(-work[0], work[1])
+        if lo < root < hi:
+            interior.append(RootEnclosure(root=root))
+    elif len(work) > 1:
         # intervals are half-open (a, b] with the polynomial nonzero at both
         # endpoints, so Sturm counts stay exact; left halves go first
         stack = [(lo, _sign_variations(chain, lo), hi, _sign_variations(chain, hi))]
@@ -638,14 +643,6 @@ def _classify_form_float(m: SymMatrix, eps: float) -> FormVerdict:
             for l in range(k + 1, n):
                 a[i][l] -= f * a[k][l]
     return FormVerdict(FormClass.POSITIVE_DEFINITE, tuple(elim.pivots))
-
-
-def kernel_vector(m: SymMatrix):
-    """Exact kernel vector of a singular symmetric matrix (rational mode)."""
-    verdict = classify_form(m)
-    if verdict.kind is not FormClass.POSITIVE_SEMIDEFINITE_SINGULAR:
-        raise DegenerateInput("matrix is not singular positive semidefinite")
-    return verdict.kernel
 
 
 # --------------------------------------------------------------------------

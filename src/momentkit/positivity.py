@@ -9,6 +9,11 @@ positive only if it is determinate (Curto-Fialkow, "Recursiveness,
 positivity, and truncated moment problems", Houston J. Math. 1991), which
 `_determinate_poly` decides exactly from the support polynomial of the
 unique measure; that measure is the exact witness of the singular case.
+
+A singular window on [a, b] is determinate too.  On every domain its
+measure and index are read from the same support polynomial
+(`_support_poly`): the atoms are its roots in the domain, and the index is
+its degree less 1/2 for each endpoint of the domain among them.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from typing import Optional, Sequence, Union
 from .errors import (DegenerateInput, DomainError, NotAMomentSequence)
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
 from .numeric import (DEFAULT_EPS, FormClass, FormVerdict, Polynomial, Scalar,
-                      classify_form, count_roots, hankel, leading_minors, real_roots,
-                      solve_linear)
+                      classify_form, count_roots, hankel, leading_minors)
 
 
 # --------------------------------------------------------------------------
@@ -98,9 +102,7 @@ def compact_criterion_matrices(values: Sequence[Scalar], a: Scalar, b: Scalar):
     if n % 2 == 0:
         m = n // 2
         h1 = hankel(values, 0, m + 1)
-        transformed = [(a + b) * values[k + 1] - a * b * values[k] - values[k + 2]
-                       for k in range(n - 1)]
-        h2 = hankel(transformed, 0, m)
+        h2 = hankel(interior_moments(values, a, b), 0, m)
     else:
         m = (n - 1) // 2
         low = [values[k + 1] - a * values[k] for k in range(n)]
@@ -108,6 +110,12 @@ def compact_criterion_matrices(values: Sequence[Scalar], a: Scalar, b: Scalar):
         h1 = hankel(low, 0, m + 1)
         h2 = hankel(high, 0, m + 1)
     return h1, h2
+
+
+def interior_moments(values: Sequence[Scalar], a: Scalar, b: Scalar) -> list:
+    """s'_k = (a+b) s_(k+1) - ab s_k - s_(k+2), the moments of (t - a)(b - t) dmu."""
+    return [(a + b) * values[k + 1] - a * b * values[k] - values[k + 2]
+            for k in range(len(values) - 2)]
 
 
 def _combine(f1: FormVerdict, f2: FormVerdict, interval=None) -> PositivityVerdict:
@@ -155,34 +163,60 @@ def _reads_zero(x: Scalar, scale, eps: Optional[float]) -> bool:
     return abs(x) <= (DEFAULT_EPS if eps is None else eps) * max(1.0, scale)
 
 
+def _support_poly(values, ends: tuple, eps: Optional[float] = None) -> Optional[Polynomial]:
+    """Monic support polynomial of the unique measure of a singular window
+    (the constant 1 for the zero window), read from its leading moments;
+    `ends` are the endpoints that belong to the domain.  None when H(s)
+    shows that the window is not positive.
+
+    With r positive leading pivots of H(s) before the first zero one (a
+    negative pivot means not positive), p is the bordered-Hankel polynomial
+    of s_0..s_(2r-1).  A singular window has 2r > n + 1 only on [a, b] =
+    `ends`, with n even and both endpoints atoms; p is then (t - a)(t - b)
+    times the support polynomial of the window `interior_moments` of the
+    other atoms.
+    """
+    from .principal import bordered_hankel_poly
+    n = len(values) - 1
+    minors = leading_minors(hankel(values, 0, n // 2 + 1).rows, eps)
+    r = len(minors) - 1 if minors[-1] == 0 else len(minors)
+    if any(d < 0 for d in minors):
+        return None
+    if 2 * r > n + 1:
+        if len(ends) < 2 or n < 2:
+            return None
+        a, b = ends
+        inner = _support_poly(interior_moments(values, a, b), (), eps)
+        return None if inner is None else inner.mul(Polynomial([a * b, -(a + b), 1]))
+    if r == 0:
+        top = max(abs(v) for v in values)
+        return Polynomial([1]) if all(_reads_zero(v, top, eps) for v in values) else None
+    p = bordered_hankel_poly(values[:2 * r])
+    return Polynomial([x / p.coeffs[-1] for x in p.coeffs])
+
+
 def _determinate_poly(values, domain: Domain,
                       eps: Optional[float] = None) -> Optional[Polynomial]:
     """Monic support polynomial of a window that is determinate on the ray
     or on (0, 1] (the constant 1 for the zero window); None when the window
     is not positive there.
 
-    With r positive leading pivots of H(s) before the first zero one, p is
-    the bordered-Hankel polynomial of s_0..s_(2r-1).  The window passes when
-    p's recurrence generates all of it, p(0) != 0, and p has r distinct
-    roots in (0, root_bound(p)], resp. (0, 1]: the Vandermonde masses then
-    reproduce s and are positive, as H_r = V^T D V is positive definite.
-    A singular window always passes, its unique measure having r atoms.
-    Roots are counted on the binary-exact image of p by a Sturm chain and
-    never refined.  Floats read as zero by `_reads_zero` at the bounds
+    p of degree r is `_support_poly`.  The window passes when p's recurrence
+    generates all of it, p(0) != 0, and p has r distinct roots in
+    (0, root_bound(p)], resp. (0, 1]: the Vandermonde masses then reproduce
+    s and are positive, as H_r = V^T D V is positive definite.  A singular
+    window always passes, its unique measure having r atoms.  Roots are
+    counted on the binary-exact image of p by a Sturm chain and never
+    refined.  Floats read as zero by `_reads_zero` at the bounds
     |c|_1 max|s| of a recurrence sum and |c|_1 of p(0) and p(1); on (0, 1]
     a p(1) read as zero puts the root at 1.
     """
-    from .principal import bordered_hankel_poly, root_bound
-    n = len(values) - 1
+    from .principal import root_bound
+    p = _support_poly(values, (), eps)
+    if p is None or p.degree == 0:
+        return p
+    n, r, c = len(values) - 1, p.degree, p.coeffs
     top = max(abs(v) for v in values)
-    minors = leading_minors(hankel(values, 0, n // 2 + 1).rows, eps)
-    r = len(minors) - 1 if minors[-1] == 0 else len(minors)
-    if any(d < 0 for d in minors) or 2 * r > n + 1:
-        return None
-    if r == 0:
-        return Polynomial([1]) if all(_reads_zero(v, top, eps) for v in values) else None
-    p = bordered_hankel_poly(values[:2 * r])
-    c = [x / p.coeffs[-1] for x in p.coeffs]
     norm = sum(abs(x) for x in c)
     for k in range(r, n - r + 1):  # k < r holds by construction
         if not _reads_zero(sum(c[j] * values[k + j] for j in range(r + 1)), norm * top, eps):
@@ -196,7 +230,7 @@ def _determinate_poly(values, domain: Domain,
         hi = root_bound(Polynomial(image))
     if _reads_zero(c[0], norm, eps) or count_roots(Polynomial(image), 0, hi) != r:
         return None
-    return Polynomial(c)
+    return p
 
 
 def _classify_limit(values, matrices, domain, eps) -> PositivityVerdict:
@@ -240,150 +274,75 @@ def classify(s, domain: Domain, eps: Optional[float] = None) -> PositivityVerdic
 # singular-case measure recovery
 # --------------------------------------------------------------------------
 
-def _leading_rank(mat) -> int:
-    """Largest r with a nonsingular leading r x r block (moment matrices of
-    finitely atomic measures have nested nonsingular leading blocks)."""
-    minors = leading_minors(mat.rows)
-    return next((r for r, d in enumerate(minors) if d == 0), mat.order)
+def _ends(domain: Domain) -> tuple:
+    """The endpoints that belong to the domain, where atoms may sit."""
+    if isinstance(domain, Compact):
+        return domain.a, domain.b
+    return (Fraction(1),) if isinstance(domain, HalfOpen) else ()
 
 
-def _kernel_poly_roots(mat, lo, hi) -> list:
-    """Roots of the kernel polynomial of the largest singular leading block."""
-    r = _leading_rank(mat)
-    if r >= mat.order:
-        return []
-    block_rows = [row[:r + 1] for row in mat.rows[:r + 1]]
-    from .numeric import SymMatrix
-    verdict = classify_form(SymMatrix(block_rows))
-    if verdict.kernel is None:
-        raise DegenerateInput("expected a singular leading block")
-    poly = Polynomial(verdict.kernel)
-    if poly.degree < 1:
-        return []
-    return real_roots(poly, lo, hi)
+def _interval(domain: Domain, poly: Polynomial) -> tuple:
+    """[lo, hi] holding the roots of a support polynomial on the domain."""
+    if isinstance(domain, Compact):
+        return domain.a, domain.b
+    if isinstance(domain, HalfOpen):
+        return Fraction(0), Fraction(1)
+    from .principal import root_bound
+    return Fraction(0), root_bound(poly)
 
 
-def recover_support_and_masses(values, a: Scalar, b: Scalar):
-    """Raw (position, mass) pairs of the unique representing measure of a
-    singularly positive window on [a, b]; positions may include a (even
-    a = 0 when called from the alternating reductions).
-
-    Each singular criterion form confines the support to the roots of its
-    kernel polynomial, up to the endpoints the form annihilates; the support
-    lies in the intersection of those constraint sets.  Masses are solved
-    exactly, zero-mass candidates dropped, and the full window verified.
-    """
-    values = _values(values)
-    n = len(values) - 1
-    h1, h2 = compact_criterion_matrices(values, a, b)
-    f1, f2 = classify_form(h1), classify_form(h2)
-    if not (f1.is_psd and f2.is_psd):
+def _compact_support_poly(values, a: Scalar, b: Scalar) -> Polynomial:
+    """Support polynomial of a singularly positive window on [a, b] (any
+    a < b); the two Hankel forms decide that it is singular."""
+    kind = classify_compact(values, a, b).kind
+    if kind is PositivityClass.NOT_POSITIVE:
         raise NotAMomentSequence("sequence is not positive on the interval")
-    if all(v == 0 for v in values):
-        return []
-
-    supersets = []
-    if f1.kind is FormClass.POSITIVE_SEMIDEFINITE_SINGULAR:
-        roots = set(_kernel_poly_roots(h1, a, b))
-        if n % 2 == 1:
-            roots.add(Fraction(a))  # the (t - a)-weighted form blinds a
-        supersets.append(roots)
-    if f2.kind is FormClass.POSITIVE_SEMIDEFINITE_SINGULAR:
-        roots = set(_kernel_poly_roots(h2, a, b))
-        if n % 2 == 0:
-            roots.update((Fraction(a), Fraction(b)))
-        else:
-            roots.add(Fraction(b))
-        supersets.append(roots)
-    if not supersets:
+    if kind is PositivityClass.STRICTLY_POSITIVE:
         raise DegenerateInput("sequence is strictly positive; nothing to recover")
-    candidates = set.intersection(*supersets)
-    candidates = sorted(c for c in candidates if a <= c <= b)
-    if not candidates:
-        raise DegenerateInput("no candidate atoms recovered")
-    if len(candidates) > n + 1:
-        raise DegenerateInput("candidate support exceeds the moment window")
-    masses = solve_linear([[c ** k for c in candidates] for k in range(len(candidates))],
-                          list(values[:len(candidates)]))
-    pairs = []
-    for pos, mass in zip(candidates, masses):
-        if mass == 0:
-            continue
-        if mass < 0:
-            raise DegenerateInput("negative mass in singular recovery")
-        pairs.append((pos, mass))
-    for k in range(n + 1):
-        if sum((m * p ** k for p, m in pairs), Fraction(0)) != values[k]:
-            raise DegenerateInput("recovered measure fails the moment window")
-    return pairs
+    return _support_poly(values, (a, b))
 
 
-def recover_minimal_measure_compact(s, a: Scalar, b: Scalar) -> AtomicMeasure:
-    """Unique representing measure of a singularly positive sequence on
-    [a, b] subset (0, inf), exact arithmetic."""
-    if not a > 0:
-        raise DomainError("compact recovery needs a > 0; use the raw variant")
-    pairs = recover_support_and_masses(s, a, b)
-    return AtomicMeasure(pairs) if pairs else ZERO_MEASURE
+def recover_support_and_masses(values, a: Scalar, b: Scalar) -> tuple:
+    """(position, mass) pairs of the unique representing measure of a
+    singularly positive window on [a, b], and whether they are exact;
+    positions may include a, even a = 0 (the alternating reductions)."""
+    from .principal import atoms_from_poly
+    values = _values(values)
+    if all(v == 0 for v in values):
+        return [], True
+    return atoms_from_poly(_compact_support_poly(values, a, b), values, a, b)
 
 
 def recover_minimal_measure(s, domain: Domain) -> AtomicMeasure:
-    """Unique representing measure of a singularly positive sequence on a
-    ray / half-open / compact domain; on the ray and on (0, 1] its atoms are
-    the roots of the support polynomial of `_determinate_poly`."""
+    """Unique representing measure of a singularly positive sequence (on
+    the ray and on (0, 1] also of any window `_determinate_poly` passes):
+    its atoms are the roots of the support polynomial in the domain."""
+    from .principal import measure_from_poly
     values = _values(s)
-    if isinstance(domain, Compact):
-        return recover_minimal_measure_compact(values, domain.a, domain.b)
     if all(v == 0 for v in values):
         return ZERO_MEASURE
-    poly = _determinate_poly(values, domain)
-    if poly is None:
-        raise NotAMomentSequence("sequence is not positive on the domain")
-    from .principal import measure_from_poly, root_bound
-    hi = Fraction(1) if isinstance(domain, HalfOpen) else root_bound(poly)
-    return measure_from_poly(poly, values, Fraction(0), hi)
+    if isinstance(domain, Compact):
+        poly = _compact_support_poly(values, domain.a, domain.b)
+    else:
+        poly = _determinate_poly(values, domain)
+        if poly is None:
+            raise NotAMomentSequence("sequence is not positive on the domain")
+    return measure_from_poly(poly, values, *_interval(domain, poly))
 
 
 # --------------------------------------------------------------------------
 # index
 # --------------------------------------------------------------------------
 
-def _transform_rank(values, weights) -> int:
-    """Rank of the Hankel form of the window transformed by a polynomial
-    weight (coefficient list, lowest first); equals the support count of the
-    correspondingly tilted measure for singular windows."""
-    n = len(values) - 1
-    deg = len(weights) - 1
-    transformed = [sum(w * values[k + j] for j, w in enumerate(weights))
-                   for k in range(n + 1 - deg)]
-    order = (len(transformed) + 1) // 2
-    if order == 0:
-        return 0
-    return _leading_rank(hankel(transformed, 0, order))
-
-
 def _singular_index(values, domain: Domain, eps: Optional[float] = None) -> Fraction:
-    """Index of a singularly positive sequence.  On the ray and on (0, 1]
-    it is the degree r of the support polynomial, less 1/2 on (0, 1] when 1
-    is a root.  On [a, b] it is counted by exact ranks: the plain Hankel
-    rank is the support size, and endpoint membership shows up as a rank
-    drop of the endpoint-annihilating transform."""
-    if not isinstance(domain, Compact):
-        poly = _determinate_poly(values, domain, eps)
-        at_one = isinstance(domain, HalfOpen) and _reads_zero(
-            poly(1), sum(abs(x) for x in poly.coeffs), eps)
-        return Fraction(poly.degree) - Fraction(int(at_one), 2)
-    n = len(values) - 1
-    support = _transform_rank(values, [1])
-    a, b = domain.a, domain.b
-    if n % 2 == 1:
-        without_a = _transform_rank(values, [-a, 1])       # (t - a)
-        without_b = _transform_rank(values, [b, -1])       # (b - t)
-        ends = (support - without_a) + (support - without_b)
-    else:
-        interior = _transform_rank(values, [-a * b, a + b, -1])
-        ends = support - interior
-    return Fraction(support) - Fraction(ends, 2)
+    """Index of a singularly positive sequence: the degree of its support
+    polynomial p, less 1/2 for each endpoint of the domain that is a root
+    of p (read by `_reads_zero` at the bound sum |c_j| |x|^j of p(x))."""
+    ends = _ends(domain)
+    poly = _support_poly(values, ends, eps)
+    on_ends = sum(_reads_zero(poly(x), sum(abs(c * x ** j) for j, c in enumerate(poly.coeffs)),
+                              eps) for x in ends)
+    return Fraction(poly.degree) - Fraction(on_ends, 2)
 
 
 def index(s, domain: Domain, eps: Optional[float] = None):

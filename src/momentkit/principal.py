@@ -21,7 +21,8 @@ from .measure import AtomicMeasure
 from .numeric import (Polynomial, Scalar, det_poly, root_enclosures, root_precision,
                       vandermonde_masses)
 from .positivity import (HalfOpen, PositivityClass, Ray, _values, classify_compact,
-                         classify_half_open, classify_ray, recover_minimal_measure)
+                         classify_half_open, classify_ray, interior_moments,
+                         recover_minimal_measure)
 
 
 MASS_REFINEMENTS = 3
@@ -66,10 +67,11 @@ def root_bound(poly: Polynomial) -> Fraction:
                    for c in poly.coeffs)
 
 
-def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
-                      lo: Scalar, hi: Scalar) -> AtomicMeasure:
-    """Measure whose atoms are the roots of `poly` in [lo, hi] and whose
-    masses match the leading moments of `window`.
+def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
+                    lo: Scalar, hi: Scalar) -> tuple:
+    """(position, mass) pairs whose positions are the roots of `poly` in
+    [lo, hi] and whose masses match the leading moments of `window`, and
+    whether they are exact.  Positions may include lo = 0.
 
     Raises DegenerateInput when the root count falls short of the degree or
     any mass fails to be positive; verifies the full window when the atoms
@@ -94,16 +96,23 @@ def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
     for mass in masses:
         if not mass > 0:
             raise DegenerateInput("nonpositive mass in principal construction")
+    if len(set(roots)) != len(roots):
+        raise DegenerateInput("coinciding atoms in principal construction")
+    pairs = list(zip(roots, masses))
     exact = settled and not any(
         isinstance(v, float) for v in list(window) + list(roots))
-    mu = AtomicMeasure(list(zip(roots, masses)), exact=exact)
-    if mu.support_size != poly.degree:
-        raise DegenerateInput("coinciding atoms in principal construction")
     if exact:
         for k, v in enumerate(window):
-            if mu.moment(k) != v:
+            if sum(m * x ** k for x, m in pairs) != v:
                 raise DegenerateInput("principal measure fails its moment window")
-    return mu
+    return pairs, exact
+
+
+def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
+                      lo: Scalar, hi: Scalar) -> AtomicMeasure:
+    """The measure of `atoms_from_poly` (lo >= 0 and no root at 0)."""
+    pairs, exact = atoms_from_poly(poly, window, lo, hi)
+    return AtomicMeasure(pairs, exact=exact)
 
 
 def principal_polynomial(values, a: Scalar, b: Scalar,
@@ -118,8 +127,7 @@ def principal_polynomial(values, a: Scalar, b: Scalar,
     if n % 2 == 1:  # n = 2m - 1
         if kind is PrincipalKind.LOWER:
             return bordered_hankel_poly(values)
-        transformed = [(a + b) * values[k + 1] - a * b * values[k] - values[k + 2]
-                       for k in range(n - 1)]
+        transformed = interior_moments(values, a, b)
         if transformed:
             inner = bordered_hankel_poly(transformed)
         else:

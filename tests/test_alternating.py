@@ -37,6 +37,18 @@ def test_reconstruction_identity(rng):
             assert c[0] + got.geometric_sum(n) == c[n]
 
 
+def test_geometric_sum_matches_moments():
+    # closed form for rational atoms below 1, term by term for the atom 1
+    # and for floats; the zero mass counts once n >= 1
+    for zero, atoms in [(F(2), [(F(1, 3), F(1)), (F(1), F(2))]),
+                        (F(0), [(F(7, 2 ** 33), F(5, 3))]),
+                        (0.5, [(0.25, 1.5), (1.0, 0.5)])]:
+        tau = CAMeasure(zero, AtomicMeasure(atoms))
+        for n in range(6):
+            want = (zero if n else 0) + sum(m * x ** k for x, m in atoms for k in range(n))
+            assert tau.geometric_sum(n) == want
+
+
 def test_minimal_measure_prefers_zero_free(rng):
     # strictly positive increments of even length: the zero-avoiding
     # principal choice carries the atom 1 instead of one at 0

@@ -143,3 +143,32 @@ def test_backward_and_ca_kinds(tmp_path):
     path = _write(tmp_path, "ca.json", {"kind": "ca", "sequence": ["1", "2", "4"]})
     payload, code = run(path)
     assert code == 1 and not payload["has_extension"]
+
+
+def test_import_loads_no_numpy():
+    # numpy adds about 0.14 s to every cold call; only the oracle kind needs it
+    code = ("import sys, momentkit.cli; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_kind(tmp_path):
+    # (3, 2, 3/2) is strictly positive on (0, 1] with reciprocal infimum 5
+    path = _write(tmp_path, "oracle.json", {"kind": "oracle", "domain": "half-open",
+                                            "sequence": ["3", "2", "3/2"]})
+    proc = _run_cli([path])
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["grid_class"] == "StrictlyPositive"
+    assert 5 <= payload["sweep_min"] < 5 + 1e-3 < payload["sweep_max"]
+    path = _write(tmp_path, "oracle_np.json", {"kind": "oracle", "domain": "half-open",
+                                               "sequence": ["1", "2", "4"]})
+    proc = _run_cli([path])
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert payload["grid_class"] == "NotPositive" and "sweep_min" not in payload

@@ -4,7 +4,8 @@ Form classification is compared with the inertia read off sympy's exact
 characteristic polynomial (Descartes' rule of signs is exact for the
 real-rooted characteristic polynomial of a symmetric matrix); root isolation
 with sympy's exact real-root isolation.  Singular positivity on the ray and
-on (0, 1] is checked against planted measures with extreme atoms.
+on (0, 1] is checked against planted measures with extreme atoms, singular
+recovery and index on [a, b] against planted measures with endpoint atoms.
 """
 
 import itertools
@@ -13,12 +14,15 @@ from fractions import Fraction as F
 import sympy
 from hypothesis import given, strategies as st
 
+from momentkit.alternating import has_ca_extension
 from momentkit.extremal import reciprocal_inf_half_open, reciprocal_inf_ray
 from momentkit.measure import AtomicMeasure, moments
 from momentkit.numeric import (FormClass, Polynomial, SymMatrix, classify_form,
                                count_roots, det, leading_minors, real_roots,
                                root_precision)
-from momentkit.positivity import HalfOpen, PositivityClass, Ray, classify, index
+from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, classify,
+                                  classify_compact, index, recover_minimal_measure,
+                                  recover_support_and_masses)
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -193,3 +197,48 @@ def test_planted_singular_windows_classify_exactly(problem):
     top = n - n % 2
     window[top] -= window[top] * cut
     assert classify(window, domain).kind is PositivityClass.NOT_POSITIVE
+
+
+@st.composite
+def planted_compact_windows(draw):
+    """1-3 atoms on [a, b], some of them at a or b; a = 0 (with b = 1, the
+    increment domain of completely alternating sequences) a quarter of the
+    time."""
+    if draw(st.integers(0, 3)) == 0:
+        a, b = F(0), F(1)
+    else:
+        a = draw(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
+        b = a + draw(st.fractions(min_value=F(1, 7), max_value=30, max_denominator=7))
+    inside = st.builds(lambda u: a + (b - a) * u,
+                       st.fractions(min_value=F(1, 16), max_value=F(15, 16),
+                                    max_denominator=16))
+    atoms = sorted(draw(st.sets(st.one_of(st.sampled_from([a, b]), inside),
+                                min_size=1, max_size=3)))
+    masses = draw(st.lists(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8),
+                           min_size=len(atoms), max_size=len(atoms)))
+    return a, b, list(zip(atoms, masses))
+
+
+@given(planted_compact_windows())
+def test_planted_compact_windows_recover_exactly(problem):
+    a, b, pairs = problem
+    ends = sum(1 for x, _ in pairs if x in (a, b))
+    planted_index = len(pairs) - F(ends, 2)
+    first = int(2 * planted_index)  # the shortest window with index < (n+1)/2
+    for n in range(first, 2 * len(pairs) + 4):
+        window = [sum(m * x ** k for x, m in pairs) for k in range(n + 1)]
+        assert classify_compact(window, a, b).kind is PositivityClass.SINGULARLY_POSITIVE
+        if a > 0:
+            assert index(window, Compact(a, b)) == planted_index
+            mu = recover_minimal_measure(window, Compact(a, b))
+            assert mu.exact and mu.atoms == tuple(pairs)
+            continue
+        assert recover_support_and_masses(window, a, b) == (pairs, True)
+        c = [F(1)]
+        for v in window:
+            c.append(c[-1] + v)
+        verdict = has_ca_extension(c)
+        assert verdict.increment_class is PositivityClass.SINGULARLY_POSITIVE
+        got = verdict.measure
+        assert got.zero_mass == sum(m for x, m in pairs if x == 0)
+        assert got.positive.exact and got.positive.atoms == tuple(p for p in pairs if p[0])

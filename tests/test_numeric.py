@@ -127,6 +127,16 @@ def test_real_roots_endpoints():
     assert roots == [1, 2]
 
 
+def test_real_roots_linear_remainder_is_exact():
+    # the root of a linear polynomial, or of what endpoint deflation leaves
+    # linear, is settled exactly even when den^2 * width >= 1
+    assert real_roots(Polynomial([-1, 2 ** 22]), F(1, 2 ** 23), F(1, 2 ** 21)) == [F(1, 2 ** 22)]
+    assert real_roots(Polynomial([-7, 2 ** 33]), F(7, 2 ** 34), F(9, 4)) == [F(7, 2 ** 33)]
+    at_one = Polynomial([-7, 2 ** 33]).mul_linear(-1, 1)
+    assert real_roots(at_one, F(7, 2 ** 34), 1) == [F(7, 2 ** 33), 1]
+    assert real_roots(Polynomial([-1, 3]), F(1, 2), 1) == []
+
+
 def test_simplest_between():
     assert simplest_between(F(199, 100), F(201, 100)) == 2
     assert simplest_between(F(49, 100), F(52, 100)) == F(1, 2)

@@ -148,6 +148,37 @@ def test_extreme_singular_windows():
         assert mu.exact and mu.atoms == ((atom, 1),)
 
 
+def test_extreme_compact_singular_windows():
+    # delta at 2^-22 comes back exact; with a second atom the extreme one is
+    # an enclosure midpoint, and the measure says so
+    a, b = F(1, 2 ** 23), F(1, 2 ** 21)
+    for n in (2, 3):
+        window = [3 * F(1, 2 ** 22) ** k for k in range(n + 1)]
+        assert index(window, Compact(a, b)) == 1
+        mu = recover_minimal_measure(window, Compact(a, b))
+        assert mu.exact and mu.atoms == ((F(1, 2 ** 22), 3),)
+    planted = [(F(7, 2 ** 33), 2), (F(9, 8), 5)]
+    window = [sum(m * x ** k for x, m in planted) for k in range(5)]
+    assert index(window, Compact(F(7, 2 ** 34), F(9, 4))) == 2
+    mu = recover_minimal_measure(window, Compact(F(7, 2 ** 34), F(9, 4)))
+    assert not mu.exact
+    for (x, m), (px, pm) in zip(mu.atoms, planted):
+        assert abs(x - px) <= 1e-12 and abs(m - pm) <= 1e-9 * pm
+
+
+def test_float_compact_singular_windows():
+    # delta_1 + 3 delta_2 on [1/2, 8] seen through float windows
+    domain = Compact(F(1, 2), 8)
+    for n in (4, 5, 6):
+        window = [1.0 + 3.0 * 2.0 ** k for k in range(n + 1)]
+        assert classify(window, domain).kind is G
+        assert index(window, domain) == 2
+        mu = recover_minimal_measure(window, domain)
+        assert not mu.exact and mu.support_size == 2
+        for (x, m), (px, pm) in zip(mu.atoms, [(1, 1), (2, 3)]):
+            assert abs(x - px) <= 1e-9 and abs(m - pm) <= 1e-9
+
+
 def test_float_verdicts(rng):
     assert classify_ray([1.0, 0.1, 0.01]).kind is G
     assert classify_half_open([1.0, 0.1, 0.01]).kind is G
