@@ -19,7 +19,7 @@ from .backward import ExtensionClass, classify_backward, extend_with_index
 from .errors import MomentKitError
 from .extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
                        reciprocal_inf_ray, unbounded_reciprocal_witness)
-from .measure import AtomicMeasure
+from .measure import AtomicMeasure, MomentRecurrence, RecurrentCAMeasure
 from .numeric import format_scalar, parse_scalar
 from .positivity import (Compact, HalfOpen, PositivityClass, Ray, classify, index)
 from .principal import PrincipalKind, minimal_measure_half_open, minimal_measure_ray, principal_compact
@@ -229,7 +229,6 @@ def _run_stampfli(obj, exact, options):
 
 
 def _rebuild_measure(obj, exact):
-    from .measure import MomentRecurrence
     from .numeric import Polynomial
     if "recurrence" in obj:
         poly = Polynomial(_parse_seq(obj["recurrence"], exact))
@@ -258,7 +257,6 @@ def _run_verify(obj, exact, options):
             zero_mass = parse_scalar(str(measure_obj.get("zero_mass", "0")), exact)
             mu = CAMeasure(zero_mass, mu) if isinstance(mu, AtomicMeasure) else mu
             if not isinstance(mu, CAMeasure):
-                from .completion import RecurrentCAMeasure
                 mu = RecurrentCAMeasure(mu)
             gen = GeometricSumTail(prefix, mu)
         classes.append(FullBranch(first, gen, 1))
@@ -358,7 +356,9 @@ def main(argv=None) -> int:
     ap.set_defaults(float=False)
     ap.add_argument("--tolerance", type=float, default=1e-9)
     ap.add_argument("--depth", type=int, default=12,
-                    help="certificate verification depth")
+                    help="generations checked where a certificate check does not "
+                         "close finitely (infinite-trunk prefix, a generator not "
+                         "derived from the certificate measure)")
     ap.add_argument("--seed", type=int, default=0)
     fmt = ap.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="pretty", action="store_false",

@@ -26,10 +26,11 @@ from typing import Callable, Optional, Sequence
 from .alternating import CAMeasure, has_ca_extension
 from .backward import forced_value, minimal_measure_window
 from .errors import (BadIndex, DegenerateInput, PreconditionError, Unsupported)
-from .measure import AtomicMeasure, MomentRecurrence, MomentSequence, tilt
+from .measure import (AtomicMeasure, MomentRecurrence, MomentSequence,
+                      RecurrentCAMeasure, tilt)
 from .numeric import Scalar, as_fraction, format_scalar
 from .positivity import HalfOpen, PositivityClass, Ray, classify_half_open, classify_ray
-from .principal import atom_polynomial, bordered_hankel_poly
+from .principal import atom_polynomial, bordered_hankel_poly, root_bound
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
                    MeasureTail, PartialWeights, verify_che_certificate,
                    verify_subnormal_certificate)
@@ -62,15 +63,11 @@ class CompletionCertificate:
 
     def completed_weights_sq(self, count: Optional[int] = None):
         """Per class, the squared weights of generations 1..p+8 (first entry
-        is the class first-weight mass)."""
-        p = self.partial.p
-        count = count if count is not None else p + 8
-        out = []
-        for cls in self.full.classes:
-            row = [cls.first_mass]
-            row.extend(cls.generator.weight_sq(j) for j in range(2, count + 1))
-            out.append(tuple(row))
-        return out
+        is the class first-weight mass), each row in one pass over its
+        measure's moments."""
+        count = count if count is not None else self.partial.p + 8
+        return [(cls.first_mass, *cls.generator.weight_sq_row(count))
+                for cls in self.full.classes]
 
     def to_json(self) -> dict:
         def fmt(x):
@@ -384,41 +381,16 @@ def _certificate_measure(window, first_index: int, full_window, domain):
     return MomentRecurrence(poly, first_index, list(full_window), atoms_hint=shifted)
 
 
-class RecurrentCAMeasure:
-    """CAMeasure-shaped wrapper over a moment recurrence (no mass at zero)."""
-
-    zero_mass = Fraction(0)
-
-    def __init__(self, recurrence: MomentRecurrence):
-        self.recurrence = recurrence
-
-    def moment(self, k: int) -> Scalar:
-        return self.recurrence.moment(k)
-
-    def total_mass(self) -> Scalar:
-        return self.recurrence.moment(0)
-
-    def geometric_sum(self, n: int) -> Scalar:
-        return sum((self.recurrence.moment(k) for k in range(n)), Fraction(0))
-
-    @property
-    def positive(self):
-        return self.recurrence.atoms_hint
-
-    def to_json(self) -> dict:
-        return self.recurrence.to_json()
-
-
 def _norm_sq_bound(full: FullWeights, measures) -> Scalar:
+    """Largest of the branching mass, the trunk squares and each measure's
+    top atom; a recurrence without atom enclosures gives its root bound."""
     candidates = [float(full.first_mass_total)]
     candidates.extend(float(t) for t in full.trunk_sq)
     for mu in measures:
         try:
             candidates.append(float(mu.max_atom()))
-        except Exception:
-            sup = mu.positive.max_atom() if getattr(mu, "positive", None) and \
-                mu.positive.atoms else 0.0
-            candidates.append(float(sup))
+        except DegenerateInput:
+            candidates.append(float(root_bound(mu.poly)))
     return max(candidates)
 
 

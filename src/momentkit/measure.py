@@ -9,7 +9,8 @@ MomentRecurrence is the companion object for measures whose atoms are the
 (possibly irrational) roots of a known polynomial: it produces exact rational
 moments for every integer exponent from a seed window and the root
 polynomial's linear recurrence, so certificates stay exactly verifiable even
-when the atoms themselves only have enclosures.
+when the atoms themselves only have enclosures.  RecurrentCAMeasure gives one
+the shape of a measure on (0, 1] without mass at zero.
 """
 
 from __future__ import annotations
@@ -185,8 +186,9 @@ class MomentRecurrence:
             raise InsufficientMoments("seed window shorter than recurrence order")
         self.poly = poly
         self.atoms_hint = atoms_hint
-        self._cache = {first_index + i: as_fraction(v) if not isinstance(v, float) else v
-                       for i, v in enumerate(window)}
+        self.first_index = first_index
+        self.window = tuple(v if isinstance(v, float) else as_fraction(v) for v in window)
+        self._cache = {first_index + i: v for i, v in enumerate(self.window)}
         self._lo = first_index
         self._hi = first_index + len(window) - 1
 
@@ -213,13 +215,39 @@ class MomentRecurrence:
         raise DegenerateInput("no atom enclosure attached")
 
     def to_json(self) -> dict:
+        """The polynomial and the seed window, however far `moment` has run
+        the recurrence since."""
         out = {"recurrence": [format_scalar(c) for c in self.poly.coeffs],
-               "first_index": self._lo,
-               "window": [format_scalar(self._cache[self._lo + i])
-                          for i in range(self._hi - self._lo + 1)]}
+               "first_index": self.first_index,
+               "window": [format_scalar(v) for v in self.window]}
         if self.atoms_hint is not None:
             out["atoms_approx"] = self.atoms_hint.to_json()
         return out
+
+
+class RecurrentCAMeasure:
+    """CAMeasure-shaped wrapper over a moment recurrence (no mass at zero)."""
+
+    zero_mass = Fraction(0)
+
+    def __init__(self, recurrence: MomentRecurrence):
+        self.recurrence = recurrence
+
+    def moment(self, k: int) -> Scalar:
+        return self.recurrence.moment(k)
+
+    def total_mass(self) -> Scalar:
+        return self.recurrence.moment(0)
+
+    def geometric_sum(self, n: int) -> Scalar:
+        return sum((self.recurrence.moment(k) for k in range(n)), Fraction(0))
+
+    @property
+    def positive(self):
+        return self.recurrence.atoms_hint
+
+    def to_json(self) -> dict:
+        return self.recurrence.to_json()
 
 
 def measure_from_json_text(text: str) -> AtomicMeasure:

@@ -21,8 +21,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
-from .measure import MomentSequence
+from .measure import MomentRecurrence, MomentSequence, RecurrentCAMeasure
 from .numeric import Scalar
+from .positivity import HalfOpen, Ray, _determinate_poly
 
 
 def _pos_sq(x, what: str):
@@ -169,6 +170,13 @@ class MeasureTail:
             return self.prefix_sq[idx]
         return self.measure.moment(j - 1) / self.measure.moment(j - 2)
 
+    def weight_sq_row(self, count: int) -> list:
+        """weight_sq(j) for j = 2..count, each moment taken once."""
+        row = list(self.prefix_sq[:count - 1])
+        moments = [self.measure.moment(k) for k in range(len(row), count)]
+        row.extend(b / a for a, b in zip(moments, moments[1:]))
+        return row
+
     def sup_weight_sq(self):
         sup = self.measure.max_atom()
         if self.prefix_sq:
@@ -192,6 +200,17 @@ class GeometricSumTail:
         if idx < len(self.prefix_sq):
             return self.prefix_sq[idx]
         return self._gamma(j - 1) / self._gamma(j - 2)
+
+    def weight_sq_row(self, count: int) -> list:
+        """weight_sq(j) for j = 2..count, with gamma_n run up one moment at
+        a time: gamma_n = 1 + tau_0 + ... + tau_(n-1)."""
+        row = list(self.prefix_sq[:count - 1])
+        sums = [Fraction(0)]
+        for k in range(count - 1):
+            sums.append(sums[-1] + self.tau.moment(k))
+        gammas = [1 + s for s in sums[len(row):]]
+        row.extend(b / a for a, b in zip(gammas, gammas[1:]))
+        return row
 
     def sup_weight_sq(self):
         # gamma ratios decrease toward 1 for measures on (0, 1]
@@ -312,16 +331,46 @@ def _check(condition: bool, identity: str):
         raise CertificateInvalid(f"violated: {identity}", identity=identity)
 
 
+def _positive_on(mu, domain) -> bool:
+    """Is a certificate measure a positive measure on the domain?
+
+    An AtomicMeasure (inside a CAMeasure too) is positive by construction.
+    A moment recurrence of degree d is one exactly when its polynomial has
+    d distinct roots in the domain, generates its seed window, and the
+    Hankel form of its first 2d moments is positive definite (Curto and
+    Fialkow, Houston J. Math. 17 (1991)): `_determinate_poly` of the seed
+    window, run on to 2d moments, then returns the polynomial up to its
+    leading coefficient.  Any other object with moments passes."""
+    rec = mu.recurrence if isinstance(mu, RecurrentCAMeasure) else mu
+    if not isinstance(rec, MomentRecurrence):
+        return True
+    q = rec.poly.coeffs
+    count = max(len(rec.window), 2 * rec.poly.degree)
+    p = _determinate_poly([rec.moment(rec.first_index + k) for k in range(count)], domain)
+    return (p is not None and p.degree == rec.poly.degree
+            and all(_eq(c, x / q[-1]) for c, x in zip(p.coeffs, q)))
+
+
 def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> bool:
-    """Check the branch moment identities and the trunk reciprocal-moment
-    chain of a subnormal certificate, exactly, to the given depth."""
+    """Check a subnormal certificate exactly: every branch measure is a
+    positive measure on (0, inf) whose moments 0..p-1 match the prescribed
+    weight products, and the trunk reciprocal-moment chain holds at its
+    kappa + 1 levels.  `depth` bounds only the checks that do not close
+    after finitely many steps: the moment identities of a generator that is
+    not a MeasureTail over the branch's own measure, and the prefix of an
+    infinite trunk."""
     if len(measures) != len(w.classes):
         raise CertificateInvalid("one measure per branch class is required")
     for idx, (cls, mu) in enumerate(zip(w.classes, measures), start=1):
+        _check(_positive_on(mu, Ray()), f"branch {idx}: measure is positive on (0, inf)")
+        gen = cls.generator
+        # past generation p the weights of a tail over mu itself are its
+        # moment ratios, so the identity at n >= p follows from n - 1
+        top = len(gen.prefix_sq) if isinstance(gen, MeasureTail) and gen.measure is mu else depth
         prod = Fraction(1)
         _check(_eq(mu.moment(0), 1), f"branch {idx}: zeroth moment is 1")
-        for n in range(1, depth + 1):
-            prod = prod * cls.generator.weight_sq(n + 1)
+        for n in range(1, top + 1):
+            prod = prod * gen.weight_sq(n + 1)
             _check(_eq(mu.moment(n), prod),
                    f"branch {idx}: moment {n} equals the weight product")
     kappa = len(w.trunk_sq)
@@ -343,9 +392,14 @@ def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> b
 
 
 def verify_che_certificate(w: FullWeights, taus, depth: int = 12) -> bool:
-    """Check the geometric-sum identities and the trunk chain of a
-    completely hyperexpansive certificate; the infinite-trunk case checks
-    the isometry conditions directly."""
+    """Check a completely hyperexpansive certificate exactly: every branch
+    measure is a positive measure on (0, 1] without mass at zero whose
+    gamma_n = 1 + tau_0 + ... + tau_(n-1), n = 1..p-1, match the prescribed
+    weight products, and the trunk chain holds at its kappa + 1 levels.
+    The infinite-trunk case checks the isometry conditions directly.
+    `depth` bounds only the checks that do not close after finitely many
+    steps: the identities of a generator that is not a GeometricSumTail
+    over the branch's own measure, and the isometry weights."""
     if len(taus) != len(w.classes):
         raise CertificateInvalid("one measure per branch class is required")
     for tau in taus:
@@ -361,9 +415,14 @@ def verify_che_certificate(w: FullWeights, taus, depth: int = 12) -> bool:
                        f"branch {idx}: isometry weights are 1")
         return True
     for idx, (cls, tau) in enumerate(zip(w.classes, taus), start=1):
+        _check(_positive_on(tau, HalfOpen()), f"branch {idx}: measure is positive on (0, 1]")
+        gen = cls.generator
+        # past generation p the weights of a tail over tau itself are
+        # ratios gamma_n / gamma_(n-1): the identity at n >= p follows
+        top = len(gen.prefix_sq) if isinstance(gen, GeometricSumTail) and gen.tau is tau else depth
         prod = Fraction(1)
-        for n in range(1, depth + 1):
-            prod = prod * cls.generator.weight_sq(n + 1)
+        for n in range(1, top + 1):
+            prod = prod * gen.weight_sq(n + 1)
             _check(_eq(1 + tau.geometric_sum(n), prod),
                    f"branch {idx}: geometric sum {n} equals the weight product")
     kappa = len(w.trunk_sq)

@@ -1,0 +1,313 @@
+"""Certificate verification: forged measures are rejected, the check is
+finite, and the emitted JSON and weight rows match the generators."""
+
+import copy
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, strategies as st
+
+import momentkit
+from momentkit.cli import run
+from momentkit.completion import (_norm_sq_bound, flat_che_completion, solve_che,
+                                  solve_subnormal)
+from momentkit.errors import CertificateInvalid
+from momentkit.measure import MomentRecurrence, RecurrentCAMeasure
+from momentkit.numeric import Polynomial, format_scalar
+from momentkit.principal import root_bound
+from momentkit.tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
+                            MeasureTail, PartialWeights, verify_che_certificate,
+                            verify_subnormal_certificate)
+
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(momentkit.__file__))
+
+
+def _poly(roots):
+    poly = Polynomial([1])
+    for x in roots:
+        poly = poly.mul_linear(-x, 1)
+    return poly
+
+
+def _moment(pairs, k):
+    return sum((m * x ** k for x, m in pairs), F(0))
+
+
+def _recurrence(pairs, first_index, length):
+    """Recurrence of the (possibly signed) combination of point masses,
+    seeded with `length` of its moments from `first_index` on."""
+    window = [_moment(pairs, first_index + i) for i in range(length)]
+    return MomentRecurrence(_poly([x for x, _ in pairs]), first_index, window)
+
+
+def _subnormal_cert(rec, p=1):
+    """One-class, trunk-free subnormal certificate over `rec`: the weights
+    of generations 2..p are its moment ratios, the first weight meets the
+    root bound."""
+    prefix = [rec.moment(n) / rec.moment(n - 1) for n in range(1, p)]
+    s = rec.moment(-1)
+    first = 1 / abs(s) if s != 0 else F(1)
+    return FullWeights([], [FullBranch(first, MeasureTail(prefix, rec), 1)])
+
+
+def _che_cert(tau):
+    """One-class, trunk-free CHE certificate over `tau` with p = 1 and the
+    root bound 1 + first * tau_(-1) <= first met when tau_(-1) < 1."""
+    s = tau.moment(-1)
+    first = 1 / (1 - s) if s < 1 else F(1)
+    return FullWeights([], [FullBranch(first, GeometricSumTail([], tau), 1)])
+
+
+def _verify_file(tmp_path, cert_json):
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps({"kind": "verify", "certificate": cert_json}),
+                    encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "momentkit.cli", str(path), "--depth", "64"],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, json.loads(proc.stdout)
+
+
+# --------------------------------------------------------------------------
+# forged certificates
+# --------------------------------------------------------------------------
+
+# (kind, polynomial, first_index, seed window, first weight): each seed runs
+# on to a moment sequence that satisfies every weight identity, but no
+# positive measure on the domain has these moments
+FORGED = {
+    # t^2 + 1 seeded (1/2, 1): moments 1/2, 1, -1/2, -1, ...
+    "complex-roots": ("subnormal", (1, 0, 1), -1, (F(1, 2), 1), F(1)),
+    # (delta_-1 + delta_2) / 2: the Hankel form is positive definite
+    "negative-root": ("subnormal", (-2, -1, 1), 0, (1, F(1, 2)), F(1)),
+    # -delta_1 / 2 + 3 delta_2 / 2
+    "not-positive-definite": ("subnormal", (2, -3, 1), 0, (1, F(5, 2)), F(1)),
+    # (delta_1 + delta_2) / 2 has s_3 = 9/2, not 5
+    "seed-not-generated": ("subnormal", (2, -3, 1), 0, (1, F(3, 2), F(5, 2), 5), F(1)),
+    # delta_2 / 2 as a CHE branch measure
+    "root-above-one": ("che", (-2, 1), -1, (F(1, 4),), F(2)),
+}
+
+
+def _forged(case):
+    kind, coeffs, first_index, window, first = FORGED[case]
+    rec = MomentRecurrence(Polynomial(list(coeffs)), first_index, list(window))
+    cert_json = {"kind": kind, "trunk_sq": [], "weights_sq": [[format_scalar(first)]],
+                 "measures": [rec.to_json()]}
+    if kind == "subnormal":
+        full = FullWeights([], [FullBranch(first, MeasureTail([], rec), 1)])
+        return full, [rec], verify_subnormal_certificate, cert_json
+    tau = RecurrentCAMeasure(rec)
+    full = FullWeights([], [FullBranch(first, GeometricSumTail([], tau), 1)])
+    return full, [tau], verify_che_certificate, cert_json
+
+
+@pytest.mark.parametrize("case", sorted(FORGED))
+def test_forged_certificate_rejected(case, tmp_path):
+    full, measures, verifier, cert_json = _forged(case)
+    with pytest.raises(CertificateInvalid) as err:
+        verifier(full, measures, 64)
+    assert "positive" in str(err.value)
+    code, payload = _verify_file(tmp_path, cert_json)
+    assert code == 1 and payload["valid"] is False
+
+
+IN_RAY = st.fractions(min_value=F(1, 12), max_value=16, max_denominator=12)
+IN_HALF_OPEN = st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12)
+MASS = st.fractions(min_value=F(1, 12), max_value=8, max_denominator=12)
+
+
+@st.composite
+def planted(draw):
+    """A valid recurrence measure: distinct rational roots in the domain,
+    positive masses, seeded from some index with d..d+2 moments."""
+    che = draw(st.booleans())
+    roots = draw(st.lists(IN_HALF_OPEN if che else IN_RAY, min_size=1, max_size=3,
+                          unique=True))
+    pairs = [(x, draw(MASS)) for x in roots]
+    first_index = draw(st.integers(-2, 0))
+    length = len(roots) + draw(st.integers(0, 2))
+    return che, pairs, first_index, length
+
+
+def _build(che, pairs, first_index, length):
+    if che:
+        s = _moment(pairs, -1)
+        scale = 1 / (2 * abs(s)) if s != 0 else 1
+        pairs = [(x, m * scale) for x, m in pairs]
+        tau = RecurrentCAMeasure(_recurrence(pairs, first_index, length))
+        return _che_cert(tau), [tau], verify_che_certificate
+    total = _moment(pairs, 0)
+    pairs = [(x, m / total) for x, m in pairs]
+    rec = _recurrence(pairs, first_index, length)
+    return _subnormal_cert(rec, 1), [rec], verify_subnormal_certificate
+
+
+@given(planted())
+def test_planted_recurrences_verify(data):
+    che, pairs, first_index, length = data
+    full, measures, verifier = _build(che, pairs, first_index, length)
+    assert verifier(full, measures, 64)
+    if not che:
+        # with the prescribed generations 2..3 drawn from the measure too
+        rec = measures[0]
+        assert verify_subnormal_certificate(_subnormal_cert(rec, 3), [rec], 12)
+
+
+@given(planted(), st.sampled_from(["root", "mass", "seed"]), st.data())
+def test_mutated_recurrences_rejected(data, mutation, extra):
+    che, pairs, first_index, length = data
+    pick = extra.draw(st.integers(0, len(pairs) - 1))
+    x, m = pairs[pick]
+    if mutation == "root":
+        # one atom moves out of the domain: below 0, or above 1 on (0, 1]
+        out = extra.draw(st.fractions(min_value=F(1, 12), max_value=8, max_denominator=12))
+        pairs[pick] = (1 + out if che else -out, m)
+    elif mutation == "mass":
+        assume(len(pairs) >= 2)
+        pairs[pick] = (x, -m)
+        assume(_moment(pairs, 0) != 0)
+    full, measures, verifier = _build(che, pairs, first_index, length)
+    if mutation == "seed":
+        rec = measures[0].recurrence if che else measures[0]
+        spot = extra.draw(st.integers(rec.poly.degree, rec.poly.degree + 2))
+        assume(spot < len(rec.window))
+        window = list(rec.window)
+        window[spot] += extra.draw(MASS)
+        forged = MomentRecurrence(rec.poly, rec.first_index, window)
+        if che:
+            tau = RecurrentCAMeasure(forged)
+            full, measures = _che_cert(tau), [tau]
+        else:
+            full, measures = _subnormal_cert(forged, 1), [forged]
+    with pytest.raises(CertificateInvalid) as err:
+        verifier(full, measures, 64)
+    assert "positive" in str(err.value)
+
+
+# --------------------------------------------------------------------------
+# the check is finite
+# --------------------------------------------------------------------------
+
+class _Counting:
+    """Measure wrapper that counts `moment` calls."""
+
+    def __init__(self, measure):
+        self.measure = measure
+        self.zero_mass = getattr(measure, "zero_mass", 0)
+        self.calls = 0
+
+    def moment(self, k):
+        self.calls += 1
+        return self.measure.moment(k)
+
+    def total_mass(self):
+        return self.measure.total_mass()
+
+    def geometric_sum(self, n):
+        return sum((self.moment(k) for k in range(n)), F(0))
+
+
+def _counted(cert):
+    """The certificate over counting wrappers of its measures, with every
+    generator's tail swapped to the wrapper of its own measure."""
+    measures = [_Counting(mu) for mu in cert.measures]
+    classes = []
+    for cls, mu in zip(cert.full.classes, measures):
+        gen = copy.copy(cls.generator)
+        if isinstance(gen, GeometricSumTail):
+            gen.tau = mu
+        else:
+            gen.measure = mu
+        classes.append(FullBranch(cls.first_mass, gen, cls.count))
+    full = FullWeights(cert.full.trunk_sq, classes)
+    return dataclasses.replace(cert, measures=tuple(measures), full=full), measures
+
+
+def _seed7_problem2():
+    """`subnormal` benchmark seed 7, problem 2: its third class gets a
+    recurrence measure."""
+    classes = [BranchClass(F(144, 565), (F(2, 5),), 1),
+               BranchClass(F(360, 1921), (F(9),), 1),
+               BranchClass(F(1008, 1921), (F(16, 7),), 1)]
+    return PartialWeights([F(760716, 2734115)], classes)
+
+
+def _certificates():
+    tail = (F(188533, 181648), F(962996, 942665))
+    irrational_flat = PartialWeights([F(169957, 150040), F(217558, 115981)],
+                                     [BranchClass(F(1271536, 6628323), tail, 1),
+                                      BranchClass(F(5812736, 6628323), tail, 1)])
+    outcomes = [
+        solve_subnormal(_seed7_problem2()),
+        solve_subnormal(PartialWeights([F(6, 5), 1], [BranchClass(F(4, 3), (F(3, 2),), 1)]),
+                        K=(2,)),
+        solve_che(PartialWeights([], [BranchClass(2, (F(3, 2),), 1),
+                                      BranchClass(2, (F(5, 4),), 1)])),
+        solve_che(PartialWeights([F(9, 8), F(3, 2)], [BranchClass(F(10, 9), (F(11, 10),), 1)]),
+                  K=(F(3, 2),)),
+        flat_che_completion(irrational_flat),
+    ]
+    assert all(out.feasible for out in outcomes)
+    return [out.certificate for out in outcomes]
+
+
+def test_verification_cost_does_not_grow_with_depth():
+    for cert in _certificates():
+        counted, measures = _counted(cert)
+        calls = []
+        for depth in (12, 64):
+            for mu in measures:
+                mu.calls = 0
+            assert counted.verify(depth)
+            calls.append(sum(mu.calls for mu in measures))
+        assert calls[0] == calls[1], (cert.kind, calls)
+
+
+def test_weight_rows_match_generators():
+    for cert in _certificates():
+        count = cert.partial.p + 8
+        rows = cert.to_json()["weights_sq"]
+        for cls, row in zip(cert.full.classes, rows):
+            want = [cls.first_mass] + [cls.generator.weight_sq(j) for j in range(2, count + 1)]
+            assert row == [format_scalar(v) for v in want]
+
+
+# --------------------------------------------------------------------------
+# the emitted JSON
+# --------------------------------------------------------------------------
+
+def test_certificate_json_does_not_depend_on_verification(tmp_path):
+    cert = solve_subnormal(_seed7_problem2()).certificate
+    assert any(isinstance(mu, MomentRecurrence) for mu in cert.measures)
+    before = cert.to_json()
+    assert cert.verify(64)
+    assert cert.to_json() == before
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps({"kind": "verify", "certificate": before}), encoding="utf-8")
+    payload, code = run(str(path))
+    assert code == 0 and payload["valid"]
+
+
+def test_recurrence_json_is_its_seed():
+    pairs = [(F(1, 2), F(1, 3)), (F(3), F(2, 3))]
+    rec = _recurrence(pairs, -1, 3)
+    blob = rec.to_json()
+    rec.moment(40)
+    rec.moment(-20)
+    assert rec.to_json() == blob
+    assert blob["first_index"] == -1 and len(blob["window"]) == 3
+
+
+def test_norm_bound_of_recurrence_without_atoms():
+    pairs = [(F(1, 2), F(1, 2)), (F(5), F(1, 2))]
+    rec = _recurrence(pairs, 0, 2)
+    full = FullWeights([], [FullBranch(F(1, 4), MeasureTail([], rec), 1)])
+    assert _norm_sq_bound(full, [rec]) == float(root_bound(rec.poly))
