@@ -8,34 +8,38 @@ bound.  A slot is *forced* when the requested atom count makes the window
 singular (its value is the exact reciprocal infimum of the next 2K entries)
 and *free* otherwise (any value strictly above the running threshold).
 
-The level search distributes each level's residual across the free branches,
-biasing the split by a one-parameter line search on the next level's
-threshold load when needed.  Every constructed point is verified exactly;
-infeasibility is only declared from threshold lower bounds, and search
-exhaustion yields Unknown, never a fabricated verdict.
+Each level's residual is split over the free branches in closed form: a
+branch's next-level value is an exact convex quadratic in the value prepended
+here, so the split minimising the next level's least load follows from equal
+slopes, in rationals.  That decides the next level exactly, except that an
+equality level with no free branch must be met on a two-branch line whose
+step may be irrational (Unknown).  With two or more levels left the minimiser
+is greedy, so uniform and biased splits are tried too.  Certificates are
+verified again by the checker.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .alternating import CAMeasure, has_ca_extension
 from .backward import forced_value, minimal_measure_window
-from .errors import (BadIndex, DegenerateInput, PreconditionError, Unsupported)
+from .errors import (BadIndex, DegenerateInput, MomentKitError, PreconditionError,
+                     Unsupported)
 from .measure import (AtomicMeasure, MomentRecurrence, MomentSequence,
                       RecurrentCAMeasure, tilt)
-from .numeric import Scalar, as_fraction, format_scalar
+from .numeric import Scalar, format_scalar
 from .positivity import HalfOpen, PositivityClass, Ray, classify_half_open, classify_ray
-from .principal import atom_polynomial, bordered_hankel_poly, root_bound
+from .principal import atom_polynomial, root_bound
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
                    MeasureTail, PartialWeights, verify_che_certificate,
                    verify_subnormal_certificate)
 
-SNAP_DENOMINATOR = 2 ** 48
 UNKNOWN_BAND = 1e-9
 
 
@@ -73,12 +77,8 @@ class CompletionCertificate:
         def fmt(x):
             return format_scalar(x) if not isinstance(x, float) else repr(x)
 
-        measures = []
-        for mu in self.measures:
-            if hasattr(mu, "to_json"):
-                measures.append(mu.to_json())
-            else:
-                measures.append(repr(mu))
+        measures = [mu.to_json() if hasattr(mu, "to_json") else repr(mu)
+                    for mu in self.measures]
         out = {
             "kind": self.kind,
             "K": [fmt(Fraction(k)) if not isinstance(k, float) else k for k in self.K],
@@ -133,33 +133,6 @@ _RAY_OPS = _DomainOps(Ray(), classify_ray)
 _HALF_OPS = _DomainOps(HalfOpen(), classify_half_open)
 
 
-def _snap(value, headroom) -> Fraction:
-    """Rational near a float search point, coarse enough to stay stable."""
-    if not isinstance(value, float):
-        return as_fraction(value)
-    f = Fraction(value).limit_denominator(SNAP_DENOMINATOR)
-    return f
-
-
-def _golden_min(fn, lo: float, hi: float, iters: int = 48) -> float:
-    """Golden-section minimizer for a unimodal objective on [lo, hi]."""
-    phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    return c if fc <= fd else d
-
-
 @dataclass
 class _LevelProblem:
     ops: _DomainOps
@@ -175,40 +148,165 @@ def _slot_is_free(big_n: int, p_top: int, level: int) -> bool:
     return big_n >= p_top + level
 
 
-def _compare_to_target(lower, target, is_bound):
-    """(feasible?, provably_infeasible?, within_band?) of a level whose free
-    values must push the mass sum strictly above `lower`."""
-    if not isinstance(lower, float) and not isinstance(target, float):
-        if lower >= target:
-            return False, True, False
-        return True, False, False
-    flo, ftg = float(lower), float(target)
-    band = UNKNOWN_BAND * max(1.0, abs(ftg))
-    if flo >= ftg + band:
-        return False, True, False
-    if flo >= ftg - band:
-        return False, False, True
-    return True, False, False
+def _within_band(lower, target) -> bool:
+    """Float input only: `lower` is too close to `target` to call."""
+    floats = isinstance(lower, float) or isinstance(target, float)
+    return floats and abs(lower - target) <= UNKNOWN_BAND * max(1.0, abs(float(target)))
 
 
-def _search_levels(problem: _LevelProblem, seqs, level: int = 0):
+def _quadratic(fn, theta):
+    """(a, b, c) with fn(theta + u) = a u^2 + b u + c, read from u = 1, 2, 3.
+    A next-level value (threshold or forced value) is the Schur complement
+    of the Hankel corner that bounds it; the value x prepended here sits only
+    in its border, so it is exactly convex quadratic in x (Curto-Fialkow)."""
+    q1, q2, q3 = (fn(theta + u) for u in (1, 2, 3))
+    a = (q1 - 2 * q2 + q3) / 2
+    if not a > 0:
+        raise DegenerateInput("next-level value is not strictly convex")
+    b = q2 - q1 - 3 * a
+    return a, b, q1 - a - b
+
+
+def _sqrt_below(value):
+    """A rational r <= sqrt(value) for value > 0: exact for a rational
+    square, within a factor 2 when num * den >= 4; math.sqrt for a float."""
+    if isinstance(value, float):
+        return math.sqrt(value)
+    return Fraction(math.isqrt(value.numerator * value.denominator), value.denominator)
+
+
+@dataclass
+class _Split:
+    """A level's split over its free classes and the least load of the next
+    level, const + sum m_c q_c(u_c), u_c the value above the threshold."""
+    masses: list
+    quads: list
+    const: Scalar
+
+    def values(self, u) -> list:
+        return [(a * x + b) * x + c for (a, b, c), x in zip(self.quads, u)]
+
+    def load(self, u) -> Scalar:
+        return self.const + sum(m * v for m, v in zip(self.masses, self.values(u)))
+
+    def slope(self, u, i) -> Scalar:
+        return 2 * self.quads[i][0] * u[i] + self.quads[i][1]
+
+    def water_fill(self, residual):
+        """Minimiser over u >= 0 with sum m_c u_c = residual > 0 (KKT): the
+        unclamped classes share one slope lam, the clamped ones sit at
+        u_c = 0 with b_c >= lam."""
+        order = sorted(range(len(self.quads)), key=lambda i: self.quads[i][1])
+        weight = shift = 0
+        for k, i in enumerate(order):
+            a, b, _ = self.quads[i]
+            weight += self.masses[i] / (2 * a)
+            shift += self.masses[i] * b / (2 * a)
+            lam = (residual + shift) / weight
+            if k + 1 == len(order) or lam <= self.quads[order[k + 1]][1]:
+                break
+        return [max((lam - b) / (2 * a), 0) for a, b, _ in self.quads]
+
+    def off_boundary(self, u, margin):
+        """u moved off u_c = 0, the load raised by at most `margin`: along the
+        mass-preserving d it is L + g s + h s^2, so g s, h s^2 <= margin/2
+        suffice, and half the way to 0 keeps the other classes positive."""
+        zero = u.count(0)
+        d = [1 / m if x == 0 else -zero / ((len(u) - zero) * m)
+             for x, m in zip(u, self.masses)]
+        g = sum(m * self.slope(u, i) * d[i] for i, m in enumerate(self.masses))
+        h = sum(m * q[0] * di * di for m, q, di in zip(self.masses, self.quads, d))
+        steps = [_sqrt_below(margin / (2 * h))] + [x / (-2 * di) for x, di in zip(u, d) if x > 0]
+        step = min(steps + ([margin / (2 * abs(g))] if g else []))
+        return [x + step * di for x, di in zip(u, d)]
+
+    def meet(self, u, target):
+        """A u > 0 with load exactly `target` (above the load at u), or None:
+        along u + s (e_i/m_i - e_j/m_j) the load is L + g s + h s^2 with
+        h = a_i/m_i + a_j/m_j, so s is rational for a square discriminant."""
+        gap = target - self.load(u)
+        for i, j in itertools.combinations(range(len(u)), 2):
+            g = self.slope(u, i) - self.slope(u, j)
+            h = self.quads[i][0] / self.masses[i] + self.quads[j][0] / self.masses[j]
+            disc = g * g + 4 * h * gap
+            root = _sqrt_below(disc)
+            if root * root != disc and not isinstance(disc, float):
+                continue
+            for s in ((root - g) / (2 * h), (-root - g) / (2 * h)):
+                v = list(u)
+                v[i] += s / self.masses[i]
+                v[j] -= s / self.masses[j]
+                if all(x > 0 for x in v):
+                    return v
+        return None
+
+
+def _split_level(problem: _LevelProblem, seqs, forced_vals, thresholds, residual, level):
+    """The split of two or more free classes minimising level + 1's least
+    load: (values, every class's value at level + 1, None), or (None, None,
+    (status, reason)) when no split can work or none is rational."""
+    ops, masses, nxt = problem.ops, problem.masses, level + 1
+    target = problem.targets[nxt]
+    free_next = [_slot_is_free(problem.big_ns[c], problem.p_top, nxt) for c in thresholds]
+
+    def next_value(c, x, free):
+        ext = (x,) + tuple(seqs[c])
+        return ops.threshold(ext) if free else ops.forced(ext, problem.big_ns[c])
+
+    fixed = {c: next_value(c, v, False) for c, v in forced_vals.items()}
+    split = _Split([masses[c] for c in thresholds],
+                   [_quadratic(lambda x: next_value(c, x, f), theta)
+                    for (c, theta), f in zip(thresholds.items(), free_next)],
+                   sum(masses[c] * v for c, v in fixed.items()))
+    u = split.water_fill(residual)
+    least = split.load(u)
+    clamped = any(x == 0 for x in u)
+    if _within_band(least, target):
+        return None, None, (SolveStatus.UNKNOWN,
+                            f"level {nxt}: target within tolerance of least load {least}")
+    if least > target or (least == target and (any(free_next) or clamped)):
+        return None, None, (SolveStatus.INFEASIBLE,
+                            f"level {nxt}: least load {least} over the splits of level "
+                            f"{level} precludes target {target}")
+    if least < target and not any(free_next) and nxt < problem.kappa:
+        # an equality level with no free class: its load must meet the
+        # target; a convex load is greatest at a vertex of the simplex
+        top = max(split.load([residual / m if i == k else 0 for i, m in enumerate(split.masses)])
+                  for k in range(len(u)))
+        if top <= target:
+            return None, None, (SolveStatus.INFEASIBLE,
+                                f"level {nxt}: greatest load {top} over the splits of level "
+                                f"{level} misses target {target}")
+        u = split.meet(split.off_boundary(u, (target - least) / 2) if clamped else u, target)
+        if u is None:
+            return None, None, (SolveStatus.UNKNOWN,
+                                f"level {level}: the split that meets level {nxt} is irrational")
+    elif clamped:
+        u = split.off_boundary(u, (target - least) / 2)
+    fixed.update(zip(thresholds, split.values(u)))
+    return {c: theta + x for (c, theta), x in zip(thresholds.items(), u)}, fixed, None
+
+
+def _search_levels(problem: _LevelProblem, seqs, level: int = 0, known=None):
     """Recursive level filler.  Returns (status, payload): the completed
-    per-class windows on success, a reason string otherwise."""
+    per-class windows on success, a reason string otherwise.  `known` holds
+    class values at this level (threshold or forced) the caller computed."""
     ops = problem.ops
     if level > problem.kappa:
         return SolveStatus.FEASIBLE, seqs
     target = problem.targets[level]
     is_bound = (level == problem.kappa)
+    known = known or {}
 
-    forced_vals = {}
-    free_idx = []
-    for c, seq in enumerate(seqs):
-        if _slot_is_free(problem.big_ns[c], problem.p_top, level):
-            free_idx.append(c)
-        else:
-            forced_vals[c] = ops.forced(seq, problem.big_ns[c])
-    forced_sum = sum((problem.masses[c] * v for c, v in forced_vals.items()),
-                     Fraction(0))
+    def value(c, free):
+        if c in known:
+            return known[c]
+        return ops.threshold(seqs[c]) if free else ops.forced(seqs[c], problem.big_ns[c])
+
+    free_idx = [c for c in range(len(seqs))
+                if _slot_is_free(problem.big_ns[c], problem.p_top, level)]
+    forced_vals = {c: value(c, False) for c in range(len(seqs)) if c not in free_idx}
+    forced_sum = sum(problem.masses[c] * v for c, v in forced_vals.items())
 
     if not free_idx:
         ok = (forced_sum <= target) if is_bound else (forced_sum == target)
@@ -219,103 +317,56 @@ def _search_levels(problem: _LevelProblem, seqs, level: int = 0):
         next_seqs = [(forced_vals[c],) + tuple(seqs[c]) for c in range(len(seqs))]
         return _search_levels(problem, next_seqs, level + 1)
 
-    thresholds = {c: ops.threshold(seqs[c]) for c in free_idx}
+    thresholds = {c: value(c, True) for c in free_idx}
     lower = forced_sum + sum(problem.masses[c] * thresholds[c] for c in free_idx)
-    feasible_here, provably_bad, banded = _compare_to_target(lower, target, is_bound)
-    if provably_bad:
-        return SolveStatus.INFEASIBLE, (
-            f"level {level}: threshold load {lower} precludes target {target}")
-    if banded:
+    if _within_band(lower, target):
         return SolveStatus.UNKNOWN, (
             f"level {level}: target within tolerance of the threshold load {lower}")
-    residual = target - lower  # > 0 up to the float band
-
-    def build_point(shares, consume) -> Optional[dict]:
-        """Per-class snapped rational values: free class `pos` receives
-        shares[pos] of the consumed residual; on equality levels the last
-        free class closes the sum exactly."""
-        xs = {}
-        for pos, c in enumerate(free_idx):
-            if not is_bound and pos == len(free_idx) - 1:
-                continue
-            bump_mass = float(consume) * float(residual) * float(shares[pos])
-            x = _snap(float(thresholds[c]) + bump_mass / float(problem.masses[c]), None)
-            xs[c] = x
-        if not is_bound:
-            last = free_idx[-1]
-            remaining = target - forced_sum - sum(
-                problem.masses[c] * xs[c] for c in free_idx[:-1])
-            xs[last] = remaining / problem.masses[last]
-        else:
-            total = forced_sum + sum(problem.masses[c] * xs[c] for c in free_idx)
-            if not total <= target:
-                return None
-        for c in free_idx:
-            if xs[c] <= 0 or not ops.is_strict((xs[c],) + tuple(seqs[c])):
-                return None
-        return xs
-
+    if lower >= target:
+        return SolveStatus.INFEASIBLE, (
+            f"level {level}: threshold load {lower} precludes target {target}")
+    residual = target - lower
     nfree = len(free_idx)
-    candidates = []
-    uniform = [Fraction(1, nfree)] * nfree
-    if is_bound:
-        candidates.extend([(uniform, Fraction(1, 2)), (uniform, Fraction(9, 10)),
-                           (uniform, Fraction(1, 100))])
-    else:
-        minimizing = None
-        if nfree == 2 and level < problem.kappa:
-            # split driven by the next level's threshold load
-            def load(lam: float) -> float:
-                total = 0.0
-                for pos, c in enumerate(free_idx):
-                    share = lam if pos == 0 else 1.0 - lam
-                    x = (float(thresholds[c])
-                         + share * float(residual) / float(problem.masses[c]))
-                    try:
-                        nxt = ops.threshold((x,) + tuple(float(v) for v in seqs[c]))
-                    except Exception:
-                        return math.inf
-                    total += float(problem.masses[c]) * float(nxt)
-                return total
 
-            lam = _golden_min(load, 1e-9, 1.0 - 1e-9)
-            minimizing = [Fraction(lam).limit_denominator(10 ** 9),
-                          1 - Fraction(lam).limit_denominator(10 ** 9)]
-            candidates.append((minimizing, Fraction(1)))
-        candidates.append((uniform, Fraction(1)))
-        if nfree >= 2:
+    def shared(shares):
+        return {c: thresholds[c] + residual * share / problem.masses[c]
+                for c, share in zip(free_idx, shares)}, None
+
+    failure = None
+    if is_bound:
+        # any point below the bound completes; take half the slack
+        points = [shared([Fraction(1, 2 * nfree)] * nfree)]
+    elif nfree == 1:
+        # the only split; the next level decides it
+        points = [shared([1])]
+    else:
+        point, nxt_known, failure = _split_level(problem, seqs, forced_vals, thresholds,
+                                                 residual, level)
+        if failure is not None and failure[0] is SolveStatus.INFEASIBLE:
+            return failure
+        points = [(point, nxt_known)]
+        if problem.kappa - level >= 2:
+            # the minimiser is greedy with two or more levels left
+            points.append(shared([Fraction(1, nfree)] * nfree))
             for j in range(nfree):
                 biased = [Fraction(1, 50)] * nfree
                 biased[j] = 1 - Fraction(nfree - 1, 50)
-                candidates.append((biased, Fraction(1)))
+                points.append(shared(biased))
 
-    unknown_seen = None
-    child_infeasible = []
-    for pick, (shares, consume) in enumerate(candidates):
-        point = build_point(shares, consume)
-        if point is None:
-            continue
-        next_seqs = []
-        for c in range(len(seqs)):
-            v = point[c] if c in point else forced_vals[c]
-            next_seqs.append((v,) + tuple(seqs[c]))
-        status, payload = _search_levels(problem, next_seqs, level + 1)
-        if status is SolveStatus.FEASIBLE:
-            return status, payload
-        if status is SolveStatus.UNKNOWN:
-            unknown_seen = payload
-        else:
-            child_infeasible.append((pick, payload))
-    if unknown_seen is not None:
-        return SolveStatus.UNKNOWN, unknown_seen
-    if not is_bound and child_infeasible:
-        # the first candidate minimizes the downstream load (two free
-        # classes) or is the only degree of freedom (one free class); if
-        # even it leads to a certified dead end, the level is infeasible
-        if nfree == 1 or (nfree == 2 and child_infeasible[0][0] == 0):
-            return SolveStatus.INFEASIBLE, child_infeasible[0][1]
-        return SolveStatus.UNKNOWN, child_infeasible[0][1]
-    return SolveStatus.UNKNOWN, f"level {level}: allocation attempts exhausted"
+    first = None
+    for point, nxt_known in points:
+        outcome = failure  # when the minimiser has no rational point
+        if point is not None:
+            values = {**forced_vals, **point}
+            outcome = _search_levels(problem, [(values[c],) + tuple(seq)
+                                               for c, seq in enumerate(seqs)],
+                                     level + 1, nxt_known)
+        if outcome[0] is SolveStatus.FEASIBLE:
+            return outcome
+        first = first or outcome
+    # no point completes: the minimiser's outcome decides -- exact with one
+    # level left, greedy with more
+    return first
 
 
 # --------------------------------------------------------------------------
@@ -343,25 +394,34 @@ def _branch_k_compatible(ops: _DomainOps, given, big_n: int) -> bool:
 def _admissible_ks(ops, given, k_max_twice: int):
     """All 2K values in 1..k_max_twice (even on the ray) compatible with the
     given window."""
-    out = []
     step = 2 if isinstance(ops.domain, Ray) else 1
-    for two_k in range(step, k_max_twice + 1, step):
-        if two_k % 2 and isinstance(ops.domain, Ray):
-            continue
-        if _branch_k_compatible(ops, given, two_k - 1):
-            out.append(two_k)
-    return out
+    return [two_k for two_k in range(step, k_max_twice + 1, step)
+            if _branch_k_compatible(ops, given, two_k - 1)]
 
 
-def _k_vectors(per_class_options):
-    """Lexicographic product, smallest vectors first."""
-    if not per_class_options:
-        yield ()
-        return
-    head, rest = per_class_options[0], per_class_options[1:]
-    for choice in head:
-        for tail in _k_vectors(rest):
-            yield (choice,) + tail
+def _solve_vectors(ops, pw: PartialWeights, givens, vectors, p_top, targets,
+                   certify) -> SolveOutcome:
+    """The level search for each atom-count vector in turn: the first
+    Feasible one is certified; else Unknown if any vector was, else
+    Infeasible with every vector's reason."""
+    masses = tuple(cls.first_mass for cls in pw.classes)
+    unknown, reasons = None, []
+    for vec in vectors:
+        problem = _LevelProblem(ops, masses, tuple(int(2 * k) - 1 for k in vec),
+                                p_top, targets, pw.kappa)
+        try:
+            status, payload = _search_levels(problem, [tuple(g) for g in givens])
+        except MomentKitError as exc:  # kernel guarantees violated along a path
+            status, payload = SolveStatus.UNKNOWN, f"K={vec}: search aborted: {exc}"
+        if status is SolveStatus.FEASIBLE:
+            return certify(pw, vec, payload)
+        if status is SolveStatus.UNKNOWN:
+            unknown = payload
+        else:
+            reasons.append(f"K={vec}: {payload}")
+    if unknown is not None:
+        return SolveOutcome(SolveStatus.UNKNOWN, reason=unknown)
+    return SolveOutcome(SolveStatus.INFEASIBLE, reason="; ".join(reasons))
 
 
 # --------------------------------------------------------------------------
@@ -434,7 +494,7 @@ def solve_subnormal(pw: PartialWeights, K="auto") -> SolveOutcome:
                     SolveStatus.INFEASIBLE,
                     reason="a branch window admits no minimal atom count")
             options.append([o // 2 for o in opts])
-        vectors = list(_k_vectors(options))
+        vectors = list(itertools.product(*options))  # smallest vectors first
     else:
         K = tuple(int(k) for k in K)
         if len(K) != len(pw.classes):
@@ -449,26 +509,8 @@ def solve_subnormal(pw: PartialWeights, K="auto") -> SolveOutcome:
                     reason=f"prescribed weights incompatible with {k} atoms")
         vectors = [K]
 
-    targets = _subnormal_targets(pw)
-    masses = tuple(cls.first_mass for cls in pw.classes)
-    unknown = None
-    reasons = []
-    for vec in vectors:
-        problem = _LevelProblem(_RAY_OPS, masses, tuple(2 * k - 1 for k in vec),
-                                p, targets, kappa)
-        try:
-            status, payload = _search_levels(problem, [tuple(g) for g in givens])
-        except Exception as exc:  # kernel guarantees violated along a path
-            status, payload = SolveStatus.UNKNOWN, f"K={vec}: search aborted: {exc}"
-        if status is SolveStatus.FEASIBLE:
-            return _subnormal_certificate(pw, vec, payload)
-        if status is SolveStatus.UNKNOWN:
-            unknown = payload
-        else:
-            reasons.append(f"K={vec}: {payload}")
-    if unknown is not None:
-        return SolveOutcome(SolveStatus.UNKNOWN, reason=unknown)
-    return SolveOutcome(SolveStatus.INFEASIBLE, reason="; ".join(reasons))
+    return _solve_vectors(_RAY_OPS, pw, givens, vectors, p, _subnormal_targets(pw),
+                          _subnormal_certificate)
 
 
 def _subnormal_certificate(pw: PartialWeights, vec, windows) -> SolveOutcome:
@@ -485,9 +527,11 @@ def _subnormal_certificate(pw: PartialWeights, vec, windows) -> SolveOutcome:
             mu = _certificate_measure(window[:big_n + 1], first_index, window,
                                       Ray())
         else:
-            # even-length window at the maximal atom count: extend once more
+            # even-length window at the maximal atom count: extend once more,
+            # at the far end of [theta, theta + 8 max(theta, 1)], across which
+            # the atom sum (a norm bound) is fractional-linear and falls
             theta = _RAY_OPS.threshold(window)
-            probe = _accepted_extension(window, theta)
+            probe = theta + 8 * max(theta, 1)
             mu = _certificate_measure([probe] + window[:big_n], first_index - 1,
                                       [probe] + window, Ray())
         measures.append(mu)
@@ -499,32 +543,6 @@ def _subnormal_certificate(pw: PartialWeights, vec, windows) -> SolveOutcome:
                                  tuple(measures), full,
                                  _norm_sq_bound(full, measures))
     return SolveOutcome(SolveStatus.FEASIBLE, cert)
-
-
-def _accepted_extension(window, theta) -> Fraction:
-    """A rational value strictly above the threshold of `window`, chosen to
-    keep the resulting minimal measure's atom sum small (the root-sum bound
-    that controls the norm of the completion)."""
-    window = list(window)
-
-    def atom_sum(x: float) -> float:
-        try:
-            poly = bordered_hankel_poly([x] + [float(v) for v in window])
-        except Exception:
-            return math.inf
-        lead = poly.coeffs[-1]
-        if lead == 0:
-            return math.inf
-        return abs(-poly.coeffs[-2] / lead)
-
-    base = max(float(theta), 0.0)
-    lam = _golden_min(lambda t: atom_sum(base + t), 1e-9, max(8 * base, 8.0))
-    candidates = [base + lam, base * 1.5 + 1e-6, base * 2 + 1, base + 1]
-    for value in candidates:
-        snapped = _snap(value, None)
-        if snapped > 0 and _RAY_OPS.is_strict((snapped,) + tuple(window)):
-            return snapped
-    raise DegenerateInput("no strict extension value found")
 
 
 # --------------------------------------------------------------------------
@@ -576,7 +594,7 @@ def solve_che(pw: PartialWeights, K="auto") -> SolveOutcome:
                     SolveStatus.INFEASIBLE,
                     reason="a branch window admits no minimal index")
             options.append([Fraction(o, 2) for o in opts])
-        vectors = list(_k_vectors(options))
+        vectors = list(itertools.product(*options))  # smallest vectors first
     else:
         K = tuple(Fraction(k) for k in K)
         if len(K) != len(pw.classes):
@@ -595,26 +613,7 @@ def solve_che(pw: PartialWeights, K="auto") -> SolveOutcome:
     if any(t < 0 for t in targets):
         return SolveOutcome(SolveStatus.INFEASIBLE,
                             reason="a trunk target is negative")
-    masses = tuple(cls.first_mass for cls in pw.classes)
-    unknown = None
-    reasons = []
-    for vec in vectors:
-        problem = _LevelProblem(_HALF_OPS, masses,
-                                tuple(int(2 * k) - 1 for k in vec),
-                                p - 1, targets, kappa)
-        try:
-            status, payload = _search_levels(problem, [tuple(g) for g in givens])
-        except Exception as exc:
-            status, payload = SolveStatus.UNKNOWN, f"K={vec}: search aborted: {exc}"
-        if status is SolveStatus.FEASIBLE:
-            return _che_certificate(pw, vec, payload)
-        if status is SolveStatus.UNKNOWN:
-            unknown = payload
-        else:
-            reasons.append(f"K={vec}: {payload}")
-    if unknown is not None:
-        return SolveOutcome(SolveStatus.UNKNOWN, reason=unknown)
-    return SolveOutcome(SolveStatus.INFEASIBLE, reason="; ".join(reasons))
+    return _solve_vectors(_HALF_OPS, pw, givens, vectors, p - 1, targets, _che_certificate)
 
 
 def _che_certificate(pw: PartialWeights, vec, windows) -> SolveOutcome:

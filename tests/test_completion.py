@@ -266,3 +266,52 @@ def test_flat_che_irrational_atoms_certificate_verifies():
     assert out.status is SolveStatus.FEASIBLE
     assert not out.certificate.measures[0].positive.exact
     assert out.certificate.verify(64)
+
+
+# planted, feasible non-flat CHE problems (benchmark corpus `che`, seeds 626
+# and 13) that a split taken from the least next-level load alone declared
+# Infeasible: level 1 has no free class, so its load must meet the target
+@pytest.mark.parametrize("trunk_sq, masses, tails", [
+    ((F(6483, 5581), F(145106, 86815)), (F(4235, 6483), F(968, 2161)),
+     ((F(1459, 1331),), (F(1363, 1331),))),
+    ((F(457, 411), F(5343, 3190)), (F(256, 457), F(224, 457)),
+     ((F(33, 32),), (F(65, 64),))),
+    ((F(682, 571), F(11991, 8090)), (F(90, 341), F(288, 341)),
+     ((F(28, 27),), (F(29, 27),))),
+])
+def test_che_split_meets_forced_level(trunk_sq, masses, tails):
+    pw = PartialWeights(trunk_sq, [BranchClass(m, t, 1) for m, t in zip(masses, tails)])
+    out = solve_che(pw, K="auto")
+    assert out.status is SolveStatus.FEASIBLE
+    assert out.certificate.verify(64)
+
+
+def test_subnormal_split_keeps_masses_and_norm_moderate():
+    # planted (benchmark corpus `subnormal`, seed 303): a split at the end of
+    # its range put an atom near 3e8 with mass 6e-18 into the certificate
+    pw = PartialWeights(
+        (F(4967099865, 5072317937), F(918084474279063, 3604497452852708)),
+        [BranchClass(F(36465, 142702), (F(73, 65), F(25825, 16352)), 1),
+         BranchClass(F(24310, 10193), (F(2543, 462), F(113753, 15258)), 1)])
+    out = solve_subnormal(pw, K="auto")
+    assert out.feasible and out.certificate.verify(64)
+    assert out.certificate.norm_sq < 100
+    for mu in out.certificate.measures:
+        atoms = getattr(mu, "atoms_hint", mu).atoms
+        assert all(float(mass) > 1e-12 for _, mass in atoms)
+
+
+def test_programming_errors_propagate(monkeypatch):
+    from momentkit import completion
+
+    def broken(self, *args):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(completion._DomainOps, "threshold", broken)
+    monkeypatch.setattr(completion._DomainOps, "forced", broken)
+    pw = PartialWeights([1], [BranchClass(1, (4,), 1), BranchClass(1, (4,), 1)])
+    with pytest.raises(ZeroDivisionError):
+        solve_subnormal(pw, K=(2, 2))
+    pw = PartialWeights([], [BranchClass(2, (F(3, 2),), 1), BranchClass(2, (F(5, 4),), 1)])
+    with pytest.raises(ZeroDivisionError):
+        solve_che(pw, K="auto")

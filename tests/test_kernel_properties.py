@@ -15,6 +15,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from momentkit.alternating import has_ca_extension
+from momentkit.backward import forced_value
 from momentkit.extremal import reciprocal_inf_half_open, reciprocal_inf_ray
 from momentkit.measure import AtomicMeasure, moments
 from momentkit.numeric import (FormClass, Polynomial, SymMatrix, classify_form,
@@ -242,3 +243,40 @@ def test_planted_compact_windows_recover_exactly(problem):
         got = verdict.measure
         assert got.zero_mass == sum(m for x, m in pairs if x == 0)
         assert got.positive.exact and got.positive.atoms == tuple(p for p in pairs if p[0])
+
+
+@st.composite
+def planted_strict_windows(draw):
+    """A 1-3 atom measure on the ray (atoms in [1/8, 24]) or inside (0, 1),
+    seen through a strictly positive window of length 1..2K, and a step h."""
+    half_open = draw(st.booleans())
+    if half_open:
+        atom = st.fractions(min_value=F(1, 16), max_value=F(15, 16), max_denominator=16)
+    else:
+        atom = st.fractions(min_value=F(1, 8), max_value=24, max_denominator=8)
+    atoms = sorted(draw(st.sets(atom, min_size=1, max_size=3)))
+    masses = draw(st.lists(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8),
+                           min_size=len(atoms), max_size=len(atoms)))
+    mu = AtomicMeasure(list(zip(atoms, masses)))
+    n = draw(st.integers(0, 2 * len(atoms) - 1))
+    step = draw(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
+    return (HalfOpen() if half_open else Ray()), list(moments(mu, 0, n).values), step
+
+
+@given(planted_strict_windows())
+def test_next_level_value_is_convex_quadratic_in_prepended_value(problem):
+    """The completion search splits a level from this: the threshold of
+    (x,) + window (its slot free) and the forced value of its first 2K
+    entries (its slot forced) are exact convex quadratics in x above the
+    threshold of the window -- third differences 0, second differences > 0."""
+    domain, window, step = problem
+    inf = reciprocal_inf_half_open if isinstance(domain, HalfOpen) else reciprocal_inf_ray
+    theta = inf(window)
+    xs = [theta + j * step for j in range(1, 5)]
+    curves = [[inf((x,) + tuple(window)) for x in xs]]
+    lengths = range(2, len(window) + 2, 2 if isinstance(domain, Ray) else 1)
+    curves += [[forced_value(((x,) + tuple(window))[:two_k], domain) for x in xs]
+               for two_k in lengths]
+    for q in curves:
+        second = [q[j + 2] - 2 * q[j + 1] + q[j] for j in range(2)]
+        assert second[0] > 0 and second[1] == second[0]
