@@ -40,20 +40,63 @@ def _fmt(x):
     return format_scalar(x)
 
 
+class InputError(Exception):
+    """The problem file does not parse (exit code 3).  Only the parsing
+    helpers below raise it, so no error inside a solver passes for one."""
+
+
+def _field(obj, key, default=...):
+    """obj[key] of a JSON object; `default` when the key is absent."""
+    if not isinstance(obj, dict):
+        raise InputError(f"expected a JSON object, got {obj!r}")
+    if key not in obj and default is ...:
+        raise InputError(f"missing field {key!r}")
+    return obj.get(key, default)
+
+
+def _parsed(parse, value):
+    """parse(value); any error a parsing function raises means bad input."""
+    try:
+        return parse(value)
+    except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot parse {value!r}: {type(exc).__name__}: {exc}") from None
+
+
+def _as_list(items):
+    if not isinstance(items, list):
+        raise InputError(f"expected a list, got {items!r}")
+    return items
+
+
+def _scalar(value, exact):
+    return _parsed(lambda v: parse_scalar(str(v), exact), value)
+
+
+def _int(obj, key, default=...):
+    return _parsed(int, _field(obj, key, default))
+
+
 def _parse_seq(items, exact):
-    return [parse_scalar(str(v), exact) for v in items]
+    return [_scalar(v, exact) for v in _as_list(items)]
+
+
+def _branch(items, exact):
+    """The weights of one branch, a nonempty list."""
+    vals = _parse_seq(items, exact)
+    if not vals:
+        raise InputError("empty branch")
+    return vals
 
 
 def _domain(obj, exact):
-    kind = obj.get("domain", "ray")
+    kind = _field(obj, "domain", "ray")
     if kind == "ray":
         return Ray()
     if kind in ("half-open", "half_open", "(0,1]"):
         return HalfOpen()
     if kind == "compact":
-        return Compact(parse_scalar(str(obj["a"]), exact),
-                       parse_scalar(str(obj["b"]), exact))
-    raise ValueError(f"unknown domain {kind!r}")
+        return Compact(_scalar(_field(obj, "a"), exact), _scalar(_field(obj, "b"), exact))
+    raise InputError(f"unknown domain {kind!r}")
 
 
 def _measure_json(mu):
@@ -66,31 +109,30 @@ def _partial_weights(obj, exact) -> PartialWeights:
     if "trunk_sq" in obj:
         trunk_sq = _parse_seq(obj["trunk_sq"], exact)
     else:
-        trunk = _parse_seq(obj.get("trunk", []), exact)
+        trunk = _parse_seq(_field(obj, "trunk", []), exact)
         trunk_sq = [t * t for t in trunk]
     classes = []
     if "branch_l1_sq_sum" in obj:
-        classes.append(BranchClass(parse_scalar(str(obj["branch_l1_sq_sum"]), exact),
-                                   (), None))
-    for spec in obj.get("classes", []):
-        first = parse_scalar(str(spec["first_sq"]), exact)
-        tail = _parse_seq(spec.get("tail_sq", []), exact)
+        classes.append(BranchClass(_scalar(obj["branch_l1_sq_sum"], exact), (), None))
+    for spec in _as_list(_field(obj, "classes", [])):
+        first = _scalar(_field(spec, "first_sq"), exact)
+        tail = _parse_seq(_field(spec, "tail_sq", []), exact)
         classes.append(BranchClass(first, tuple(tail), spec.get("count", 1)))
-    for br in obj.get("branches_sq", []):
-        vals = _parse_seq(br, exact)
+    for br in _as_list(_field(obj, "branches_sq", [])):
+        vals = _branch(br, exact)
         classes.append(BranchClass(vals[0], tuple(vals[1:]), 1))
-    for br in obj.get("branches", []):
-        vals = _parse_seq(br, exact)
+    for br in _as_list(_field(obj, "branches", [])):
+        vals = _branch(br, exact)
         classes.append(BranchClass(vals[0] * vals[0],
                                    tuple(v * v for v in vals[1:]), 1))
     return PartialWeights(trunk_sq, classes)
 
 
 def _k_arg(obj):
-    k = obj.get("K", "auto")
+    k = _field(obj, "K", "auto")
     if k == "auto":
         return "auto"
-    return [Fraction(str(v)) for v in k]
+    return [_parsed(lambda v: Fraction(str(v)), v) for v in _as_list(k)]
 
 
 def _solve_payload(outcome) -> tuple:
@@ -105,9 +147,9 @@ def _solve_payload(outcome) -> tuple:
 
 
 def _run_classify(obj, exact, options):
-    seq = _parse_seq(obj["sequence"], exact)
+    seq = _parse_seq(_field(obj, "sequence"), exact)
     domain = _domain(obj, exact)
-    eps = float(options["tolerance"])
+    eps = _parsed(float, options["tolerance"])
     verdict = classify(seq, domain, eps=eps)
     payload = {"class": verdict.kind.value}
     if verdict.is_positive:
@@ -117,7 +159,7 @@ def _run_classify(obj, exact, options):
 
 
 def _run_principal(obj, exact, options):
-    seq = _parse_seq(obj["sequence"], exact)
+    seq = _parse_seq(_field(obj, "sequence"), exact)
     domain = _domain(obj, exact)
     if isinstance(domain, Compact):
         kind = PrincipalKind.UPPER if obj.get("kind", "lower") == "upper" else PrincipalKind.LOWER
@@ -133,12 +175,12 @@ def _run_principal(obj, exact, options):
 
 
 def _run_t_value(obj, exact, options):
-    seq = _parse_seq(obj["sequence"], exact)
+    seq = _parse_seq(_field(obj, "sequence"), exact)
     domain = _domain(obj, exact)
     if isinstance(domain, Ray):
         payload = {"t_inf": _fmt(reciprocal_inf_ray(seq))}
         if "sup_target" in obj:
-            a, b = unbounded_reciprocal_witness(seq, parse_scalar(str(obj["sup_target"]), exact))
+            a, b = unbounded_reciprocal_witness(seq, _scalar(obj["sup_target"], exact))
             payload["sup_witness"] = {"a": _fmt(a), "b": _fmt(b)}
     elif isinstance(domain, HalfOpen):
         payload = {"t_one": _fmt(reciprocal_inf_half_open(seq))}
@@ -151,18 +193,18 @@ def _run_t_value(obj, exact, options):
 
 
 def _run_backward(obj, exact, options):
-    seq = _parse_seq(obj["sequence"], exact)
+    seq = _parse_seq(_field(obj, "sequence"), exact)
     domain = _domain(obj, exact)
     if "x" in obj:
-        verdict = classify_backward(seq, parse_scalar(str(obj["x"]), exact), domain)
+        verdict = classify_backward(seq, _scalar(obj["x"], exact), domain)
         payload = {"class": verdict.kind.value, "threshold": _fmt(verdict.threshold)}
         if verdict.measure is not None:
             payload["measure"] = _measure_json(verdict.measure)
         code = EXIT_OK if verdict.kind is not ExtensionClass.NOT_EXTENSION else EXIT_NEGATIVE
         return payload, code
     sequence, measure = extend_with_index(
-        seq, int(obj["r"]), Fraction(str(obj["K"])),
-        _parse_seq(obj.get("free", []), exact), domain)
+        seq, _int(obj, "r"), _parsed(lambda v: Fraction(str(v)), _field(obj, "K")),
+        _parse_seq(_field(obj, "free", []), exact), domain)
     payload = {"extension": sequence.to_json()}
     if measure is not None:
         payload["measure"] = _measure_json(measure)
@@ -170,7 +212,7 @@ def _run_backward(obj, exact, options):
 
 
 def _run_ca(obj, exact, options):
-    seq = _parse_seq(obj["sequence"], exact)
+    seq = _parse_seq(_field(obj, "sequence"), exact)
     verdict = has_ca_extension(seq)
     payload = {"has_extension": verdict.has_extension}
     if verdict.measure is not None:
@@ -203,9 +245,9 @@ def _run_flat_che(obj, exact, options):
 
 
 def _run_probe(obj, exact, options):
-    trunk_sq = _parse_seq(obj["trunk_sq"], exact)
+    trunk_sq = _parse_seq(_field(obj, "trunk_sq"), exact)
     pw = _partial_weights({**obj, "trunk_sq": []}, exact)
-    report = kappa_infinite_probe(trunk_sq, pw.classes, int(obj["kappa_max"]),
+    report = kappa_infinite_probe(trunk_sq, pw.classes, _int(obj, "kappa_max"),
                                   _k_arg(obj))
     payload = {"verdict": report.verdict,
                "per_kappa": [{"kappa": k, "status": s, "norm_sq": n}
@@ -218,43 +260,44 @@ def _run_probe(obj, exact, options):
 
 
 def _run_stampfli(obj, exact, options):
-    if "weights_sq" in obj:
-        vals = _parse_seq(obj["weights_sq"], exact)
-        verdict = stampfli_check(*vals, squared=True)
-    else:
-        vals = _parse_seq(obj["weights"], exact)
-        verdict = stampfli_check(*vals)
+    squared = "weights_sq" in obj
+    vals = _parse_seq(_field(obj, "weights_sq" if squared else "weights"), exact)
+    if len(vals) != 4:
+        raise InputError(f"stampfli takes four weights, got {len(vals)}")
+    verdict = stampfli_check(*vals, squared=squared)
     payload = {"holds": verdict.holds, "lhs": _fmt(verdict.lhs), "rhs": _fmt(verdict.rhs)}
     return payload, EXIT_OK if verdict.holds else EXIT_NEGATIVE
 
 
 def _rebuild_measure(obj, exact):
     from .numeric import Polynomial
-    if "recurrence" in obj:
-        poly = Polynomial(_parse_seq(obj["recurrence"], exact))
-        window = _parse_seq(obj["window"], exact)
+    recurrence = _field(obj, "recurrence", None)
+    if recurrence is not None:
+        poly = Polynomial(_parse_seq(recurrence, exact))
+        window = _parse_seq(_field(obj, "window"), exact)
         hint = None
         if "atoms_approx" in obj:
-            hint = AtomicMeasure.from_json(obj["atoms_approx"], exact)
-        return MomentRecurrence(poly, int(obj["first_index"]), window, hint)
-    return AtomicMeasure.from_json(obj, exact)
+            hint = _parsed(lambda o: AtomicMeasure.from_json(o, exact), obj["atoms_approx"])
+        return MomentRecurrence(poly, _int(obj, "first_index"), window, hint)
+    return _parsed(lambda o: AtomicMeasure.from_json(o, exact), obj)
 
 
 def _run_verify(obj, exact, options):
-    cert = obj["certificate"]
-    trunk_sq = _parse_seq(cert["trunk_sq"], exact)
-    kind = cert["kind"]
+    cert = _field(obj, "certificate")
+    trunk_sq = _parse_seq(_field(cert, "trunk_sq"), exact)
+    kind = _field(cert, "kind")
     classes = []
     measures = []
-    for row, measure_obj in zip(cert["weights_sq"], cert["measures"]):
-        first = parse_scalar(str(row[0]), exact)
-        p = int(obj.get("p", cert.get("p", len(row))))
-        prefix = _parse_seq(row[1:p], exact)
+    for row, measure_obj in zip(_as_list(_field(cert, "weights_sq")),
+                                _as_list(_field(cert, "measures"))):
+        row = _branch(row, exact)
+        p = _int(obj, "p", _field(cert, "p", len(row)))
+        first, prefix = row[0], row[1:p]
         mu = _rebuild_measure(measure_obj, exact)
         if kind == "subnormal":
             gen = MeasureTail(prefix, mu)
         else:
-            zero_mass = parse_scalar(str(measure_obj.get("zero_mass", "0")), exact)
+            zero_mass = _scalar(_field(measure_obj, "zero_mass", "0"), exact)
             mu = CAMeasure(zero_mass, mu) if isinstance(mu, AtomicMeasure) else mu
             if not isinstance(mu, CAMeasure):
                 mu = RecurrentCAMeasure(mu)
@@ -262,7 +305,7 @@ def _run_verify(obj, exact, options):
         classes.append(FullBranch(first, gen, 1))
         measures.append(mu)
     full = FullWeights(trunk_sq, classes)
-    depth = int(options.get("depth", 12))
+    depth = _parsed(int, options.get("depth", 12))
     try:
         if kind == "subnormal":
             verify_subnormal_certificate(full, measures, depth)
@@ -275,11 +318,11 @@ def _run_verify(obj, exact, options):
 
 def _run_oracle_verify(obj, exact, options):
     from .oracle import OracleConfig, grid_classify, sweep_reciprocal  # loads numpy
-    seq = _parse_seq(obj["sequence"], True)
+    seq = _parse_seq(_field(obj, "sequence"), True)
     domain = _domain(obj, True)
-    cfg = OracleConfig(resolution=int(obj.get("resolution", 700)),
-                       grid_q=int(options.get("grid_q", 12)),
-                       seed=int(options.get("seed", 0)))
+    cfg = OracleConfig(resolution=_int(obj, "resolution", 700),
+                       grid_q=_int(options, "grid_q", 12),
+                       seed=_int(options, "seed", 0))
     verdict = grid_classify(seq, domain, cfg)
     payload = {"grid_class": verdict.value}
     if verdict is not PositivityClass.NOT_POSITIVE and not isinstance(domain, Compact):
@@ -315,20 +358,19 @@ def run(path, flags=None) -> tuple:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return {"error": {"kind": "input", "message": str(exc)}}, EXIT_INPUT
-    exact = obj.get("arithmetic", "float" if flags.float else "exact") == "exact"
     options = {"tolerance": flags.tolerance, "depth": flags.depth, "seed": flags.seed}
-    options.update(obj.get("options", {}))
-    kind = obj.get("kind")
-    handler = _HANDLERS.get(kind)
-    if handler is None:
-        return {"error": {"kind": "input",
-                          "message": f"unknown problem kind {kind!r}"}}, EXIT_INPUT
     try:
+        exact = _field(obj, "arithmetic", "float" if flags.float else "exact") == "exact"
+        options.update(_parsed(dict, _field(obj, "options", {})))
+        kind = _field(obj, "kind", None)
+        handler = _HANDLERS.get(kind) if isinstance(kind, str) else None
+        if handler is None:
+            raise InputError(f"unknown problem kind {kind!r}")
         payload, code = handler(obj, exact, options)
+    except InputError as exc:
+        return {"error": {"kind": "input", "message": str(exc)}}, EXIT_INPUT
     except MomentKitError as exc:
         return {"error": {"kind": type(exc).__name__, "message": str(exc)}}, EXIT_NEGATIVE
-    except (KeyError, ValueError, TypeError) as exc:
-        return {"error": {"kind": "input", "message": f"{type(exc).__name__}: {exc}"}}, EXIT_INPUT
     payload["elapsed_s"] = round(time.time() - started, 6)
     return payload, code
 

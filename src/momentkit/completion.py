@@ -309,7 +309,9 @@ def _search_levels(problem: _LevelProblem, seqs, level: int = 0, known=None):
     forced_sum = sum(problem.masses[c] * v for c, v in forced_vals.items())
 
     if not free_idx:
-        ok = (forced_sum <= target) if is_bound else (forced_sum == target)
+        # a float load within the band of the target meets it
+        ok = _within_band(forced_sum, target) or (
+            forced_sum <= target if is_bound else forced_sum == target)
         if not ok:
             rel = "exceeds" if forced_sum > target else "misses"
             return SolveStatus.INFEASIBLE, (

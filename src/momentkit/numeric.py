@@ -1,15 +1,18 @@
 """Scalar, dense symmetric matrix and polynomial kernel.
 
-Exact input (`int` and `fractions.Fraction`) gives exact results.  The exact
-path clears denominators once and then runs on Python integers:
-fraction-free (Bareiss) elimination for determinants, leading minors,
-bordered determinant polynomials and the pivoted LDL^T form classification;
-primitive integer Sturm chains, evaluated by homogeneous Horner at rational
-points, for root isolation.  `Fraction`s appear only in the results.
+One integer kernel serves every input.  It clears denominators once and then
+runs on Python integers: fraction-free (Bareiss) elimination for
+determinants, leading minors, bordered determinant polynomials and the
+pivoted LDL^T form classification; primitive integer Sturm chains,
+evaluated by homogeneous Horner at rational points, for root isolation.
+`Fraction`s appear only in the results.
 
-Input containing a `float` takes a separate floating path: ordinary
-elimination with sign tests widened to a relative tolerance (`eps`, default
-1e-9), and numpy for polynomial roots.
+Exact input (`int` and `fractions.Fraction`) gives exact results.  Input
+containing a `float` runs through the same code on its binary-exact image
+(`as_fraction`) and gets floats back.  A relative tolerance (`eps`, default
+1e-9) applies only where a float is read as zero: a pivot of a form
+classification or of the leading minors, and a root just past an end of
+its interval.
 
 Hankel forms here are catastrophically ill-conditioned, and the verdicts the
 rest of the package needs (definite vs. singular vs. indefinite) sit exactly
@@ -70,6 +73,20 @@ def as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def _to_float(x: Fraction) -> float:
+    """float(x), saturating to +-inf beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _exact_rows(rows) -> tuple:
+    """(rows, floats): `rows` in binary-exact values if any entry is a float."""
+    floats = any(isinstance(x, float) for r in rows for x in r)
+    return ([[as_fraction(x) for x in r] for r in rows] if floats else rows), floats
 
 
 def _integer_scale(values) -> tuple:
@@ -250,8 +267,8 @@ def root_precision() -> Fraction:
 class RootEnclosure:
     """One root in a list from `root_enclosures`.
 
-    `root` holds the value once it is known exactly (a rational root, or a
-    floating root from the floating path).  Otherwise lo/den < root < hi/den
+    `root` holds the value once it is known: a rational root, or for float
+    input the root rounded to a float.  Otherwise lo/den < root < hi/den
     isolates a simple root of the integer polynomial `coeffs`, which is
     nonzero at both ends, and `refine` narrows that interval in place: a
     later call with a finer width continues the same bisection.
@@ -266,11 +283,10 @@ class RootEnclosure:
             (self.lo, self.hi), self.den = _integer_scale((lo, hi))
 
     def refine(self, width) -> Scalar:
-        """The root when it is found to be rational (or is floating),
-        otherwise the midpoint of an enclosure of width <= `width`.  A
-        rational root num/den in lowest terms is found whenever
-        den^2 * width < 1: it is then the simplest rational of the final
-        enclosure."""
+        """The root when it is known (see `root`), otherwise the midpoint of
+        an enclosure of width <= `width`.  A rational root num/den in lowest
+        terms is found whenever den^2 * width < 1: it is then the simplest
+        rational of the final enclosure."""
         if self.root is not None:
             return self.root
         coeffs, lo, hi, den = self.coeffs, self.lo, self.hi, self.den
@@ -308,6 +324,17 @@ class RootEnclosure:
             return True
         return False
 
+    def to_float(self, lo: Fraction, hi: Fraction) -> float:
+        """The root clamped to [lo, hi] as a float: the midpoint of an enclosure
+        narrowed to 2^-64 of its ends, which rounds as the root unless nearer a tie."""
+        while self.root is None:
+            top = max(abs(self.lo), abs(self.hi))
+            if (self.hi - self.lo) << 64 <= top:
+                break
+            self.refine(Fraction(top, self.den << 64))
+        x = self.root if self.root is not None else Fraction(self.lo + self.hi, 2 * self.den)
+        return _to_float(min(max(x, lo), hi))
+
 
 def _nonroot_split(coeffs, a: Fraction, b: Fraction) -> Fraction:
     """A split point strictly inside (a, b) where the polynomial does not
@@ -321,51 +348,40 @@ def _nonroot_split(coeffs, a: Fraction, b: Fraction) -> Fraction:
     raise DegenerateInput("could not find a non-root split point")
 
 
-def _real_roots_float(p: Polynomial, lo: float, hi: float, eps: float) -> list:
-    import numpy as np
-
-    coeffs = [float(c) for c in reversed(p.coeffs)]
-    roots = np.roots(coeffs)
-    scale = max(abs(lo), abs(hi), 1.0)
-    out = []
-    for z in roots:
-        if abs(z.imag) > math.sqrt(eps) * scale:
-            continue
-        x = float(z.real)
-        if lo - eps * scale <= x <= hi + eps * scale:
-            out.append(float(min(max(x, lo), hi)))
-    out.sort()
-    dedup = []
-    for x in out:
-        if dedup and abs(x - dedup[-1]) <= math.sqrt(eps) * scale:
-            raise DegenerateInput("repeated root in floating root isolation")
-        dedup.append(x)
-    return dedup
-
-
 def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
                     eps: float = DEFAULT_EPS) -> list:
     """Every real root of `p` in [lo, hi], ascending, as a RootEnclosure.
 
-    Exact input is isolated by Sturm sequences of the primitive integer
+    The roots are isolated by Sturm sequences of the primitive integer
     polynomial: roots at lo and hi come out exact, and so does the root of
     what is left when that is linear; other interior roots come out as
-    isolating intervals for `RootEnclosure.refine`.  Floating input gives
-    numpy's roots, already settled.  Repeated roots raise DegenerateInput:
+    isolating intervals for `RootEnclosure.refine`.  Float input (in p, lo
+    or hi) is isolated on its binary-exact image over [lo - d, hi + d],
+    d = eps * max(1, |lo|, |hi|), so that a root the rounding moved just
+    past an end still counts; each root comes back settled as a float
+    (`RootEnclosure.to_float`).  Repeated roots raise DegenerateInput:
     every polynomial this package feeds in here is guaranteed simple by the
     theory, so a multiple root signals corrupted input.
     """
     if p.is_zero():
         raise DegenerateInput("zero polynomial has no isolated roots")
-    if any(isinstance(x, float) for x in (*p.coeffs, lo, hi)):
-        return [RootEnclosure(root=x)
-                for x in _real_roots_float(p, float(lo), float(hi), eps)]
-    lo, hi = Fraction(lo), Fraction(hi)
+    floats = any(isinstance(x, float) for x in (*p.coeffs, lo, hi))
+    lo, hi = as_fraction(lo), as_fraction(hi)
     if lo > hi:
         raise ShapeError("empty interval")
-    if p.degree == 0:
+    if not floats:
+        return _isolate(p.coeffs, lo, hi)
+    d = as_fraction(eps * max(1.0, abs(float(lo)), abs(float(hi))))
+    return [RootEnclosure(root=e.to_float(lo, hi))
+            for e in _isolate([as_fraction(c) for c in p.coeffs], lo - d, hi + d)]
+
+
+def _isolate(coeffs, lo: Fraction, hi: Fraction) -> list:
+    """`root_enclosures` of the exact, nonzero polynomial `coeffs` on
+    [lo, hi], lo <= hi."""
+    if len(coeffs) == 1:
         return []
-    work = _primitive(_integer_scale(p.coeffs)[0])
+    work = _primitive(_integer_scale(coeffs)[0])
     first, last = [], []
     # endpoint roots, then strictly interior isolation
     if _horner(work, lo.numerator, lo.denominator) == 0:
@@ -415,12 +431,13 @@ def real_roots(p: Polynomial, lo: Scalar, hi: Scalar,
                eps: float = DEFAULT_EPS) -> list:
     """All real roots of `p` in [lo, hi], ascending.
 
-    Exact mode (rational coefficients) isolates by Sturm bisection, snaps
-    rational roots exactly, and narrows irrational ones to enclosures of the
-    requested width (their midpoints are returned).  Snapping is certain
-    for a rational root num/den with den^2 * width < 1; a root with a
-    larger denominator may come back as an enclosure midpoint like an
-    irrational one (see `RootEnclosure.refine`).  Repeated roots raise
+    Exact input is isolated by Sturm bisection; rational roots are snapped
+    exactly and irrational ones narrowed to enclosures of the requested
+    width (their midpoints are returned).  Snapping is certain for a
+    rational root num/den with den^2 * width < 1; a root with a larger
+    denominator may come back as an enclosure midpoint like an irrational
+    one (see `RootEnclosure.refine`).  Float input gets floats, refined to
+    float precision whatever the width.  Repeated roots raise
     DegenerateInput; see `root_enclosures`.
     """
     enclosures = root_enclosures(p, lo, hi, eps)
@@ -504,13 +521,14 @@ def hankel(values, offset: int, order: int) -> SymMatrix:
 
 
 class _Congruence:
-    """Bookkeeping of a diagonally pivoted congruence elimination, shared by
-    the integer and the floating path.
+    """Bookkeeping of a diagonally pivoted, fraction-free congruence
+    elimination of an integer form.
 
     The trailing block of `a` is a positive multiple of the current Schur
     complement, so the pivot choice and every sign match those of the Schur
-    complement itself.  Column k of the unit lower factor L is
-    lower[i][k] / heads[k].
+    complement itself.  An entry of that block reads as zero when its
+    magnitude is at most `thresh` (0 for exact input).  Column k of the unit
+    lower factor L is lower[i][k] / heads[k].
     """
 
     def __init__(self, a, thresh):
@@ -523,13 +541,6 @@ class _Congruence:
 
     def map_back(self, y) -> tuple:
         """z with L^T z = y, in the original order of the coordinates."""
-        z = self.solve_transposed(y)
-        out = [None] * len(y)
-        for pos, orig in enumerate(self.perm):
-            out[orig] = z[pos]
-        return tuple(out)
-
-    def solve_transposed(self, y) -> list:
         # row i of L^T scaled by heads[i] is an integer row
         n, lower, heads = len(y), self.lower, self.heads
         u = [[heads[i] if j == i else lower[j][i] for j in range(n)]
@@ -537,7 +548,10 @@ class _Congruence:
              for i in range(n)]
         c = [y[i] * heads[i] if i < len(heads) else y[i] for i in range(n)]
         num, den = _solve_upper(u, c)
-        return [Fraction(v, den) for v in num]
+        out = [None] * n
+        for pos, orig in enumerate(self.perm):
+            out[orig] = Fraction(num[pos], den)
+        return tuple(out)
 
     def swap(self, k, j):
         if k == j:
@@ -582,27 +596,32 @@ class _Congruence:
 def classify_form(m: SymMatrix, eps: Optional[float] = None) -> FormVerdict:
     """Classify a symmetric form by diagonally pivoted congruence elimination.
 
-    Exact inputs give an exact verdict: the form is scaled to integers by
-    its least common denominator and eliminated fraction-free (symmetric
-    Bareiss), whose entries are the Schur complements times a positive
-    leading minor; the pivots are the ratios of consecutive minors.  The
-    kernel vector satisfies M v = 0, the negative witness v has v'Mv < 0.
-    Floating inputs use |x| <= eps*scale as the zero test (eps is ignored
-    for exact input).
+    The form is scaled to integers by its least common denominator and
+    eliminated fraction-free (symmetric Bareiss), whose entries are the
+    Schur complements times a positive leading minor; the pivots are the
+    ratios of consecutive minors.  The kernel vector satisfies M v = 0, the
+    negative witness v has v'Mv < 0.  Exact input gives an exact verdict.
+    Float input runs on its binary-exact image and gets float pivots and
+    vectors back; an entry of a Schur complement reads as zero there when
+    its magnitude is at most eps * max(1, max |m_ij|) (eps defaults to
+    DEFAULT_EPS and is ignored for exact input).
     """
     n = m.order
     if n == 0:
         return FormVerdict(FormClass.POSITIVE_DEFINITE)
-    if any(isinstance(x, float) for row in m.rows for x in row):
-        return _classify_form_float(m, DEFAULT_EPS if eps is None else eps)
-    ints, scale = _integer_scale([x for row in m.rows for x in row])
-    elim = _Congruence([ints[i * n:(i + 1) * n] for i in range(n)], 0)
+    rows, floats = _exact_rows(m.rows)
+    ints, scale = _integer_scale([x for row in rows for x in row])
+    bound = 0
+    if floats:
+        largest = max(abs(float(x)) for row in m.rows for x in row)
+        bound = as_fraction((DEFAULT_EPS if eps is None else eps) * max(1.0, largest))
+    elim = _Congruence([ints[i * n:(i + 1) * n] for i in range(n)], bound * scale)
     a = elim.a
     prev = 1
     for k in range(n):
         verdict = elim.choose_pivot(k)
         if verdict is not None:
-            return verdict
+            break
         piv, top = a[k][k], a[k]
         elim.pivots.append(Fraction(piv, prev * scale))
         elim.heads.append(piv)
@@ -612,37 +631,15 @@ def classify_form(m: SymMatrix, eps: Optional[float] = None) -> FormVerdict:
             for l in range(i, n):
                 row[l] = a[l][i] = (row[l] * piv - f * top[l]) // prev
         prev = piv
-    return FormVerdict(FormClass.POSITIVE_DEFINITE, tuple(elim.pivots))
-
-
-class _FloatCongruence(_Congruence):
-    def solve_transposed(self, y) -> list:
-        z = [float(v) for v in y]
-        for i in range(len(z) - 1, -1, -1):
-            for j in range(i + 1, len(z)):
-                if self.lower[j][i]:
-                    z[i] -= self.lower[j][i] / self.heads[i] * z[j]
-        return z
-
-
-def _classify_form_float(m: SymMatrix, eps: float) -> FormVerdict:
-    a = [[float(x) for x in row] for row in m.rows]
-    n = len(a)
-    thresh = eps * max(1.0, max(abs(x) for row in a for x in row))
-    elim = _FloatCongruence(a, thresh)
-    for k in range(n):
-        verdict = elim.choose_pivot(k)
-        if verdict is not None:
-            return verdict
-        piv = a[k][k]
-        elim.pivots.append(piv)
-        elim.heads.append(piv)
-        for i in range(k + 1, n):
-            elim.lower[i][k] = a[i][k]
-            f = a[i][k] / piv
-            for l in range(k + 1, n):
-                a[i][l] -= f * a[k][l]
-    return FormVerdict(FormClass.POSITIVE_DEFINITE, tuple(elim.pivots))
+        # the trailing block now holds the Schur complement times prev * scale
+        elim.thresh = bound * prev * scale
+    else:
+        verdict = FormVerdict(FormClass.POSITIVE_DEFINITE, tuple(elim.pivots))
+    if floats:
+        verdict = FormVerdict(verdict.kind, *(None if v is None else tuple(map(_to_float, v))
+                                              for v in (verdict.pivots, verdict.kernel,
+                                                        verdict.negative_witness)))
+    return verdict
 
 
 # --------------------------------------------------------------------------
@@ -704,106 +701,58 @@ def _solve_upper(u, c) -> tuple:
 
 
 def det(rows) -> Scalar:
-    """Determinant; fraction-free (Bareiss) on integers for exact input."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    for r in a:
+    """Determinant, fraction-free (Bareiss) on integers; a float for float
+    input, from its binary-exact image."""
+    n = len(rows)
+    for r in rows:
         if len(r) != n:
             raise ShapeError("determinant of a non-square layout")
     if n == 0:
         return Fraction(1)
-    if any(isinstance(x, float) for r in a for x in r):
-        return _det_float(a)
-    a, scales = _integer_columns(a)
-    return Fraction(_eliminate(a, n - 1) * a[-1][-1], math.prod(scales))
+    rows, floats = _exact_rows(rows)
+    a, scales = _integer_columns(rows)
+    value = Fraction(_eliminate(a, n - 1) * a[-1][-1], math.prod(scales))
+    return _to_float(value) if floats else value
 
 
 def leading_minors(rows, eps: Optional[float] = None) -> list:
     """Leading principal minors of orders 1, 2, ... of a square matrix, up to
-    and including the first that vanishes.  Exact input takes them all from
-    one unpivoted Bareiss pass (the k-th pivot is the k-th minor).  Floating
-    input takes them from one unpivoted elimination that reads the k-th
-    pivot as zero when |pivot| <= eps * max(1, |m_kk|)."""
-    n = len(rows)
-    minors = []
-    if any(isinstance(x, float) for r in rows for x in r):
-        a = [[float(x) for x in row] for row in rows]
-        tol = DEFAULT_EPS if eps is None else eps
-        for k in range(n):
-            piv = a[k][k]
-            small = abs(piv) <= tol * max(1.0, abs(rows[k][k]))
-            minors.append(0.0 if small else piv * (minors[-1] if minors else 1.0))
-            if small:
-                break
-            for row in a[k + 1:]:
-                f = row[k] / piv
-                for j in range(k + 1, n):
-                    row[j] -= f * a[k][j]
-        return minors
+    and including the first that vanishes, all from one unpivoted Bareiss
+    pass (the k-th pivot is the k-th minor).  Float input runs on its
+    binary-exact image and gets floats back; there the k-th pivot
+    minor_k / minor_(k-1) reads as zero when its magnitude is at most
+    eps * max(1, |m_kk|)."""
+    rows, floats = _exact_rows(rows)
+    tol = DEFAULT_EPS if eps is None else eps
     a, scales = _integer_columns(rows)
-    prev, den = 1, 1
-    for k in range(n):
+    minors, prev, den = [], 1, 1
+    for k in range(len(rows)):
         den *= scales[k]
-        minors.append(Fraction(a[k][k], den))
-        if a[k][k] == 0:
+        minor = Fraction(a[k][k], den)
+        if floats and abs(minor) <= (as_fraction(tol * max(1.0, abs(float(rows[k][k]))))
+                                     * abs(minors[-1] if minors else 1)):
+            minor = Fraction(0)
+        minors.append(minor)
+        if minor == 0:
             break
         _bareiss_step(a, k, prev)
         prev = a[k][k]
-    return minors
-
-
-def _det_float(a) -> float:
-    n = len(a)
-    a = [[float(x) for x in row] for row in a]
-    result = 1.0
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if a[piv][k] == 0.0:
-            return 0.0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            result = -result
-        result *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return result
+    return [_to_float(x) for x in minors] if floats else minors
 
 
 def solve_linear(rows, rhs):
-    """Solve a square linear system: fraction-free elimination and integer
-    back substitution for exact input, Gaussian elimination with partial
-    pivoting for floating input."""
+    """Solve a square linear system by fraction-free elimination and integer
+    back substitution; floats for float input, from its binary-exact
+    image."""
     n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    if any(isinstance(x, float) for r in a for x in r):
-        return _solve_linear_float(a)
+    a, floats = _exact_rows([list(r) + [rhs[i]] for i, r in enumerate(rows)])
     a, scales = _integer_columns(a)
     if _eliminate(a, n - 1) == 0 or a[n - 1][n - 1] == 0:
         raise DegenerateInput("singular linear system")
     # column j was scaled by scales[j], the right-hand side by scales[n]
     num, den = _solve_upper(a, [row[n] for row in a])
-    return [Fraction(v * s, den * scales[n]) for v, s in zip(num, scales)]
-
-
-def _solve_linear_float(a) -> list:
-    n = len(a)
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if a[piv][k] == 0:
-            raise DegenerateInput("singular linear system")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n + 1):
-                a[i][j] -= f * a[k][j]
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = acc / a[i][i]
-    return x
+    x = [Fraction(v * s, den * scales[n]) for v, s in zip(num, scales)]
+    return [_to_float(v) for v in x] if floats else x
 
 
 def det_poly(rows, degrees: Optional[Sequence[int]] = None) -> Polynomial:
@@ -811,9 +760,9 @@ def det_poly(rows, degrees: Optional[Sequence[int]] = None) -> Polynomial:
 
     The coefficient of t^degrees[j] is the cofactor of that column's row j:
     the determinant of the layout with the unit vector e_j as last column.
-    Exact input gets all m + 1 of them from one fraction-free elimination
-    of [rows | I]: after m steps its last row holds det[rows | e_j] for
-    every j.  Floating input expands along the monomial column.
+    All m + 1 of them come from one fraction-free elimination of [rows | I]:
+    after m steps its last row holds det[rows | e_j] for every j.  Float
+    input runs on its binary-exact image and gets float coefficients.
     """
     m = len(rows) - 1
     if m < 0:
@@ -825,20 +774,16 @@ def det_poly(rows, degrees: Optional[Sequence[int]] = None) -> Polynomial:
         degrees = list(range(m + 1))
     if len(degrees) != m + 1:
         raise ShapeError("one monomial degree per row is required")
-    if any(isinstance(x, float) for r in rows for x in r):
-        cofactors = [(-1) ** (j + m) * det([rows[i] for i in range(m + 1) if i != j])
-                     for j in range(m + 1)]
-    else:
-        a, scales = _integer_columns(rows)
-        for i, row in enumerate(a):
-            row.extend(int(i == j) for j in range(m + 1))
-        sign_acc = _eliminate(a, m)
-        scale = math.prod(scales)
-        cofactors = [Fraction(sign_acc * c, scale) for c in a[m][m:]]
+    rows, floats = _exact_rows(rows)
+    a, scales = _integer_columns(rows)
+    for i, row in enumerate(a):
+        row.extend(int(i == j) for j in range(m + 1))
+    sign_acc = _eliminate(a, m)
+    scale = math.prod(scales)
     coeffs = [0] * (max(degrees) + 1)
-    for j, c in enumerate(cofactors):
-        coeffs[degrees[j]] += c
-    return Polynomial(coeffs)
+    for j, c in enumerate(a[m][m:]):
+        coeffs[degrees[j]] += Fraction(sign_acc * c, scale)
+    return Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
 
 
 def vandermonde_masses(atoms: Sequence[Scalar], window: Sequence[Scalar]):

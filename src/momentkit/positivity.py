@@ -299,7 +299,16 @@ def _compact_support_poly(values, a: Scalar, b: Scalar) -> Polynomial:
         raise NotAMomentSequence("sequence is not positive on the interval")
     if kind is PositivityClass.STRICTLY_POSITIVE:
         raise DegenerateInput("sequence is strictly positive; nothing to recover")
-    return _support_poly(values, (a, b))
+    return _singular_poly(values, (a, b))
+
+
+def _singular_poly(values, ends: tuple, eps: Optional[float] = None) -> Polynomial:
+    """`_support_poly` of a window its forms classify as singular; raises for
+    a float window whose leading minors, scaled otherwise, read it regular."""
+    poly = _support_poly(values, ends, eps)
+    if poly is None:
+        raise DegenerateInput("the leading minors do not read the float window as singular")
+    return poly
 
 
 def recover_support_and_masses(values, a: Scalar, b: Scalar) -> tuple:
@@ -339,7 +348,7 @@ def _singular_index(values, domain: Domain, eps: Optional[float] = None) -> Frac
     polynomial p, less 1/2 for each endpoint of the domain that is a root
     of p (read by `_reads_zero` at the bound sum |c_j| |x|^j of p(x))."""
     ends = _ends(domain)
-    poly = _support_poly(values, ends, eps)
+    poly = _singular_poly(values, ends, eps)
     on_ends = sum(_reads_zero(poly(x), sum(abs(c * x ** j) for j, c in enumerate(poly.coeffs)),
                               eps) for x in ends)
     return Fraction(poly.degree) - Fraction(on_ends, 2)

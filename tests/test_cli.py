@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import momentkit
 from momentkit.cli import run
 
@@ -172,3 +174,34 @@ def test_oracle_kind(tmp_path):
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     assert payload["grid_class"] == "NotPositive" and "sweep_min" not in payload
+
+
+def test_input_errors_exit_3(tmp_path):
+    cases = [
+        {"kind": "classify", "domain": "ray"},                         # missing field
+        {"kind": "classify", "sequence": "abc"},                       # scalar for a list
+        {"kind": "classify", "sequence": ["1", "abc"]},                # malformed scalar
+        {"kind": "classify", "domain": "sphere", "sequence": ["1"]},   # unknown domain
+        {"kind": "classify", "domain": "compact", "a": "1",
+         "sequence": ["1"]},                                           # missing endpoint
+        {"kind": "stampfli", "weights": ["1", "2", "3"]},              # wrong arity
+        {"kind": "subnormal", "trunk_sq": [], "branches_sq": [[]]},    # empty branch
+        ["not", "an", "object"],
+    ]
+    for obj in cases:
+        payload, code = run(_write(tmp_path, "bad.json", obj))
+        assert code == 3 and payload["error"]["kind"] == "input", obj
+
+
+def test_internal_errors_are_not_input_errors(tmp_path, monkeypatch):
+    # a programming error inside a solver must reach the caller, not be
+    # reported as malformed input
+    import momentkit.cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(momentkit.cli, "classify", broken)
+    path = _write(tmp_path, "c.json", {"kind": "classify", "sequence": ["1", "2", "4"]})
+    with pytest.raises(TypeError, match="injected"):
+        run(path)

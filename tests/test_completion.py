@@ -315,3 +315,21 @@ def test_programming_errors_propagate(monkeypatch):
     pw = PartialWeights([], [BranchClass(2, (F(3, 2),), 1), BranchClass(2, (F(5, 4),), 1)])
     with pytest.raises(ZeroDivisionError):
         solve_che(pw, K="auto")
+
+
+# float copies of planted, feasible problems (benchmark corpus `subnormal`,
+# seed 41 problem 0 and seed 42 problem 46): a level with every class forced
+# carries a load one ulp off its target, which the band must count as met
+@pytest.mark.parametrize("trunk_sq, masses, tails", [
+    ((F(195, 107), F(1605, 1826)), (F(35, 26), F(15, 26)),
+     ((F(5, 3), F(5, 3)), (F(3), F(3)))),
+    ((F(2496, 2039), F(79521, 148205)), (F(39, 80), F(39, 80), F(117, 160)),
+     ((F(6), F(6)), (F(13, 5), F(13, 5)), (F(1), F(1)))),
+])
+def test_float_forced_level_within_band(trunk_sq, masses, tails):
+    pw = PartialWeights([float(t) for t in trunk_sq],
+                        [BranchClass(float(m), tuple(float(x) for x in t), 1)
+                         for m, t in zip(masses, tails)])
+    out = solve_subnormal(pw, K="auto")
+    assert out.status is SolveStatus.FEASIBLE, out.reason
+    assert out.certificate.verify(64)

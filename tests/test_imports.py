@@ -1,0 +1,28 @@
+"""Only the grid oracle may import numpy or scipy.
+
+Every other module decides exactly on Python integers, and float input runs
+through the same integer kernel, so the package itself needs neither.  The
+modules are read as source, so an import inside a function counts too.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "momentkit"
+NUMERIC_LIBRARIES = {"numpy", "scipy"}
+
+
+def _imported_roots(path: Path) -> set:
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_only_the_oracle_imports_numpy_or_scipy():
+    users = {path.name for path in PACKAGE.glob("*.py")
+             if _imported_roots(path) & NUMERIC_LIBRARIES}
+    assert users == {"oracle.py"}

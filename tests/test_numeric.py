@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -169,3 +170,38 @@ def test_parse_format_scalar():
     assert isinstance(parse_scalar("0.1", exact=False), float)
     assert format_scalar(F(3, 2)) == "3/2"
     assert format_scalar(F(4, 2)) == "2"
+
+
+def test_float_forms_get_float_witnesses():
+    # float input runs on its binary-exact image; the verdict's pivots,
+    # kernel and negative witness come back as floats
+    def all_floats(v):
+        return all(isinstance(x, float) for x in v)
+
+    pd = classify_form(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+    assert pd.kind is FormClass.POSITIVE_DEFINITE and pd.pivots == (2.0, 1.5)
+    m = SymMatrix([[1.0, 2.0], [2.0, 4.0 + 1e-12]])  # singular to within eps
+    sing = classify_form(m)
+    assert sing.kind is FormClass.POSITIVE_SEMIDEFINITE_SINGULAR
+    assert all_floats(sing.pivots) and all_floats(sing.kernel)
+    assert all(abs(sum(m.entry(i, j) * sing.kernel[j] for j in range(2))) < 1e-9
+               for i in range(2))
+    m = SymMatrix([[1.0, 2.0], [2.0, 1.0]])
+    ind = classify_form(m)
+    assert ind.kind is FormClass.INDEFINITE and all_floats(ind.negative_witness)
+    assert m.quadratic_form(ind.negative_witness) < 0
+
+
+def test_float_kernel_results_are_floats():
+    rows = [[2.0, 1.0], [1.0, 3.0]]
+    assert det(rows) == 5.0 and isinstance(det(rows), float)
+    assert det([[1e200, 0.0], [0.0, -1e200]]) == -math.inf  # saturates like floats
+    assert solve_linear(rows, [3.0, 4.0]) == [1.0, 1.0]
+    assert all(isinstance(x, float) for x in solve_linear(rows, [3, 4]))
+    q = det_poly([[2.0, 3.0], [3.0, 5.0], [5.0, 9.0]])
+    assert q.coeffs == (2.0, -3.0, 1.0) and all(isinstance(c, float) for c in q.coeffs)
+    # a root the rounding moves just past an end still counts, clamped
+    (r,) = real_roots(Polynomial([-(1.0 + 1e-12), 1.0]), 0.0, 1.0)
+    assert r == 1.0
+    roots = real_roots(Polynomial([-2.0, 0.0, 1.0]), -2.0, 2.0)
+    assert roots == [-2 ** 0.5, 2 ** 0.5]

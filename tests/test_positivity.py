@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ import pytest
 
 import momentkit
 
-from momentkit.errors import DomainError, NotAMomentSequence
+from momentkit.errors import DegenerateInput, DomainError, NotAMomentSequence
 from momentkit.measure import moments
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray,
                                   classify, classify_compact, classify_half_open,
@@ -205,17 +206,84 @@ def test_float_verdicts(rng):
         assert index(window, domain) == k
 
 
+def _planted_compact_window(rng):
+    """A float window of 1-3 atoms on quarter points of [a, b], b <= 3a,
+    endpoints included, one to four moments past singularity: (a, b,
+    atoms, masses, index, window).  Atoms a quarter of the interval apart
+    keep the measure determined by the float moments to about 1e-7."""
+    a = F(rng.randint(1, 12), rng.randint(1, 4))
+    b = a * (1 + F(rng.randint(1, 8), 4))
+    atoms = sorted(rng.sample([a + (b - a) * F(i, 4) for i in range(5)], rng.randint(1, 3)))
+    masses = [F(rng.randint(1, 20), rng.randint(1, 5)) for _ in atoms]
+    idx = len(atoms) - F(sum(x in (a, b) for x in atoms), 2)
+    n = int(2 * idx) + rng.randint(0, 3)
+    window = [float(sum(m * x ** j for x, m in zip(atoms, masses))) for j in range(n + 1)]
+    return a, b, atoms, masses, idx, window
+
+
+def test_float_planted_compact_singular_windows():
+    # float windows run through the exact kernel on their binary-exact
+    # image: the index is read right and the measure comes back to 1e-6
+    rng = random.Random(20261018)
+    for _ in range(300):
+        a, b, atoms, masses, idx, window = _planted_compact_window(rng)
+        domain = Compact(a, b)
+        assert classify(window, domain).kind is G
+        assert index(window, domain) == idx
+        mu = recover_minimal_measure(window, domain)
+        assert len(mu.atoms) == len(atoms)
+        for (x, m), (px, pm) in zip(mu.atoms, zip(atoms, masses)):
+            assert abs(x - px) <= 1e-6 * px and abs(m - pm) <= 1e-6 * pm
+
+
+def test_float_clustered_endpoint_window():
+    # delta_3 + delta_{151/50} + delta_{13/4} on [3, 13/4]: numpy's roots of
+    # the support polynomial missed a root by the endpoint; the Sturm count
+    # on the binary-exact image finds all three.  Two atoms 1/50 apart pass
+    # the rounding of the moments on to the atoms at about 2e-8, and on to
+    # the masses at about 2e-6.
+    atoms = [F(3), F(151, 50), F(13, 4)]
+    domain = Compact(F(3), F(13, 4))
+    for n in (5, 6):
+        window = [float(sum(x ** j for x in atoms)) for j in range(n + 1)]
+        assert classify(window, domain).kind is G
+        assert index(window, domain) == 2
+        mu = recover_minimal_measure(window, domain)
+        assert len(mu.atoms) == 3
+        for (x, m), px in zip(mu.atoms, atoms):
+            assert abs(x - px) <= 1e-7 and abs(m - 1) <= 1e-5
+
+
+def test_float_window_singular_by_its_forms_only():
+    # strictly positive, but singular to within 1e-9 of its largest Hankel
+    # entry, while each leading pivot clears 1e-9 of its own diagonal entry:
+    # the two zero tests disagree, and that is a package error, not a crash
+    window = [21 / 4, 803 / 20, 30777 / 100, 1182203 / 500, 45504417 / 2500]
+    domain = Compact(F(1, 2), 8)
+    assert classify(window, domain).kind is G
+    with pytest.raises(DegenerateInput):
+        index(window, domain)
+    with pytest.raises(DegenerateInput):
+        recover_minimal_measure(window, domain)
+
+
 def test_float_singular_classification_imports_no_numpy():
     # numpy adds about 12 MB to a process; classifying float windows near
-    # the singular boundary must not load it
+    # the singular boundary, recovering their measures and isolating the
+    # roots of a float polynomial must not load it
     code = "\n".join([
         "import sys",
-        "from momentkit.positivity import HalfOpen, Ray, classify, index",
+        "from momentkit.numeric import Polynomial, real_roots",
+        "from momentkit.positivity import (Compact, HalfOpen, Ray, classify, index,",
+        "                                  recover_minimal_measure)",
         "for window in [(1.0, 0.1, 0.01), (1.0, 2.0, 4.0), (1.0, 1 / 3, 1 / 9),",
         "               (1.0, 0.75, 0.625, 0.5625), (1.0, 1.0, 1.0, 1.0 + 1e-12)]:",
         "    for domain in (Ray(), HalfOpen()):",
         "        if classify(window, domain).is_positive:",
         "            index(window, domain)",
+        "window = [1.0 + 3.0 * 2.0 ** k for k in range(6)]",
+        "assert recover_minimal_measure(window, Compact(0.5, 8.0)).support_size == 2",
+        "assert len(real_roots(Polynomial([-2.0, 0.0, 1.0]), -2.0, 2.0)) == 2",
         "assert 'numpy' not in sys.modules, 'numpy was imported'",
     ])
     env = dict(os.environ)
