@@ -17,9 +17,8 @@ from typing import Optional, Sequence
 from .errors import DegenerateInput, DomainError, NotAMomentSequence, ZeroAtomError
 from .measure import AtomicMeasure, ZERO_MEASURE, tilt
 from .numeric import Scalar
-from .positivity import (PositivityClass, _values, classify_compact,
-                         recover_support_and_masses)
-from .principal import PrincipalKind, measure_from_poly, principal_polynomial
+from .positivity import PositivityClass, _singular_poly, _values, classify_compact
+from .principal import PrincipalKind, atoms_from_poly, measure_from_poly, principal_polynomial
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,10 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         return CAExtensionVerdict(False, None, verdict.kind)
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        pairs, exact = recover_support_and_masses(deltas, Fraction(0), Fraction(1))
+        if not any(deltas):  # a constant sequence: exact even for float input
+            return CAExtensionVerdict(True, ZERO_CA_MEASURE, verdict.kind)
+        zero, one = Fraction(0), Fraction(1)
+        pairs, exact = atoms_from_poly(_singular_poly(deltas, (zero, one)), deltas, zero, one)
         return CAExtensionVerdict(True, _split_pairs(pairs, exact), verdict.kind)
     return CAExtensionVerdict(True, _minimal_zero_free(deltas), verdict.kind)
 

@@ -22,9 +22,10 @@ from .errors import (ArityError, BadIndex, DomainError, InfeasibleChoice,
                      NotStrictlyPositive, OutOfRange)
 from .measure import AtomicMeasure, MomentSequence, tilt
 from .numeric import Scalar
-from .positivity import (HalfOpen, PositivityClass, Ray, _values, classify_half_open,
-                         classify_ray, recover_minimal_measure)
-from .principal import atom_polynomial, measure_from_poly, root_bound
+from .extremal import _reciprocal_inf
+from .positivity import (HalfOpen, PositivityClass, Ray, _support_measure, _values,
+                         classify_half_open, classify_ray)
+from .principal import atom_polynomial
 
 
 class ExtensionClass(Enum):
@@ -51,20 +52,23 @@ def _domain_tools(domain):
 
 
 def classify_backward(s, x: Scalar, domain=Ray()) -> ExtensionVerdict:
-    """Classify the one-step extension (x, s_0, ..., s_n)."""
-    classify, inf_fn = _domain_tools(domain)
+    """Classify the one-step extension (x, s_0, ..., s_n).  The threshold
+    comes from the base window's verdict and a singular extension's measure
+    from the support polynomial its own verdict carries."""
+    classify, _ = _domain_tools(domain)
     values = _values(s)
-    if classify(values).kind is not PositivityClass.STRICTLY_POSITIVE:
+    base = classify(values)
+    if base.kind is not PositivityClass.STRICTLY_POSITIVE:
         raise NotStrictlyPositive("base sequence is not strictly positive")
     if x < 0:
         raise DomainError("extension value must be nonnegative")
-    threshold = inf_fn(values)
-    extension = (x,) + tuple(values)
+    threshold = _reciprocal_inf(values, base, domain)
+    extension = (x,) + values
     verdict = classify(extension)
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
         return ExtensionVerdict(ExtensionClass.STRICT, threshold)
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        zero_based = recover_minimal_measure(extension, domain)
+        zero_based = _support_measure(verdict.support, extension, domain)
         return ExtensionVerdict(ExtensionClass.SINGULAR, threshold,
                                 measure=tilt(zero_based, 1))
     return ExtensionVerdict(ExtensionClass.NOT_EXTENSION, threshold)
@@ -81,9 +85,7 @@ def forced_value(tail: Sequence[Scalar], domain=Ray()) -> Scalar:
 def minimal_measure_window(window, domain) -> AtomicMeasure:
     """Minimal measure of a strictly positive window of even length on the
     ray, or of odd/even length on (0, 1] (2K moments starting deepest)."""
-    poly = atom_polynomial(window, domain)
-    hi = root_bound(poly) if isinstance(domain, Ray) else Fraction(1)
-    return measure_from_poly(poly, window, Fraction(0), hi)
+    return _support_measure(atom_polynomial(window, domain), window, domain)
 
 
 def extend_with_index(s, r: int, K, free: Sequence[Scalar] = (),

@@ -28,13 +28,14 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .alternating import CAMeasure, has_ca_extension
-from .backward import forced_value, minimal_measure_window
+from .backward import forced_value
 from .errors import (BadIndex, DegenerateInput, MomentKitError, PreconditionError,
                      Unsupported)
 from .measure import (AtomicMeasure, MomentRecurrence, MomentSequence,
                       RecurrentCAMeasure, tilt)
 from .numeric import Scalar, format_scalar
-from .positivity import HalfOpen, PositivityClass, Ray, classify_half_open, classify_ray
+from .positivity import (HalfOpen, PositivityClass, Ray, _support_measure, classify_half_open,
+                         classify_ray)
 from .principal import atom_polynomial, root_bound
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
                    MeasureTail, PartialWeights, verify_che_certificate,
@@ -435,11 +436,11 @@ def _certificate_measure(window, first_index: int, full_window, domain):
     otherwise a moment recurrence seeded with the full extension (exact
     moments either way).  `window` holds the deepest 2K entries, with
     `full_window` the whole extension starting at `first_index`."""
-    zero_based = minimal_measure_window(window, domain)
+    poly = atom_polynomial(window, domain)
+    zero_based = _support_measure(poly, window, domain)
     shifted = tilt(zero_based, -first_index)
     if zero_based.exact:
         return shifted
-    poly = atom_polynomial(window, domain)
     return MomentRecurrence(poly, first_index, list(full_window), atoms_hint=shifted)
 
 

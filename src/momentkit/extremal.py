@@ -28,9 +28,9 @@ from typing import Optional, Sequence
 from .errors import ConvergenceError, DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure, MomentRecurrence
 from .numeric import Polynomial, Scalar
-from .positivity import (HalfOpen, PositivityClass, Ray, _determinate_poly, _values,
+from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _values,
                          classify_compact, classify_half_open, classify_ray)
-from .principal import PrincipalKind, atom_polynomial, bordered_hankel_poly, principal_polynomial
+from .principal import PrincipalKind, atom_polynomial, measure_from_poly, principal_polynomial
 
 @dataclass(frozen=True)
 class ExtremalBounds:
@@ -57,15 +57,19 @@ def reciprocal_value_from_poly(poly: Polynomial, values: Sequence[Scalar]) -> Sc
     return -p0 / q0
 
 
-def _principal_value(values, a, b, kind) -> Scalar:
-    return reciprocal_value_from_poly(principal_polynomial(values, a, b, kind), values)
+def _principal_values(values, a, b) -> list:
+    """(reciprocal value, atom polynomial) of the lower and the upper
+    principal measure on [a, b], in that order."""
+    pairs = []
+    for kind in (PrincipalKind.LOWER, PrincipalKind.UPPER):
+        poly = principal_polynomial(values, a, b, kind)
+        pairs.append((reciprocal_value_from_poly(poly, values), poly))
+    return pairs
 
 
 def compact_reciprocal_values(values, a, b):
     """(lower-principal value, upper-principal value) on [a, b]."""
-    values = _values(values)
-    return (_principal_value(values, a, b, PrincipalKind.LOWER),
-            _principal_value(values, a, b, PrincipalKind.UPPER))
+    return tuple(value for value, _ in _principal_values(_values(values), a, b))
 
 
 def reciprocal_extremes_compact(s, a: Scalar, b: Scalar,
@@ -77,14 +81,12 @@ def reciprocal_extremes_compact(s, a: Scalar, b: Scalar,
         raise NotStrictlyPositive("need 0 < a < b")
     if classify_compact(values, a, b).kind is not PositivityClass.STRICTLY_POSITIVE:
         raise NotStrictlyPositive("sequence is not strictly positive on the interval")
-    v_low, v_up = compact_reciprocal_values(values, a, b)
-    if v_low == v_up:
+    pairs = sorted(_principal_values(values, a, b), key=lambda pair: pair[0])
+    if pairs[0][0] == pairs[1][0]:
         raise DegenerateInput("principal reciprocal values coincide")
-    pairs = sorted([(v_low, PrincipalKind.LOWER), (v_up, PrincipalKind.UPPER)])
     measures = (None, None)
     if with_measures:
-        from .principal import principal_compact
-        measures = tuple(principal_compact(values, a, b, kind) for _, kind in pairs)
+        measures = tuple(measure_from_poly(poly, values, a, b) for _, poly in pairs)
     return ExtremalBounds(pairs[0][0], pairs[1][0], measures[0], measures[1])
 
 
@@ -96,14 +98,28 @@ def _first_strict_interval(values):
     raise ConvergenceError("no strictly positive compact window found")
 
 
-def _singular_reciprocal(values, domain) -> Scalar:
+def _singular_reciprocal(poly: Polynomial, values) -> Scalar:
     """Reciprocal moment of the unique measure of a singularly positive
-    window, via the support polynomial's backward moment recurrence -- exact
-    even when the atoms are irrational."""
-    poly = _determinate_poly(values, domain)
+    window with support polynomial `poly`, via its backward moment
+    recurrence -- exact even when the atoms are irrational."""
     if poly.degree == 0:  # the zero window
         return Fraction(0)
     return MomentRecurrence(poly, 0, list(values)).moment(-1)
+
+
+def _reciprocal_inf(values, verdict: PositivityVerdict, domain) -> Scalar:
+    """Reciprocal infimum on the ray or on (0, 1] of a window whose verdict
+    on that domain is `verdict` (see `reciprocal_inf_ray`)."""
+    if verdict.kind is PositivityClass.NOT_POSITIVE:
+        where = "(0, inf)" if isinstance(domain, Ray) else "(0, 1]"
+        raise NotStrictlyPositive(f"sequence is not positive on {where}")
+    if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
+        return _singular_reciprocal(verdict.support, values)
+    if isinstance(domain, Ray) and len(values) % 2 == 1:
+        values = values[:-1]  # even top degree: the odd prefix's value
+        if not values:
+            return Fraction(0)
+    return reciprocal_value_from_poly(atom_polynomial(values, domain), values)
 
 
 def reciprocal_inf_ray(s) -> Scalar:
@@ -135,16 +151,7 @@ def reciprocal_inf_ray(s) -> Scalar:
     The knife edge is therefore exact: prepending the value itself gives no
     extension, and anything above it gives a strict one."""
     values = _values(s)
-    verdict = classify_ray(values)
-    if verdict.kind is PositivityClass.NOT_POSITIVE:
-        raise NotStrictlyPositive("sequence is not positive on (0, inf)")
-    if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        return _singular_reciprocal(values, Ray())
-    n = len(values) - 1
-    if n == 0:
-        return Fraction(0)
-    odd = values if n % 2 == 1 else values[:-1]
-    return reciprocal_value_from_poly(bordered_hankel_poly(odd), odd)
+    return _reciprocal_inf(values, classify_ray(values), Ray())
 
 
 def reciprocal_inf_half_open(s) -> Scalar:
@@ -153,12 +160,7 @@ def reciprocal_inf_half_open(s) -> Scalar:
     endpoint).  A singularly positive sequence is determinate and the value
     is the reciprocal moment of its unique measure."""
     values = _values(s)
-    verdict = classify_half_open(values)
-    if verdict.kind is PositivityClass.NOT_POSITIVE:
-        raise NotStrictlyPositive("sequence is not positive on (0, 1]")
-    if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        return _singular_reciprocal(values, HalfOpen())
-    return reciprocal_value_from_poly(atom_polynomial(values, HalfOpen()), values)
+    return _reciprocal_inf(values, classify_half_open(values), HalfOpen())
 
 
 def reciprocal_sup_ray_bounds(s) -> ExtremalBounds:

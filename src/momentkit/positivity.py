@@ -14,6 +14,13 @@ A singular window on [a, b] is determinate too.  On every domain its
 measure and index are read from the same support polynomial
 (`_support_poly`): the atoms are its roots in the domain, and the index is
 its degree less 1/2 for each endpoint of the domain among them.
+
+A singular verdict on the ray or on (0, 1] carries that polynomial
+(`PositivityVerdict.support`), since the determinacy test has built it
+already.  `index`, `extremal.reciprocal_inf_*`, `backward.classify_backward`
+and `principal.minimal_measure_half_open` take it from the verdict instead
+of building it again.  A compact verdict leaves it unset: the Hankel forms
+decide [a, b] without it.
 """
 
 from __future__ import annotations
@@ -71,6 +78,8 @@ class PositivityVerdict:
     forms: tuple = ()
     #: interval the verdict was decided on (set by classify_compact only)
     interval: Optional[tuple] = None
+    #: monic support polynomial of a singular window on the ray or (0, 1]
+    support: Optional[Polynomial] = None
 
     @property
     def is_positive(self) -> bool:
@@ -237,9 +246,10 @@ def _classify_limit(values, matrices, domain, eps) -> PositivityVerdict:
     forms = (classify_form(matrices[0], eps), classify_form(matrices[1], eps))
     if all(f.kind is FormClass.POSITIVE_DEFINITE for f in forms):
         return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE, forms)
-    if _determinate_poly(values, domain, eps) is None:
+    support = _determinate_poly(values, domain, eps)
+    if support is None:
         return PositivityVerdict(PositivityClass.NOT_POSITIVE, forms)
-    return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, forms)
+    return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, forms, support=support)
 
 
 def classify_ray(s, eps: Optional[float] = None) -> PositivityVerdict:
@@ -322,11 +332,19 @@ def recover_support_and_masses(values, a: Scalar, b: Scalar) -> tuple:
     return atoms_from_poly(_compact_support_poly(values, a, b), values, a, b)
 
 
+def _support_measure(poly: Polynomial, values, domain: Domain) -> AtomicMeasure:
+    """The measure whose atoms are the roots of the support polynomial
+    `poly` of `values` in the domain; ZERO_MEASURE for the zero window."""
+    from .principal import measure_from_poly
+    if poly.degree == 0:
+        return ZERO_MEASURE
+    return measure_from_poly(poly, values, *_interval(domain, poly))
+
+
 def recover_minimal_measure(s, domain: Domain) -> AtomicMeasure:
     """Unique representing measure of a singularly positive sequence (on
     the ray and on (0, 1] also of any window `_determinate_poly` passes):
     its atoms are the roots of the support polynomial in the domain."""
-    from .principal import measure_from_poly
     values = _values(s)
     if all(v == 0 for v in values):
         return ZERO_MEASURE
@@ -336,19 +354,18 @@ def recover_minimal_measure(s, domain: Domain) -> AtomicMeasure:
         poly = _determinate_poly(values, domain)
         if poly is None:
             raise NotAMomentSequence("sequence is not positive on the domain")
-    return measure_from_poly(poly, values, *_interval(domain, poly))
+    return _support_measure(poly, values, domain)
 
 
 # --------------------------------------------------------------------------
 # index
 # --------------------------------------------------------------------------
 
-def _singular_index(values, domain: Domain, eps: Optional[float] = None) -> Fraction:
+def _singular_index(poly: Polynomial, domain: Domain, eps: Optional[float] = None) -> Fraction:
     """Index of a singularly positive sequence: the degree of its support
     polynomial p, less 1/2 for each endpoint of the domain that is a root
     of p (read by `_reads_zero` at the bound sum |c_j| |x|^j of p(x))."""
     ends = _ends(domain)
-    poly = _singular_poly(values, ends, eps)
     on_ends = sum(_reads_zero(poly(x), sum(abs(c * x ** j) for j, c in enumerate(poly.coeffs)),
                               eps) for x in ends)
     return Fraction(poly.degree) - Fraction(on_ends, 2)
@@ -370,5 +387,8 @@ def index(s, domain: Domain, eps: Optional[float] = None):
         if isinstance(domain, Ray):
             return -((n + 1) // -2)  # ceil((n+1)/2)
         return Fraction(n + 1, 2)
-    idx = _singular_index(values, domain, eps)
+    poly = verdict.support
+    if poly is None:  # a compact verdict does not build it
+        poly = _singular_poly(values, _ends(domain), eps)
+    idx = _singular_index(poly, domain, eps)
     return int(idx) if isinstance(domain, Ray) else idx

@@ -20,9 +20,9 @@ from .errors import DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure
 from .numeric import (Polynomial, Scalar, det_poly, root_enclosures, root_precision,
                       vandermonde_masses)
-from .positivity import (HalfOpen, PositivityClass, Ray, _values, classify_compact,
-                         classify_half_open, classify_ray, interior_moments,
-                         recover_minimal_measure)
+from .positivity import (HalfOpen, PositivityClass, Ray, _support_measure, _values,
+                         classify_compact, classify_half_open, classify_ray,
+                         interior_moments)
 
 
 MASS_REFINEMENTS = 3
@@ -194,12 +194,12 @@ def minimal_measure_half_open(s) -> AtomicMeasure:
     """The unique minimal-index measure on (0, 1]; the even case of a
     strictly positive sequence always carries the atom 1.  Singularly
     positive sequences are determinate, so their unique measure is returned
-    as well."""
+    as well, read from the support polynomial their verdict carries."""
     values = _values(s)
     verdict = classify_half_open(values)
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotStrictlyPositive("sequence is not positive on (0, 1]")
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        return recover_minimal_measure(values, HalfOpen())
+        return _support_measure(verdict.support, values, HalfOpen())
     return measure_from_poly(atom_polynomial(values, HalfOpen()), values,
                              Fraction(0), Fraction(1))

@@ -1,0 +1,98 @@
+"""Kernel-call budgets: each entry point classifies its window once.
+
+A verdict carries what classification built: on the ray and on (0, 1] a
+singular verdict holds its support polynomial, so the threshold of a
+backward extension, the singular index, infimum and measure, and the
+principal measures of the compact extremes are read from work already done.
+The counts below are the whole cost of each call in the four kernel
+functions, counted through every alias the package modules import.
+"""
+
+import sys
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+
+import momentkit.numeric as numeric
+from momentkit.backward import ExtensionClass, classify_backward
+from momentkit.extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
+                                reciprocal_inf_ray)
+from momentkit.measure import AtomicMeasure, moments
+from momentkit.positivity import HalfOpen, PositivityClass, Ray, classify, index
+from momentkit.principal import minimal_measure_half_open
+
+KERNEL = ("classify_form", "leading_minors", "det_poly", "count_roots")
+
+RAY_MU = AtomicMeasure([(F(1, 2), F(1)), (F(3), F(2, 3))])
+UNIT_MU = AtomicMeasure([(F(1, 4), F(3)), (F(2, 3), F(1, 2))])
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counter of kernel calls made while the test runs."""
+    counter = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "momentkit" or name.startswith("momentkit.")]
+    for name in KERNEL:
+        orig = getattr(numeric, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            counter[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, counted)
+    return counter
+
+
+def _window(mu, n):
+    return list(moments(mu, 0, n).values)
+
+
+def _counts(counter):
+    return tuple(counter[name] for name in KERNEL)
+
+
+@pytest.mark.parametrize("mu, domain, inf", [(RAY_MU, Ray(), reciprocal_inf_ray),
+                                             (UNIT_MU, HalfOpen(), reciprocal_inf_half_open)])
+def test_backward_at_threshold_classifies_each_window_once(calls, mu, domain, inf):
+    window = _window(mu, 3)
+    theta = inf(window)
+    calls.clear()
+    verdict = classify_backward(window, theta, domain)
+    assert verdict.kind is ExtensionClass.SINGULAR and verdict.measure == mu
+    # base and extension forms, one bordered polynomial for the threshold,
+    # one determinacy test of the extension
+    assert _counts(calls) == (4, 1, 2, 1)
+
+
+def test_compact_extremes_classify_once(calls):
+    mu = AtomicMeasure([(F(3, 2), F(1)), (F(2), F(1, 3)), (F(7, 2), F(2))])
+    window = _window(mu, 4)
+    bounds = reciprocal_extremes_compact(window, F(1), F(4))
+    assert bounds.t_lo < mu.moment(-1) < bounds.t_hi
+    assert calls["classify_form"] == 2
+
+
+@pytest.mark.parametrize("mu, domain", [(RAY_MU, Ray()), (UNIT_MU, HalfOpen())])
+def test_singular_index_reads_the_verdict_polynomial(calls, mu, domain):
+    window = _window(mu, 5)
+    assert index(window, domain) == 2
+    assert _counts(calls)[1:] == (1, 1, 1)
+
+
+def test_singular_ray_infimum_reads_the_verdict_polynomial(calls):
+    window = _window(RAY_MU, 5)
+    assert reciprocal_inf_ray(window) == RAY_MU.moment(-1)
+    assert _counts(calls)[1:] == (1, 1, 1)
+
+
+def test_singular_half_open_measure_reads_the_verdict_polynomial(calls):
+    window = _window(UNIT_MU, 5)
+    assert classify(window, HalfOpen()).kind is PositivityClass.SINGULARLY_POSITIVE
+    calls.clear()
+    assert minimal_measure_half_open(window) == UNIT_MU
+    assert _counts(calls)[1:] == (1, 1, 1)
