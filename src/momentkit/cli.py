@@ -21,7 +21,7 @@ from .extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
                        reciprocal_inf_ray, unbounded_reciprocal_witness)
 from .measure import AtomicMeasure, MomentRecurrence, RecurrentCAMeasure
 from .numeric import format_scalar, parse_scalar
-from .positivity import (Compact, HalfOpen, PositivityClass, Ray, classify, index)
+from .positivity import (Compact, HalfOpen, PositivityClass, Ray, _verdict_index, classify)
 from .principal import PrincipalKind, minimal_measure_half_open, minimal_measure_ray, principal_compact
 from .completion import (SolveStatus, flat_che_completion, kappa_infinite_probe,
                          solve_che, solve_subnormal, stampfli_check)
@@ -153,7 +153,7 @@ def _run_classify(obj, exact, options):
     verdict = classify(seq, domain, eps=eps)
     payload = {"class": verdict.kind.value}
     if verdict.is_positive:
-        payload["index"] = _fmt(index(seq, domain, eps=eps))
+        payload["index"] = _fmt(_verdict_index(seq, verdict, domain, eps))
     code = EXIT_OK if verdict.is_positive else EXIT_NEGATIVE
     return payload, code
 

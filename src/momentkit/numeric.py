@@ -5,7 +5,9 @@ runs on Python integers: fraction-free (Bareiss) elimination for
 determinants, leading minors, bordered determinant polynomials and the
 pivoted LDL^T form classification; primitive integer Sturm chains,
 evaluated by homogeneous Horner at rational points, for root isolation.
-`Fraction`s appear only in the results.
+`Fraction`s appear only in the results; that holds for the Vandermonde
+solve of atom masses too, whose integer system is built from the atoms'
+numerators and denominators.
 
 Exact input (`int` and `fractions.Fraction`) gives exact results.  Input
 containing a `float` runs through the same code on its binary-exact image
@@ -92,7 +94,7 @@ def _exact_rows(rows) -> tuple:
 def _integer_scale(values) -> tuple:
     """(ints, L) for exact `values`: L is their least common denominator and
     ints[i] = L * values[i], computed without rational arithmetic."""
-    scale = math.lcm(*(x.denominator for x in values))
+    scale = math.lcm(*{x.denominator for x in values})
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
@@ -338,13 +340,16 @@ class RootEnclosure:
 
 def _nonroot_split(coeffs, a: Fraction, b: Fraction) -> Fraction:
     """A split point strictly inside (a, b) where the polynomial does not
-    vanish; at most deg(p) probes can fail."""
-    span = b - a
+    vanish; at most deg(p) probes can fail.  Probe i is
+    a + (b - a) (2i + steps) / (4 steps), evaluated over the common
+    denominator of a and b."""
+    (lo, hi), den = _integer_scale((a, b))
     steps = len(coeffs) + 1
+    den *= 4 * steps
     for i in range(steps):
-        mid = a + span * Fraction(2 * i + steps, 4 * steps)
-        if _horner(coeffs, mid.numerator, mid.denominator) != 0:
-            return mid
+        num = lo * 4 * steps + (hi - lo) * (2 * i + steps)
+        if _horner(coeffs, num, den) != 0:
+            return Fraction(num, den)
     raise DegenerateInput("could not find a non-root split point")
 
 
@@ -472,6 +477,14 @@ class SymMatrix:
     def order(self) -> int:
         return len(self.rows)
 
+    @classmethod
+    def _symmetric(cls, rows: tuple) -> "SymMatrix":
+        """A matrix of `rows`, tuples of Fractions and floats that are
+        symmetric by construction; nothing is converted or compared."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i][j]
 
@@ -508,7 +521,9 @@ class FormVerdict:
 
 def hankel(values, offset: int, order: int) -> SymMatrix:
     """Hankel window: entry (i, j) = values[offset + i + j].  Accepts any
-    moment-window object exposing .values as well as a plain sequence."""
+    moment-window object exposing .values as well as a plain sequence.  The
+    2 order - 1 entries are converted once; the form is symmetric by
+    construction."""
     values = getattr(values, "values", values)
     if order < 0 or offset < 0:
         raise InsufficientMoments("offset and order must be nonnegative")
@@ -516,8 +531,9 @@ def hankel(values, offset: int, order: int) -> SymMatrix:
         raise InsufficientMoments(
             f"window of length {len(values)} cannot fill a Hankel block of "
             f"order {order} at offset {offset}")
-    return SymMatrix([[values[offset + i + j] for j in range(order)]
-                      for i in range(order)])
+    entries = [x if isinstance(x, (Fraction, float)) else Fraction(x)
+               for x in values[offset:offset + 2 * order - 1]]
+    return SymMatrix._symmetric(tuple(tuple(entries[i:i + order]) for i in range(order)))
 
 
 class _Congruence:
@@ -715,13 +731,16 @@ def det(rows) -> Scalar:
     return _to_float(value) if floats else value
 
 
-def leading_minors(rows, eps: Optional[float] = None) -> list:
-    """Leading principal minors of orders 1, 2, ... of a square matrix, up to
-    and including the first that vanishes, all from one unpivoted Bareiss
-    pass (the k-th pivot is the k-th minor).  Float input runs on its
-    binary-exact image and gets floats back; there the k-th pivot
-    minor_k / minor_(k-1) reads as zero when its magnitude is at most
-    eps * max(1, |m_kk|)."""
+def _minor_pass(rows, eps: Optional[float] = None) -> tuple:
+    """(minors, a, scales, floats): the pass of `leading_minors` over the
+    n leading rows of `rows`, which may carry more than n columns.
+
+    `a` is the integer copy of the rows with column j multiplied by
+    scales[j], after one unpivoted Bareiss step per nonzero minor: the
+    minors' rows of `a` are then upper triangular, and every further column
+    has been reduced along with them (see `_pass_solution`).  The minors
+    are exact, a float one read as zero being 0; `floats` tells whether
+    the input held a float."""
     rows, floats = _exact_rows(rows)
     tol = DEFAULT_EPS if eps is None else eps
     a, scales = _integer_columns(rows)
@@ -737,21 +756,49 @@ def leading_minors(rows, eps: Optional[float] = None) -> list:
             break
         _bareiss_step(a, k, prev)
         prev = a[k][k]
+    return minors, a, scales, floats
+
+
+def leading_minors(rows, eps: Optional[float] = None) -> list:
+    """Leading principal minors of orders 1, 2, ... of a square matrix, up to
+    and including the first that vanishes, all from one unpivoted Bareiss
+    pass (the k-th pivot is the k-th minor).  Float input runs on its
+    binary-exact image and gets floats back; there the k-th pivot
+    minor_k / minor_(k-1) reads as zero when its magnitude is at most
+    eps * max(1, |m_kk|)."""
+    minors, _, _, floats = _minor_pass(rows, eps)
     return [_to_float(x) for x in minors] if floats else minors
+
+
+def _pass_solution(a, scales, r: int) -> list:
+    """x with M_r x = (m_0r, ..., m_(r-1)r), M_r the leading r x r block of
+    the matrix M that `_minor_pass` reduced to `a` with r nonzero minors.
+    Row operations act on column r as on the others, so the reduced rows
+    0..r-1 give x by back substitution alone."""
+    num, den = _solve_upper(a[:r], [row[r] for row in a[:r]])
+    # column j was scaled by scales[j]
+    return [Fraction(v * scales[j], den * scales[r]) for j, v in enumerate(num)]
+
+
+def _solve_integer(a) -> tuple:
+    """(num, den) with x_i = num[i] / den solving the square integer system
+    whose augmented rows are `a`, by fraction-free elimination (in place)
+    and back substitution."""
+    n = len(a)
+    if _eliminate(a, n - 1) == 0 or a[n - 1][n - 1] == 0:
+        raise DegenerateInput("singular linear system")
+    return _solve_upper(a, [row[n] for row in a])
 
 
 def solve_linear(rows, rhs):
     """Solve a square linear system by fraction-free elimination and integer
     back substitution; floats for float input, from its binary-exact
     image."""
-    n = len(rows)
     a, floats = _exact_rows([list(r) + [rhs[i]] for i, r in enumerate(rows)])
     a, scales = _integer_columns(a)
-    if _eliminate(a, n - 1) == 0 or a[n - 1][n - 1] == 0:
-        raise DegenerateInput("singular linear system")
+    num, den = _solve_integer(a)
     # column j was scaled by scales[j], the right-hand side by scales[n]
-    num, den = _solve_upper(a, [row[n] for row in a])
-    x = [Fraction(v * s, den * scales[n]) for v, s in zip(num, scales)]
+    x = [Fraction(v * s, den * scales[-1]) for v, s in zip(num, scales)]
     return [_to_float(v) for v in x] if floats else x
 
 
@@ -787,11 +834,25 @@ def det_poly(rows, degrees: Optional[Sequence[int]] = None) -> Polynomial:
 
 
 def vandermonde_masses(atoms: Sequence[Scalar], window: Sequence[Scalar]):
-    """Masses matching the first len(atoms) moments of `window` at `atoms`."""
+    """Masses matching the first len(atoms) moments of `window` at `atoms`.
+
+    The system sum_j m_j x_j^k = s_k, k < c, is built on integers: for an
+    atom x_j = p_j / q_j, column j holds p_j^k q_j^(c-1-k), i.e. x_j^k scaled
+    by q_j^(c-1), and the right-hand side is scaled by the least common
+    denominator of the moments.  Float input runs on its binary-exact image
+    and gets floats back."""
     c = len(atoms)
     if c == 0:
         return []
     if len(window) < c:
         raise InsufficientMoments("moment window shorter than atom count")
-    rows = [[atoms[j] ** k for j in range(c)] for k in range(c)]
-    return solve_linear(rows, list(window[:c]))
+    window = window[:c]
+    floats = any(isinstance(x, float) for x in (*atoms, *window))
+    rhs, rhs_scale = _integer_scale([as_fraction(v) for v in window])
+    fracs = [as_fraction(x) for x in atoms]
+    a = [[x.numerator ** k * x.denominator ** (c - 1 - k) for x in fracs] + [rhs[k]]
+         for k in range(c)]
+    num, den = _solve_integer(a)
+    # column j was scaled by q_j^(c-1), the right-hand side by rhs_scale
+    out = [Fraction(v * x.denominator ** (c - 1), den * rhs_scale) for v, x in zip(num, fracs)]
+    return [_to_float(v) for v in out] if floats else out

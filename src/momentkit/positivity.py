@@ -13,7 +13,10 @@ unique measure; that measure is the exact witness of the singular case.
 A singular window on [a, b] is determinate too.  On every domain its
 measure and index are read from the same support polynomial
 (`_support_poly`): the atoms are its roots in the domain, and the index is
-its degree less 1/2 for each endpoint of the domain among them.
+its degree less 1/2 for each endpoint of the domain among them.  The
+support polynomial comes from the pass that gives the leading minors of
+H(s): the rank r is read from the minors, and the coefficients from one
+back substitution in the rows that pass has already reduced.
 
 A singular verdict on the ray or on (0, 1] carries that polynomial
 (`PositivityVerdict.support`), since the determinacy test has built it
@@ -33,7 +36,8 @@ from typing import Optional, Sequence, Union
 from .errors import (DegenerateInput, DomainError, NotAMomentSequence)
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
 from .numeric import (DEFAULT_EPS, FormClass, FormVerdict, Polynomial, Scalar,
-                      classify_form, count_roots, hankel, leading_minors)
+                      _minor_pass, _pass_solution, _to_float, classify_form,
+                      count_roots, hankel)
 
 
 # --------------------------------------------------------------------------
@@ -180,14 +184,18 @@ def _support_poly(values, ends: tuple, eps: Optional[float] = None) -> Optional[
 
     With r positive leading pivots of H(s) before the first zero one (a
     negative pivot means not positive), p is the bordered-Hankel polynomial
-    of s_0..s_(2r-1).  A singular window has 2r > n + 1 only on [a, b] =
-    `ends`, with n even and both endpoints atoms; p is then (t - a)(t - b)
-    times the support polynomial of the window `interior_moments` of the
-    other atoms.
+    of s_0..s_(2r-1) made monic: p = t^r - sum c_j t^j with
+    H_r c = (s_r, ..., s_(2r-1)).  That right-hand side is column r of
+    H(s), so the Bareiss pass of the leading minors reduces it along with
+    H_r (for odd n, H(s) is given the column s_(m+1)..s_(2m+1) to cover
+    r = m + 1).  A singular window has 2r > n + 1 only on [a, b] = `ends`,
+    with n even and both endpoints atoms; p is then (t - a)(t - b) times the
+    support polynomial of the window `interior_moments` of the other atoms.
     """
-    from .principal import bordered_hankel_poly
     n = len(values) - 1
-    minors = leading_minors(hankel(values, 0, n // 2 + 1).rows, eps)
+    width = n // 2 + 1 + n % 2
+    minors, a, scales, floats = _minor_pass(
+        [values[i:i + width] for i in range(n // 2 + 1)], eps)
     r = len(minors) - 1 if minors[-1] == 0 else len(minors)
     if any(d < 0 for d in minors):
         return None
@@ -200,8 +208,8 @@ def _support_poly(values, ends: tuple, eps: Optional[float] = None) -> Optional[
     if r == 0:
         top = max(abs(v) for v in values)
         return Polynomial([1]) if all(_reads_zero(v, top, eps) for v in values) else None
-    p = bordered_hankel_poly(values[:2 * r])
-    return Polynomial([x / p.coeffs[-1] for x in p.coeffs])
+    coeffs = [-x for x in _pass_solution(a, scales, r)] + [Fraction(1)]
+    return Polynomial([_to_float(x) for x in coeffs] if floats else coeffs)
 
 
 def _determinate_poly(values, domain: Domain,
@@ -379,8 +387,13 @@ def index(s, domain: Domain, eps: Optional[float] = None):
     Returns an int on the ray and a Fraction otherwise.
     """
     values = _values(s)
+    return _verdict_index(values, classify(values, domain, eps), domain, eps)
+
+
+def _verdict_index(values: Sequence[Scalar], verdict: PositivityVerdict, domain: Domain,
+                   eps: Optional[float] = None):
+    """`index` of `values` read from their verdict on the domain."""
     n = len(values) - 1
-    verdict = classify(values, domain, eps)
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotAMomentSequence("sequence is not positive on the domain")
     if verdict.is_strict:

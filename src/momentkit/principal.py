@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .errors import DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure
-from .numeric import (Polynomial, Scalar, det_poly, root_enclosures, root_precision,
-                      vandermonde_masses)
+from .numeric import (Polynomial, Scalar, _integer_scale, det_poly, root_enclosures,
+                      root_precision, vandermonde_masses)
 from .positivity import (HalfOpen, PositivityClass, Ray, _support_measure, _values,
                          classify_compact, classify_half_open, classify_ray,
                          interior_moments)
@@ -101,11 +101,27 @@ def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
     pairs = list(zip(roots, masses))
     exact = settled and not any(
         isinstance(v, float) for v in list(window) + list(roots))
-    if exact:
-        for k, v in enumerate(window):
-            if sum(m * x ** k for x, m in pairs) != v:
-                raise DegenerateInput("principal measure fails its moment window")
+    if exact and not _reproduces(roots, masses, window):
+        raise DegenerateInput("principal measure fails its moment window")
     return pairs, exact
+
+
+def _reproduces(atoms, masses, window) -> bool:
+    """Whether sum_i m_i x_i^k = s_k for every k of the exact `window`.
+
+    With Q and D the common denominators of the atoms and of the masses,
+    the term of atom i at step k is (D m_i) (Q x_i)^k, an integer, and
+    s_k = num / den holds iff den * sum_i terms = num * D * Q^k."""
+    steps, q = _integer_scale(atoms)
+    terms, d = _integer_scale(masses)
+    power = d
+    for k, v in enumerate(window):
+        if k:
+            terms = [t * x for t, x in zip(terms, steps)]
+            power *= q
+        if v.denominator * sum(terms) != v.numerator * power:
+            return False
+    return True
 
 
 def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],

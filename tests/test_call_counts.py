@@ -4,10 +4,14 @@ A verdict carries what classification built: on the ray and on (0, 1] a
 singular verdict holds its support polynomial, so the threshold of a
 backward extension, the singular index, infimum and measure, and the
 principal measures of the compact extremes are read from work already done.
-The counts below are the whole cost of each call in the four kernel
-functions, counted through every alias the package modules import.
+The support polynomial itself comes out of the pass that gives the leading
+minors, so it costs no bordered determinant.  The counts below are the
+whole cost of each call in the four kernel functions, counted through every
+alias the package modules import.  The second slot counts that pass,
+`numeric._minor_pass`, which `leading_minors` wraps.
 """
 
+import json
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -16,13 +20,14 @@ import pytest
 
 import momentkit.numeric as numeric
 from momentkit.backward import ExtensionClass, classify_backward
+from momentkit.cli import run
 from momentkit.extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
                                 reciprocal_inf_ray)
 from momentkit.measure import AtomicMeasure, moments
 from momentkit.positivity import HalfOpen, PositivityClass, Ray, classify, index
 from momentkit.principal import minimal_measure_half_open
 
-KERNEL = ("classify_form", "leading_minors", "det_poly", "count_roots")
+KERNEL = ("classify_form", "_minor_pass", "det_poly", "count_roots")
 
 RAY_MU = AtomicMeasure([(F(1, 2), F(1)), (F(3), F(2, 3))])
 UNIT_MU = AtomicMeasure([(F(1, 4), F(3)), (F(2, 3), F(1, 2))])
@@ -65,8 +70,9 @@ def test_backward_at_threshold_classifies_each_window_once(calls, mu, domain, in
     verdict = classify_backward(window, theta, domain)
     assert verdict.kind is ExtensionClass.SINGULAR and verdict.measure == mu
     # base and extension forms, one bordered polynomial for the threshold,
-    # one determinacy test of the extension
-    assert _counts(calls) == (4, 1, 2, 1)
+    # one determinacy test of the extension, whose minor pass gives its
+    # support polynomial
+    assert _counts(calls) == (4, 1, 1, 1)
 
 
 def test_compact_extremes_classify_once(calls):
@@ -81,13 +87,13 @@ def test_compact_extremes_classify_once(calls):
 def test_singular_index_reads_the_verdict_polynomial(calls, mu, domain):
     window = _window(mu, 5)
     assert index(window, domain) == 2
-    assert _counts(calls)[1:] == (1, 1, 1)
+    assert _counts(calls)[1:] == (1, 0, 1)
 
 
 def test_singular_ray_infimum_reads_the_verdict_polynomial(calls):
     window = _window(RAY_MU, 5)
     assert reciprocal_inf_ray(window) == RAY_MU.moment(-1)
-    assert _counts(calls)[1:] == (1, 1, 1)
+    assert _counts(calls)[1:] == (1, 0, 1)
 
 
 def test_singular_half_open_measure_reads_the_verdict_polynomial(calls):
@@ -95,4 +101,17 @@ def test_singular_half_open_measure_reads_the_verdict_polynomial(calls):
     assert classify(window, HalfOpen()).kind is PositivityClass.SINGULARLY_POSITIVE
     calls.clear()
     assert minimal_measure_half_open(window) == UNIT_MU
-    assert _counts(calls)[1:] == (1, 1, 1)
+    assert _counts(calls)[1:] == (1, 0, 1)
+
+
+@pytest.mark.parametrize("n, kind", [(3, PositivityClass.STRICTLY_POSITIVE),
+                                     (5, PositivityClass.SINGULARLY_POSITIVE)])
+def test_cli_classify_reads_the_index_from_its_verdict(calls, tmp_path, n, kind):
+    path = tmp_path / "classify.json"
+    window = _window(RAY_MU, n)
+    path.write_text(json.dumps({"kind": "classify", "domain": "ray",
+                                "sequence": [numeric.format_scalar(v) for v in window]}))
+    payload, code = run(str(path))
+    assert calls["classify_form"] == 2
+    del payload["elapsed_s"]
+    assert (payload, code) == ({"class": kind.value, "index": "2"}, 0)

@@ -6,11 +6,15 @@ real-rooted characteristic polynomial of a symmetric matrix); root isolation
 with sympy's exact real-root isolation.  Singular positivity on the ray and
 on (0, 1] is checked against planted measures with extreme atoms, singular
 recovery and index on [a, b] against planted measures with endpoint atoms.
+The integer Vandermonde solve and the support polynomial read from the
+leading-minor pass are checked against the general solve and the
+bordered-Hankel determinant they replace.
 """
 
 import itertools
 from fractions import Fraction as F
 
+import pytest
 import sympy
 from hypothesis import given, strategies as st
 
@@ -18,12 +22,14 @@ from momentkit.alternating import has_ca_extension
 from momentkit.backward import forced_value
 from momentkit.extremal import reciprocal_inf_half_open, reciprocal_inf_ray
 from momentkit.measure import AtomicMeasure, moments
+from momentkit.errors import DegenerateInput
 from momentkit.numeric import (FormClass, Polynomial, SymMatrix, classify_form,
                                count_roots, det, leading_minors, real_roots,
-                               root_precision)
-from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, classify,
-                                  classify_compact, index, recover_minimal_measure,
-                                  recover_support_and_masses)
+                               root_precision, solve_linear, vandermonde_masses)
+from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _ends,
+                                  _support_poly, classify, classify_compact, index,
+                                  recover_minimal_measure, recover_support_and_masses)
+from momentkit.principal import atoms_from_poly, bordered_hankel_poly, root_bound
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -280,3 +286,90 @@ def test_next_level_value_is_convex_quadratic_in_prepended_value(problem):
     for q in curves:
         second = [q[j + 2] - 2 * q[j + 1] + q[j] for j in range(2)]
         assert second[0] > 0 and second[1] == second[0]
+
+
+# --------------------------------------------------------------------------
+# the integer Vandermonde solve and the support polynomial of the minor pass
+# --------------------------------------------------------------------------
+
+#: the midpoint of a width-2^-40 enclosure around a rational of small
+#: denominator, as refined roots come back
+MIDPOINT = st.builds(lambda c, j: c + F(2 * j + 1, c.denominator * 2 ** 41),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=16),
+                     st.integers(-4, 3))
+
+
+@given(st.sets(st.one_of(st.just(F(0)), SMALL, EXTREME, MIDPOINT), min_size=1, max_size=8),
+       st.data())
+def test_vandermonde_masses_match_the_general_solve(atoms, data):
+    atoms = sorted(atoms)
+    window = data.draw(st.lists(SMALL, min_size=len(atoms), max_size=len(atoms) + 2))
+    rows = [[x ** k for x in atoms] for k in range(len(atoms))]
+    assert vandermonde_masses(atoms, window) == solve_linear(rows, window[:len(atoms)])
+
+
+@st.composite
+def planted_support_windows(draw):
+    """0-4 atoms in the ray, (0, 1] or [a, b] (endpoints included), seen
+    through a window of either parity that shows their whole rank."""
+    kind = draw(st.sampled_from(("ray", "half-open", "compact")))
+    if kind == "ray":
+        domain, atom = Ray(), st.fractions(min_value=F(1, 8), max_value=24, max_denominator=8)
+    elif kind == "half-open":
+        domain, atom = HalfOpen(), st.one_of(
+            st.just(F(1)), st.fractions(min_value=F(1, 16), max_value=F(15, 16),
+                                        max_denominator=16))
+    else:
+        a = draw(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
+        b = a + draw(st.fractions(min_value=F(1, 7), max_value=30, max_denominator=7))
+        domain, atom = Compact(a, b), st.one_of(
+            st.sampled_from([a, b]),
+            st.builds(lambda u: a + (b - a) * u,
+                      st.fractions(min_value=F(1, 16), max_value=F(15, 16),
+                                   max_denominator=16)))
+    size = draw(st.integers(0, 4))
+    atoms = sorted(draw(st.sets(atom, min_size=size, max_size=size)))
+    masses = draw(st.lists(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8),
+                           min_size=size, max_size=size))
+    n = draw(st.integers(max(2 * size - 1, 0), 2 * size + 3))
+    window = [sum((m * x ** k for x, m in zip(atoms, masses)), F(0)) for k in range(n + 1)]
+    return domain, size, window
+
+
+def _monic_bordered(window, r):
+    if r == 0:
+        return Polynomial([1])
+    p = bordered_hankel_poly(window[:2 * r])
+    return Polynomial([c / p.coeffs[-1] for c in p.coeffs])
+
+
+@given(planted_support_windows())
+def test_support_poly_of_the_minor_pass_is_the_monic_bordered_polynomial(problem):
+    domain, rank, window = problem
+    ends = _ends(domain)
+    assert _support_poly(window, ends) == _monic_bordered(window, rank)
+    # the float image: both read from the same binary-exact moments
+    image = [float(v) for v in window]
+    got = _support_poly(image, tuple(float(e) for e in ends))
+    if got is not None:
+        want = _monic_bordered(image, got.degree)
+        assert len(got.coeffs) == len(want.coeffs)
+        for x, y in zip(got.coeffs, want.coeffs):
+            assert abs(x - y) <= 1e-12 * abs(y)
+
+
+@given(planted_support_windows(), st.data())
+def test_a_window_off_by_one_over_den_fails_its_moment_check(problem, data):
+    domain, rank, window = problem
+    if rank == 0:
+        return
+    poly = _support_poly(window, _ends(domain))
+    lo, hi = (domain.a, domain.b) if isinstance(domain, Compact) else (
+        F(0), F(1) if isinstance(domain, HalfOpen) else root_bound(poly))
+    pairs, exact = atoms_from_poly(poly, window, lo, hi)
+    assert exact and len(pairs) == rank
+    k = data.draw(st.integers(rank, len(window) - 1))
+    den = data.draw(st.integers(1, 10 ** 12))
+    window[k] += data.draw(st.sampled_from((1, -1))) * F(1, den)
+    with pytest.raises(DegenerateInput, match="principal measure fails its moment window"):
+        atoms_from_poly(poly, window, lo, hi)
