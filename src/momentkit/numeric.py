@@ -1,20 +1,22 @@
-"""Scalar, dense symmetric matrix and polynomial kernel.
+"""Scalar, dense matrix, Hankel form and polynomial kernel.
 
 One integer kernel serves every input.  It clears denominators once and then
 runs on Python integers: fraction-free (Bareiss) elimination for
-determinants, leading minors, bordered determinant polynomials and the
-pivoted LDL^T form classification; primitive integer Sturm chains,
-evaluated by homogeneous Horner at rational points, for root isolation.
-`Fraction`s appear only in the results; that holds for the Vandermonde
-solve of atom masses too, whose integer system is built from the atoms'
-numerators and denominators.
+determinants, bordered determinant polynomials and linear solves, and one
+unpivoted Bareiss pass over the 2n - 1 entries of a Hankel form, which
+decides it definite, singular or indefinite from its leading minors and the
+Schur complement they leave (Sylvester; Curto and Fialkow); primitive
+integer Sturm chains, evaluated by homogeneous Horner at rational points, for
+root isolation.  `Fraction`s appear only in the results; that holds for the
+Vandermonde solve of atom masses too, whose integer system is built from the
+atoms' numerators and denominators.
 
 Exact input (`int` and `fractions.Fraction`) gives exact results.  Input
 containing a `float` runs through the same code on its binary-exact image
 (`as_fraction`) and gets floats back.  A relative tolerance (`eps`, default
-1e-9) applies only where a float is read as zero: a pivot of a form
-classification or of the leading minors, and a root just past an end of
-its interval.
+1e-9) applies only where a float is read as zero: an entry of a Schur
+complement in the pass over a Hankel form, relative to the size of the terms
+its entries were computed from, and a root just past an end of its interval.
 
 Hankel forms here are catastrophically ill-conditioned, and the verdicts the
 rest of the package needs (definite vs. singular vs. indefinite) sit exactly
@@ -451,214 +453,6 @@ def real_roots(p: Polynomial, lo: Scalar, hi: Scalar,
 
 
 # --------------------------------------------------------------------------
-# symmetric matrices and quadratic-form classification
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Dense symmetric matrix; symmetry is exact by construction."""
-
-    rows: tuple
-
-    def __init__(self, rows):
-        rows = tuple(tuple(x if isinstance(x, (Fraction, float)) else Fraction(x) for x in r)
-                     for r in rows)
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise ShapeError("matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ShapeError("matrix is not symmetric")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def _symmetric(cls, rows: tuple) -> "SymMatrix":
-        """A matrix of `rows`, tuples of Fractions and floats that are
-        symmetric by construction; nothing is converted or compared."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        return m
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
-    def quadratic_form(self, v) -> Scalar:
-        n = self.order
-        return sum(self.rows[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
-
-
-class FormClass(Enum):
-    POSITIVE_DEFINITE = "PositiveDefinite"
-    POSITIVE_SEMIDEFINITE_SINGULAR = "PositiveSemidefiniteSingular"
-    INDEFINITE = "Indefinite"
-
-
-@dataclass(frozen=True)
-class FormVerdict:
-    """Classification of a symmetric form plus a checkable witness.
-
-    pivots: the positive diagonal pivots found (a PD certificate when full),
-    kernel: an exact kernel vector in the singular case,
-    negative_witness: a vector with strictly negative form value when
-    indefinite.
-    """
-
-    kind: FormClass
-    pivots: tuple = ()
-    kernel: Optional[tuple] = None
-    negative_witness: Optional[tuple] = None
-
-    @property
-    def is_psd(self) -> bool:
-        return self.kind is not FormClass.INDEFINITE
-
-
-def hankel(values, offset: int, order: int) -> SymMatrix:
-    """Hankel window: entry (i, j) = values[offset + i + j].  Accepts any
-    moment-window object exposing .values as well as a plain sequence.  The
-    2 order - 1 entries are converted once; the form is symmetric by
-    construction."""
-    values = getattr(values, "values", values)
-    if order < 0 or offset < 0:
-        raise InsufficientMoments("offset and order must be nonnegative")
-    if order > 0 and offset + 2 * (order - 1) > len(values) - 1:
-        raise InsufficientMoments(
-            f"window of length {len(values)} cannot fill a Hankel block of "
-            f"order {order} at offset {offset}")
-    entries = [x if isinstance(x, (Fraction, float)) else Fraction(x)
-               for x in values[offset:offset + 2 * order - 1]]
-    return SymMatrix._symmetric(tuple(tuple(entries[i:i + order]) for i in range(order)))
-
-
-class _Congruence:
-    """Bookkeeping of a diagonally pivoted, fraction-free congruence
-    elimination of an integer form.
-
-    The trailing block of `a` is a positive multiple of the current Schur
-    complement, so the pivot choice and every sign match those of the Schur
-    complement itself.  An entry of that block reads as zero when its
-    magnitude is at most `thresh` (0 for exact input).  Column k of the unit
-    lower factor L is lower[i][k] / heads[k].
-    """
-
-    def __init__(self, a, thresh):
-        n = len(a)
-        self.a, self.thresh = a, thresh
-        self.perm = list(range(n))
-        self.lower = [[0] * n for _ in range(n)]
-        self.heads = []
-        self.pivots = []
-
-    def map_back(self, y) -> tuple:
-        """z with L^T z = y, in the original order of the coordinates."""
-        # row i of L^T scaled by heads[i] is an integer row
-        n, lower, heads = len(y), self.lower, self.heads
-        u = [[heads[i] if j == i else lower[j][i] for j in range(n)]
-             if i < len(heads) else [int(j == i) for j in range(n)]
-             for i in range(n)]
-        c = [y[i] * heads[i] if i < len(heads) else y[i] for i in range(n)]
-        num, den = _solve_upper(u, c)
-        out = [None] * n
-        for pos, orig in enumerate(self.perm):
-            out[orig] = Fraction(num[pos], den)
-        return tuple(out)
-
-    def swap(self, k, j):
-        if k == j:
-            return
-        a, lower = self.a, self.lower
-        a[k], a[j] = a[j], a[k]
-        for row in a:
-            row[k], row[j] = row[j], row[k]
-        self.perm[k], self.perm[j] = self.perm[j], self.perm[k]
-        # only the already-computed multiplier columns move with the rows
-        for col in range(k):
-            lower[k][col], lower[j][col] = lower[j][col], lower[k][col]
-
-    def choose_pivot(self, k) -> Optional[FormVerdict]:
-        """Swap the largest diagonal entry of the trailing block into place
-        k; the verdict instead when no positive pivot is left."""
-        a, n, thresh = self.a, len(self.a), self.thresh
-        unit = [int(i == k) for i in range(n)]
-        j = max(range(k, n), key=lambda i: abs(a[i][i]))
-        if abs(a[j][j]) <= thresh:
-            off = None
-            for i in range(k, n):
-                for l in range(i + 1, n):
-                    if abs(a[i][l]) > thresh and (off is None or abs(a[i][l]) > abs(a[off[0]][off[1]])):
-                        off = (i, l)
-            if off is None:
-                return FormVerdict(FormClass.POSITIVE_SEMIDEFINITE_SINGULAR,
-                                   tuple(self.pivots), kernel=self.map_back(unit))
-            i, l = off
-            y = [0] * n
-            y[i] = 1
-            y[l] = -1 if a[i][l] > 0 else 1
-            return FormVerdict(FormClass.INDEFINITE, tuple(self.pivots),
-                               negative_witness=self.map_back(y))
-        self.swap(k, j)
-        if a[k][k] < 0:
-            return FormVerdict(FormClass.INDEFINITE, tuple(self.pivots),
-                               negative_witness=self.map_back(unit))
-        return None
-
-
-def classify_form(m: SymMatrix, eps: Optional[float] = None) -> FormVerdict:
-    """Classify a symmetric form by diagonally pivoted congruence elimination.
-
-    The form is scaled to integers by its least common denominator and
-    eliminated fraction-free (symmetric Bareiss), whose entries are the
-    Schur complements times a positive leading minor; the pivots are the
-    ratios of consecutive minors.  The kernel vector satisfies M v = 0, the
-    negative witness v has v'Mv < 0.  Exact input gives an exact verdict.
-    Float input runs on its binary-exact image and gets float pivots and
-    vectors back; an entry of a Schur complement reads as zero there when
-    its magnitude is at most eps * max(1, max |m_ij|) (eps defaults to
-    DEFAULT_EPS and is ignored for exact input).
-    """
-    n = m.order
-    if n == 0:
-        return FormVerdict(FormClass.POSITIVE_DEFINITE)
-    rows, floats = _exact_rows(m.rows)
-    ints, scale = _integer_scale([x for row in rows for x in row])
-    bound = 0
-    if floats:
-        largest = max(abs(float(x)) for row in m.rows for x in row)
-        bound = as_fraction((DEFAULT_EPS if eps is None else eps) * max(1.0, largest))
-    elim = _Congruence([ints[i * n:(i + 1) * n] for i in range(n)], bound * scale)
-    a = elim.a
-    prev = 1
-    for k in range(n):
-        verdict = elim.choose_pivot(k)
-        if verdict is not None:
-            break
-        piv, top = a[k][k], a[k]
-        elim.pivots.append(Fraction(piv, prev * scale))
-        elim.heads.append(piv)
-        for i in range(k + 1, n):
-            row, f = a[i], a[i][k]
-            elim.lower[i][k] = f
-            for l in range(i, n):
-                row[l] = a[l][i] = (row[l] * piv - f * top[l]) // prev
-        prev = piv
-        # the trailing block now holds the Schur complement times prev * scale
-        elim.thresh = bound * prev * scale
-    else:
-        verdict = FormVerdict(FormClass.POSITIVE_DEFINITE, tuple(elim.pivots))
-    if floats:
-        verdict = FormVerdict(verdict.kind, *(None if v is None else tuple(map(_to_float, v))
-                                              for v in (verdict.pivots, verdict.kernel,
-                                                        verdict.negative_witness)))
-    return verdict
-
-
-# --------------------------------------------------------------------------
 # determinants and linear solves
 # --------------------------------------------------------------------------
 
@@ -729,55 +523,6 @@ def det(rows) -> Scalar:
     a, scales = _integer_columns(rows)
     value = Fraction(_eliminate(a, n - 1) * a[-1][-1], math.prod(scales))
     return _to_float(value) if floats else value
-
-
-def _minor_pass(rows, eps: Optional[float] = None) -> tuple:
-    """(minors, a, scales, floats): the pass of `leading_minors` over the
-    n leading rows of `rows`, which may carry more than n columns.
-
-    `a` is the integer copy of the rows with column j multiplied by
-    scales[j], after one unpivoted Bareiss step per nonzero minor: the
-    minors' rows of `a` are then upper triangular, and every further column
-    has been reduced along with them (see `_pass_solution`).  The minors
-    are exact, a float one read as zero being 0; `floats` tells whether
-    the input held a float."""
-    rows, floats = _exact_rows(rows)
-    tol = DEFAULT_EPS if eps is None else eps
-    a, scales = _integer_columns(rows)
-    minors, prev, den = [], 1, 1
-    for k in range(len(rows)):
-        den *= scales[k]
-        minor = Fraction(a[k][k], den)
-        if floats and abs(minor) <= (as_fraction(tol * max(1.0, abs(float(rows[k][k]))))
-                                     * abs(minors[-1] if minors else 1)):
-            minor = Fraction(0)
-        minors.append(minor)
-        if minor == 0:
-            break
-        _bareiss_step(a, k, prev)
-        prev = a[k][k]
-    return minors, a, scales, floats
-
-
-def leading_minors(rows, eps: Optional[float] = None) -> list:
-    """Leading principal minors of orders 1, 2, ... of a square matrix, up to
-    and including the first that vanishes, all from one unpivoted Bareiss
-    pass (the k-th pivot is the k-th minor).  Float input runs on its
-    binary-exact image and gets floats back; there the k-th pivot
-    minor_k / minor_(k-1) reads as zero when its magnitude is at most
-    eps * max(1, |m_kk|)."""
-    minors, _, _, floats = _minor_pass(rows, eps)
-    return [_to_float(x) for x in minors] if floats else minors
-
-
-def _pass_solution(a, scales, r: int) -> list:
-    """x with M_r x = (m_0r, ..., m_(r-1)r), M_r the leading r x r block of
-    the matrix M that `_minor_pass` reduced to `a` with r nonzero minors.
-    Row operations act on column r as on the others, so the reduced rows
-    0..r-1 give x by back substitution alone."""
-    num, den = _solve_upper(a[:r], [row[r] for row in a[:r]])
-    # column j was scaled by scales[j]
-    return [Fraction(v * scales[j], den * scales[r]) for j, v in enumerate(num)]
 
 
 def _solve_integer(a) -> tuple:
@@ -856,3 +601,96 @@ def vandermonde_masses(atoms: Sequence[Scalar], window: Sequence[Scalar]):
     # column j was scaled by q_j^(c-1), the right-hand side by rhs_scale
     out = [Fraction(v * x.denominator ** (c - 1), den * rhs_scale) for v, x in zip(num, fracs)]
     return [_to_float(v) for v in out] if floats else out
+
+
+# --------------------------------------------------------------------------
+# Hankel forms
+# --------------------------------------------------------------------------
+
+class FormClass(Enum):
+    POSITIVE_DEFINITE = "PositiveDefinite"
+    POSITIVE_SEMIDEFINITE_SINGULAR = "PositiveSemidefiniteSingular"
+    INDEFINITE = "Indefinite"
+
+
+def _minor_pass(entries, order: int, eps: Optional[float] = None,
+                scales: Optional[Sequence[float]] = None) -> tuple:
+    """(r, a, scale, bounds, floats): one unpivoted Bareiss pass over the
+    Hankel rows entries[i:i + w], i < order, w = len(entries) - order + 1.
+
+    The entries are multiplied once by their least common denominator
+    `scale`; float input runs on its binary-exact image (`floats` tells).
+    The pass takes one step per positive pivot and stops at the first that
+    is not, r being the number of steps.  By Sylvester's identity
+    a[k][k] = scale^(k+1) D_(k+1) for k <= min(r, order - 1), D_k being the
+    leading minors.  After the r steps rows 0..r-1 are upper triangular and
+    every further column has been reduced along with them (see
+    `_pass_solution`); a[i][j], i, j >= r, is scale * a[r-1][r-1] (scale at
+    r = 0) times entry (i, j) of the Schur complement of the leading r x r
+    block.  Such an entry, a pivot included, reads as zero when its
+    magnitude is at most bounds[i + j]: 0 for exact input; for float input
+    the image of eps * max(1, scales[i + j]) (eps defaults to DEFAULT_EPS),
+    scales[k] being the size of the terms entry k was computed from, by
+    default |entries[k]|."""
+    floats = any(isinstance(x, float) for x in entries)
+    tols = []
+    if floats:
+        tol = DEFAULT_EPS if eps is None else eps
+        tols = [as_fraction(tol * max(1.0, w))
+                for w in (map(abs, entries) if scales is None else scales)]
+        entries = [as_fraction(x) for x in entries]
+    ints, scale = _integer_scale(entries)
+
+    def bound(k: int, prev: int) -> int:
+        if not floats:
+            return 0
+        return tols[k].numerator * scale * prev // tols[k].denominator
+
+    width = len(ints) - order + 1
+    a = [ints[i:i + width] for i in range(order)]
+    r, prev = 0, 1
+    while r < order and a[r][r] > bound(2 * r, prev):
+        _bareiss_step(a, r, prev)
+        prev = a[r][r]
+        r += 1
+    return r, a, scale, [bound(k, prev) for k in range(len(ints))], floats
+
+
+def classify_form(entries, eps: Optional[float] = None, *,
+                  scales: Optional[Sequence[float]] = None) -> FormClass:
+    """Class of the Hankel form (entries[i + j]), 0 <= i, j < order, given
+    its 2 order - 1 entries, from one `_minor_pass`.
+
+    The form is positive definite when every leading minor is positive, and
+    indefinite when one is negative before the first zero one.  Otherwise
+    D_1..D_r > 0 = D_(r+1), and by Curto and Fialkow ("Recursiveness,
+    positivity, and truncated moment problems", Houston J. Math. 17 (1991))
+    the form is positive semidefinite exactly when the Schur complement of
+    its leading r x r block is zero but for a last corner entry >= 0: the
+    recurrence of entries 0..2r-1 generates the rest, and the last entry is
+    at least the value it generates.  The form is then singular.  Float
+    input is read with the zero test of `_minor_pass`; `scales[k]` is the
+    size of the terms entry k was computed from, |entries[k]| by default,
+    and exact input ignores it.
+    """
+    order = (len(entries) + 1) // 2
+    if len(entries) != max(2 * order - 1, 0):
+        raise ShapeError("a Hankel form has an odd number of entries")
+    r, a, _, bounds, _ = _minor_pass(entries, order, eps, scales)
+    if r == order:
+        return FormClass.POSITIVE_DEFINITE
+    block = [(a[i][j], bounds[i + j]) for i in range(r, order) for j in range(i, order)]
+    corner, bound = block.pop()
+    if corner < -bound or any(abs(x) > b for x, b in block):
+        return FormClass.INDEFINITE
+    return FormClass.POSITIVE_SEMIDEFINITE_SINGULAR
+
+
+def _pass_solution(a, r: int) -> list:
+    """x with H_r x = (h_0r, ..., h_(r-1)r), H_r the leading r x r block of
+    the Hankel rows h that `_minor_pass` reduced to `a` in r steps.  Row
+    operations act on column r as on the others, and every column has the
+    same scale, so the reduced rows 0..r-1 give x by back substitution
+    alone."""
+    num, den = _solve_upper(a[:r], [row[r] for row in a[:r]])
+    return [Fraction(v, den) for v in num]

@@ -10,6 +10,13 @@ positivity, and truncated moment problems", Houston J. Math. 1991), which
 `_determinate_poly` decides exactly from the support polynomial of the
 unique measure; that measure is the exact witness of the singular case.
 
+Each Hankel form is given by its entries, and `numeric.classify_form`
+decides it from one unpivoted leading-minor pass.  A float window is read
+with one zero test per form, scaled entry by entry by the size of the window
+terms that entry is computed from (`_term_scales`): where the transforms of
+[a, b] cancel to rounding noise, the noise reads as zero, as the exact
+window's zeros do.
+
 A singular window on [a, b] is determinate too.  On every domain its
 measure and index are read from the same support polynomial
 (`_support_poly`): the atoms are its roots in the domain, and the index is
@@ -35,9 +42,8 @@ from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInput, DomainError, NotAMomentSequence)
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
-from .numeric import (DEFAULT_EPS, FormClass, FormVerdict, Polynomial, Scalar,
-                      _minor_pass, _pass_solution, _to_float, classify_form,
-                      count_roots, hankel)
+from .numeric import (DEFAULT_EPS, FormClass, Polynomial, Scalar, _minor_pass,
+                      _pass_solution, _to_float, classify_form, count_roots)
 
 
 # --------------------------------------------------------------------------
@@ -78,8 +84,6 @@ class PositivityClass(Enum):
 @dataclass(frozen=True)
 class PositivityVerdict:
     kind: PositivityClass
-    #: verdicts for the two criterion forms (PD pivots / kernel vectors)
-    forms: tuple = ()
     #: interval the verdict was decided on (set by classify_compact only)
     interval: Optional[tuple] = None
     #: monic support polynomial of a singular window on the ray or (0, 1]
@@ -105,24 +109,18 @@ def _values(s) -> tuple:
 # --------------------------------------------------------------------------
 
 def compact_criterion_matrices(values: Sequence[Scalar], a: Scalar, b: Scalar):
-    """The two Hankel forms whose joint nonnegativity decides positivity on
-    [a, b].  Even length 2m+1: plain H(s, order m+1) and the transform
-    s'_k = (a+b) s_{k+1} - a b s_k - s_{k+2}; odd length 2m+2: the transforms
-    s~_k = s_{k+1} - a s_k and s~'_k = b s_k - s_{k+1}."""
+    """The entries of the two Hankel forms whose joint nonnegativity decides
+    positivity on [a, b] (see `numeric.classify_form`).  Even length 2m+1:
+    s itself and the transform s'_k = (a+b) s_{k+1} - a b s_k - s_{k+2};
+    odd length 2m+2: the transforms s~_k = s_{k+1} - a s_k and
+    s~'_k = b s_k - s_{k+1}."""
     n = len(values) - 1
     if n < 0:
         raise DomainError("empty sequence")
     if n % 2 == 0:
-        m = n // 2
-        h1 = hankel(values, 0, m + 1)
-        h2 = hankel(interior_moments(values, a, b), 0, m)
-    else:
-        m = (n - 1) // 2
-        low = [values[k + 1] - a * values[k] for k in range(n)]
-        high = [b * values[k] - values[k + 1] for k in range(n)]
-        h1 = hankel(low, 0, m + 1)
-        h2 = hankel(high, 0, m + 1)
-    return h1, h2
+        return list(values), interior_moments(values, a, b)
+    return ([values[k + 1] - a * values[k] for k in range(n)],
+            [b * values[k] - values[k + 1] for k in range(n)])
 
 
 def interior_moments(values: Sequence[Scalar], a: Scalar, b: Scalar) -> list:
@@ -131,13 +129,32 @@ def interior_moments(values: Sequence[Scalar], a: Scalar, b: Scalar) -> list:
             for k in range(len(values) - 2)]
 
 
-def _combine(f1: FormVerdict, f2: FormVerdict, interval=None) -> PositivityVerdict:
-    forms = (f1, f2)
-    if not (f1.is_psd and f2.is_psd):
-        return PositivityVerdict(PositivityClass.NOT_POSITIVE, forms, interval)
-    if f1.kind is FormClass.POSITIVE_DEFINITE and f2.kind is FormClass.POSITIVE_DEFINITE:
-        return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE, forms, interval)
-    return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, forms, interval)
+def _term_scales(values, a: Scalar, b: Scalar) -> tuple:
+    """For each form of `compact_criterion_matrices` of a float window, the
+    size of the terms each entry is computed from: |s_k| for H(s),
+    |s_(k+1)| + |a| |s_k| and |b| |s_k| + |s_(k+1)| for the odd-n
+    transforms, |a+b| |s_(k+1)| + |ab| |s_k| + |s_(k+2)| for
+    `interior_moments`.  Where a form is singular its entries cancel to
+    rounding noise, so its zero test is read relative to these terms and
+    not to the entries themselves.  None stands for the default |entries|
+    (H(s), and every form of an exact window)."""
+    if not any(isinstance(v, float) for v in values):
+        return None, None
+    s, a, b = [abs(float(v)) for v in values], float(a), float(b)
+    n = len(s) - 1
+    if n % 2 == 0:
+        return None, [abs(a + b) * s[k + 1] + abs(a * b) * s[k] + s[k + 2]
+                      for k in range(n - 1)]
+    return ([s[k + 1] + abs(a) * s[k] for k in range(n)],
+            [abs(b) * s[k] + s[k + 1] for k in range(n)])
+
+
+def _combine(f1: FormClass, f2: FormClass, interval=None) -> PositivityVerdict:
+    if FormClass.INDEFINITE in (f1, f2):
+        return PositivityVerdict(PositivityClass.NOT_POSITIVE, interval)
+    if f1 is f2 is FormClass.POSITIVE_DEFINITE:
+        return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE, interval)
+    return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, interval)
 
 
 def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> PositivityVerdict:
@@ -148,13 +165,15 @@ def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> Po
         raise DomainError("compact interval needs a < b")
     values = _values(s)
     h1, h2 = compact_criterion_matrices(values, a, b)
-    return _combine(classify_form(h1, eps), classify_form(h2, eps), interval=(a, b))
+    w1, w2 = _term_scales(values, a, b)
+    return _combine(classify_form(h1, eps, scales=w1), classify_form(h2, eps, scales=w2),
+                    interval=(a, b))
 
 
 def ray_limit_matrices(values: Sequence[Scalar]):
+    """The entries of H(s) and of H(s shifted by one), largest orders."""
     n = len(values) - 1
-    return (hankel(values, 0, n // 2 + 1),
-            hankel(values, 1, (n + 1) // 2))
+    return list(values[:n // 2 * 2 + 1]), list(values[1:(n + 1) // 2 * 2])
 
 
 def half_open_limit_matrices(values: Sequence[Scalar]):
@@ -170,7 +189,7 @@ def _nonneg_check(values, eps):
 
 def _reads_zero(x: Scalar, scale, eps: Optional[float]) -> bool:
     """x == 0 for exact x; for a float, |x| <= eps * max(1, scale), the zero
-    test of the floating form classification."""
+    test of the pass over a Hankel form."""
     if not isinstance(x, float):
         return x == 0
     return abs(x) <= (DEFAULT_EPS if eps is None else eps) * max(1.0, scale)
@@ -193,11 +212,9 @@ def _support_poly(values, ends: tuple, eps: Optional[float] = None) -> Optional[
     support polynomial of the window `interior_moments` of the other atoms.
     """
     n = len(values) - 1
-    width = n // 2 + 1 + n % 2
-    minors, a, scales, floats = _minor_pass(
-        [values[i:i + width] for i in range(n // 2 + 1)], eps)
-    r = len(minors) - 1 if minors[-1] == 0 else len(minors)
-    if any(d < 0 for d in minors):
+    order = n // 2 + 1
+    r, a, _, bounds, floats = _minor_pass(values, order, eps)
+    if r < order and a[r][r] < -bounds[2 * r]:
         return None
     if 2 * r > n + 1:
         if len(ends) < 2 or n < 2:
@@ -208,7 +225,7 @@ def _support_poly(values, ends: tuple, eps: Optional[float] = None) -> Optional[
     if r == 0:
         top = max(abs(v) for v in values)
         return Polynomial([1]) if all(_reads_zero(v, top, eps) for v in values) else None
-    coeffs = [-x for x in _pass_solution(a, scales, r)] + [Fraction(1)]
+    coeffs = [-x for x in _pass_solution(a, r)] + [Fraction(1)]
     return Polynomial([_to_float(x) for x in coeffs] if floats else coeffs)
 
 
@@ -250,14 +267,16 @@ def _determinate_poly(values, domain: Domain,
     return p
 
 
-def _classify_limit(values, matrices, domain, eps) -> PositivityVerdict:
-    forms = (classify_form(matrices[0], eps), classify_form(matrices[1], eps))
-    if all(f.kind is FormClass.POSITIVE_DEFINITE for f in forms):
-        return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE, forms)
+def _classify_limit(values, forms, scales, domain, eps) -> PositivityVerdict:
+    """Strict when both limit forms are positive definite, else decided by
+    `_determinate_poly`."""
+    if all(classify_form(f, eps, scales=w) is FormClass.POSITIVE_DEFINITE
+           for f, w in zip(forms, scales)):
+        return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE)
     support = _determinate_poly(values, domain, eps)
     if support is None:
-        return PositivityVerdict(PositivityClass.NOT_POSITIVE, forms)
-    return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, forms, support=support)
+        return PositivityVerdict(PositivityClass.NOT_POSITIVE)
+    return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, support=support)
 
 
 def classify_ray(s, eps: Optional[float] = None) -> PositivityVerdict:
@@ -266,7 +285,7 @@ def classify_ray(s, eps: Optional[float] = None) -> PositivityVerdict:
     positive or not by the exact determinacy test `_determinate_poly`."""
     values = _values(s)
     _nonneg_check(values, eps)
-    return _classify_limit(values, ray_limit_matrices(values), Ray(), eps)
+    return _classify_limit(values, ray_limit_matrices(values), (None, None), Ray(), eps)
 
 
 def classify_half_open(s, eps: Optional[float] = None) -> PositivityVerdict:
@@ -275,7 +294,8 @@ def classify_half_open(s, eps: Optional[float] = None) -> PositivityVerdict:
     positive or not by the exact determinacy test `_determinate_poly`."""
     values = _values(s)
     _nonneg_check(values, eps)
-    return _classify_limit(values, half_open_limit_matrices(values), HalfOpen(), eps)
+    return _classify_limit(values, half_open_limit_matrices(values), _term_scales(values, 0, 1),
+                           HalfOpen(), eps)
 
 
 def classify(s, domain: Domain, eps: Optional[float] = None) -> PositivityVerdict:
@@ -322,7 +342,9 @@ def _compact_support_poly(values, a: Scalar, b: Scalar) -> Polynomial:
 
 def _singular_poly(values, ends: tuple, eps: Optional[float] = None) -> Polynomial:
     """`_support_poly` of a window its forms classify as singular; raises for
-    a float window whose leading minors, scaled otherwise, read it regular."""
+    a float window that `_support_poly` does not read as singular, since it
+    passes over H(s) or the interior window, not over the forms that
+    classified it."""
     poly = _support_poly(values, ends, eps)
     if poly is None:
         raise DegenerateInput("the leading minors do not read the float window as singular")

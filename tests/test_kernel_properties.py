@@ -1,8 +1,9 @@
 """Property tests of the exact kernel against sympy.
 
-Form classification is compared with the inertia read off sympy's exact
-characteristic polynomial (Descartes' rule of signs is exact for the
-real-rooted characteristic polynomial of a symmetric matrix); root isolation
+Hankel form classification is compared with the inertia read off sympy's
+exact characteristic polynomial (Descartes' rule of signs is exact for the
+real-rooted characteristic polynomial of a symmetric matrix), the leading
+minors of its pass and general determinants with sympy's; root isolation
 with sympy's exact real-root isolation.  Singular positivity on the ray and
 on (0, 1] is checked against planted measures with extreme atoms, singular
 recovery and index on [a, b] against planted measures with endpoint atoms.
@@ -11,7 +12,6 @@ leading-minor pass are checked against the general solve and the
 bordered-Hankel determinant they replace.
 """
 
-import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -23,8 +23,8 @@ from momentkit.backward import forced_value
 from momentkit.extremal import reciprocal_inf_half_open, reciprocal_inf_ray
 from momentkit.measure import AtomicMeasure, moments
 from momentkit.errors import DegenerateInput
-from momentkit.numeric import (FormClass, Polynomial, SymMatrix, classify_form,
-                               count_roots, det, leading_minors, real_roots,
+from momentkit.numeric import (FormClass, Polynomial, _minor_pass, classify_form,
+                               count_roots, det, real_roots,
                                root_precision, solve_linear, vandermonde_masses)
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _ends,
                                   _support_poly, classify, classify_compact, index,
@@ -61,12 +61,31 @@ def forms(draw):
             for i in range(n)]
 
 
-@given(forms())
-def test_classify_form_matches_sympy_inertia(rows):
-    n = len(rows)
-    m = SymMatrix(rows)
-    verdict = classify_form(m)
-    exact = sympy.Matrix([[_sym(x) for x in row] for row in rows])
+POSITIVE = st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8)
+
+
+@st.composite
+def hankel_windows(draw):
+    """Entries s_0..s_(2n-2), n <= 5, of a planted measure of 0-4 atoms;
+    some minus a rank-one Hankel term w x^k, some with one entry moved by
+    +-1/den."""
+    n = draw(st.integers(1, 5))
+    atoms = draw(st.lists(st.tuples(SMALL, POSITIVE), max_size=4))
+    entries = [sum((m * x ** k for x, m in atoms), F(0)) for k in range(2 * n - 1)]
+    change = draw(st.sampled_from(("none", "rank-one", "entry")))
+    if change == "rank-one":
+        w, x = draw(POSITIVE), draw(SMALL)
+        entries = [e - w * x ** k for k, e in enumerate(entries)]
+    elif change == "entry":
+        k = draw(st.integers(0, 2 * n - 2))
+        entries[k] += draw(st.sampled_from((-1, 1))) * F(1, draw(st.integers(1, 9)))
+    return entries
+
+
+@given(hankel_windows(), forms())
+def test_classify_form_matches_sympy_inertia(entries, rows):
+    n = (len(entries) + 1) // 2
+    exact = sympy.Matrix(n, n, lambda i, j: _sym(entries[i + j]))
     coeffs = exact.charpoly().all_coeffs()               # highest degree first
     negative = _variations([c * (-1) ** k for k, c in enumerate(reversed(coeffs))])
     zero = next(k for k, c in enumerate(reversed(coeffs)) if c != 0)
@@ -76,29 +95,16 @@ def test_classify_form_matches_sympy_inertia(rows):
         want = FormClass.POSITIVE_SEMIDEFINITE_SINGULAR
     else:
         want = FormClass.POSITIVE_DEFINITE
-    assert verdict.kind is want
+    assert classify_form(entries) is want
 
-    if want is FormClass.POSITIVE_SEMIDEFINITE_SINGULAR:
-        v = verdict.kernel
-        assert any(v) and all(
-            sum((rows[i][j] * v[j] for j in range(n)), F(0)) == 0 for i in range(n))
-    if want is FormClass.INDEFINITE:
-        assert m.quadratic_form(verdict.negative_witness) < 0
-
-    # the pivots are ratios of nested principal minors: every prefix product
-    # is a principal minor of that order, the full product the determinant
-    assert all(p > 0 for p in verdict.pivots)
-    products = list(itertools.accumulate(verdict.pivots, lambda a, b: a * b))
-    for k, product in enumerate(products, start=1):
-        assert product in {det([[rows[i][j] for j in s] for i in s])
-                           for s in itertools.combinations(range(n), k)}
-    full_det = exact.det()
-    assert det(rows) == full_det
-    if want is FormClass.POSITIVE_DEFINITE:
-        assert products[-1] == full_det
-    minors = leading_minors(rows)
+    # the pass's pivots are scale^k times the leading minors: positive for
+    # its r steps, then the first that is not
+    r, a, scale, _, _ = _minor_pass(entries, n)
+    minors = [F(a[k][k], scale ** (k + 1)) for k in range(min(r + 1, n))]
     assert minors == [exact[:k, :k].det() for k in range(1, len(minors) + 1)]
-    assert minors[-1] == 0 or len(minors) == n
+    assert all(d > 0 for d in minors[:r]) and (r == n or minors[r] <= 0)
+
+    assert det(rows) == sympy.Matrix([[_sym(x) for x in row] for row in rows]).det()
 
 
 EXTREME = st.builds(lambda m, e: F(m) * F(2) ** e,

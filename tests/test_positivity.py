@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -12,7 +13,8 @@ from momentkit.errors import DegenerateInput, DomainError, NotAMomentSequence
 from momentkit.measure import moments
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray,
                                   classify, classify_compact, classify_half_open,
-                                  classify_ray, index, recover_minimal_measure)
+                                  classify_ray, compact_criterion_matrices, index,
+                                  ray_limit_matrices, recover_minimal_measure)
 from conftest import random_half_open_measure, random_rational_measure
 
 S = PositivityClass.STRICTLY_POSITIVE
@@ -35,6 +37,17 @@ def test_classify_ray_examples():
     assert classify_ray([2, 3, 5, 9]).kind is S
     assert classify_ray([1, 1, 1]).kind is G
     assert classify_ray([1, 2, 3]).kind is N
+
+
+def test_criterion_forms_are_hankel_entries():
+    s = [1, 2, 3, 4, 5, 6]
+    assert ray_limit_matrices(s) == ([1, 2, 3, 4, 5], [2, 3, 4, 5, 6])
+    assert ray_limit_matrices(s[:5]) == ([1, 2, 3, 4, 5], [2, 3, 4])
+    assert ray_limit_matrices([7]) == ([7], [])
+    # (a+b) s_(k+1) - ab s_k - s_(k+2), and s_(k+1) - a s_k, b s_k - s_(k+1)
+    assert compact_criterion_matrices(s[:5], 1, 2) == ([1, 2, 3, 4, 5], [1, 1, 1])
+    assert compact_criterion_matrices(s[:4], 1, 2) == ([1, 1, 1], [0, 1, 2])
+    assert compact_criterion_matrices([7], 1, 2) == ([7], [])
 
 
 def test_classify_ray_negative_entry():
@@ -256,15 +269,47 @@ def test_float_clustered_endpoint_window():
 
 def test_float_window_singular_by_its_forms_only():
     # strictly positive, but singular to within 1e-9 of its largest Hankel
-    # entry, while each leading pivot clears 1e-9 of its own diagonal entry:
-    # the two zero tests disagree, and that is a package error, not a crash
+    # entry: each zero test is scaled by the entry it belongs to, so every
+    # form reads definite, as the exact window does
     window = [21 / 4, 803 / 20, 30777 / 100, 1182203 / 500, 45504417 / 2500]
     domain = Compact(F(1, 2), 8)
-    assert classify(window, domain).kind is G
-    with pytest.raises(DegenerateInput):
-        index(window, domain)
+    exact = [F(21, 4), F(803, 20), F(30777, 100), F(1182203, 500), F(45504417, 2500)]
+    assert classify(exact, domain).kind is classify(window, domain).kind is S
+    assert index(window, domain) == index(exact, domain) == F(5, 2)
     with pytest.raises(DegenerateInput):
         recover_minimal_measure(window, domain)
+
+
+def test_float_endpoint_atoms_far_apart():
+    # 18 delta_(10/3) + 17 delta_(103/3): the transforms of the float moments
+    # cancel to rounding noise, which reads as zero relative to the terms
+    # they are computed from
+    a, b = F(10, 3), F(103, 3)
+    domain = Compact(a, b)
+    for n in (4, 5, 6):
+        window = [18 * float(a) ** k + 17 * float(b) ** k for k in range(n + 1)]
+        assert classify(window, domain).kind is G
+        assert index(window, domain) == 1
+        mu = recover_minimal_measure(window, domain)
+        assert len(mu.atoms) == 2
+        for (x, m), (px, pm) in zip(mu.atoms, [(a, 18), (b, 17)]):
+            assert abs(x - px) <= 1e-9 * px and abs(m - pm) <= 1e-9 * pm
+
+
+def test_float_integer_windows_match_exact():
+    # the float image of an integer window is exact, so its verdict and
+    # index are the exact ones: every window of length <= 5 with entries
+    # 0..3, on each kind of domain
+    domains = [Ray(), HalfOpen(), Compact(F(1, 2), 8), Compact(1, 3)]
+
+    def result(window, domain):
+        verdict = classify(window, domain)
+        return verdict.kind, (index(window, domain) if verdict.is_positive else None)
+
+    for length in range(1, 6):
+        for window in itertools.product(range(4), repeat=length):
+            for domain in domains:
+                assert result(list(window), domain) == result([float(x) for x in window], domain)
 
 
 def test_float_singular_classification_imports_no_numpy():
