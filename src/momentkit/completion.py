@@ -28,14 +28,14 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .alternating import CAMeasure, has_ca_extension
-from .backward import forced_value
+from .extremal import _reciprocal_inf, _schur_quadratic, _schur_threshold
 from .errors import (BadIndex, DegenerateInput, MomentKitError, PreconditionError,
                      Unsupported)
 from .measure import (AtomicMeasure, MomentRecurrence, MomentSequence,
                       RecurrentCAMeasure, tilt)
 from .numeric import Scalar, format_scalar
-from .positivity import (HalfOpen, PositivityClass, Ray, _support_measure, classify_half_open,
-                         classify_ray)
+from .positivity import (HalfOpen, PositivityClass, Ray, _support_measure, _values,
+                         classify_half_open, classify_ray)
 from .principal import atom_polynomial, root_bound
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
                    MeasureTail, PartialWeights, verify_che_certificate,
@@ -120,14 +120,18 @@ class _DomainOps:
 
     def threshold(self, seq) -> Scalar:
         """Strict-slot threshold for prepending: the reciprocal infimum,
-        exact for exact input."""
-        from .extremal import reciprocal_inf_half_open, reciprocal_inf_ray
-        if isinstance(self.domain, Ray):
-            return reciprocal_inf_ray(seq)
-        return reciprocal_inf_half_open(seq)
+        exact for exact input.  The search's windows are strictly positive
+        by construction, so it is read from one Schur complement, unless
+        its pass shows otherwise and the window is classified."""
+        value = _schur_threshold(seq, self.domain)
+        if value is None:
+            return _reciprocal_inf(_values(seq), self.classify(seq), self.domain)
+        return value
 
     def forced(self, seq, big_n):
-        return forced_value(list(seq[:big_n + 1]), self.domain)
+        """The value that makes the slot singular: the threshold of the
+        next 2K entries (`backward.forced_value`)."""
+        return self.threshold(seq[:big_n + 1])
 
 
 _RAY_OPS = _DomainOps(Ray(), classify_ray)
@@ -155,17 +159,23 @@ def _within_band(lower, target) -> bool:
     return floats and abs(lower - target) <= UNKNOWN_BAND * max(1.0, abs(float(target)))
 
 
-def _quadratic(fn, theta):
-    """(a, b, c) with fn(theta + u) = a u^2 + b u + c, read from u = 1, 2, 3.
-    A next-level value (threshold or forced value) is the Schur complement
-    of the Hankel corner that bounds it; the value x prepended here sits only
-    in its border, so it is exactly convex quadratic in x (Curto-Fialkow)."""
-    q1, q2, q3 = (fn(theta + u) for u in (1, 2, 3))
-    a = (q1 - 2 * q2 + q3) / 2
+def _quadratic(ops: _DomainOps, rest, theta):
+    """(a, b, c) with next(theta + u) = a u^2 + b u + c, next(x) being the
+    threshold of (x,) + rest: a free slot's threshold at the next level
+    (rest the whole window), or a forced slot's value (rest its first
+    2K - 1 entries).  That value is the Schur complement of the Hankel
+    corner that bounds it, and x sits only in the corner's border, so it is
+    exactly convex quadratic in x (Curto-Fialkow): one pass over the corner
+    gives the coefficients (`extremal._schur_quadratic`).  When the corner's
+    M is not positive definite, no (x,) + rest is strictly positive."""
+    coeffs = _schur_quadratic(rest, ops.domain)
+    if coeffs is None:
+        raise DegenerateInput("next-level window is not strictly positive")
+    a, b, c = coeffs
+    b, c = 2 * a * theta + b, (a * theta + b) * theta + c
     if not a > 0:
         raise DegenerateInput("next-level value is not strictly convex")
-    b = q2 - q1 - 3 * a
-    return a, b, q1 - a - b
+    return a, b, c
 
 
 def _sqrt_below(value):
@@ -250,13 +260,10 @@ def _split_level(problem: _LevelProblem, seqs, forced_vals, thresholds, residual
     target = problem.targets[nxt]
     free_next = [_slot_is_free(problem.big_ns[c], problem.p_top, nxt) for c in thresholds]
 
-    def next_value(c, x, free):
-        ext = (x,) + tuple(seqs[c])
-        return ops.threshold(ext) if free else ops.forced(ext, problem.big_ns[c])
-
-    fixed = {c: next_value(c, v, False) for c, v in forced_vals.items()}
+    fixed = {c: ops.forced((v,) + tuple(seqs[c]), problem.big_ns[c])
+             for c, v in forced_vals.items()}
     split = _Split([masses[c] for c in thresholds],
-                   [_quadratic(lambda x: next_value(c, x, f), theta)
+                   [_quadratic(ops, seqs[c] if f else seqs[c][:problem.big_ns[c]], theta)
                     for (c, theta), f in zip(thresholds.items(), free_next)],
                    sum(masses[c] * v for c, v in fixed.items()))
     u = split.water_fill(residual)

@@ -16,6 +16,17 @@ infimum is exact in both parities: attained by the minimal measure for odd
 top degree, and for even top degree equal to the value of the odd prefix
 (dropping the top moment) without being attained.  On (0, 1] the infimum is
 exact in both parities.
+
+The infimum of a strictly positive window needs no measure.  It is the
+least value y that keeps y, s_0, s_1, ... positive, and y sits only in the
+corner of the Hankel form that bounds it, so it is the Schur complement
+y* = base + b^T M^-1 b of that corner (`_schur_threshold`), read from one
+leading-minor pass.  A value prepended one level earlier sits only in the
+border b over the same M, so the infimum is an exact quadratic in it
+(`_schur_quadratic`), read from the same kind of pass.  Polynomials are
+used only where a measure is wanted: the principal measures on [a, b],
+whose values come from the identity above, and the unique measure of a
+singular window, whose support polynomial gives its reciprocal moment.
 """
 
 from __future__ import annotations
@@ -27,10 +38,10 @@ from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure, MomentRecurrence
-from .numeric import Polynomial, Scalar
+from .numeric import Polynomial, Scalar, _minor_pass, _to_float, as_fraction
 from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _values,
                          classify_compact, classify_half_open, classify_ray)
-from .principal import PrincipalKind, atom_polynomial, measure_from_poly, principal_polynomial
+from .principal import PrincipalKind, measure_from_poly, principal_polynomial
 
 @dataclass(frozen=True)
 class ExtremalBounds:
@@ -107,19 +118,92 @@ def _singular_reciprocal(poly: Polynomial, values) -> Scalar:
     return MomentRecurrence(poly, 0, list(values)).moment(-1)
 
 
+def _slot_pass(window, domain) -> Optional[tuple]:
+    """(m, a, scale, base, floats): the Hankel form that holds a value y
+    prepended to `window`, on the ray or on (0, 1], eliminated by one
+    `_minor_pass` with the slot of y as its last corner.
+
+    The form has entries e_0..e_2m, m = len(window) // 2, with y - base in
+    e_0, which is set to 0 here: (0, s_0, ..., s_(2m-1)) on the ray and for
+    an even window on (0, 1], and (0, s_0 - s_1, ..., s_(2m-1) - s_(2m))
+    with base s_0 for an odd window on (0, 1].  An odd-length window on the
+    ray leaves its top moment out: its infimum is that of the prefix.  The
+    form is [[e_0, b^T], [b, M]] with b = (e_1, ..., e_m) and
+    M = (e_(i+j)), 1 <= i, j <= m, one of the window's two limit forms
+    (`positivity.ray_limit_matrices`, `half_open_limit_matrices`).
+    Reversed, the entries are again a Hankel form, with the slot as its
+    last corner, so the pass reduces M (in reverse order) first.  It takes
+    exactly m steps when M is positive definite, since its last pivot is
+    then scale * a[m-1][m-1] * (-b^T M^-1 b) <= 0; otherwise it returns
+    None.  Float input runs on its binary-exact image (`floats` tells), so
+    M is exactly the form that classified the window: a strict verdict
+    always lets the pass reach the corner."""
+    m = len(window) // 2
+    if isinstance(domain, HalfOpen) and len(window) % 2 == 1:
+        tail, base = [window[k] - window[k + 1] for k in range(2 * m)], window[0]
+    else:
+        tail, base = list(window[:2 * m]), 0
+    floats = any(isinstance(v, float) for v in window)
+    if floats:  # the differences as `interior_moments` rounds them
+        tail, base = [as_fraction(v) for v in tail], as_fraction(base)
+    r, a, scale, _, _ = _minor_pass(tail[::-1] + [0], m + 1)
+    return (m, a, scale, base, floats) if r == m else None
+
+
+def _schur_threshold(window, domain) -> Optional[Scalar]:
+    """Reciprocal infimum of a strictly positive window on the ray or on
+    (0, 1]: the least y for which y, s_0, s_1, ... keeps its Hankel form
+    positive semidefinite.  y sits only in the corner of that form, so
+    (Curto and Fialkow, Houston J. Math. 17 (1991)) the infimum is the
+    Schur complement
+
+        y* = base + b^T M^-1 b = base - a[m][m] / (scale * a[m-1][m-1])
+
+    of `_slot_pass`, whose pivots are scale^k times the leading minors; a
+    single moment gives y* = base.  None when M is not positive definite,
+    which shows that the window is not strictly positive."""
+    got = _slot_pass(window, domain)
+    if got is None:
+        return None
+    m, a, scale, base, floats = got
+    value = base - Fraction(a[m][m], scale * (a[m - 1][m - 1] if m else 1))
+    return _to_float(value) if floats else value
+
+
+def _schur_quadratic(rest, domain) -> Optional[tuple]:
+    """(a, b, c) with _schur_threshold((x,) + rest) = a x^2 + b x + c, for a
+    nonempty strictly positive `rest`; None when its M is not positive
+    definite.  x enters only the first entry of the border, b = x f + u
+    with f the first unit vector (e_1 = x, or x - s_0 for an odd window on
+    (0, 1], whose base is x), over an M that does not hold x.  So the
+    infimum is (M^-1)_00 x^2 + 2 f^T M^-1 u x + u^T M^-1 u, plus x for an
+    odd window on (0, 1], and one `_slot_pass` at x = 0 gives all three:
+    (M^-1)_00 = D_(m-1) / D_m from two pivots, f^T M^-1 u from the last
+    row that the pass reduced (M is in reverse order there) and
+    u^T M^-1 u from the corner."""
+    got = _slot_pass((0,) + tuple(rest), domain)
+    if got is None:
+        return None
+    m, a, scale, _, floats = got
+    pivot = a[m - 1][m - 1]
+    quad = (Fraction(scale * (a[m - 2][m - 2] if m > 1 else 1), pivot),
+            Fraction(2 * a[m - 1][m], pivot)
+            + int(isinstance(domain, HalfOpen) and len(rest) % 2 == 0),
+            Fraction(-a[m][m], scale * pivot))
+    return tuple(map(_to_float, quad)) if floats else quad
+
+
 def _reciprocal_inf(values, verdict: PositivityVerdict, domain) -> Scalar:
     """Reciprocal infimum on the ray or on (0, 1] of a window whose verdict
-    on that domain is `verdict` (see `reciprocal_inf_ray`)."""
+    on that domain is `verdict` (see `reciprocal_inf_ray`): a singular
+    window's from its support polynomial, a strict one's as the Schur
+    complement `_schur_threshold`."""
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         where = "(0, inf)" if isinstance(domain, Ray) else "(0, 1]"
         raise NotStrictlyPositive(f"sequence is not positive on {where}")
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
         return _singular_reciprocal(verdict.support, values)
-    if isinstance(domain, Ray) and len(values) % 2 == 1:
-        values = values[:-1]  # even top degree: the odd prefix's value
-        if not values:
-            return Fraction(0)
-    return reciprocal_value_from_poly(atom_polynomial(values, domain), values)
+    return _schur_threshold(values, domain)  # M was found positive definite
 
 
 def reciprocal_inf_ray(s) -> Scalar:

@@ -625,9 +625,12 @@ def _minor_pass(entries, order: int, eps: Optional[float] = None,
     a[k][k] = scale^(k+1) D_(k+1) for k <= min(r, order - 1), D_k being the
     leading minors.  After the r steps rows 0..r-1 are upper triangular and
     every further column has been reduced along with them (see
-    `_pass_solution`); a[i][j], i, j >= r, is scale * a[r-1][r-1] (scale at
-    r = 0) times entry (i, j) of the Schur complement of the leading r x r
-    block.  Such an entry, a pivot included, reads as zero when its
+    `_pass_solution`); a[i][j], r <= i <= j, is scale * a[r-1][r-1] (scale
+    at r = 0) times entry (i, j) of the Schur complement of the leading
+    r x r block.  That block stays symmetric, so a step reduces row i only
+    from column i on, with a[k][i] as the multiplier of a[i][k]: entries
+    below the diagonal are left as they were and are never read.  A Schur
+    complement entry, a pivot included, reads as zero when its
     magnitude is at most bounds[i + j]: 0 for exact input; for float input
     the image of eps * max(1, scales[i + j]) (eps defaults to DEFAULT_EPS),
     scales[k] being the size of the terms entry k was computed from, by
@@ -650,8 +653,11 @@ def _minor_pass(entries, order: int, eps: Optional[float] = None,
     a = [ints[i:i + width] for i in range(order)]
     r, prev = 0, 1
     while r < order and a[r][r] > bound(2 * r, prev):
-        _bareiss_step(a, r, prev)
-        prev = a[r][r]
+        piv, top = a[r][r], a[r]
+        for i in range(r + 1, order):
+            f = top[i]
+            a[i][i:] = [(x * piv - f * t) // prev for x, t in zip(a[i][i:], top[i:])]
+        prev = piv
         r += 1
     return r, a, scale, [bound(k, prev) for k in range(len(ints))], floats
 

@@ -273,6 +273,14 @@ def _classify_limit(values, forms, scales, domain, eps) -> PositivityVerdict:
     if all(classify_form(f, eps, scales=w) is FormClass.POSITIVE_DEFINITE
            for f, w in zip(forms, scales)):
         return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE)
+    return _determinacy_verdict(values, domain, eps)
+
+
+def _determinacy_verdict(values, domain: Domain,
+                         eps: Optional[float] = None) -> PositivityVerdict:
+    """The verdict on a window whose limit forms are not both positive
+    definite: singularly positive with its support polynomial when
+    `_determinate_poly` finds one, else not positive."""
     support = _determinate_poly(values, domain, eps)
     if support is None:
         return PositivityVerdict(PositivityClass.NOT_POSITIVE)

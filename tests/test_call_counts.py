@@ -6,11 +6,15 @@ backward extension, the singular index, infimum and measure, and the
 principal measures of the compact extremes are read from work already done.
 The support polynomial itself comes out of the pass that gives the leading
 minors, so it costs no bordered determinant, and the same pass decides every
-Hankel form.  The counts below are the whole cost of each call in the four
+Hankel form.  A strict window's threshold is the Schur complement of the
+corner that holds the prepended slot, read from one more pass; the
+completion search reads each threshold, forced value and level quadratic
+from that pass alone, since its windows are strictly positive by
+construction.  The counts below are the whole cost of each call in the four
 kernel functions, counted through every alias the package modules import.
 The second slot counts that pass, `numeric._minor_pass`, wherever it runs:
-once inside each `classify_form` and once per support polynomial, so it
-counts every elimination of a Hankel form.
+once inside each `classify_form`, once per support polynomial and once per
+threshold, so it counts every elimination of a Hankel form.
 """
 
 import json
@@ -20,8 +24,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import momentkit.completion as completion
 import momentkit.numeric as numeric
-from momentkit.backward import ExtensionClass, classify_backward
+from momentkit.backward import ExtensionClass, classify_backward, forced_value
 from momentkit.cli import run
 from momentkit.extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
                                 reciprocal_inf_ray)
@@ -71,11 +76,37 @@ def test_backward_at_threshold_classifies_each_window_once(calls, mu, domain, in
     calls.clear()
     verdict = classify_backward(window, theta, domain)
     assert verdict.kind is ExtensionClass.SINGULAR and verdict.measure == mu
-    # both base forms and the extension's H(s), which is singular, so its
-    # shifted form is not classified; one bordered polynomial for the
-    # threshold; one determinacy test of the extension, whose minor pass
+    # both base forms; one pass to the corner of the prepended slot for the
+    # threshold; at the threshold that corner's Schur complement is zero, so
+    # the extension goes straight to its determinacy test, whose minor pass
     # gives its support polynomial: 4 eliminations of Hankel forms
-    assert _counts(calls) == (3, 4, 1, 1)
+    assert _counts(calls) == (2, 4, 0, 1)
+
+
+@pytest.mark.parametrize("mu, inf", [(RAY_MU, reciprocal_inf_ray),
+                                     (UNIT_MU, reciprocal_inf_half_open)])
+def test_strict_infimum_is_one_pass_after_classification(calls, mu, inf):
+    assert inf(_window(mu, 3)) == mu.moment(-1)
+    # both limit forms, then the Schur complement of the slot's corner: no
+    # bordered polynomial
+    assert _counts(calls) == (2, 3, 0, 0)
+
+
+@pytest.mark.parametrize("ops, mu", [(completion._RAY_OPS, RAY_MU),
+                                     (completion._HALF_OPS, UNIT_MU)])
+def test_search_reads_each_level_value_from_one_pass(calls, ops, mu):
+    window = tuple(_window(mu, 3))
+    theta = ops.threshold(window)
+    assert _counts(calls) == (0, 1, 0, 0)
+    calls.clear()
+    forced = ops.forced(window, 1)
+    assert _counts(calls) == (0, 1, 0, 0)
+    assert theta == mu.moment(-1) and forced == forced_value(window[:2], ops.domain)
+    for rest in (window, window[:2]):
+        calls.clear()
+        a, b, c = completion._quadratic(ops, rest, theta)
+        assert _counts(calls) == (0, 1, 0, 0)
+        assert a + b + c == ops.threshold((theta + 1,) + rest)
 
 
 def test_compact_extremes_classify_once(calls):

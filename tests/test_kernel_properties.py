@@ -9,7 +9,9 @@ on (0, 1] is checked against planted measures with extreme atoms, singular
 recovery and index on [a, b] against planted measures with endpoint atoms.
 The integer Vandermonde solve and the support polynomial read from the
 leading-minor pass are checked against the general solve and the
-bordered-Hankel determinant they replace.
+bordered-Hankel determinant they replace; the Schur-complement threshold
+and the level quadratic read from one pass against the minimal measure's
+reciprocal value and against exact samples.
 """
 
 from fractions import Fraction as F
@@ -20,7 +22,9 @@ from hypothesis import given, strategies as st
 
 from momentkit.alternating import has_ca_extension
 from momentkit.backward import forced_value
-from momentkit.extremal import reciprocal_inf_half_open, reciprocal_inf_ray
+from momentkit.completion import _HALF_OPS, _RAY_OPS, _quadratic
+from momentkit.extremal import (_schur_threshold, reciprocal_inf_half_open, reciprocal_inf_ray,
+                                reciprocal_value_from_poly)
 from momentkit.measure import AtomicMeasure, moments
 from momentkit.errors import DegenerateInput
 from momentkit.numeric import (FormClass, Polynomial, _minor_pass, classify_form,
@@ -29,7 +33,8 @@ from momentkit.numeric import (FormClass, Polynomial, _minor_pass, classify_form
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _ends,
                                   _support_poly, classify, classify_compact, index,
                                   recover_minimal_measure, recover_support_and_masses)
-from momentkit.principal import atoms_from_poly, bordered_hankel_poly, root_bound
+from momentkit.principal import (atom_polynomial, atoms_from_poly, bordered_hankel_poly,
+                                 root_bound)
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -292,6 +297,59 @@ def test_next_level_value_is_convex_quadratic_in_prepended_value(problem):
     for q in curves:
         second = [q[j + 2] - 2 * q[j + 1] + q[j] for j in range(2)]
         assert second[0] > 0 and second[1] == second[0]
+
+
+@st.composite
+def planted_extreme_strict_windows(draw):
+    """A 1-4 atom measure on the ray or inside (0, 1), some atoms at the
+    extremes of [2^-40, 2^40], seen through a strictly positive window of
+    either parity (length 1..2K)."""
+    half_open = draw(st.booleans())
+    if half_open:
+        atom = st.one_of(st.fractions(min_value=F(1, 16), max_value=F(15, 16),
+                                      max_denominator=16), UNIT_EXTREME)
+    else:
+        atom = st.one_of(st.fractions(min_value=F(1, 8), max_value=24, max_denominator=8),
+                         EXTREME)
+    atoms = sorted(draw(st.sets(atom, min_size=1, max_size=4)))
+    masses = draw(st.lists(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8),
+                           min_size=len(atoms), max_size=len(atoms)))
+    n = draw(st.integers(0, 2 * len(atoms) - 1))
+    mu = AtomicMeasure(list(zip(atoms, masses)))
+    return (HalfOpen() if half_open else Ray()), tuple(moments(mu, 0, n).values)
+
+
+@given(planted_extreme_strict_windows())
+def test_schur_threshold_is_the_minimal_measures_reciprocal_value(problem):
+    """The Schur complement of the slot's corner equals -P(0)/Q(0) of the
+    atom polynomial of the minimal measure -- of the prefix without the top
+    moment for an odd-length window on the ray, 0 for a single moment
+    there."""
+    domain, window = problem
+    values = window[:-1] if isinstance(domain, Ray) and len(window) % 2 == 1 else window
+    want = (reciprocal_value_from_poly(atom_polynomial(values, domain), values)
+            if values else 0)
+    assert _schur_threshold(window, domain) == want
+
+
+@given(planted_extreme_strict_windows(), st.fractions(min_value=F(1, 9), max_value=9,
+                                                      max_denominator=9))
+def test_level_quadratic_matches_three_exact_samples(problem, step):
+    """The coefficients one pass gives equal the quadratic through three
+    exact samples, above the window's threshold, of the next threshold and
+    of each forced value."""
+    domain, window = problem
+    ops = _HALF_OPS if isinstance(domain, HalfOpen) else _RAY_OPS
+    inf = reciprocal_inf_half_open if isinstance(domain, HalfOpen) else reciprocal_inf_ray
+    theta = inf(window)
+    xs = [theta + j * step for j in (1, 2, 3)]
+    lengths = range(2, len(window) + 2, 2 if isinstance(domain, Ray) else 1)
+    cases = [(window, [inf((x,) + window) for x in xs])]
+    cases += [(window[:two_k - 1], [forced_value(((x,) + window)[:two_k], domain) for x in xs])
+              for two_k in lengths]
+    for rest, samples in cases:
+        a, b, c = _quadratic(ops, rest, theta)
+        assert [(a * x + b) * x + c for x in (step, 2 * step, 3 * step)] == samples
 
 
 # --------------------------------------------------------------------------
