@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateInput, DomainError, NotAMomentSequence, ZeroAtomError
 from .measure import AtomicMeasure, ZERO_MEASURE, tilt
-from .numeric import Scalar
-from .positivity import PositivityClass, _singular_poly, _values, classify_compact
-from .principal import PrincipalKind, atoms_from_poly, measure_from_poly, principal_polynomial
+from .numeric import Polynomial, Scalar
+from .positivity import HalfOpen, PositivityClass, _reads_root, _values, classify_compact
+from .principal import atom_polynomial, atoms_from_poly, measure_from_poly
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,8 @@ class CAExtensionVerdict:
     has_extension: bool
     measure: Optional[CAMeasure] = None
     increment_class: Optional[PositivityClass] = None
+    #: polynomial vanishing at the atoms of `measure.positive`, none at 0
+    poly: Optional[Polynomial] = None
 
 
 def _split_pairs(pairs, exact: bool) -> CAMeasure:
@@ -102,36 +104,39 @@ def _split_pairs(pairs, exact: bool) -> CAMeasure:
     return CAMeasure(zero_mass, AtomicMeasure(atoms, exact=exact))
 
 
-def _minimal_zero_free(deltas) -> CAMeasure:
-    """Minimal-index representing measure of a strictly positive increment
-    window on [0, 1], choosing the principal measure that avoids zero."""
-    n = len(deltas) - 1
-    kind = PrincipalKind.LOWER if n % 2 == 1 else PrincipalKind.UPPER
-    poly = principal_polynomial(deltas, Fraction(0), Fraction(1), kind)
-    mu = measure_from_poly(poly, deltas, Fraction(0), Fraction(1))
-    return CAMeasure(0, mu)
-
-
 def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     """Does (c_0, ..., c_n) start a completely alternating sequence?
     On success carries a minimal-index representing measure of the
-    increments (zero-free whenever a zero-free minimal one exists)."""
+    increments (zero-free whenever a zero-free minimal one exists) and the
+    polynomial of its atoms in (0, 1].
+
+    A strictly positive increment window takes its minimal measure on
+    (0, 1], `principal.atom_polynomial`; a singular one its unique measure,
+    from the support polynomial its verdict carries.  A root at 0 is read
+    with the zero test of the index (`positivity._reads_root`), so a float
+    root that rounding moved just inside (0, 1] is put back at 0 and its
+    atom booked as mass at zero."""
     values = _values(c)
     deltas = [values[k + 1] - values[k] for k in range(len(values) - 1)]
     if not deltas:
-        return CAExtensionVerdict(True, ZERO_CA_MEASURE, None)
+        return CAExtensionVerdict(True, ZERO_CA_MEASURE, None, Polynomial([1]))
     if any(d < 0 for d in deltas):
         return CAExtensionVerdict(False, None, PositivityClass.NOT_POSITIVE)
     verdict = classify_compact(deltas, Fraction(0), Fraction(1))
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         return CAExtensionVerdict(False, None, verdict.kind)
-    if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        if not any(deltas):  # a constant sequence: exact even for float input
-            return CAExtensionVerdict(True, ZERO_CA_MEASURE, verdict.kind)
-        zero, one = Fraction(0), Fraction(1)
-        pairs, exact = atoms_from_poly(_singular_poly(deltas, (zero, one)), deltas, zero, one)
-        return CAExtensionVerdict(True, _split_pairs(pairs, exact), verdict.kind)
-    return CAExtensionVerdict(True, _minimal_zero_free(deltas), verdict.kind)
+    if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
+        poly = atom_polynomial(deltas, HalfOpen())
+        mu = measure_from_poly(poly, deltas, Fraction(0), Fraction(1))
+        return CAExtensionVerdict(True, CAMeasure(0, mu), verdict.kind, poly)
+    if not any(deltas):  # a constant sequence: exact even for float input
+        return CAExtensionVerdict(True, ZERO_CA_MEASURE, verdict.kind, Polynomial([1]))
+    support = poly = verdict.support
+    if _reads_root(support, 0):
+        poly = support.shifted_quotient_at_zero()
+        support = poly.mul_linear(0, 1)
+    pairs, exact = atoms_from_poly(support, deltas, Fraction(0), Fraction(1))
+    return CAExtensionVerdict(True, _split_pairs(pairs, exact), verdict.kind, poly)
 
 
 def ca_scale(c: Sequence[Scalar], factor: Scalar):

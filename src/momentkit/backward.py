@@ -22,7 +22,7 @@ from .errors import (ArityError, BadIndex, DomainError, InfeasibleChoice,
                      NotStrictlyPositive, OutOfRange)
 from .measure import AtomicMeasure, MomentSequence, tilt
 from .numeric import Scalar
-from .extremal import _reciprocal_inf
+from .extremal import _reciprocal_inf, reciprocal_inf_half_open, reciprocal_inf_ray
 from .positivity import (HalfOpen, PositivityClass, Ray, _determinacy_verdict,
                          _support_measure, _values, classify_half_open, classify_ray)
 from .principal import atom_polynomial
@@ -43,10 +43,8 @@ class ExtensionVerdict:
 
 def _domain_tools(domain):
     if isinstance(domain, Ray):
-        from .extremal import reciprocal_inf_ray
         return classify_ray, reciprocal_inf_ray
     if isinstance(domain, HalfOpen):
-        from .extremal import reciprocal_inf_half_open
         return classify_half_open, reciprocal_inf_half_open
     raise DomainError("backward extensions live on the ray or on (0, 1]")
 

@@ -710,12 +710,13 @@ def flat_che_completion(pw: PartialWeights) -> SolveOutcome:
         shared = CAMeasure(0, atoms)
     else:
         # enclosure midpoints of irrational atoms: take exact moments from
-        # the increments rho represents, t^k drho = c_{k+1} - c_k, run on by
-        # the recurrence of the atom polynomial rho was built from
-        deltas = [root_seq[k + 1] - root_seq[k] for k in range(len(root_seq) - 1)]
+        # the increments rho represents, t^k drho = c_{k+1} - c_k, past the
+        # mass at zero, which only c_1 - c_0 sees, run on by the recurrence
+        # of the zero-free polynomial of rho's atoms on (0, 1]
+        first = 1 if rho.zero_mass else 0
+        deltas = [root_seq[k + 1] - root_seq[k] for k in range(first, len(root_seq) - 1)]
         shared = RecurrentCAMeasure(MomentRecurrence(
-            atom_polynomial(deltas, HalfOpen()), -kappa - 1,
-            [d / scale for d in deltas], atoms_hint=atoms))
+            verdict.poly, first - kappa - 1, [d / scale for d in deltas], atoms_hint=atoms))
     branches = [FullBranch(cls.first_mass,
                            GeometricSumTail(cls.tail_sq, shared), cls.count)
                 for cls in pw.classes]

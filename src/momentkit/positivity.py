@@ -25,12 +25,13 @@ support polynomial comes from the pass that gives the leading minors of
 H(s): the rank r is read from the minors, and the coefficients from one
 back substitution in the rows that pass has already reduced.
 
-A singular verdict on the ray or on (0, 1] carries that polynomial
-(`PositivityVerdict.support`), since the determinacy test has built it
-already.  `index`, `extremal.reciprocal_inf_*`, `backward.classify_backward`
-and `principal.minimal_measure_half_open` take it from the verdict instead
-of building it again.  A compact verdict leaves it unset: the Hankel forms
-decide [a, b] without it.
+A singular verdict on every domain carries that polynomial
+(`PositivityVerdict.support`): on the ray and on (0, 1] the determinacy test
+has built it already, and on [a, b] it is built once neither form reads
+indefinite and one reads singular.  `index`, `recover_minimal_measure`, `extremal.reciprocal_inf_*`,
+`backward.classify_backward`, `principal.minimal_measure_half_open` and
+`alternating.has_ca_extension` take it from the verdict instead of building
+it again.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class PositivityVerdict:
     kind: PositivityClass
     #: interval the verdict was decided on (set by classify_compact only)
     interval: Optional[tuple] = None
-    #: monic support polynomial of a singular window on the ray or (0, 1]
+    #: monic support polynomial of a singular window (set on every domain)
     support: Optional[Polynomial] = None
 
     @property
@@ -149,25 +150,25 @@ def _term_scales(values, a: Scalar, b: Scalar) -> tuple:
             [abs(b) * s[k] + s[k + 1] for k in range(n)])
 
 
-def _combine(f1: FormClass, f2: FormClass, interval=None) -> PositivityVerdict:
-    if FormClass.INDEFINITE in (f1, f2):
-        return PositivityVerdict(PositivityClass.NOT_POSITIVE, interval)
-    if f1 is f2 is FormClass.POSITIVE_DEFINITE:
-        return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE, interval)
-    return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, interval)
-
-
 def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> PositivityVerdict:
     """Classify a sequence on [a, b].  Accepts a <= 0 as well (the Hankel
     criteria are valid for any a < b); domain objects stay restricted to
-    0 < a < b."""
+    0 < a < b.  A window both forms pass, one of them singularly, carries its
+    `_support_poly`; a float window whose support pass reads a negative pivot
+    or a nonzero window over a zero s_0 instead is not positive."""
     if not a < b:
         raise DomainError("compact interval needs a < b")
     values = _values(s)
-    h1, h2 = compact_criterion_matrices(values, a, b)
-    w1, w2 = _term_scales(values, a, b)
-    return _combine(classify_form(h1, eps, scales=w1), classify_form(h2, eps, scales=w2),
-                    interval=(a, b))
+    forms = [classify_form(h, eps, scales=w)
+             for h, w in zip(compact_criterion_matrices(values, a, b), _term_scales(values, a, b))]
+    if FormClass.INDEFINITE in forms:
+        return PositivityVerdict(PositivityClass.NOT_POSITIVE, (a, b))
+    if forms == [FormClass.POSITIVE_DEFINITE] * 2:
+        return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE, (a, b))
+    support = _support_poly(values, (a, b), eps)
+    if support is None:
+        return PositivityVerdict(PositivityClass.NOT_POSITIVE, (a, b))
+    return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, (a, b), support)
 
 
 def ray_limit_matrices(values: Sequence[Scalar]):
@@ -339,24 +340,13 @@ def _interval(domain: Domain, poly: Polynomial) -> tuple:
 
 def _compact_support_poly(values, a: Scalar, b: Scalar) -> Polynomial:
     """Support polynomial of a singularly positive window on [a, b] (any
-    a < b); the two Hankel forms decide that it is singular."""
-    kind = classify_compact(values, a, b).kind
-    if kind is PositivityClass.NOT_POSITIVE:
+    a < b), read from its verdict."""
+    verdict = classify_compact(values, a, b)
+    if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotAMomentSequence("sequence is not positive on the interval")
-    if kind is PositivityClass.STRICTLY_POSITIVE:
+    if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
         raise DegenerateInput("sequence is strictly positive; nothing to recover")
-    return _singular_poly(values, (a, b))
-
-
-def _singular_poly(values, ends: tuple, eps: Optional[float] = None) -> Polynomial:
-    """`_support_poly` of a window its forms classify as singular; raises for
-    a float window that `_support_poly` does not read as singular, since it
-    passes over H(s) or the interior window, not over the forms that
-    classified it."""
-    poly = _support_poly(values, ends, eps)
-    if poly is None:
-        raise DegenerateInput("the leading minors do not read the float window as singular")
-    return poly
+    return verdict.support
 
 
 def recover_support_and_masses(values, a: Scalar, b: Scalar) -> tuple:
@@ -399,13 +389,17 @@ def recover_minimal_measure(s, domain: Domain) -> AtomicMeasure:
 # index
 # --------------------------------------------------------------------------
 
+def _reads_root(poly: Polynomial, x: Scalar, eps: Optional[float] = None) -> bool:
+    """Whether the end x of a domain is a root of the support polynomial p:
+    p(x) read by `_reads_zero` at the bound sum |c_j| |x|^j of p(x)."""
+    return _reads_zero(poly(x), sum(abs(c * x ** j) for j, c in enumerate(poly.coeffs)), eps)
+
+
 def _singular_index(poly: Polynomial, domain: Domain, eps: Optional[float] = None) -> Fraction:
     """Index of a singularly positive sequence: the degree of its support
     polynomial p, less 1/2 for each endpoint of the domain that is a root
-    of p (read by `_reads_zero` at the bound sum |c_j| |x|^j of p(x))."""
-    ends = _ends(domain)
-    on_ends = sum(_reads_zero(poly(x), sum(abs(c * x ** j) for j, c in enumerate(poly.coeffs)),
-                              eps) for x in ends)
+    of p (`_reads_root`)."""
+    on_ends = sum(_reads_root(poly, x, eps) for x in _ends(domain))
     return Fraction(poly.degree) - Fraction(on_ends, 2)
 
 
@@ -430,8 +424,5 @@ def _verdict_index(values: Sequence[Scalar], verdict: PositivityVerdict, domain:
         if isinstance(domain, Ray):
             return -((n + 1) // -2)  # ceil((n+1)/2)
         return Fraction(n + 1, 2)
-    poly = verdict.support
-    if poly is None:  # a compact verdict does not build it
-        poly = _singular_poly(values, _ends(domain), eps)
-    idx = _singular_index(poly, domain, eps)
+    idx = _singular_index(verdict.support, domain, eps)
     return int(idx) if isinstance(domain, Ray) else idx

@@ -1,8 +1,8 @@
 """Kernel-call budgets: each entry point classifies its window once.
 
-A verdict carries what classification built: on the ray and on (0, 1] a
-singular verdict holds its support polynomial, so the threshold of a
-backward extension, the singular index, infimum and measure, and the
+A verdict carries what classification built: on every domain a singular
+verdict holds its support polynomial, so the threshold of a backward
+extension, the singular index, infimum and measure, and the
 principal measures of the compact extremes are read from work already done.
 The support polynomial itself comes out of the pass that gives the leading
 minors, so it costs no bordered determinant, and the same pass decides every
@@ -31,7 +31,10 @@ from momentkit.cli import run
 from momentkit.extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
                                 reciprocal_inf_ray)
 from momentkit.measure import AtomicMeasure, moments
-from momentkit.positivity import HalfOpen, PositivityClass, Ray, classify, index
+import momentkit.positivity as positivity
+from momentkit.numeric import Polynomial
+from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, classify, index,
+                                  recover_minimal_measure)
 from momentkit.principal import minimal_measure_half_open
 
 KERNEL = ("classify_form", "_minor_pass", "det_poly", "count_roots")
@@ -123,6 +126,29 @@ def test_singular_index_reads_the_verdict_polynomial(calls, mu, domain):
     assert index(window, domain) == 2
     # the pass of the singular H(s) and the one that gives the polynomial
     assert _counts(calls)[1:] == (2, 0, 1)
+
+
+@pytest.mark.parametrize("recover", [index, recover_minimal_measure])
+def test_singular_compact_results_read_the_verdict_polynomial(calls, monkeypatch, recover):
+    mu = AtomicMeasure([(F(3, 2), F(1)), (F(5, 2), F(2, 3))])
+    window, domain = _window(mu, 4), Compact(1, 4)
+    verdict = classify(window, domain)
+    assert verdict.kind is PositivityClass.SINGULARLY_POSITIVE
+    assert verdict.support == Polynomial([F(15, 4), -4, 1])
+    calls.clear()
+    classified = Counter()
+    orig = positivity.classify_compact
+
+    def counted(*args, **kwargs):
+        classified["classify_compact"] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(positivity, "classify_compact", counted)
+    assert recover(window, domain) == (2 if recover is index else mu)
+    # both forms, then the pass that gives the support polynomial, which the
+    # verdict carries: the window is classified once
+    assert classified["classify_compact"] == 1
+    assert _counts(calls) == (2, 3, 0, 0)
 
 
 def test_singular_ray_infimum_reads_the_verdict_polynomial(calls):

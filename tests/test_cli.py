@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -46,6 +48,43 @@ def test_che_float_example(tmp_path):
     atom = payload["certificate"]["root_measure"]["atoms"][0]
     assert abs(float(atom["x"]) - 0.5) < 1e-6
     assert abs(float(atom["m"]) - 1.0) < 1e-6
+
+
+# Flat CHE files whose root increments carry mass at zero.  In float
+# arithmetic the support polynomial of those increments kept a constant of
+# about -2e-17 (the first) or put its root at about 4e-15 inside (0, 1]
+# (the second), and the certificate failed verification.
+FLAT_CHE_ZERO_MASS = [
+    {"kind": "flat-che", "trunk_sq": ["1298/1181", "3543/1855"],
+     "classes": [{"first_sq": f, "tail_sq": ["4475/4394"], "count": 1}
+                 for f in ("338/649", "169/1298", "507/1298")]},
+    {"kind": "flat-che", "trunk_sq": ["373/328", "1968/1265"],
+     "classes": [{"first_sq": f, "tail_sq": ["2081/2000"], "count": 1}
+                 for f in ("1400/4103", "3000/4103")]},
+]
+
+
+@pytest.mark.parametrize("obj", FLAT_CHE_ZERO_MASS)
+def test_float_flat_che_books_the_mass_at_zero(tmp_path, obj):
+    path = _write(tmp_path, "flat.json", obj)
+    exact, code = run(path)
+    assert code == 0
+    flags = argparse.Namespace(float=True, tolerance=1e-9, depth=12, seed=0)
+    payload, code = run(path, flags)
+    assert code == 0 and payload["status"] == "Feasible"
+    want, got = exact["certificate"]["root_measure"], payload["certificate"]["root_measure"]
+    assert abs(float(got["zero_mass"]) - float(F(want["zero_mass"]))) < 1e-12
+    assert len(got["atoms"]) == len(want["atoms"])
+    for a, b in zip(got["atoms"], want["atoms"]):
+        assert abs(float(a["x"]) - float(F(b["x"]))) < 1e-12
+        assert abs(float(a["m"]) - float(F(b["m"]))) < 1e-12
+    # the recurrence runs from the first increment past the mass at zero
+    for measure in payload["certificate"]["measures"]:
+        assert measure["first_index"] == -len(obj["trunk_sq"])
+    verify = _write(tmp_path, "verify.json",
+                    {"kind": "verify", "certificate": payload["certificate"]})
+    checked, code = run(verify, flags)
+    assert code == 0 and checked["valid"]
 
 
 def test_classify_example_exit_code(tmp_path):

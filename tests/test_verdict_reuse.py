@@ -15,7 +15,8 @@ from momentkit.backward import ExtensionClass, classify_backward
 from momentkit.extremal import (compact_reciprocal_values, reciprocal_extremes_compact,
                                 reciprocal_inf_half_open, reciprocal_inf_ray)
 from momentkit.measure import ZERO_MEASURE, AtomicMeasure, moments, tilt
-from momentkit.positivity import (HalfOpen, PositivityClass, Ray, classify, index,
+from momentkit.numeric import Polynomial, root_enclosures, root_precision
+from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, classify, index,
                                   recover_minimal_measure, recover_support_and_masses)
 from momentkit.principal import PrincipalKind, minimal_measure_half_open, principal_compact
 
@@ -129,6 +130,70 @@ def test_ca_extension_matches_recovery_from_scratch(c):
     assert verdict.measure == CAMeasure(
         sum(m for x, m in pairs if x == 0),
         AtomicMeasure([(x, m) for x, m in pairs if x != 0], exact=exact))
+
+
+def _atom_poly(atoms):
+    poly = Polynomial([1])
+    for x in atoms:
+        poly = poly.mul_linear(-x, 1)
+    return poly
+
+
+@st.composite
+def planted_windows(draw):
+    """A planted measure on any domain, its atoms possibly at the ends that
+    belong to the domain, through a window of length >= 2K."""
+    domain = draw(st.sampled_from([Ray(), HalfOpen(), Compact(F(1, 2), F(7, 2))]))
+    if isinstance(domain, Ray):
+        atom = RAY_ATOM
+    elif isinstance(domain, HalfOpen):
+        atom = st.one_of(st.just(F(1)), UNIT_ATOM)
+    else:
+        atom = st.one_of(st.sampled_from([domain.a, domain.b]),
+                         st.builds(lambda u: domain.a + 3 * u, UNIT_ATOM))
+    mu = _measure(draw, atom)
+    n = draw(st.integers(2 * mu.support_size - 1, 2 * mu.support_size + 2))
+    return domain, mu, list(moments(mu, 0, n).values)
+
+
+@given(planted_windows())
+def test_every_singular_verdict_carries_its_support_polynomial(problem):
+    domain, mu, window = problem
+    verdict = classify(window, domain)
+    assert verdict.is_positive
+    if len(window) > 2 * mu.support_size:
+        assert verdict.kind is PositivityClass.SINGULARLY_POSITIVE
+    if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
+        assert verdict.support == _atom_poly(x for x, _ in mu.atoms)
+        assert recover_minimal_measure(window, domain) == mu
+
+
+@st.composite
+def ca_partial_sums(draw):
+    """Partial sums of a planted measure's moments on [0, 1], its atoms
+    possibly at 0 or 1, through a window that leaves the increments strictly
+    or singularly positive."""
+    pairs = _pairs(draw, st.one_of(st.sampled_from([F(0), F(1)]), UNIT_ATOM))
+    n = draw(st.integers(0, 2 * len(pairs) + 2))
+    c = [F(1)]
+    for k in range(n + 1):
+        c.append(c[-1] + sum(m * x ** k for x, m in pairs))
+    return c
+
+
+@given(ca_partial_sums())
+def test_ca_extension_polynomial_vanishes_at_its_atoms(c):
+    verdict = has_ca_extension(c)
+    assert verdict.has_extension
+    positive = verdict.measure.positive
+    assert verdict.poly.degree == positive.support_size and verdict.poly(0) != 0
+    if positive.exact:
+        assert all(verdict.poly(x) == 0 for x, _ in positive.atoms)
+    else:  # enclosure midpoints, each within root_precision() of its root
+        width = root_precision()
+        roots = [e.refine(width) for e in root_enclosures(verdict.poly, 0, 1)]
+        assert len(roots) == positive.support_size
+        assert all(abs(r - x) <= width for r, (x, _) in zip(roots, positive.atoms))
 
 
 def test_zero_window_gives_the_zero_measure():
