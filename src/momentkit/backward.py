@@ -23,8 +23,9 @@ from .errors import (ArityError, BadIndex, DomainError, InfeasibleChoice,
 from .measure import AtomicMeasure, MomentSequence, tilt
 from .numeric import Scalar
 from .extremal import _reciprocal_inf, reciprocal_inf_half_open, reciprocal_inf_ray
-from .positivity import (HalfOpen, PositivityClass, Ray, _determinacy_verdict,
-                         _support_measure, _values, classify_half_open, classify_ray)
+from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
+                         _determinacy_verdict, _limit_window, _support_measure, _values,
+                         classify_half_open, classify_ray)
 from .principal import atom_polynomial
 
 
@@ -51,20 +52,22 @@ def _domain_tools(domain):
 
 def classify_backward(s, x: Scalar, domain=Ray()) -> ExtensionVerdict:
     """Classify the one-step extension (x, s_0, ..., s_n).  The threshold
-    comes from the base window's verdict and a singular extension's measure
-    from the support polynomial its own verdict carries.  At the threshold
+    comes from the pass that decided the base window's form M (see
+    `extremal._classified_inf`) and a singular extension's measure from the
+    support polynomial its own verdict carries.  At the threshold
     the corner of the extension's Hankel form has a zero Schur complement,
     so the extension is not strict and its determinacy test decides it."""
     classify, _ = _domain_tools(domain)
-    values = _values(s)
-    base = classify(values)
+    w = _limit_window(s)
+    base = _classify_limit(w, domain, by_slot=True)
     if base.kind is not PositivityClass.STRICTLY_POSITIVE:
         raise NotStrictlyPositive("base sequence is not strictly positive")
     if x < 0:
         raise DomainError("extension value must be nonnegative")
-    threshold = _reciprocal_inf(values, base, domain)
-    extension = (x,) + values
-    verdict = _determinacy_verdict(extension, domain) if x == threshold else classify(extension)
+    threshold = _reciprocal_inf(w, base, domain)
+    extension = (x,) + w.values
+    verdict = (_determinacy_verdict(_Window.of(extension), domain) if x == threshold
+               else classify(extension))
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
         return ExtensionVerdict(ExtensionClass.STRICT, threshold)
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:

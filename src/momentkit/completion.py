@@ -34,7 +34,7 @@ from .errors import (BadIndex, DegenerateInput, MomentKitError, PreconditionErro
 from .measure import (AtomicMeasure, MomentRecurrence, MomentSequence,
                       RecurrentCAMeasure, tilt)
 from .numeric import Scalar, format_scalar
-from .positivity import (HalfOpen, PositivityClass, Ray, _support_measure, _values,
+from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _support_measure, _values,
                          classify_half_open, classify_ray)
 from .principal import atom_polynomial, root_bound
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
@@ -123,9 +123,10 @@ class _DomainOps:
         exact for exact input.  The search's windows are strictly positive
         by construction, so it is read from one Schur complement, unless
         its pass shows otherwise and the window is classified."""
-        value = _schur_threshold(seq, self.domain)
+        w = _Window.of(_values(seq))
+        value = _schur_threshold(w, self.domain)
         if value is None:
-            return _reciprocal_inf(_values(seq), self.classify(seq), self.domain)
+            return _reciprocal_inf(w, self.classify(seq), self.domain)
         return value
 
     def forced(self, seq, big_n):

@@ -21,9 +21,12 @@ The infimum of a strictly positive window needs no measure.  It is the
 least value y that keeps y, s_0, s_1, ... positive, and y sits only in the
 corner of the Hankel form that bounds it, so it is the Schur complement
 y* = base + b^T M^-1 b of that corner (`_schur_threshold`), read from one
-leading-minor pass.  A value prepended one level earlier sits only in the
-border b over the same M, so the infimum is an exact quadratic in it
-(`_schur_quadratic`), read from the same kind of pass.  Polynomials are
+leading-minor pass over the window's integer image.  That pass reduces M,
+one of the window's two limit forms, first, so `reciprocal_inf_*` decide M
+from it as well (for exact input): a strict window costs the pass of its
+other limit form and this one.  A value prepended one level earlier sits
+only in the border b over the same M, so the infimum is an exact quadratic
+in it (`_schur_quadratic`), read from the same kind of pass.  Polynomials are
 used only where a measure is wanted: the principal measures on [a, b],
 whose values come from the identity above, and the unique measure of a
 singular window, whose support polynomial gives its reciprocal moment.
@@ -38,9 +41,10 @@ from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure, MomentRecurrence
-from .numeric import Polynomial, Scalar, _minor_pass, _to_float, as_fraction
-from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _values,
-                         classify_compact, classify_half_open, classify_ray)
+from .numeric import Polynomial, Scalar, _to_float, as_fraction
+from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _Window,
+                         _classify_limit, _limit_window, _odd_half_open, _values,
+                         classify_compact, classify_ray)
 from .principal import PrincipalKind, measure_from_poly, principal_polynomial
 
 @dataclass(frozen=True)
@@ -118,82 +122,56 @@ def _singular_reciprocal(poly: Polynomial, values) -> Scalar:
     return MomentRecurrence(poly, 0, list(values)).moment(-1)
 
 
-def _slot_pass(window, domain) -> Optional[tuple]:
-    """(m, a, scale, base, floats): the Hankel form that holds a value y
-    prepended to `window`, on the ray or on (0, 1], eliminated by one
-    `_minor_pass` with the slot of y as its last corner.
-
-    The form has entries e_0..e_2m, m = len(window) // 2, with y - base in
-    e_0, which is set to 0 here: (0, s_0, ..., s_(2m-1)) on the ray and for
-    an even window on (0, 1], and (0, s_0 - s_1, ..., s_(2m-1) - s_(2m))
-    with base s_0 for an odd window on (0, 1].  An odd-length window on the
-    ray leaves its top moment out: its infimum is that of the prefix.  The
-    form is [[e_0, b^T], [b, M]] with b = (e_1, ..., e_m) and
-    M = (e_(i+j)), 1 <= i, j <= m, one of the window's two limit forms
-    (`positivity.ray_limit_matrices`, `half_open_limit_matrices`).
-    Reversed, the entries are again a Hankel form, with the slot as its
-    last corner, so the pass reduces M (in reverse order) first.  It takes
-    exactly m steps when M is positive definite, since its last pivot is
-    then scale * a[m-1][m-1] * (-b^T M^-1 b) <= 0; otherwise it returns
-    None.  Float input runs on its binary-exact image (`floats` tells), so
-    M is exactly the form that classified the window: a strict verdict
-    always lets the pass reach the corner."""
-    m = len(window) // 2
-    if isinstance(domain, HalfOpen) and len(window) % 2 == 1:
-        tail, base = [window[k] - window[k + 1] for k in range(2 * m)], window[0]
-    else:
-        tail, base = list(window[:2 * m]), 0
-    floats = any(isinstance(v, float) for v in window)
-    if floats:  # the differences as `interior_moments` rounds them
-        tail, base = [as_fraction(v) for v in tail], as_fraction(base)
-    r, a, scale, _, _ = _minor_pass(tail[::-1] + [0], m + 1)
-    return (m, a, scale, base, floats) if r == m else None
-
-
-def _schur_threshold(window, domain) -> Optional[Scalar]:
+def _schur_threshold(w: _Window, domain) -> Optional[Scalar]:
     """Reciprocal infimum of a strictly positive window on the ray or on
     (0, 1]: the least y for which y, s_0, s_1, ... keeps its Hankel form
     positive semidefinite.  y sits only in the corner of that form, so
     (Curto and Fialkow, Houston J. Math. 17 (1991)) the infimum is the
     Schur complement
 
-        y* = base + b^T M^-1 b = base - a[m][m] / (scale * a[m-1][m-1])
+        y* = base + b^T M^-1 b = base - a[m][m] / (unit * a[m-1][m-1])
 
-    of `_slot_pass`, whose pivots are scale^k times the leading minors; a
-    single moment gives y* = base.  None when M is not positive definite,
-    which shows that the window is not strictly positive."""
-    got = _slot_pass(window, domain)
-    if got is None:
-        return None
-    m, a, scale, base, floats = got
-    value = base - Fraction(a[m][m], scale * (a[m - 1][m - 1] if m else 1))
-    return _to_float(value) if floats else value
+    of `_Window.slot_pass`, whose pivots are unit^k times the leading
+    minors; a single moment gives y* = base.  None when M is not positive
+    definite, which shows that the window is not strictly positive.  Float
+    input runs on its binary-exact image, so M is exactly the form that
+    classified the window: a strict verdict always lets the pass reach the
+    corner."""
+    m = len(w.ints) // 2
+    value = as_fraction(w.values[0]) if _odd_half_open(w, domain) else Fraction(0)
+    if m:
+        r, a, _ = w.slot_pass(domain)
+        if r != m:
+            return None
+        value -= Fraction(a[m][m], w.unit * a[m - 1][m - 1])
+    return _to_float(value) if w.floats else value
 
 
 def _schur_quadratic(rest, domain) -> Optional[tuple]:
-    """(a, b, c) with _schur_threshold((x,) + rest) = a x^2 + b x + c, for a
-    nonempty strictly positive `rest`; None when its M is not positive
+    """(a, b, c) with a x^2 + b x + c the `_schur_threshold` of (x,) + rest,
+    for a nonempty strictly positive `rest`; None when its M is not positive
     definite.  x enters only the first entry of the border, b = x f + u
     with f the first unit vector (e_1 = x, or x - s_0 for an odd window on
     (0, 1], whose base is x), over an M that does not hold x.  So the
     infimum is (M^-1)_00 x^2 + 2 f^T M^-1 u x + u^T M^-1 u, plus x for an
-    odd window on (0, 1], and one `_slot_pass` at x = 0 gives all three:
+    odd window on (0, 1], and one slot pass at x = 0 gives all three:
     (M^-1)_00 = D_(m-1) / D_m from two pivots, f^T M^-1 u from the last
     row that the pass reduced (M is in reverse order there) and
     u^T M^-1 u from the corner."""
-    got = _slot_pass((0,) + tuple(rest), domain)
-    if got is None:
+    w = _Window.of((0,) + tuple(rest))
+    r, a, _ = w.slot_pass(domain)
+    m = len(w.ints) // 2
+    if r != m:
         return None
-    m, a, scale, _, floats = got
-    pivot = a[m - 1][m - 1]
-    quad = (Fraction(scale * (a[m - 2][m - 2] if m > 1 else 1), pivot),
+    pivot, unit = a[m - 1][m - 1], w.unit
+    quad = (Fraction(unit * (a[m - 2][m - 2] if m > 1 else 1), pivot),
             Fraction(2 * a[m - 1][m], pivot)
             + int(isinstance(domain, HalfOpen) and len(rest) % 2 == 0),
-            Fraction(-a[m][m], scale * pivot))
-    return tuple(map(_to_float, quad)) if floats else quad
+            Fraction(-a[m][m], unit * pivot))
+    return tuple(map(_to_float, quad)) if w.floats else quad
 
 
-def _reciprocal_inf(values, verdict: PositivityVerdict, domain) -> Scalar:
+def _reciprocal_inf(w: _Window, verdict: PositivityVerdict, domain) -> Scalar:
     """Reciprocal infimum on the ray or on (0, 1] of a window whose verdict
     on that domain is `verdict` (see `reciprocal_inf_ray`): a singular
     window's from its support polynomial, a strict one's as the Schur
@@ -202,8 +180,15 @@ def _reciprocal_inf(values, verdict: PositivityVerdict, domain) -> Scalar:
         where = "(0, inf)" if isinstance(domain, Ray) else "(0, 1]"
         raise NotStrictlyPositive(f"sequence is not positive on {where}")
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        return _singular_reciprocal(verdict.support, values)
-    return _schur_threshold(values, domain)  # M was found positive definite
+        return _singular_reciprocal(verdict.support, w.values)
+    return _schur_threshold(w, domain)  # M was found positive definite
+
+
+def _classified_inf(s, domain) -> Scalar:
+    """`_reciprocal_inf` of a window classified with M read from the pass
+    that gives a strict window's infimum (`positivity._classify_limit`)."""
+    w = _limit_window(s)
+    return _reciprocal_inf(w, _classify_limit(w, domain, by_slot=True), domain)
 
 
 def reciprocal_inf_ray(s) -> Scalar:
@@ -234,8 +219,7 @@ def reciprocal_inf_ray(s) -> Scalar:
         minimizer for p, hence nu, whose 2m-th moment is not s_2m.
     The knife edge is therefore exact: prepending the value itself gives no
     extension, and anything above it gives a strict one."""
-    values = _values(s)
-    return _reciprocal_inf(values, classify_ray(values), Ray())
+    return _classified_inf(s, Ray())
 
 
 def reciprocal_inf_half_open(s) -> Scalar:
@@ -243,8 +227,7 @@ def reciprocal_inf_half_open(s) -> Scalar:
     (the minimizing measure's polynomial does not depend on the left
     endpoint).  A singularly positive sequence is determinate and the value
     is the reciprocal moment of its unique measure."""
-    values = _values(s)
-    return _reciprocal_inf(values, classify_half_open(values), HalfOpen())
+    return _classified_inf(s, HalfOpen())
 
 
 def reciprocal_sup_ray_bounds(s) -> ExtremalBounds:

@@ -3,11 +3,14 @@
 One integer kernel serves every input.  It clears denominators once and then
 runs on Python integers: fraction-free (Bareiss) elimination for
 determinants, bordered determinant polynomials and linear solves, and one
-unpivoted Bareiss pass over the 2n - 1 entries of a Hankel form, which
-decides it definite, singular or indefinite from its leading minors and the
-Schur complement they leave (Sylvester; Curto and Fialkow); primitive
-integer Sturm chains, evaluated by homogeneous Horner at rational points, for
-root isolation.  `Fraction`s appear only in the results; that holds for the
+unpivoted Bareiss pass over the 2n - 1 entries of a Hankel form, given as
+integers times a positive unit (`HankelImage`), which decides it definite,
+singular or indefinite from its leading minors and the Schur complement
+they leave (Sylvester; Curto and Fialkow), and which a caller that keeps it
+reads again for a leading block (`_pass_class`) or a back substitution
+(`_pass_solution`) instead of eliminating the form twice; primitive integer
+Sturm chains, evaluated by homogeneous Horner at rational points, for root
+isolation.  `Fraction`s appear only in the results; that holds for the
 Vandermonde solve of atom masses too, whose integer system is built from the
 atoms' numerators and denominators.
 
@@ -31,7 +34,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DegenerateInput, InsufficientMoments, ShapeError
 
@@ -613,77 +616,91 @@ class FormClass(Enum):
     INDEFINITE = "Indefinite"
 
 
-def _minor_pass(entries, order: int, eps: Optional[float] = None,
-                scales: Optional[Sequence[float]] = None) -> tuple:
-    """(r, a, scale, bounds, floats): one unpivoted Bareiss pass over the
-    Hankel rows entries[i:i + w], i < order, w = len(entries) - order + 1.
+class HankelImage(NamedTuple):
+    """The entries of a Hankel form as integers: ints[k] = unit * entry k for
+    a positive integer `unit`, which changes the sign of no minor and of no
+    Schur complement, so the form keeps its class (Sylvester).  `tols` is
+    None for exact entries; for float input tols[k] is the magnitude, in the
+    form's own units, up to which an entry i + j = k of a Schur complement
+    (a pivot included) reads as zero."""
 
-    The entries are multiplied once by their least common denominator
-    `scale`; float input runs on its binary-exact image (`floats` tells).
+    ints: list
+    unit: int
+    tols: Optional[list] = None
+
+
+def _tolerances(eps: Optional[float], sizes) -> list:
+    """Zero thresholds eps * max(1, w_k) (eps defaults to DEFAULT_EPS), w_k
+    being the size of the terms entry k was computed from, as exact
+    rationals."""
+    tol = DEFAULT_EPS if eps is None else eps
+    return [as_fraction(tol * max(1.0, w)) for w in sizes]
+
+
+def _hankel_image(entries, eps: Optional[float] = None,
+                  scales: Optional[Sequence[float]] = None) -> HankelImage:
+    """The `HankelImage` of scalar entries, scaled once by their least common
+    denominator; float input on its binary-exact image, read as zero
+    relative to scales[k], by default |entries[k]|."""
+    tols = None
+    if any(isinstance(x, float) for x in entries):
+        tols = _tolerances(eps, map(abs, entries) if scales is None else scales)
+        entries = [as_fraction(x) for x in entries]
+    return HankelImage(*_integer_scale(entries), tols)
+
+
+def _minor_pass(image: HankelImage, order: int) -> tuple:
+    """(r, a, bounds): one unpivoted Bareiss pass over the Hankel rows
+    ints[i:i + w], i < order, w = len(ints) - order + 1, of an image.
+
     The pass takes one step per positive pivot and stops at the first that
     is not, r being the number of steps.  By Sylvester's identity
-    a[k][k] = scale^(k+1) D_(k+1) for k <= min(r, order - 1), D_k being the
+    a[k][k] = unit^(k+1) D_(k+1) for k <= min(r, order - 1), D_k being the
     leading minors.  After the r steps rows 0..r-1 are upper triangular and
     every further column has been reduced along with them (see
-    `_pass_solution`); a[i][j], r <= i <= j, is scale * a[r-1][r-1] (scale
+    `_pass_solution`); a[i][j], r <= i <= j, is unit * a[r-1][r-1] (unit
     at r = 0) times entry (i, j) of the Schur complement of the leading
     r x r block.  That block stays symmetric, so a step reduces row i only
     from column i on, with a[k][i] as the multiplier of a[i][k]: entries
     below the diagonal are left as they were and are never read.  A Schur
-    complement entry, a pivot included, reads as zero when its
-    magnitude is at most bounds[i + j]: 0 for exact input; for float input
-    the image of eps * max(1, scales[i + j]) (eps defaults to DEFAULT_EPS),
-    scales[k] being the size of the terms entry k was computed from, by
-    default |entries[k]|."""
-    floats = any(isinstance(x, float) for x in entries)
-    tols = []
-    if floats:
-        tol = DEFAULT_EPS if eps is None else eps
-        tols = [as_fraction(tol * max(1.0, w))
-                for w in (map(abs, entries) if scales is None else scales)]
-        entries = [as_fraction(x) for x in entries]
-    ints, scale = _integer_scale(entries)
+    complement entry, a pivot included, reads as zero when its magnitude is
+    at most bounds[i + j]: 0 for exact input, the image of tols[i + j]
+    otherwise."""
+    ints, unit, tols = image
 
     def bound(k: int, prev: int) -> int:
-        if not floats:
-            return 0
-        return tols[k].numerator * scale * prev // tols[k].denominator
+        return tols[k].numerator * unit * prev // tols[k].denominator
 
     width = len(ints) - order + 1
     a = [ints[i:i + width] for i in range(order)]
     r, prev = 0, 1
-    while r < order and a[r][r] > bound(2 * r, prev):
+    while r < order and a[r][r] > (0 if tols is None else bound(2 * r, prev)):
         piv, top = a[r][r], a[r]
         for i in range(r + 1, order):
             f = top[i]
             a[i][i:] = [(x * piv - f * t) // prev for x, t in zip(a[i][i:], top[i:])]
         prev = piv
         r += 1
-    return r, a, scale, [bound(k, prev) for k in range(len(ints))], floats
+    if tols is None:
+        return r, a, [0] * len(ints)
+    return r, a, [bound(k, prev) for k in range(len(ints))]
 
 
-def classify_form(entries, eps: Optional[float] = None, *,
-                  scales: Optional[Sequence[float]] = None) -> FormClass:
-    """Class of the Hankel form (entries[i + j]), 0 <= i, j < order, given
-    its 2 order - 1 entries, from one `_minor_pass`.
+def _pass_class(minor_pass: tuple, order: int) -> FormClass:
+    """Class of the leading order x order block of the Hankel rows that
+    `_minor_pass` reduced, order at most the pass's own.
 
-    The form is positive definite when every leading minor is positive, and
-    indefinite when one is negative before the first zero one.  Otherwise
-    D_1..D_r > 0 = D_(r+1), and by Curto and Fialkow ("Recursiveness,
-    positivity, and truncated moment problems", Houston J. Math. 17 (1991))
-    the form is positive semidefinite exactly when the Schur complement of
-    its leading r x r block is zero but for a last corner entry >= 0: the
-    recurrence of entries 0..2r-1 generates the rest, and the last entry is
-    at least the value it generates.  The form is then singular.  Float
-    input is read with the zero test of `_minor_pass`; `scales[k]` is the
-    size of the terms entry k was computed from, |entries[k]| by default,
-    and exact input ignores it.
-    """
-    order = (len(entries) + 1) // 2
-    if len(entries) != max(2 * order - 1, 0):
-        raise ShapeError("a Hankel form has an odd number of entries")
-    r, a, _, bounds, _ = _minor_pass(entries, order, eps, scales)
-    if r == order:
+    The block is positive definite when its leading minors are all positive,
+    and indefinite when one is negative before the first zero one.
+    Otherwise D_1..D_r > 0 = D_(r+1), and by Curto and Fialkow
+    ("Recursiveness, positivity, and truncated moment problems", Houston J.
+    Math. 17 (1991)) the block is positive semidefinite exactly when the
+    Schur complement of its leading r x r block is zero but for a last
+    corner entry >= 0: the recurrence of entries 0..2r-1 generates the rest,
+    and the last entry is at least the value it generates.  It is then
+    singular.  Entries are read with the zero test of the pass."""
+    r, a, bounds = minor_pass
+    if r >= order:
         return FormClass.POSITIVE_DEFINITE
     block = [(a[i][j], bounds[i + j]) for i in range(r, order) for j in range(i, order)]
     corner, bound = block.pop()
@@ -692,11 +709,25 @@ def classify_form(entries, eps: Optional[float] = None, *,
     return FormClass.POSITIVE_SEMIDEFINITE_SINGULAR
 
 
-def _pass_solution(a, r: int) -> list:
-    """x with H_r x = (h_0r, ..., h_(r-1)r), H_r the leading r x r block of
-    the Hankel rows h that `_minor_pass` reduced to `a` in r steps.  Row
-    operations act on column r as on the others, and every column has the
-    same scale, so the reduced rows 0..r-1 give x by back substitution
-    alone."""
-    num, den = _solve_upper(a[:r], [row[r] for row in a[:r]])
-    return [Fraction(v, den) for v in num]
+def classify_form(entries, eps: Optional[float] = None, *,
+                  scales: Optional[Sequence[float]] = None) -> FormClass:
+    """Class of the Hankel form (entries[i + j]), 0 <= i, j < order, given
+    its 2 order - 1 entries or their `HankelImage`, from one `_minor_pass`
+    (see `_pass_class`).  Float entries are read with the zero test of
+    `_hankel_image`; `scales[k]` is the size of the terms entry k was
+    computed from, |entries[k]| by default, and exact input ignores it.
+    """
+    image = entries if isinstance(entries, HankelImage) else _hankel_image(entries, eps, scales)
+    order = (len(image.ints) + 1) // 2
+    if len(image.ints) != max(2 * order - 1, 0):
+        raise ShapeError("a Hankel form has an odd number of entries")
+    return _pass_class(_minor_pass(image, order), order)
+
+
+def _pass_solution(a, r: int) -> tuple:
+    """(num, den) with x_i = num[i] / den solving H_r x = (h_0r, ...,
+    h_(r-1)r), H_r the leading r x r block of the Hankel rows h that
+    `_minor_pass` reduced to `a` in r steps.  Row operations act on column r
+    as on the others, and every column has the same unit, so the reduced
+    rows 0..r-1 give x by back substitution alone."""
+    return _solve_upper(a[:r], [row[r] for row in a[:r]])

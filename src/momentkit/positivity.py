@@ -10,11 +10,18 @@ positivity, and truncated moment problems", Houston J. Math. 1991), which
 `_determinate_poly` decides exactly from the support polynomial of the
 unique measure; that measure is the exact witness of the singular case.
 
-Each Hankel form is given by its entries, and `numeric.classify_form`
-decides it from one unpivoted leading-minor pass.  A float window is read
-with one zero test per form, scaled entry by entry by the size of the window
-terms that entry is computed from (`_term_scales`): where the transforms of
-[a, b] cancel to rounding noise, the noise reads as zero, as the exact
+A window is scaled to integers once (`_Window`), and every Hankel form of
+a call is built from that integer image: H(s), its shift, and the [a, b]
+and (0, 1] transforms, each a positive multiple of the form in the window's
+own entries, so it keeps its class.  One unpivoted leading-minor pass
+decides a form (`numeric.classify_form`), and each form is eliminated at
+most once per call: where H(s) is one of the deciding forms, its pass is run
+in the shape the support polynomial reads and handed on, and on the paths
+that want the threshold of a prepended value, the limit form M is decided
+by the pass that gives that threshold (`_Window.slot_pass`).  A float
+window is read with one zero test per form, scaled entry by entry by the
+size of the window terms that entry is computed from: where the transforms
+of [a, b] cancel to rounding noise, the noise reads as zero, as the exact
 window's zeros do.
 
 A singular window on [a, b] is determinate too.  On every domain its
@@ -28,10 +35,10 @@ back substitution in the rows that pass has already reduced.
 A singular verdict on every domain carries that polynomial
 (`PositivityVerdict.support`): on the ray and on (0, 1] the determinacy test
 has built it already, and on [a, b] it is built once neither form reads
-indefinite and one reads singular.  `index`, `recover_minimal_measure`, `extremal.reciprocal_inf_*`,
-`backward.classify_backward`, `principal.minimal_measure_half_open` and
-`alternating.has_ca_extension` take it from the verdict instead of building
-it again.
+indefinite and one reads singular.  `index`, `recover_minimal_measure`,
+`extremal.reciprocal_inf_*`, `backward.classify_backward`,
+`principal.minimal_measure_half_open` and `alternating.has_ca_extension`
+take it from the verdict instead of building it again.
 """
 
 from __future__ import annotations
@@ -43,8 +50,9 @@ from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInput, DomainError, NotAMomentSequence)
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
-from .numeric import (DEFAULT_EPS, FormClass, Polynomial, Scalar, _minor_pass,
-                      _pass_solution, _to_float, classify_form, count_roots)
+from .numeric import (DEFAULT_EPS, FormClass, HankelImage, Polynomial, Scalar, _integer_scale,
+                      _minor_pass, _pass_class, _pass_solution, _to_float, _tolerances,
+                      as_fraction, classify_form, count_roots)
 
 
 # --------------------------------------------------------------------------
@@ -106,48 +114,167 @@ def _values(s) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# compact-interval criterion matrices
+# the integer image of a window and its Hankel forms
 # --------------------------------------------------------------------------
+
+def _ratio(x: Scalar) -> tuple:
+    """(p, q) with x = p / q, q > 0; binary-exact for a float."""
+    if isinstance(x, float):
+        x = as_fraction(x)
+    return x.numerator, x.denominator
+
+
+class _Window:
+    """The integer image of a window s_0..s_n: ints[k] = unit * s_k, the
+    window (on its binary-exact image if any of its data is a float) scaled
+    once by the least common denominator of its entries.
+
+    Every Hankel form of a window that the package decides, and every
+    transform it reads a polynomial from, is built here from these
+    integers: H(s) and its shifted form, and with a = pa/qa, b = pb/qb
+
+        qa S_(k+1) - pa S_k,   pb S_k - qb S_(k+1),
+        (pa qb + pb qa) S_(k+1) - pa pb S_k - qa qb S_(k+2),
+
+    positive multiples of s_(k+1) - a s_k, b s_k - s_(k+1) and the moments
+    (a+b) s_(k+1) - ab s_k - s_(k+2) of (t - a)(b - t) dmu.  A positive
+    multiple keeps a form's class, the support polynomial read from its pass
+    and every ratio of its minors.  The pass over H(s) that `_support_poly`
+    reads and the pass over the form that holds a prepended value
+    (`slot_pass`) are kept, so a call eliminates each at most once.
+
+    A float window is read with one zero test per form, scaled entry by
+    entry by the size of the window terms that entry is computed from
+    (`sizes`, |s_k| for H(s)): where a form is singular its entries cancel
+    to rounding noise, and the noise reads as zero, as the exact window's
+    zeros do.  `sizes` is None for an exact window."""
+
+    __slots__ = ("values", "ints", "unit", "sizes", "eps", "_support", "_slot", "_inner")
+
+    def __init__(self, values, ints: list, unit: int, sizes, eps: Optional[float]):
+        self.values, self.ints, self.unit, self.sizes, self.eps = values, ints, unit, sizes, eps
+        self._support = self._slot = self._inner = None
+
+    @classmethod
+    def of(cls, values, eps: Optional[float] = None, ends=()) -> "_Window":
+        """The image of `values`; float tests apply when a value or one of
+        the interval `ends` is a float."""
+        if any(isinstance(v, float) for v in values) or any(isinstance(v, float) for v in ends):
+            ints, unit = _integer_scale([as_fraction(v) for v in values])
+            return cls(values, ints, unit, [abs(float(v)) for v in values], eps)
+        return cls(values, *_integer_scale(values), None, eps)
+
+    @property
+    def floats(self) -> bool:
+        return self.sizes is not None
+
+    def _image(self, ints: list, unit: int, sizes) -> HankelImage:
+        return HankelImage(ints, unit, None if sizes is None else _tolerances(self.eps, sizes))
+
+    def hankel(self, start: int = 0, stop: Optional[int] = None) -> HankelImage:
+        """The form of s_start..s_(stop-1)."""
+        sizes = None if self.sizes is None else self.sizes[start:stop]
+        return self._image(self.ints[start:stop], self.unit, sizes)
+
+    def lower(self, a: Scalar) -> HankelImage:
+        """s_(k+1) - a s_k, k < n, times qa."""
+        (p, q), S, w = _ratio(a), self.ints, self.sizes
+        ints = [q * S[k + 1] - p * S[k] for k in range(len(S) - 1)]
+        sizes = None if w is None else [w[k + 1] + abs(float(a)) * w[k] for k in range(len(w) - 1)]
+        return self._image(ints, self.unit * q, sizes)
+
+    def upper(self, b: Scalar) -> HankelImage:
+        """b s_k - s_(k+1), k < n, times qb."""
+        (p, q), S, w = _ratio(b), self.ints, self.sizes
+        ints = [p * S[k] - q * S[k + 1] for k in range(len(S) - 1)]
+        sizes = None if w is None else [abs(float(b)) * w[k] + w[k + 1] for k in range(len(w) - 1)]
+        return self._image(ints, self.unit * q, sizes)
+
+    def interior(self, a: Scalar, b: Scalar) -> "_Window":
+        """The window (a+b) s_(k+1) - ab s_k - s_(k+2), k < n - 1, of the
+        moments of (t - a)(b - t) dmu, times qa qb; kept, with its own
+        passes, for the last [a, b] asked."""
+        if self._inner is None or self._inner[0] != (a, b):
+            (pa, qa), (pb, qb), S, w = _ratio(a), _ratio(b), self.ints, self.sizes
+            mid, low, high = pa * qb + pb * qa, pa * pb, qa * qb
+            ints = [mid * S[k + 1] - low * S[k] - high * S[k + 2] for k in range(len(S) - 2)]
+            sizes = None
+            if w is not None:
+                x, y = float(a), float(b)
+                sizes = [abs(x + y) * w[k + 1] + abs(x * y) * w[k] + w[k + 2]
+                         for k in range(len(w) - 2)]
+            self._inner = (a, b), _Window(None, ints, self.unit * high, sizes, self.eps)
+        return self._inner[1]
+
+    def support_pass(self) -> tuple:
+        """The `_minor_pass` of H(s) that `_support_poly` reads: n // 2 + 1
+        rows, with one more column for odd n."""
+        if self._support is None:
+            self._support = _minor_pass(self.hankel(), (len(self.ints) + 1) // 2)
+        return self._support
+
+    def hankel_class(self) -> FormClass:
+        """Class of H(s_0..s_2m), 2m <= n: the leading block of the support
+        pass, which has the same order."""
+        return _pass_class(self.support_pass(), (len(self.ints) + 1) // 2)
+
+    def slot_pass(self, domain: Domain) -> tuple:
+        """The Hankel form that holds a value y prepended to the window, on
+        the ray or on (0, 1], eliminated by one exact `_minor_pass` with the
+        slot of y as its last corner.
+
+        The form has entries e_0..e_2m, m = (n + 1) // 2, with y - base in
+        e_0, which is set to 0 here: (0, s_0, ..., s_(2m-1)) on the ray and
+        for odd n on (0, 1], and (0, s_0 - s_1, ..., s_(2m-1) - s_(2m)) with
+        base s_0 for even n on (0, 1].  An odd-length window on the ray
+        leaves its top moment out: its infimum is that of the prefix.  The
+        form is [[e_0, b^T], [b, M]] with b = (e_1, ..., e_m) and
+        M = (e_(i+j)), 1 <= i, j <= m, the limit form `_limit_m`.  Reversed,
+        the entries are again a Hankel form, with the slot as its last
+        corner, so the pass reduces M in reverse order first: a congruence,
+        which keeps M's class, so its leading m x m block decides M.  It
+        takes exactly m steps when M is positive definite, since its last
+        pivot is then unit * a[m-1][m-1] * (-b^T M^-1 b) <= 0."""
+        differences = _odd_half_open(self, domain)
+        if self._slot is None or self._slot[0] != differences:
+            m = len(self.ints) // 2
+            tail = self.upper(1).ints if differences else self.ints
+            image = HankelImage(tail[:2 * m][::-1] + [0], self.unit)
+            self._slot = differences, _minor_pass(image, m + 1)
+        return self._slot[1]
+
+    def reads_zero(self) -> bool:
+        """Whether every entry reads as zero: relative to the largest for a
+        float window (`_reads_zero`)."""
+        if not self.floats:
+            return not any(self.ints)
+        values = [abs(_to_float(Fraction(x, self.unit))) for x in self.ints]
+        return all(_reads_zero(v, max(values), self.eps) for v in values)
+
+
+def _odd_half_open(w: _Window, domain: Domain) -> bool:
+    """An even-n window on (0, 1]: its slot form is built on the
+    differences s_k - s_(k+1), and its limit form M is the interior one."""
+    return isinstance(domain, HalfOpen) and len(w.ints) % 2 == 1
+
 
 def compact_criterion_matrices(values: Sequence[Scalar], a: Scalar, b: Scalar):
     """The entries of the two Hankel forms whose joint nonnegativity decides
-    positivity on [a, b] (see `numeric.classify_form`).  Even length 2m+1:
-    s itself and the transform s'_k = (a+b) s_{k+1} - a b s_k - s_{k+2};
-    odd length 2m+2: the transforms s~_k = s_{k+1} - a s_k and
-    s~'_k = b s_k - s_{k+1}."""
-    n = len(values) - 1
-    if n < 0:
+    positivity on [a, b], read back from their integer images (`_Window`).
+    Even length 2m+1: s itself and the transform
+    s'_k = (a+b) s_(k+1) - ab s_k - s_(k+2); odd length 2m+2: the
+    transforms s_(k+1) - a s_k and b s_k - s_(k+1)."""
+    if not values:
         raise DomainError("empty sequence")
-    if n % 2 == 0:
-        return list(values), interior_moments(values, a, b)
-    return ([values[k + 1] - a * values[k] for k in range(n)],
-            [b * values[k] - values[k + 1] for k in range(n)])
+    w = _Window.of(values)
+    if len(values) % 2 == 1:
+        return _entries(w.hankel(), w.interior(a, b).hankel())
+    return _entries(w.lower(a), w.upper(b))
 
 
-def interior_moments(values: Sequence[Scalar], a: Scalar, b: Scalar) -> list:
-    """s'_k = (a+b) s_(k+1) - ab s_k - s_(k+2), the moments of (t - a)(b - t) dmu."""
-    return [(a + b) * values[k + 1] - a * b * values[k] - values[k + 2]
-            for k in range(len(values) - 2)]
-
-
-def _term_scales(values, a: Scalar, b: Scalar) -> tuple:
-    """For each form of `compact_criterion_matrices` of a float window, the
-    size of the terms each entry is computed from: |s_k| for H(s),
-    |s_(k+1)| + |a| |s_k| and |b| |s_k| + |s_(k+1)| for the odd-n
-    transforms, |a+b| |s_(k+1)| + |ab| |s_k| + |s_(k+2)| for
-    `interior_moments`.  Where a form is singular its entries cancel to
-    rounding noise, so its zero test is read relative to these terms and
-    not to the entries themselves.  None stands for the default |entries|
-    (H(s), and every form of an exact window)."""
-    if not any(isinstance(v, float) for v in values):
-        return None, None
-    s, a, b = [abs(float(v)) for v in values], float(a), float(b)
-    n = len(s) - 1
-    if n % 2 == 0:
-        return None, [abs(a + b) * s[k + 1] + abs(a * b) * s[k] + s[k + 2]
-                      for k in range(n - 1)]
-    return ([s[k + 1] + abs(a) * s[k] for k in range(n)],
-            [abs(b) * s[k] + s[k + 1] for k in range(n)])
+def _entries(*forms: HankelImage) -> tuple:
+    """The entries of forms given by their integer images."""
+    return tuple([Fraction(x, f.unit) for x in f.ints] for f in forms)
 
 
 def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> PositivityVerdict:
@@ -155,31 +282,44 @@ def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> Po
     criteria are valid for any a < b); domain objects stay restricted to
     0 < a < b.  A window both forms pass, one of them singularly, carries its
     `_support_poly`; a float window whose support pass reads a negative pivot
-    or a nonzero window over a zero s_0 instead is not positive."""
+    or a nonzero window over a zero s_0 instead is not positive.  For even n
+    both forms are windows of their own, H(s) and the interior one, read
+    from the passes `_support_poly` reads."""
     if not a < b:
         raise DomainError("compact interval needs a < b")
     values = _values(s)
-    forms = [classify_form(h, eps, scales=w)
-             for h, w in zip(compact_criterion_matrices(values, a, b), _term_scales(values, a, b))]
-    if FormClass.INDEFINITE in forms:
+    if not values:
+        raise DomainError("empty sequence")
+    w = _Window.of(values, eps, (a, b))
+    if len(values) % 2 == 1:
+        classes = [w.hankel_class(), w.interior(a, b).hankel_class()]
+    else:
+        classes = [classify_form(w.lower(a)), classify_form(w.upper(b))]
+    if FormClass.INDEFINITE in classes:
         return PositivityVerdict(PositivityClass.NOT_POSITIVE, (a, b))
-    if forms == [FormClass.POSITIVE_DEFINITE] * 2:
+    if classes == [FormClass.POSITIVE_DEFINITE] * 2:
         return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE, (a, b))
-    support = _support_poly(values, (a, b), eps)
+    support = _support_poly(w, (a, b))
     if support is None:
         return PositivityVerdict(PositivityClass.NOT_POSITIVE, (a, b))
     return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, (a, b), support)
 
 
 def ray_limit_matrices(values: Sequence[Scalar]):
-    """The entries of H(s) and of H(s shifted by one), largest orders."""
-    n = len(values) - 1
-    return list(values[:n // 2 * 2 + 1]), list(values[1:(n + 1) // 2 * 2])
+    """The entries of H(s) and of M, H(s shifted by one), largest orders,
+    read back from their integer images."""
+    w, n = _Window.of(values), len(values) - 1
+    return _entries(w.hankel(0, n // 2 * 2 + 1), _limit_m(w, Ray()))
 
 
-def half_open_limit_matrices(values: Sequence[Scalar]):
-    # compact criterion matrices at a = 0, b = 1
-    return compact_criterion_matrices(values, Fraction(0), Fraction(1))
+def _limit_window(s, eps: Optional[float] = None) -> _Window:
+    """The image of a window on the ray or on (0, 1], which must be
+    nonempty and have no negative entry."""
+    values = _values(s)
+    if not values:
+        raise DomainError("empty sequence")
+    _nonneg_check(values, eps)
+    return _Window.of(values, eps)
 
 
 def _nonneg_check(values, eps):
@@ -196,7 +336,7 @@ def _reads_zero(x: Scalar, scale, eps: Optional[float]) -> bool:
     return abs(x) <= (DEFAULT_EPS if eps is None else eps) * max(1.0, scale)
 
 
-def _support_poly(values, ends: tuple, eps: Optional[float] = None) -> Optional[Polynomial]:
+def _support_poly(w: _Window, ends: tuple = ()) -> Optional[Polynomial]:
     """Monic support polynomial of the unique measure of a singular window
     (the constant 1 for the zero window), read from its leading moments;
     `ends` are the endpoints that belong to the domain.  None when H(s)
@@ -207,31 +347,30 @@ def _support_poly(values, ends: tuple, eps: Optional[float] = None) -> Optional[
     of s_0..s_(2r-1) made monic: p = t^r - sum c_j t^j with
     H_r c = (s_r, ..., s_(2r-1)).  That right-hand side is column r of
     H(s), so the Bareiss pass of the leading minors reduces it along with
-    H_r (for odd n, H(s) is given the column s_(m+1)..s_(2m+1) to cover
-    r = m + 1).  A singular window has 2r > n + 1 only on [a, b] = `ends`,
-    with n even and both endpoints atoms; p is then (t - a)(t - b) times the
-    support polynomial of the window `interior_moments` of the other atoms.
+    H_r (`_Window.support_pass`; for odd n, H(s) is given the column
+    s_(m+1)..s_(2m+1) to cover r = m + 1).  A singular window has
+    2r > n + 1 only on [a, b] = `ends`, with n even and both endpoints
+    atoms; p is then (t - a)(t - b) times the support polynomial of the
+    interior window of the other atoms.
     """
-    n = len(values) - 1
-    order = n // 2 + 1
-    r, a, _, bounds, floats = _minor_pass(values, order, eps)
-    if r < order and a[r][r] < -bounds[2 * r]:
+    n = len(w.ints) - 1
+    r, a, bounds = w.support_pass()
+    if r <= n // 2 and a[r][r] < -bounds[2 * r]:
         return None
     if 2 * r > n + 1:
         if len(ends) < 2 or n < 2:
             return None
-        a, b = ends
-        inner = _support_poly(interior_moments(values, a, b), (), eps)
-        return None if inner is None else inner.mul(Polynomial([a * b, -(a + b), 1]))
+        lo, hi = ends
+        inner = _support_poly(w.interior(lo, hi))
+        return None if inner is None else inner.mul(Polynomial([lo * hi, -(lo + hi), 1]))
     if r == 0:
-        top = max(abs(v) for v in values)
-        return Polynomial([1]) if all(_reads_zero(v, top, eps) for v in values) else None
-    coeffs = [-x for x in _pass_solution(a, r)] + [Fraction(1)]
-    return Polynomial([_to_float(x) for x in coeffs] if floats else coeffs)
+        return Polynomial([1]) if w.reads_zero() else None
+    num, den = _pass_solution(a, r)
+    coeffs = [Fraction(-x, den) for x in num] + [Fraction(1)]
+    return Polynomial([_to_float(x) for x in coeffs] if w.floats else coeffs)
 
 
-def _determinate_poly(values, domain: Domain,
-                      eps: Optional[float] = None) -> Optional[Polynomial]:
+def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
     """Monic support polynomial of a window that is determinate on the ray
     or on (0, 1] (the constant 1 for the zero window); None when the window
     is not positive there.
@@ -240,23 +379,29 @@ def _determinate_poly(values, domain: Domain,
     generates all of it, p(0) != 0, and p has r distinct roots in
     (0, root_bound(p)], resp. (0, 1]: the Vandermonde masses then reproduce
     s and are positive, as H_r = V^T D V is positive definite.  A singular
-    window always passes, its unique measure having r atoms.  Roots are
-    counted on the binary-exact image of p by a Sturm chain and never
-    refined.  Floats read as zero by `_reads_zero` at the bounds
-    |c|_1 max|s| of a recurrence sum and |c|_1 of p(0) and p(1); on (0, 1]
-    a p(1) read as zero puts the root at 1.
+    window always passes, its unique measure having r atoms.  The recurrence
+    runs on the integer images of the window and of p; roots are counted on
+    the binary-exact image of p by a Sturm chain and never refined.  Floats
+    read as zero by `_reads_zero` at the bounds |c|_1 max|s| of a recurrence
+    sum and |c|_1 of p(0) and p(1); on (0, 1] a p(1) read as zero puts the
+    root at 1.
     """
     from .principal import root_bound
-    p = _support_poly(values, (), eps)
+    p = _support_poly(w)
     if p is None or p.degree == 0:
         return p
-    n, r, c = len(values) - 1, p.degree, p.coeffs
-    top = max(abs(v) for v in values)
-    norm = sum(abs(x) for x in c)
+    n, r, c, eps = len(w.ints) - 1, p.degree, p.coeffs, w.eps
+    image, norm, bound = list(c), 0, 0
+    if w.floats:
+        image, norm = [as_fraction(x) for x in c], sum(abs(x) for x in c)
+    ints, den = _integer_scale(image)
+    if w.floats:
+        tol = _tolerances(eps, [norm * max(w.sizes)])[0]
+        bound = tol.numerator * den * w.unit // tol.denominator
+    S = w.ints
     for k in range(r, n - r + 1):  # k < r holds by construction
-        if not _reads_zero(sum(c[j] * values[k + j] for j in range(r + 1)), norm * top, eps):
+        if abs(sum(q * S[k + j] for j, q in enumerate(ints))) > bound:
             return None
-    image = [Fraction(x) for x in c]
     if isinstance(domain, HalfOpen):
         hi = Fraction(1)
         if _reads_zero(sum(c), norm, eps):  # p(1)
@@ -268,21 +413,45 @@ def _determinate_poly(values, domain: Domain,
     return p
 
 
-def _classify_limit(values, forms, scales, domain, eps) -> PositivityVerdict:
-    """Strict when both limit forms are positive definite, else decided by
-    `_determinate_poly`."""
-    if all(classify_form(f, eps, scales=w) is FormClass.POSITIVE_DEFINITE
-           for f, w in zip(forms, scales)):
-        return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE)
-    return _determinacy_verdict(values, domain, eps)
+def _limit_m(w: _Window, domain: Domain) -> HankelImage:
+    """M, the limit form under the slot of a prepended value: H of s_1.. on
+    the ray and for odd n on (0, 1], the interior form for even n there."""
+    n = len(w.ints) - 1
+    if isinstance(domain, Ray):
+        return w.hankel(1, (n + 1) // 2 * 2)
+    return w.interior(0, 1).hankel() if n % 2 == 0 else w.lower(0)
 
 
-def _determinacy_verdict(values, domain: Domain,
-                         eps: Optional[float] = None) -> PositivityVerdict:
+def _classify_limit(w: _Window, domain: Domain, by_slot: bool = False) -> PositivityVerdict:
+    """Strict when both limit forms are positive definite (b -> inf, resp.
+    a -> 0 at b = 1), else decided by `_determinate_poly`.
+
+    The forms are H(s) and M on the ray and for even n on (0, 1], H(s)
+    read from the pass `_support_poly` reads; for odd n on (0, 1] they are
+    b s_k - s_(k+1) at b = 1 and M.  With `by_slot` an exact window's M is
+    read from `_Window.slot_pass`, whose corner then gives the threshold of
+    a prepended value; otherwise, and always for a float window, M is
+    `classify_form`'s."""
+    n = len(w.ints) - 1
+    if isinstance(domain, Ray) or n % 2 == 0:
+        first = w.hankel_class()
+    else:
+        first = classify_form(w.upper(1))
+    if first is FormClass.POSITIVE_DEFINITE:
+        if by_slot and not w.floats:
+            second = _pass_class(w.slot_pass(domain), len(w.ints) // 2)
+        else:
+            second = classify_form(_limit_m(w, domain))
+        if second is FormClass.POSITIVE_DEFINITE:
+            return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE)
+    return _determinacy_verdict(w, domain)
+
+
+def _determinacy_verdict(w: _Window, domain: Domain) -> PositivityVerdict:
     """The verdict on a window whose limit forms are not both positive
     definite: singularly positive with its support polynomial when
     `_determinate_poly` finds one, else not positive."""
-    support = _determinate_poly(values, domain, eps)
+    support = _determinate_poly(w, domain)
     if support is None:
         return PositivityVerdict(PositivityClass.NOT_POSITIVE)
     return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, support=support)
@@ -292,19 +461,14 @@ def classify_ray(s, eps: Optional[float] = None) -> PositivityVerdict:
     """Classify on (0, inf): strictly positive when the limiting Hankel
     pair H(s), H(s shifted by one) is positive definite, otherwise singularly
     positive or not by the exact determinacy test `_determinate_poly`."""
-    values = _values(s)
-    _nonneg_check(values, eps)
-    return _classify_limit(values, ray_limit_matrices(values), (None, None), Ray(), eps)
+    return _classify_limit(_limit_window(s, eps), Ray())
 
 
 def classify_half_open(s, eps: Optional[float] = None) -> PositivityVerdict:
     """Classify on (0, 1]: strictly positive when the a -> 0 limit of the
     [a, 1] criterion pair is positive definite, otherwise singularly
     positive or not by the exact determinacy test `_determinate_poly`."""
-    values = _values(s)
-    _nonneg_check(values, eps)
-    return _classify_limit(values, half_open_limit_matrices(values), _term_scales(values, 0, 1),
-                           HalfOpen(), eps)
+    return _classify_limit(_limit_window(s, eps), HalfOpen())
 
 
 def classify(s, domain: Domain, eps: Optional[float] = None) -> PositivityVerdict:
@@ -379,7 +543,7 @@ def recover_minimal_measure(s, domain: Domain) -> AtomicMeasure:
     if isinstance(domain, Compact):
         poly = _compact_support_poly(values, domain.a, domain.b)
     else:
-        poly = _determinate_poly(values, domain)
+        poly = _determinate_poly(_Window.of(values), domain)
         if poly is None:
             raise NotAMomentSequence("sequence is not positive on the domain")
     return _support_measure(poly, values, domain)

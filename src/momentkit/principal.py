@@ -18,11 +18,10 @@ from typing import Sequence
 
 from .errors import DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure
-from .numeric import (Polynomial, Scalar, _integer_scale, det_poly, root_enclosures,
-                      root_precision, vandermonde_masses)
-from .positivity import (HalfOpen, PositivityClass, Ray, _support_measure, _values,
-                         classify_compact, classify_half_open, classify_ray,
-                         interior_moments)
+from .numeric import (Polynomial, Scalar, _integer_scale, _to_float, det_poly,
+                      root_enclosures, root_precision, vandermonde_masses)
+from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _support_measure, _values,
+                         classify_compact, classify_half_open, classify_ray)
 
 
 MASS_REFINEMENTS = 3
@@ -47,6 +46,18 @@ def bordered_hankel_poly(window: Sequence[Scalar]) -> Polynomial:
     return poly
 
 
+def _bordered_image(form, floats: bool) -> Polynomial:
+    """`bordered_hankel_poly` of a transformed window given by its integer
+    image (`ints` = `unit` times its entries, see `positivity._Window`),
+    with float coefficients for float input.  The entries are read back
+    first: the determinant then clears each column by its own denominator,
+    whose integers are smaller than the image's."""
+    if not form.ints:
+        return Polynomial([1])
+    poly = bordered_hankel_poly([Fraction(x, form.unit) for x in form.ints])
+    return Polynomial([_to_float(c) for c in poly.coeffs]) if floats else poly
+
+
 def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
     """Atom polynomial of the minimal measure of a strictly positive window
     on the ray or on (0, 1]: the bordered-Hankel polynomial of an
@@ -55,9 +66,8 @@ def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
     window = list(window)
     if isinstance(domain, Ray) or len(window) % 2 == 0:
         return bordered_hankel_poly(window)
-    diffs = [window[k] - window[k + 1] for k in range(len(window) - 1)]
-    inner = bordered_hankel_poly(diffs) if diffs else Polynomial([1])
-    return inner.mul_linear(1, -1)
+    w = _Window.of(window)
+    return _bordered_image(w.upper(1), w.floats).mul_linear(1, -1)
 
 
 def root_bound(poly: Polynomial) -> Fraction:
@@ -139,25 +149,15 @@ def principal_polynomial(values, a: Scalar, b: Scalar,
     positivity gating happens here.
     """
     values = _values(values)
-    n = len(values) - 1
-    if n % 2 == 1:  # n = 2m - 1
-        if kind is PrincipalKind.LOWER:
-            return bordered_hankel_poly(values)
-        transformed = interior_moments(values, a, b)
-        if transformed:
-            inner = bordered_hankel_poly(transformed)
-        else:
-            inner = Polynomial([1])
-        # (t - a)(b - t) * inner
-        return inner.mul(Polynomial([-a * b, a + b, -1]))
-    # n = 2m
+    if len(values) % 2 == 0 and kind is PrincipalKind.LOWER:
+        return bordered_hankel_poly(values)
+    w = _Window.of(values, None, (a, b))
+    if len(values) % 2 == 0:  # (t - a)(b - t) times the interior polynomial
+        inner = w.interior(a, b)
+        return _bordered_image(inner, w.floats).mul(Polynomial([-a * b, a + b, -1]))
     if kind is PrincipalKind.LOWER:
-        low = [values[k + 1] - a * values[k] for k in range(n)]
-        inner = bordered_hankel_poly(low) if low else Polynomial([1])
-        return inner.mul_linear(-a, 1)
-    high = [b * values[k] - values[k + 1] for k in range(n)]
-    inner = bordered_hankel_poly(high) if high else Polynomial([1])
-    return inner.mul_linear(b, -1)
+        return _bordered_image(w.lower(a), w.floats).mul_linear(-a, 1)
+    return _bordered_image(w.upper(b), w.floats).mul_linear(b, -1)
 
 
 def principal_compact(s, a: Scalar, b: Scalar, kind: PrincipalKind) -> AtomicMeasure:

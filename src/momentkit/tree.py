@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
 from .measure import MomentRecurrence, MomentSequence, RecurrentCAMeasure
 from .numeric import Scalar
-from .positivity import HalfOpen, Ray, _determinate_poly
+from .positivity import HalfOpen, Ray, _Window, _determinate_poly
 
 
 def _pos_sq(x, what: str):
@@ -346,7 +346,8 @@ def _positive_on(mu, domain) -> bool:
         return True
     q = rec.poly.coeffs
     count = max(len(rec.window), 2 * rec.poly.degree)
-    p = _determinate_poly([rec.moment(rec.first_index + k) for k in range(count)], domain)
+    p = _determinate_poly(_Window.of([rec.moment(rec.first_index + k) for k in range(count)]),
+                          domain)
     return (p is not None and p.degree == rec.poly.degree
             and all(_eq(c, x / q[-1]) for c, x in zip(p.coeffs, q)))
 

@@ -1,4 +1,5 @@
-"""Kernel-call budgets: each entry point classifies its window once.
+"""Kernel-call budgets: each entry point classifies its window once and
+eliminates each of its Hankel forms at most once.
 
 A verdict carries what classification built: on every domain a singular
 verdict holds its support polynomial, so the threshold of a backward
@@ -6,15 +7,21 @@ extension, the singular index, infimum and measure, and the
 principal measures of the compact extremes are read from work already done.
 The support polynomial itself comes out of the pass that gives the leading
 minors, so it costs no bordered determinant, and the same pass decides every
-Hankel form.  A strict window's threshold is the Schur complement of the
-corner that holds the prepended slot, read from one more pass; the
-completion search reads each threshold, forced value and level quadratic
-from that pass alone, since its windows are strictly positive by
+Hankel form.  Where H(s) is one of the deciding forms (on the ray, and for
+even n on (0, 1] and on [a, b]) its pass is run once, in the shape the
+support polynomial reads, and handed on; so is the interior form for even n
+on [a, b].  A strict window's threshold is the Schur complement of the
+corner that holds the prepended slot, and the pass to that corner reduces
+the limit form M first, so on the paths that want the threshold it decides
+M too; the completion search reads each threshold, forced value and level
+quadratic from that pass alone, since its windows are strictly positive by
 construction.  The counts below are the whole cost of each call in the four
 kernel functions, counted through every alias the package modules import.
 The second slot counts that pass, `numeric._minor_pass`, wherever it runs:
-once inside each `classify_form`, once per support polynomial and once per
-threshold, so it counts every elimination of a Hankel form.
+once inside each `classify_form` (the forms that are not handed on), once
+per H(s), once per support polynomial of a window whose H(s) does not
+decide it and once per slot, so it counts every elimination of a Hankel
+form.
 """
 
 import json
@@ -79,20 +86,22 @@ def test_backward_at_threshold_classifies_each_window_once(calls, mu, domain, in
     calls.clear()
     verdict = classify_backward(window, theta, domain)
     assert verdict.kind is ExtensionClass.SINGULAR and verdict.measure == mu
-    # both base forms; one pass to the corner of the prepended slot for the
-    # threshold; at the threshold that corner's Schur complement is zero, so
-    # the extension goes straight to its determinacy test, whose minor pass
-    # gives its support polynomial: 4 eliminations of Hankel forms
-    assert _counts(calls) == (2, 4, 0, 1)
+    # the base's first form (H(s) on the ray, b s_k - s_(k+1) on (0, 1] for
+    # odd n); one pass to the corner of the prepended slot, which decides M
+    # and gives the threshold; at the threshold that corner's Schur
+    # complement is zero, so the extension goes straight to its determinacy
+    # test, whose minor pass gives its support polynomial: 3 eliminations
+    assert _counts(calls) == ((0 if isinstance(domain, Ray) else 1), 3, 0, 1)
 
 
 @pytest.mark.parametrize("mu, inf", [(RAY_MU, reciprocal_inf_ray),
                                      (UNIT_MU, reciprocal_inf_half_open)])
 def test_strict_infimum_is_one_pass_after_classification(calls, mu, inf):
     assert inf(_window(mu, 3)) == mu.moment(-1)
-    # both limit forms, then the Schur complement of the slot's corner: no
-    # bordered polynomial
-    assert _counts(calls) == (2, 3, 0, 0)
+    # the first limit form (H(s) on the ray, read from its own pass), then the
+    # pass to the slot's corner, which decides M and gives the Schur
+    # complement: no bordered polynomial
+    assert _counts(calls) == ((0 if inf is reciprocal_inf_ray else 1), 2, 0, 0)
 
 
 @pytest.mark.parametrize("ops, mu", [(completion._RAY_OPS, RAY_MU),
@@ -117,15 +126,18 @@ def test_compact_extremes_classify_once(calls):
     window = _window(mu, 4)
     bounds = reciprocal_extremes_compact(window, F(1), F(4))
     assert bounds.t_lo < mu.moment(-1) < bounds.t_hi
-    assert calls["classify_form"] == calls["_minor_pass"] == 2
+    # H(s) and the interior form, each a window whose pass is kept
+    assert (calls["classify_form"], calls["_minor_pass"]) == (0, 2)
 
 
 @pytest.mark.parametrize("mu, domain", [(RAY_MU, Ray()), (UNIT_MU, HalfOpen())])
 def test_singular_index_reads_the_verdict_polynomial(calls, mu, domain):
     window = _window(mu, 5)
     assert index(window, domain) == 2
-    # the pass of the singular H(s) and the one that gives the polynomial
-    assert _counts(calls)[1:] == (2, 0, 1)
+    # on the ray the pass of the singular H(s) gives the polynomial too; for
+    # odd n on (0, 1], H(s) is not a limit form, so the singular
+    # s_k - s_(k+1) form and H(s) are two passes
+    assert _counts(calls)[1:] == ((1 if isinstance(domain, Ray) else 2), 0, 1)
 
 
 @pytest.mark.parametrize("recover", [index, recover_minimal_measure])
@@ -145,16 +157,16 @@ def test_singular_compact_results_read_the_verdict_polynomial(calls, monkeypatch
 
     monkeypatch.setattr(positivity, "classify_compact", counted)
     assert recover(window, domain) == (2 if recover is index else mu)
-    # both forms, then the pass that gives the support polynomial, which the
-    # verdict carries: the window is classified once
+    # H(s), whose pass gives the support polynomial the verdict carries, and
+    # the interior form: the window is classified once
     assert classified["classify_compact"] == 1
-    assert _counts(calls) == (2, 3, 0, 0)
+    assert _counts(calls) == (0, 2, 0, 0)
 
 
 def test_singular_ray_infimum_reads_the_verdict_polynomial(calls):
     window = _window(RAY_MU, 5)
     assert reciprocal_inf_ray(window) == RAY_MU.moment(-1)
-    assert _counts(calls)[1:] == (2, 0, 1)
+    assert _counts(calls)[1:] == (1, 0, 1)
 
 
 def test_singular_half_open_measure_reads_the_verdict_polynomial(calls):
@@ -173,7 +185,8 @@ def test_cli_classify_reads_the_index_from_its_verdict(calls, tmp_path, n, kind)
     path.write_text(json.dumps({"kind": "classify", "domain": "ray",
                                 "sequence": [numeric.format_scalar(v) for v in window]}))
     payload, code = run(str(path))
-    # a singular H(s) stops the limit test before the shifted form
-    assert calls["classify_form"] == (2 if kind is PositivityClass.STRICTLY_POSITIVE else 1)
+    # H(s) is read from its own pass; a singular one stops the limit test
+    # before the shifted form
+    assert calls["classify_form"] == (1 if kind is PositivityClass.STRICTLY_POSITIVE else 0)
     del payload["elapsed_s"]
     assert (payload, code) == ({"class": kind.value, "index": "2"}, 0)

@@ -95,6 +95,31 @@ def test_classify_example_exit_code(tmp_path):
     assert json.loads(proc.stdout)["class"] == "NotPositive"
 
 
+@pytest.mark.parametrize("domain", [{"domain": "ray"}, {"domain": "half-open"},
+                                    {"domain": "compact", "a": "1", "b": "2"}])
+def test_empty_window_is_refused_on_every_domain(tmp_path, domain):
+    from momentkit.backward import classify_backward
+    from momentkit.errors import DomainError
+    from momentkit.extremal import reciprocal_inf_half_open, reciprocal_inf_ray
+    from momentkit.positivity import Compact, HalfOpen, Ray, classify, index
+    dom = {"ray": Ray(), "half-open": HalfOpen()}.get(domain["domain"], Compact(1, 2))
+    for call in (classify, index):
+        with pytest.raises(DomainError, match="empty sequence"):
+            call([], dom)
+    if not isinstance(dom, Compact):
+        inf = reciprocal_inf_ray if isinstance(dom, Ray) else reciprocal_inf_half_open
+        with pytest.raises(DomainError, match="empty sequence"):
+            inf([])
+        with pytest.raises(DomainError, match="empty sequence"):
+            classify_backward([], 1, dom)
+    path = _write(tmp_path, "empty.json", {"kind": "classify", "sequence": [], **domain})
+    for args in ([path], ["--float", path]):
+        proc = _run_cli(args)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {"error": {"kind": "DomainError",
+                                                     "message": "empty sequence"}}
+
+
 def test_malformed_input_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

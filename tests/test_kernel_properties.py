@@ -11,7 +11,9 @@ The integer Vandermonde solve and the support polynomial read from the
 leading-minor pass are checked against the general solve and the
 bordered-Hankel determinant they replace; the Schur-complement threshold
 and the level quadratic read from one pass against the minimal measure's
-reciprocal value and against exact samples.
+reciprocal value and against exact samples.  The integer images of the
+[a, b] and (0, 1] transforms are checked against the `Fraction` formulas
+they replace, and every verdict against `classify_form` run on those.
 """
 
 from fractions import Fraction as F
@@ -27,11 +29,12 @@ from momentkit.extremal import (_schur_threshold, reciprocal_inf_half_open, reci
                                 reciprocal_value_from_poly)
 from momentkit.measure import AtomicMeasure, moments
 from momentkit.errors import DegenerateInput
-from momentkit.numeric import (FormClass, Polynomial, _minor_pass, classify_form,
+from momentkit.numeric import (FormClass, Polynomial, _hankel_image, _minor_pass, classify_form,
                                count_roots, det, real_roots,
                                root_precision, solve_linear, vandermonde_masses)
-from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _ends,
-                                  _support_poly, classify, classify_compact, index,
+from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window,
+                                  _classify_limit, _ends, _support_poly, classify,
+                                  classify_compact, index,
                                   recover_minimal_measure, recover_support_and_masses)
 from momentkit.principal import (atom_polynomial, atoms_from_poly, bordered_hankel_poly,
                                  root_bound)
@@ -104,7 +107,9 @@ def test_classify_form_matches_sympy_inertia(entries, rows):
 
     # the pass's pivots are scale^k times the leading minors: positive for
     # its r steps, then the first that is not
-    r, a, scale, _, _ = _minor_pass(entries, n)
+    image = _hankel_image(entries)
+    r, a, _ = _minor_pass(image, n)
+    scale = image.unit
     minors = [F(a[k][k], scale ** (k + 1)) for k in range(min(r + 1, n))]
     assert minors == [exact[:k, :k].det() for k in range(1, len(minors) + 1)]
     assert all(d > 0 for d in minors[:r]) and (r == n or minors[r] <= 0)
@@ -329,7 +334,7 @@ def test_schur_threshold_is_the_minimal_measures_reciprocal_value(problem):
     values = window[:-1] if isinstance(domain, Ray) and len(window) % 2 == 1 else window
     want = (reciprocal_value_from_poly(atom_polynomial(values, domain), values)
             if values else 0)
-    assert _schur_threshold(window, domain) == want
+    assert _schur_threshold(_Window.of(window), domain) == want
 
 
 @given(planted_extreme_strict_windows(), st.fractions(min_value=F(1, 9), max_value=9,
@@ -411,10 +416,10 @@ def _monic_bordered(window, r):
 def test_support_poly_of_the_minor_pass_is_the_monic_bordered_polynomial(problem):
     domain, rank, window = problem
     ends = _ends(domain)
-    assert _support_poly(window, ends) == _monic_bordered(window, rank)
+    assert _support_poly(_Window.of(window), ends) == _monic_bordered(window, rank)
     # the float image: both read from the same binary-exact moments
-    image = [float(v) for v in window]
-    got = _support_poly(image, tuple(float(e) for e in ends))
+    image, float_ends = [float(v) for v in window], tuple(float(e) for e in ends)
+    got = _support_poly(_Window.of(image, None, float_ends), float_ends)
     if got is not None:
         want = _monic_bordered(image, got.degree)
         assert len(got.coeffs) == len(want.coeffs)
@@ -427,7 +432,7 @@ def test_a_window_off_by_one_over_den_fails_its_moment_check(problem, data):
     domain, rank, window = problem
     if rank == 0:
         return
-    poly = _support_poly(window, _ends(domain))
+    poly = _support_poly(_Window.of(window), _ends(domain))
     lo, hi = (domain.a, domain.b) if isinstance(domain, Compact) else (
         F(0), F(1) if isinstance(domain, HalfOpen) else root_bound(poly))
     pairs, exact = atoms_from_poly(poly, window, lo, hi)
@@ -437,3 +442,97 @@ def test_a_window_off_by_one_over_den_fails_its_moment_check(problem, data):
     window[k] += data.draw(st.sampled_from((1, -1))) * F(1, den)
     with pytest.raises(DegenerateInput, match="principal measure fails its moment window"):
         atoms_from_poly(poly, window, lo, hi)
+
+
+# --------------------------------------------------------------------------
+# the integer image of a window against the Fraction transforms
+# --------------------------------------------------------------------------
+
+def _reference_transforms(window, a, b) -> tuple:
+    """s_(k+1) - a s_k, b s_k - s_(k+1) and (a+b) s_(k+1) - ab s_k - s_(k+2),
+    computed in Fractions."""
+    n = len(window) - 1
+    return ([window[k + 1] - a * window[k] for k in range(n)],
+            [b * window[k] - window[k + 1] for k in range(n)],
+            [(a + b) * window[k + 1] - a * b * window[k] - window[k + 2] for k in range(n - 1)])
+
+
+def _reference_support(window, ends):
+    """Monic support polynomial from the Fraction forms: the bordered
+    polynomial of rank r, r the number of positive leading minors of H(s)
+    in the support shape, times (t - a)(t - b) over the interior window when
+    r exceeds (n + 1) / 2."""
+    n = len(window) - 1
+    order, r = n // 2 + 1, 0
+    while r < order and det([window[i:i + r + 1] for i in range(r + 1)]) > 0:
+        r += 1
+    if 2 * r <= n + 1:
+        return _monic_bordered(window, r)
+    a, b = ends
+    inner = _reference_support(_reference_transforms(window, a, b)[2], ())
+    return inner.mul(Polynomial([a * b, -(a + b), 1]))
+
+
+def _reference_kind(forms):
+    """The verdict of a pair of Fraction forms, None for one to settle by
+    the support polynomial."""
+    kinds = [classify_form(f) for f in forms]
+    if FormClass.INDEFINITE in kinds:
+        return PositivityClass.NOT_POSITIVE
+    if kinds == [FormClass.POSITIVE_DEFINITE] * 2:
+        return PositivityClass.STRICTLY_POSITIVE
+    return None
+
+
+@st.composite
+def transform_windows(draw):
+    """A window of a planted 0-4 atom measure, atoms in [a, b] (ends
+    included) or anywhere in [-9, 9], one entry moved by +-1/den a third of
+    the time, and rational a < b, a <= 0 a third of the time."""
+    a = draw(st.one_of(st.fractions(min_value=-4, max_value=0, max_denominator=9),
+                       st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+                       st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)))
+    b = a + draw(st.fractions(min_value=F(1, 7), max_value=20, max_denominator=7))
+    inside = st.builds(lambda u: a + (b - a) * u,
+                       st.fractions(min_value=0, max_value=1, max_denominator=16))
+    atoms = draw(st.lists(st.tuples(st.one_of(inside, SMALL), POSITIVE), max_size=4))
+    n = draw(st.integers(0, 8))
+    window = [sum((m * x ** k for x, m in atoms), F(0)) for k in range(n + 1)]
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, n))
+        window[k] += draw(st.sampled_from((-1, 1))) * F(1, draw(st.integers(1, 9)))
+    return window, a, b
+
+
+@given(transform_windows())
+def test_integer_transforms_are_positive_multiples_of_the_fraction_ones(problem):
+    window, a, b = problem
+    w = _Window.of(window)
+    lower, upper, interior = _reference_transforms(window, a, b)
+    for form, ref in ((w.hankel(), window), (w.lower(a), lower), (w.upper(b), upper),
+                      (w.interior(a, b), interior)):
+        assert form.unit > 0 and form.ints == [x * form.unit for x in ref]
+
+    n = len(window) - 1
+    forms = (window, interior) if n % 2 == 0 else (lower, upper)
+    verdict = classify_compact(window, a, b)
+    want = _reference_kind(forms) or PositivityClass.SINGULARLY_POSITIVE
+    assert verdict.kind is want
+    if want is PositivityClass.SINGULARLY_POSITIVE:
+        assert verdict.support == _reference_support(window, (a, b))
+
+    if any(v < 0 for v in window):
+        return
+    lower, upper, interior = _reference_transforms(window, 0, 1)
+    for domain, forms in ((Ray(), (window[:n // 2 * 2 + 1], window[1:(n + 1) // 2 * 2])),
+                          (HalfOpen(), (window, interior) if n % 2 == 0 else (lower, upper))):
+        verdict = classify(window, domain)
+        want = _reference_kind(forms)
+        assert verdict.is_strict is (want is PositivityClass.STRICTLY_POSITIVE)
+        if want is PositivityClass.NOT_POSITIVE:
+            assert verdict.kind is want
+        if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
+            assert verdict.support == _reference_support(window, ())
+        # M decided by the pass to the corner of a prepended value, in reverse
+        # order, gives the same verdict
+        assert _classify_limit(_Window.of(window), domain, by_slot=True) == verdict
