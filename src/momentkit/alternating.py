@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, DomainError, NotAMomentSequence, ZeroAtomError
-from .measure import AtomicMeasure, ZERO_MEASURE, tilt
+from .measure import AtomicMeasure, ZERO_MEASURE, _Row, geometric_row, moment_row, tilt
 from .numeric import Polynomial, Scalar
 from .positivity import HalfOpen, PositivityClass, _reads_root, _values, classify_compact
 from .principal import atom_polynomial, atoms_from_poly, measure_from_poly
@@ -51,21 +51,30 @@ class CAMeasure:
             raise ZeroAtomError("reciprocal integral of a measure with mass at zero")
         return self.positive.moment(k)
 
+    def _row(self, lo: int, hi: int) -> Optional[_Row]:
+        """`moment_row` of the atomic part, with the mass at zero added to
+        the moment of order 0."""
+        row = moment_row(self.positive, lo, hi)
+        if row is None or isinstance(self.zero_mass, float):
+            return None
+        if lo > 0 or not self.zero_mass:
+            return row
+        p, q = self.zero_mass.numerator, self.zero_mass.denominator
+        nums = [x * q for x in row.nums]
+        nums[0] += p * row.den
+        return _Row(nums, q * row.den, row.steps)
+
     def geometric_sum(self, n: int) -> Scalar:
-        """Integral of 1 + t + ... + t^(n-1).  A rational atom x < 1 takes
-        the closed form (1 - x^n) / (1 - x): verification asks for every n
-        up to its depth, and a term-by-term sum costs n powers of x each
-        time, which is slow for atoms with large denominators."""
+        """Integral of 1 + t + ... + t^(n-1), read off the integer image of
+        the moments."""
+        row = geometric_row(self, n)
+        if row is not None:
+            return row.value(n)
         total = Fraction(0)
         if n >= 1:
             total += self.zero_mass
-        atoms = self.positive.atoms
-        if any(isinstance(v, float) for atom in atoms for v in atom):
-            for k in range(n):
-                total += self.positive.moment(k)
-            return total
-        for pos, mass in atoms:
-            total += mass * (n if pos == 1 else (1 - pos ** n) / (1 - pos))
+        for k in range(n):
+            total += self.positive.moment(k)
         return total
 
     def scaled(self, factor: Scalar) -> "CAMeasure":

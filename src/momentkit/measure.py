@@ -11,18 +11,128 @@ moments for every integer exponent from a seed window and the root
 polynomial's linear recurrence, so certificates stay exactly verifiable even
 when the atoms themselves only have enclosures.  RecurrentCAMeasure gives one
 the shape of a measure on (0, 1] without mass at zero.
+
+An exact measure of either kind computes its moments on an integer image,
+built once, on first use.  With the positions P_i / Q and the masses U_i / V
+over common denominators, moment k of an AtomicMeasure is
+sum_i U_i P_i^k / (V Q^k), and for k < 0 the same sum over the reciprocal
+positions.  A MomentRecurrence runs its recurrence on the primitive integer
+polynomial q and on its seed window scaled by the common denominator L, so
+its moments are N_k / (L |q_d|^e) past the window and N_k / (L |q_0|^e)
+before it.  Moments, ratios of consecutive moments and geometric sums
+1 + ... + t^(n-1) are read off a run of such numerators (`_Row`), with one
+normalisation per value returned.  Float measures keep float arithmetic.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, InsufficientMoments, ShapeError
-from .numeric import (Polynomial, Scalar, as_fraction, format_scalar,
+from .numeric import (Polynomial, Scalar, _integer_scale, as_fraction, format_scalar,
                       parse_scalar)
+
+
+class _Row:
+    """Integer image of the consecutive exact values v_0, v_1, ...:
+    v_i = nums[i] / (den * steps[0] * ... * steps[i-1]), with den and every
+    step a positive integer.  Each value read from it is one `Fraction`
+    normalisation."""
+
+    __slots__ = ("nums", "den", "steps")
+
+    def __init__(self, nums: list, den: int, steps: list):
+        self.nums, self.den, self.steps = nums, den, steps
+
+    def value(self, i: int) -> Fraction:
+        den = self.den
+        for step in self.steps[:i]:
+            den *= step
+        return Fraction(self.nums[i], den)
+
+    def ratios(self, start: int = 0) -> list:
+        """v_(i+1) / v_i for i >= start."""
+        nums, steps = self.nums, self.steps
+        return [Fraction(nums[i + 1], nums[i] * steps[i]) for i in range(start, len(nums) - 1)]
+
+    def sums(self, const: Fraction) -> "_Row":
+        """The row of const + v_0 + ... + v_(i-1), i = 0..len(nums)."""
+        q = const.denominator
+        acc = const.numerator * self.den
+        nums = [acc]
+        for i, x in enumerate(self.nums):
+            if i:
+                acc *= self.steps[i - 1]
+            acc += q * x
+            nums.append(acc)
+        return _Row(nums, q * self.den, [1] + self.steps)
+
+
+def moment_row(mu, lo: int, hi: int) -> Optional[_Row]:
+    """Moments lo..hi of `mu`, 0 <= lo <= hi, as a `_Row`; None for a float
+    measure or an object without an integer image, whose callers keep
+    their own arithmetic for it."""
+    row = getattr(mu, "_row", None)
+    return None if row is None else row(lo, hi)
+
+
+def geometric_row(tau, hi: int, const: Fraction = Fraction(0)) -> Optional[_Row]:
+    """const + tau_0 + ... + tau_(n-1), n = 0..hi, as a `_Row` (None as for
+    `moment_row`)."""
+    if hi <= 0:
+        return _Row([const.numerator], const.denominator, [])
+    row = moment_row(tau, 0, hi - 1)
+    return None if row is None else row.sums(const)
+
+
+class _PowerSums:
+    """sum_i c_i x_i^k for k = 0, 1, ..., in integers, grown on demand."""
+
+    __slots__ = ("coeffs", "bases", "sums", "_terms")
+
+    def __init__(self, coeffs: list, bases: list):
+        self.coeffs, self.bases, self.sums, self._terms = coeffs, bases, [sum(coeffs)], coeffs
+
+    def upto(self, k: int) -> list:
+        while len(self.sums) <= k:
+            self._terms = [t * x for t, x in zip(self._terms, self.bases)]
+            self.sums.append(sum(self._terms))
+        return self.sums
+
+
+class _AtomImage:
+    """An exact AtomicMeasure over common denominators: positions P_i / Q
+    and masses U_i / V, with the reciprocal positions R_i / S for negative
+    exponents built on first use."""
+
+    __slots__ = ("V", "Q", "up", "_positions", "_down")
+
+    def __init__(self, atoms):
+        self._positions = [x for x, _ in atoms]
+        masses, self.V = _integer_scale([m for _, m in atoms])
+        positions, self.Q = _integer_scale(self._positions)
+        self.up = _PowerSums(masses, positions)
+        self._down = None
+
+    def powers(self, k: int) -> tuple:
+        """The power sums and the denominator base that serve exponent k."""
+        if k >= 0:
+            return self.up, self.Q
+        if self._down is None:
+            # 1 / x_i = den_i / num_i over S = lcm of the numerators
+            S = math.lcm(*(x.numerator for x in self._positions))
+            bases = [x.denominator * (S // x.numerator) for x in self._positions]
+            self._down = _PowerSums(self.up.coeffs, bases), S
+        return self._down
+
+    def moment(self, k: int) -> Fraction:
+        sums, base = self.powers(k)
+        e = abs(k)
+        return Fraction(sums.upto(e)[e], self.V * base ** e)
 
 
 @dataclass(frozen=True)
@@ -65,15 +175,34 @@ class AtomicMeasure:
         return tuple(m for _, m in self.atoms)
 
     def total_mass(self) -> Scalar:
-        return sum(self.masses(), Fraction(0))
+        return self.moment(0)
 
     def max_atom(self) -> Scalar:
         if not self.atoms:
             raise DegenerateInput("zero measure has no largest atom")
         return self.atoms[-1][0]
 
+    def _image(self) -> Optional[_AtomImage]:
+        """The integer image, built on first use; None when an atom holds a
+        float."""
+        image = self.__dict__.get("_img", self)
+        if image is self:
+            floats = any(isinstance(v, float) for atom in self.atoms for v in atom)
+            image = None if floats else _AtomImage(self.atoms)
+            object.__setattr__(self, "_img", image)
+        return image
+
     def moment(self, k: int) -> Scalar:
-        return sum((m * pos ** k for pos, m in self.atoms), Fraction(0))
+        image = self._image()
+        if image is None:
+            return sum((m * pos ** k for pos, m in self.atoms), Fraction(0))
+        return image.moment(k)
+
+    def _row(self, lo: int, hi: int) -> Optional[_Row]:
+        image = self._image()
+        if image is None:
+            return None
+        return _Row(image.up.upto(hi)[lo:hi + 1], image.V * image.Q ** lo, [image.Q] * (hi - lo))
 
     def to_json(self) -> dict:
         out = {"atoms": [{"x": format_scalar(p), "m": format_scalar(m)}
@@ -105,8 +234,16 @@ def moments(mu, lo: int, hi: int) -> "MomentSequence":
 
 
 def tilt(mu: AtomicMeasure, k: int) -> AtomicMeasure:
-    """Density tilt t^k dmu: same atoms, masses scaled by pos**k."""
-    return AtomicMeasure([(pos, m * pos ** k) for pos, m in mu.atoms],
+    """Density tilt t^k dmu: same atoms, masses scaled by pos**k, each read
+    off the integer image of an exact measure as U_i P_i^k / (V Q^k)."""
+    image = mu._image()
+    if image is None:
+        return AtomicMeasure([(pos, m * pos ** k) for pos, m in mu.atoms], exact=mu.exact)
+    sums, base = image.powers(k)
+    e = abs(k)
+    den = image.V * base ** e
+    return AtomicMeasure([(pos, Fraction(c * x ** e, den))
+                          for (pos, _), c, x in zip(mu.atoms, sums.coeffs, sums.bases)],
                          exact=mu.exact)
 
 
@@ -167,13 +304,70 @@ class MomentSequence:
                               [parse_scalar(v, exact_parse) for v in obj["values"]])
 
 
+class _RecurrenceImage:
+    """A moment recurrence in integers: q is the atom polynomial made
+    primitive with q_d > 0, and the seed window s_lo0..s_hi0 is L times
+    itself.  Moment k is nums[k] / den(k), den(k) = L q_d^(k - hi0) past the
+    window and L |q_0|^(lo0 - k) before it.  Each step keeps the d
+    numerators it reads over the denominator of the newest one, so it is d
+    integer products and a sum."""
+
+    __slots__ = ("q", "L", "lo0", "hi0", "lo", "hi", "nums", "_head", "_tail")
+
+    def __init__(self, poly: Polynomial, first_index: int, window):
+        coeffs = _integer_scale(poly.coeffs)[0]
+        content = math.gcd(*coeffs) if coeffs[-1] > 0 else -math.gcd(*coeffs)
+        self.q = [c // content for c in coeffs]
+        ints, self.L = _integer_scale(window)
+        d = len(coeffs) - 1
+        self.lo0 = self.lo = first_index
+        self.hi0 = self.hi = first_index + len(ints) - 1
+        self.nums = dict(zip(range(first_index, self.hi + 1), ints))
+        self._head, self._tail = ints[:d], ints[-d:]
+
+    def reach(self, k: int):
+        """Run the recurrence until it holds moment k."""
+        q = self.q
+        while self.hi < k:
+            new = -sum(c * t for c, t in zip(q, self._tail))
+            self._tail = [t * q[-1] for t in self._tail[1:]] + [new]
+            self.hi += 1
+            self.nums[self.hi] = new
+        c0 = abs(q[0])
+        while self.lo > k:
+            # s_(lo-1) = -(q_1 s_lo + ... + q_d s_(lo+d-1)) / q_0
+            new = sum(c * h for c, h in zip(q[1:], self._head))
+            new = -new if q[0] > 0 else new
+            self._head = [new] + [h * c0 for h in self._head[:-1]]
+            self.lo -= 1
+            self.nums[self.lo] = new
+
+    def den(self, k: int) -> int:
+        if k > self.hi0:
+            return self.L * self.q[-1] ** (k - self.hi0)
+        return self.L * abs(self.q[0]) ** max(0, self.lo0 - k)
+
+    def row(self, lo: int, hi: int) -> _Row:
+        self.reach(lo)
+        self.reach(hi)
+        nums = [self.nums[k] for k in range(lo, hi + 1)]
+        below = self.lo0 - lo
+        if below > 0:  # bring the moments before the window to den(lo)
+            c0 = abs(self.q[0])
+            nums = [x * c0 ** min(i, below) for i, x in enumerate(nums)]
+        lead = self.q[-1]
+        return _Row(nums, self.den(lo), [lead if k >= self.hi0 else 1 for k in range(lo, hi)])
+
+
 class MomentRecurrence:
     """Measure surrogate: exact moments via the atom polynomial's recurrence.
 
     Seeded with a window of moments s_{first_index}.. and the polynomial
     q_0 + q_1 t + ... + q_d t^d vanishing at every atom, so
     sum_j q_j s_{n+j} = 0 for all integers n.  q_0 != 0 since atoms are
-    positive, which makes the recurrence run backwards too.
+    positive, which makes the recurrence run backwards too.  Exact moments
+    come from the integer image (`_RecurrenceImage`), built on the first
+    moment asked outside the seed window.
     """
 
     def __init__(self, poly: Polynomial, first_index: int,
@@ -191,9 +385,27 @@ class MomentRecurrence:
         self._cache = {first_index + i: v for i, v in enumerate(self.window)}
         self._lo = first_index
         self._hi = first_index + len(window) - 1
+        self._floats = any(isinstance(v, float) for v in self.window + poly.coeffs)
+        self._img = None
+
+    def _image(self) -> Optional[_RecurrenceImage]:
+        if self._floats:
+            return None
+        if self._img is None:
+            self._img = _RecurrenceImage(self.poly, self.first_index, self.window)
+        return self._img
+
+    def _row(self, lo: int, hi: int) -> Optional[_Row]:
+        image = self._image()
+        return None if image is None else image.row(lo, hi)
 
     def moment(self, k: int) -> Scalar:
         if k in self._cache:
+            return self._cache[k]
+        image = self._image()
+        if image is not None:
+            image.reach(k)
+            self._cache[k] = Fraction(image.nums[k], image.den(k))
             return self._cache[k]
         q = self.poly.coeffs
         d = self.poly.degree
@@ -236,11 +448,17 @@ class RecurrentCAMeasure:
     def moment(self, k: int) -> Scalar:
         return self.recurrence.moment(k)
 
+    def _row(self, lo: int, hi: int) -> Optional[_Row]:
+        return self.recurrence._row(lo, hi)
+
     def total_mass(self) -> Scalar:
         return self.recurrence.moment(0)
 
     def geometric_sum(self, n: int) -> Scalar:
-        return sum((self.recurrence.moment(k) for k in range(n)), Fraction(0))
+        row = geometric_row(self, n)
+        if row is None:
+            return sum((self.recurrence.moment(k) for k in range(n)), Fraction(0))
+        return row.value(n)
 
     @property
     def positive(self):

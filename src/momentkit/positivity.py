@@ -336,11 +336,14 @@ def _reads_zero(x: Scalar, scale, eps: Optional[float]) -> bool:
     return abs(x) <= (DEFAULT_EPS if eps is None else eps) * max(1.0, scale)
 
 
-def _support_poly(w: _Window, ends: tuple = ()) -> Optional[Polynomial]:
+def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False) -> Optional[Polynomial]:
     """Monic support polynomial of the unique measure of a singular window
     (the constant 1 for the zero window), read from its leading moments;
     `ends` are the endpoints that belong to the domain.  None when H(s)
-    shows that the window is not positive.
+    shows that the window is not positive.  With `bordered` p is scaled by
+    its leading minor det H_r: the bordered-Hankel polynomial itself, whose
+    coefficients a float window rounds as `principal.bordered_hankel_poly`
+    rounds them.
 
     With r positive leading pivots of H(s) before the first zero one (a
     negative pivot means not positive), p is the bordered-Hankel polynomial
@@ -366,7 +369,11 @@ def _support_poly(w: _Window, ends: tuple = ()) -> Optional[Polynomial]:
     if r == 0:
         return Polynomial([1]) if w.reads_zero() else None
     num, den = _pass_solution(a, r)
-    coeffs = [Fraction(-x, den) for x in num] + [Fraction(1)]
+    if bordered:  # det H_r = a[r-1][r-1] / unit^r
+        lead, units = a[r - 1][r - 1], w.unit ** r
+        coeffs = [Fraction(-x * lead, den * units) for x in num] + [Fraction(lead, units)]
+    else:
+        coeffs = [Fraction(-x, den) for x in num] + [Fraction(1)]
     return Polynomial([_to_float(x) for x in coeffs] if w.floats else coeffs)
 
 

@@ -17,11 +17,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateInput, NotStrictlyPositive
-from .measure import AtomicMeasure
-from .numeric import (Polynomial, Scalar, _integer_scale, _to_float, det_poly,
+from .measure import AtomicMeasure, _AtomImage
+from .numeric import (Polynomial, Scalar, _to_float, det_poly,
                       root_enclosures, root_precision, vandermonde_masses)
-from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _support_measure, _values,
-                         classify_compact, classify_half_open, classify_ray)
+from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
+                         _limit_window, _support_measure, _support_poly, _values,
+                         classify_compact, classify_half_open)
 
 
 MASS_REFINEMENTS = 3
@@ -119,17 +120,14 @@ def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
 def _reproduces(atoms, masses, window) -> bool:
     """Whether sum_i m_i x_i^k = s_k for every k of the exact `window`.
 
-    With Q and D the common denominators of the atoms and of the masses,
-    the term of atom i at step k is (D m_i) (Q x_i)^k, an integer, and
-    s_k = num / den holds iff den * sum_i terms = num * D * Q^k."""
-    steps, q = _integer_scale(atoms)
-    terms, d = _integer_scale(masses)
-    power = d
+    On the integer image of the measure (`measure._AtomImage`), moment k is
+    N_k / (V Q^k), and s_k = num / den holds iff den N_k = num V Q^k."""
+    image = _AtomImage(list(zip(atoms, masses)))
+    sums, power = image.up.upto(len(window) - 1), image.V
     for k, v in enumerate(window):
         if k:
-            terms = [t * x for t, x in zip(terms, steps)]
-            power *= q
-        if v.denominator * sum(terms) != v.numerator * power:
+            power *= image.Q
+        if v.denominator * sums[k] != v.numerator * power:
             return False
     return True
 
@@ -195,14 +193,17 @@ class MinimalRayFamily:
 
 def minimal_measure_ray(s):
     """Minimal-support measure on (0, inf): the unique one for odd top
-    degree, a MinimalRayFamily handle for even top degree."""
+    degree, a MinimalRayFamily handle for even top degree.  For odd n the
+    atom polynomial is the bordered-Hankel one, read by `_support_poly`
+    from the pass over H(s) that classified the window, at full rank."""
     values = _values(s)
-    if classify_ray(values).kind is not PositivityClass.STRICTLY_POSITIVE:
+    w = _limit_window(values)
+    if _classify_limit(w, Ray()).kind is not PositivityClass.STRICTLY_POSITIVE:
         raise NotStrictlyPositive("sequence is not strictly positive on (0, inf)")
     n = len(values) - 1
     if n % 2 == 0:
         return MinimalRayFamily(values)
-    poly = bordered_hankel_poly(values)
+    poly = _support_poly(w, bordered=True)
     return measure_from_poly(poly, values, Fraction(0), root_bound(poly))
 
 

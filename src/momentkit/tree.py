@@ -11,6 +11,12 @@ flat) shape.
 
 All weights are handled squared: the criteria are polynomial in the squares
 and stay rational for inputs like sqrt(2).
+
+Certificate checks and weight rows take exact moments and geometric sums
+from the integer image of each measure (see `measure`): a moment is one
+normalised integer quotient, and a completed weight, a ratio of consecutive
+moments or of consecutive gamma_n = 1 + tau_0 + ... + tau_(n-1), is one
+quotient of two integer numerators, e.g. G_n / (Q G_(n-1)).
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
-from .measure import MomentRecurrence, MomentSequence, RecurrentCAMeasure
+from .measure import (MomentRecurrence, MomentSequence, RecurrentCAMeasure, geometric_row,
+                      moment_row)
 from .numeric import Scalar
 from .positivity import HalfOpen, Ray, _Window, _determinate_poly
 
@@ -164,18 +171,26 @@ class MeasureTail:
         self.prefix_sq = tuple(_pos_sq(w, "weight square") for w in prefix_sq)
         self.measure = measure
 
+    def _ratios(self, lo: int, hi: int) -> list:
+        """moment(k + 1) / moment(k) for k = lo..hi-1, each moment taken
+        once; for an exact measure each a quotient of two integer
+        numerators."""
+        moments = moment_row(self.measure, lo, hi)
+        if moments is not None:
+            return moments.ratios()
+        moments = [self.measure.moment(k) for k in range(lo, hi + 1)]
+        return [b / a for a, b in zip(moments, moments[1:])]
+
     def weight_sq(self, j: int):
         idx = j - 2
         if idx < len(self.prefix_sq):
             return self.prefix_sq[idx]
-        return self.measure.moment(j - 1) / self.measure.moment(j - 2)
+        return self._ratios(j - 2, j - 1)[0]
 
     def weight_sq_row(self, count: int) -> list:
-        """weight_sq(j) for j = 2..count, each moment taken once."""
-        row = list(self.prefix_sq[:count - 1])
-        moments = [self.measure.moment(k) for k in range(len(row), count)]
-        row.extend(b / a for a, b in zip(moments, moments[1:]))
-        return row
+        """weight_sq(j) for j = 2..count."""
+        row = list(self.prefix_sq[:max(count - 1, 0)])
+        return row + self._ratios(len(row), count - 1)
 
     def sup_weight_sq(self):
         sup = self.measure.max_atom()
@@ -192,25 +207,29 @@ class GeometricSumTail:
         self.prefix_sq = tuple(_pos_sq(w, "weight square") for w in prefix_sq)
         self.tau = tau
 
-    def _gamma(self, n: int):
-        return 1 + self.tau.geometric_sum(n)
+    def _ratios(self, lo: int, hi: int) -> list:
+        """gamma_(n+1) / gamma_n for n = lo..hi-1, with gamma_n run up one
+        moment at a time: gamma_n = 1 + tau_0 + ... + tau_(n-1); for an
+        exact tau each a quotient of two integer numerators."""
+        gammas = geometric_row(self.tau, hi, Fraction(1))
+        if gammas is not None:
+            return gammas.ratios(lo)
+        sums = [Fraction(0)]
+        for k in range(hi):
+            sums.append(sums[-1] + self.tau.moment(k))
+        gammas = [1 + s for s in sums[lo:]]
+        return [b / a for a, b in zip(gammas, gammas[1:])]
 
     def weight_sq(self, j: int):
         idx = j - 2
         if idx < len(self.prefix_sq):
             return self.prefix_sq[idx]
-        return self._gamma(j - 1) / self._gamma(j - 2)
+        return self._ratios(j - 2, j - 1)[0]
 
     def weight_sq_row(self, count: int) -> list:
-        """weight_sq(j) for j = 2..count, with gamma_n run up one moment at
-        a time: gamma_n = 1 + tau_0 + ... + tau_(n-1)."""
-        row = list(self.prefix_sq[:count - 1])
-        sums = [Fraction(0)]
-        for k in range(count - 1):
-            sums.append(sums[-1] + self.tau.moment(k))
-        gammas = [1 + s for s in sums[len(row):]]
-        row.extend(b / a for a, b in zip(gammas, gammas[1:]))
-        return row
+        """weight_sq(j) for j = 2..count."""
+        row = list(self.prefix_sq[:max(count - 1, 0)])
+        return row + self._ratios(len(row), count - 1)
 
     def sup_weight_sq(self):
         # gamma ratios decrease toward 1 for measures on (0, 1]

@@ -7,16 +7,18 @@ extension, the singular index, infimum and measure, and the
 principal measures of the compact extremes are read from work already done.
 The support polynomial itself comes out of the pass that gives the leading
 minors, so it costs no bordered determinant, and the same pass decides every
-Hankel form.  Where H(s) is one of the deciding forms (on the ray, and for
-even n on (0, 1] and on [a, b]) its pass is run once, in the shape the
-support polynomial reads, and handed on; so is the interior form for even n
-on [a, b].  A strict window's threshold is the Schur complement of the
-corner that holds the prepended slot, and the pass to that corner reduces
-the limit form M first, so on the paths that want the threshold it decides
-M too; the completion search reads each threshold, forced value and level
-quadratic from that pass alone, since its windows are strictly positive by
-construction.  The counts below are the whole cost of each call in the four
-kernel functions, counted through every alias the package modules import.
+Hankel form; at full rank it also gives the atom polynomial of the minimal
+measure of an odd-n window on the ray.  Where H(s) is one of the deciding
+forms (on the ray, and for even n on (0, 1] and on [a, b]) its pass is run
+once, in the shape the support polynomial reads, and handed on; so is the
+interior form for even n on [a, b].  A strict window's threshold is the
+Schur complement of the corner that holds the prepended slot, and the pass
+to that corner reduces the limit form M first, so on the paths that want
+the threshold it decides M too; the completion search reads each
+threshold, forced value and level quadratic from that pass alone, since its
+windows are strictly positive by construction.  The counts below are the
+whole cost of each call in the four kernel functions, counted through every
+alias the package modules import.
 The second slot counts that pass, `numeric._minor_pass`, wherever it runs:
 once inside each `classify_form` (the forms that are not handed on), once
 per H(s), once per support polynomial of a window whose H(s) does not
@@ -42,7 +44,7 @@ import momentkit.positivity as positivity
 from momentkit.numeric import Polynomial
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, classify, index,
                                   recover_minimal_measure)
-from momentkit.principal import minimal_measure_half_open
+from momentkit.principal import minimal_measure_half_open, minimal_measure_ray
 
 KERNEL = ("classify_form", "_minor_pass", "det_poly", "count_roots")
 
@@ -190,3 +192,10 @@ def test_cli_classify_reads_the_index_from_its_verdict(calls, tmp_path, n, kind)
     assert calls["classify_form"] == (1 if kind is PositivityClass.STRICTLY_POSITIVE else 0)
     del payload["elapsed_s"]
     assert (payload, code) == ({"class": kind.value, "index": "2"}, 0)
+
+
+def test_minimal_ray_measure_reads_the_classifying_pass(calls):
+    assert minimal_measure_ray(_window(RAY_MU, 3)) == RAY_MU
+    # H(s), whose pass at full rank also gives the atom polynomial, and M:
+    # no bordered determinant
+    assert _counts(calls) == (1, 2, 0, 0)

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import momentkit
+from momentkit.alternating import CAMeasure
 from momentkit.cli import run
 from momentkit.completion import (_norm_sq_bound, flat_che_completion, solve_che,
                                   solve_subnormal)
 from momentkit.errors import CertificateInvalid
-from momentkit.measure import MomentRecurrence, RecurrentCAMeasure
+from momentkit.measure import AtomicMeasure, MomentRecurrence, RecurrentCAMeasure
 from momentkit.numeric import Polynomial, format_scalar
 from momentkit.principal import root_bound
 from momentkit.tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
@@ -278,6 +279,61 @@ def test_weight_rows_match_generators():
         for cls, row in zip(cert.full.classes, rows):
             want = [cls.first_mass] + [cls.generator.weight_sq(j) for j in range(2, count + 1)]
             assert row == [format_scalar(v) for v in want]
+
+
+def _floats(pw):
+    return PartialWeights([float(t) for t in pw.trunk_sq],
+                          [BranchClass(float(c.first_mass), tuple(float(t) for t in c.tail_sq),
+                                       c.count) for c in pw.classes])
+
+
+def _row_tails():
+    """(tail, exact): every tail of the inline certificates (MeasureTail
+    over an AtomicMeasure and over a MomentRecurrence, GeometricSumTail over
+    a CAMeasure and over a RecurrentCAMeasure), a CAMeasure tail with mass at
+    zero, and the same shapes in floats."""
+    tails = [(cls.generator, True) for cert in _certificates() for cls in cert.full.classes]
+    for tail, _ in list(tails):
+        if isinstance(tail, MeasureTail) and isinstance(tail.measure, AtomicMeasure):
+            floats = AtomicMeasure([(float(x), float(m)) for x, m in tail.measure.atoms])
+            tails.append((MeasureTail(tail.prefix_sq, floats), False))
+        if isinstance(tail, GeometricSumTail) and isinstance(tail.tau, CAMeasure):
+            positive = tail.tau.positive
+            floats = AtomicMeasure([(float(x), float(m)) for x, m in positive.atoms])
+            tails += [(GeometricSumTail(tail.prefix_sq, CAMeasure(F(1, 3), positive)), True),
+                      (GeometricSumTail(tail.prefix_sq, CAMeasure(0.0, floats)), False),
+                      (GeometricSumTail(tail.prefix_sq, CAMeasure(1 / 3, floats)), False)]
+    # float input gives float recurrences
+    outcomes = [solve_subnormal(_floats(_seed7_problem2())),
+                solve_che(_floats(PartialWeights([], [BranchClass(2, (F(3, 2),), 1),
+                                                      BranchClass(2, (F(5, 4),), 1)])))]
+    assert all(out.feasible for out in outcomes)
+    tails += [(cls.generator, False) for out in outcomes for cls in out.certificate.full.classes]
+    return tails
+
+
+def test_weight_rows_match_weight_sq_for_every_tail_and_count():
+    shapes = set()
+    for tail, exact in _row_tails():
+        measure = tail.measure if isinstance(tail, MeasureTail) else tail.tau
+        shapes.add((type(tail).__name__, type(measure).__name__,
+                    getattr(measure, "zero_mass", 0) != 0, exact))
+        top = len(tail.prefix_sq) + 1
+        for count in list(range(top + 5)) + [top + 12]:
+            row = tail.weight_sq_row(count)
+            want = [tail.weight_sq(j) for j in range(2, count + 1)]
+            assert len(row) == len(want)
+            for got, ref in zip(row, want):
+                if exact:
+                    assert got == ref
+                else:
+                    assert abs(got - ref) <= 1e-12 * abs(ref)
+    for exact in (True, False):
+        assert {("MeasureTail", "AtomicMeasure", False, exact),
+                ("MeasureTail", "MomentRecurrence", False, exact),
+                ("GeometricSumTail", "CAMeasure", False, exact),
+                ("GeometricSumTail", "CAMeasure", True, exact),
+                ("GeometricSumTail", "RecurrentCAMeasure", False, exact)} <= shapes
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,8 @@ and the level quadratic read from one pass against the minimal measure's
 reciprocal value and against exact samples.  The integer images of the
 [a, b] and (0, 1] transforms are checked against the `Fraction` formulas
 they replace, and every verdict against `classify_form` run on those.
+The moments and geometric sums that measures read off their integer images
+are checked against the plain sums over planted atoms.
 """
 
 from fractions import Fraction as F
@@ -22,12 +24,12 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from momentkit.alternating import has_ca_extension
+from momentkit.alternating import CAMeasure, has_ca_extension
 from momentkit.backward import forced_value
 from momentkit.completion import _HALF_OPS, _RAY_OPS, _quadratic
 from momentkit.extremal import (_schur_threshold, reciprocal_inf_half_open, reciprocal_inf_ray,
                                 reciprocal_value_from_poly)
-from momentkit.measure import AtomicMeasure, moments
+from momentkit.measure import AtomicMeasure, MomentRecurrence, RecurrentCAMeasure, moments
 from momentkit.errors import DegenerateInput
 from momentkit.numeric import (FormClass, Polynomial, _hankel_image, _minor_pass, classify_form,
                                count_roots, det, real_roots,
@@ -38,6 +40,7 @@ from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Wind
                                   recover_minimal_measure, recover_support_and_masses)
 from momentkit.principal import (atom_polynomial, atoms_from_poly, bordered_hankel_poly,
                                  root_bound)
+from momentkit.tree import GeometricSumTail, MeasureTail
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -427,6 +430,24 @@ def test_support_poly_of_the_minor_pass_is_the_monic_bordered_polynomial(problem
             assert abs(x - y) <= 1e-12 * abs(y)
 
 
+@given(st.lists(st.tuples(st.fractions(min_value=F(1, 8), max_value=24, max_denominator=8),
+                         POSITIVE), min_size=1, max_size=5, unique_by=lambda atom: atom[0]),
+       st.integers(1, 4))
+def test_strict_odd_ray_window_reads_its_bordered_polynomial_from_the_pass(atoms, m):
+    """The bordered-Hankel polynomial of a strict window s_0..s_(2m-1) on
+    the ray is the full-rank support polynomial scaled by det H_m; float
+    windows round the same exact coefficients."""
+    m = min(m, len(atoms))
+    window = [sum((x_m * x ** k for x, x_m in atoms), F(0)) for k in range(2 * m)]
+    w = _Window.of(window)
+    assert _classify_limit(w, Ray()).is_strict
+    assert _support_poly(w, bordered=True) == bordered_hankel_poly(window)
+    image = [float(v) for v in window]
+    got = _support_poly(_Window.of(image), bordered=True)
+    if got is not None and got.degree == m:
+        assert got == bordered_hankel_poly(image)
+
+
 @given(planted_support_windows(), st.data())
 def test_a_window_off_by_one_over_den_fails_its_moment_check(problem, data):
     domain, rank, window = problem
@@ -536,3 +557,69 @@ def test_integer_transforms_are_positive_multiples_of_the_fraction_ones(problem)
         # M decided by the pass to the corner of a prepended value, in reverse
         # order, gives the same verdict
         assert _classify_limit(_Window.of(window), domain, by_slot=True) == verdict
+
+
+# --------------------------------------------------------------------------
+# moments on the integer image of a measure
+# --------------------------------------------------------------------------
+
+ORDERS = range(-8, 17)
+MANTISSA = st.fractions(min_value=1, max_value=2, max_denominator=64)
+MASS = st.fractions(min_value=F(1, 64), max_value=64, max_denominator=64)
+
+
+@st.composite
+def planted_measures(draw, unit=False):
+    """1-4 distinct rational atoms in [2^-40, 2^40] with rational masses;
+    with `unit`, atoms in [2^-40, 1) plus the atom 1."""
+    exponents = st.integers(-40, -1) if unit else st.integers(-40, 39)
+    atoms = draw(st.sets(st.builds(lambda m, e: m * F(2) ** e, MANTISSA, exponents),
+                         min_size=1, max_size=4))
+    if unit:
+        atoms = {x for x in atoms if x < 1} | {F(1)}
+    return [(x, draw(MASS)) for x in sorted(atoms)]
+
+
+def _reference(atoms, k):
+    return sum((m * x ** k for x, m in atoms), F(0))
+
+
+def _recurrence(atoms, first, extra):
+    """The moment recurrence of the atoms' polynomial, seeded at `first`
+    with `extra` moments beyond its order."""
+    poly = Polynomial([1])
+    for x, _ in atoms:
+        poly = poly.mul(Polynomial([-x, 1]))
+    window = [_reference(atoms, first + i) for i in range(len(atoms) + extra)]
+    return MomentRecurrence(poly, first, window)
+
+
+@given(planted_measures(), st.integers(-6, 6), st.integers(0, 2),
+       st.permutations(list(ORDERS)))
+def test_image_moments_match_the_plain_sums(atoms, first, extra, order):
+    mu = AtomicMeasure(atoms)
+    rec = _recurrence(atoms, first, extra)
+    # asked in any order, so the recurrence runs both ways from its seed
+    for k in order:
+        want = _reference(atoms, k)
+        assert mu.moment(k) == want and rec.moment(k) == want
+    ratios = [_reference(atoms, k + 1) / _reference(atoms, k) for k in range(16)]
+    for measure in (AtomicMeasure(atoms), _recurrence(atoms, first, extra)):
+        assert MeasureTail((), measure).weight_sq_row(17) == ratios
+
+
+@given(planted_measures(unit=True), MASS, st.integers(-6, 6), st.integers(0, 2),
+       st.permutations(list(range(17))))
+def test_image_geometric_sums_match_the_plain_sums(atoms, zero_mass, first, extra, order):
+    ca = CAMeasure(zero_mass, AtomicMeasure(atoms))
+    recurrent = RecurrentCAMeasure(_recurrence(atoms, first, extra))
+    for n in order:
+        want = sum((_reference(atoms, k) for k in range(n)), F(0))
+        assert ca.geometric_sum(n) == (zero_mass if n else 0) + want
+        assert recurrent.geometric_sum(n) == want
+    for zero, tau in ((zero_mass, CAMeasure(zero_mass, AtomicMeasure(atoms))),
+                      (0, RecurrentCAMeasure(_recurrence(atoms, first, extra)))):
+        gammas = [1 + (zero if n else 0) + sum((_reference(atoms, k) for k in range(n)), F(0))
+                  for n in range(17)]
+        ratios = [b / a for a, b in zip(gammas, gammas[1:])]
+        assert GeometricSumTail((), tau).weight_sq_row(17) == ratios
