@@ -3,10 +3,12 @@
 For a strictly positive sequence the integral of 1/t over its representing
 measures on [a, b] spans a closed interval whose endpoints are attained at
 the two principal measures.  Both endpoint values are computed exactly from
-the determinant identity
+the identity
 
-    integral of 1/t dmu  =  -P(0) / Q(0),      P(0) = sigma((Q(t)-Q(0))/t),
+    integral of 1/t dmu  =  -q(0) / p(0),      q(0) = L_s((p(t) - p(0)) / t),
 
+q being the associated polynomial of the atom polynomial p under the window
+(`numeric.associated`, whose values at the atoms also give the masses),
 applied to the two principal polynomials, then ordered by comparison; this
 sidesteps any orientation bookkeeping and stays rational even when the atoms
 are irrational.
@@ -41,7 +43,7 @@ from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure, MomentRecurrence
-from .numeric import Polynomial, Scalar, _to_float, as_fraction
+from .numeric import Polynomial, Scalar, _to_float, as_fraction, associated
 from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _Window,
                          _classify_limit, _limit_window, _odd_half_open, _values,
                          classify_compact, classify_ray)
@@ -59,17 +61,16 @@ class ExtremalBounds:
 
 
 def reciprocal_value_from_poly(poly: Polynomial, values: Sequence[Scalar]) -> Scalar:
-    """-P(0)/Q(0) for a polynomial vanishing at every atom of a measure
-    whose leading moments are `values`; equals the measure's reciprocal
-    integral.  Needs deg(poly) <= len(values) + 1 and Q(0) != 0."""
-    q0 = poly.coeffs[0]
-    if q0 == 0:
+    """-q(0)/p(0) for a polynomial p vanishing at every atom of a measure
+    whose leading moments are `values`, q being its associated polynomial
+    (`numeric.associated`); equals the measure's reciprocal integral.
+    Needs deg(p) <= len(values) and p(0) != 0."""
+    p0 = poly.coeffs[0]
+    if p0 == 0:
         raise DegenerateInput("atom polynomial vanishes at zero")
-    quotient = poly.shifted_quotient_at_zero()
-    if quotient.degree + 1 > len(values):
+    if poly.degree > len(values):
         raise DegenerateInput("moment window too short for the sigma functional")
-    p0 = sum(c * values[j] for j, c in enumerate(quotient.coeffs))
-    return -p0 / q0
+    return -next(associated(poly.coeffs, values), 0) / p0
 
 
 def _principal_values(values, a, b) -> list:

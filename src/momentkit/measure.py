@@ -13,8 +13,11 @@ when the atoms themselves only have enclosures.  RecurrentCAMeasure gives one
 the shape of a measure on (0, 1] without mass at zero.
 
 An exact measure of either kind computes its moments on an integer image,
-built once, on first use.  With the positions P_i / Q and the masses U_i / V
-over common denominators, moment k of an AtomicMeasure is
+built once: on first use, or handed over by the code that built the
+measure.  `principal.measure_from_poly` passes the image it checked the
+window on, and `tilt` builds the tilted measure's image from its parent's,
+so each exact measure has one image.  With the positions P_i / Q and the
+masses U_i / V over common denominators, moment k of an AtomicMeasure is
 sum_i U_i P_i^k / (V Q^k), and for k < 0 the same sum over the reciprocal
 positions.  A MomentRecurrence runs its recurrence on the primitive integer
 polynomial q and on its seed window scaled by the common denominator L, so
@@ -107,25 +110,33 @@ class _PowerSums:
 class _AtomImage:
     """An exact AtomicMeasure over common denominators: positions P_i / Q
     and masses U_i / V, with the reciprocal positions R_i / S for negative
-    exponents built on first use."""
+    exponents built on first use.  `of` builds it from the atoms; the image
+    of a tilt t^k dmu is read off this one (`tilted`)."""
 
-    __slots__ = ("V", "Q", "up", "_positions", "_down")
+    __slots__ = ("V", "Q", "up", "_positions", "_recip", "_down")
 
-    def __init__(self, atoms):
-        self._positions = [x for x, _ in atoms]
-        masses, self.V = _integer_scale([m for _, m in atoms])
-        positions, self.Q = _integer_scale(self._positions)
-        self.up = _PowerSums(masses, positions)
+    def __init__(self, positions: list, masses: list, V: int, bases: list, Q: int,
+                 recip: Optional[tuple] = None):
+        self._positions, self.V, self.Q, self._recip = positions, V, Q, recip
+        self.up = _PowerSums(masses, bases)
         self._down = None
+
+    @classmethod
+    def of(cls, atoms) -> "_AtomImage":
+        positions = [x for x, _ in atoms]
+        masses, V = _integer_scale([m for _, m in atoms])
+        return cls(positions, masses, V, *_integer_scale(positions))
 
     def powers(self, k: int) -> tuple:
         """The power sums and the denominator base that serve exponent k."""
         if k >= 0:
             return self.up, self.Q
         if self._down is None:
-            # 1 / x_i = den_i / num_i over S = lcm of the numerators
-            S = math.lcm(*(x.numerator for x in self._positions))
-            bases = [x.denominator * (S // x.numerator) for x in self._positions]
+            if self._recip is None:
+                # 1 / x_i = den_i / num_i over S = lcm of the numerators
+                S = math.lcm(*(x.numerator for x in self._positions))
+                self._recip = [x.denominator * (S // x.numerator) for x in self._positions], S
+            bases, S = self._recip
             self._down = _PowerSums(self.up.coeffs, bases), S
         return self._down
 
@@ -133,6 +144,16 @@ class _AtomImage:
         sums, base = self.powers(k)
         e = abs(k)
         return Fraction(sums.upto(e)[e], self.V * base ** e)
+
+    def tilted(self, k: int) -> "_AtomImage":
+        """The image of t^k dmu: the same positions, with masses
+        c_i x_i^e / (V base^e), e = |k|, over the bases that serve
+        exponent k."""
+        sums, base = self.powers(k)
+        e = abs(k)
+        masses = [c * x ** e for c, x in zip(sums.coeffs, sums.bases)]
+        return _AtomImage(self._positions, masses, self.V * base ** e, self.up.bases, self.Q,
+                          self._recip)
 
 
 @dataclass(frozen=True)
@@ -188,7 +209,7 @@ class AtomicMeasure:
         image = self.__dict__.get("_img", self)
         if image is self:
             floats = any(isinstance(v, float) for atom in self.atoms for v in atom)
-            image = None if floats else _AtomImage(self.atoms)
+            image = None if floats else _AtomImage.of(self.atoms)
             object.__setattr__(self, "_img", image)
         return image
 
@@ -233,18 +254,25 @@ def moments(mu, lo: int, hi: int) -> "MomentSequence":
     return MomentSequence(lo, [mu.moment(k) for k in range(lo, hi + 1)])
 
 
+def _imaged(atoms, exact: bool, image: _AtomImage) -> AtomicMeasure:
+    """AtomicMeasure(atoms, exact) carrying `image` as its integer image:
+    `image` holds the same atoms, and in the same order, so the positions
+    must be distinct and ascending."""
+    mu = AtomicMeasure(atoms, exact=exact)
+    object.__setattr__(mu, "_img", image)
+    return mu
+
+
 def tilt(mu: AtomicMeasure, k: int) -> AtomicMeasure:
-    """Density tilt t^k dmu: same atoms, masses scaled by pos**k, each read
-    off the integer image of an exact measure as U_i P_i^k / (V Q^k)."""
+    """Density tilt t^k dmu: same atoms, masses scaled by pos**k.  An exact
+    measure's tilt reads them off its integer image, U_i P_i^k / (V Q^k),
+    and carries the image they come from (`_AtomImage.tilted`)."""
     image = mu._image()
     if image is None:
         return AtomicMeasure([(pos, m * pos ** k) for pos, m in mu.atoms], exact=mu.exact)
-    sums, base = image.powers(k)
-    e = abs(k)
-    den = image.V * base ** e
-    return AtomicMeasure([(pos, Fraction(c * x ** e, den))
-                          for (pos, _), c, x in zip(mu.atoms, sums.coeffs, sums.bases)],
-                         exact=mu.exact)
+    image = image.tilted(k)
+    return _imaged([(pos, Fraction(c, image.V)) for (pos, _), c in zip(mu.atoms, image.up.coeffs)],
+                   mu.exact, image)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,20 @@
 """Scalar, dense matrix, Hankel form and polynomial kernel.
 
 One integer kernel serves every input.  It clears denominators once and then
-runs on Python integers: fraction-free (Bareiss) elimination for
-determinants, bordered determinant polynomials and linear solves, and one
-unpivoted Bareiss pass over the 2n - 1 entries of a Hankel form, given as
-integers times a positive unit (`HankelImage`), which decides it definite,
-singular or indefinite from its leading minors and the Schur complement
-they leave (Sylvester; Curto and Fialkow), and which a caller that keeps it
-reads again for a leading block (`_pass_class`) or a back substitution
-(`_pass_solution`) instead of eliminating the form twice; primitive integer
-Sturm chains, evaluated by homogeneous Horner at rational points, for root
-isolation.  `Fraction`s appear only in the results; that holds for the
-Vandermonde solve of atom masses too, whose integer system is built from the
-atoms' numerators and denominators.
+runs on Python integers.  One unpivoted Bareiss pass over the 2n - 1 entries
+of a Hankel form, given as integers times a positive unit (`HankelImage`),
+decides it definite, singular or indefinite from its leading minors and the
+Schur complement they leave (Sylvester; Curto and Fialkow).  A caller that
+keeps the pass reads it again for a leading block (`_pass_class`), or for a
+back substitution (`_pass_solution`) that gives a support or bordered-Hankel
+polynomial (`_pass_bordered`), instead of eliminating the form twice.  The
+masses of atoms at given nodes are the Lagrange form of their Vandermonde
+system, read from the associated polynomial (`associated`) on one integer
+image of the nodes and the window (`vandermonde_masses`).  Root isolation
+uses primitive integer Sturm chains, evaluated by homogeneous Horner at
+rational points.  `Fraction`s appear only in the results.  The dense
+fraction-free family (`det`, `solve_linear`, `det_poly`) stays as a
+general-purpose reference; no library path calls it.
 
 Exact input (`int` and `fractions.Fraction`) gives exact results.  Input
 containing a `float` runs through the same code on its binary-exact image
@@ -581,14 +583,41 @@ def det_poly(rows, degrees: Optional[Sequence[int]] = None) -> Polynomial:
     return Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
 
 
-def vandermonde_masses(atoms: Sequence[Scalar], window: Sequence[Scalar]):
-    """Masses matching the first len(atoms) moments of `window` at `atoms`.
+def associated(p: Sequence, s: Sequence):
+    """The coefficients q_0, ..., q_(d-1), lowest degree first and yielded
+    in that order, of the associated polynomial
 
-    The system sum_j m_j x_j^k = s_k, k < c, is built on integers: for an
-    atom x_j = p_j / q_j, column j holds p_j^k q_j^(c-1-k), i.e. x_j^k scaled
-    by q_j^(c-1), and the right-hand side is scaled by the least common
-    denominator of the moments.  Float input runs on its binary-exact image
-    and gets floats back."""
+        q(t) = L_s[(p(t) - p(u)) / (t - u)],   q_i = sum_(k > i) p_k s_(k-1-i),
+
+    of p = (p_0, ..., p_d) under the functional L_s(u^k) = s_k; they read
+    s_0..s_(d-1).  Let a measure with leading moments s have its atoms at
+    simple roots of p.  Then q(x) = m p'(x) at each atom x of mass m, the
+    Gauss-Christoffel weight of Gaussian quadrature (Karlin and Studden,
+    *Tchebycheff Systems*, 1966, ch. II), and -q(0)/p(0) is the measure's
+    integral of 1/t.  Each coefficient is summed from k = i + 1 up."""
+    d = len(p) - 1
+    for i in range(d):
+        yield sum(p[k] * s[k - 1 - i] for k in range(i + 1, d + 1))
+
+
+def vandermonde_masses(atoms: Sequence[Scalar], window: Sequence[Scalar]):
+    """Masses m_j at distinct `atoms` x_j that match the first c = len(atoms)
+    moments of `window`: the solution of sum_j m_j x_j^k = s_k, k < c, in
+    its Lagrange form m_j = q(x_j) / p'(x_j), p = prod (t - x_i) and q its
+    `associated` polynomial.
+
+    It runs on one integer image: the atoms over a common denominator,
+    x_j = P_j / Q, so that p~(t) = prod (Q t - P_i) = Q^c p(t), and the
+    window scaled by its least common denominator, S_k = unit * s_k.  The
+    associated polynomial q~ of p~ under S is unit * Q^c * q, and
+
+        m_j = _horner(q~, P_j, Q) / (unit * Q^c * prod_(i != j) (P_j - P_i)),
+
+    one `Fraction` per mass.  That is O(c^2) integer work in place of an
+    O(c^3) elimination, and it is the same exact solution, for rational
+    roots, enclosure midpoints and floats alike.  Float input runs on its
+    binary-exact image and gets floats back.  Coinciding atoms raise
+    DegenerateInput."""
     c = len(atoms)
     if c == 0:
         return []
@@ -596,13 +625,19 @@ def vandermonde_masses(atoms: Sequence[Scalar], window: Sequence[Scalar]):
         raise InsufficientMoments("moment window shorter than atom count")
     window = window[:c]
     floats = any(isinstance(x, float) for x in (*atoms, *window))
-    rhs, rhs_scale = _integer_scale([as_fraction(v) for v in window])
-    fracs = [as_fraction(x) for x in atoms]
-    a = [[x.numerator ** k * x.denominator ** (c - 1 - k) for x in fracs] + [rhs[k]]
-         for k in range(c)]
-    num, den = _solve_integer(a)
-    # column j was scaled by q_j^(c-1), the right-hand side by rhs_scale
-    out = [Fraction(v * x.denominator ** (c - 1), den * rhs_scale) for v, x in zip(num, fracs)]
+    S, unit = _integer_scale([as_fraction(v) for v in window])
+    P, Q = _integer_scale([as_fraction(x) for x in atoms])
+    p = [1]
+    for x in P:  # times (Q t - x)
+        p = [Q * b - x * a for a, b in zip(p + [0], [0] + p)]
+    q = list(associated(p, S))
+    scale = unit * Q ** c
+    out = []
+    for j, x in enumerate(P):
+        slope = math.prod(x - y for i, y in enumerate(P) if i != j)
+        if slope == 0:
+            raise DegenerateInput("coinciding atoms")
+        out.append(Fraction(_horner(q, x, Q), scale * slope))
     return [_to_float(v) for v in out] if floats else out
 
 
@@ -647,6 +682,38 @@ def _hankel_image(entries, eps: Optional[float] = None,
         tols = _tolerances(eps, map(abs, entries) if scales is None else scales)
         entries = [as_fraction(x) for x in entries]
     return HankelImage(*_integer_scale(entries), tols)
+
+
+def _dilated(image: HankelImage) -> tuple:
+    """(dilated, lam): the exact image of the window lam^k s_k, the moments
+    of the measure carried by t -> lam t, for an integer lam >= 1, when its
+    integers are shorter in total than those of `image`; (image without
+    tolerances, 1) otherwise.
+
+    The moments of atoms P_i / Q have denominators that grow by a factor Q
+    per index, so over their common denominator the low entries carry
+    powers of Q they do not need.  lam is the factor the last entry's
+    denominator adds to the one before it, Q for those moments, and the
+    dilated window has integers about as short as the atoms'.  Its Hankel
+    form is D H D with D = diag(lam^i), so a pass over it takes the same
+    steps and its leading minors are those of H times powers of lam."""
+    S, unit = image.ints, image.unit
+    plain = HankelImage(S, unit), 1
+    if len(S) < 2:
+        return plain
+    last, before = unit // math.gcd(unit, S[-1]), unit // math.gcd(unit, S[-2])
+    lam = last // math.gcd(last, before)
+    if lam == 1:
+        return plain
+    scaled, power = [], 1
+    for x in S:
+        scaled.append(x * power)
+        power *= lam
+    shrink = unit // math.lcm(*(unit // math.gcd(unit, x) for x in scaled))
+    ints = [x // shrink for x in scaled]
+    if sum(x.bit_length() for x in ints) >= sum(x.bit_length() for x in S):
+        return plain
+    return HankelImage(ints, unit // shrink), lam
 
 
 def _minor_pass(image: HankelImage, order: int) -> tuple:
@@ -731,3 +798,18 @@ def _pass_solution(a, r: int) -> tuple:
     as on the others, and every column has the same unit, so the reduced
     rows 0..r-1 give x by back substitution alone."""
     return _solve_upper(a[:r], [row[r] for row in a[:r]])
+
+
+def _pass_bordered(a, r: int, unit: int, lam: int = 1) -> list:
+    """Coefficients, lowest degree first, of the bordered-Hankel polynomial
+    det H_r (t^r - sum c_j t^j) of the Hankel rows that `_minor_pass`
+    reduced to `a` in r >= 1 steps over an image of unit `unit`: c is
+    `_pass_solution`, and det H_r = a[r-1][r-1] / unit^r (Sylvester).  It is
+    the determinant of H_r bordered by the row (h_r, ..., h_(2r-1), t^r)
+    and the column (1, t, ..., t^r).  For an image `_dilated` by lam the
+    pass gives p~(t) = lam^(r^2) p(t / lam), so coefficient j of p is that
+    of p~ over lam^(r^2 - j)."""
+    num, den = _pass_solution(a, r)
+    lead, units = a[r - 1][r - 1], unit ** r
+    return ([Fraction(-x * lead, den * units * lam ** (r * r - j)) for j, x in enumerate(num)]
+            + [Fraction(lead, units * lam ** (r * r - r))])

@@ -51,8 +51,8 @@ from typing import Optional, Sequence, Union
 from .errors import (DegenerateInput, DomainError, NotAMomentSequence)
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
 from .numeric import (DEFAULT_EPS, FormClass, HankelImage, Polynomial, Scalar, _integer_scale,
-                      _minor_pass, _pass_class, _pass_solution, _to_float, _tolerances,
-                      as_fraction, classify_form, count_roots)
+                      _minor_pass, _pass_bordered, _pass_class, _pass_solution, _to_float,
+                      _tolerances, as_fraction, classify_form, count_roots)
 
 
 # --------------------------------------------------------------------------
@@ -368,11 +368,10 @@ def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False) -> Optio
         return None if inner is None else inner.mul(Polynomial([lo * hi, -(lo + hi), 1]))
     if r == 0:
         return Polynomial([1]) if w.reads_zero() else None
-    num, den = _pass_solution(a, r)
-    if bordered:  # det H_r = a[r-1][r-1] / unit^r
-        lead, units = a[r - 1][r - 1], w.unit ** r
-        coeffs = [Fraction(-x * lead, den * units) for x in num] + [Fraction(lead, units)]
+    if bordered:
+        coeffs = _pass_bordered(a, r, w.unit)
     else:
+        num, den = _pass_solution(a, r)
         coeffs = [Fraction(-x, den) for x in num] + [Fraction(1)]
     return Polynomial([_to_float(x) for x in coeffs] if w.floats else coeffs)
 
@@ -384,8 +383,10 @@ def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
 
     p of degree r is `_support_poly`.  The window passes when p's recurrence
     generates all of it, p(0) != 0, and p has r distinct roots in
-    (0, root_bound(p)], resp. (0, 1]: the Vandermonde masses then reproduce
-    s and are positive, as H_r = V^T D V is positive definite.  A singular
+    (0, root_bound(p)], resp. (0, 1]: the masses at those roots that match
+    s_0..s_(r-1) (the Gauss-Christoffel weights q(x)/p'(x) of
+    `numeric.vandermonde_masses`) then reproduce s and are positive, as
+    H_r = V^T D V is positive definite.  A singular
     window always passes, its unique measure having r atoms.  The recurrence
     runs on the integer images of the window and of p; roots are counted on
     the binary-exact image of p by a Sturm chain and never refined.  Floats

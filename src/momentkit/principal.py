@@ -1,12 +1,17 @@
 """Principal and minimal-support representing measures.
 
 A strictly positive sequence on [a, b] has exactly two representing measures
-of minimal index; their atoms are roots of bordered-Hankel determinant
-polynomials and their masses follow from an exact Vandermonde solve.  On
-(0, inf) the odd-length case has a unique minimal measure (the same
-polynomial, interval-independent); the even-length case is a one-parameter
-family exposed as a lazy handle.  On (0, 1] the minimal measure is unique in
-both parities.
+of minimal index.  Their atoms are the roots of bordered-Hankel polynomials,
+det H_m (t^m - sum c_j t^j) with H_m c = (s_m, ..., s_(2m-1)) for the window
+or one of its transforms, read from one leading-minor pass of H_m and one
+back substitution (Curto and Fialkow, Houston J. Math. 17 (1991)).  Their
+masses are Gauss-Christoffel weights q(x)/p'(x), q the associated polynomial,
+on one integer image (`numeric.vandermonde_masses`).  On (0, inf) the
+odd-length case has a unique minimal measure (the same polynomial,
+interval-independent); the even-length case is a one-parameter family
+exposed as a lazy handle.  On (0, 1] the minimal measure is unique in both
+parities.  An exact measure built here keeps the integer image its window
+was checked on, for its moments and its tilts.
 """
 
 from __future__ import annotations
@@ -14,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DegenerateInput, NotStrictlyPositive
-from .measure import AtomicMeasure, _AtomImage
-from .numeric import (Polynomial, Scalar, _to_float, det_poly,
-                      root_enclosures, root_precision, vandermonde_masses)
+from .measure import AtomicMeasure, _AtomImage, _imaged
+from .numeric import (HankelImage, Polynomial, Scalar, _dilated, _integer_scale, _minor_pass,
+                      _pass_bordered, _to_float, as_fraction, root_enclosures, root_precision,
+                      vandermonde_masses)
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
                          _limit_window, _support_measure, _support_poly, _values,
                          classify_compact, classify_half_open)
@@ -34,36 +40,51 @@ class PrincipalKind(Enum):
 
 
 def bordered_hankel_poly(window: Sequence[Scalar]) -> Polynomial:
-    """det of the Hankel block of a length-2m window bordered by the
-    monomial column (1, t, ..., t^m); degree m."""
+    """det of the Hankel block H_m of a length-2m window bordered by the
+    row (s_m, ..., s_(2m-1), t^m) and the column (1, t, ..., t^m); degree
+    m.  H_m must be positive definite, as it is for every strictly positive
+    window, else DegenerateInput.  See `_bordered_image`."""
     window = list(window)
     if len(window) % 2 != 0 or not window:
         raise DegenerateInput("bordered layout needs an even, nonempty window")
-    m = len(window) // 2
-    rows = [[window[i + j] for j in range(m)] for i in range(m + 1)]
-    poly = det_poly(rows)
-    if poly.degree != m:
-        raise DegenerateInput("bordered determinant degenerated (leading minor vanished)")
-    return poly
+    floats = any(isinstance(x, float) for x in window)
+    return _bordered_image(HankelImage(*_integer_scale([as_fraction(x) for x in window])),
+                           floats)
 
 
-def _bordered_image(form, floats: bool) -> Polynomial:
-    """`bordered_hankel_poly` of a transformed window given by its integer
-    image (`ints` = `unit` times its entries, see `positivity._Window`),
-    with float coefficients for float input.  The entries are read back
-    first: the determinant then clears each column by its own denominator,
-    whose integers are smaller than the image's."""
-    if not form.ints:
+def _bordered_image(form: HankelImage, floats: bool) -> Polynomial:
+    """`bordered_hankel_poly` of a window of 2m entries given by its
+    integer image (`ints` = `unit` times its entries, see
+    `positivity._Window`), with float coefficients for float input; the
+    constant 1 for the empty window.
+
+    The polynomial is det H_m (t^m - sum c_j t^j) with
+    H_m c = (s_m, ..., s_(2m-1)), the construction of
+    `positivity._support_poly(bordered=True)`: one `_minor_pass` of the
+    rows of H_m with the column of the right-hand side, m positive pivots,
+    and one back substitution (`numeric._pass_bordered`).  It runs without
+    the float zero test, on the exact or binary-exact image, so float
+    input gets its exact polynomial rounded; the image is first
+    `numeric._dilated`, which keeps its integers short.  A leading block
+    H_m that is not positive definite raises DegenerateInput."""
+    m = len(form.ints) // 2
+    if m == 0:
         return Polynomial([1])
-    poly = bordered_hankel_poly([Fraction(x, form.unit) for x in form.ints])
-    return Polynomial([_to_float(c) for c in poly.coeffs]) if floats else poly
+    image, lam = _dilated(form)
+    r, a, _ = _minor_pass(image, m)
+    if r < m:
+        raise DegenerateInput("bordered layout needs a positive definite leading block")
+    coeffs = _pass_bordered(a, m, image.unit, lam)
+    return Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
 
 
 def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
     """Atom polynomial of the minimal measure of a strictly positive window
     on the ray or on (0, 1]: the bordered-Hankel polynomial of an
     even-length window, and on (0, 1] for odd length (1 - t) times that of
-    the differences s_k - s_(k+1), whose measure carries the atom 1."""
+    the differences s_k - s_(k+1), whose measure carries the atom 1.  A
+    window that is not strictly positive may raise DegenerateInput (see
+    `_bordered_image`)."""
     window = list(window)
     if isinstance(domain, Ray) or len(window) % 2 == 0:
         return bordered_hankel_poly(window)
@@ -92,6 +113,14 @@ def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
     enclosures narrowed by 2^-64 up to MASS_REFINEMENTS times before a
     nonpositive mass is final.
     """
+    pairs, image = _atoms_and_image(poly, window, lo, hi)
+    return pairs, image is not None
+
+
+def _atoms_and_image(poly: Polynomial, window: Sequence[Scalar], lo: Scalar, hi: Scalar) -> tuple:
+    """`atoms_from_poly` as (pairs, image): `image` is the integer image
+    (`measure._AtomImage`) the exact atoms were checked on, None when they
+    are not exact.  The pairs ascend by position."""
     enclosures = root_enclosures(poly, lo, hi)
     if len(enclosures) != poly.degree:
         raise DegenerateInput(
@@ -110,41 +139,49 @@ def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
     if len(set(roots)) != len(roots):
         raise DegenerateInput("coinciding atoms in principal construction")
     pairs = list(zip(roots, masses))
-    exact = settled and not any(
-        isinstance(v, float) for v in list(window) + list(roots))
-    if exact and not _reproduces(roots, masses, window):
-        raise DegenerateInput("principal measure fails its moment window")
-    return pairs, exact
+    image = None
+    if settled and not any(isinstance(v, float) for v in list(window) + list(roots)):
+        image = _reproduces(pairs, window)
+        if image is None:
+            raise DegenerateInput("principal measure fails its moment window")
+    return pairs, image
 
 
-def _reproduces(atoms, masses, window) -> bool:
-    """Whether sum_i m_i x_i^k = s_k for every k of the exact `window`.
+def _reproduces(pairs, window) -> Optional[_AtomImage]:
+    """The integer image of the exact atoms `pairs` (`measure._AtomImage`)
+    when sum_i m_i x_i^k = s_k for every k of the exact `window`, else
+    None.
 
-    On the integer image of the measure (`measure._AtomImage`), moment k is
-    N_k / (V Q^k), and s_k = num / den holds iff den N_k = num V Q^k."""
-    image = _AtomImage(list(zip(atoms, masses)))
+    On that image moment k is N_k / (V Q^k), and s_k = num / den holds iff
+    den N_k = num V Q^k."""
+    image = _AtomImage.of(pairs)
     sums, power = image.up.upto(len(window) - 1), image.V
     for k, v in enumerate(window):
         if k:
             power *= image.Q
         if v.denominator * sums[k] != v.numerator * power:
-            return False
-    return True
+            return None
+    return image
 
 
 def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
                       lo: Scalar, hi: Scalar) -> AtomicMeasure:
-    """The measure of `atoms_from_poly` (lo >= 0 and no root at 0)."""
-    pairs, exact = atoms_from_poly(poly, window, lo, hi)
-    return AtomicMeasure(pairs, exact=exact)
+    """The measure of `atoms_from_poly` (lo >= 0 and no root at 0).  An
+    exact measure carries the integer image its window was checked on."""
+    pairs, image = _atoms_and_image(poly, window, lo, hi)
+    if image is None:
+        return AtomicMeasure(pairs, exact=False)
+    return _imaged(pairs, True, image)
 
 
 def principal_polynomial(values, a: Scalar, b: Scalar,
                          kind: PrincipalKind) -> Polynomial:
     """Atom polynomial of the lower/upper principal measure on [a, b].
 
-    Valid for any a < b (the Hankel transforms do not need a > 0); no
-    positivity gating happens here.
+    Valid for any a < b (the Hankel transforms do not need a > 0).  No
+    positivity gating happens here, but the window must be strictly positive
+    on [a, b]: its bordered-Hankel polynomial (`_bordered_image`) needs a
+    positive definite leading block and raises DegenerateInput otherwise.
     """
     values = _values(values)
     if len(values) % 2 == 0 and kind is PrincipalKind.LOWER:

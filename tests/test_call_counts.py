@@ -8,10 +8,12 @@ principal measures of the compact extremes are read from work already done.
 The support polynomial itself comes out of the pass that gives the leading
 minors, so it costs no bordered determinant, and the same pass decides every
 Hankel form; at full rank it also gives the atom polynomial of the minimal
-measure of an odd-n window on the ray.  Where H(s) is one of the deciding
-forms (on the ray, and for even n on (0, 1] and on [a, b]) its pass is run
-once, in the shape the support polynomial reads, and handed on; so is the
-interior form for even n on [a, b].  A strict window's threshold is the
+measure of an odd-n window on the ray.  Every other bordered-Hankel
+polynomial (principal and minimal measures, certificate measures) is one
+full-rank pass of its own, so no path counts a `det_poly`.  Where H(s) is
+one of the deciding forms (on the ray, and for even n on (0, 1] and on
+[a, b]) its pass is run once, in the shape the support polynomial reads,
+and handed on; so is the interior form for even n on [a, b].  A strict window's threshold is the
 Schur complement of the corner that holds the prepended slot, and the pass
 to that corner reduces the limit form M first, so on the paths that want
 the threshold it decides M too; the completion search reads each
@@ -22,8 +24,8 @@ alias the package modules import.
 The second slot counts that pass, `numeric._minor_pass`, wherever it runs:
 once inside each `classify_form` (the forms that are not handed on), once
 per H(s), once per support polynomial of a window whose H(s) does not
-decide it and once per slot, so it counts every elimination of a Hankel
-form.
+decide it, once per bordered polynomial of a strict window and once per
+slot, so it counts every elimination of a Hankel form.
 """
 
 import json
@@ -34,6 +36,7 @@ from fractions import Fraction as F
 import pytest
 
 import momentkit.completion as completion
+import momentkit.measure as measure
 import momentkit.numeric as numeric
 from momentkit.backward import ExtensionClass, classify_backward, forced_value
 from momentkit.cli import run
@@ -128,8 +131,9 @@ def test_compact_extremes_classify_once(calls):
     window = _window(mu, 4)
     bounds = reciprocal_extremes_compact(window, F(1), F(4))
     assert bounds.t_lo < mu.moment(-1) < bounds.t_hi
-    # H(s) and the interior form, each a window whose pass is kept
-    assert (calls["classify_form"], calls["_minor_pass"]) == (0, 2)
+    # H(s) and the interior form, each a window whose pass is kept, and one
+    # full-rank pass per principal polynomial: no bordered determinant
+    assert _counts(calls) == (0, 4, 0, 0)
 
 
 @pytest.mark.parametrize("mu, domain", [(RAY_MU, Ray()), (UNIT_MU, HalfOpen())])
@@ -199,3 +203,26 @@ def test_minimal_ray_measure_reads_the_classifying_pass(calls):
     # H(s), whose pass at full rank also gives the atom polynomial, and M:
     # no bordered determinant
     assert _counts(calls) == (1, 2, 0, 0)
+
+
+@pytest.mark.parametrize("mu, domain", [(RAY_MU, Ray()), (UNIT_MU, HalfOpen())])
+def test_certificate_measure_builds_one_image_per_measure(calls, monkeypatch, mu, domain):
+    builds = []
+    init = measure._AtomImage.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(measure._AtomImage, "__init__", counted)
+    window = [mu.moment(k) for k in range(-2, 2)]
+    full = [mu.moment(k) for k in range(-2, 6)]
+    certified = completion._certificate_measure(window, -2, full, domain)
+    assert certified == mu
+    assert [certified.moment(k) for k in range(-4, 8)] == [mu.moment(k) for k in range(-4, 8)]
+    # the zero-based measure carries the image its window was checked on,
+    # and the tilt to the certificate's indices the image read off it: two
+    # measures, two images, none built again on the moments asked
+    assert len(builds) == 2 and certified._image() is builds[1]
+    # the atom polynomial is one full-rank pass: no bordered determinant
+    assert _counts(calls) == (0, 1, 0, 0)

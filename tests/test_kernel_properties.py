@@ -7,11 +7,13 @@ minors of its pass and general determinants with sympy's; root isolation
 with sympy's exact real-root isolation.  Singular positivity on the ray and
 on (0, 1] is checked against planted measures with extreme atoms, singular
 recovery and index on [a, b] against planted measures with endpoint atoms.
-The integer Vandermonde solve and the support polynomial read from the
-leading-minor pass are checked against the general solve and the
-bordered-Hankel determinant they replace; the Schur-complement threshold
-and the level quadratic read from one pass against the minimal measure's
-reciprocal value and against exact samples.  The integer images of the
+The Lagrange-form masses and the support and bordered-Hankel polynomials
+read from the leading-minor pass are checked against the dense family they
+replace (`solve_linear` on the Vandermonde rows, `det_poly` of the bordered
+layout), for extreme, long-denominator and float nodes and for exact and
+float windows; the Schur-complement threshold and the level quadratic read
+from one pass against the minimal measure's reciprocal value and against
+exact samples.  The integer images of the
 [a, b] and (0, 1] transforms are checked against the `Fraction` formulas
 they replace, and every verdict against `classify_form` run on those.
 The moments and geometric sums that measures read off their integer images
@@ -31,15 +33,16 @@ from momentkit.extremal import (_schur_threshold, reciprocal_inf_half_open, reci
                                 reciprocal_value_from_poly)
 from momentkit.measure import AtomicMeasure, MomentRecurrence, RecurrentCAMeasure, moments
 from momentkit.errors import DegenerateInput
-from momentkit.numeric import (FormClass, Polynomial, _hankel_image, _minor_pass, classify_form,
-                               count_roots, det, real_roots,
+from momentkit.numeric import (FormClass, HankelImage, Polynomial, _dilated, _hankel_image,
+                               _integer_scale, _minor_pass, _to_float, as_fraction,
+                               classify_form, count_roots, det, det_poly, real_roots,
                                root_precision, solve_linear, vandermonde_masses)
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window,
                                   _classify_limit, _ends, _support_poly, classify,
                                   classify_compact, index,
                                   recover_minimal_measure, recover_support_and_masses)
-from momentkit.principal import (atom_polynomial, atoms_from_poly, bordered_hankel_poly,
-                                 root_bound)
+from momentkit.principal import (_bordered_image, atom_polynomial, atoms_from_poly,
+                                 bordered_hankel_poly, root_bound)
 from momentkit.tree import GeometricSumTail, MeasureTail
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -378,6 +381,129 @@ def test_vandermonde_masses_match_the_general_solve(atoms, data):
     window = data.draw(st.lists(SMALL, min_size=len(atoms), max_size=len(atoms) + 2))
     rows = [[x ** k for x in atoms] for k in range(len(atoms))]
     assert vandermonde_masses(atoms, window) == solve_linear(rows, window[:len(atoms)])
+
+
+#: the midpoint of a width-2^-101 enclosure: a denominator of 100 bits or more
+LONG_MIDPOINT = st.builds(lambda c, j: c + F(2 * j + 1, c.denominator * 2 ** 102),
+                          st.one_of(EXTREME, POSITIVE), st.integers(-4, 3))
+FLOAT_NODE = st.floats(min_value=2.0 ** -40, max_value=2.0 ** 40)
+
+
+@given(st.one_of(st.sets(st.one_of(EXTREME, LONG_MIDPOINT), min_size=1, max_size=8),
+                 st.sets(FLOAT_NODE, min_size=1, max_size=6)),
+       st.data())
+def test_lagrange_masses_match_the_dense_solve(atoms, data):
+    """The Lagrange form on one integer image is the dense solve of the
+    Vandermonde rows, for nodes at the extremes of [2^-40, 2^40], enclosure
+    midpoints with denominators of 100 bits or more, and floats (both on
+    the binary-exact image, rounded once)."""
+    atoms = sorted(atoms)
+    window = data.draw(st.lists(st.one_of(SMALL, st.floats(-9, 9)),
+                                min_size=len(atoms), max_size=len(atoms) + 2))
+    exact = [as_fraction(x) for x in atoms]
+    rows = [[x ** k for x in exact] for k in range(len(atoms))]
+    want = solve_linear(rows, [as_fraction(v) for v in window[:len(atoms)]])
+    if any(isinstance(v, float) for v in atoms + window[:len(atoms)]):
+        want = [_to_float(v) for v in want]
+    assert vandermonde_masses(atoms, window) == want
+
+
+def test_lagrange_masses_refuse_coinciding_atoms():
+    with pytest.raises(DegenerateInput):
+        vandermonde_masses([F(1, 3), F(2), F(1, 3)], [1, 2, 3])
+
+
+def _bordered_layout(entries):
+    """det_poly rows of a window of 2m entries: H_m over one more row."""
+    m = len(entries) // 2
+    return [[entries[i + j] for j in range(m)] for i in range(m + 1)]
+
+
+@st.composite
+def planted_bordered_windows(draw):
+    """(a, b, window): a 1-4 atom measure inside [a, b], some atoms at the
+    extremes of [2^-40, 2^40], seen through 2m, 2m + 1 or 2m + 2 moments,
+    m <= atoms; a window of 2m entries and every transform of an even
+    number of entries then has a positive definite leading block."""
+    size = draw(st.integers(1, 4))
+    atoms = sorted(draw(st.sets(st.one_of(POSITIVE, EXTREME), min_size=size, max_size=size)))
+    masses = draw(st.lists(POSITIVE, min_size=size, max_size=size))
+    a, b = atoms[0] / 2, 2 * atoms[-1]
+    m = draw(st.integers(1, size))
+    length = draw(st.sampled_from((2 * m, 2 * m + 1, 2 * m + 2)))
+    mu = AtomicMeasure(list(zip(atoms, masses)))
+    return a, b, list(moments(mu, 0, length - 1).values)
+
+
+def _even_forms(w, a, b):
+    """The transforms of a `_Window` on [a, b] that have an even number of
+    entries."""
+    if len(w.ints) % 2 == 1:
+        return [w.lower(a), w.upper(b)]
+    return [w.interior(a, b).hankel()]
+
+
+@given(planted_bordered_windows())
+def test_bordered_polynomials_are_the_bordered_determinants(problem):
+    """`bordered_hankel_poly` and `_bordered_image`, one full-rank minor pass
+    and a back substitution, equal `det_poly` of the bordered layout, for
+    exact windows and, rounded once, on the binary-exact image of floats."""
+    a, b, window = problem
+    if len(window) % 2 == 0:
+        for values in (window, [float(v) for v in window]):
+            # the window of 2m + 2 entries may show more than its atoms
+            if classify_form([as_fraction(x) for x in values[:-1]]) is FormClass.POSITIVE_DEFINITE:
+                assert bordered_hankel_poly(values) == det_poly(_bordered_layout(values))
+    for floats in (False, True):
+        values = [float(v) for v in window] if floats else window
+        w = _Window.of(values, None, (a, b))
+        for form in _even_forms(w, a, b):
+            entries = [F(x, form.unit) for x in form.ints]
+            if classify_form(entries[:-1]) is not FormClass.POSITIVE_DEFINITE:
+                assert floats  # rounding may leave the float image singular
+                continue
+            want = det_poly(_bordered_layout(entries))
+            if floats:
+                want = Polynomial([_to_float(c) for c in want.coeffs])
+            assert _bordered_image(form, floats) == want
+
+
+@given(planted_bordered_windows())
+def test_dilated_image_is_the_window_of_the_dilated_measure(problem):
+    """`_dilated` gives the exact image of lam^k s_k, never with longer
+    integers in total, and strips the powers of an atom's denominator."""
+    _, _, window = problem
+    image = HankelImage(*_integer_scale(window))
+    dilated, lam = _dilated(image)
+    assert [F(x, dilated.unit) for x in dilated.ints] == [lam ** k * v
+                                                          for k, v in enumerate(window)]
+    assert (sum(x.bit_length() for x in dilated.ints)
+            <= sum(x.bit_length() for x in image.ints))
+    single = [F(2, 7) ** k for k in range(4)]
+    assert _dilated(HankelImage(*_integer_scale(single))) == (HankelImage([1, 2, 4, 8], 1), 7)
+
+
+@given(st.integers(1, 4), st.data(), st.booleans())
+def test_bordered_polynomials_refuse_a_vanishing_leading_minor(m, data, floats):
+    """A window of 2m entries of a measure with fewer than m atoms has
+    det H_m = 0: both constructions raise, where `det_poly` gives a
+    polynomial of lower degree.  Float windows take dyadic atoms and masses,
+    whose moments are floats exactly.  An indefinite leading block is
+    refused too."""
+    dyadic = st.sampled_from([F(2) ** e for e in range(-3, 4)])
+    atom, mass = (dyadic, dyadic) if floats else (st.one_of(POSITIVE, EXTREME), POSITIVE)
+    atoms = data.draw(st.sets(atom, max_size=m - 1))
+    masses = data.draw(st.lists(mass, min_size=len(atoms), max_size=len(atoms)))
+    window = [sum((w * x ** k for x, w in zip(atoms, masses)), F(0)) for k in range(2 * m)]
+    if floats:
+        window = [float(v) for v in window]
+    assert det_poly(_bordered_layout(window)).degree < m
+    with pytest.raises(DegenerateInput):
+        bordered_hankel_poly(window)
+    with pytest.raises(DegenerateInput):
+        _bordered_image(_Window.of(window).hankel(), floats)
+    with pytest.raises(DegenerateInput):
+        bordered_hankel_poly([1, 2, 1, 5])
 
 
 @st.composite
