@@ -402,30 +402,56 @@ def _branch_k_compatible(ops: _DomainOps, given, big_n: int) -> bool:
     return True
 
 
-def _admissible_ks(ops, given, k_max_twice: int):
-    """All 2K values in 1..k_max_twice (even on the ray) compatible with the
-    given window."""
-    step = 2 if isinstance(ops.domain, Ray) else 1
-    return [two_k for two_k in range(step, k_max_twice + 1, step)
-            if _branch_k_compatible(ops, given, two_k - 1)]
+def _two_k_vectors(ops: _DomainOps, givens, K, two_k_cap: int):
+    """The atom-count vectors to search, as 2K per class (even on the ray),
+    smallest first; or the Infeasible outcome that rules every one out.  K
+    is "auto", which sweeps each 2K in 1..two_k_cap that its given window
+    admits, or one K per class: ints on the ray, halves on (0, 1].  An
+    explicit K outside that range, or not such a value, raises BadIndex."""
+    ray = isinstance(ops.domain, Ray)
+    step, noun = (2, "atom count") if ray else (1, "index")
+    if K == "auto":
+        options = []
+        for given in givens:
+            opts = [two_k for two_k in range(step, two_k_cap + 1, step)
+                    if _branch_k_compatible(ops, given, two_k - 1)]
+            if not opts:
+                return SolveOutcome(SolveStatus.INFEASIBLE,
+                                    reason=f"a branch window admits no minimal {noun}")
+            options.append(opts)
+        return list(itertools.product(*options))  # smallest vectors first
+    K = tuple(Fraction(k) for k in K)
+    if len(K) != len(givens):
+        raise BadIndex(f"one {noun} per branch class is required")
+    for k in K:
+        if (2 * k).denominator != 1 or (2 * k) % step or not step <= 2 * k <= two_k_cap:
+            raise BadIndex(f"{noun} {k} outside [{Fraction(step, 2)}, {Fraction(two_k_cap, 2)}]")
+    for k, given in zip(K, givens):
+        if not _branch_k_compatible(ops, given, int(2 * k) - 1):
+            return SolveOutcome(SolveStatus.INFEASIBLE, reason=(
+                f"prescribed weights incompatible with {k} atoms" if ray
+                else f"prescribed weights incompatible with index {k}"))
+    return [tuple(int(2 * k) for k in K)]
 
 
 def _solve_vectors(ops, pw: PartialWeights, givens, vectors, p_top, targets,
                    certify) -> SolveOutcome:
-    """The level search for each atom-count vector in turn: the first
-    Feasible one is certified; else Unknown if any vector was, else
-    Infeasible with every vector's reason."""
+    """The level search for each 2K vector in turn: the first Feasible one
+    is certified; else Unknown if any vector was, else Infeasible with every
+    vector's reason.  K is an int on the ray and a `Fraction` on (0, 1]."""
     masses = tuple(cls.first_mass for cls in pw.classes)
     unknown, reasons = None, []
-    for vec in vectors:
-        problem = _LevelProblem(ops, masses, tuple(int(2 * k) - 1 for k in vec),
+    for two_ks in vectors:
+        vec = tuple(two_k // 2 if isinstance(ops.domain, Ray) else Fraction(two_k, 2)
+                    for two_k in two_ks)
+        problem = _LevelProblem(ops, masses, tuple(two_k - 1 for two_k in two_ks),
                                 p_top, targets, pw.kappa)
         try:
             status, payload = _search_levels(problem, [tuple(g) for g in givens])
         except MomentKitError as exc:  # kernel guarantees violated along a path
             status, payload = SolveStatus.UNKNOWN, f"K={vec}: search aborted: {exc}"
         if status is SolveStatus.FEASIBLE:
-            return certify(pw, vec, payload)
+            return certify(pw, two_ks, vec, payload)
         if status is SolveStatus.UNKNOWN:
             unknown = payload
         else:
@@ -450,6 +476,29 @@ def _certificate_measure(window, first_index: int, full_window, domain):
     if zero_based.exact:
         return shifted
     return MomentRecurrence(poly, first_index, list(full_window), atoms_hint=shifted)
+
+
+def _branch_measures(ops: _DomainOps, pw: PartialWeights, two_ks, windows) -> tuple:
+    """(sequences, measures): per class, the completed window as a moment
+    sequence from index -kappa - 1, and the `_certificate_measure` of its
+    deepest 2K entries."""
+    first_index = -pw.kappa - 1
+    sequences, measures = [], []
+    for two_k, window in zip(two_ks, windows):
+        window = list(window)
+        sequences.append(MomentSequence(first_index, window))
+        if two_k <= len(window):
+            mu = _certificate_measure(window[:two_k], first_index, window, ops.domain)
+        else:
+            # even-length window at the maximal atom count: extend once more,
+            # at the far end of [theta, theta + 8 max(theta, 1)], across which
+            # the atom sum (a norm bound) is fractional-linear and falls
+            theta = ops.threshold(window)
+            probe = theta + 8 * max(theta, 1)
+            mu = _certificate_measure([probe] + window[:two_k - 1], first_index - 1,
+                                      [probe] + window, ops.domain)
+        measures.append(mu)
+    return tuple(sequences), tuple(measures)
 
 
 def _norm_sq_bound(full: FullWeights, measures) -> Scalar:
@@ -490,68 +539,25 @@ def solve_subnormal(pw: PartialWeights, K="auto") -> SolveOutcome:
     """Decide whether the prescribed weights extend to a subnormal shift
     whose branch measures have the requested atom counts (K per class, or
     "auto" to sweep the admissible counts)."""
-    kappa, p = pw.kappa, pw.p
     if pw.first_mass_total == math.inf:
         return SolveOutcome(SolveStatus.INFEASIBLE,
                             reason="branching square sum diverges")
     givens = [_given_subnormal_window(cls) for cls in pw.classes]
-    k_cap = -((p + kappa + 1) // -2)
-    if K == "auto":
-        options = []
-        for given in givens:
-            opts = _admissible_ks(_RAY_OPS, given, 2 * k_cap)
-            if not opts:
-                return SolveOutcome(
-                    SolveStatus.INFEASIBLE,
-                    reason="a branch window admits no minimal atom count")
-            options.append([o // 2 for o in opts])
-        vectors = list(itertools.product(*options))  # smallest vectors first
-    else:
-        K = tuple(int(k) for k in K)
-        if len(K) != len(pw.classes):
-            raise BadIndex("one atom count per branch class is required")
-        for k in K:
-            if not 1 <= k <= k_cap:
-                raise BadIndex(f"atom count {k} outside [1, {k_cap}]")
-        for k, given in zip(K, givens):
-            if not _branch_k_compatible(_RAY_OPS, given, 2 * k - 1):
-                return SolveOutcome(
-                    SolveStatus.INFEASIBLE,
-                    reason=f"prescribed weights incompatible with {k} atoms")
-        vectors = [K]
-
-    return _solve_vectors(_RAY_OPS, pw, givens, vectors, p, _subnormal_targets(pw),
+    # 2K up to the completed window's length p + kappa + 1, rounded up to even
+    vectors = _two_k_vectors(_RAY_OPS, givens, K, (pw.p + pw.kappa + 2) // 2 * 2)
+    if isinstance(vectors, SolveOutcome):
+        return vectors
+    return _solve_vectors(_RAY_OPS, pw, givens, vectors, pw.p, _subnormal_targets(pw),
                           _subnormal_certificate)
 
 
-def _subnormal_certificate(pw: PartialWeights, vec, windows) -> SolveOutcome:
-    kappa, p = pw.kappa, pw.p
-    first_index = -kappa - 1
-    sequences = []
-    measures = []
-    branches = []
-    for cls, k_atoms, window in zip(pw.classes, vec, windows):
-        window = list(window)
-        sequences.append(MomentSequence(first_index, window))
-        big_n = 2 * k_atoms - 1
-        if big_n + 1 <= len(window):
-            mu = _certificate_measure(window[:big_n + 1], first_index, window,
-                                      Ray())
-        else:
-            # even-length window at the maximal atom count: extend once more,
-            # at the far end of [theta, theta + 8 max(theta, 1)], across which
-            # the atom sum (a norm bound) is fractional-linear and falls
-            theta = _RAY_OPS.threshold(window)
-            probe = theta + 8 * max(theta, 1)
-            mu = _certificate_measure([probe] + window[:big_n], first_index - 1,
-                                      [probe] + window, Ray())
-        measures.append(mu)
-        branches.append(FullBranch(cls.first_mass,
-                                   MeasureTail(cls.tail_sq, mu), cls.count))
+def _subnormal_certificate(pw: PartialWeights, two_ks, vec, windows) -> SolveOutcome:
+    sequences, measures = _branch_measures(_RAY_OPS, pw, two_ks, windows)
+    branches = [FullBranch(cls.first_mass, MeasureTail(cls.tail_sq, mu), cls.count)
+                for cls, mu in zip(pw.classes, measures)]
     full = FullWeights(pw.trunk_sq, branches)
     verify_subnormal_certificate(full, measures)
-    cert = CompletionCertificate("subnormal", pw, tuple(vec), tuple(sequences),
-                                 tuple(measures), full,
+    cert = CompletionCertificate("subnormal", pw, vec, sequences, measures, full,
                                  _norm_sq_bound(full, measures))
     return SolveOutcome(SolveStatus.FEASIBLE, cert)
 
@@ -595,31 +601,9 @@ def solve_che(pw: PartialWeights, K="auto") -> SolveOutcome:
                 raise PreconditionError(
                     "tail weights must exceed 1 for the non-flat solver")
     givens = [_given_che_window(cls) for cls in pw.classes]
-    two_k_cap = p + kappa
-    if K == "auto":
-        options = []
-        for given in givens:
-            opts = _admissible_ks(_HALF_OPS, given, two_k_cap)
-            if not opts:
-                return SolveOutcome(
-                    SolveStatus.INFEASIBLE,
-                    reason="a branch window admits no minimal index")
-            options.append([Fraction(o, 2) for o in opts])
-        vectors = list(itertools.product(*options))  # smallest vectors first
-    else:
-        K = tuple(Fraction(k) for k in K)
-        if len(K) != len(pw.classes):
-            raise BadIndex("one index per branch class is required")
-        for k in K:
-            if (2 * k).denominator != 1 or not Fraction(1, 2) <= k <= Fraction(two_k_cap, 2):
-                raise BadIndex(f"index {k} outside [1/2, {Fraction(two_k_cap, 2)}]")
-        for k, given in zip(K, givens):
-            if not _branch_k_compatible(_HALF_OPS, given, int(2 * k) - 1):
-                return SolveOutcome(
-                    SolveStatus.INFEASIBLE,
-                    reason=f"prescribed weights incompatible with index {k}")
-        vectors = [K]
-
+    vectors = _two_k_vectors(_HALF_OPS, givens, K, p + kappa)
+    if isinstance(vectors, SolveOutcome):
+        return vectors
     targets = _che_targets(pw)
     if any(t < 0 for t in targets):
         return SolveOutcome(SolveStatus.INFEASIBLE,
@@ -627,25 +611,15 @@ def solve_che(pw: PartialWeights, K="auto") -> SolveOutcome:
     return _solve_vectors(_HALF_OPS, pw, givens, vectors, p - 1, targets, _che_certificate)
 
 
-def _che_certificate(pw: PartialWeights, vec, windows) -> SolveOutcome:
-    kappa = pw.kappa
-    first_index = -kappa - 1
-    sequences, measures, branches = [], [], []
-    for cls, k_idx, window in zip(pw.classes, vec, windows):
-        window = list(window)
-        sequences.append(MomentSequence(first_index, window))
-        big_n = int(2 * k_idx) - 1
-        mu = _certificate_measure(window[:big_n + 1], first_index, window,
-                                  HalfOpen())
-        tau = CAMeasure(0, mu) if isinstance(mu, AtomicMeasure) else RecurrentCAMeasure(mu)
-        measures.append(tau)
-        branches.append(FullBranch(cls.first_mass,
-                                   GeometricSumTail(cls.tail_sq, tau), cls.count))
+def _che_certificate(pw: PartialWeights, two_ks, vec, windows) -> SolveOutcome:
+    sequences, measures = _branch_measures(_HALF_OPS, pw, two_ks, windows)
+    taus = tuple(CAMeasure(0, mu) if isinstance(mu, AtomicMeasure) else RecurrentCAMeasure(mu)
+                 for mu in measures)
+    branches = [FullBranch(cls.first_mass, GeometricSumTail(cls.tail_sq, tau), cls.count)
+                for cls, tau in zip(pw.classes, taus)]
     full = FullWeights(pw.trunk_sq, branches)
-    verify_che_certificate(full, measures)
-    cert = CompletionCertificate("che", pw, tuple(vec), tuple(sequences),
-                                 tuple(measures), full,
-                                 _che_norm_sq(pw, measures))
+    verify_che_certificate(full, taus)
+    cert = CompletionCertificate("che", pw, vec, sequences, taus, full, _che_norm_sq(pw, taus))
     return SolveOutcome(SolveStatus.FEASIBLE, cert)
 
 

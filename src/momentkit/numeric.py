@@ -12,9 +12,10 @@ masses of atoms at given nodes are the Lagrange form of their Vandermonde
 system, read from the associated polynomial (`associated`) on one integer
 image of the nodes and the window (`vandermonde_masses`).  Root isolation
 uses primitive integer Sturm chains, evaluated by homogeneous Horner at
-rational points.  `Fraction`s appear only in the results.  The dense
-fraction-free family (`det`, `solve_linear`, `det_poly`) stays as a
-general-purpose reference; no library path calls it.
+rational points.  `Fraction`s appear only in the results.  `det` and
+`det_poly` are a plain Gaussian elimination over `Fraction`s, kept as a
+reference for the tests; no library path calls them, so `_minor_pass` is
+the package's only fraction-free elimination.
 
 Exact input (`int` and `fractions.Fraction`) gives exact results.  Input
 containing a `float` runs through the same code on its binary-exact image
@@ -90,12 +91,6 @@ def _to_float(x: Fraction) -> float:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
-
-
-def _exact_rows(rows) -> tuple:
-    """(rows, floats): `rows` in binary-exact values if any entry is a float."""
-    floats = any(isinstance(x, float) for r in rows for x in r)
-    return ([[as_fraction(x) for x in r] for r in rows] if floats else rows), floats
 
 
 def _integer_scale(values) -> tuple:
@@ -458,45 +453,8 @@ def real_roots(p: Polynomial, lo: Scalar, hi: Scalar,
 
 
 # --------------------------------------------------------------------------
-# determinants and linear solves
+# dense determinants (a reference for the tests)
 # --------------------------------------------------------------------------
-
-def _integer_columns(rows) -> tuple:
-    """Integer copy of an exact matrix with column j multiplied by the least
-    common denominator of its entries, and the list of those multipliers."""
-    cols = [_integer_scale(col) for col in zip(*rows)]
-    return [[col[i] for col, _ in cols] for i in range(len(rows))], [s for _, s in cols]
-
-
-def _bareiss_step(a, k: int, prev: int):
-    """Fraction-free elimination below the pivot a[k][k] (nonzero), `prev`
-    being the previous pivot (1 at k = 0).  By Sylvester's identity the
-    entries below and right of the pivot become the minors on rows
-    0..k, i and columns 0..k, j, so the division is exact."""
-    piv, top = a[k][k], a[k]
-    for row in a[k + 1:]:
-        f = row[k]
-        for j in range(k + 1, len(row)):
-            row[j] = (row[j] * piv - f * top[j]) // prev
-
-
-def _eliminate(a, steps: int) -> int:
-    """Run `steps` Bareiss steps on the integer matrix `a` in place, swapping
-    in a lower row at a zero pivot.  Returns the sign of the row permutation,
-    or 0 when some column has no pivot (the first `steps` columns are
-    dependent)."""
-    sign_acc, prev = 1, 1
-    for k in range(steps):
-        if a[k][k] == 0:
-            row = next((i for i in range(k + 1, len(a)) if a[i][k] != 0), None)
-            if row is None:
-                return 0
-            a[k], a[row] = a[row], a[k]
-            sign_acc = -sign_acc
-        _bareiss_step(a, k, prev)
-        prev = a[k][k]
-    return sign_acc
-
 
 def _solve_upper(u, c) -> tuple:
     """(num, den) with x_i = num[i] / den solving the upper triangular
@@ -516,50 +474,41 @@ def _solve_upper(u, c) -> tuple:
 
 
 def det(rows) -> Scalar:
-    """Determinant, fraction-free (Bareiss) on integers; a float for float
-    input, from its binary-exact image."""
+    """Determinant by one Gaussian elimination over `Fraction`s, swapping in
+    a lower row at a zero pivot; a float for float input, from its
+    binary-exact image.  A reference for the tests: no library path
+    eliminates a dense layout (`_minor_pass` decides every Hankel form)."""
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise ShapeError("determinant of a non-square layout")
-    if n == 0:
-        return Fraction(1)
-    rows, floats = _exact_rows(rows)
-    a, scales = _integer_columns(rows)
-    value = Fraction(_eliminate(a, n - 1) * a[-1][-1], math.prod(scales))
+    floats = any(isinstance(x, float) for r in rows for x in r)
+    a = [[as_fraction(x) for x in r] for r in rows]
+    value = Fraction(1)
+    for k in range(n):
+        row = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if row is None:
+            value = Fraction(0)
+            break
+        if row != k:
+            a[k], a[row] = a[row], a[k]
+            value = -value
+        piv, top = a[k][k], a[k]
+        value *= piv
+        for below in a[k + 1:]:
+            f = below[k] / piv
+            for j in range(k + 1, n):
+                below[j] -= f * top[j]
     return _to_float(value) if floats else value
-
-
-def _solve_integer(a) -> tuple:
-    """(num, den) with x_i = num[i] / den solving the square integer system
-    whose augmented rows are `a`, by fraction-free elimination (in place)
-    and back substitution."""
-    n = len(a)
-    if _eliminate(a, n - 1) == 0 or a[n - 1][n - 1] == 0:
-        raise DegenerateInput("singular linear system")
-    return _solve_upper(a, [row[n] for row in a])
-
-
-def solve_linear(rows, rhs):
-    """Solve a square linear system by fraction-free elimination and integer
-    back substitution; floats for float input, from its binary-exact
-    image."""
-    a, floats = _exact_rows([list(r) + [rhs[i]] for i, r in enumerate(rows)])
-    a, scales = _integer_columns(a)
-    num, den = _solve_integer(a)
-    # column j was scaled by scales[j], the right-hand side by scales[n]
-    x = [Fraction(v * s, den * scales[-1]) for v, s in zip(num, scales)]
-    return [_to_float(v) for v in x] if floats else x
 
 
 def det_poly(rows, degrees: Optional[Sequence[int]] = None) -> Polynomial:
     """Determinant of a layout whose last column is monomials t^degrees[j].
 
     The coefficient of t^degrees[j] is the cofactor of that column's row j:
-    the determinant of the layout with the unit vector e_j as last column.
-    All m + 1 of them come from one fraction-free elimination of [rows | I]:
-    after m steps its last row holds det[rows | e_j] for every j.  Float
-    input runs on its binary-exact image and gets float coefficients.
+    the `det` of the layout with the unit vector e_j as last column.  Float
+    input runs on its binary-exact image and gets float coefficients.  A
+    reference for the tests, like `det`.
     """
     m = len(rows) - 1
     if m < 0:
@@ -571,15 +520,11 @@ def det_poly(rows, degrees: Optional[Sequence[int]] = None) -> Polynomial:
         degrees = list(range(m + 1))
     if len(degrees) != m + 1:
         raise ShapeError("one monomial degree per row is required")
-    rows, floats = _exact_rows(rows)
-    a, scales = _integer_columns(rows)
-    for i, row in enumerate(a):
-        row.extend(int(i == j) for j in range(m + 1))
-    sign_acc = _eliminate(a, m)
-    scale = math.prod(scales)
+    floats = any(isinstance(x, float) for r in rows for x in r)
+    rows = [[as_fraction(x) for x in r] for r in rows]
     coeffs = [0] * (max(degrees) + 1)
-    for j, c in enumerate(a[m][m:]):
-        coeffs[degrees[j]] += Fraction(sign_acc * c, scale)
+    for j, degree in enumerate(degrees):
+        coeffs[degree] += det([r + [int(i == j)] for i, r in enumerate(rows)])
     return Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
 
 

@@ -163,23 +163,12 @@ class ListTail:
         return max(self.weights_sq)
 
 
-class MeasureTail:
-    """Branch weight squares from a branch measure: prescribed squares for
-    generations 2..p, then the measure's consecutive moment ratios."""
+class _RatioTail:
+    """Branch weight squares: prescribed squares for generations 2..p, then
+    ratios read from a measure (`_ratios`, given by each subclass)."""
 
-    def __init__(self, prefix_sq, measure):
+    def __init__(self, prefix_sq):
         self.prefix_sq = tuple(_pos_sq(w, "weight square") for w in prefix_sq)
-        self.measure = measure
-
-    def _ratios(self, lo: int, hi: int) -> list:
-        """moment(k + 1) / moment(k) for k = lo..hi-1, each moment taken
-        once; for an exact measure each a quotient of two integer
-        numerators."""
-        moments = moment_row(self.measure, lo, hi)
-        if moments is not None:
-            return moments.ratios()
-        moments = [self.measure.moment(k) for k in range(lo, hi + 1)]
-        return [b / a for a, b in zip(moments, moments[1:])]
 
     def weight_sq(self, j: int):
         idx = j - 2
@@ -192,6 +181,25 @@ class MeasureTail:
         row = list(self.prefix_sq[:max(count - 1, 0)])
         return row + self._ratios(len(row), count - 1)
 
+
+class MeasureTail(_RatioTail):
+    """Branch weight squares from a branch measure: prescribed squares for
+    generations 2..p, then the measure's consecutive moment ratios."""
+
+    def __init__(self, prefix_sq, measure):
+        super().__init__(prefix_sq)
+        self.measure = measure
+
+    def _ratios(self, lo: int, hi: int) -> list:
+        """moment(k + 1) / moment(k) for k = lo..hi-1, each moment taken
+        once; for an exact measure each a quotient of two integer
+        numerators."""
+        moments = moment_row(self.measure, lo, hi)
+        if moments is not None:
+            return moments.ratios()
+        moments = [self.measure.moment(k) for k in range(lo, hi + 1)]
+        return [b / a for a, b in zip(moments, moments[1:])]
+
     def sup_weight_sq(self):
         sup = self.measure.max_atom()
         if self.prefix_sq:
@@ -199,12 +207,12 @@ class MeasureTail:
         return sup
 
 
-class GeometricSumTail:
+class GeometricSumTail(_RatioTail):
     """Branch weight squares of a completely hyperexpansive branch: ratios
     of 1 + integral(1 + ... + t^(n-1)) dtau."""
 
     def __init__(self, prefix_sq, tau):
-        self.prefix_sq = tuple(_pos_sq(w, "weight square") for w in prefix_sq)
+        super().__init__(prefix_sq)
         self.tau = tau
 
     def _ratios(self, lo: int, hi: int) -> list:
@@ -219,17 +227,6 @@ class GeometricSumTail:
             sums.append(sums[-1] + self.tau.moment(k))
         gammas = [1 + s for s in sums[lo:]]
         return [b / a for a, b in zip(gammas, gammas[1:])]
-
-    def weight_sq(self, j: int):
-        idx = j - 2
-        if idx < len(self.prefix_sq):
-            return self.prefix_sq[idx]
-        return self._ratios(j - 2, j - 1)[0]
-
-    def weight_sq_row(self, count: int) -> list:
-        """weight_sq(j) for j = 2..count."""
-        row = list(self.prefix_sq[:max(count - 1, 0)])
-        return row + self._ratios(len(row), count - 1)
 
     def sup_weight_sq(self):
         # gamma ratios decrease toward 1 for measures on (0, 1]
@@ -371,6 +368,24 @@ def _positive_on(mu, domain) -> bool:
             and all(_eq(c, x / q[-1]) for c, x in zip(p.coeffs, q)))
 
 
+def _check_branches(w: FullWeights, measures, depth: int, domain, where: str,
+                    closes, identity, first: int):
+    """The branch checks of both verifiers: each measure mu is positive on
+    `domain` (named `where`), then identity(mu, n) = (value, name) has the
+    value prod_(j=2..n+1) weight_sq(j) for n = first..top."""
+    for idx, (cls, mu) in enumerate(zip(w.classes, measures), start=1):
+        _check(_positive_on(mu, domain), f"branch {idx}: measure is positive on {where}")
+        gen = cls.generator
+        # past generation p the weights of a tail over mu itself are read
+        # from mu (`closes`), so the identity at n >= p follows from n - 1
+        top = len(gen.prefix_sq) if closes(gen, mu) else depth
+        prod = Fraction(1)
+        for n in range(first, top + 1):
+            prod = prod * gen.weight_sq(n + 1) if n else prod
+            value, name = identity(mu, n)
+            _check(_eq(value, prod), f"branch {idx}: {name}")
+
+
 def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> bool:
     """Check a subnormal certificate exactly: every branch measure is a
     positive measure on (0, inf) whose moments 0..p-1 match the prescribed
@@ -381,18 +396,10 @@ def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> b
     infinite trunk."""
     if len(measures) != len(w.classes):
         raise CertificateInvalid("one measure per branch class is required")
-    for idx, (cls, mu) in enumerate(zip(w.classes, measures), start=1):
-        _check(_positive_on(mu, Ray()), f"branch {idx}: measure is positive on (0, inf)")
-        gen = cls.generator
-        # past generation p the weights of a tail over mu itself are its
-        # moment ratios, so the identity at n >= p follows from n - 1
-        top = len(gen.prefix_sq) if isinstance(gen, MeasureTail) and gen.measure is mu else depth
-        prod = Fraction(1)
-        _check(_eq(mu.moment(0), 1), f"branch {idx}: zeroth moment is 1")
-        for n in range(1, top + 1):
-            prod = prod * gen.weight_sq(n + 1)
-            _check(_eq(mu.moment(n), prod),
-                   f"branch {idx}: moment {n} equals the weight product")
+    _check_branches(w, measures, depth, Ray(), "(0, inf)",
+                    lambda gen, mu: isinstance(gen, MeasureTail) and gen.measure is mu,
+                    lambda mu, n: (mu.moment(n), f"moment {n} equals the weight product"
+                                   if n else "zeroth moment is 1"), 0)
     kappa = len(w.trunk_sq)
     trunk_prod = Fraction(1)
     # all-equality chain when the trunk is infinite (checked on its finite
@@ -434,17 +441,10 @@ def verify_che_certificate(w: FullWeights, taus, depth: int = 12) -> bool:
                 _check(_eq(cls.generator.weight_sq(j), 1),
                        f"branch {idx}: isometry weights are 1")
         return True
-    for idx, (cls, tau) in enumerate(zip(w.classes, taus), start=1):
-        _check(_positive_on(tau, HalfOpen()), f"branch {idx}: measure is positive on (0, 1]")
-        gen = cls.generator
-        # past generation p the weights of a tail over tau itself are
-        # ratios gamma_n / gamma_(n-1): the identity at n >= p follows
-        top = len(gen.prefix_sq) if isinstance(gen, GeometricSumTail) and gen.tau is tau else depth
-        prod = Fraction(1)
-        for n in range(1, top + 1):
-            prod = prod * gen.weight_sq(n + 1)
-            _check(_eq(1 + tau.geometric_sum(n), prod),
-                   f"branch {idx}: geometric sum {n} equals the weight product")
+    _check_branches(w, taus, depth, HalfOpen(), "(0, 1]",
+                    lambda gen, tau: isinstance(gen, GeometricSumTail) and gen.tau is tau,
+                    lambda tau, n: (1 + tau.geometric_sum(n),
+                                    f"geometric sum {n} equals the weight product"), 1)
     kappa = len(w.trunk_sq)
     total = w.first_mass_total
     if kappa == 0:

@@ -257,6 +257,15 @@ def test_input_errors_exit_3(tmp_path):
         assert code == 3 and payload["error"]["kind"] == "input", obj
 
 
+def test_fractional_atom_count_is_a_bad_index(tmp_path):
+    obj = {"kind": "subnormal", "trunk_sq": [], "branches_sq": [["1/4"]], "K": ["3/2"]}
+    for branch in (["1/4"], ["1/4", "2", "3"]):
+        payload, code = run(_write(tmp_path, "k.json", {**obj, "branches_sq": [branch]}))
+        assert code == 1 and payload["error"]["kind"] == "BadIndex", payload
+    payload, code = run(_write(tmp_path, "k.json", {**obj, "K": ["1"]}))
+    assert code == 0 and payload["certificate"]["K"] == ["1"]
+
+
 def test_internal_errors_are_not_input_errors(tmp_path, monkeypatch):
     # a programming error inside a solver must reach the caller, not be
     # reported as malformed input

@@ -30,6 +30,18 @@ def test_solve_subnormal_bad_index():
         solve_subnormal(pw, K=(7,))
 
 
+def test_solve_subnormal_refuses_a_fractional_atom_count():
+    # an atom count is a whole number: 3/2 is not truncated to 1, also where
+    # 2K = 3 lies inside the range of counts (p + kappa + 1 = 4)
+    for tail in ((), (F(2), F(3))):
+        pw = PartialWeights([], [BranchClass(F(1, 4), tail, 1)])
+        for k in (F(3, 2), "3/2", 1.5):
+            with pytest.raises(BadIndex, match="atom count 3/2 outside"):
+                solve_subnormal(pw, K=(k,))
+    pw = PartialWeights([], [BranchClass(F(1, 4), (), 1)])
+    assert solve_subnormal(pw, K=(F(1),)).certificate.K == (1,)
+
+
 def test_solve_subnormal_matches_four_weight_inequality(rng):
     for _ in range(60):
         vals = sorted({F(rng.randint(1, 40), rng.randint(1, 12)) for _ in range(4)})

@@ -7,12 +7,11 @@ minors of its pass and general determinants with sympy's; root isolation
 with sympy's exact real-root isolation.  Singular positivity on the ray and
 on (0, 1] is checked against planted measures with extreme atoms, singular
 recovery and index on [a, b] against planted measures with endpoint atoms.
-The Lagrange-form masses and the support and bordered-Hankel polynomials
-read from the leading-minor pass are checked against the dense family they
-replace (`solve_linear` on the Vandermonde rows, `det_poly` of the bordered
-layout), for extreme, long-denominator and float nodes and for exact and
-float windows; the Schur-complement threshold and the level quadratic read
-from one pass against the minimal measure's reciprocal value and against
+The Lagrange-form masses are checked against their defining moment
+identity, and the support and bordered-Hankel polynomials read from the
+leading-minor pass against `det_poly` of the bordered layout, for extreme,
+long-denominator and float nodes and for exact and float windows; the
+Schur-complement threshold and the level quadratic read from one pass against the minimal measure's reciprocal value and against
 exact samples.  The integer images of the
 [a, b] and (0, 1] transforms are checked against the `Fraction` formulas
 they replace, and every verdict against `classify_form` run on those.
@@ -36,7 +35,7 @@ from momentkit.errors import DegenerateInput
 from momentkit.numeric import (FormClass, HankelImage, Polynomial, _dilated, _hankel_image,
                                _integer_scale, _minor_pass, _to_float, as_fraction,
                                classify_form, count_roots, det, det_poly, real_roots,
-                               root_precision, solve_linear, vandermonde_masses)
+                               root_precision, vandermonde_masses)
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window,
                                   _classify_limit, _ends, _support_poly, classify,
                                   classify_compact, index,
@@ -367,6 +366,13 @@ def test_level_quadratic_matches_three_exact_samples(problem, step):
 # the integer Vandermonde solve and the support polynomial of the minor pass
 # --------------------------------------------------------------------------
 
+def _solves_the_moments(masses, atoms, window) -> bool:
+    """sum_j m_j x_j^k = s_k for k < c, exactly: for distinct nodes the
+    one solution of the Vandermonde system."""
+    return all(sum(m * x ** k for m, x in zip(masses, atoms)) == window[k]
+               for k in range(len(atoms)))
+
+
 #: the midpoint of a width-2^-40 enclosure around a rational of small
 #: denominator, as refined roots come back
 MIDPOINT = st.builds(lambda c, j: c + F(2 * j + 1, c.denominator * 2 ** 41),
@@ -379,8 +385,7 @@ MIDPOINT = st.builds(lambda c, j: c + F(2 * j + 1, c.denominator * 2 ** 41),
 def test_vandermonde_masses_match_the_general_solve(atoms, data):
     atoms = sorted(atoms)
     window = data.draw(st.lists(SMALL, min_size=len(atoms), max_size=len(atoms) + 2))
-    rows = [[x ** k for x in atoms] for k in range(len(atoms))]
-    assert vandermonde_masses(atoms, window) == solve_linear(rows, window[:len(atoms)])
+    assert _solves_the_moments(vandermonde_masses(atoms, window), atoms, window)
 
 
 #: the midpoint of a width-2^-101 enclosure: a denominator of 100 bits or more
@@ -393,16 +398,17 @@ FLOAT_NODE = st.floats(min_value=2.0 ** -40, max_value=2.0 ** 40)
                  st.sets(FLOAT_NODE, min_size=1, max_size=6)),
        st.data())
 def test_lagrange_masses_match_the_dense_solve(atoms, data):
-    """The Lagrange form on one integer image is the dense solve of the
-    Vandermonde rows, for nodes at the extremes of [2^-40, 2^40], enclosure
-    midpoints with denominators of 100 bits or more, and floats (both on
-    the binary-exact image, rounded once)."""
+    """The Lagrange form on one integer image solves the Vandermonde system
+    exactly, for nodes at the extremes of [2^-40, 2^40], enclosure midpoints
+    with denominators of 100 bits or more, and floats: float input gets the
+    solution of its binary-exact image, rounded once."""
     atoms = sorted(atoms)
     window = data.draw(st.lists(st.one_of(SMALL, st.floats(-9, 9)),
                                 min_size=len(atoms), max_size=len(atoms) + 2))
-    exact = [as_fraction(x) for x in atoms]
-    rows = [[x ** k for x in exact] for k in range(len(atoms))]
-    want = solve_linear(rows, [as_fraction(v) for v in window[:len(atoms)]])
+    exact_atoms = [as_fraction(x) for x in atoms]
+    exact_window = [as_fraction(v) for v in window]
+    want = vandermonde_masses(exact_atoms, exact_window)
+    assert _solves_the_moments(want, exact_atoms, exact_window)
     if any(isinstance(v, float) for v in atoms + window[:len(atoms)]):
         want = [_to_float(v) for v in want]
     assert vandermonde_masses(atoms, window) == want

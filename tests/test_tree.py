@@ -105,6 +105,19 @@ def test_verify_subnormal_mismatch_names_identity():
     with pytest.raises(CertificateInvalid) as err:
         verify_subnormal_certificate(fw, [other])
     assert "moment 1" in str(err.value)
+    heavy = AtomicMeasure([(1, 2)])
+    fw = FullWeights([], [FullBranch(F(1, 4), MeasureTail([], heavy), 1)])
+    with pytest.raises(CertificateInvalid) as err:
+        verify_subnormal_certificate(fw, [heavy])
+    assert err.value.identity == "branch 1: zeroth moment is 1"
+
+
+def test_verify_che_mismatch_names_identity():
+    tau = CAMeasure(0, AtomicMeasure([(F(1, 2), F(1, 10))]))
+    fw = FullWeights([], [FullBranch(1, GeometricSumTail([3], tau), 1)])
+    with pytest.raises(CertificateInvalid) as err:
+        verify_che_certificate(fw, [tau])
+    assert err.value.identity == "branch 1: geometric sum 1 equals the weight product"
 
 
 def test_verify_che_examples():
