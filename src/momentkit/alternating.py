@@ -3,7 +3,7 @@
 A finite sequence has a completely alternating extension exactly when its
 increments form a moment sequence on [0, 1]; the representing measure of the
 extension lives on [0, 1] and must be split into a possible atom at zero
-plus an atomic part on (0, 1], because the downstream criteria integrate 1/t
+plus a part on (0, 1], because the downstream criteria integrate 1/t
 and are blind to mass at zero only in the controlled way the backward
 extension formula prescribes.
 """
@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import DegenerateInput, DomainError, NotAMomentSequence, ZeroAtomError
-from .measure import AtomicMeasure, ZERO_MEASURE, _Row, geometric_row, moment_row, tilt
+from .measure import (AtomicMeasure, MomentRecurrence, ZERO_MEASURE, _Row, geometric_row,
+                      moment_row, tilt)
 from .numeric import Polynomial, Scalar
 from .positivity import HalfOpen, PositivityClass, _reads_root, _values, classify_compact
 from .principal import atom_polynomial, atoms_from_poly, measure_from_poly
@@ -23,25 +24,27 @@ from .principal import atom_polynomial, atoms_from_poly, measure_from_poly
 
 @dataclass(frozen=True)
 class CAMeasure:
-    """Measure on [0, 1]: optional mass at zero plus an atomic part on
-    (0, 1]."""
+    """Measure on [0, 1]: optional mass at zero plus a part on (0, 1],
+    either an AtomicMeasure or, when its atoms are irrational, a
+    MomentRecurrence (whose `atoms_hint` holds their enclosures)."""
 
     zero_mass: Scalar
-    positive: AtomicMeasure
+    positive: Union[AtomicMeasure, MomentRecurrence]
 
-    def __init__(self, zero_mass: Scalar, positive: AtomicMeasure = ZERO_MEASURE):
+    def __init__(self, zero_mass: Scalar,
+                 positive: Union[AtomicMeasure, MomentRecurrence] = ZERO_MEASURE):
         if not isinstance(zero_mass, float):
             zero_mass = Fraction(zero_mass)
         if zero_mass < 0:
             raise DegenerateInput("mass at zero must be nonnegative")
-        for pos, _ in positive.atoms:
+        for pos, _ in getattr(positive, "atoms", ()):
             if pos > 1:
                 raise DegenerateInput("atoms must lie in (0, 1]")
         object.__setattr__(self, "zero_mass", zero_mass)
         object.__setattr__(self, "positive", positive)
 
     def total_mass(self) -> Scalar:
-        return self.zero_mass + self.positive.total_mass()
+        return self.zero_mass + self.positive.moment(0)
 
     def moment(self, k: int) -> Scalar:
         """t^k integral over [0, 1]; negative k requires no mass at zero."""
@@ -52,7 +55,7 @@ class CAMeasure:
         return self.positive.moment(k)
 
     def _row(self, lo: int, hi: int) -> Optional[_Row]:
-        """`moment_row` of the atomic part, with the mass at zero added to
+        """`moment_row` of the part on (0, 1], with the mass at zero added to
         the moment of order 0."""
         row = moment_row(self.positive, lo, hi)
         if row is None or isinstance(self.zero_mass, float):

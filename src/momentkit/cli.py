@@ -19,7 +19,7 @@ from .backward import ExtensionClass, classify_backward, extend_with_index
 from .errors import MomentKitError
 from .extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
                        reciprocal_inf_ray, unbounded_reciprocal_witness)
-from .measure import AtomicMeasure, MomentRecurrence, RecurrentCAMeasure
+from .measure import AtomicMeasure, MomentRecurrence
 from .numeric import format_scalar, parse_scalar
 from .positivity import (Compact, HalfOpen, PositivityClass, Ray, _verdict_index, classify)
 from .principal import PrincipalKind, minimal_measure_half_open, minimal_measure_ray, principal_compact
@@ -32,12 +32,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return format_scalar(x)
 
 
 class InputError(Exception):
@@ -99,12 +93,6 @@ def _domain(obj, exact):
     raise InputError(f"unknown domain {kind!r}")
 
 
-def _measure_json(mu):
-    if hasattr(mu, "to_json"):
-        return mu.to_json()
-    return repr(mu)
-
-
 def _partial_weights(obj, exact) -> PartialWeights:
     if "trunk_sq" in obj:
         trunk_sq = _parse_seq(obj["trunk_sq"], exact)
@@ -153,7 +141,7 @@ def _run_classify(obj, exact, options):
     verdict = classify(seq, domain, eps=eps)
     payload = {"class": verdict.kind.value}
     if verdict.is_positive:
-        payload["index"] = _fmt(_verdict_index(seq, verdict, domain, eps))
+        payload["index"] = format_scalar(_verdict_index(seq, verdict, domain, eps))
     code = EXIT_OK if verdict.is_positive else EXIT_NEGATIVE
     return payload, code
 
@@ -161,8 +149,11 @@ def _run_classify(obj, exact, options):
 def _run_principal(obj, exact, options):
     seq = _parse_seq(_field(obj, "sequence"), exact)
     domain = _domain(obj, exact)
+    choice = _field(obj, "principal_kind", "lower")
+    if choice not in ("lower", "upper"):
+        raise InputError(f"unknown principal_kind {choice!r}")
     if isinstance(domain, Compact):
-        kind = PrincipalKind.UPPER if obj.get("kind", "lower") == "upper" else PrincipalKind.LOWER
+        kind = PrincipalKind.UPPER if choice == "upper" else PrincipalKind.LOWER
         mu = principal_compact(seq, domain.a, domain.b, kind)
     elif isinstance(domain, Ray):
         mu = minimal_measure_ray(seq)
@@ -171,24 +162,24 @@ def _run_principal(obj, exact, options):
                     "atom_count": mu.atom_count}, EXIT_OK
     else:
         mu = minimal_measure_half_open(seq)
-    return {"measure": _measure_json(mu)}, EXIT_OK
+    return {"measure": mu.to_json()}, EXIT_OK
 
 
 def _run_t_value(obj, exact, options):
     seq = _parse_seq(_field(obj, "sequence"), exact)
     domain = _domain(obj, exact)
     if isinstance(domain, Ray):
-        payload = {"t_inf": _fmt(reciprocal_inf_ray(seq))}
+        payload = {"t_inf": format_scalar(reciprocal_inf_ray(seq))}
         if "sup_target" in obj:
             a, b = unbounded_reciprocal_witness(seq, _scalar(obj["sup_target"], exact))
-            payload["sup_witness"] = {"a": _fmt(a), "b": _fmt(b)}
+            payload["sup_witness"] = {"a": format_scalar(a), "b": format_scalar(b)}
     elif isinstance(domain, HalfOpen):
-        payload = {"t_one": _fmt(reciprocal_inf_half_open(seq))}
+        payload = {"t_one": format_scalar(reciprocal_inf_half_open(seq))}
     else:
         bounds = reciprocal_extremes_compact(seq, domain.a, domain.b)
-        payload = {"t_lo": _fmt(bounds.t_lo), "t_hi": _fmt(bounds.t_hi),
-                   "attained_lo": _measure_json(bounds.attained_lo),
-                   "attained_hi": _measure_json(bounds.attained_hi)}
+        payload = {"t_lo": format_scalar(bounds.t_lo), "t_hi": format_scalar(bounds.t_hi),
+                   "attained_lo": bounds.attained_lo.to_json(),
+                   "attained_hi": bounds.attained_hi.to_json()}
     return payload, EXIT_OK
 
 
@@ -197,9 +188,9 @@ def _run_backward(obj, exact, options):
     domain = _domain(obj, exact)
     if "x" in obj:
         verdict = classify_backward(seq, _scalar(obj["x"], exact), domain)
-        payload = {"class": verdict.kind.value, "threshold": _fmt(verdict.threshold)}
+        payload = {"class": verdict.kind.value, "threshold": format_scalar(verdict.threshold)}
         if verdict.measure is not None:
-            payload["measure"] = _measure_json(verdict.measure)
+            payload["measure"] = verdict.measure.to_json()
         code = EXIT_OK if verdict.kind is not ExtensionClass.NOT_EXTENSION else EXIT_NEGATIVE
         return payload, code
     sequence, measure = extend_with_index(
@@ -207,7 +198,7 @@ def _run_backward(obj, exact, options):
         _parse_seq(_field(obj, "free", []), exact), domain)
     payload = {"extension": sequence.to_json()}
     if measure is not None:
-        payload["measure"] = _measure_json(measure)
+        payload["measure"] = measure.to_json()
     return payload, EXIT_OK
 
 
@@ -265,7 +256,8 @@ def _run_stampfli(obj, exact, options):
     if len(vals) != 4:
         raise InputError(f"stampfli takes four weights, got {len(vals)}")
     verdict = stampfli_check(*vals, squared=squared)
-    payload = {"holds": verdict.holds, "lhs": _fmt(verdict.lhs), "rhs": _fmt(verdict.rhs)}
+    payload = {"holds": verdict.holds, "lhs": format_scalar(verdict.lhs),
+               "rhs": format_scalar(verdict.rhs)}
     return payload, EXIT_OK if verdict.holds else EXIT_NEGATIVE
 
 
@@ -286,31 +278,29 @@ def _run_verify(obj, exact, options):
     cert = _field(obj, "certificate")
     trunk_sq = _parse_seq(_field(cert, "trunk_sq"), exact)
     kind = _field(cert, "kind")
-    classes = []
+    if kind not in ("subnormal", "che", "che-flat"):
+        raise InputError(f"unknown certificate kind {kind!r}")
+    subnormal = kind == "subnormal"
     measures = []
-    for row, measure_obj in zip(_as_list(_field(cert, "weights_sq")),
-                                _as_list(_field(cert, "measures"))):
+    for measure_obj in _as_list(_field(cert, "measures")):
+        mu = _rebuild_measure(measure_obj, exact)
+        if not subnormal:
+            mu = CAMeasure(_scalar(_field(measure_obj, "zero_mass", "0"), exact), mu)
+        measures.append(mu)
+    classes = []
+    # one class per row, even past the last measure: the verifier then
+    # refuses a certificate whose measures and rows differ in number
+    for i, row in enumerate(_as_list(_field(cert, "weights_sq"))):
         row = _branch(row, exact)
         p = _int(obj, "p", _field(cert, "p", len(row)))
-        first, prefix = row[0], row[1:p]
-        mu = _rebuild_measure(measure_obj, exact)
-        if kind == "subnormal":
-            gen = MeasureTail(prefix, mu)
-        else:
-            zero_mass = _scalar(_field(measure_obj, "zero_mass", "0"), exact)
-            mu = CAMeasure(zero_mass, mu) if isinstance(mu, AtomicMeasure) else mu
-            if not isinstance(mu, CAMeasure):
-                mu = RecurrentCAMeasure(mu)
-            gen = GeometricSumTail(prefix, mu)
-        classes.append(FullBranch(first, gen, 1))
-        measures.append(mu)
+        mu = measures[i] if i < len(measures) else None
+        gen = MeasureTail(row[1:p], mu) if subnormal else GeometricSumTail(row[1:p], mu)
+        classes.append(FullBranch(row[0], gen, 1))
     full = FullWeights(trunk_sq, classes)
     depth = _parsed(int, options.get("depth", 12))
+    verifier = verify_subnormal_certificate if subnormal else verify_che_certificate
     try:
-        if kind == "subnormal":
-            verify_subnormal_certificate(full, measures, depth)
-        else:
-            verify_che_certificate(full, measures, depth)
+        verifier(full, measures, depth)
     except MomentKitError as exc:
         return {"valid": False, "error": str(exc)}, EXIT_NEGATIVE
     return {"valid": True, "depth": depth}, EXIT_OK

@@ -31,8 +31,7 @@ from .alternating import CAMeasure, has_ca_extension
 from .extremal import _reciprocal_inf, _schur_quadratic, _schur_threshold
 from .errors import (BadIndex, DegenerateInput, MomentKitError, PreconditionError,
                      Unsupported)
-from .measure import (AtomicMeasure, MomentRecurrence, MomentSequence,
-                      RecurrentCAMeasure, tilt)
+from .measure import AtomicMeasure, MomentRecurrence, MomentSequence, tilt
 from .numeric import Scalar, format_scalar
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _support_measure, _values,
                          classify_half_open, classify_ray)
@@ -75,19 +74,16 @@ class CompletionCertificate:
                 for cls in self.full.classes]
 
     def to_json(self) -> dict:
-        def fmt(x):
-            return format_scalar(x) if not isinstance(x, float) else repr(x)
-
-        measures = [mu.to_json() if hasattr(mu, "to_json") else repr(mu)
-                    for mu in self.measures]
         out = {
             "kind": self.kind,
-            "K": [fmt(Fraction(k)) if not isinstance(k, float) else k for k in self.K],
+            "K": [format_scalar(k) if not isinstance(k, float) else k for k in self.K],
             "sequences": [s.to_json() for s in self.sequences],
-            "measures": measures,
-            "weights_sq": [[fmt(w) for w in row] for row in self.completed_weights_sq()],
-            "trunk_sq": [fmt(t) for t in self.full.trunk_sq],
-            "norm_sq": fmt(self.norm_sq) if not isinstance(self.norm_sq, float) else self.norm_sq,
+            "measures": [mu.to_json() for mu in self.measures],
+            "weights_sq": [[format_scalar(w) for w in row]
+                           for row in self.completed_weights_sq()],
+            "trunk_sq": [format_scalar(t) for t in self.full.trunk_sq],
+            "norm_sq": format_scalar(self.norm_sq) if not isinstance(self.norm_sq, float)
+            else self.norm_sq,
         }
         if self.root_measure is not None:
             out["root_measure"] = self.root_measure.to_json()
@@ -613,8 +609,7 @@ def solve_che(pw: PartialWeights, K="auto") -> SolveOutcome:
 
 def _che_certificate(pw: PartialWeights, two_ks, vec, windows) -> SolveOutcome:
     sequences, measures = _branch_measures(_HALF_OPS, pw, two_ks, windows)
-    taus = tuple(CAMeasure(0, mu) if isinstance(mu, AtomicMeasure) else RecurrentCAMeasure(mu)
-                 for mu in measures)
+    taus = tuple(CAMeasure(0, mu) for mu in measures)
     branches = [FullBranch(cls.first_mass, GeometricSumTail(cls.tail_sq, tau), cls.count)
                 for cls, tau in zip(pw.classes, taus)]
     full = FullWeights(pw.trunk_sq, branches)
@@ -681,17 +676,17 @@ def flat_che_completion(pw: PartialWeights) -> SolveOutcome:
     atoms = AtomicMeasure(
         [(pos, m * pos ** (kappa + 1) / scale) for pos, m in rho.positive.atoms],
         exact=rho.positive.exact)
-    if atoms.exact:
-        shared = CAMeasure(0, atoms)
-    else:
+    positive = atoms
+    if not atoms.exact:
         # enclosure midpoints of irrational atoms: take exact moments from
         # the increments rho represents, t^k drho = c_{k+1} - c_k, past the
         # mass at zero, which only c_1 - c_0 sees, run on by the recurrence
         # of the zero-free polynomial of rho's atoms on (0, 1]
         first = 1 if rho.zero_mass else 0
         deltas = [root_seq[k + 1] - root_seq[k] for k in range(first, len(root_seq) - 1)]
-        shared = RecurrentCAMeasure(MomentRecurrence(
-            verdict.poly, first - kappa - 1, [d / scale for d in deltas], atoms_hint=atoms))
+        positive = MomentRecurrence(verdict.poly, first - kappa - 1,
+                                    [d / scale for d in deltas], atoms_hint=atoms)
+    shared = CAMeasure(0, positive)
     branches = [FullBranch(cls.first_mass,
                            GeometricSumTail(cls.tail_sq, shared), cls.count)
                 for cls in pw.classes]
@@ -703,7 +698,7 @@ def flat_che_completion(pw: PartialWeights) -> SolveOutcome:
     sequences = tuple(MomentSequence(first_index, seq_values)
                       for _ in pw.classes)
     idx = Fraction(0)
-    for pos, _ in shared.positive.atoms:
+    for pos, _ in atoms.atoms:
         idx += Fraction(1, 2) if pos == 1 else 1
     cert = CompletionCertificate("che-flat", pw, tuple([idx] * len(pw.classes)),
                                  sequences, tuple(taus), full,

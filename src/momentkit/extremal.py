@@ -31,7 +31,8 @@ only in the border b over the same M, so the infimum is an exact quadratic
 in it (`_schur_quadratic`), read from the same kind of pass.  Polynomials are
 used only where a measure is wanted: the principal measures on [a, b],
 whose values come from the identity above, and the unique measure of a
-singular window, whose support polynomial gives its reciprocal moment.
+singular window, whose infimum is its reciprocal moment, -q(0)/p(0) by the
+same identity with p its support polynomial.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DegenerateInput, NotStrictlyPositive
-from .measure import AtomicMeasure, MomentRecurrence
+from .measure import AtomicMeasure
 from .numeric import Polynomial, Scalar, _to_float, as_fraction, associated
 from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _Window,
                          _classify_limit, _limit_window, _odd_half_open, _values,
@@ -88,8 +89,7 @@ def compact_reciprocal_values(values, a, b):
     return tuple(value for value, _ in _principal_values(_values(values), a, b))
 
 
-def reciprocal_extremes_compact(s, a: Scalar, b: Scalar,
-                                with_measures: bool = True) -> ExtremalBounds:
+def reciprocal_extremes_compact(s, a: Scalar, b: Scalar) -> ExtremalBounds:
     """Extremal reciprocal integrals over representing measures on [a, b],
     with the attaining principal measures attached."""
     values = _values(s)
@@ -100,10 +100,8 @@ def reciprocal_extremes_compact(s, a: Scalar, b: Scalar,
     pairs = sorted(_principal_values(values, a, b), key=lambda pair: pair[0])
     if pairs[0][0] == pairs[1][0]:
         raise DegenerateInput("principal reciprocal values coincide")
-    measures = (None, None)
-    if with_measures:
-        measures = tuple(measure_from_poly(poly, values, a, b) for _, poly in pairs)
-    return ExtremalBounds(pairs[0][0], pairs[1][0], measures[0], measures[1])
+    lo, hi = (measure_from_poly(poly, values, a, b) for _, poly in pairs)
+    return ExtremalBounds(pairs[0][0], pairs[1][0], lo, hi)
 
 
 def _first_strict_interval(values):
@@ -112,15 +110,6 @@ def _first_strict_interval(values):
         if classify_compact(values, a, b).kind is PositivityClass.STRICTLY_POSITIVE:
             return a, b, q
     raise ConvergenceError("no strictly positive compact window found")
-
-
-def _singular_reciprocal(poly: Polynomial, values) -> Scalar:
-    """Reciprocal moment of the unique measure of a singularly positive
-    window with support polynomial `poly`, via its backward moment
-    recurrence -- exact even when the atoms are irrational."""
-    if poly.degree == 0:  # the zero window
-        return Fraction(0)
-    return MomentRecurrence(poly, 0, list(values)).moment(-1)
 
 
 def _schur_threshold(w: _Window, domain) -> Optional[Scalar]:
@@ -175,13 +164,16 @@ def _schur_quadratic(rest, domain) -> Optional[tuple]:
 def _reciprocal_inf(w: _Window, verdict: PositivityVerdict, domain) -> Scalar:
     """Reciprocal infimum on the ray or on (0, 1] of a window whose verdict
     on that domain is `verdict` (see `reciprocal_inf_ray`): a singular
-    window's from its support polynomial, a strict one's as the Schur
-    complement `_schur_threshold`."""
+    window's as the reciprocal moment of its unique measure, read from its
+    support polynomial by the associated polynomial
+    (`reciprocal_value_from_poly`, exact even when the atoms are
+    irrational), a strict one's as the Schur complement
+    `_schur_threshold`."""
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         where = "(0, inf)" if isinstance(domain, Ray) else "(0, 1]"
         raise NotStrictlyPositive(f"sequence is not positive on {where}")
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        return _singular_reciprocal(verdict.support, w.values)
+        return reciprocal_value_from_poly(verdict.support, w.values)
     return _schur_threshold(w, domain)  # M was found positive definite
 
 
@@ -239,7 +231,7 @@ def reciprocal_sup_ray_bounds(s) -> ExtremalBounds:
     return ExtremalBounds(t_lo, math.inf, None, None)
 
 
-def unbounded_reciprocal_witness(s, target: Scalar, max_halvings: int = 500):
+def unbounded_reciprocal_witness(s, target: Scalar):
     """Interval [a, b] on which the compact supremum exceeds `target`;
     exists for every strictly positive sequence because the supremum blows
     up as a -> 0."""
@@ -247,7 +239,7 @@ def unbounded_reciprocal_witness(s, target: Scalar, max_halvings: int = 500):
     if classify_ray(values).kind is not PositivityClass.STRICTLY_POSITIVE:
         raise NotStrictlyPositive("sequence is not strictly positive on (0, inf)")
     a, b, _ = _first_strict_interval(values)
-    for _ in range(max_halvings):
+    for _ in range(500):
         v_low, v_up = compact_reciprocal_values(values, a, b)
         if max(v_low, v_up) > target:
             return a, b

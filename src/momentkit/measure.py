@@ -9,8 +9,8 @@ MomentRecurrence is the companion object for measures whose atoms are the
 (possibly irrational) roots of a known polynomial: it produces exact rational
 moments for every integer exponent from a seed window and the root
 polynomial's linear recurrence, so certificates stay exactly verifiable even
-when the atoms themselves only have enclosures.  RecurrentCAMeasure gives one
-the shape of a measure on (0, 1] without mass at zero.
+when the atoms themselves only have enclosures.  Either kind can be the part
+on (0, 1] of a measure on [0, 1] (`alternating.CAMeasure`).
 
 An exact measure of either kind computes its moments on an integer image,
 built once: on first use, or handed over by the code that built the
@@ -29,7 +29,6 @@ normalisation per value returned.  Float measures keep float arithmetic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,11 +298,6 @@ class MomentSequence:
     def last_index(self) -> int:
         return self.first_index + len(self.values) - 1
 
-    @property
-    def top_degree(self) -> int:
-        """n for a window reindexed as s_0..s_n."""
-        return len(self.values) - 1
-
     def at(self, k: int) -> Scalar:
         if not self.first_index <= k <= self.last_index:
             raise InsufficientMoments(f"moment index {k} outside window")
@@ -316,9 +310,6 @@ class MomentSequence:
 
     def prepend(self, value: Scalar) -> "MomentSequence":
         return MomentSequence(self.first_index - 1, (value,) + self.values)
-
-    def reindexed(self, first_index: int = 0) -> "MomentSequence":
-        return MomentSequence(first_index, self.values)
 
     def to_json(self) -> dict:
         return {"first_index": self.first_index,
@@ -464,37 +455,3 @@ class MomentRecurrence:
             out["atoms_approx"] = self.atoms_hint.to_json()
         return out
 
-
-class RecurrentCAMeasure:
-    """CAMeasure-shaped wrapper over a moment recurrence (no mass at zero)."""
-
-    zero_mass = Fraction(0)
-
-    def __init__(self, recurrence: MomentRecurrence):
-        self.recurrence = recurrence
-
-    def moment(self, k: int) -> Scalar:
-        return self.recurrence.moment(k)
-
-    def _row(self, lo: int, hi: int) -> Optional[_Row]:
-        return self.recurrence._row(lo, hi)
-
-    def total_mass(self) -> Scalar:
-        return self.recurrence.moment(0)
-
-    def geometric_sum(self, n: int) -> Scalar:
-        row = geometric_row(self, n)
-        if row is None:
-            return sum((self.recurrence.moment(k) for k in range(n)), Fraction(0))
-        return row.value(n)
-
-    @property
-    def positive(self):
-        return self.recurrence.atoms_hint
-
-    def to_json(self) -> dict:
-        return self.recurrence.to_json()
-
-
-def measure_from_json_text(text: str) -> AtomicMeasure:
-    return AtomicMeasure.from_json(json.loads(text))

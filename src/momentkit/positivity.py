@@ -119,8 +119,7 @@ def _values(s) -> tuple:
 
 def _ratio(x: Scalar) -> tuple:
     """(p, q) with x = p / q, q > 0; binary-exact for a float."""
-    if isinstance(x, float):
-        x = as_fraction(x)
+    x = as_fraction(x)
     return x.numerator, x.denominator
 
 

@@ -95,8 +95,7 @@ def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
 def root_bound(poly: Polynomial) -> Fraction:
     """Cauchy bound on the magnitude of the roots."""
     lead = abs(poly.coeffs[-1])
-    return 1 + max(abs(Fraction(c) if not isinstance(c, float) else c) / lead
-                   for c in poly.coeffs)
+    return 1 + max(abs(c) / lead for c in poly.coeffs)
 
 
 def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],

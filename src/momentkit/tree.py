@@ -24,21 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
-from .measure import (MomentRecurrence, MomentSequence, RecurrentCAMeasure, geometric_row,
-                      moment_row)
+from .measure import MomentRecurrence, MomentSequence, geometric_row, moment_row
 from .numeric import Scalar
 from .positivity import HalfOpen, Ray, _Window, _determinate_poly
 
 
 def _pos_sq(x, what: str):
-    if isinstance(x, float):
-        if not x > 0:
-            raise DegenerateInput(f"{what} must be positive")
-        return x
-    x = Fraction(x)
+    if not isinstance(x, float):
+        x = Fraction(x)
     if not x > 0:
         raise DegenerateInput(f"{what} must be positive")
     return x
@@ -309,7 +305,7 @@ class BoundednessVerdict:
     norm_sq_bound: Scalar  # sup over vertices of the outgoing square sums
 
 
-def is_bounded(w: FullWeights, depth: int = 64) -> BoundednessVerdict:
+def is_bounded(w: FullWeights) -> BoundednessVerdict:
     """Evaluate the boundedness supremum (the squared operator norm): the
     branching vertex contributes the total first-weight mass, every other
     vertex a single squared weight."""
@@ -350,14 +346,15 @@ def _check(condition: bool, identity: str):
 def _positive_on(mu, domain) -> bool:
     """Is a certificate measure a positive measure on the domain?
 
-    An AtomicMeasure (inside a CAMeasure too) is positive by construction.
+    An AtomicMeasure is positive by construction.  A CAMeasure is checked
+    through its part on (0, 1].
     A moment recurrence of degree d is one exactly when its polynomial has
     d distinct roots in the domain, generates its seed window, and the
     Hankel form of its first 2d moments is positive definite (Curto and
     Fialkow, Houston J. Math. 17 (1991)): `_determinate_poly` of the seed
     window, run on to 2d moments, then returns the polynomial up to its
     leading coefficient.  Any other object with moments passes."""
-    rec = mu.recurrence if isinstance(mu, RecurrentCAMeasure) else mu
+    rec = getattr(mu, "positive", mu)
     if not isinstance(rec, MomentRecurrence):
         return True
     q = rec.poly.coeffs
@@ -366,6 +363,13 @@ def _positive_on(mu, domain) -> bool:
                           domain)
     return (p is not None and p.degree == rec.poly.degree
             and all(_eq(c, x / q[-1]) for c, x in zip(p.coeffs, q)))
+
+
+def _check_counts(w: FullWeights, measures):
+    if not w.classes:
+        raise CertificateInvalid("a certificate needs at least one branch class")
+    if len(measures) != len(w.classes):
+        raise CertificateInvalid("one measure per branch class is required")
 
 
 def _check_branches(w: FullWeights, measures, depth: int, domain, where: str,
@@ -394,8 +398,7 @@ def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> b
     after finitely many steps: the moment identities of a generator that is
     not a MeasureTail over the branch's own measure, and the prefix of an
     infinite trunk."""
-    if len(measures) != len(w.classes):
-        raise CertificateInvalid("one measure per branch class is required")
+    _check_counts(w, measures)
     _check_branches(w, measures, depth, Ray(), "(0, inf)",
                     lambda gen, mu: isinstance(gen, MeasureTail) and gen.measure is mu,
                     lambda mu, n: (mu.moment(n), f"moment {n} equals the weight product"
@@ -427,8 +430,7 @@ def verify_che_certificate(w: FullWeights, taus, depth: int = 12) -> bool:
     `depth` bounds only the checks that do not close after finitely many
     steps: the identities of a generator that is not a GeometricSumTail
     over the branch's own measure, and the isometry weights."""
-    if len(taus) != len(w.classes):
-        raise CertificateInvalid("one measure per branch class is required")
+    _check_counts(w, taus)
     for tau in taus:
         if tau.zero_mass != 0:
             raise ZeroAtomError("branch measures must not charge zero")

@@ -1,6 +1,7 @@
 """Certificate verification: forged measures are rejected, the check is
 finite, and the emitted JSON and weight rows match the generators."""
 
+import argparse
 import copy
 import dataclasses
 import json
@@ -17,8 +18,8 @@ from momentkit.alternating import CAMeasure
 from momentkit.cli import run
 from momentkit.completion import (_norm_sq_bound, flat_che_completion, solve_che,
                                   solve_subnormal)
-from momentkit.errors import CertificateInvalid
-from momentkit.measure import AtomicMeasure, MomentRecurrence, RecurrentCAMeasure
+from momentkit.errors import CertificateInvalid, ZeroAtomError
+from momentkit.measure import AtomicMeasure, MomentRecurrence
 from momentkit.numeric import Polynomial, format_scalar
 from momentkit.principal import root_bound
 from momentkit.tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
@@ -105,7 +106,7 @@ def _forged(case):
     if kind == "subnormal":
         full = FullWeights([], [FullBranch(first, MeasureTail([], rec), 1)])
         return full, [rec], verify_subnormal_certificate, cert_json
-    tau = RecurrentCAMeasure(rec)
+    tau = CAMeasure(0, rec)
     full = FullWeights([], [FullBranch(first, GeometricSumTail([], tau), 1)])
     return full, [tau], verify_che_certificate, cert_json
 
@@ -143,7 +144,7 @@ def _build(che, pairs, first_index, length):
         s = _moment(pairs, -1)
         scale = 1 / (2 * abs(s)) if s != 0 else 1
         pairs = [(x, m * scale) for x, m in pairs]
-        tau = RecurrentCAMeasure(_recurrence(pairs, first_index, length))
+        tau = CAMeasure(0, _recurrence(pairs, first_index, length))
         return _che_cert(tau), [tau], verify_che_certificate
     total = _moment(pairs, 0)
     pairs = [(x, m / total) for x, m in pairs]
@@ -177,14 +178,14 @@ def test_mutated_recurrences_rejected(data, mutation, extra):
         assume(_moment(pairs, 0) != 0)
     full, measures, verifier = _build(che, pairs, first_index, length)
     if mutation == "seed":
-        rec = measures[0].recurrence if che else measures[0]
+        rec = measures[0].positive if che else measures[0]
         spot = extra.draw(st.integers(rec.poly.degree, rec.poly.degree + 2))
         assume(spot < len(rec.window))
         window = list(rec.window)
         window[spot] += extra.draw(MASS)
         forged = MomentRecurrence(rec.poly, rec.first_index, window)
         if che:
-            tau = RecurrentCAMeasure(forged)
+            tau = CAMeasure(0, forged)
             full, measures = _che_cert(tau), [tau]
         else:
             full, measures = _subnormal_cert(forged, 1), [forged]
@@ -290,14 +291,14 @@ def _floats(pw):
 def _row_tails():
     """(tail, exact): every tail of the inline certificates (MeasureTail
     over an AtomicMeasure and over a MomentRecurrence, GeometricSumTail over
-    a CAMeasure and over a RecurrentCAMeasure), a CAMeasure tail with mass at
-    zero, and the same shapes in floats."""
+    a CAMeasure of either), a CAMeasure tail with mass at zero, and the same
+    shapes in floats."""
     tails = [(cls.generator, True) for cert in _certificates() for cls in cert.full.classes]
     for tail, _ in list(tails):
         if isinstance(tail, MeasureTail) and isinstance(tail.measure, AtomicMeasure):
             floats = AtomicMeasure([(float(x), float(m)) for x, m in tail.measure.atoms])
             tails.append((MeasureTail(tail.prefix_sq, floats), False))
-        if isinstance(tail, GeometricSumTail) and isinstance(tail.tau, CAMeasure):
+        if isinstance(tail, GeometricSumTail) and isinstance(tail.tau.positive, AtomicMeasure):
             positive = tail.tau.positive
             floats = AtomicMeasure([(float(x), float(m)) for x, m in positive.atoms])
             tails += [(GeometricSumTail(tail.prefix_sq, CAMeasure(F(1, 3), positive)), True),
@@ -316,7 +317,8 @@ def test_weight_rows_match_weight_sq_for_every_tail_and_count():
     shapes = set()
     for tail, exact in _row_tails():
         measure = tail.measure if isinstance(tail, MeasureTail) else tail.tau
-        shapes.add((type(tail).__name__, type(measure).__name__,
+        positive = getattr(measure, "positive", None)
+        shapes.add((type(tail).__name__, type(measure).__name__, type(positive).__name__,
                     getattr(measure, "zero_mass", 0) != 0, exact))
         top = len(tail.prefix_sq) + 1
         for count in list(range(top + 5)) + [top + 12]:
@@ -329,11 +331,11 @@ def test_weight_rows_match_weight_sq_for_every_tail_and_count():
                 else:
                     assert abs(got - ref) <= 1e-12 * abs(ref)
     for exact in (True, False):
-        assert {("MeasureTail", "AtomicMeasure", False, exact),
-                ("MeasureTail", "MomentRecurrence", False, exact),
-                ("GeometricSumTail", "CAMeasure", False, exact),
-                ("GeometricSumTail", "CAMeasure", True, exact),
-                ("GeometricSumTail", "RecurrentCAMeasure", False, exact)} <= shapes
+        assert {("MeasureTail", "AtomicMeasure", "NoneType", False, exact),
+                ("MeasureTail", "MomentRecurrence", "NoneType", False, exact),
+                ("GeometricSumTail", "CAMeasure", "AtomicMeasure", False, exact),
+                ("GeometricSumTail", "CAMeasure", "AtomicMeasure", True, exact),
+                ("GeometricSumTail", "CAMeasure", "MomentRecurrence", False, exact)} <= shapes
 
 
 # --------------------------------------------------------------------------
@@ -350,6 +352,53 @@ def test_certificate_json_does_not_depend_on_verification(tmp_path):
     path.write_text(json.dumps({"kind": "verify", "certificate": before}), encoding="utf-8")
     payload, code = run(str(path))
     assert code == 0 and payload["valid"]
+
+
+def _seed13_che_problem23():
+    """`che` benchmark seed 13, problem 23: non-flat, and its second class
+    gets a recurrence measure."""
+    tails = ((F(1862, 1817), F(212, 209)), (F(353317, 334363), F(6207593, 6006389)))
+    masses = (F(8505525994, 11457968149), F(3645225426, 11457968149))
+    return PartialWeights([F(22915936298, 20589702443), F(597101370847, 332814164630)],
+                          [BranchClass(m, t, 1) for m, t in zip(masses, tails)])
+
+
+def _verify_run(tmp_path, certificate, arithmetic):
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps({"kind": "verify", "certificate": certificate}),
+                    encoding="utf-8")
+    flags = argparse.Namespace(float=arithmetic == "float", tolerance=1e-9, depth=12, seed=0)
+    return run(str(path), flags)
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_every_certificate_re_verifies_through_the_cli(tmp_path, arithmetic):
+    certificates = _certificates() + [solve_che(_seed13_che_problem23()).certificate]
+    # (kind, whether a measure is a recurrence)
+    shapes = {(cert.kind, "recurrence" in mu)
+              for cert in certificates for mu in cert.to_json()["measures"]}
+    assert {("subnormal", True), ("che", False), ("che", True), ("che-flat", False),
+            ("che-flat", True)} <= shapes
+    for cert in certificates:
+        blob = cert.to_json()
+        payload, code = _verify_run(tmp_path, blob, arithmetic)
+        assert code == 0 and payload["valid"], (cert.kind, payload)
+        truncated = dict(blob, measures=blob["measures"][:-1])
+        payload, code = _verify_run(tmp_path, truncated, arithmetic)
+        assert code == 1 and payload["valid"] is False, (cert.kind, payload)
+
+
+def test_recurrence_measure_with_mass_at_zero_is_refused(tmp_path):
+    cert = solve_che(_seed13_che_problem23()).certificate
+    blob = cert.to_json()
+    assert "recurrence" in blob["measures"][1]
+    blob["measures"][1]["zero_mass"] = "1/7"
+    payload, code = _verify_run(tmp_path, blob, "exact")
+    assert code == 1 and payload["valid"] is False
+    assert payload["error"] == "branch measures must not charge zero"
+    taus = [cert.measures[0], CAMeasure(F(1, 7), cert.measures[1].positive)]
+    with pytest.raises(ZeroAtomError):
+        verify_che_certificate(cert.full, taus)
 
 
 def test_recurrence_json_is_its_seed():

@@ -278,3 +278,51 @@ def test_internal_errors_are_not_input_errors(tmp_path, monkeypatch):
     path = _write(tmp_path, "c.json", {"kind": "classify", "sequence": ["1", "2", "4"]})
     with pytest.raises(TypeError, match="injected"):
         run(path)
+
+
+def _verify(tmp_path, certificate):
+    return run(_write(tmp_path, "verify.json", {"kind": "verify", "certificate": certificate}))
+
+
+def test_verify_needs_one_measure_per_row(tmp_path):
+    for kind, x in (("subnormal", "2"), ("che", "1/2")):
+        one_atom = {"atoms": [{"x": x, "m": "1"}]}
+        cases = [
+            ([["1/2", "2"], ["1/2", "99"]], [one_atom]),   # a row without a measure
+            ([["1/2", "2"]], [one_atom, one_atom]),        # a measure without a row
+            ([], []),                                      # no branch class at all
+        ]
+        for rows, measures in cases:
+            payload, code = _verify(tmp_path, {"kind": kind, "trunk_sq": [],
+                                               "weights_sq": rows, "measures": measures})
+            assert code == 1 and payload["valid"] is False, (kind, rows, payload)
+    # the first row with its measure is a valid certificate
+    payload, code = _verify(tmp_path, {"kind": "subnormal", "trunk_sq": [],
+                                       "weights_sq": [["1/2", "2"]],
+                                       "measures": [{"atoms": [{"x": "2", "m": "1"}]}]})
+    assert code == 0 and payload["valid"]
+
+
+def test_verify_refuses_an_unknown_certificate_kind(tmp_path):
+    certificate = {"trunk_sq": [], "weights_sq": [["5/4"]],
+                   "measures": [{"atoms": [{"x": "1/2", "m": "1/10"}]}]}
+    for kind in ("che", "che-flat"):
+        payload, code = _verify(tmp_path, {**certificate, "kind": kind})
+        assert code == 0 and payload["valid"], kind
+    for kind in ("Subnormal", "flat-che", "", None, ["che"]):
+        payload, code = _verify(tmp_path, {**certificate, "kind": kind})
+        assert code == 3 and payload["error"]["kind"] == "input", kind
+
+
+def test_principal_kind_chooses_the_principal_measure(tmp_path):
+    obj = {"kind": "principal", "domain": "compact", "a": "1/2", "b": "4",
+           "sequence": ["1", "3/2", "5/2", "9/2"]}
+    lower = [{"x": "1", "m": "1/2"}, {"x": "2", "m": "1/2"}]
+    upper = [{"x": "1/2", "m": "8/49"}, {"x": "5/3", "m": "81/98"}, {"x": "4", "m": "1/98"}]
+    for extra, atoms in (({}, lower), ({"principal_kind": "lower"}, lower),
+                         ({"principal_kind": "upper"}, upper)):
+        payload, code = run(_write(tmp_path, "p.json", {**obj, **extra}))
+        assert code == 0 and payload["measure"]["atoms"] == atoms, extra
+    for bad in ("Upper", "both", 1):
+        payload, code = run(_write(tmp_path, "p.json", {**obj, "principal_kind": bad}))
+        assert code == 3 and payload["error"]["kind"] == "input", bad

@@ -7,6 +7,7 @@ from momentkit.completion import (SolveStatus, flat_che_completion,
                                   flatness_verifier, kappa_infinite_probe,
                                   solve_che, solve_subnormal, stampfli_check)
 from momentkit.errors import BadIndex, PreconditionError
+from momentkit.measure import MomentRecurrence
 from momentkit.positivity import Ray, index
 from momentkit.tree import BranchClass, PartialWeights
 
@@ -276,7 +277,8 @@ def test_flat_che_irrational_atoms_certificate_verifies():
                          BranchClass(F(5812736, 6628323), tail, 1)])
     out = flat_che_completion(pw)
     assert out.status is SolveStatus.FEASIBLE
-    assert not out.certificate.measures[0].positive.exact
+    positive = out.certificate.measures[0].positive
+    assert isinstance(positive, MomentRecurrence) and not positive.atoms_hint.exact
     assert out.certificate.verify(64)
 
 

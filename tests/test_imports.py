@@ -1,5 +1,5 @@
-"""Only the grid oracle may import numpy or scipy, and no module but
-`numeric` names the dense determinants.
+"""Only the grid oracle may import numpy or scipy, no module but `numeric`
+names the dense determinants, and no module imports a name it does not use.
 
 Every other module decides exactly on Python integers, and float input runs
 through the same integer kernel, so the package itself needs neither.
@@ -52,3 +52,23 @@ def test_no_library_path_eliminates_densely():
     users = {path.name for path in PACKAGE.glob("*.py")
              if _names(path) & DENSE_ELIMINATION}
     assert users == {"numeric.py"}
+
+
+def _unused_imports(path: Path) -> set:
+    """Names bound by the module's top-level imports that no expression in
+    the module reads (annotations included)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_every_imported_name_is_used():
+    unused = {path.name: names for path in PACKAGE.glob("*.py")
+              if (names := _unused_imports(path))}
+    assert unused == {}

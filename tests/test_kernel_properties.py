@@ -30,7 +30,7 @@ from momentkit.backward import forced_value
 from momentkit.completion import _HALF_OPS, _RAY_OPS, _quadratic
 from momentkit.extremal import (_schur_threshold, reciprocal_inf_half_open, reciprocal_inf_ray,
                                 reciprocal_value_from_poly)
-from momentkit.measure import AtomicMeasure, MomentRecurrence, RecurrentCAMeasure, moments
+from momentkit.measure import AtomicMeasure, MomentRecurrence, moments
 from momentkit.errors import DegenerateInput
 from momentkit.numeric import (FormClass, HankelImage, Polynomial, _dilated, _hankel_image,
                                _integer_scale, _minor_pass, _to_float, as_fraction,
@@ -744,13 +744,13 @@ def test_image_moments_match_the_plain_sums(atoms, first, extra, order):
        st.permutations(list(range(17))))
 def test_image_geometric_sums_match_the_plain_sums(atoms, zero_mass, first, extra, order):
     ca = CAMeasure(zero_mass, AtomicMeasure(atoms))
-    recurrent = RecurrentCAMeasure(_recurrence(atoms, first, extra))
+    recurrent = CAMeasure(0, _recurrence(atoms, first, extra))
     for n in order:
         want = sum((_reference(atoms, k) for k in range(n)), F(0))
         assert ca.geometric_sum(n) == (zero_mass if n else 0) + want
         assert recurrent.geometric_sum(n) == want
     for zero, tau in ((zero_mass, CAMeasure(zero_mass, AtomicMeasure(atoms))),
-                      (0, RecurrentCAMeasure(_recurrence(atoms, first, extra)))):
+                      (0, CAMeasure(0, _recurrence(atoms, first, extra)))):
         gammas = [1 + (zero if n else 0) + sum((_reference(atoms, k) for k in range(n)), F(0))
                   for n in range(17)]
         ratios = [b / a for a, b in zip(gammas, gammas[1:])]

@@ -141,3 +141,11 @@ def test_verify_che_rejects_wrong_trunk():
     fw = FullWeights([F(3, 2)], [FullBranch(F(5, 4), GeometricSumTail([], tau), 1)])
     with pytest.raises(CertificateInvalid):
         verify_che_certificate(fw, [tau])
+
+
+def test_certificate_without_branch_class_is_refused():
+    for verifier in (verify_subnormal_certificate, verify_che_certificate):
+        with pytest.raises(CertificateInvalid, match="at least one branch class"):
+            verifier(FullWeights([], []), [])
+        with pytest.raises(CertificateInvalid, match="at least one branch class"):
+            verifier(FullWeights([2], []), [], 64)
