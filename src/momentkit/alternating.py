@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import DegenerateInput, DomainError, NotAMomentSequence, ZeroAtomError
 from .measure import (AtomicMeasure, MomentRecurrence, ZERO_MEASURE, _Row, geometric_row,
-                      moment_row, tilt)
+                      moment_row)
 from .numeric import Polynomial, Scalar
 from .positivity import HalfOpen, PositivityClass, _reads_root, _values, classify_compact
 from .principal import atom_polynomial, atoms_from_poly, measure_from_poly
@@ -81,9 +81,7 @@ class CAMeasure:
         return total
 
     def scaled(self, factor: Scalar) -> "CAMeasure":
-        pos = AtomicMeasure([(p, m * factor) for p, m in self.positive.atoms],
-                            exact=self.positive.exact)
-        return CAMeasure(self.zero_mass * factor, pos)
+        return CAMeasure(self.zero_mass * factor, self.positive.scaled(factor))
 
     def to_json(self) -> dict:
         from .numeric import format_scalar
@@ -212,5 +210,5 @@ def ca_backward_extend(c: Sequence[Scalar], prefix: Sequence[Scalar],
         return CABackwardResult(
             False, violated=f"slot {-(r - 1)}: needs at least {bound}, given {ext[-(r - 1)]}")
     slack = ext[-(r - 1)] - bound
-    rho = CAMeasure(slack, tilt(tau.positive, -r) if tau.positive.atoms else ZERO_MEASURE)
+    rho = CAMeasure(slack, tau.positive.tilted(-r))
     return CABackwardResult(True, rho)

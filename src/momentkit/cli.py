@@ -149,13 +149,11 @@ def _run_classify(obj, exact, options):
 def _run_principal(obj, exact, options):
     seq = _parse_seq(_field(obj, "sequence"), exact)
     domain = _domain(obj, exact)
-    choice = _field(obj, "principal_kind", "lower")
-    if choice not in ("lower", "upper"):
-        raise InputError(f"unknown principal_kind {choice!r}")
     if isinstance(domain, Compact):
-        kind = PrincipalKind.UPPER if choice == "upper" else PrincipalKind.LOWER
-        mu = principal_compact(seq, domain.a, domain.b, kind)
-    elif isinstance(domain, Ray):
+        mu = principal_compact(seq, domain.a, domain.b, PrincipalKind.LOWER)
+        upper = principal_compact(seq, domain.a, domain.b, PrincipalKind.UPPER)
+        return {"measure": mu.to_json(), "upper": upper.to_json()}, EXIT_OK
+    if isinstance(domain, Ray):
         mu = minimal_measure_ray(seq)
         if not isinstance(mu, AtomicMeasure):
             return {"family": "minimal measures parametrized by the reciprocal moment",

@@ -224,6 +224,12 @@ class AtomicMeasure:
             return None
         return _Row(image.up.upto(hi)[lo:hi + 1], image.V * image.Q ** lo, [image.Q] * (hi - lo))
 
+    def scaled(self, factor: Scalar) -> "AtomicMeasure":
+        return AtomicMeasure([(p, m * factor) for p, m in self.atoms], exact=self.exact)
+
+    def tilted(self, k: int) -> "AtomicMeasure":
+        return tilt(self, k)
+
     def to_json(self) -> dict:
         out = {"atoms": [{"x": format_scalar(p), "m": format_scalar(m)}
                          for p, m in self.atoms]}
@@ -444,6 +450,18 @@ class MomentRecurrence:
         if self.atoms_hint is not None:
             return self.atoms_hint.max_atom()
         raise DegenerateInput("no atom enclosure attached")
+
+    def scaled(self, factor: Scalar) -> "MomentRecurrence":
+        """factor * mu: the same recurrence on the scaled seed window."""
+        hint = None if self.atoms_hint is None else self.atoms_hint.scaled(factor)
+        return MomentRecurrence(self.poly, self.first_index,
+                                [v * factor for v in self.window], hint)
+
+    def tilted(self, k: int) -> "MomentRecurrence":
+        """t^k dmu, whose moment n is s_{n+k}: the same recurrence and seed
+        window, indexed from first_index - k."""
+        hint = None if self.atoms_hint is None else self.atoms_hint.tilted(k)
+        return MomentRecurrence(self.poly, self.first_index - k, self.window, hint)
 
     def to_json(self) -> dict:
         """The polynomial and the seed window, however far `moment` has run

@@ -5,7 +5,8 @@ import pytest
 from momentkit.alternating import (CAMeasure, ca_backward_extend, ca_scale,
                                    has_ca_extension)
 from momentkit.errors import DomainError, ZeroAtomError
-from momentkit.measure import AtomicMeasure
+from momentkit.measure import AtomicMeasure, MomentRecurrence
+from momentkit.numeric import Polynomial
 from conftest import random_half_open_measure
 
 
@@ -94,6 +95,29 @@ def test_ca_backward_examples():
     assert not r.zero_mass_is_zero
     r = ca_backward_extend([2, 3, 4], [F(3, 2)], tau)
     assert not r.ok and "5/2" in r.violated
+
+
+def test_recurrence_part_scales_and_extends_backward():
+    # atoms (1 +- 5^(-1/2)) / 2, the roots of t^2 - t + 1/5, with mass 1/2 each
+    hint = AtomicMeasure([(F(553, 2000), F(1, 2)), (F(1447, 2000), F(1, 2))], exact=False)
+    rec = MomentRecurrence(Polynomial([F(1, 5), -1, 1]), 0, [1, F(1, 2)], atoms_hint=hint)
+    tau = CAMeasure(0, rec)
+    s = {k: rec.moment(k) for k in range(-3, 5)}
+    assert s[-1] == F(5, 2) and s[2] == F(3, 10)
+    scaled = tau.scaled(3)
+    assert isinstance(scaled.positive, MomentRecurrence)
+    assert [scaled.moment(k) for k in range(-3, 5)] == [3 * s[k] for k in range(-3, 5)]
+    assert scaled.positive.atoms_hint == hint.scaled(3)
+    c = [2 + sum(s[k] for k in range(n)) for n in range(4)]
+    slack = F(1, 7)
+    c_1 = c[0] - s[-1]
+    r = ca_backward_extend(c, [c_1 - s[-2] - slack, c_1], tau)
+    assert r.ok and r.rho.zero_mass == slack
+    assert isinstance(r.rho.positive, MomentRecurrence)
+    assert [r.rho.positive.moment(k) for k in range(-1, 5)] == [s[k - 2] for k in range(-1, 5)]
+    assert r.rho.positive.atoms_hint.atoms == tuple((x, m / x ** 2) for x, m in hint.atoms)
+    r = ca_backward_extend(c, [c_1 - s[-2] + slack, c_1], tau)
+    assert not r.ok
 
 
 def test_ca_backward_rejects_zero_mass_tau():

@@ -314,15 +314,11 @@ def test_verify_refuses_an_unknown_certificate_kind(tmp_path):
         assert code == 3 and payload["error"]["kind"] == "input", kind
 
 
-def test_principal_kind_chooses_the_principal_measure(tmp_path):
+def test_compact_principal_returns_both_principal_measures(tmp_path):
     obj = {"kind": "principal", "domain": "compact", "a": "1/2", "b": "4",
            "sequence": ["1", "3/2", "5/2", "9/2"]}
-    lower = [{"x": "1", "m": "1/2"}, {"x": "2", "m": "1/2"}]
-    upper = [{"x": "1/2", "m": "8/49"}, {"x": "5/3", "m": "81/98"}, {"x": "4", "m": "1/98"}]
-    for extra, atoms in (({}, lower), ({"principal_kind": "lower"}, lower),
-                         ({"principal_kind": "upper"}, upper)):
-        payload, code = run(_write(tmp_path, "p.json", {**obj, **extra}))
-        assert code == 0 and payload["measure"]["atoms"] == atoms, extra
-    for bad in ("Upper", "both", 1):
-        payload, code = run(_write(tmp_path, "p.json", {**obj, "principal_kind": bad}))
-        assert code == 3 and payload["error"]["kind"] == "input", bad
+    payload, code = run(_write(tmp_path, "p.json", obj))
+    assert code == 0
+    assert payload["measure"]["atoms"] == [{"x": "1", "m": "1/2"}, {"x": "2", "m": "1/2"}]
+    assert payload["upper"]["atoms"] == [{"x": "1/2", "m": "8/49"}, {"x": "5/3", "m": "81/98"},
+                                         {"x": "4", "m": "1/98"}]
