@@ -3,6 +3,11 @@
 Exit codes: 0 feasible/positive/valid, 1 infeasible/not-positive/invalid,
 2 unknown, 3 input error.  All scalars travel as strings ("p/q" or decimal)
 so exact values survive the round trip.
+
+A cold call loads only what its problem kind needs: the window layers
+(`numeric`, `measure`, `positivity`) at import, every other layer inside
+the handler that uses it, so a `classify` file never loads `completion` or
+`tree`, and only the `oracle` kind loads numpy.
 """
 
 from __future__ import annotations
@@ -14,19 +19,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .alternating import CAMeasure, ca_backward_extend, has_ca_extension
-from .backward import ExtensionClass, classify_backward, extend_with_index
 from .errors import MomentKitError
-from .extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
-                       reciprocal_inf_ray, unbounded_reciprocal_witness)
 from .measure import AtomicMeasure, MomentRecurrence
-from .numeric import format_scalar, parse_scalar
+from .numeric import Polynomial, format_scalar, parse_scalar
 from .positivity import (Compact, HalfOpen, PositivityClass, Ray, _verdict_index, classify)
-from .principal import PrincipalKind, minimal_measure_half_open, minimal_measure_ray, principal_compact
-from .completion import (SolveStatus, flat_che_completion, kappa_infinite_probe,
-                         solve_che, solve_subnormal, stampfli_check)
-from .tree import BranchClass, FullWeights, GeometricSumTail, MeasureTail, \
-    FullBranch, PartialWeights, verify_che_certificate, verify_subnormal_certificate
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -93,7 +89,8 @@ def _domain(obj, exact):
     raise InputError(f"unknown domain {kind!r}")
 
 
-def _partial_weights(obj, exact) -> PartialWeights:
+def _partial_weights(obj, exact):
+    from .tree import BranchClass, PartialWeights
     if "trunk_sq" in obj:
         trunk_sq = _parse_seq(obj["trunk_sq"], exact)
     else:
@@ -124,6 +121,7 @@ def _k_arg(obj):
 
 
 def _solve_payload(outcome) -> tuple:
+    from .completion import SolveStatus
     payload = {"status": outcome.status.value}
     if outcome.reason:
         payload["reason"] = outcome.reason
@@ -147,6 +145,8 @@ def _run_classify(obj, exact, options):
 
 
 def _run_principal(obj, exact, options):
+    from .principal import (PrincipalKind, minimal_measure_half_open, minimal_measure_ray,
+                            principal_compact)
     seq = _parse_seq(_field(obj, "sequence"), exact)
     domain = _domain(obj, exact)
     if isinstance(domain, Compact):
@@ -164,6 +164,8 @@ def _run_principal(obj, exact, options):
 
 
 def _run_t_value(obj, exact, options):
+    from .extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
+                           reciprocal_inf_ray, unbounded_reciprocal_witness)
     seq = _parse_seq(_field(obj, "sequence"), exact)
     domain = _domain(obj, exact)
     if isinstance(domain, Ray):
@@ -182,6 +184,7 @@ def _run_t_value(obj, exact, options):
 
 
 def _run_backward(obj, exact, options):
+    from .backward import ExtensionClass, classify_backward, extend_with_index
     seq = _parse_seq(_field(obj, "sequence"), exact)
     domain = _domain(obj, exact)
     if "x" in obj:
@@ -201,6 +204,7 @@ def _run_backward(obj, exact, options):
 
 
 def _run_ca(obj, exact, options):
+    from .alternating import ca_backward_extend, has_ca_extension
     seq = _parse_seq(_field(obj, "sequence"), exact)
     verdict = has_ca_extension(seq)
     payload = {"has_extension": verdict.has_extension}
@@ -222,18 +226,22 @@ def _run_ca(obj, exact, options):
 
 
 def _run_subnormal(obj, exact, options):
+    from .completion import solve_subnormal
     return _solve_payload(solve_subnormal(_partial_weights(obj, exact), _k_arg(obj)))
 
 
 def _run_che(obj, exact, options):
+    from .completion import solve_che
     return _solve_payload(solve_che(_partial_weights(obj, exact), _k_arg(obj)))
 
 
 def _run_flat_che(obj, exact, options):
+    from .completion import flat_che_completion
     return _solve_payload(flat_che_completion(_partial_weights(obj, exact)))
 
 
 def _run_probe(obj, exact, options):
+    from .completion import kappa_infinite_probe
     trunk_sq = _parse_seq(_field(obj, "trunk_sq"), exact)
     pw = _partial_weights({**obj, "trunk_sq": []}, exact)
     report = kappa_infinite_probe(trunk_sq, pw.classes, _int(obj, "kappa_max"),
@@ -249,6 +257,7 @@ def _run_probe(obj, exact, options):
 
 
 def _run_stampfli(obj, exact, options):
+    from .completion import stampfli_check
     squared = "weights_sq" in obj
     vals = _parse_seq(_field(obj, "weights_sq" if squared else "weights"), exact)
     if len(vals) != 4:
@@ -260,7 +269,6 @@ def _run_stampfli(obj, exact, options):
 
 
 def _rebuild_measure(obj, exact):
-    from .numeric import Polynomial
     recurrence = _field(obj, "recurrence", None)
     if recurrence is not None:
         poly = Polynomial(_parse_seq(recurrence, exact))
@@ -273,6 +281,9 @@ def _rebuild_measure(obj, exact):
 
 
 def _run_verify(obj, exact, options):
+    from .alternating import CAMeasure
+    from .tree import (FullBranch, FullWeights, GeometricSumTail, MeasureTail,
+                       verify_che_certificate, verify_subnormal_certificate)
     cert = _field(obj, "certificate")
     trunk_sq = _parse_seq(_field(cert, "trunk_sq"), exact)
     kind = _field(cert, "kind")

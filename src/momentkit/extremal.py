@@ -119,21 +119,26 @@ def _schur_threshold(w: _Window, domain) -> Optional[Scalar]:
     (Curto and Fialkow, Houston J. Math. 17 (1991)) the infimum is the
     Schur complement
 
-        y* = base + b^T M^-1 b = base - a[m][m] / (unit * a[m-1][m-1])
+        y* = base + b^T M^-1 b = base - lam a[m][m] / (unit * a[m-1][m-1])
 
     of `_Window.slot_pass`, whose pivots are unit^k times the leading
-    minors; a single moment gives y* = base.  None when M is not positive
+    minors; a single moment gives y* = base.  On a window dilated by lam
+    the pass gives y~* = y* / lam, so y* is lam y~*, except on the
+    differences form of an even-n window on (0, 1], whose corner already
+    reads y* - s_0 (see `slot_pass`).  None when M is not positive
     definite, which shows that the window is not strictly positive.  Float
     input runs on its binary-exact image, so M is exactly the form that
     classified the window: a strict verdict always lets the pass reach the
     corner."""
     m = len(w.ints) // 2
-    value = as_fraction(w.values[0]) if _odd_half_open(w, domain) else Fraction(0)
+    differences = _odd_half_open(w, domain)
+    value = as_fraction(w.values[0]) if differences else Fraction(0)
     if m:
         r, a, _ = w.slot_pass(domain)
         if r != m:
             return None
-        value -= Fraction(a[m][m], w.unit * a[m - 1][m - 1])
+        scale = 1 if differences else w.lam
+        value -= Fraction(scale * a[m][m], w.unit * a[m - 1][m - 1])
     return _to_float(value) if w.floats else value
 
 
@@ -147,17 +152,21 @@ def _schur_quadratic(rest, domain) -> Optional[tuple]:
     odd window on (0, 1], and one slot pass at x = 0 gives all three:
     (M^-1)_00 = D_(m-1) / D_m from two pivots, f^T M^-1 u from the last
     row that the pass reduced (M is in reverse order there) and
-    u^T M^-1 u from the corner."""
+    u^T M^-1 u from the corner.  On a window dilated by lam these read
+    (a / lam, b / lam, c / lam), and on the differences form
+    (a / lam^2, (b - 1) / lam, c), so lam is multiplied back in (see
+    `_schur_threshold`)."""
     w = _Window.of((0,) + tuple(rest))
     r, a, _ = w.slot_pass(domain)
     m = len(w.ints) // 2
     if r != m:
         return None
-    pivot, unit = a[m - 1][m - 1], w.unit
-    quad = (Fraction(unit * (a[m - 2][m - 2] if m > 1 else 1), pivot),
-            Fraction(2 * a[m - 1][m], pivot)
-            + int(isinstance(domain, HalfOpen) and len(rest) % 2 == 0),
-            Fraction(-a[m][m], unit * pivot))
+    differences = _odd_half_open(w, domain)
+    pivot, unit, lam = a[m - 1][m - 1], w.unit, w.lam
+    square, scale = (lam * lam, 1) if differences else (lam, lam)
+    quad = (Fraction(square * unit * (a[m - 2][m - 2] if m > 1 else 1), pivot),
+            Fraction(2 * lam * a[m - 1][m], pivot) + int(differences),
+            Fraction(-scale * a[m][m], unit * pivot))
     return tuple(map(_to_float, quad)) if w.floats else quad
 
 

@@ -1,21 +1,23 @@
 """Scalar, dense matrix, Hankel form and polynomial kernel.
 
 One integer kernel serves every input.  It clears denominators once and then
-runs on Python integers.  One unpivoted Bareiss pass over the 2n - 1 entries
-of a Hankel form, given as integers times a positive unit (`HankelImage`),
-decides it definite, singular or indefinite from its leading minors and the
-Schur complement they leave (Sylvester; Curto and Fialkow).  A caller that
-keeps the pass reads it again for a leading block (`_pass_class`), or for a
-back substitution (`_pass_solution`) that gives a support or bordered-Hankel
-polynomial (`_pass_bordered`), instead of eliminating the form twice.  The
-masses of atoms at given nodes are the Lagrange form of their Vandermonde
-system, read from the associated polynomial (`associated`) on one integer
-image of the nodes and the window (`vandermonde_masses`).  Root isolation
-uses primitive integer Sturm chains, evaluated by homogeneous Horner at
-rational points.  `Fraction`s appear only in the results.  `det` and
-`det_poly` are a plain Gaussian elimination over `Fraction`s, kept as a
-reference for the tests; no library path calls them, so `_minor_pass` is
-the package's only fraction-free elimination.
+runs on Python integers; an exact window of 8 entries or more is first
+dilated by the one integer lam that `_dilated_scale` chooses for it, which
+keeps those integers short.  One unpivoted Bareiss pass over the 2n - 1
+entries of a Hankel form, given as integers times a positive unit
+(`HankelImage`), decides it definite, singular or indefinite from its leading
+minors and the Schur complement they leave (Sylvester; Curto and Fialkow).  A
+caller that keeps the pass reads it again for a leading block
+(`_pass_class`), or for a back substitution (`_pass_solution`) that gives a
+support or bordered-Hankel polynomial (`_pass_bordered`), instead of
+eliminating the form twice.  The masses of atoms at given nodes are the
+Lagrange form of their Vandermonde system, read from the associated
+polynomial (`associated`) on one integer image of the nodes and the window
+(`vandermonde_masses`).  Root isolation uses primitive integer Sturm chains,
+evaluated by homogeneous Horner at rational points.  `Fraction`s appear only
+in the results.  `det` and `det_poly` are a plain Gaussian elimination over
+`Fraction`s, kept as a reference for the tests; no library path calls them,
+so `_minor_pass` is the package's only fraction-free elimination.
 
 Exact input (`int` and `fractions.Fraction`) gives exact results.  Input
 containing a `float` runs through the same code on its binary-exact image
@@ -599,10 +601,12 @@ class FormClass(Enum):
 class HankelImage(NamedTuple):
     """The entries of a Hankel form as integers: ints[k] = unit * entry k for
     a positive integer `unit`, which changes the sign of no minor and of no
-    Schur complement, so the form keeps its class (Sylvester).  `tols` is
-    None for exact entries; for float input tols[k] is the magnitude, in the
-    form's own units, up to which an entry i + j = k of a Schur complement
-    (a pivot included) reads as zero."""
+    Schur complement, so the form keeps its class (Sylvester).  A form of a
+    window dilated by lam (`_dilated_scale`) has ints[k] = unit * lam^k *
+    entry k: the image of D H D, D = diag(lam^i), which keeps the class
+    too.  `tols` is None for exact entries; for float input tols[k] is the
+    magnitude, in the form's own units, up to which an entry i + j = k of a
+    Schur complement (a pivot included) reads as zero."""
 
     ints: list
     unit: int
@@ -629,36 +633,48 @@ def _hankel_image(entries, eps: Optional[float] = None,
     return HankelImage(*_integer_scale(entries), tols)
 
 
-def _dilated(image: HankelImage) -> tuple:
-    """(dilated, lam): the exact image of the window lam^k s_k, the moments
-    of the measure carried by t -> lam t, for an integer lam >= 1, when its
-    integers are shorter in total than those of `image`; (image without
-    tolerances, 1) otherwise.
+#: The fewest entries of a window whose forms run on its dilated image
+#: (`_dilated_scale`): on a shorter one a pass saves less than building the
+#: image costs.
+DILATION_MIN_LENGTH = 8
+
+
+def _dilated_scale(values) -> tuple:
+    """(ints, unit, lam): ints[k] = unit * lam^k * values[k] for exact
+    `values`, the image of the window lam^k s_k, the moments of the measure
+    carried by t -> lam t, over its least common denominator `unit`, for an
+    integer lam >= 1.  lam is 1, and the image `_integer_scale`'s, for a
+    window of fewer than DILATION_MIN_LENGTH entries or when dilating does
+    not shrink the product of its integers.
 
     The moments of atoms P_i / Q have denominators that grow by a factor Q
     per index, so over their common denominator the low entries carry
-    powers of Q they do not need.  lam is the factor the last entry's
-    denominator adds to the one before it, Q for those moments, and the
-    dilated window has integers about as short as the atoms'.  Its Hankel
-    form is D H D with D = diag(lam^i), so a pass over it takes the same
-    steps and its leading minors are those of H times powers of lam."""
-    S, unit = image.ints, image.unit
-    plain = HankelImage(S, unit), 1
-    if len(S) < 2:
-        return plain
-    last, before = unit // math.gcd(unit, S[-1]), unit // math.gcd(unit, S[-2])
-    lam = last // math.gcd(last, before)
-    if lam == 1:
-        return plain
-    scaled, power = [], 1
-    for x in S:
-        scaled.append(x * power)
-        power *= lam
-    shrink = unit // math.lcm(*(unit // math.gcd(unit, x) for x in scaled))
-    ints = [x // shrink for x in scaled]
-    if sum(x.bit_length() for x in ints) >= sum(x.bit_length() for x in S):
-        return plain
-    return HankelImage(ints, unit // shrink), lam
+    powers of Q they do not need.  lam = d_n / gcd(d_n, d_(n-1)) is the
+    factor the last denominator adds to the one before, Q for those
+    moments; entry k of the dilated window is its numerator times
+    lam^k / g over d_k / g, g = gcd(d_k, lam^k).  The product of the
+    integers shrinks by unit_lam^(n+1) lam^(n(n+1)/2) / unit^(n+1), so the
+    image is kept when unit^2 > unit_lam^2 lam^n.  A Hankel form of the
+    dilated window is D H D with D = diag(lam^i), so a pass over it takes
+    the same steps and its leading minors are those of H times powers of
+    lam."""
+    if len(values) < DILATION_MIN_LENGTH:
+        ints, unit = _integer_scale(values)
+        return ints, unit, 1
+    dens = [x.denominator for x in values]
+    lam = dens[-1] // math.gcd(dens[-1], dens[-2])
+    unit = math.lcm(*dens)
+    if lam > 1:
+        nums, reduced, power = [], [], 1
+        for x, d in zip(values, dens):
+            g = math.gcd(d, power)
+            nums.append(x.numerator * (power // g))
+            reduced.append(d // g)
+            power *= lam
+        shrunk = math.lcm(*reduced)
+        if shrunk * shrunk * lam ** (len(values) - 1) < unit * unit:
+            return [x * (shrunk // d) for x, d in zip(nums, reduced)], shrunk, lam
+    return [x.numerator * (unit // d) for x, d in zip(values, dens)], unit, 1
 
 
 def _minor_pass(image: HankelImage, order: int) -> tuple:
@@ -745,15 +761,16 @@ def _pass_solution(a, r: int) -> tuple:
     return _solve_upper(a[:r], [row[r] for row in a[:r]])
 
 
-def _pass_bordered(a, r: int, unit: int, lam: int = 1) -> list:
+def _pass_bordered(a, r: int, unit: int, lam: int) -> list:
     """Coefficients, lowest degree first, of the bordered-Hankel polynomial
     det H_r (t^r - sum c_j t^j) of the Hankel rows that `_minor_pass`
-    reduced to `a` in r >= 1 steps over an image of unit `unit`: c is
-    `_pass_solution`, and det H_r = a[r-1][r-1] / unit^r (Sylvester).  It is
-    the determinant of H_r bordered by the row (h_r, ..., h_(2r-1), t^r)
-    and the column (1, t, ..., t^r).  For an image `_dilated` by lam the
-    pass gives p~(t) = lam^(r^2) p(t / lam), so coefficient j of p is that
-    of p~ over lam^(r^2 - j)."""
+    reduced to `a` in r >= 1 steps over an image whose entry k is
+    unit * lam^k times the form's: c is `_pass_solution`, and
+    det H_r = a[r-1][r-1] / unit^r (Sylvester).  It is the determinant of
+    H_r bordered by the row (h_r, ..., h_(2r-1), t^r) and the column
+    (1, t, ..., t^r).  The pass over a window dilated by lam
+    (`_dilated_scale`) gives p~(t) = lam^(r^2) p(t / lam), so coefficient j
+    of p is that of p~ over lam^(r^2 - j)."""
     num, den = _pass_solution(a, r)
     lead, units = a[r - 1][r - 1], unit ** r
     return ([Fraction(-x * lead, den * units * lam ** (r * r - j)) for j, x in enumerate(num)]

@@ -10,19 +10,22 @@ positivity, and truncated moment problems", Houston J. Math. 1991), which
 `_determinate_poly` decides exactly from the support polynomial of the
 unique measure; that measure is the exact witness of the singular case.
 
-A window is scaled to integers once (`_Window`), and every Hankel form of
-a call is built from that integer image: H(s), its shift, and the [a, b]
-and (0, 1] transforms, each a positive multiple of the form in the window's
-own entries, so it keeps its class.  One unpivoted leading-minor pass
-decides a form (`numeric.classify_form`), and each form is eliminated at
-most once per call: where H(s) is one of the deciding forms, its pass is run
-in the shape the support polynomial reads and handed on, and on the paths
-that want the threshold of a prepended value, the limit form M is decided
-by the pass that gives that threshold (`_Window.slot_pass`).  A float
-window is read with one zero test per form, scaled entry by entry by the
-size of the window terms that entry is computed from: where the transforms
-of [a, b] cancel to rounding noise, the noise reads as zero, as the exact
-window's zeros do.
+A window is scaled to integers once (`_Window`), and every Hankel form of a
+call is built from that integer image: H(s), its shift, and the [a, b] and
+(0, 1] transforms.  An exact window of 8 entries or more is first dilated by
+the one lam that `numeric._dilated_scale` chooses for it, which strips the
+powers of the atoms' denominator its low entries carry; every form is then a
+positive multiple of D F D, D = diag(lam^i), F the form in the window's own
+entries, so it keeps its class, and each reader that turns a pass into a
+number divides lam back out.  One unpivoted leading-minor pass decides a form
+(`numeric.classify_form`), and each form is eliminated at most once per call:
+where H(s) is one of the deciding forms, its pass is run in the shape the
+support polynomial reads and handed on, and on the paths that want the
+threshold of a prepended value, the limit form M is decided by the pass that
+gives that threshold (`_Window.slot_pass`).  A float window is read with one
+zero test per form, scaled entry by entry by the size of the window terms
+that entry is computed from: where the transforms of [a, b] cancel to
+rounding noise, the noise reads as zero, as the exact window's zeros do.
 
 A singular window on [a, b] is determinate too.  On every domain its
 measure and index are read from the same support polynomial
@@ -50,9 +53,9 @@ from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInput, DomainError, NotAMomentSequence)
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
-from .numeric import (DEFAULT_EPS, FormClass, HankelImage, Polynomial, Scalar, _integer_scale,
-                      _minor_pass, _pass_bordered, _pass_class, _pass_solution, _to_float,
-                      _tolerances, as_fraction, classify_form, count_roots)
+from .numeric import (DEFAULT_EPS, FormClass, HankelImage, Polynomial, Scalar, _dilated_scale,
+                      _integer_scale, _minor_pass, _pass_bordered, _pass_class, _pass_solution,
+                      _to_float, _tolerances, as_fraction, classify_form, count_roots)
 
 
 # --------------------------------------------------------------------------
@@ -124,44 +127,59 @@ def _ratio(x: Scalar) -> tuple:
 
 
 class _Window:
-    """The integer image of a window s_0..s_n: ints[k] = unit * s_k, the
-    window (on its binary-exact image if any of its data is a float) scaled
-    once by the least common denominator of its entries.
+    """The integer image of a window s_0..s_n: ints[k] = unit * lam^k * s_k,
+    the window (on its binary-exact image if any of its data is a float)
+    dilated by one integer lam >= 1, chosen once in `of`
+    (`numeric._dilated_scale`; always 1 for a float window), and scaled
+    once by the least common denominator of the dilated entries.
 
     Every Hankel form of a window that the package decides, and every
     transform it reads a polynomial from, is built here from these
     integers: H(s) and its shifted form, and with a = pa/qa, b = pb/qb
 
-        qa S_(k+1) - pa S_k,   pb S_k - qb S_(k+1),
-        (pa qb + pb qa) S_(k+1) - pa pb S_k - qa qb S_(k+2),
+        qa S_(k+1) - lam pa S_k,   lam pb S_k - qb S_(k+1),
+        lam (pa qb + pb qa) S_(k+1) - lam^2 pa pb S_k - qa qb S_(k+2),
 
-    positive multiples of s_(k+1) - a s_k, b s_k - s_(k+1) and the moments
-    (a+b) s_(k+1) - ab s_k - s_(k+2) of (t - a)(b - t) dmu.  A positive
-    multiple keeps a form's class, the support polynomial read from its pass
-    and every ratio of its minors.  The pass over H(s) that `_support_poly`
-    reads and the pass over the form that holds a prepended value
-    (`slot_pass`) are kept, so a call eliminates each at most once.
+    the images of s_(k+1) - a s_k, b s_k - s_(k+1) and the moments
+    (a+b) s_(k+1) - ab s_k - s_(k+2) of (t - a)(b - t) dmu: the endpoints
+    are taken in the window's own coordinates and enter as lam a and lam b.
+    Entry k of every form is again unit * lam^k times the form's own entry
+    k, for the form's own `unit`, which takes up the factor lam^shift of a
+    form whose entry k reads s_(k+shift) or its neighbours.  Such a form is
+    a positive multiple of D F D, D = diag(lam^i), F the form in the
+    window's own entries: it keeps F's class and every sign of its pass,
+    and every reader that turns a pass into a number divides lam back out
+    (`_support_poly`, `_determinate_poly`, `extremal._schur_threshold`,
+    `extremal._schur_quadratic`, `principal._bordered_image`, `_entries`).
+    The pass over H(s) that `_support_poly` reads and the pass over the
+    form that holds a prepended value (`slot_pass`) are kept, so a call
+    eliminates each at most once.
 
     A float window is read with one zero test per form, scaled entry by
     entry by the size of the window terms that entry is computed from
     (`sizes`, |s_k| for H(s)): where a form is singular its entries cancel
     to rounding noise, and the noise reads as zero, as the exact window's
-    zeros do.  `sizes` is None for an exact window."""
+    zeros do.  That test does not survive a dilation, so lam is 1 there.
+    `sizes` is None for an exact window."""
 
-    __slots__ = ("values", "ints", "unit", "sizes", "eps", "_support", "_slot", "_inner")
+    __slots__ = ("values", "ints", "unit", "sizes", "eps", "lam", "_support", "_slot", "_inner")
 
-    def __init__(self, values, ints: list, unit: int, sizes, eps: Optional[float]):
-        self.values, self.ints, self.unit, self.sizes, self.eps = values, ints, unit, sizes, eps
+    def __init__(self, values, ints: list, unit: int, sizes, eps: Optional[float],
+                 lam: int = 1):
+        self.values, self.ints, self.unit, self.sizes, self.eps, self.lam = (
+            values, ints, unit, sizes, eps, lam)
         self._support = self._slot = self._inner = None
 
     @classmethod
     def of(cls, values, eps: Optional[float] = None, ends=()) -> "_Window":
-        """The image of `values`; float tests apply when a value or one of
+        """The image of `values`, dilated as `numeric._dilated_scale`
+        decides; float tests apply, and lam is 1, when a value or one of
         the interval `ends` is a float."""
         if any(isinstance(v, float) for v in values) or any(isinstance(v, float) for v in ends):
             ints, unit = _integer_scale([as_fraction(v) for v in values])
             return cls(values, ints, unit, [abs(float(v)) for v in values], eps)
-        return cls(values, *_integer_scale(values), None, eps)
+        ints, unit, lam = _dilated_scale(values)
+        return cls(values, ints, unit, None, eps, lam)
 
     @property
     def floats(self) -> bool:
@@ -171,38 +189,40 @@ class _Window:
         return HankelImage(ints, unit, None if sizes is None else _tolerances(self.eps, sizes))
 
     def hankel(self, start: int = 0, stop: Optional[int] = None) -> HankelImage:
-        """The form of s_start..s_(stop-1)."""
+        """The form of s_start..s_(stop-1); its unit is unit * lam^start."""
         sizes = None if self.sizes is None else self.sizes[start:stop]
-        return self._image(self.ints[start:stop], self.unit, sizes)
+        return self._image(self.ints[start:stop], self.unit * self.lam ** start, sizes)
 
     def lower(self, a: Scalar) -> HankelImage:
-        """s_(k+1) - a s_k, k < n, times qa."""
-        (p, q), S, w = _ratio(a), self.ints, self.sizes
-        ints = [q * S[k + 1] - p * S[k] for k in range(len(S) - 1)]
+        """s_(k+1) - a s_k, k < n, on its image of unit unit * qa * lam."""
+        (p, q), S, w, lam = _ratio(a), self.ints, self.sizes, self.lam
+        ints = [q * S[k + 1] - lam * p * S[k] for k in range(len(S) - 1)]
         sizes = None if w is None else [w[k + 1] + abs(float(a)) * w[k] for k in range(len(w) - 1)]
-        return self._image(ints, self.unit * q, sizes)
+        return self._image(ints, self.unit * q * lam, sizes)
 
     def upper(self, b: Scalar) -> HankelImage:
-        """b s_k - s_(k+1), k < n, times qb."""
-        (p, q), S, w = _ratio(b), self.ints, self.sizes
-        ints = [p * S[k] - q * S[k + 1] for k in range(len(S) - 1)]
+        """b s_k - s_(k+1), k < n, on its image of unit unit * qb * lam."""
+        (p, q), S, w, lam = _ratio(b), self.ints, self.sizes, self.lam
+        ints = [lam * p * S[k] - q * S[k + 1] for k in range(len(S) - 1)]
         sizes = None if w is None else [abs(float(b)) * w[k] + w[k + 1] for k in range(len(w) - 1)]
-        return self._image(ints, self.unit * q, sizes)
+        return self._image(ints, self.unit * q * lam, sizes)
 
     def interior(self, a: Scalar, b: Scalar) -> "_Window":
         """The window (a+b) s_(k+1) - ab s_k - s_(k+2), k < n - 1, of the
-        moments of (t - a)(b - t) dmu, times qa qb; kept, with its own
-        passes, for the last [a, b] asked."""
+        moments of (t - a)(b - t) dmu, with this window's lam and the unit
+        unit * qa * qb * lam^2; kept, with its own passes, for the last
+        [a, b] asked."""
         if self._inner is None or self._inner[0] != (a, b):
-            (pa, qa), (pb, qb), S, w = _ratio(a), _ratio(b), self.ints, self.sizes
-            mid, low, high = pa * qb + pb * qa, pa * pb, qa * qb
+            (pa, qa), (pb, qb), S, w, lam = _ratio(a), _ratio(b), self.ints, self.sizes, self.lam
+            mid, low, high = lam * (pa * qb + pb * qa), lam * lam * pa * pb, qa * qb
             ints = [mid * S[k + 1] - low * S[k] - high * S[k + 2] for k in range(len(S) - 2)]
             sizes = None
             if w is not None:
                 x, y = float(a), float(b)
                 sizes = [abs(x + y) * w[k + 1] + abs(x * y) * w[k] + w[k + 2]
                          for k in range(len(w) - 2)]
-            self._inner = (a, b), _Window(None, ints, self.unit * high, sizes, self.eps)
+            inner = _Window(None, ints, self.unit * high * lam * lam, sizes, self.eps, lam)
+            self._inner = (a, b), inner
         return self._inner[1]
 
     def support_pass(self) -> tuple:
@@ -233,7 +253,15 @@ class _Window:
         corner, so the pass reduces M in reverse order first: a congruence,
         which keeps M's class, so its leading m x m block decides M.  It
         takes exactly m steps when M is positive definite, since its last
-        pivot is then unit * a[m-1][m-1] * (-b^T M^-1 b) <= 0."""
+        pivot is then unit * a[m-1][m-1] * (-b^T M^-1 b) <= 0.
+
+        The pass runs on the window's image of unit `unit`: entry j of the
+        form is unit * lam^(j-1) e_j on the ray and for odd n on (0, 1],
+        where the image is D F D / lam, and unit * lam^j e_j on the
+        differences, where it is D F D (D = diag(lam^i), F the form in the
+        window's own entries).  So the Schur complement of the corner is
+        that of F over lam in the first case and equal to it in the
+        second."""
         differences = _odd_half_open(self, domain)
         if self._slot is None or self._slot[0] != differences:
             m = len(self.ints) // 2
@@ -262,18 +290,22 @@ def compact_criterion_matrices(values: Sequence[Scalar], a: Scalar, b: Scalar):
     positivity on [a, b], read back from their integer images (`_Window`).
     Even length 2m+1: s itself and the transform
     s'_k = (a+b) s_(k+1) - ab s_k - s_(k+2); odd length 2m+2: the
-    transforms s_(k+1) - a s_k and b s_k - s_(k+1)."""
+    transforms s_(k+1) - a s_k and b s_k - s_(k+1).  Refuses what
+    `classify_compact` refuses: a >= b and the empty sequence."""
+    if not a < b:
+        raise DomainError("compact interval needs a < b")
     if not values:
         raise DomainError("empty sequence")
     w = _Window.of(values)
     if len(values) % 2 == 1:
-        return _entries(w.hankel(), w.interior(a, b).hankel())
-    return _entries(w.lower(a), w.upper(b))
+        return _entries(w.lam, w.hankel(), w.interior(a, b).hankel())
+    return _entries(w.lam, w.lower(a), w.upper(b))
 
 
-def _entries(*forms: HankelImage) -> tuple:
-    """The entries of forms given by their integer images."""
-    return tuple([Fraction(x, f.unit) for x in f.ints] for f in forms)
+def _entries(lam: int, *forms: HankelImage) -> tuple:
+    """The entries of forms given by their integer images over a window
+    dilated by lam: entry k is ints[k] / (unit * lam^k)."""
+    return tuple([Fraction(x, f.unit * lam ** k) for k, x in enumerate(f.ints)] for f in forms)
 
 
 def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> PositivityVerdict:
@@ -306,9 +338,12 @@ def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> Po
 
 def ray_limit_matrices(values: Sequence[Scalar]):
     """The entries of H(s) and of M, H(s shifted by one), largest orders,
-    read back from their integer images."""
+    read back from their integer images.  Refuses the empty sequence, as
+    `classify_ray` does."""
+    if not values:
+        raise DomainError("empty sequence")
     w, n = _Window.of(values), len(values) - 1
-    return _entries(w.hankel(0, n // 2 * 2 + 1), _limit_m(w, Ray()))
+    return _entries(w.lam, w.hankel(0, n // 2 * 2 + 1), _limit_m(w, Ray()))
 
 
 def _limit_window(s, eps: Optional[float] = None) -> _Window:
@@ -354,6 +389,11 @@ def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False) -> Optio
     2r > n + 1 only on [a, b] = `ends`, with n even and both endpoints
     atoms; p is then (t - a)(t - b) times the support polynomial of the
     interior window of the other atoms.
+
+    On a window dilated by lam the pass gives the support polynomial
+    p~(t) = lam^r p(t / lam) of the dilated window, so c_j = c~_j / lam^(r-j)
+    (`numeric._pass_bordered` divides the same powers out of the bordered
+    polynomial).
     """
     n = len(w.ints) - 1
     r, a, bounds = w.support_pass()
@@ -368,10 +408,11 @@ def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False) -> Optio
     if r == 0:
         return Polynomial([1]) if w.reads_zero() else None
     if bordered:
-        coeffs = _pass_bordered(a, r, w.unit)
+        coeffs = _pass_bordered(a, r, w.unit, w.lam)
     else:
         num, den = _pass_solution(a, r)
-        coeffs = [Fraction(-x, den) for x in num] + [Fraction(1)]
+        lam = w.lam
+        coeffs = [Fraction(-x, den * lam ** (r - j)) for j, x in enumerate(num)] + [Fraction(1)]
     return Polynomial([_to_float(x) for x in coeffs] if w.floats else coeffs)
 
 
@@ -391,7 +432,9 @@ def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
     the binary-exact image of p by a Sturm chain and never refined.  Floats
     read as zero by `_reads_zero` at the bounds |c|_1 max|s| of a recurrence
     sum and |c|_1 of p(0) and p(1); on (0, 1] a p(1) read as zero puts the
-    root at 1.
+    root at 1.  On a window dilated by lam the recurrence runs with the
+    image of lam^r p(t / lam), coefficient j times lam^(r-j), which the
+    dilated window obeys exactly when the window obeys p.
     """
     from .principal import root_bound
     p = _support_poly(w)
@@ -402,6 +445,8 @@ def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
     if w.floats:
         image, norm = [as_fraction(x) for x in c], sum(abs(x) for x in c)
     ints, den = _integer_scale(image)
+    if w.lam > 1:
+        ints = [q * w.lam ** (r - j) for j, q in enumerate(ints)]
     if w.floats:
         tol = _tolerances(eps, [norm * max(w.sizes)])[0]
         bound = tol.numerator * den * w.unit // tol.denominator

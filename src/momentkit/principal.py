@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure, _AtomImage, _imaged
-from .numeric import (HankelImage, Polynomial, Scalar, _dilated, _integer_scale, _minor_pass,
+from .numeric import (HankelImage, Polynomial, Scalar, _dilated_scale, _minor_pass,
                       _pass_bordered, _to_float, as_fraction, root_enclosures, root_precision,
                       vandermonde_masses)
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
@@ -48,15 +48,15 @@ def bordered_hankel_poly(window: Sequence[Scalar]) -> Polynomial:
     if len(window) % 2 != 0 or not window:
         raise DegenerateInput("bordered layout needs an even, nonempty window")
     floats = any(isinstance(x, float) for x in window)
-    return _bordered_image(HankelImage(*_integer_scale([as_fraction(x) for x in window])),
-                           floats)
+    ints, unit, lam = _dilated_scale([as_fraction(x) for x in window])
+    return _bordered_image(HankelImage(ints, unit), floats, lam)
 
 
-def _bordered_image(form: HankelImage, floats: bool) -> Polynomial:
+def _bordered_image(form: HankelImage, floats: bool, lam: int) -> Polynomial:
     """`bordered_hankel_poly` of a window of 2m entries given by its
-    integer image (`ints` = `unit` times its entries, see
-    `positivity._Window`), with float coefficients for float input; the
-    constant 1 for the empty window.
+    integer image over a window dilated by lam (`ints[k]` = `unit` lam^k
+    times entry k, see `positivity._Window`), with float coefficients for
+    float input; the constant 1 for the empty window.
 
     The polynomial is det H_m (t^m - sum c_j t^j) with
     H_m c = (s_m, ..., s_(2m-1)), the construction of
@@ -64,17 +64,17 @@ def _bordered_image(form: HankelImage, floats: bool) -> Polynomial:
     rows of H_m with the column of the right-hand side, m positive pivots,
     and one back substitution (`numeric._pass_bordered`).  It runs without
     the float zero test, on the exact or binary-exact image, so float
-    input gets its exact polynomial rounded; the image is first
-    `numeric._dilated`, which keeps its integers short.  A leading block
-    H_m that is not positive definite raises DegenerateInput."""
+    input gets its exact polynomial rounded.  lam is the window's own,
+    chosen once by `numeric._dilated_scale` (1 for a float window), and
+    `_pass_bordered` divides it back out.  A leading block H_m that is not
+    positive definite raises DegenerateInput."""
     m = len(form.ints) // 2
     if m == 0:
         return Polynomial([1])
-    image, lam = _dilated(form)
-    r, a, _ = _minor_pass(image, m)
+    r, a, _ = _minor_pass(HankelImage(form.ints, form.unit), m)
     if r < m:
         raise DegenerateInput("bordered layout needs a positive definite leading block")
-    coeffs = _pass_bordered(a, m, image.unit, lam)
+    coeffs = _pass_bordered(a, m, form.unit, lam)
     return Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
 
 
@@ -89,7 +89,7 @@ def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
     if isinstance(domain, Ray) or len(window) % 2 == 0:
         return bordered_hankel_poly(window)
     w = _Window.of(window)
-    return _bordered_image(w.upper(1), w.floats).mul_linear(1, -1)
+    return _bordered_image(w.upper(1), w.floats, w.lam).mul_linear(1, -1)
 
 
 def root_bound(poly: Polynomial) -> Fraction:
@@ -187,11 +187,11 @@ def principal_polynomial(values, a: Scalar, b: Scalar,
         return bordered_hankel_poly(values)
     w = _Window.of(values, None, (a, b))
     if len(values) % 2 == 0:  # (t - a)(b - t) times the interior polynomial
-        inner = w.interior(a, b)
-        return _bordered_image(inner, w.floats).mul(Polynomial([-a * b, a + b, -1]))
+        inner = w.interior(a, b).hankel()
+        return _bordered_image(inner, w.floats, w.lam).mul(Polynomial([-a * b, a + b, -1]))
     if kind is PrincipalKind.LOWER:
-        return _bordered_image(w.lower(a), w.floats).mul_linear(-a, 1)
-    return _bordered_image(w.upper(b), w.floats).mul_linear(b, -1)
+        return _bordered_image(w.lower(a), w.floats, w.lam).mul_linear(-a, 1)
+    return _bordered_image(w.upper(b), w.floats, w.lam).mul_linear(b, -1)
 
 
 def principal_compact(s, a: Scalar, b: Scalar, kind: PrincipalKind) -> AtomicMeasure:

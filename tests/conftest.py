@@ -6,10 +6,19 @@ from hypothesis import settings
 
 from momentkit.measure import AtomicMeasure
 
-# property tests replay the same examples on every run and stay short
+# property tests replay the same examples on every run and stay short; the
+# deep profile replays more of them (--hypothesis-profile=deep)
 settings.register_profile("momentkit", derandomize=True, deadline=None,
                           max_examples=40)
-settings.load_profile("momentkit")
+settings.register_profile("deep", derandomize=True, deadline=None,
+                          max_examples=300)
+
+
+def pytest_configure(config):
+    # the default profile, unless --hypothesis-profile names one: whichever
+    # of this hook and Hypothesis's own runs first, an explicit profile wins
+    if not config.getoption("--hypothesis-profile", None):
+        settings.load_profile("momentkit")
 
 
 def rational(rng, num_max=24, den_max=12):

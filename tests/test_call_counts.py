@@ -25,7 +25,10 @@ The second slot counts that pass, `numeric._minor_pass`, wherever it runs:
 once inside each `classify_form` (the forms that are not handed on), once
 per H(s), once per support polynomial of a window whose H(s) does not
 decide it, once per bordered polynomial of a strict window and once per
-slot, so it counts every elimination of a Hankel form.
+slot, so it counts every elimination of a Hankel form.  A window of 8
+entries or more is dilated (`numeric._dilated_scale`) once, when
+`positivity._Window.of` builds it: the same budgets hold on such windows,
+and no window decides its lam twice.
 """
 
 import json
@@ -203,6 +206,98 @@ def test_minimal_ray_measure_reads_the_classifying_pass(calls):
     # H(s), whose pass at full rank also gives the atom polynomial, and M:
     # no bordered determinant
     assert _counts(calls) == (1, 2, 0, 0)
+
+
+#: atoms with denominators: 8 moments or more of them are dilated
+LONG_RAY_MU = AtomicMeasure([(F(1, 3), F(1)), (F(2, 5), F(1, 2)), (F(7, 2), F(2, 3)),
+                             (F(5), F(1))])
+LONG_UNIT_MU = AtomicMeasure([(F(1, 3), F(1)), (F(2, 5), F(1, 2)), (F(3, 7), F(2, 3)),
+                              (F(5, 6), F(1))])
+LONG_COMPACT_MU = AtomicMeasure([*LONG_RAY_MU.atoms, (F(9, 2), F(1, 3))])
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """Counter of the windows `_Window.of` builds and of the dilations
+    `numeric._dilated_scale` decides, through every alias."""
+    counter = Counter()
+    of = positivity._Window.of.__func__
+
+    def counted_of(cls, *args, **kwargs):
+        counter["windows"] += 1
+        return of(cls, *args, **kwargs)
+
+    monkeypatch.setattr(positivity._Window, "of", classmethod(counted_of))
+    orig = numeric._dilated_scale
+
+    def counted(*args):
+        counter["dilations"] += 1
+        return orig(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("momentkit.")]:
+        for attr, value in list(vars(module).items()):
+            if value is orig:
+                monkeypatch.setattr(module, attr, counted)
+    return counter
+
+
+def _backward_at_threshold(mu, domain, inf):
+    def prepare(window):
+        theta = inf(window)
+
+        def call():
+            verdict = classify_backward(window, theta, domain)
+            assert verdict.kind is ExtensionClass.SINGULAR and verdict.measure == mu
+        return call
+    return prepare
+
+
+def _returns(fn, *args, want):
+    def prepare(window):
+        def call():
+            assert fn(window, *args) == want
+        return call
+    return prepare
+
+
+def _compact_extremes(window):
+    def call():
+        bounds = reciprocal_extremes_compact(window, F(1, 4), F(6))
+        assert bounds.t_lo < LONG_COMPACT_MU.moment(-1) < bounds.t_hi
+    return call
+
+
+#: (prepare, budget, measure, n): the entry points whose budgets are pinned
+#: above on short windows, with the same budget, on n + 1 >= 8 moments
+LONG_CASES = {
+    "ray-inf": (_returns(reciprocal_inf_ray, want=LONG_RAY_MU.moment(-1)), (0, 2, 0, 0),
+                LONG_RAY_MU, 7),
+    "half-open-inf": (_returns(reciprocal_inf_half_open, want=LONG_UNIT_MU.moment(-1)),
+                      (1, 2, 0, 0), LONG_UNIT_MU, 7),
+    "ray-backward": (_backward_at_threshold(LONG_RAY_MU, Ray(), reciprocal_inf_ray),
+                     (0, 3, 0, 1), LONG_RAY_MU, 7),
+    "half-open-backward": (_backward_at_threshold(LONG_UNIT_MU, HalfOpen(),
+                                                  reciprocal_inf_half_open),
+                           (1, 3, 0, 1), LONG_UNIT_MU, 7),
+    "compact-extremes": (_compact_extremes, (0, 4, 0, 0), LONG_COMPACT_MU, 8),
+    "ray-index": (_returns(index, Ray(), want=4), (0, 1, 0, 1), LONG_RAY_MU, 9),
+    "half-open-index": (_returns(index, HalfOpen(), want=4), (1, 2, 0, 1), LONG_UNIT_MU, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_CASES))
+def test_dilated_windows_keep_the_budgets_and_decide_lam_once(calls, windows, case):
+    prepare, budget, mu, n = LONG_CASES[case]
+    window = _window(mu, n)
+    assert positivity._Window.of(window).lam > 1
+    call = prepare(window)
+    calls.clear()
+    windows.clear()
+    call()
+    # the budget of the short window, and one lam per window built:
+    # interior windows inherit theirs, and no pass dilates again
+    assert _counts(calls) == budget
+    assert windows["dilations"] == windows["windows"] > 0
 
 
 @pytest.mark.parametrize("mu, domain", [(RAY_MU, Ray()), (UNIT_MU, HalfOpen())])

@@ -223,6 +223,29 @@ def test_import_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_classify_file_loads_no_completion_layer(tmp_path):
+    # a cold call loads only the layers its kind needs: a classify file,
+    # strict or singular on any domain, never loads the completion search
+    # or the certificate verifiers
+    files = [_write(tmp_path, f"classify-{i}.json", obj) for i, obj in enumerate([
+        {"kind": "classify", "domain": "ray", "sequence": ["1", "1", "1", "1", "1"]},
+        {"kind": "classify", "domain": "half-open", "sequence": ["3", "2", "3/2"]},
+        {"kind": "classify", "domain": "compact", "a": "1", "b": "2",
+         "sequence": ["2", "3", "5"]}])]
+    code = ("import sys, momentkit.cli as cli\n"
+            f"for path in {files!r}:\n"
+            "    payload, code = cli.run(path)\n"
+            "    assert code == 0, payload\n"
+            "loaded = [m for m in ('momentkit.completion', 'momentkit.tree') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_oracle_kind(tmp_path):
     # (3, 2, 3/2) is strictly positive on (0, 1] with reciprocal infimum 5
     path = _write(tmp_path, "oracle.json", {"kind": "oracle", "domain": "half-open",

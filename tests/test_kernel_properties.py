@@ -11,37 +11,47 @@ The Lagrange-form masses are checked against their defining moment
 identity, and the support and bordered-Hankel polynomials read from the
 leading-minor pass against `det_poly` of the bordered layout, for extreme,
 long-denominator and float nodes and for exact and float windows; the
-Schur-complement threshold and the level quadratic read from one pass against the minimal measure's reciprocal value and against
-exact samples.  The integer images of the
-[a, b] and (0, 1] transforms are checked against the `Fraction` formulas
-they replace, and every verdict against `classify_form` run on those.
+Schur-complement threshold and the level quadratic read from one pass
+against the minimal measure's reciprocal value and against exact samples.
+The integer images of the [a, b] and (0, 1] transforms are checked against
+the `Fraction` formulas they replace, and every verdict against
+`classify_form` run on those.  A long window, dilated t -> lam t by
+`_Window.of`, gives every verdict, polynomial, threshold and entry that its
+lam = 1 image gives.
 The moments and geometric sums that measures read off their integer images
 are checked against the plain sums over planted atoms.
 """
 
+import contextlib
+import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import momentkit.positivity as positivity
+import momentkit.principal as principal
 from momentkit.alternating import CAMeasure, has_ca_extension
 from momentkit.backward import forced_value
 from momentkit.completion import _HALF_OPS, _RAY_OPS, _quadratic
-from momentkit.extremal import (_schur_threshold, reciprocal_inf_half_open, reciprocal_inf_ray,
-                                reciprocal_value_from_poly)
+from momentkit.extremal import (_schur_quadratic, _schur_threshold, reciprocal_inf_half_open,
+                                reciprocal_inf_ray, reciprocal_value_from_poly)
 from momentkit.measure import AtomicMeasure, MomentRecurrence, moments
-from momentkit.errors import DegenerateInput
-from momentkit.numeric import (FormClass, HankelImage, Polynomial, _dilated, _hankel_image,
+from momentkit.errors import DegenerateInput, MomentKitError
+from momentkit.numeric import (FormClass, Polynomial, _dilated_scale, _hankel_image,
                                _integer_scale, _minor_pass, _to_float, as_fraction,
                                classify_form, count_roots, det, det_poly, real_roots,
                                root_precision, vandermonde_masses)
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window,
-                                  _classify_limit, _ends, _support_poly, classify,
-                                  classify_compact, index,
-                                  recover_minimal_measure, recover_support_and_masses)
-from momentkit.principal import (_bordered_image, atom_polynomial, atoms_from_poly,
-                                 bordered_hankel_poly, root_bound)
+                                  _classify_limit, _determinate_poly, _ends, _support_poly,
+                                  classify, classify_compact, compact_criterion_matrices, index,
+                                  ray_limit_matrices, recover_minimal_measure,
+                                  recover_support_and_masses)
+from momentkit.principal import (PrincipalKind, _bordered_image, atom_polynomial,
+                                 atoms_from_poly, bordered_hankel_poly, principal_polynomial,
+                                 root_bound)
 from momentkit.tree import GeometricSumTail, MeasureTail
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -464,29 +474,39 @@ def test_bordered_polynomials_are_the_bordered_determinants(problem):
         values = [float(v) for v in window] if floats else window
         w = _Window.of(values, None, (a, b))
         for form in _even_forms(w, a, b):
-            entries = [F(x, form.unit) for x in form.ints]
+            entries = [F(x, form.unit * w.lam ** k) for k, x in enumerate(form.ints)]
             if classify_form(entries[:-1]) is not FormClass.POSITIVE_DEFINITE:
                 assert floats  # rounding may leave the float image singular
                 continue
             want = det_poly(_bordered_layout(entries))
             if floats:
                 want = Polynomial([_to_float(c) for c in want.coeffs])
-            assert _bordered_image(form, floats) == want
+            assert _bordered_image(form, floats, w.lam) == want
 
 
 @given(planted_bordered_windows())
 def test_dilated_image_is_the_window_of_the_dilated_measure(problem):
-    """`_dilated` gives the exact image of lam^k s_k, never with longer
-    integers in total, and strips the powers of an atom's denominator."""
+    """`_dilated_scale` gives the exact image of lam^k s_k over its least
+    common denominator, keeps lam > 1 only on a window of 8 entries or more
+    whose integers it shrinks in product (unit^2 > unit_lam^2 lam^n), and
+    strips the powers of an atom's denominator."""
     _, _, window = problem
-    image = HankelImage(*_integer_scale(window))
-    dilated, lam = _dilated(image)
-    assert [F(x, dilated.unit) for x in dilated.ints] == [lam ** k * v
-                                                          for k, v in enumerate(window)]
-    assert (sum(x.bit_length() for x in dilated.ints)
-            <= sum(x.bit_length() for x in image.ints))
-    single = [F(2, 7) ** k for k in range(4)]
-    assert _dilated(HankelImage(*_integer_scale(single))) == (HankelImage([1, 2, 4, 8], 1), 7)
+    ints, unit, lam = _dilated_scale(window)
+    assert [F(x, unit * lam ** k) for k, x in enumerate(ints)] == window
+    assert math.gcd(unit, *ints) == 1
+    plain, plain_unit = _integer_scale(window)
+    if lam == 1:
+        assert (ints, unit) == (plain, plain_unit)
+    else:
+        assert len(window) >= 8 and unit ** 2 * lam ** (len(window) - 1) < plain_unit ** 2
+    single = [F(2, 7) ** k for k in range(8)]
+    assert _dilated_scale(single) == ([2 ** k for k in range(8)], 1, 7)
+    assert _dilated_scale(single[:7]) == (*_integer_scale(single[:7]), 1)
+    # lam = 3 would make the integers longer: 1, 3, ..., 3^6, 3^6 over 1
+    assert _dilated_scale([1] * 7 + [F(1, 3)]) == ([3] * 7 + [1], 3, 1)
+    # the one lam of a window: its 7-entry prefix and its float image keep 1
+    assert _Window.of(single).lam == 7 and _Window.of(single[:7]).lam == 1
+    assert _Window.of([float(v) for v in single]).lam == 1
 
 
 @given(st.integers(1, 4), st.data(), st.booleans())
@@ -506,8 +526,9 @@ def test_bordered_polynomials_refuse_a_vanishing_leading_minor(m, data, floats):
     assert det_poly(_bordered_layout(window)).degree < m
     with pytest.raises(DegenerateInput):
         bordered_hankel_poly(window)
+    w = _Window.of(window)
     with pytest.raises(DegenerateInput):
-        _bordered_image(_Window.of(window).hankel(), floats)
+        _bordered_image(w.hankel(), floats, w.lam)
     with pytest.raises(DegenerateInput):
         bordered_hankel_poly([1, 2, 1, 5])
 
@@ -649,7 +670,8 @@ def transform_windows(draw):
     inside = st.builds(lambda u: a + (b - a) * u,
                        st.fractions(min_value=0, max_value=1, max_denominator=16))
     atoms = draw(st.lists(st.tuples(st.one_of(inside, SMALL), POSITIVE), max_size=4))
-    n = draw(st.integers(0, 8))
+    # 8 entries or more, part of the time, so that the window is dilated
+    n = draw(st.one_of(st.integers(0, 8), st.integers(7, 12)))
     window = [sum((m * x ** k for x, m in atoms), F(0)) for k in range(n + 1)]
     if draw(st.integers(0, 2)) == 0:
         k = draw(st.integers(0, n))
@@ -658,13 +680,22 @@ def transform_windows(draw):
 
 
 @given(transform_windows())
+@example(([F(1, 3) ** k + F(2, 5) ** k for k in range(9)], F(1, 4), F(1, 2)))
 def test_integer_transforms_are_positive_multiples_of_the_fraction_ones(problem):
+    """Entry k of every form is unit * lam^(k + shift) times the Fraction
+    reference, shift 0 for H(s), 1 for s_(k+1) - a s_k and b s_k - s_(k+1)
+    and 2 for the interior window, whose lam is the window's; the unit of
+    each form takes up its lam^shift.  The example is dilated (lam = 15)."""
     window, a, b = problem
     w = _Window.of(window)
+    lam = w.lam
     lower, upper, interior = _reference_transforms(window, a, b)
-    for form, ref in ((w.hankel(), window), (w.lower(a), lower), (w.upper(b), upper),
-                      (w.interior(a, b), interior)):
-        assert form.unit > 0 and form.ints == [x * form.unit for x in ref]
+    for form, ref, shift in ((w.hankel(), window, 0), (w.lower(a), lower, 1),
+                             (w.upper(b), upper, 1), (w.interior(a, b), interior, 2)):
+        assert form.unit > 0 and form.unit % lam ** shift == 0
+        unit = form.unit // lam ** shift
+        assert form.ints == [unit * lam ** (k + shift) * x for k, x in enumerate(ref)]
+    assert w.interior(a, b).lam == lam
 
     n = len(window) - 1
     forms = (window, interior) if n % 2 == 0 else (lower, upper)
@@ -689,6 +720,100 @@ def test_integer_transforms_are_positive_multiples_of_the_fraction_ones(problem)
         # M decided by the pass to the corner of a prepended value, in reverse
         # order, gives the same verdict
         assert _classify_limit(_Window.of(window), domain, by_slot=True) == verdict
+
+
+# --------------------------------------------------------------------------
+# the dilation of a long window is invisible
+# --------------------------------------------------------------------------
+
+#: a rational with a denominator of 20 to 40 bits
+LONG_DENOMINATOR = st.builds(F, st.integers(1, 2 ** 40), st.integers(2 ** 20, 2 ** 40))
+
+
+@st.composite
+def planted_long_windows(draw):
+    """(domain, window): a planted measure of 4-8 atoms at the extremes of
+    [2^-40, 2^40] or with long denominators, seen through 8 to 2K + 1
+    entries, one entry moved by +-1/den a third of the time.  On (0, 1] the
+    atoms are x / (1 + x), some with the atom 1; on [a, b] the ends are the
+    outer atoms or lie beyond them."""
+    kind = draw(st.sampled_from(("ray", "half-open", "compact")))
+    size = draw(st.integers(4, 8))
+    atoms = draw(st.sets(st.one_of(EXTREME, LONG_DENOMINATOR), min_size=size, max_size=size))
+    if kind == "half-open":
+        atoms = {x / (1 + x) for x in atoms} | ({F(1)} if draw(st.booleans()) else set())
+    atoms = sorted(atoms)
+    masses = draw(st.lists(POSITIVE, min_size=len(atoms), max_size=len(atoms)))
+    n = draw(st.integers(7, 2 * len(atoms)))
+    window = [sum((m * x ** k for x, m in zip(atoms, masses)), F(0)) for k in range(n + 1)]
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, n))
+        window[k] += draw(st.sampled_from((-1, 1))) * F(1, draw(st.integers(1, 10 ** 12)))
+    if kind == "ray":
+        return Ray(), window
+    if kind == "half-open":
+        return HalfOpen(), window
+    if draw(st.booleans()):
+        return Compact(atoms[0], atoms[-1]), window
+    return Compact(atoms[0] / 2, 2 * atoms[-1]), window
+
+
+def _plain_scale(values):
+    return (*_integer_scale(values), 1)
+
+
+@contextlib.contextmanager
+def _undilated():
+    """Every window and bordered image built with lam = 1."""
+    with mock.patch.object(positivity, "_dilated_scale", _plain_scale), \
+            mock.patch.object(principal, "_dilated_scale", _plain_scale):
+        yield
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MomentKitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(planted_long_windows())
+def test_dilation_is_invisible(problem):
+    """A window of 8 entries or more, dilated as `_Window.of` decides, gives
+    what the lam = 1 window of the plain constructor gives: verdicts,
+    support and bordered polynomials, the determinacy test, the Schur
+    threshold and level quadratic, atom and principal polynomials and the
+    criterion entries.  A 7-entry window and a float window keep lam = 1."""
+    domain, window = problem
+    w, plain = _Window.of(window), _Window(window, *_integer_scale(window), None, None)
+    assert plain.lam == 1
+    ends = _ends(domain)
+    assert _support_poly(w, ends) == _support_poly(plain, ends)
+    if isinstance(domain, Compact):
+        a, b = domain.a, domain.b
+        if len(window) % 2 == 1:
+            assert w.hankel_class() is plain.hankel_class()
+            assert w.interior(a, b).hankel_class() is plain.interior(a, b).hankel_class()
+        else:
+            assert classify_form(w.lower(a)) is classify_form(plain.lower(a))
+            assert classify_form(w.upper(b)) is classify_form(plain.upper(b))
+        calls = [(classify_compact, window, a, b), (compact_criterion_matrices, window, a, b),
+                 (principal_polynomial, window, a, b, PrincipalKind.LOWER),
+                 (principal_polynomial, window, a, b, PrincipalKind.UPPER)]
+    else:
+        for by_slot in (False, True):
+            assert (_classify_limit(w, domain, by_slot)
+                    == _classify_limit(plain, domain, by_slot))
+        assert _determinate_poly(w, domain) == _determinate_poly(plain, domain)
+        assert _schur_threshold(w, domain) == _schur_threshold(plain, domain)
+        assert _support_poly(w, bordered=True) == _support_poly(plain, bordered=True)
+        calls = [(classify, window, domain), (_schur_quadratic, tuple(window[1:]), domain),
+                 (atom_polynomial, window, domain), (ray_limit_matrices, window)]
+    dilated = [_outcome(*call) for call in calls]
+    with _undilated():
+        assert [_outcome(*call) for call in calls] == dilated
+    assert _Window.of(window[:7]).lam == 1
+    assert _Window.of([float(v) for v in window]).lam == 1
 
 
 # --------------------------------------------------------------------------

@@ -48,6 +48,27 @@ def test_criterion_forms_are_hankel_entries():
     assert compact_criterion_matrices(s[:5], 1, 2) == ([1, 2, 3, 4, 5], [1, 1, 1])
     assert compact_criterion_matrices(s[:4], 1, 2) == ([1, 1, 1], [0, 1, 2])
     assert compact_criterion_matrices([7], 1, 2) == ([7], [])
+    # 9 and 10 moments of the atoms 1/3 and 2/5: the window is dilated by
+    # 15, and the entries read back are still the window's own
+    a, b = F(1, 4), F(1, 2)
+    for length in (9, 10):
+        s = [F(1, 3) ** k + F(2, 5) ** k for k in range(length)]
+        n = length - 1
+        assert ray_limit_matrices(s) == (s[:n // 2 * 2 + 1], s[1:(n + 1) // 2 * 2])
+        lower = [s[k + 1] - a * s[k] for k in range(n)]
+        upper = [b * s[k] - s[k + 1] for k in range(n)]
+        interior = [(a + b) * s[k + 1] - a * b * s[k] - s[k + 2] for k in range(n - 1)]
+        want = (s, interior) if n % 2 == 0 else (lower, upper)
+        assert compact_criterion_matrices(s, a, b) == want
+
+
+def test_criterion_forms_refuse_what_the_classifiers_refuse():
+    # as classify_ray and classify_compact do
+    with pytest.raises(DomainError, match="empty sequence"):
+        ray_limit_matrices([])
+    for a, b in ((2, 1), (1, 1)):
+        with pytest.raises(DomainError, match="compact interval needs a < b"):
+            compact_criterion_matrices([1, 2, 3], a, b)
 
 
 def test_classify_ray_negative_entry():
