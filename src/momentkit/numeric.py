@@ -13,9 +13,11 @@ support or bordered-Hankel polynomial (`_pass_bordered`), instead of
 eliminating the form twice.  The masses of atoms at given nodes are the
 Lagrange form of their Vandermonde system, read from the associated
 polynomial (`associated`) on one integer image of the nodes and the window
-(`vandermonde_masses`).  Root isolation uses primitive integer Sturm chains,
-evaluated by homogeneous Horner at rational points.  `Fraction`s appear only
-in the results.  `det` and `det_poly` are a plain Gaussian elimination over
+(`vandermonde_masses`).  Roots are found from float seeds (Laguerre's
+method) that exact signs certify; primitive integer Sturm chains isolate
+them when the certificate fails, and count roots.  Both evaluate by
+homogeneous Horner at rational points.  `Fraction`s appear only in the
+results.  `det` and `det_poly` are a plain Gaussian elimination over
 `Fraction`s, kept as a reference for the tests; no library path calls them,
 so `_minor_pass` is the package's only fraction-free elimination.
 
@@ -187,7 +189,7 @@ class Polynomial:
 
 
 # --------------------------------------------------------------------------
-# integer polynomials and Sturm root isolation
+# integer polynomials, certified float seeds and Sturm root isolation
 # --------------------------------------------------------------------------
 #
 # An integer polynomial is a list of ints, lowest degree first, with a
@@ -277,7 +279,11 @@ class RootEnclosure:
     input the root rounded to a float.  Otherwise lo/den < root < hi/den
     isolates a simple root of the integer polynomial `coeffs`, which is
     nonzero at both ends, and `refine` narrows that interval in place: a
-    later call with a finer width continues the same bisection.
+    later call with a finer width continues the same bisection.  The
+    interval is a bracket of relative half-width 2^-46 (or 2^-30) around a
+    certified float seed, narrower than `root_precision()` for most roots,
+    or, on the Sturm path, a Sturm isolating interval; `coeffs` is then the
+    polynomial with the roots already settled deflated out.
     """
 
     __slots__ = ("coeffs", "lo", "hi", "den", "root")
@@ -342,6 +348,115 @@ class RootEnclosure:
         return _to_float(min(max(x, lo), hi))
 
 
+#: Relative half-widths of the windows around a float seed, in bits: the
+#: window its simplest rational is taken from, and the brackets tried, in
+#: order, around a seed that is not a rational root.
+SNAP_BITS = 32
+BRACKET_BITS = (46, 30)
+
+#: Laguerre steps per root before its seed is taken as it stands.
+SEED_STEPS = 60
+
+
+def _laguerre_seeds(coeffs, lo: float) -> Optional[list]:
+    """Float approximations of the deg p roots of the integer polynomial
+    `coeffs`, each found by Laguerre's method on p divided by the roots
+    found before it (implicit deflation).
+
+    Every run starts at min(lo, -F), F = 2 max_k |c_(d-k) / c_d|^(1/k)
+    being Fujiwara's bound on |root|: left of every root, and about as far
+    from the roots found as from those left, so that their terms do not
+    cancel p'/p down to rounding noise.  On a real-rooted p each run then
+    climbs to the least root left (Laguerre's method is globally convergent
+    there).  A run stops once its step is below the last bit of x, or p(x)
+    is below the rounding bound of its Horner sum.  None when an iterate
+    stops being finite; OverflowError when p does not fit in floats."""
+    c = [float(x) for x in reversed(coeffs)]
+    start = min(lo, -2.0 * max(abs(a / c[0]) ** (1.0 / k) for k, a in enumerate(c) if k))
+    found = []
+    for m in range(len(c) - 1, 0, -1):
+        x = start
+        for _ in range(SEED_STEPS):
+            p = dp = half_ddp = noise = 0.0
+            size = abs(x)
+            for a in c:
+                half_ddp = half_ddp * x + dp
+                dp = dp * x + p
+                p = p * x + a
+                noise = noise * size + abs(p)
+            if abs(p) <= noise * 2.0 ** -52:
+                break
+            g = dp / p
+            h = g * g - 2.0 * half_ddp / p
+            for r in found:
+                d = 1.0 / (x - r)
+                g -= d
+                h -= d * d
+            root = math.sqrt(max((m - 1) * (m * h - g * g), 0.0))
+            step = m / (g + root if g >= 0 else g - root)
+            x -= step
+            if not math.isfinite(x):
+                return None
+            if abs(step) <= abs(x) * 2.0 ** -52:
+                break
+        found.append(x)
+    return found
+
+
+def _around(x: float, bits: int) -> tuple:
+    """(a, b, den) with [a/den, b/den] = [x - |x| 2^-bits, x + |x| 2^-bits]
+    exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << bits) - abs(num), (num << bits) + abs(num), den << bits
+
+
+def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
+    """`_isolate`'s interior RootEnclosures of the primitive integer
+    polynomial `work`, deg >= 2, from float seeds (`_laguerre_seeds`)
+    certified exactly; None when the certificate fails, for the Sturm path
+    to decide.
+
+    Each seed's simplest rational within 2^-SNAP_BITS of it, relative, is
+    tested by integer Horner and, when it is a root, deflated out.  Each
+    other seed gets a bracket of relative half-width 2^-BRACKET_BITS, the
+    first whose ends have opposite exact signs of the deflated polynomial.
+    So there are deg p exact roots and brackets, one per seed.  The result
+    stands only when they lie strictly inside (lo, hi) and are pairwise
+    disjoint: then each bracket holds a root of the deflated polynomial,
+    and the count leaves room for no other, so every root of p is real,
+    simple and in one of them."""
+    try:
+        seeds = _laguerre_seeds(work, float(lo))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if seeds is None:
+        return None
+    found, rest = [], []
+    for x in seeds:
+        num, q = _simplest(*_around(x, SNAP_BITS))
+        if _horner(work, num, q) == 0:
+            root = Fraction(num, q)
+            found.append((root, root, None))
+            work = _deflate(work, root)
+        else:
+            rest.append(x)
+    for x in rest:
+        for bits in BRACKET_BITS:
+            a, b, scale = _around(x, bits)
+            va, vb = _horner(work, a, scale), _horner(work, b, scale)
+            if (va > 0 and vb < 0) or (va < 0 and vb > 0):
+                found.append((Fraction(a, scale), Fraction(b, scale), work))
+                break
+        else:
+            return None
+    found.sort(key=lambda item: item[0])
+    if not lo < found[0][0] or not found[-1][1] < hi or any(
+            not left[1] < right[0] for left, right in zip(found, found[1:])):
+        return None
+    return [RootEnclosure(root=a) if coeffs is None else RootEnclosure(coeffs, a, b)
+            for a, b, coeffs in found]
+
+
 def _nonroot_split(coeffs, a: Fraction, b: Fraction) -> Fraction:
     """A split point strictly inside (a, b) where the polynomial does not
     vanish; at most deg(p) probes can fail.  Probe i is
@@ -361,11 +476,17 @@ def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
                     eps: float = DEFAULT_EPS) -> list:
     """Every real root of `p` in [lo, hi], ascending, as a RootEnclosure.
 
-    The roots are isolated by Sturm sequences of the primitive integer
-    polynomial: roots at lo and hi come out exact, and so does the root of
-    what is left when that is linear; other interior roots come out as
-    isolating intervals for `RootEnclosure.refine`.  Float input (in p, lo
-    or hi) is isolated on its binary-exact image over [lo - d, hi + d],
+    Roots at lo and hi come out exact and are deflated out of the primitive
+    integer polynomial.  What is left, of degree 2 or more, is first solved
+    from float seeds certified exactly (`_seeded`): a rational root whose
+    seed snaps to it comes out exact, every other root as a narrow bracket
+    around its seed.  The certificate holds only when every root of what is
+    left is real, simple and strictly inside (lo, hi).  Otherwise, and for
+    a linear or constant remainder, Sturm sequences isolate the roots
+    (`_sturm_isolate`): the root of a linear remainder comes out exact,
+    other interior roots as isolating intervals.  Either way an interval is
+    refined by `RootEnclosure.refine`.  Float input (in p, lo or hi) is
+    isolated on its binary-exact image over [lo - d, hi + d],
     d = eps * max(1, |lo|, |hi|), so that a root the rounding moved just
     past an end still counts; each root comes back settled as a float
     (`RootEnclosure.to_float`).  Repeated roots raise DegenerateInput:
@@ -399,6 +520,16 @@ def _isolate(coeffs, lo: Fraction, hi: Fraction) -> list:
     if hi != lo and _horner(work, hi.numerator, hi.denominator) == 0:
         last.append(RootEnclosure(root=hi))
         work = _deflate(work, hi)
+    interior = _seeded(work, lo, hi) if len(work) > 2 else None
+    if interior is None:
+        interior = _sturm_isolate(work, lo, hi)
+    return first + interior + last
+
+
+def _sturm_isolate(work, lo: Fraction, hi: Fraction) -> list:
+    """`_isolate`'s interior RootEnclosures of the primitive integer
+    polynomial `work`, nonzero at lo and hi unless that root is repeated,
+    by Sturm bisection."""
     chain = _sturm_chain(work)
     # p is squarefree iff what is left is, and no deflated root remains
     if (len(chain[-1]) > 1 or _horner(work, lo.numerator, lo.denominator) == 0
@@ -422,7 +553,7 @@ def _isolate(coeffs, lo: Fraction, hi: Fraction) -> list:
                 vm = _sign_variations(chain, mid)
                 stack.append((mid, vm, b, vb))
                 stack.append((a, va, mid, vm))
-    return first + interior + last
+    return interior
 
 
 def count_roots(p: Polynomial, lo: Scalar, hi: Scalar) -> Optional[int]:
@@ -440,14 +571,16 @@ def real_roots(p: Polynomial, lo: Scalar, hi: Scalar,
                eps: float = DEFAULT_EPS) -> list:
     """All real roots of `p` in [lo, hi], ascending.
 
-    Exact input is isolated by Sturm bisection; rational roots are snapped
-    exactly and irrational ones narrowed to enclosures of the requested
-    width (their midpoints are returned).  Snapping is certain for a
-    rational root num/den with den^2 * width < 1; a root with a larger
-    denominator may come back as an enclosure midpoint like an irrational
-    one (see `RootEnclosure.refine`).  Float input gets floats, refined to
-    float precision whatever the width.  Repeated roots raise
-    DegenerateInput; see `root_enclosures`.
+    Exact input is isolated by `root_enclosures`; rational roots are
+    snapped exactly and irrational ones narrowed to enclosures of the
+    requested width (their midpoints are returned).  Snapping is certain
+    for a rational root num/den with den^2 * w < 1, w the width of its
+    final enclosure: at most `width`, and at most 2^-45 |num/den| when its
+    float seed was bracketed at 2^-46 (a seed that snaps to the root settles
+    it at once).  A root with a larger denominator may come back as an
+    enclosure midpoint like an irrational one (see `RootEnclosure.refine`).
+    Float input gets floats, refined to float precision whatever the width.
+    Repeated roots raise DegenerateInput; see `root_enclosures`.
     """
     enclosures = root_enclosures(p, lo, hi, eps)
     width = precision if precision is not None else root_precision()

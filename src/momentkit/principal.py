@@ -33,6 +33,10 @@ from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limi
 
 MASS_REFINEMENTS = 3
 
+#: A mass below 2^-TINY_MASS_BITS of the largest is checked at both ends of
+#: the enclosures before it stands (`_masses_hold`).
+TINY_MASS_BITS = 40
+
 
 class PrincipalKind(Enum):
     LOWER = "Lower"
@@ -106,11 +110,10 @@ def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
 
     Raises DegenerateInput when the root count falls short of the degree or
     any mass fails to be positive; verifies the full window when the atoms
-    are exact.  A mass computed from enclosures of irrational roots can take
-    the wrong sign when it is tiny (a far atom near an unattained infimum
-    carries mass ~1e-43), so the roots are isolated once and their
-    enclosures narrowed by 2^-64 up to MASS_REFINEMENTS times before a
-    nonpositive mass is final.
+    are exact.  A mass computed from enclosures of irrational roots can be
+    far off, or take the wrong sign, when it is tiny (a far atom near an
+    unattained infimum carries mass ~1e-43); `_atoms_and_image` checks such
+    a mass before it stands.
     """
     pairs, image = _atoms_and_image(poly, window, lo, hi)
     return pairs, image is not None
@@ -119,7 +122,14 @@ def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
 def _atoms_and_image(poly: Polynomial, window: Sequence[Scalar], lo: Scalar, hi: Scalar) -> tuple:
     """`atoms_from_poly` as (pairs, image): `image` is the integer image
     (`measure._AtomImage`) the exact atoms were checked on, None when they
-    are not exact.  The pairs ascend by position."""
+    are not exact.  The pairs ascend by position.
+
+    The roots are isolated once and the masses read at the enclosures'
+    midpoints.  A mass that is nonpositive or below 2^-TINY_MASS_BITS of
+    the largest stands only when it is positive and the masses read at the
+    enclosures' lower ends agree with it to half of itself (`_masses_hold`);
+    otherwise every enclosure is narrowed by 2^-64 and the masses are read
+    again, up to MASS_REFINEMENTS times."""
     enclosures = root_enclosures(poly, lo, hi)
     if len(enclosures) != poly.degree:
         raise DegenerateInput(
@@ -129,7 +139,7 @@ def _atoms_and_image(poly: Polynomial, window: Sequence[Scalar], lo: Scalar, hi:
         roots = [e.refine(width) for e in enclosures]
         masses = vandermonde_masses(roots, list(window))
         settled = all(e.root is not None for e in enclosures)
-        if settled or all(mass > 0 for mass in masses):
+        if settled or _masses_hold(enclosures, masses, window):
             break
         width /= 2 ** 64
     for mass in masses:
@@ -144,6 +154,18 @@ def _atoms_and_image(poly: Polynomial, window: Sequence[Scalar], lo: Scalar, hi:
         if image is None:
             raise DegenerateInput("principal measure fails its moment window")
     return pairs, image
+
+
+def _masses_hold(enclosures, masses, window) -> bool:
+    """Whether the masses read at the midpoints of `enclosures` can stand
+    (see `_atoms_and_image`)."""
+    top = max(masses)
+    small = [j for j, mass in enumerate(masses) if mass <= 0 or mass * 2 ** TINY_MASS_BITS < top]
+    if not small:
+        return True
+    lower = vandermonde_masses([Fraction(e.lo, e.den) if e.root is None else e.root
+                                for e in enclosures], list(window))
+    return all(masses[j] > 0 and 2 * abs(masses[j] - lower[j]) < masses[j] for j in small)
 
 
 def _reproduces(pairs, window) -> Optional[_AtomImage]:

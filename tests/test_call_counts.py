@@ -28,7 +28,10 @@ decide it, once per bordered polynomial of a strict window and once per
 slot, so it counts every elimination of a Hankel form.  A window of 8
 entries or more is dilated (`numeric._dilated_scale`) once, when
 `positivity._Window.of` builds it: the same budgets hold on such windows,
-and no window decides its lam twice.
+and no window decides its lam twice.  Atoms are found from certified float
+seeds: a planted rational measure is recovered on every domain with no
+Sturm chain but those of the determinacy tests (`numeric.count_roots`), and
+a polynomial whose seeds fail the certificate builds one chain.
 """
 
 import json
@@ -50,7 +53,8 @@ import momentkit.positivity as positivity
 from momentkit.numeric import Polynomial
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, classify, index,
                                   recover_minimal_measure)
-from momentkit.principal import minimal_measure_half_open, minimal_measure_ray
+from momentkit.principal import (PrincipalKind, minimal_measure_half_open, minimal_measure_ray,
+                                 principal_compact)
 
 KERNEL = ("classify_form", "_minor_pass", "det_poly", "count_roots")
 
@@ -321,3 +325,79 @@ def test_certificate_measure_builds_one_image_per_measure(calls, monkeypatch, mu
     assert len(builds) == 2 and certified._image() is builds[1]
     # the atom polynomial is one full-rank pass: no bordered determinant
     assert _counts(calls) == (0, 1, 0, 0)
+
+
+@pytest.fixture
+def chains(monkeypatch):
+    """Counter of the Sturm chains built outside `numeric.count_roots`,
+    which builds one for every determinacy test, through every alias."""
+    counter = Counter()
+    inside = []
+    chain, count = numeric._sturm_chain, numeric.count_roots
+
+    def counted_chain(p):
+        if not inside:
+            counter["outside"] += 1
+        return chain(p)
+
+    def counting(*args, **kwargs):
+        inside.append(True)
+        try:
+            return count(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(numeric, "_sturm_chain", counted_chain)
+    for module in [m for name, m in sys.modules.items() if name.startswith("momentkit.")]:
+        for attr, value in list(vars(module).items()):
+            if value is count:
+                monkeypatch.setattr(module, attr, counting)
+    return counter
+
+
+#: (recover, measure, n): planted rational measures of 4 and 5 atoms seen
+#: through n + 1 moments, singular and strict, on every domain
+PLANTED_RATIONAL = {
+    "ray-singular": (lambda w: recover_minimal_measure(w, Ray()), LONG_RAY_MU, 9),
+    "ray-strict": (minimal_measure_ray, LONG_RAY_MU, 7),
+    "half-open-singular": (lambda w: recover_minimal_measure(w, HalfOpen()), LONG_UNIT_MU, 9),
+    "compact-singular": (lambda w: recover_minimal_measure(w, Compact(F(1, 4), 6)),
+                         LONG_COMPACT_MU, 11),
+    "compact-lower": (lambda w: principal_compact(w, F(1, 4), 6, PrincipalKind.LOWER),
+                      LONG_COMPACT_MU, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED_RATIONAL))
+def test_planted_rational_atoms_need_no_sturm_chain(chains, case):
+    recover, mu, n = PLANTED_RATIONAL[case]
+    window = _window(mu, n)
+    chains.clear()
+    assert recover(window) == mu
+    # every atom is a certified float seed; the only chains are those of the
+    # determinacy tests (count_roots) on the ray and (0, 1]
+    assert chains["outside"] == 0
+
+
+def test_certified_seeds_need_no_sturm_chain(chains):
+    # rational roots come back settled, the irrational pair (5 +- sqrt 5)/10
+    # as brackets around its float seeds
+    poly = Polynomial([F(1, 5), -1, 1]).mul_linear(F(-1, 3), 1).mul_linear(F(-3, 4), 1)
+    enclosures = numeric.root_enclosures(poly, 0, 1)
+    assert chains["outside"] == 0
+    assert [e.root for e in enclosures] == [None, F(1, 3), None, F(3, 4)]
+    for e, root in zip(enclosures[::2], (0.276393202250021, 0.723606797749979)):
+        assert e.lo < root * e.den < e.hi and (e.hi - e.lo) * 2 ** 40 < e.den
+
+
+@pytest.mark.parametrize("poly", [
+    Polynomial([1, 0, 1]).mul_linear(F(-1, 3), 1).mul_linear(F(-1, 2), 1),  # t^2 + 1
+    Polynomial([-3, 1]).mul_linear(F(-1, 3), 1).mul_linear(F(-1, 2), 1),    # root 3 outside
+])
+def test_uncertified_seeds_fall_back_to_sturm(chains, poly):
+    # seeds that are no real roots in (0, 1) fail the certificate, and one
+    # Sturm chain isolates the roots
+    enclosures = numeric.root_enclosures(poly, 0, 1)
+    assert chains["outside"] == 1
+    assert [e.root for e in enclosures] == [None, None]
+    assert [e.refine(F(1, 10 ** 12)) for e in enclosures] == [F(1, 3), F(1, 2)]

@@ -4,7 +4,8 @@ Hankel form classification is compared with the inertia read off sympy's
 exact characteristic polynomial (Descartes' rule of signs is exact for the
 real-rooted characteristic polynomial of a symmetric matrix), the leading
 minors of its pass and general determinants with sympy's; root isolation
-with sympy's exact real-root isolation.  Singular positivity on the ray and
+with sympy's exact real-root isolation, on the certified float-seed path
+and on the Sturm path it falls back to.  Singular positivity on the ray and
 on (0, 1] is checked against planted measures with extreme atoms, singular
 recovery and index on [a, b] against planted measures with endpoint atoms.
 The Lagrange-form masses are checked against their defining moment
@@ -31,6 +32,7 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
+import momentkit.numeric as numeric
 import momentkit.positivity as positivity
 import momentkit.principal as principal
 from momentkit.alternating import CAMeasure, has_ca_extension
@@ -43,7 +45,7 @@ from momentkit.errors import DegenerateInput, MomentKitError
 from momentkit.numeric import (FormClass, Polynomial, _dilated_scale, _hankel_image,
                                _integer_scale, _minor_pass, _to_float, as_fraction,
                                classify_form, count_roots, det, det_poly, real_roots,
-                               root_precision, vandermonde_masses)
+                               root_enclosures, root_precision, vandermonde_masses)
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window,
                                   _classify_limit, _determinate_poly, _ends, _support_poly,
                                   classify, classify_compact, compact_criterion_matrices, index,
@@ -197,6 +199,104 @@ def test_real_roots_match_sympy(problem):
             left, right = _sym(root - width / 2), _sym(root + width / 2)
             assert left <= b and a <= right
             assert exact.count_roots(left, right) == 1
+
+
+@st.composite
+def long_denominator_roots(draw):
+    """A rational in [-8, 8] with a denominator of up to 40 bits."""
+    den = draw(st.integers(1, 2 ** draw(st.integers(0, 40))))
+    return F(draw(st.integers(-8 * den, 8 * den)), den)
+
+
+@st.composite
+def seeded_problems(draw):
+    """(poly, planted, lo, hi, repeated, huge): rational linear factors with
+    denominators up to 2^40, sometimes a cluster 2^-30 apart, irreducible
+    quadratics with a real or a complex pair, an interval that may leave
+    roots outside; sometimes a factor squared, or a factor whose integer
+    coefficients pass 2^1100, with its root `huge` (else None)."""
+    planted = set(draw(st.lists(long_denominator_roots(), max_size=5)))
+    if draw(st.booleans()):
+        base = draw(long_denominator_roots())
+        planted.update(base + i * F(1, 2 ** 30) for i in range(draw(st.integers(2, 3))))
+    planted = sorted(planted)[:7]
+    poly = Polynomial([draw(st.sampled_from((F(-3, 2), F(1), F(7, 5))))])
+    for r in planted:
+        poly = poly.mul_linear(-r, 1)
+    coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+    for b, c in draw(st.sets(st.tuples(coefficient, coefficient), max_size=2)):
+        if not sympy.sqrt(_sym(b * b - 4 * c)).is_rational:
+            poly = poly.mul(Polynomial([c, b, 1]))
+    repeated = bool(planted) and draw(st.integers(0, 5)) == 0
+    if repeated:
+        poly = poly.mul_linear(-draw(st.sampled_from(planted)), 1)
+    huge = None
+    if draw(st.integers(0, 5)) == 0:
+        den = 2 ** 1100 + draw(st.integers(1, 2 ** 20))
+        huge = F(den + draw(st.sampled_from((-1, 1))), den)
+        poly = poly.mul_linear(-huge, 1)
+    if poly.degree < 1:
+        poly, planted = poly.mul_linear(-1, 1), [F(1)]
+    bound = root_bound(poly)
+    ends = [-bound, bound, F(0), *planted]
+    lo, hi = sorted((draw(st.sampled_from(ends)), draw(st.sampled_from(ends))))
+    if lo == hi or draw(st.booleans()):
+        lo, hi = -bound, bound
+    return poly, planted, lo, hi, repeated, huge
+
+
+@given(seeded_problems())
+@example((Polynomial([-7, 2 ** 33]).mul_linear(F(-9, 8), 1), [F(7, 2 ** 33), F(9, 8)],
+          F(7, 2 ** 34), F(9, 4), False, None))
+@example((Polynomial([F(1, 5), -1, 1]).mul_linear(F(-12345678901, 2 ** 40), 1),
+          [F(12345678901, 2 ** 40)], F(0), F(1), False, None))
+def test_seeded_isolation_matches_sturm_and_sympy(problem):
+    poly, planted, lo, hi, repeated, huge = problem
+    sturm_only = mock.patch.object(numeric, "_seeded", return_value=None)
+    if huge is not None:  # no float holds the coefficients: the seeds give up
+        work = numeric._primitive(numeric._integer_scale(poly.coeffs)[0])
+        assert numeric._seeded(work, lo, hi) is None
+    if repeated:
+        with pytest.raises(DegenerateInput):
+            root_enclosures(poly, lo, hi)
+        with sturm_only, pytest.raises(DegenerateInput):
+            root_enclosures(poly, lo, hi)
+        return
+    # sympy isolates the roots of poly over (t - huge), whose coefficients
+    # stay short; the root huge is counted apart
+    x = sympy.Symbol("x")
+    exact = sympy.Poly([_sym(c) for c in reversed(poly.coeffs)], x)
+    if huge is not None:
+        exact = exact.quo(sympy.Poly(x - _sym(huge), x))
+
+    def count(a, b):
+        """Roots of poly in the closed interval [a, b]."""
+        return exact.count_roots(_sym(a), _sym(b)) + (huge is not None and a <= huge <= b)
+
+    inside = [r for r in planted if lo <= r <= hi]
+    fine = F(1, 2 ** 200)  # snaps every rational root of denominator below 2^100
+    for path in (contextlib.nullcontext(), sturm_only):
+        with path:
+            enclosures = root_enclosures(poly, lo, hi)
+            roots = real_roots(poly, lo, hi)
+            snapped = real_roots(poly, lo, hi, precision=fine)
+        assert len(enclosures) == len(roots) == count(lo, hi)
+        # every open enclosure holds exactly one root; a settled one is a root
+        for e in enclosures:
+            if e.root is not None:
+                assert lo <= e.root <= hi and poly(e.root) == 0
+            else:
+                a, b = F(e.lo, e.den), F(e.hi, e.den)
+                assert count(a, b) - (poly(a) == 0) - (poly(b) == 0) == 1
+        # the exact roots are the planted ones, in ascending order
+        assert snapped == sorted(snapped)
+        assert [r for r in snapped if poly(r) == 0 and r != huge] == inside
+        # real_roots is an exact root or within width/2 of an irrational one
+        width = root_precision()
+        assert roots == sorted(roots)
+        for r in roots:
+            if poly(r) != 0:
+                assert count(r - width / 2, r + width / 2) == 1
 
 
 UNIT_EXTREME = st.builds(lambda m, e: F(m, 16) / F(2) ** e,
