@@ -16,6 +16,16 @@ equality level with no free branch must be met on a two-branch line whose
 step may be irrational (Unknown).  With two or more levels left the minimiser
 is greedy, so uniform and biased splits are tried too.  Certificates are
 verified again by the checker.
+
+The atom counts K a branch admits are read from one verdict on its given
+window: every 2K at least its length when it is strictly positive, twice
+its index when it is singular (Curto-Fialkow recursiveness), none
+otherwise (`_admissible_two_ks`).  Level 0 prepends to the given windows
+alone, so its thresholds and forced values are computed once per solve and
+shared by every K vector searched (`_level_zero`).
+
+`kappa_infinite_probe` is the one answer outside the exact contract: its
+"FeasibleTowardInfinity" is an empirical statement about finite prefixes.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from .errors import (BadIndex, DegenerateInput, MomentKitError, PreconditionErro
 from .measure import AtomicMeasure, MomentRecurrence, MomentSequence, tilt
 from .numeric import Scalar, format_scalar
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _support_measure, _values,
-                         classify_half_open, classify_ray)
+                         _verdict_index, classify_half_open, classify_ray)
 from .principal import atom_polynomial, root_bound
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
                    MeasureTail, PartialWeights, verify_che_certificate,
@@ -398,19 +408,41 @@ def _branch_k_compatible(ops: _DomainOps, given, big_n: int) -> bool:
     return True
 
 
+def _admissible_two_ks(ops: _DomainOps, given, candidates) -> list:
+    """The 2K of `candidates` that `_branch_k_compatible` admits, read from one
+    verdict on the given window (top its last index).  With 2K - 1 >= top
+    that check is "the window is strictly positive", the same for every
+    such 2K.  With 2K - 1 < top each deeper entry must be the forced value
+    of the next 2K, so the window is the moment window of a measure of
+    index K: singular with that index (Curto-Fialkow recursiveness).  So a
+    strict window admits every 2K >= top + 1, a singular one at most twice
+    its index, checked once, and one that is not positive none."""
+    top = len(given) - 1
+    verdict = ops.classify(given)
+    if verdict.is_strict:
+        return [two_k for two_k in candidates if two_k - 1 >= top]
+    if not verdict.is_positive:
+        return []
+    two_k = int(2 * _verdict_index(given, verdict, ops.domain))
+    if two_k - 1 < top and two_k in candidates and _branch_k_compatible(ops, given, two_k - 1):
+        return [two_k]
+    return []
+
+
 def _two_k_vectors(ops: _DomainOps, givens, K, two_k_cap: int):
     """The atom-count vectors to search, as 2K per class (even on the ray),
     smallest first; or the Infeasible outcome that rules every one out.  K
     is "auto", which sweeps each 2K in 1..two_k_cap that its given window
-    admits, or one K per class: ints on the ray, halves on (0, 1].  An
-    explicit K outside that range, or not such a value, raises BadIndex."""
+    admits, read from one verdict on that window (`_admissible_two_ks`), or
+    one K per class: ints on the ray, halves on (0, 1], each checked by
+    `_branch_k_compatible`.  An explicit K outside that range, or not such a
+    value, raises BadIndex."""
     ray = isinstance(ops.domain, Ray)
     step, noun = (2, "atom count") if ray else (1, "index")
     if K == "auto":
         options = []
         for given in givens:
-            opts = [two_k for two_k in range(step, two_k_cap + 1, step)
-                    if _branch_k_compatible(ops, given, two_k - 1)]
+            opts = _admissible_two_ks(ops, given, range(step, two_k_cap + 1, step))
             if not opts:
                 return SolveOutcome(SolveStatus.INFEASIBLE,
                                     reason=f"a branch window admits no minimal {noun}")
@@ -430,12 +462,32 @@ def _two_k_vectors(ops: _DomainOps, givens, K, two_k_cap: int):
     return [tuple(int(2 * k) for k in K)]
 
 
+def _level_zero(problem: _LevelProblem, seqs, table: dict) -> dict:
+    """Every class's level-0 value: the threshold of its whole given window
+    for a free slot, of its first 2K entries for a forced one
+    (`_DomainOps.forced`).  `table` holds them for one solve, keyed by
+    (class, entries used), so no 2K vector computes one again.  They are
+    computed in the order `_search_levels` computes them, forced slots
+    first, so the first error raised is the one it would raise."""
+    frees = [_slot_is_free(n, problem.p_top, 0) for n in problem.big_ns]
+    known = {}
+    for c in sorted(range(len(seqs)), key=frees.__getitem__):
+        key = (c, len(seqs[c]) if frees[c] else problem.big_ns[c] + 1)
+        if key not in table:
+            table[key] = problem.ops.threshold(seqs[c][:key[1]])
+        known[c] = table[key]
+    return known
+
+
 def _solve_vectors(ops, pw: PartialWeights, givens, vectors, p_top, targets,
                    certify) -> SolveOutcome:
     """The level search for each 2K vector in turn: the first Feasible one
     is certified; else Unknown if any vector was, else Infeasible with every
-    vector's reason.  K is an int on the ray and a `Fraction` on (0, 1]."""
+    vector's reason.  K is an int on the ray and a `Fraction` on (0, 1].
+    Level-0 values are computed once per solve (`_level_zero`)."""
     masses = tuple(cls.first_mass for cls in pw.classes)
+    seqs = [tuple(g) for g in givens]
+    table = {}
     unknown, reasons = None, []
     for two_ks in vectors:
         vec = tuple(two_k // 2 if isinstance(ops.domain, Ray) else Fraction(two_k, 2)
@@ -443,7 +495,8 @@ def _solve_vectors(ops, pw: PartialWeights, givens, vectors, p_top, targets,
         problem = _LevelProblem(ops, masses, tuple(two_k - 1 for two_k in two_ks),
                                 p_top, targets, pw.kappa)
         try:
-            status, payload = _search_levels(problem, [tuple(g) for g in givens])
+            known = _level_zero(problem, seqs, table)
+            status, payload = _search_levels(problem, seqs, 0, known)
         except MomentKitError as exc:  # kernel guarantees violated along a path
             status, payload = SolveStatus.UNKNOWN, f"K={vec}: search aborted: {exc}"
         if status is SolveStatus.FEASIBLE:
@@ -722,7 +775,13 @@ def kappa_infinite_probe(trunk_sq_stream, classes, kappa_max: int,
                          K="auto") -> ProbeReport:
     """Run the finite-trunk solver for every trunk prefix up to kappa_max
     and report the norm bounds; 'feasible toward infinity' is an empirical
-    statement about the prefixes, never a proof."""
+    statement about the prefixes, never a proof.
+
+    So a "FeasibleTowardInfinity" verdict is outside the exact contract
+    that every other answer of the package keeps (exact, or an explicit
+    Unknown): it certifies each prefix it ran, not the infinite trunk.  Its
+    "Infeasible" and "Unknown", and the status of each per-kappa row, are
+    exact."""
     trunk_sq_stream = list(trunk_sq_stream)
     if len(trunk_sq_stream) < kappa_max:
         raise Unsupported("trunk prefix shorter than the probe range")

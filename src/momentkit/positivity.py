@@ -483,7 +483,19 @@ def _classify_limit(w: _Window, domain: Domain, by_slot: bool = False) -> Positi
     b s_k - s_(k+1) at b = 1 and M.  With `by_slot` an exact window's M is
     read from `_Window.slot_pass`, whose corner then gives the threshold of
     a prepended value; otherwise, and always for a float window, M is
-    `classify_form`'s."""
+    `classify_form`'s.
+
+    So for odd n on (0, 1] a window that is not strict is eliminated twice:
+    once for the b s_k - s_(k+1) form, once for H(s) in the determinacy
+    test.  The first pass cannot stand in for the second.  It is the
+    Hankel form of d_k = s_k - s_(k+1), the moments of (1 - t) dmu, whose
+    support polynomial q lacks the factor t - 1 whenever 1 is an atom.  So
+    p would be q or (t - 1) q, which only a recurrence test on s tells
+    apart, and the masses of p's roots would need a sign check of their
+    own, the mass at 1 among them: `_determinate_poly` needs none, because
+    its p comes with H_r(s) = V^T D V positive definite, which only the
+    pass over H(s) shows.  When the first form is positive definite and M
+    is not, neither pass is over H(s) either."""
     n = len(w.ints) - 1
     if isinstance(domain, Ray) or n % 2 == 0:
         first = w.hankel_class()

@@ -31,7 +31,10 @@ entries or more is dilated (`numeric._dilated_scale`) once, when
 and no window decides its lam twice.  Atoms are found from certified float
 seeds: a planted rational measure is recovered on every domain with no
 Sturm chain but those of the determinacy tests (`numeric.count_roots`), and
-a polynomial whose seeds fail the certificate builds one chain.
+a polynomial whose seeds fail the certificate builds one chain.  An "auto"
+completion solve classifies each given branch window once to read its atom
+counts, and computes each level-0 threshold or forced value once, however
+many atom-count vectors it searches.
 """
 
 import json
@@ -55,6 +58,7 @@ from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, class
                                   recover_minimal_measure)
 from momentkit.principal import (PrincipalKind, minimal_measure_half_open, minimal_measure_ray,
                                  principal_compact)
+from momentkit.tree import BranchClass, PartialWeights
 
 KERNEL = ("classify_form", "_minor_pass", "det_poly", "count_roots")
 
@@ -131,6 +135,73 @@ def test_search_reads_each_level_value_from_one_pass(calls, ops, mu):
         a, b, c = completion._quadratic(ops, rest, theta)
         assert _counts(calls) == (0, 1, 0, 0)
         assert a + b + c == ops.threshold((theta + 1,) + rest)
+
+
+#: two-class "auto" solves that search several 2K vectors: (solver, ops,
+#: trunk squares, first-weight masses, tails); the "singular" ones have a
+#: class whose given window is a one-atom window, forced at level 0
+SWEEPS = {
+    "subnormal": (completion.solve_subnormal, completion._RAY_OPS, (F(280, 139), F(417, 346)),
+                  (F(5, 14), F(17, 12)), ((F(20, 9),), (F(2),))),
+    "subnormal-singular": (completion.solve_subnormal, completion._RAY_OPS, (F(1, 10), F(1, 10)),
+                           (F(1, 2), F(1, 2)), ((F(2), F(2)), (F(3), F(7, 2)))),
+    "che": (completion.solve_che, completion._HALF_OPS, (F(457, 411), F(5343, 3190)),
+            (F(256, 457), F(224, 457)), ((F(33, 32),), (F(65, 64),))),
+    "che-singular": (completion.solve_che, completion._HALF_OPS, (F(3, 2), F(2)),
+                     (F(1), F(1, 2)), ((F(2), F(5, 4), F(11, 10)), (F(2), F(19, 16), F(81, 76)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_sweep_reads_one_verdict_and_each_level_zero_value_once(monkeypatch, case):
+    solve, ops, trunk_sq, masses, tails = SWEEPS[case]
+    pw = PartialWeights(trunk_sq, [BranchClass(m, tail, 1) for m, tail in zip(masses, tails)])
+    window = (completion._given_subnormal_window if ops is completion._RAY_OPS
+              else completion._given_che_window)
+    givens = [window(c) for c in pw.classes]
+    classified, thresholds, searched, levels = Counter(), Counter(), [], []
+    classify, threshold, search = ops.classify, completion._DomainOps.threshold, \
+        completion._search_levels
+
+    def counted_classify(seq, *args, **kwargs):
+        classified[tuple(seq)] += 1
+        return classify(seq, *args, **kwargs)
+
+    def counted_threshold(self, seq):
+        # level-0 values only: a deeper window can equal a given one
+        if not levels or levels[-1] == 0:
+            thresholds[tuple(seq)] += 1
+        return threshold(self, seq)
+
+    def counted_search(problem, seqs, level=0, known=None):
+        if level == 0:
+            searched.append(problem.big_ns)
+        levels.append(level)
+        try:
+            return search(problem, seqs, level, known)
+        finally:
+            levels.pop()
+
+    monkeypatch.setattr(ops, "classify", counted_classify)
+    monkeypatch.setattr(completion._DomainOps, "threshold", counted_threshold)
+    monkeypatch.setattr(completion, "_search_levels", counted_search)
+    solve(pw, "auto")
+    assert len(searched) >= 2
+    slices = {g[i:j] for g in givens for i in range(len(g)) for j in range(i + 1, len(g) + 1)}
+    for given in givens:
+        # one verdict on the given window; a singular one's index is then
+        # checked once by `_branch_k_compatible`, which classifies the
+        # window of the last 2K entries twice and each other one once
+        assert classified[given] == 1
+        if not classify(given).is_strict:
+            assert max(n for w, n in classified.items() if w in slices and w != given) <= 2
+        # each level-0 value (a free slot's threshold of the whole window, a
+        # forced slot's of its first 2K entries) once per solve, however
+        # many vectors are searched
+        assert all(thresholds[given[:j]] <= 1 for j in range(1, len(given) + 1))
+        assert sum(thresholds[given[:j]] for j in range(1, len(given) + 1)) == len(
+            {min(big_ns[c] + 1, len(given)) for big_ns in searched
+             for c, g in enumerate(givens) if g == given})
 
 
 def test_compact_extremes_classify_once(calls):

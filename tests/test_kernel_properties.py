@@ -20,10 +20,14 @@ the `Fraction` formulas they replace, and every verdict against
 `_Window.of`, gives every verdict, polynomial, threshold and entry that its
 lam = 1 image gives.
 The moments and geometric sums that measures read off their integer images
-are checked against the plain sums over planted atoms.
+are checked against the plain sums over planted atoms.  The atom counts a
+given branch window admits, read from one verdict, are checked against one
+`_branch_k_compatible` check per count, on every small window and on
+planted ones.
 """
 
 import contextlib
+import itertools
 import math
 from fractions import Fraction as F
 from unittest import mock
@@ -37,7 +41,8 @@ import momentkit.positivity as positivity
 import momentkit.principal as principal
 from momentkit.alternating import CAMeasure, has_ca_extension
 from momentkit.backward import forced_value
-from momentkit.completion import _HALF_OPS, _RAY_OPS, _quadratic
+from momentkit.completion import (_HALF_OPS, _RAY_OPS, _admissible_two_ks,
+                                  _branch_k_compatible, _quadratic)
 from momentkit.extremal import (_schur_quadratic, _schur_threshold, reciprocal_inf_half_open,
                                 reciprocal_inf_ray, reciprocal_value_from_poly)
 from momentkit.measure import AtomicMeasure, MomentRecurrence, moments
@@ -470,6 +475,65 @@ def test_level_quadratic_matches_three_exact_samples(problem, step):
     for rest, samples in cases:
         a, b, c = _quadratic(ops, rest, theta)
         assert [(a * x + b) * x + c for x in (step, 2 * step, 3 * step)] == samples
+
+
+# --------------------------------------------------------------------------
+# the admissible atom counts of a given branch window
+# --------------------------------------------------------------------------
+
+def _admissible(rule, ops, given):
+    """The 2K in 1..top + 3 (even on the ray) that `rule` admits for the
+    given window, or the type and message of the error it raises."""
+    step = 2 if ops is _RAY_OPS else 1
+    candidates = range(step, len(given) + 3, step)
+    try:
+        return rule(ops, tuple(given), candidates)
+    except MomentKitError as exc:
+        return type(exc), str(exc)
+
+
+def _per_two_k(ops, given, candidates):
+    """The reference: one `_branch_k_compatible` check per 2K."""
+    return [two_k for two_k in candidates if _branch_k_compatible(ops, given, two_k - 1)]
+
+
+@pytest.mark.parametrize("ops", [_RAY_OPS, _HALF_OPS])
+def test_one_verdict_admits_what_every_per_two_k_check_admits_on_small_windows(ops):
+    for n in range(1, 6):
+        for given in itertools.product(range(1, 5), repeat=n):
+            given = tuple(F(v) for v in given)
+            assert _admissible(_admissible_two_ks, ops, given) == \
+                _admissible(_per_two_k, ops, given), given
+
+
+@st.composite
+def planted_given_windows(draw):
+    """1-9 moments of a planted 1-4-atom measure on the ray (atoms in
+    [1/8, 24]) or on (0, 1] (atom 1 allowed), 30 % of them with one entry
+    moved by +-1/7."""
+    half_open = draw(st.booleans())
+    if half_open:
+        atom = st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16)
+    else:
+        atom = st.fractions(min_value=F(1, 8), max_value=24, max_denominator=8)
+    atoms = draw(st.sets(atom, min_size=1, max_size=4))
+    masses = draw(st.lists(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8),
+                           min_size=len(atoms), max_size=len(atoms)))
+    window = list(moments(AtomicMeasure(list(zip(sorted(atoms), masses))), 0,
+                          draw(st.integers(0, 8))).values)
+    if draw(st.integers(0, 9)) < 3:
+        window[draw(st.integers(0, len(window) - 1))] += draw(st.sampled_from((F(1, 7),
+                                                                               F(-1, 7))))
+    return (_HALF_OPS if half_open else _RAY_OPS), tuple(window)
+
+
+@given(planted_given_windows())
+def test_one_verdict_admits_what_every_per_two_k_check_admits_on_planted_windows(problem):
+    """A strict window admits every 2K >= top + 1, a singular one twice its
+    index when its own check passes, one that is not positive none: the
+    same lists, and the same errors, as one check per 2K."""
+    ops, given = problem
+    assert _admissible(_admissible_two_ks, ops, given) == _admissible(_per_two_k, ops, given)
 
 
 # --------------------------------------------------------------------------
