@@ -393,15 +393,17 @@ def _search_levels(problem: _LevelProblem, seqs, level: int = 0, known=None):
 def _branch_k_compatible(ops: _DomainOps, given, big_n: int) -> bool:
     """Can the prescribed window carry a minimal measure with this 2K-1?
     Slots at depth >= given-length - big_n are strict (one suffix check
-    suffices), deeper prescribed slots must equal their forced values."""
+    suffices), deeper prescribed slots must equal their forced values.
+    The forced value at k reads the window given[k + 1:k + big_n + 2],
+    which must be strictly positive; at k = k0 - 1 that is the suffix
+    already checked, so it is classified once."""
     given = tuple(given)
     top = len(given) - 1
     k0 = max(0, top - big_n)
     if not ops.is_strict(given[k0:]):
         return False
     for k in range(k0 - 1, -1, -1):
-        window = given[k + 1:k + big_n + 2]
-        if not ops.is_strict(window):
+        if k < k0 - 1 and not ops.is_strict(given[k + 1:k + big_n + 2]):
             return False
         if given[k] != ops.forced(given[k + 1:], big_n):
             return False

@@ -19,12 +19,25 @@ window on, and `tilt` builds the tilted measure's image from its parent's,
 so each exact measure has one image.  With the positions P_i / Q and the
 masses U_i / V over common denominators, moment k of an AtomicMeasure is
 sum_i U_i P_i^k / (V Q^k), and for k < 0 the same sum over the reciprocal
-positions.  A MomentRecurrence runs its recurrence on the primitive integer
-polynomial q and on its seed window scaled by the common denominator L, so
-its moments are N_k / (L |q_d|^e) past the window and N_k / (L |q_0|^e)
-before it.  Moments, ratios of consecutive moments and geometric sums
+positions.  V need not be the least common denominator: the principal
+construction hands over the masses as the numerators U_i of its Lagrange
+form (`numeric._lagrange_masses`) without reducing them.  A
+MomentRecurrence runs its recurrence on the primitive integer polynomial q
+and on its seed window scaled by the common denominator L, so its moments
+are N_k / (L |q_d|^e) past the window and N_k / (L |q_0|^e) before it.
+Moments, ratios of consecutive moments and geometric sums
 1 + ... + t^(n-1) are read off a run of such numerators (`_Row`), with one
-normalisation per value returned.  Float measures keep float arithmetic.
+normalisation per value returned, and none for a value that is only
+compared with an exact one (`_Row.equals`).  Float measures keep float
+arithmetic.
+
+A measure built on a handed-over image (`_imaged`) trusts what its builder
+already holds: its atoms are `Fraction`s in lowest terms, in the image's
+order, and the image's integers are theirs.  They are not re-wrapped,
+merged or sorted.  What the AtomicMeasure constructor would check is still
+checked, on the image's integers: every position and mass is positive
+(else the constructor's DegenerateInput), and the positions ascend
+strictly, so that none repeats (else DegenerateInput too).
 """
 
 from __future__ import annotations
@@ -50,11 +63,20 @@ class _Row:
     def __init__(self, nums: list, den: int, steps: list):
         self.nums, self.den, self.steps = nums, den, steps
 
-    def value(self, i: int) -> Fraction:
+    def denominator(self, i: int) -> int:
+        """The positive denominator of v_i over which nums[i] is kept."""
         den = self.den
         for step in self.steps[:i]:
             den *= step
-        return Fraction(self.nums[i], den)
+        return den
+
+    def value(self, i: int) -> Fraction:
+        return Fraction(self.nums[i], self.denominator(i))
+
+    def equals(self, i: int, x: Fraction) -> bool:
+        """v_i == x for an exact x, by one integer cross product: no
+        `Fraction` is normalised."""
+        return self.nums[i] * x.denominator == x.numerator * self.denominator(i)
 
     def ratios(self, start: int = 0) -> list:
         """v_(i+1) / v_i for i >= start."""
@@ -172,14 +194,14 @@ class AtomicMeasure:
         merged = {}
         for pos, mass in atoms:
             if not isinstance(pos, float):
-                pos = Fraction(pos)
+                pos = as_fraction(pos)
             if not isinstance(mass, float):
-                mass = Fraction(mass)
+                mass = as_fraction(mass)
             if not pos > 0:
                 raise DegenerateInput(f"atom position {pos!r} is not positive")
             if not mass > 0:
                 raise DegenerateInput(f"atom mass {mass!r} is not positive")
-            merged[pos] = merged.get(pos, 0) + mass
+            merged[pos] = merged[pos] + mass if pos in merged else mass
         object.__setattr__(self, "atoms",
                            tuple(sorted(merged.items(), key=lambda it: it[0])))
         object.__setattr__(self, "exact", bool(exact))
@@ -260,10 +282,30 @@ def moments(mu, lo: int, hi: int) -> "MomentSequence":
 
 
 def _imaged(atoms, exact: bool, image: _AtomImage) -> AtomicMeasure:
-    """AtomicMeasure(atoms, exact) carrying `image` as its integer image:
-    `image` holds the same atoms, and in the same order, so the positions
-    must be distinct and ascending."""
-    mu = AtomicMeasure(atoms, exact=exact)
+    """AtomicMeasure(atoms, exact) carrying `image` as its integer image,
+    built from that image without a second pass over the atoms.
+
+    `image` holds the same atoms in the same order, and each atom is an
+    exact (position, mass) pair of `Fraction`s in lowest terms: that is
+    trusted, not re-read.  What AtomicMeasure would read is checked on the
+    image's integers: positions P_i / Q and masses U_i / V with Q, V > 0,
+    so P_i > 0 and U_i > 0 in the order AtomicMeasure checks them (raising
+    its DegenerateInput), and P_i strictly ascending, since the atoms are
+    neither merged nor sorted here (a repeated or out-of-order position
+    raises DegenerateInput too)."""
+    atoms = tuple(atoms)
+    last = 0
+    for (pos, mass), p, u in zip(atoms, image.up.bases, image.up.coeffs):
+        if not p > 0:
+            raise DegenerateInput(f"atom position {pos!r} is not positive")
+        if not u > 0:
+            raise DegenerateInput(f"atom mass {mass!r} is not positive")
+        if not p > last:
+            raise DegenerateInput(f"atom position {pos!r} repeats or is out of order")
+        last = p
+    mu = object.__new__(AtomicMeasure)
+    object.__setattr__(mu, "atoms", atoms)
+    object.__setattr__(mu, "exact", bool(exact))
     object.__setattr__(mu, "_img", image)
     return mu
 
@@ -288,11 +330,12 @@ class MomentSequence:
     values: tuple
 
     def __init__(self, first_index: int, values: Sequence[Scalar]):
-        values = tuple(v if isinstance(v, float) else Fraction(v) for v in values)
+        values = tuple(v if isinstance(v, float) else as_fraction(v) for v in values)
         if not values:
             raise ShapeError("empty moment sequence")
         for v in values:
-            if v < 0:
+            # the sign of an exact value is its numerator's
+            if (v if isinstance(v, float) else v.numerator) < 0:
                 raise DegenerateInput(f"negative moment value {v!r}")
         object.__setattr__(self, "first_index", int(first_index))
         object.__setattr__(self, "values", values)

@@ -76,7 +76,7 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
 def format_scalar(x: Scalar) -> str:
     if isinstance(x, float):
         return repr(x)
-    x = Fraction(x)
+    x = as_fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -477,15 +477,14 @@ def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
     """Every real root of `p` in [lo, hi], ascending, as a RootEnclosure.
 
     Roots at lo and hi come out exact and are deflated out of the primitive
-    integer polynomial.  What is left, of degree 2 or more, is first solved
+    integer polynomial.  A linear remainder has its root settled exactly
+    (`_linear_root`).  What is left of degree 2 or more is first solved
     from float seeds certified exactly (`_seeded`): a rational root whose
     seed snaps to it comes out exact, every other root as a narrow bracket
     around its seed.  The certificate holds only when every root of what is
-    left is real, simple and strictly inside (lo, hi).  Otherwise, and for
-    a linear or constant remainder, Sturm sequences isolate the roots
-    (`_sturm_isolate`): the root of a linear remainder comes out exact,
-    other interior roots as isolating intervals.  Either way an interval is
-    refined by `RootEnclosure.refine`.  Float input (in p, lo or hi) is
+    left is real, simple and strictly inside (lo, hi).  Otherwise Sturm
+    sequences isolate the roots (`_sturm_isolate`) as isolating intervals.
+    Either way an interval is refined by `RootEnclosure.refine`.  Float input (in p, lo or hi) is
     isolated on its binary-exact image over [lo - d, hi + d],
     d = eps * max(1, |lo|, |hi|), so that a root the rounding moved just
     past an end still counts; each root comes back settled as a float
@@ -520,39 +519,51 @@ def _isolate(coeffs, lo: Fraction, hi: Fraction) -> list:
     if hi != lo and _horner(work, hi.numerator, hi.denominator) == 0:
         last.append(RootEnclosure(root=hi))
         work = _deflate(work, hi)
-    interior = _seeded(work, lo, hi) if len(work) > 2 else None
+    if len(work) <= 2:
+        return first + _linear_root(work, lo, hi) + last
+    interior = _seeded(work, lo, hi)
     if interior is None:
         interior = _sturm_isolate(work, lo, hi)
     return first + interior + last
 
 
+def _linear_root(work, lo: Fraction, hi: Fraction) -> list:
+    """`_isolate`'s interior of a constant or linear primitive integer
+    polynomial `work`: its root, exact, when it lies strictly inside
+    (lo, hi).  A root left at lo or hi after the deflation there is a
+    repeated root of the polynomial, which raises DegenerateInput."""
+    if (_horner(work, lo.numerator, lo.denominator) == 0
+            or _horner(work, hi.numerator, hi.denominator) == 0):
+        raise DegenerateInput("polynomial has a repeated root")
+    if len(work) == 2:
+        root = Fraction(-work[0], work[1])
+        if lo < root < hi:
+            return [RootEnclosure(root=root)]
+    return []
+
+
 def _sturm_isolate(work, lo: Fraction, hi: Fraction) -> list:
     """`_isolate`'s interior RootEnclosures of the primitive integer
-    polynomial `work`, nonzero at lo and hi unless that root is repeated,
-    by Sturm bisection."""
+    polynomial `work`, deg >= 2, nonzero at lo and hi unless that root is
+    repeated, by Sturm bisection: the fallback when `_seeded` fails."""
     chain = _sturm_chain(work)
     # p is squarefree iff what is left is, and no deflated root remains
     if (len(chain[-1]) > 1 or _horner(work, lo.numerator, lo.denominator) == 0
             or _horner(work, hi.numerator, hi.denominator) == 0):
         raise DegenerateInput("polynomial has a repeated root")
     interior = []
-    if len(work) == 2:  # a linear remainder has its root settled
-        root = Fraction(-work[0], work[1])
-        if lo < root < hi:
-            interior.append(RootEnclosure(root=root))
-    elif len(work) > 1:
-        # intervals are half-open (a, b] with the polynomial nonzero at both
-        # endpoints, so Sturm counts stay exact; left halves go first
-        stack = [(lo, _sign_variations(chain, lo), hi, _sign_variations(chain, hi))]
-        while stack:
-            a, va, b, vb = stack.pop()
-            if va - vb == 1:
-                interior.append(RootEnclosure(work, a, b))
-            elif va - vb > 1:
-                mid = _nonroot_split(work, a, b)
-                vm = _sign_variations(chain, mid)
-                stack.append((mid, vm, b, vb))
-                stack.append((a, va, mid, vm))
+    # intervals are half-open (a, b] with the polynomial nonzero at both
+    # endpoints, so Sturm counts stay exact; left halves go first
+    stack = [(lo, _sign_variations(chain, lo), hi, _sign_variations(chain, hi))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va - vb == 1:
+            interior.append(RootEnclosure(work, a, b))
+        elif va - vb > 1:
+            mid = _nonroot_split(work, a, b)
+            vm = _sign_variations(chain, mid)
+            stack.append((mid, vm, b, vb))
+            stack.append((a, va, mid, vm))
     return interior
 
 
@@ -684,20 +695,11 @@ def vandermonde_masses(atoms: Sequence[Scalar], window: Sequence[Scalar]):
     """Masses m_j at distinct `atoms` x_j that match the first c = len(atoms)
     moments of `window`: the solution of sum_j m_j x_j^k = s_k, k < c, in
     its Lagrange form m_j = q(x_j) / p'(x_j), p = prod (t - x_i) and q its
-    `associated` polynomial.
-
-    It runs on one integer image: the atoms over a common denominator,
-    x_j = P_j / Q, so that p~(t) = prod (Q t - P_i) = Q^c p(t), and the
-    window scaled by its least common denominator, S_k = unit * s_k.  The
-    associated polynomial q~ of p~ under S is unit * Q^c * q, and
-
-        m_j = _horner(q~, P_j, Q) / (unit * Q^c * prod_(i != j) (P_j - P_i)),
-
-    one `Fraction` per mass.  That is O(c^2) integer work in place of an
-    O(c^3) elimination, and it is the same exact solution, for rational
-    roots, enclosure midpoints and floats alike.  Float input runs on its
-    binary-exact image and gets floats back.  Coinciding atoms raise
-    DegenerateInput."""
+    `associated` polynomial, read on one integer image (`_lagrange_masses`).
+    That is O(c^2) integer work in place of an O(c^3) elimination, and it is
+    the same exact solution, for rational roots, enclosure midpoints and
+    floats alike.  Float input runs on its binary-exact image and gets
+    floats back.  Coinciding atoms raise DegenerateInput."""
     c = len(atoms)
     if c == 0:
         return []
@@ -705,20 +707,35 @@ def vandermonde_masses(atoms: Sequence[Scalar], window: Sequence[Scalar]):
         raise InsufficientMoments("moment window shorter than atom count")
     window = window[:c]
     floats = any(isinstance(x, float) for x in (*atoms, *window))
-    S, unit = _integer_scale([as_fraction(v) for v in window])
-    P, Q = _integer_scale([as_fraction(x) for x in atoms])
+    U, V = _lagrange_masses(*_integer_scale([as_fraction(x) for x in atoms]),
+                            *_integer_scale([as_fraction(v) for v in window]))
+    out = [Fraction(u, V) for u in U]
+    return [_to_float(v) for v in out] if floats else out
+
+
+def _lagrange_masses(P, Q: int, S, unit: int) -> tuple:
+    """(U, V): the masses U_j / V, V > 0, of `vandermonde_masses` at the
+    atoms x_j = P_j / Q, matching the window entries s_k = S_k / unit for
+    k < c = len(P), over one denominator and without a gcd per mass.
+
+    p~(t) = prod (Q t - P_i) = Q^c p(t), and the associated polynomial q~
+    of p~ under S is unit * Q^c * q, so
+
+        m_j = _horner(q~, P_j, Q) / (unit * Q^c * prod_(i != j) (P_j - P_i)),
+
+    and V is unit * Q^c times the least common multiple of the products.
+    Coinciding atoms raise DegenerateInput."""
+    c = len(P)
     p = [1]
     for x in P:  # times (Q t - x)
         p = [Q * b - x * a for a, b in zip(p + [0], [0] + p)]
-    q = list(associated(p, S))
-    scale = unit * Q ** c
-    out = []
-    for j, x in enumerate(P):
-        slope = math.prod(x - y for i, y in enumerate(P) if i != j)
-        if slope == 0:
-            raise DegenerateInput("coinciding atoms")
-        out.append(Fraction(_horner(q, x, Q), scale * slope))
-    return [_to_float(v) for v in out] if floats else out
+    q = list(associated(p, S[:c]))
+    slopes = [math.prod(x - y for i, y in enumerate(P) if i != j) for j, x in enumerate(P)]
+    if 0 in slopes:
+        raise DegenerateInput("coinciding atoms")
+    common = math.lcm(*slopes)
+    return ([_horner(q, x, Q) * (common // slope) for x, slope in zip(P, slopes)],
+            unit * Q ** c * common)
 
 
 # --------------------------------------------------------------------------

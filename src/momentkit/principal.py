@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import DegenerateInput, NotStrictlyPositive
+from .errors import DegenerateInput, InsufficientMoments, NotStrictlyPositive
 from .measure import AtomicMeasure, _AtomImage, _imaged
-from .numeric import (HankelImage, Polynomial, Scalar, _dilated_scale, _minor_pass,
-                      _pass_bordered, _to_float, as_fraction, root_enclosures, root_precision,
-                      vandermonde_masses)
+from .numeric import (HankelImage, Polynomial, Scalar, _dilated_scale, _integer_scale,
+                      _lagrange_masses, _minor_pass, _pass_bordered, _to_float, as_fraction,
+                      root_enclosures, root_precision, vandermonde_masses)
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
                          _limit_window, _support_measure, _support_poly, _values,
                          classify_compact, classify_half_open)
@@ -124,36 +124,39 @@ def _atoms_and_image(poly: Polynomial, window: Sequence[Scalar], lo: Scalar, hi:
     (`measure._AtomImage`) the exact atoms were checked on, None when they
     are not exact.  The pairs ascend by position.
 
-    The roots are isolated once and the masses read at the enclosures'
-    midpoints.  A mass that is nonpositive or below 2^-TINY_MASS_BITS of
-    the largest stands only when it is positive and the masses read at the
-    enclosures' lower ends agree with it to half of itself (`_masses_hold`);
-    otherwise every enclosure is narrowed by 2^-64 and the masses are read
-    again, up to MASS_REFINEMENTS times."""
+    The roots are isolated once.  When every root comes out exact and the
+    window is exact, the masses and the image are read on one integer
+    image of each (`_exact_atoms`).  Otherwise the masses are read at the
+    enclosures' midpoints.  A mass that is nonpositive or below
+    2^-TINY_MASS_BITS of the largest stands only when it is positive and
+    the masses read at the enclosures' lower ends agree with it to half of
+    itself (`_masses_hold`); otherwise every enclosure is narrowed by 2^-64
+    and the masses are read again, up to MASS_REFINEMENTS times."""
     enclosures = root_enclosures(poly, lo, hi)
     if len(enclosures) != poly.degree:
         raise DegenerateInput(
             f"expected {poly.degree} simple roots in range, found {len(enclosures)}")
+    window = list(window)
     width = root_precision()
     for _ in range(MASS_REFINEMENTS + 1):
         roots = [e.refine(width) for e in enclosures]
-        masses = vandermonde_masses(roots, list(window))
         settled = all(e.root is not None for e in enclosures)
+        if settled and not any(isinstance(v, float) for v in window + roots):
+            return _exact_atoms(roots, window)
+        masses = vandermonde_masses(roots, window)
         if settled or _masses_hold(enclosures, masses, window):
             break
         width /= 2 ** 64
+    _positive_masses(masses)
+    if len(set(roots)) != len(roots):
+        raise DegenerateInput("coinciding atoms in principal construction")
+    return list(zip(roots, masses)), None
+
+
+def _positive_masses(masses):
     for mass in masses:
         if not mass > 0:
             raise DegenerateInput("nonpositive mass in principal construction")
-    if len(set(roots)) != len(roots):
-        raise DegenerateInput("coinciding atoms in principal construction")
-    pairs = list(zip(roots, masses))
-    image = None
-    if settled and not any(isinstance(v, float) for v in list(window) + list(roots)):
-        image = _reproduces(pairs, window)
-        if image is None:
-            raise DegenerateInput("principal measure fails its moment window")
-    return pairs, image
 
 
 def _masses_hold(enclosures, masses, window) -> bool:
@@ -164,25 +167,33 @@ def _masses_hold(enclosures, masses, window) -> bool:
     if not small:
         return True
     lower = vandermonde_masses([Fraction(e.lo, e.den) if e.root is None else e.root
-                                for e in enclosures], list(window))
+                                for e in enclosures], window)
     return all(masses[j] > 0 and 2 * abs(masses[j] - lower[j]) < masses[j] for j in small)
 
 
-def _reproduces(pairs, window) -> Optional[_AtomImage]:
-    """The integer image of the exact atoms `pairs` (`measure._AtomImage`)
-    when sum_i m_i x_i^k = s_k for every k of the exact `window`, else
-    None.
+def _exact_atoms(roots: list, window: list) -> tuple:
+    """`_atoms_and_image` for exact, ascending `roots` and an exact window.
 
-    On that image moment k is N_k / (V Q^k), and s_k = num / den holds iff
-    den N_k = num V Q^k."""
-    image = _AtomImage.of(pairs)
-    sums, power = image.up.upto(len(window) - 1), image.V
-    for k, v in enumerate(window):
+    The roots are P_j / Q and the window S_k / unit, each scaled once; the
+    masses come from them as U_j / V (`numeric._lagrange_masses`), and
+    `measure._AtomImage` is built on P, Q, U and V as they are.  The atoms
+    reproduce the window iff moment k of the image, N_k / (V Q^k), is
+    S_k / unit for every k, that is unit N_k = S_k V Q^k; a window they
+    fail raises DegenerateInput."""
+    if len(window) < len(roots):
+        raise InsufficientMoments("moment window shorter than atom count")
+    P, Q = _integer_scale(roots)
+    S, unit = _integer_scale(window)
+    U, V = _lagrange_masses(P, Q, S, unit)
+    _positive_masses(U)
+    image = _AtomImage(roots, U, V, P, Q)
+    power = V
+    for k, (x, n) in enumerate(zip(S, image.up.upto(len(S) - 1))):
         if k:
-            power *= image.Q
-        if v.denominator * sums[k] != v.numerator * power:
-            return None
-    return image
+            power *= Q
+        if unit * n != x * power:
+            raise DegenerateInput("principal measure fails its moment window")
+    return [(x, Fraction(u, V)) for x, u in zip(roots, U)], image
 
 
 def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],

@@ -13,10 +13,11 @@ All weights are handled squared: the criteria are polynomial in the squares
 and stay rational for inputs like sqrt(2).
 
 Certificate checks and weight rows take exact moments and geometric sums
-from the integer image of each measure (see `measure`): a moment is one
-normalised integer quotient, and a completed weight, a ratio of consecutive
-moments or of consecutive gamma_n = 1 + tau_0 + ... + tau_(n-1), is one
-quotient of two integer numerators, e.g. G_n / (Q G_(n-1)).
+from the integer image of each measure (see `measure`).  A branch identity
+compares a moment or a gamma_n = 1 + tau_0 + ... + tau_(n-1) with an exact
+weight product by one integer cross product, with nothing normalised, and
+a completed weight, a ratio of consecutive moments or of consecutive
+gamma_n, is one quotient of two integer numerators, e.g. G_n / (Q G_(n-1)).
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from typing import Optional, Union
 
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
 from .measure import MomentRecurrence, MomentSequence, geometric_row, moment_row
-from .numeric import Scalar
+from .numeric import Scalar, as_fraction
 from .positivity import HalfOpen, Ray, _Window, _determinate_poly
 
 
 def _pos_sq(x, what: str):
     if not isinstance(x, float):
-        x = Fraction(x)
+        x = as_fraction(x)
     if not x > 0:
         raise DegenerateInput(f"{what} must be positive")
     return x
@@ -330,11 +331,20 @@ def _tolerance(*vals):
 
 
 def _eq(a, b) -> bool:
-    """Exact equality for exact operands, tolerance band otherwise."""
+    """Exact equality for exact operands, tolerance band otherwise.  An
+    exact `a` equal to `b` passes at once, so an identity that holds costs
+    one comparison and no subtraction; everything else is read against the
+    band (a float `a` always is, so that equal infinities fail)."""
+    if a == b and not isinstance(a, float):
+        return True
     return abs(a - b) <= _tolerance(a, b)
 
 
 def _le(a, b) -> bool:
+    """a <= b exactly, or within the band of `_eq`; an exact `a` that is
+    at most `b` passes at once."""
+    if a <= b and not isinstance(a, float):
+        return True
     return a <= b + _tolerance(a, b)
 
 
@@ -373,21 +383,34 @@ def _check_counts(w: FullWeights, measures):
 
 
 def _check_branches(w: FullWeights, measures, depth: int, domain, where: str,
-                    closes, identity, first: int):
+                    closes, row, value, name, first: int):
     """The branch checks of both verifiers: each measure mu is positive on
-    `domain` (named `where`), then identity(mu, n) = (value, name) has the
-    value prod_(j=2..n+1) weight_sq(j) for n = first..top."""
+    `domain` (named `where`), then its identity value at n, named name(n),
+    is prod_(j=2..n+1) weight_sq(j) for n = first..top.  The values are
+    read as integer numerators from row(mu, top), the `measure._Row` of
+    the values at n = 0..top, and compared on the integers (`_holds`);
+    value(mu, n) gives each one when mu has no integer image (row is
+    None)."""
     for idx, (cls, mu) in enumerate(zip(w.classes, measures), start=1):
         _check(_positive_on(mu, domain), f"branch {idx}: measure is positive on {where}")
         gen = cls.generator
         # past generation p the weights of a tail over mu itself are read
         # from mu (`closes`), so the identity at n >= p follows from n - 1
         top = len(gen.prefix_sq) if closes(gen, mu) else depth
+        values = row(mu, top)
         prod = Fraction(1)
         for n in range(first, top + 1):
             prod = prod * gen.weight_sq(n + 1) if n else prod
-            value, name = identity(mu, n)
-            _check(_eq(value, prod), f"branch {idx}: {name}")
+            held = (_eq(value(mu, n), prod) if values is None else _holds(values, n, prod))
+            _check(held, f"branch {idx}: {name(n)}")
+
+
+def _holds(values, n: int, x) -> bool:
+    """`_eq` of value n of the `_Row` `values` and x: one integer cross
+    product for an exact x, the float band for a float one."""
+    if isinstance(x, float):
+        return _eq(values.value(n), x)
+    return values.equals(n, x)
 
 
 def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> bool:
@@ -401,8 +424,9 @@ def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> b
     _check_counts(w, measures)
     _check_branches(w, measures, depth, Ray(), "(0, inf)",
                     lambda gen, mu: isinstance(gen, MeasureTail) and gen.measure is mu,
-                    lambda mu, n: (mu.moment(n), f"moment {n} equals the weight product"
-                                   if n else "zeroth moment is 1"), 0)
+                    lambda mu, top: moment_row(mu, 0, top), lambda mu, n: mu.moment(n),
+                    lambda n: f"moment {n} equals the weight product" if n
+                    else "zeroth moment is 1", 0)
     kappa = len(w.trunk_sq)
     trunk_prod = Fraction(1)
     # all-equality chain when the trunk is infinite (checked on its finite
@@ -445,8 +469,9 @@ def verify_che_certificate(w: FullWeights, taus, depth: int = 12) -> bool:
         return True
     _check_branches(w, taus, depth, HalfOpen(), "(0, 1]",
                     lambda gen, tau: isinstance(gen, GeometricSumTail) and gen.tau is tau,
-                    lambda tau, n: (1 + tau.geometric_sum(n),
-                                    f"geometric sum {n} equals the weight product"), 1)
+                    lambda tau, top: geometric_row(tau, top, Fraction(1)),
+                    lambda tau, n: 1 + tau.geometric_sum(n),
+                    lambda n: f"geometric sum {n} equals the weight product", 1)
     kappa = len(w.trunk_sq)
     total = w.first_mass_total
     if kappa == 0:

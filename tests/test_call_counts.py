@@ -33,8 +33,9 @@ seeds: a planted rational measure is recovered on every domain with no
 Sturm chain but those of the determinacy tests (`numeric.count_roots`), and
 a polynomial whose seeds fail the certificate builds one chain.  An "auto"
 completion solve classifies each given branch window once to read its atom
-counts, and computes each level-0 threshold or forced value once, however
-many atom-count vectors it searches.
+counts, and each of a singular window's sub-windows at most once to check
+its index, and computes each level-0 threshold or forced value once,
+however many atom-count vectors it searches.
 """
 
 import json
@@ -190,11 +191,11 @@ def test_sweep_reads_one_verdict_and_each_level_zero_value_once(monkeypatch, cas
     slices = {g[i:j] for g in givens for i in range(len(g)) for j in range(i + 1, len(g) + 1)}
     for given in givens:
         # one verdict on the given window; a singular one's index is then
-        # checked once by `_branch_k_compatible`, which classifies the
-        # window of the last 2K entries twice and each other one once
+        # checked once by `_branch_k_compatible`, which classifies each of
+        # its sub-windows once, the window of the last 2K entries included
         assert classified[given] == 1
         if not classify(given).is_strict:
-            assert max(n for w, n in classified.items() if w in slices and w != given) <= 2
+            assert max(n for w, n in classified.items() if w in slices and w != given) <= 1
         # each level-0 value (a free slot's threshold of the whole window, a
         # forced slot's of its first 2K entries) once per solve, however
         # many vectors are searched

@@ -416,3 +416,61 @@ def test_norm_bound_of_recurrence_without_atoms():
     rec = _recurrence(pairs, 0, 2)
     full = FullWeights([], [FullBranch(F(1, 4), MeasureTail([], rec), 1)])
     assert _norm_sq_bound(full, [rec]) == float(root_bound(rec.poly))
+
+
+# The emitted JSON of four certificates, byte for byte: (solver, trunk
+# squares, first-weight masses, tails, JSON).  The certificate path reads
+# integer images that need not be reduced (unnormalised masses, rows
+# compared by cross products); the printed values must not show it.
+PINNED_JSON = {
+    # a subnormal branch with irrational atoms: a MomentRecurrence with its enclosures
+    "subnormal_recurrence": (solve_subnormal, ["20691/33508"], ["15/11"], [["125/57", "133/25"]],
+        '{"kind": "subnormal", "K": ["2"], "sequences": [{"first_index": -2, "values"'
+        ': ["24719/41775", "11/15", "1", "125/57", "35/3"]}], "measures": [{"recurren'
+        'ce": ["104/171", "-14144/25065", "1352/25065"], "first_index": -2, "window":'
+        ' ["24719/41775", "11/15", "1", "125/57", "35/3"], "atoms_approx": {"atoms": '
+        '[{"x": "1373685853462445/1125899906842624", "m": "42025331607859557619970691'
+        '96644937514824355396681/4782610556696236957684412628433665569742372470784"},'
+        ' {"x": "2601239831453559/281474976710656", "m": "241698914962614446716248832'
+        '569774160225981926339/1992754398623432065701838595180693987392655196160"}], '
+        '"exact": false}}], "weights_sq": [["15/11", "125/57", "133/25", "274047/3285'
+        '1", "32455127/3562611", "73942176533/8016416369", "8881098135453/96124829492'
+        '9", "20271681080633287/2193631239456891", "2435408468972051167/2635318540482'
+        '32731", "5559159270299452059693/601545891836096638249", "6678716971415923676'
+        '17013/72269070513892876776009"]], "trunk_sq": ["20691/33508"], "norm_sq": 9.'
+        '241460331045769}'),
+    # one subnormal branch of one atom
+    "subnormal_one_atom": (solve_subnormal, ["3/2"], ["2"], [["2"]],
+        '{"kind": "subnormal", "K": ["1"], "sequences": [{"first_index": -2, "values"'
+        ': ["1/4", "1/2", "1", "2"]}], "measures": [{"atoms": [{"x": "2", "m": "1"}]}'
+        '], "weights_sq": [["2", "2", "2", "2", "2", "2", "2", "2", "2", "2"]], "trun'
+        'k_sq": ["3/2"], "norm_sq": 2.0}'),
+    # two completely hyperexpansive branches that differ (the non-flat solver)
+    "che": (solve_che, ["457/411", "5343/3190"], ["256/457", "224/457"], [["33/32"], ["65/64"]],
+        '{"kind": "che", "K": ["1", "1"], "sequences": [{"first_index": -3, "values":'
+        ' ["1/4", "1/8", "1/16", "1/32"]}, {"first_index": -3, "values": ["1/8", "1/1'
+        '6", "1/32", "1/64"]}], "measures": [{"atoms": [{"x": "1/2", "m": "1/32"}]}, '
+        '{"atoms": [{"x": "1/2", "m": "1/64"}]}], "weights_sq": [["256/457", "33/32",'
+        ' "67/66", "135/134", "271/270", "543/542", "1087/1086", "2175/2174", "4351/4'
+        '350", "8703/8702"], ["224/457", "65/64", "131/130", "263/262", "527/526", "1'
+        '055/1054", "2111/2110", "4223/4222", "8447/8446", "16895/16894"]], "trunk_sq'
+        '": ["457/411", "5343/3190"], "norm_sq": 1.674921630094044}'),
+    # a flat completely hyperexpansive problem, with its root measure
+    "che_flat": (flat_che_completion, ["121/95"], ["12/11"], [["19/18", "59/57"]],
+        '{"kind": "che-flat", "K": ["1"], "sequences": [{"first_index": -2, "values":'
+        ' ["1/8", "1/12", "1/18", "1/27"]}], "measures": [{"atoms": [{"x": "2/3", "m"'
+        ': "1/18"}]}], "weights_sq": [["12/11", "19/18", "59/57", "181/177", "551/543'
+        '", "1669/1653", "5039/5007", "15181/15117", "45671/45543", "137269/137013", '
+        '"412319/411807"]], "trunk_sq": ["121/95"], "norm_sq": 1.2736842105263158, "r'
+        'oot_measure": {"atoms": [{"x": "2/3", "m": "33/190"}], "zero_mass": "1/10"}}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_JSON))
+def test_certificate_json_is_pinned(case):
+    solve, trunk_sq, masses, tails, want = PINNED_JSON[case]
+    pw = PartialWeights([F(t) for t in trunk_sq],
+                        [BranchClass(F(m), tuple(F(x) for x in tail), 1)
+                         for m, tail in zip(masses, tails)])
+    cert = (solve(pw) if solve is flat_che_completion else solve(pw, "auto")).certificate
+    assert json.dumps(cert.to_json()) == want

@@ -1,0 +1,138 @@
+"""Property tests of the measures built on a handed-over integer image.
+
+`measure._imaged` builds an AtomicMeasure on an image its builder already
+checked, without re-reading the atoms, and `tilt` builds the tilted
+measure's image from its parent's.  On planted 1-4-atom measures with atoms
+in [2^-40, 2^40] both must give the measure the AtomicMeasure constructor
+builds from the same atoms: the same atoms, the same `exact` flag and the
+same moments.  The image is taken both as `_AtomImage.of` builds it and as
+the principal construction hands it over (`principal._exact_atoms`, masses
+over the unreduced Lagrange denominator).  A nonpositive position or mass
+raises the constructor's DegenerateInput; a repeated position, which the
+constructor merges, raises DegenerateInput too.  `format_scalar` and
+`tree._pos_sq` read exact values without re-wrapping a `Fraction`; they
+must agree with the plain `Fraction(x)` forms on every kind of scalar the
+package is handed.
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from momentkit.errors import DegenerateInput
+from momentkit.measure import AtomicMeasure, _AtomImage, _imaged, tilt
+from momentkit.numeric import format_scalar
+from momentkit.principal import _exact_atoms
+from momentkit.tree import _pos_sq
+
+MANTISSA = st.fractions(min_value=1, max_value=2, max_denominator=64)
+MASS = st.fractions(min_value=F(1, 64), max_value=64, max_denominator=64)
+MOMENTS = range(-4, 9)
+
+
+@st.composite
+def planted_measures(draw):
+    """1-4 distinct rational atoms in [2^-40, 2^40], ascending, with
+    rational masses."""
+    atoms = draw(st.sets(st.builds(lambda m, e: m * F(2) ** e, MANTISSA, st.integers(-40, 39)),
+                         min_size=1, max_size=4))
+    return [(x, draw(MASS)) for x in sorted(atoms)]
+
+
+def _reference(atoms, k):
+    return sum((m * x ** k for x, m in atoms), F(0))
+
+
+def _same_measure(mu, want: AtomicMeasure):
+    assert mu.atoms == want.atoms and mu.exact == want.exact
+    assert all(type(v) is F for atom in mu.atoms for v in atom)
+    assert [mu.moment(k) for k in MOMENTS] == [want.moment(k) for k in MOMENTS]
+
+
+def _principal_image(atoms):
+    """The pairs and image the principal construction hands over for these
+    atoms, from their moment window."""
+    window = [_reference(atoms, k) for k in range(2 * len(atoms))]
+    return _exact_atoms([x for x, _ in atoms], window)
+
+
+@given(planted_measures(), st.booleans(), st.integers(-4, 4))
+def test_imaged_and_tilted_measures_are_the_constructors(atoms, exact, k):
+    want = AtomicMeasure(atoms, exact=exact)
+    pairs, image = _principal_image(atoms)
+    assert pairs == atoms
+    for mu in (_imaged(atoms, exact, _AtomImage.of(atoms)), _imaged(pairs, exact, image)):
+        _same_measure(mu, want)
+        tilted = tilt(mu, k)
+        _same_measure(tilted, AtomicMeasure([(x, m * x ** k) for x, m in atoms], exact=exact))
+        assert [tilted.moment(n) for n in MOMENTS] == [_reference(atoms, n + k) for n in MOMENTS]
+
+
+def _raised(call, *args):
+    with pytest.raises(DegenerateInput) as info:
+        call(*args)
+    return str(info.value)
+
+
+@given(planted_measures(), st.data())
+def test_imaged_refuses_what_the_constructor_refuses(atoms, data):
+    i = data.draw(st.integers(0, len(atoms) - 1))
+    bad = data.draw(st.sampled_from([F(0), -atoms[i][0], F(-1, 3)]))
+    for j in (0, 1):  # a nonpositive position, then a nonpositive mass
+        broken = [tuple(bad if (n, m) == (i, j) else v for m, v in enumerate(atom))
+                  for n, atom in enumerate(atoms)]
+        want = _raised(AtomicMeasure, broken)
+        assert _raised(_imaged, broken, True, _AtomImage.of(broken)) == want
+
+
+@given(planted_measures(), st.data())
+def test_imaged_refuses_a_repeated_position(atoms, data):
+    i = data.draw(st.integers(0, len(atoms) - 1))
+    repeated = atoms[:i + 1] + [(atoms[i][0], data.draw(MASS))] + atoms[i + 1:]
+    # the constructor merges the two atoms; an image keeps both, so the
+    # measure built on it would not be the constructor's
+    assert AtomicMeasure(repeated).support_size == len(atoms)
+    assert "repeats or is out of order" in _raised(
+        _imaged, repeated, True, _AtomImage.of(repeated))
+
+
+def _parent_format(x):
+    if isinstance(x, float):
+        return repr(x)
+    x = F(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _parent_pos_sq(x, what):
+    if not isinstance(x, float):
+        x = F(x)
+    if not x > 0:
+        raise DegenerateInput(f"{what} must be positive")
+    return x
+
+
+FRACTIONS = st.fractions(max_denominator=10 ** 12)
+FLOATS = st.floats(allow_nan=False, width=64)
+SCALARS = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30), st.booleans(), FRACTIONS, FLOATS,
+    FLOATS.map(np.float64), FRACTIONS.map(str), st.decimals(allow_nan=False,
+                                                            allow_infinity=False).map(str),
+    st.sampled_from(["", "x", "1/0", " 3/4 ", "inf", "-0"]))
+
+
+def _outcome(call, *args):
+    try:
+        value = call(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@given(SCALARS)
+def test_format_scalar_and_pos_sq_read_scalars_as_fraction_did(x):
+    assert _outcome(format_scalar, x) == _outcome(_parent_format, x)
+    assert _outcome(_pos_sq, x, "weight") == _outcome(_parent_pos_sq, x, "weight")

@@ -93,6 +93,19 @@ def test_real_roots_repeated_root_rejected():
         real_roots(Polynomial([1, -2, 1]), 0, 2)  # (t-1)^2
 
 
+@pytest.mark.parametrize("poly, lo, hi", [
+    (Polynomial([1, -2, 1]), 0, 1),              # (t-1)^2: linear once 1 is deflated
+    (Polynomial([0, 1, -2, 1]), 0, 1),           # t (t-1)^2
+    (Polynomial([F(1, 4), -1, 1]), F(1, 2), 2),  # (t-1/2)^2 at the lower end
+    (Polynomial([1, -2, 1]), 1, 1),              # a point interval
+])
+def test_repeated_root_at_an_end_is_rejected(poly, lo, hi):
+    # a root left at an end after the deflation there is repeated, also
+    # when what is left is linear
+    with pytest.raises(DegenerateInput):
+        real_roots(poly, lo, hi)
+
+
 def test_real_roots_count_for_principal_polynomials(rng):
     # strictly positive windows make the bordered polynomial split with
     # exactly deg simple roots
