@@ -14,8 +14,9 @@ eliminating the form twice.  The masses of atoms at given nodes are the
 Lagrange form of their Vandermonde system, read from the associated
 polynomial (`associated`) on one integer image of the nodes and the window
 (`vandermonde_masses`).  Roots are found from float seeds (Laguerre's
-method) that exact signs certify; primitive integer Sturm chains isolate
-them when the certificate fails, and count roots.  Both evaluate by
+method) that exact signs certify, and isolated by Descartes bisection on the
+primitive integer polynomial when the certificate fails; Descartes' rule of
+signs also counts them (`count_positive_roots`).  Signs are read by
 homogeneous Horner at rational points.  `Fraction`s appear only in the
 results.  `det` and `det_poly` are a plain Gaussian elimination over
 `Fraction`s, kept as a reference for the tests; no library path calls them,
@@ -189,7 +190,7 @@ class Polynomial:
 
 
 # --------------------------------------------------------------------------
-# integer polynomials, certified float seeds and Sturm root isolation
+# integer polynomials, certified float seeds and Descartes root isolation
 # --------------------------------------------------------------------------
 #
 # An integer polynomial is a list of ints, lowest degree first, with a
@@ -243,25 +244,31 @@ def _negated_remainder(f, g) -> list:
     return _primitive([-c for c in f]) if f else []
 
 
-def _sturm_chain(p) -> list:
-    """Sturm chain of an integer polynomial, each member divided by a
-    positive constant (sign counts are unchanged).  It ends at a constant,
-    or at a nonconstant gcd(p, p') when p has a repeated root."""
-    chain = [p]
-    if len(p) > 1:
-        chain.append(_primitive([k * c for k, c in enumerate(p)][1:]))
-    while len(chain[-1]) > 1:
-        rem = _negated_remainder(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(rem)
-    return chain
+def _shifted(coeffs, by: int = 1) -> list:
+    """Coefficients of p(t + by), by the Taylor shift of Horner's rule."""
+    a = list(coeffs)
+    for i in range(len(a) - 1):
+        for k in range(len(a) - 2, i - 1, -1):
+            a[k] += by * a[k + 1]
+    return a
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = [v > 0 for v in (_horner(q, x.numerator, x.denominator) for q in chain)
-             if v]
+def _variations(coeffs) -> int:
+    """Sign variations of a coefficient list, zeros skipped."""
+    signs = [c > 0 for c in coeffs if c]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_positive_roots(coeffs, to_one: bool = False) -> int:
+    """Roots in (0, inf), or with `to_one` in (0, 1], of a real-rooted
+    polynomial (rational coefficients, lowest degree first) by Descartes'
+    rule of signs: var(p), less var(p(1 + t)) on (0, 1], where a root at 1
+    is the root t = 0 of p(1 + t), not positive.  The rule is exact when
+    every root is real, as for every polynomial counted here: orthogonal for
+    a positive definite Hankel block, it has real, simple roots (Szego,
+    *Orthogonal Polynomials*, 1939, Thm 3.3.1)."""
+    count = _variations(coeffs)
+    return count - _variations(_shifted(coeffs)) if to_one else count
 
 
 def root_precision() -> Fraction:
@@ -282,8 +289,8 @@ class RootEnclosure:
     later call with a finer width continues the same bisection.  The
     interval is a bracket of relative half-width 2^-46 (or 2^-30) around a
     certified float seed, narrower than `root_precision()` for most roots,
-    or, on the Sturm path, a Sturm isolating interval; `coeffs` is then the
-    polynomial with the roots already settled deflated out.
+    or an interval of the Descartes bisection; `coeffs` has the roots
+    settled before the enclosure was made deflated out, none at an end.
     """
 
     __slots__ = ("coeffs", "lo", "hi", "den", "root")
@@ -413,14 +420,17 @@ def _around(x: float, bits: int) -> tuple:
 def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
     """`_isolate`'s interior RootEnclosures of the primitive integer
     polynomial `work`, deg >= 2, from float seeds (`_laguerre_seeds`)
-    certified exactly; None when the certificate fails, for the Sturm path
-    to decide.
+    certified exactly; None when the certificate fails, for Descartes
+    bisection (`_descartes_isolate`) to decide.
 
     Each seed's simplest rational within 2^-SNAP_BITS of it, relative, is
     tested by integer Horner and, when it is a root, deflated out.  Each
     other seed gets a bracket of relative half-width 2^-BRACKET_BITS, the
     first whose ends have opposite exact signs of the deflated polynomial.
-    So there are deg p exact roots and brackets, one per seed.  The result
+    A rational root of a primitive integer polynomial has a denominator
+    that divides lead, so a bracket narrower than 1/|lead| settles its one
+    candidate k/|lead| when that is a root.  So there are deg p exact roots
+    and brackets, one per seed.  The result
     stands only when they lie strictly inside (lo, hi) and are pairwise
     disjoint: then each bracket holds a root of the deflated polynomial,
     and the count leaves room for no other, so every root of p is real,
@@ -440,12 +450,19 @@ def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
             work = _deflate(work, root)
         else:
             rest.append(x)
+    lead = abs(work[-1])
     for x in rest:
         for bits in BRACKET_BITS:
             a, b, scale = _around(x, bits)
             va, vb = _horner(work, a, scale), _horner(work, b, scale)
             if (va > 0 and vb < 0) or (va < 0 and vb > 0):
-                found.append((Fraction(a, scale), Fraction(b, scale), work))
+                k = -(-a * lead // scale)
+                if ((b - a) * lead < scale and k * scale <= b * lead
+                        and _horner(work, k, lead) == 0):
+                    root = Fraction(k, lead)
+                    found.append((root, root, None))
+                else:
+                    found.append((Fraction(a, scale), Fraction(b, scale), work))
                 break
         else:
             return None
@@ -457,19 +474,41 @@ def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
             for a, b, coeffs in found]
 
 
-def _nonroot_split(coeffs, a: Fraction, b: Fraction) -> Fraction:
-    """A split point strictly inside (a, b) where the polynomial does not
-    vanish; at most deg(p) probes can fail.  Probe i is
-    a + (b - a) (2i + steps) / (4 steps), evaluated over the common
-    denominator of a and b."""
-    (lo, hi), den = _integer_scale((a, b))
-    steps = len(coeffs) + 1
-    den *= 4 * steps
-    for i in range(steps):
-        num = lo * 4 * steps + (hi - lo) * (2 * i + steps)
-        if _horner(coeffs, num, den) != 0:
-            return Fraction(num, den)
-    raise DegenerateInput("could not find a non-root split point")
+def _descartes_isolate(work, lo: Fraction, hi: Fraction) -> list:
+    """`_isolate`'s interior RootEnclosures of the primitive integer
+    polynomial `work`, deg >= 2, nonzero at lo and hi, by Descartes
+    bisection (Collins and Akritas, 1976), the fallback of `_seeded`; a
+    repeated root (gcd(p, p') != 1) raises DegenerateInput.  A node
+    (a, a + width) / scale carries q(t), a positive multiple of p on it
+    mapped to (0, 1); var((1 + t)^d q(1 / (1 + t))) bounds its roots, is
+    exact at 0 and 1, and reaches those on small nodes of a squarefree p.
+    Its halves carry 2^d q(t / 2) and that shifted by 1; a root at the
+    midpoint is settled and deflated out of what later enclosures carry."""
+    f, g = work, _primitive([k * c for k, c in enumerate(work)][1:])
+    while len(g) > 1:
+        f, g = g, _negated_remainder(f, g)
+    if not g:
+        raise DegenerateInput("polynomial has a repeated root")
+    (start, stop), den = _integer_scale((lo, hi))
+    width, d = stop - start, len(work) - 1
+    q = _shifted([c * den ** (d - i) for i, c in enumerate(work)], start)
+    found, stack = [], [(start, den, [c * width ** i for i, c in enumerate(q)])]
+    while stack:
+        a, scale, q = stack.pop()
+        count = _variations(_shifted(q[::-1]))
+        if count == 1:
+            found.append((Fraction(a, scale), Fraction(a + width, scale), work))
+        elif count > 1:
+            left = [x << (d - i) for i, x in enumerate(q)]
+            right = _shifted(left)
+            if right[0] == 0:
+                root = Fraction(2 * a + width, 2 * scale)
+                found.append((root, root, None))
+                work = _deflate(work, root)
+            stack += [(2 * a + width, 2 * scale, right), (2 * a, 2 * scale, left)]
+    found.sort(key=lambda item: item[0])
+    return [RootEnclosure(root=a) if coeffs is None else RootEnclosure(coeffs, a, b)
+            for a, b, coeffs in found]
 
 
 def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
@@ -477,20 +516,22 @@ def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
     """Every real root of `p` in [lo, hi], ascending, as a RootEnclosure.
 
     Roots at lo and hi come out exact and are deflated out of the primitive
-    integer polynomial.  A linear remainder has its root settled exactly
-    (`_linear_root`).  What is left of degree 2 or more is first solved
+    integer polynomial.  A linear remainder has its root settled exactly.
+    What is left of degree 2 or more is first solved
     from float seeds certified exactly (`_seeded`): a rational root whose
-    seed snaps to it comes out exact, every other root as a narrow bracket
-    around its seed.  The certificate holds only when every root of what is
-    left is real, simple and strictly inside (lo, hi).  Otherwise Sturm
-    sequences isolate the roots (`_sturm_isolate`) as isolating intervals.
-    Either way an interval is refined by `RootEnclosure.refine`.  Float input (in p, lo or hi) is
-    isolated on its binary-exact image over [lo - d, hi + d],
+    seed snaps to it, or whose bracket is narrow enough to test its one
+    candidate, comes out exact, every other root as a narrow bracket around
+    its seed.  The certificate holds only when every root of what is left
+    is real, simple and strictly inside (lo, hi).  Otherwise Descartes
+    bisection isolates the roots (`_descartes_isolate`).  Either way an
+    interval is refined by `RootEnclosure.refine`.  Float input (in p, lo
+    or hi) is isolated on its binary-exact image over [lo - d, hi + d],
     d = eps * max(1, |lo|, |hi|), so that a root the rounding moved just
     past an end still counts; each root comes back settled as a float
     (`RootEnclosure.to_float`).  Repeated roots raise DegenerateInput:
     every polynomial this package feeds in here is guaranteed simple by the
-    theory, so a multiple root signals corrupted input.
+    theory (see `count_positive_roots`), so a multiple root signals
+    corrupted input.
     """
     if p.is_zero():
         raise DegenerateInput("zero polynomial has no isolated roots")
@@ -519,62 +560,17 @@ def _isolate(coeffs, lo: Fraction, hi: Fraction) -> list:
     if hi != lo and _horner(work, hi.numerator, hi.denominator) == 0:
         last.append(RootEnclosure(root=hi))
         work = _deflate(work, hi)
-    if len(work) <= 2:
-        return first + _linear_root(work, lo, hi) + last
-    interior = _seeded(work, lo, hi)
-    if interior is None:
-        interior = _sturm_isolate(work, lo, hi)
-    return first + interior + last
-
-
-def _linear_root(work, lo: Fraction, hi: Fraction) -> list:
-    """`_isolate`'s interior of a constant or linear primitive integer
-    polynomial `work`: its root, exact, when it lies strictly inside
-    (lo, hi).  A root left at lo or hi after the deflation there is a
-    repeated root of the polynomial, which raises DegenerateInput."""
+    # a root left at lo or hi after the deflation there is a repeated root
     if (_horner(work, lo.numerator, lo.denominator) == 0
             or _horner(work, hi.numerator, hi.denominator) == 0):
         raise DegenerateInput("polynomial has a repeated root")
-    if len(work) == 2:
-        root = Fraction(-work[0], work[1])
-        if lo < root < hi:
-            return [RootEnclosure(root=root)]
-    return []
-
-
-def _sturm_isolate(work, lo: Fraction, hi: Fraction) -> list:
-    """`_isolate`'s interior RootEnclosures of the primitive integer
-    polynomial `work`, deg >= 2, nonzero at lo and hi unless that root is
-    repeated, by Sturm bisection: the fallback when `_seeded` fails."""
-    chain = _sturm_chain(work)
-    # p is squarefree iff what is left is, and no deflated root remains
-    if (len(chain[-1]) > 1 or _horner(work, lo.numerator, lo.denominator) == 0
-            or _horner(work, hi.numerator, hi.denominator) == 0):
-        raise DegenerateInput("polynomial has a repeated root")
-    interior = []
-    # intervals are half-open (a, b] with the polynomial nonzero at both
-    # endpoints, so Sturm counts stay exact; left halves go first
-    stack = [(lo, _sign_variations(chain, lo), hi, _sign_variations(chain, hi))]
-    while stack:
-        a, va, b, vb = stack.pop()
-        if va - vb == 1:
-            interior.append(RootEnclosure(work, a, b))
-        elif va - vb > 1:
-            mid = _nonroot_split(work, a, b)
-            vm = _sign_variations(chain, mid)
-            stack.append((mid, vm, b, vb))
-            stack.append((a, va, mid, vm))
-    return interior
-
-
-def count_roots(p: Polynomial, lo: Scalar, hi: Scalar) -> Optional[int]:
-    """Number of real roots of the exact, nonzero polynomial `p` in
-    (lo, hi], read from the sign variations of one Sturm chain at the two
-    ends; no root is isolated.  None when p has a repeated root."""
-    chain = _sturm_chain(_primitive(_integer_scale(p.coeffs)[0]))
-    if len(chain[-1]) > 1:
-        return None
-    return _sign_variations(chain, Fraction(lo)) - _sign_variations(chain, Fraction(hi))
+    if len(work) <= 2:  # a constant, or a linear remainder with its root exact
+        inside = [Fraction(-work[0], work[1])] if len(work) == 2 else []
+        return first + [RootEnclosure(root=x) for x in inside if lo < x < hi] + last
+    interior = _seeded(work, lo, hi)
+    if interior is None:
+        interior = _descartes_isolate(work, lo, hi)
+    return first + interior + last
 
 
 def real_roots(p: Polynomial, lo: Scalar, hi: Scalar,
@@ -582,16 +578,17 @@ def real_roots(p: Polynomial, lo: Scalar, hi: Scalar,
                eps: float = DEFAULT_EPS) -> list:
     """All real roots of `p` in [lo, hi], ascending.
 
-    Exact input is isolated by `root_enclosures`; rational roots are
-    snapped exactly and irrational ones narrowed to enclosures of the
-    requested width (their midpoints are returned).  Snapping is certain
-    for a rational root num/den with den^2 * w < 1, w the width of its
-    final enclosure: at most `width`, and at most 2^-45 |num/den| when its
-    float seed was bracketed at 2^-46 (a seed that snaps to the root settles
-    it at once).  A root with a larger denominator may come back as an
-    enclosure midpoint like an irrational one (see `RootEnclosure.refine`).
-    Float input gets floats, refined to float precision whatever the width.
-    Repeated roots raise DegenerateInput; see `root_enclosures`.
+    Exact input is isolated by `root_enclosures`; rational roots come back
+    exact and irrational ones narrowed to enclosures of the requested width
+    (their midpoints are returned).  A rational root num/den is exact in
+    three ways: its float seed snaps to it, its seed's bracket is narrower
+    than 1/|lead| of the primitive integer polynomial and its one candidate
+    is tested (`_seeded`), or den^2 * w < 1, w the width of its final
+    enclosure (at most `width`), so that it is the simplest rational there
+    (`RootEnclosure.refine`).  A root none of these reaches may come back as
+    an enclosure midpoint like an irrational one.  Float input gets floats,
+    refined to float precision whatever the width.  Repeated roots raise
+    DegenerateInput; see `root_enclosures`.
     """
     enclosures = root_enclosures(p, lo, hi, eps)
     width = precision if precision is not None else root_precision()

@@ -55,7 +55,8 @@ from .errors import (DegenerateInput, DomainError, NotAMomentSequence)
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
 from .numeric import (DEFAULT_EPS, FormClass, HankelImage, Polynomial, Scalar, _dilated_scale,
                       _integer_scale, _minor_pass, _pass_bordered, _pass_class, _pass_solution,
-                      _to_float, _tolerances, as_fraction, classify_form, count_roots)
+                      _to_float, _tolerances, as_fraction, classify_form,
+                      count_positive_roots)
 
 
 # --------------------------------------------------------------------------
@@ -370,14 +371,15 @@ def _reads_zero(x: Scalar, scale, eps: Optional[float]) -> bool:
     return abs(x) <= (DEFAULT_EPS if eps is None else eps) * max(1.0, scale)
 
 
-def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False) -> Optional[Polynomial]:
+def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False,
+                  exact: bool = False) -> Optional[Polynomial]:
     """Monic support polynomial of the unique measure of a singular window
     (the constant 1 for the zero window), read from its leading moments;
     `ends` are the endpoints that belong to the domain.  None when H(s)
     shows that the window is not positive.  With `bordered` p is scaled by
     its leading minor det H_r: the bordered-Hankel polynomial itself, whose
     coefficients a float window rounds as `principal.bordered_hankel_poly`
-    rounds them.
+    rounds them.  With `exact` a float window keeps them unrounded.
 
     With r positive leading pivots of H(s) before the first zero one (a
     negative pivot means not positive), p is the bordered-Hankel polynomial
@@ -413,7 +415,7 @@ def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False) -> Optio
         num, den = _pass_solution(a, r)
         lam = w.lam
         coeffs = [Fraction(-x, den * lam ** (r - j)) for j, x in enumerate(num)] + [Fraction(1)]
-    return Polynomial([_to_float(x) for x in coeffs] if w.floats else coeffs)
+    return Polynomial([_to_float(x) for x in coeffs] if w.floats and not exact else coeffs)
 
 
 def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
@@ -422,45 +424,43 @@ def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
     is not positive there.
 
     p of degree r is `_support_poly`.  The window passes when p's recurrence
-    generates all of it, p(0) != 0, and p has r distinct roots in
-    (0, root_bound(p)], resp. (0, 1]: the masses at those roots that match
-    s_0..s_(r-1) (the Gauss-Christoffel weights q(x)/p'(x) of
-    `numeric.vandermonde_masses`) then reproduce s and are positive, as
-    H_r = V^T D V is positive definite.  A singular
-    window always passes, its unique measure having r atoms.  The recurrence
-    runs on the integer images of the window and of p; roots are counted on
-    the binary-exact image of p by a Sturm chain and never refined.  Floats
-    read as zero by `_reads_zero` at the bounds |c|_1 max|s| of a recurrence
-    sum and |c|_1 of p(0) and p(1); on (0, 1] a p(1) read as zero puts the
-    root at 1.  On a window dilated by lam the recurrence runs with the
-    image of lam^r p(t / lam), coefficient j times lam^(r-j), which the
-    dilated window obeys exactly when the window obeys p.
+    generates all of it, p(0) != 0, and p has r roots in (0, inf), resp.
+    (0, 1]: the masses at those roots that match s_0..s_(r-1) (the
+    Gauss-Christoffel weights q(x)/p'(x) of `numeric.vandermonde_masses`)
+    then reproduce s and are positive, as H_r = V^T D V is positive
+    definite.  A singular window always passes, its unique measure having
+    r atoms.  H_r is positive definite by the choice of r, so p is
+    real-rooted and Descartes' rule counts its roots exactly
+    (`numeric.count_positive_roots`), none isolated: for a float window on
+    the unrounded p, as a rounded p need not be real-rooted.  The recurrence
+    runs on the integer images of the window and of that p.  Floats read as
+    zero with the tolerance of `_reads_zero` at the bounds |c|_1 max|s| of a
+    recurrence sum and |c|_1 of p(0) and p(1); on (0, 1] a p(1) read as zero
+    puts the root at 1.  On a window dilated by lam the recurrence runs with the image of
+    lam^r p(t / lam), coefficient j times lam^(r-j), which the dilated
+    window obeys exactly when the window obeys p.
     """
-    from .principal import root_bound
-    p = _support_poly(w)
-    if p is None or p.degree == 0:
-        return p
-    n, r, c, eps = len(w.ints) - 1, p.degree, p.coeffs, w.eps
-    image, norm, bound = list(c), 0, 0
+    exact = _support_poly(w, exact=True)
+    if exact is None or exact.degree == 0:
+        return exact
+    n, r = len(w.ints) - 1, exact.degree
+    ints, den = _integer_scale(exact.coeffs)
+    p, bound, zero = exact, 0, 0
     if w.floats:
-        image, norm = [as_fraction(x) for x in c], sum(abs(x) for x in c)
-    ints, den = _integer_scale(image)
-    if w.lam > 1:
-        ints = [q * w.lam ** (r - j) for j, q in enumerate(ints)]
-    if w.floats:
-        tol = _tolerances(eps, [norm * max(w.sizes)])[0]
+        p = Polynomial([_to_float(x) for x in exact.coeffs])
+        norm = sum(abs(x) for x in p.coeffs)
+        tol, small = _tolerances(w.eps, [norm * max(w.sizes), norm])
         bound = tol.numerator * den * w.unit // tol.denominator
+        zero = small.numerator * den // small.denominator  # p(x) = X / den
+    dilated = [q * w.lam ** (r - j) for j, q in enumerate(ints)] if w.lam > 1 else ints
     S = w.ints
     for k in range(r, n - r + 1):  # k < r holds by construction
-        if abs(sum(q * S[k + j] for j, q in enumerate(ints))) > bound:
+        if abs(sum(q * S[k + j] for j, q in enumerate(dilated))) > bound:
             return None
-    if isinstance(domain, HalfOpen):
-        hi = Fraction(1)
-        if _reads_zero(sum(c), norm, eps):  # p(1)
-            image[0] -= sum(image)
-    else:
-        hi = root_bound(Polynomial(image))
-    if _reads_zero(c[0], norm, eps) or count_roots(Polynomial(image), 0, hi) != r:
+    half_open = isinstance(domain, HalfOpen)
+    if half_open and abs(sum(ints)) <= zero:  # p(1) reads as zero
+        ints[0] -= sum(ints)
+    if abs(ints[0]) <= zero or count_positive_roots(ints, half_open) != r:
         return None
     return p
 

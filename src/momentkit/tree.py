@@ -363,7 +363,8 @@ def _positive_on(mu, domain) -> bool:
     Hankel form of its first 2d moments is positive definite (Curto and
     Fialkow, Houston J. Math. 17 (1991)): `_determinate_poly` of the seed
     window, run on to 2d moments, then returns the polynomial up to its
-    leading coefficient.  Any other object with moments passes."""
+    leading coefficient; it counts the roots by Descartes' rule, exact on
+    that real-rooted polynomial.  Any other object with moments passes."""
     rec = getattr(mu, "positive", mu)
     if not isinstance(rec, MomentRecurrence):
         return True

@@ -28,10 +28,12 @@ decide it, once per bordered polynomial of a strict window and once per
 slot, so it counts every elimination of a Hankel form.  A window of 8
 entries or more is dilated (`numeric._dilated_scale`) once, when
 `positivity._Window.of` builds it: the same budgets hold on such windows,
-and no window decides its lam twice.  Atoms are found from certified float
+and no window decides its lam twice.  Roots are counted only by the
+determinacy tests, by Descartes' rule of signs
+(`numeric.count_positive_roots`).  Atoms are found from certified float
 seeds: a planted rational measure is recovered on every domain with no
-Sturm chain but those of the determinacy tests (`numeric.count_roots`), and
-a polynomial whose seeds fail the certificate builds one chain.  An "auto"
+Descartes isolation, and a polynomial whose seeds fail the certificate is
+isolated by one.  An "auto"
 completion solve classifies each given branch window once to read its atom
 counts, and each of a singular window's sub-windows at most once to check
 its index, and computes each level-0 threshold or forced value once,
@@ -61,7 +63,7 @@ from momentkit.principal import (PrincipalKind, minimal_measure_half_open, minim
                                  principal_compact)
 from momentkit.tree import BranchClass, PartialWeights
 
-KERNEL = ("classify_form", "_minor_pass", "det_poly", "count_roots")
+KERNEL = ("classify_form", "_minor_pass", "det_poly", "count_positive_roots")
 
 RAY_MU = AtomicMeasure([(F(1, 2), F(1)), (F(3), F(2, 3))])
 UNIT_MU = AtomicMeasure([(F(1, 4), F(3)), (F(2, 3), F(1, 2))])
@@ -400,30 +402,16 @@ def test_certificate_measure_builds_one_image_per_measure(calls, monkeypatch, mu
 
 
 @pytest.fixture
-def chains(monkeypatch):
-    """Counter of the Sturm chains built outside `numeric.count_roots`,
-    which builds one for every determinacy test, through every alias."""
+def isolations(monkeypatch):
+    """Counter of the Descartes isolations run while the test runs."""
     counter = Counter()
-    inside = []
-    chain, count = numeric._sturm_chain, numeric.count_roots
+    isolate = numeric._descartes_isolate
 
-    def counted_chain(p):
-        if not inside:
-            counter["outside"] += 1
-        return chain(p)
+    def counted(*args, **kwargs):
+        counter["descartes"] += 1
+        return isolate(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        inside.append(True)
-        try:
-            return count(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(numeric, "_sturm_chain", counted_chain)
-    for module in [m for name, m in sys.modules.items() if name.startswith("momentkit.")]:
-        for attr, value in list(vars(module).items()):
-            if value is count:
-                monkeypatch.setattr(module, attr, counting)
+    monkeypatch.setattr(numeric, "_descartes_isolate", counted)
     return counter
 
 
@@ -441,22 +429,22 @@ PLANTED_RATIONAL = {
 
 
 @pytest.mark.parametrize("case", sorted(PLANTED_RATIONAL))
-def test_planted_rational_atoms_need_no_sturm_chain(chains, case):
+def test_planted_rational_atoms_need_no_descartes_isolation(isolations, case):
     recover, mu, n = PLANTED_RATIONAL[case]
     window = _window(mu, n)
-    chains.clear()
+    isolations.clear()
     assert recover(window) == mu
-    # every atom is a certified float seed; the only chains are those of the
-    # determinacy tests (count_roots) on the ray and (0, 1]
-    assert chains["outside"] == 0
+    # every atom is a certified float seed; the determinacy tests on the
+    # ray and (0, 1] count roots by sign variations and isolate none
+    assert isolations["descartes"] == 0
 
 
-def test_certified_seeds_need_no_sturm_chain(chains):
+def test_certified_seeds_need_no_descartes_isolation(isolations):
     # rational roots come back settled, the irrational pair (5 +- sqrt 5)/10
     # as brackets around its float seeds
     poly = Polynomial([F(1, 5), -1, 1]).mul_linear(F(-1, 3), 1).mul_linear(F(-3, 4), 1)
     enclosures = numeric.root_enclosures(poly, 0, 1)
-    assert chains["outside"] == 0
+    assert isolations["descartes"] == 0
     assert [e.root for e in enclosures] == [None, F(1, 3), None, F(3, 4)]
     for e, root in zip(enclosures[::2], (0.276393202250021, 0.723606797749979)):
         assert e.lo < root * e.den < e.hi and (e.hi - e.lo) * 2 ** 40 < e.den
@@ -466,10 +454,12 @@ def test_certified_seeds_need_no_sturm_chain(chains):
     Polynomial([1, 0, 1]).mul_linear(F(-1, 3), 1).mul_linear(F(-1, 2), 1),  # t^2 + 1
     Polynomial([-3, 1]).mul_linear(F(-1, 3), 1).mul_linear(F(-1, 2), 1),    # root 3 outside
 ])
-def test_uncertified_seeds_fall_back_to_sturm(chains, poly):
+def test_uncertified_seeds_fall_back_to_one_descartes_isolation(isolations, poly):
     # seeds that are no real roots in (0, 1) fail the certificate, and one
-    # Sturm chain isolates the roots
+    # Descartes bisection isolates the roots; its first midpoint is the root
+    # 1/2, settled there and deflated out of the enclosure of 1/3 made after
     enclosures = numeric.root_enclosures(poly, 0, 1)
-    assert chains["outside"] == 1
-    assert [e.root for e in enclosures] == [None, None]
+    assert isolations["descartes"] == 1
+    assert [e.root for e in enclosures] == [None, F(1, 2)]
+    assert numeric._horner(enclosures[0].coeffs, 1, 2) != 0
     assert [e.refine(F(1, 10 ** 12)) for e in enclosures] == [F(1, 3), F(1, 2)]

@@ -5,9 +5,14 @@ exact characteristic polynomial (Descartes' rule of signs is exact for the
 real-rooted characteristic polynomial of a symmetric matrix), the leading
 minors of its pass and general determinants with sympy's; root isolation
 with sympy's exact real-root isolation, on the certified float-seed path
-and on the Sturm path it falls back to.  Singular positivity on the ray and
-on (0, 1] is checked against planted measures with extreme atoms, singular
-recovery and index on [a, b] against planted measures with endpoint atoms.
+and on the Descartes bisection it falls back to; the Descartes count of a
+real-rooted polynomial on (0, inf) and (0, 1] with sympy's count.  Singular
+positivity on the ray and on (0, 1] is checked against planted measures
+with extreme atoms, singular recovery and index on [a, b] against planted
+measures with endpoint atoms.  Planted rational atoms in [2^-40, 2^40]
+round-trip exactly through singular recovery, the minimal measures of
+strict windows, the backward extension at its threshold and the completely
+alternating extension.
 The Lagrange-form masses are checked against their defining moment
 identity, and the support and bordered-Hankel polynomials read from the
 leading-minor pass against `det_poly` of the bordered layout, for extreme,
@@ -40,7 +45,7 @@ import momentkit.numeric as numeric
 import momentkit.positivity as positivity
 import momentkit.principal as principal
 from momentkit.alternating import CAMeasure, has_ca_extension
-from momentkit.backward import forced_value
+from momentkit.backward import ExtensionClass, classify_backward, forced_value
 from momentkit.completion import (_HALF_OPS, _RAY_OPS, _admissible_two_ks,
                                   _branch_k_compatible, _quadratic)
 from momentkit.extremal import (_schur_quadratic, _schur_threshold, reciprocal_inf_half_open,
@@ -49,7 +54,7 @@ from momentkit.measure import AtomicMeasure, MomentRecurrence, moments
 from momentkit.errors import DegenerateInput, MomentKitError
 from momentkit.numeric import (FormClass, Polynomial, _dilated_scale, _hankel_image,
                                _integer_scale, _minor_pass, _to_float, as_fraction,
-                               classify_form, count_roots, det, det_poly, real_roots,
+                               classify_form, count_positive_roots, det, det_poly, real_roots,
                                root_enclosures, root_precision, vandermonde_masses)
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window,
                                   _classify_limit, _determinate_poly, _ends, _support_poly,
@@ -57,8 +62,9 @@ from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Wind
                                   ray_limit_matrices, recover_minimal_measure,
                                   recover_support_and_masses)
 from momentkit.principal import (PrincipalKind, _bordered_image, atom_polynomial,
-                                 atoms_from_poly, bordered_hankel_poly, principal_polynomial,
-                                 root_bound)
+                                 atoms_from_poly, bordered_hankel_poly,
+                                 minimal_measure_half_open, minimal_measure_ray,
+                                 principal_polynomial, root_bound)
 from momentkit.tree import GeometricSumTail, MeasureTail
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -189,7 +195,11 @@ def test_real_roots_match_sympy(problem):
     theirs = exact.intervals(inf=_sym(lo), sup=_sym(hi), fast=True)
     assert len(ours) == len(theirs) == exact.count_roots(_sym(lo), _sym(hi))
     assert ours == sorted(ours) and len(set(ours)) == len(ours)
-    assert count_roots(poly, lo, hi) == sum(1 for root in ours if root > lo)
+    # every root is real, so Descartes' rule counts those in (0, inf) and
+    # (0, 1]; sympy counts closed intervals
+    at_zero = poly(0) == 0
+    assert count_positive_roots(poly.coeffs) == exact.count_roots(0) - at_zero
+    assert count_positive_roots(poly.coeffs, True) == exact.count_roots(0, 1) - at_zero
     assert all(lo <= root <= hi for root in ours)
     for r in planted:
         # snapping is promised for den^2 * width < 1; every other planted
@@ -204,6 +214,42 @@ def test_real_roots_match_sympy(problem):
             left, right = _sym(root - width / 2), _sym(root + width / 2)
             assert left <= b and a <= right
             assert exact.count_roots(left, right) == 1
+
+
+RATIONAL_ATOM = st.builds(lambda m, q, e: F(m, q) * F(2) ** e, st.integers(1, 15),
+                          st.sampled_from((1, 3, 5, 7, 9, 15)), st.integers(-36, 36))
+
+
+@st.composite
+def real_rooted_polynomials(draw):
+    """A real-rooted squarefree polynomial: a product of distinct rational
+    linear factors, or the support polynomial of the first 2r moments of a
+    planted 1-4-atom measure, r <= its atom count (with roots at the atoms
+    when r is the count, an orthogonal polynomial with irrational roots
+    below it); atoms in [2^-40, 2^40], some at 1."""
+    roots = st.one_of(st.just(F(1)), RATIONAL_ATOM,
+                      st.fractions(min_value=-20, max_value=20, max_denominator=16)
+                      .filter(bool))
+    if draw(st.booleans()):
+        poly = Polynomial([draw(st.sampled_from((F(-3, 2), F(1), F(7, 5))))])
+        for r in draw(st.sets(roots, min_size=1, max_size=8)):
+            poly = poly.mul_linear(-r, 1)
+        return poly
+    atoms = sorted(draw(st.sets(st.one_of(st.just(F(1)), RATIONAL_ATOM), min_size=1,
+                                max_size=4)))
+    masses = draw(st.lists(POSITIVE, min_size=len(atoms), max_size=len(atoms)))
+    r = draw(st.integers(1, len(atoms)))
+    window = [sum(m * x ** k for x, m in zip(atoms, masses)) for k in range(2 * r)]
+    return _support_poly(_Window.of(window))
+
+
+@given(real_rooted_polynomials())
+def test_descartes_count_matches_sympy(poly):
+    x = sympy.Symbol("x")
+    exact = sympy.Poly([_sym(c) for c in reversed(poly.coeffs)], x)
+    ints = numeric._integer_scale(poly.coeffs)[0]
+    assert count_positive_roots(ints) == exact.count_roots(0)
+    assert count_positive_roots(ints, True) == exact.count_roots(0, 1)
 
 
 @st.composite
@@ -255,16 +301,16 @@ def seeded_problems(draw):
           F(7, 2 ** 34), F(9, 4), False, None))
 @example((Polynomial([F(1, 5), -1, 1]).mul_linear(F(-12345678901, 2 ** 40), 1),
           [F(12345678901, 2 ** 40)], F(0), F(1), False, None))
-def test_seeded_isolation_matches_sturm_and_sympy(problem):
+def test_seeded_isolation_matches_descartes_and_sympy(problem):
     poly, planted, lo, hi, repeated, huge = problem
-    sturm_only = mock.patch.object(numeric, "_seeded", return_value=None)
+    descartes_only = mock.patch.object(numeric, "_seeded", return_value=None)
     if huge is not None:  # no float holds the coefficients: the seeds give up
         work = numeric._primitive(numeric._integer_scale(poly.coeffs)[0])
         assert numeric._seeded(work, lo, hi) is None
     if repeated:
         with pytest.raises(DegenerateInput):
             root_enclosures(poly, lo, hi)
-        with sturm_only, pytest.raises(DegenerateInput):
+        with descartes_only, pytest.raises(DegenerateInput):
             root_enclosures(poly, lo, hi)
         return
     # sympy isolates the roots of poly over (t - huge), whose coefficients
@@ -280,7 +326,7 @@ def test_seeded_isolation_matches_sturm_and_sympy(problem):
 
     inside = [r for r in planted if lo <= r <= hi]
     fine = F(1, 2 ** 200)  # snaps every rational root of denominator below 2^100
-    for path in (contextlib.nullcontext(), sturm_only):
+    for path in (contextlib.nullcontext(), descartes_only):
         with path:
             enclosures = root_enclosures(poly, lo, hi)
             roots = real_roots(poly, lo, hi)
@@ -296,12 +342,14 @@ def test_seeded_isolation_matches_sturm_and_sympy(problem):
         # the exact roots are the planted ones, in ascending order
         assert snapped == sorted(snapped)
         assert [r for r in snapped if poly(r) == 0 and r != huge] == inside
-        # real_roots is an exact root or within width/2 of an irrational one
+        # real_roots is an exact root or within width/2 of one root it does
+        # not return exact (huge may lie 2^-1100 from a planted root)
         width = root_precision()
         assert roots == sorted(roots)
         for r in roots:
             if poly(r) != 0:
-                assert count(r - width / 2, r + width / 2) == 1
+                near = [x for x in roots if poly(x) == 0 and abs(x - r) <= width / 2]
+                assert count(r - width / 2, r + width / 2) - len(near) == 1
 
 
 UNIT_EXTREME = st.builds(lambda m, e: F(m, 16) / F(2) ** e,
@@ -340,6 +388,46 @@ def test_planted_singular_windows_classify_exactly(problem):
     top = n - n % 2
     window[top] -= window[top] * cut
     assert classify(window, domain).kind is PositivityClass.NOT_POSITIVE
+
+
+@st.composite
+def planted_rational_measures(draw):
+    """(domain, measure): 1-4 rational atoms in [2^-40, 2^40] on the ray,
+    or their images in [2^-40, 1) on (0, 1], with rational masses."""
+    half_open = draw(st.booleans())
+    atom = RATIONAL_ATOM
+    if half_open:
+        atom = st.builds(lambda x: x if x < 1 else 1 / (4 * x), RATIONAL_ATOM)
+    atoms = sorted(draw(st.sets(atom, min_size=1, max_size=4)))
+    masses = draw(st.lists(POSITIVE, min_size=len(atoms), max_size=len(atoms)))
+    return (HalfOpen() if half_open else Ray()), AtomicMeasure(list(zip(atoms, masses)))
+
+
+@given(planted_rational_measures())
+def test_planted_rational_atoms_round_trip_exactly(problem):
+    domain, mu = problem
+    k = mu.support_size
+
+    def same(measure):
+        return measure.exact and measure.atoms == mu.atoms
+
+    # singular: the 2K + 1 moments determine mu
+    assert same(recover_minimal_measure(list(moments(mu, 0, 2 * k).values), domain))
+    # strict: the 2K moments have mu as their minimal measure, the measure
+    # of the backward extension at its threshold s_(-1)
+    window = list(moments(mu, 0, 2 * k - 1).values)
+    minimal = minimal_measure_half_open if isinstance(domain, HalfOpen) else minimal_measure_ray
+    assert same(minimal(window))
+    verdict = classify_backward(window, mu.moment(-1), domain)
+    assert verdict.kind is ExtensionClass.SINGULAR and same(verdict.measure)
+    if isinstance(domain, HalfOpen):
+        # the partial sums 1, 1 + s_0, ... are completely alternating, with
+        # mu on (0, 1] and no mass at 0
+        partial = [F(1)]
+        for v in window:
+            partial.append(partial[-1] + v)
+        ca = has_ca_extension(partial)
+        assert ca.has_extension and ca.measure.zero_mass == 0 and same(ca.measure.positive)
 
 
 @st.composite

@@ -120,7 +120,6 @@ def test_real_roots_count_for_principal_polynomials(rng):
 
 
 def test_real_roots_endpoints():
-    q = Polynomial([0, -3, 1]).mul_linear(1, 0)  # placeholder: t(t-3)*1
     roots = real_roots(Polynomial([2, -3, 1]), 1, 2)  # both endpoints are roots
     assert roots == [1, 2]
 

@@ -271,7 +271,7 @@ def test_float_planted_compact_singular_windows():
 
 def test_float_clustered_endpoint_window():
     # delta_3 + delta_{151/50} + delta_{13/4} on [3, 13/4]: numpy's roots of
-    # the support polynomial missed a root by the endpoint; the Sturm count
+    # the support polynomial missed a root by the endpoint; exact isolation
     # on the binary-exact image finds all three.  Two atoms 1/50 apart pass
     # the rounding of the moments on to the atoms at about 2e-8, and on to
     # the masses at about 2e-6.

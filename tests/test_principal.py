@@ -131,3 +131,21 @@ def test_minimal_measure_half_open_even_has_atom_one(rng):
         got = minimal_measure_half_open(window)
         assert got == mu
         assert got.positions()[-1] == 1
+
+
+def test_minimal_measure_half_open_long_denominator_atom_is_exact():
+    # 15/2^43 and 2^-27 on (0, 1], seen through 5 moments: the atom
+    # polynomial's leading coefficient has 71 bits, so 15/2^43 is no
+    # simplest rational near its float seed; its seed's bracket is narrower
+    # than 1/|lead|, and its one candidate k/|lead| is the atom
+    window = [F(540790296738527, 247018488413465244),
+              F(2549882261720754413, 543199400572512332294482034688),
+              F(167014427514730712131043, 4778032457043444006423521239540731010351104),
+              F(10945456101759550940483844173,
+                42028017955283183326814694705129106942752827714549317632),
+              F(717321411063616242820403168873603,
+                369682355473698944629640383714823941686906755574808048862323021971456)]
+    mu = minimal_measure_half_open(window)
+    assert mu.exact
+    assert mu.atoms == ((F(15, 2 ** 43), F(800685, 513396617)),
+                        (F(1, 2 ** 27), F(302971, 481145532)))
