@@ -45,12 +45,19 @@ from .measure import AtomicMeasure, MomentRecurrence, MomentSequence, tilt
 from .numeric import Scalar, format_scalar
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _support_measure, _values,
                          _verdict_index, classify_half_open, classify_ray)
+from . import positivity as _positivity
 from .principal import atom_polynomial, root_bound
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
                    MeasureTail, PartialWeights, verify_che_certificate,
                    verify_subnormal_certificate)
 
 UNKNOWN_BAND = 1e-9
+
+# the classical four-weight check is closed-form window arithmetic, so it
+# lives in `positivity` and a `stampfli` file loads no completion layer;
+# re-exported here beside the solvers it cross-checks
+StampfliVerdict = _positivity.StampfliVerdict
+stampfli_check = _positivity.stampfli_check
 
 
 class SolveStatus(Enum):
@@ -803,32 +810,6 @@ def kappa_infinite_probe(trunk_sq_stream, classes, kappa_max: int,
             return ProbeReport("Unknown", tuple(rows), stopped_at=kappa)
     return ProbeReport("FeasibleTowardInfinity", tuple(rows),
                        uniform_norm_sq=max(norms) if norms else None)
-
-
-@dataclass(frozen=True)
-class StampfliVerdict:
-    holds: bool
-    lhs: Scalar
-    rhs: Scalar
-
-
-def stampfli_check(l1, l2, l3, l4, squared: bool = False) -> StampfliVerdict:
-    """Four-weight completion inequality for the classical shift: with
-    squares a < b < c < d the completion exists iff
-
-        d >= c + a (c - b)^2 / (c (b - a)),
-
-    the right side being the fourth moment ratio of the recursively
-    generated two-atom completion of the first three weights."""
-    vals = [l1, l2, l3, l4]
-    vals = [v if isinstance(v, float) else Fraction(v) for v in vals]
-    if not all(v > 0 for v in vals):
-        raise PreconditionError("weights must be positive")
-    if not vals[0] < vals[1] < vals[2] < vals[3]:
-        raise PreconditionError("weights must be strictly increasing")
-    a, b, c, d = [v if squared else v * v for v in vals]
-    rhs = c + a * (c - b) ** 2 / (c * (b - a))
-    return StampfliVerdict(d >= rhs, d, rhs)
 
 
 @dataclass(frozen=True)

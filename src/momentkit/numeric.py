@@ -62,12 +62,20 @@ DEFAULT_EPS = 1e-9
 def parse_scalar(text: str, exact: bool = True) -> Scalar:
     """Parse a decimal or ``p/q`` string.
 
-    Exact mode maps decimal strings to their exact rational value.
+    Exact mode maps decimal strings to their exact rational value.  A
+    ``p/q`` of two integers with q != 0 is read as one `Fraction(p, q)`;
+    every other ``p/q`` is the quotient of two `Fraction` parses, which
+    also gives the errors (a "_" is left to them, because `Fraction` reads
+    one only from Python 3.11 on).
     """
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        value = Fraction(num.strip()) / Fraction(den.strip())
+        try:
+            p, q = (int(num), int(den)) if "_" not in text else (0, 0)
+        except ValueError:
+            p = q = 0
+        value = Fraction(p, q) if q else Fraction(num.strip()) / Fraction(den.strip())
         return value if exact else float(value)
     if exact:
         return Fraction(text)

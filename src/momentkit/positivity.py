@@ -42,6 +42,10 @@ indefinite and one reads singular.  `index`, `recover_minimal_measure`,
 `extremal.reciprocal_inf_*`, `backward.classify_backward`,
 `principal.minimal_measure_half_open` and `alternating.has_ca_extension`
 take it from the verdict instead of building it again.
+
+Stampfli's four-weight check (`stampfli_check`) is closed-form arithmetic
+on the squared weights, so it sits here, where the CLI's `stampfli` kind
+reaches it without loading the completion layers.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import (DegenerateInput, DomainError, NotAMomentSequence)
+from .errors import DegenerateInput, DomainError, NotAMomentSequence, PreconditionError
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
 from .numeric import (DEFAULT_EPS, FormClass, HankelImage, Polynomial, Scalar, _dilated_scale,
                       _integer_scale, _minor_pass, _pass_bordered, _pass_class, _pass_solution,
@@ -654,3 +658,33 @@ def _verdict_index(values: Sequence[Scalar], verdict: PositivityVerdict, domain:
         return Fraction(n + 1, 2)
     idx = _singular_index(verdict.support, domain, eps)
     return int(idx) if isinstance(domain, Ray) else idx
+
+
+# --------------------------------------------------------------------------
+# Stampfli's four-weight check
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StampfliVerdict:
+    holds: bool
+    lhs: Scalar
+    rhs: Scalar
+
+
+def stampfli_check(l1, l2, l3, l4, squared: bool = False) -> StampfliVerdict:
+    """Four-weight completion inequality for the classical shift: with
+    squares a < b < c < d the completion exists iff
+
+        d >= c + a (c - b)^2 / (c (b - a)),
+
+    the right side being the fourth moment ratio of the recursively
+    generated two-atom completion of the first three weights."""
+    vals = [l1, l2, l3, l4]
+    vals = [v if isinstance(v, float) else Fraction(v) for v in vals]
+    if not all(v > 0 for v in vals):
+        raise PreconditionError("weights must be positive")
+    if not vals[0] < vals[1] < vals[2] < vals[3]:
+        raise PreconditionError("weights must be strictly increasing")
+    a, b, c, d = [v if squared else v * v for v in vals]
+    rhs = c + a * (c - b) ** 2 / (c * (b - a))
+    return StampfliVerdict(d >= rhs, d, rhs)

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import momentkit
-from momentkit.cli import run
+from momentkit.cli import main, run
 
 # the child interpreter imports the same momentkit as this test process
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(momentkit.__file__))
@@ -20,13 +20,23 @@ def _write(tmp_path, name, obj):
     return str(path)
 
 
-def _run_cli(args):
+def _child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "momentkit.cli", *args],
-                          capture_output=True, text=True, env=env)
-    return proc
+    return env
+
+
+def _run_cli(args):
+    return subprocess.run([sys.executable, "-m", "momentkit.cli", *args],
+                          capture_output=True, text=True, env=_child_env())
+
+
+def _run_python_ok(code):
+    """Run `code` in a fresh interpreter; it must exit 0 (its asserts hold)."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_t_value_example(tmp_path):
@@ -187,6 +197,83 @@ def test_batch_mode(tmp_path):
     assert a["t_inf"] == "1/4"
 
 
+# one small file of every kind the benchmark's corpus writes; "verify"
+# checks the certificate of the subnormal file
+BATCH_KINDS = {
+    "classify": {"kind": "classify", "domain": "half-open", "sequence": ["3", "2", "3/2"]},
+    "principal": {"kind": "principal", "domain": "compact", "a": "1/2", "b": "4",
+                  "sequence": ["1", "3/2", "5/2", "9/2"]},
+    "t-value": {"kind": "t-value", "domain": "ray", "sequence": ["1", "4"]},
+    "backward": {"kind": "backward", "domain": "ray", "sequence": ["2", "3", "5", "9"],
+                 "x": "1"},
+    "ca": {"kind": "ca", "sequence": ["4", "25/6", "403/96"]},
+    "subnormal": {"kind": "subnormal", "trunk_sq": [], "branches_sq": [["1", "4", "9", "16"]]},
+    "che": {"kind": "che", "trunk_sq": ["2"], "branch_l1_sq_sum": "5/4"},
+    "flat-che": FLAT_CHE_ZERO_MASS[1],
+    "stampfli": {"kind": "stampfli", "weights_sq": ["1/4", "11/12", "13/6", "26/7"]},
+}
+
+
+def _strip(payload):
+    return {k: v for k, v in payload.items() if k != "elapsed_s"}
+
+
+def test_batch_writes_the_run_payload_of_every_kind(tmp_path, capsys):
+    for kind, obj in BATCH_KINDS.items():
+        _write(tmp_path, f"{kind}.json", obj)
+    certificate = run(tmp_path / "subnormal.json")[0]["certificate"]
+    _write(tmp_path, "verify.json", {"kind": "verify", "certificate": certificate})
+    paths = sorted(tmp_path.glob("*.json"))
+    want = {path: run(path) for path in paths}
+    code = main(["--batch", str(tmp_path)])
+    outs = [path.with_suffix(".result.json") for path in paths]
+    assert capsys.readouterr().out.splitlines() == [str(out) for out in outs]
+    assert code == max(c for _, c in want.values())
+    for out, (payload, _) in zip(outs, want.values()):
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert _strip(json.loads(text)) == _strip(payload), out
+    # the result files of a second run are not read as problems
+    assert main(["--batch", str(tmp_path)]) == code
+    assert len(capsys.readouterr().out.splitlines()) == len(paths)
+
+
+def test_batch_with_a_malformed_file_exits_3_and_writes_the_others(tmp_path, capsys):
+    _write(tmp_path, "a.json", BATCH_KINDS["t-value"])
+    (tmp_path / "b.json").write_text("{not json", encoding="utf-8")
+    _write(tmp_path, "c.json", BATCH_KINDS["stampfli"])
+    assert main(["--batch", str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        str(tmp_path / f"{stem}.result.json") for stem in "abc"]
+    assert json.loads((tmp_path / "a.result.json").read_text())["t_inf"] == "1/4"
+    assert json.loads((tmp_path / "b.result.json").read_text())["error"]["kind"] == "input"
+    assert json.loads((tmp_path / "c.result.json").read_text())["holds"] is True
+
+
+def test_batch_runs_in_one_process(tmp_path):
+    # a batch solves its files one after another: no worker pool is loaded
+    for kind in ("subnormal", "che", "classify"):
+        _write(tmp_path, f"{kind}.json", BATCH_KINDS[kind])
+    _run_python_ok(
+        "import contextlib, io, sys, momentkit.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['--batch', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+        "assert not loaded, loaded\n")
+
+
+def test_stampfli_file_loads_no_completion_layer(tmp_path):
+    path = _write(tmp_path, "stampfli.json", BATCH_KINDS["stampfli"])
+    _run_python_ok(
+        "import sys, momentkit.cli as cli\n"
+        f"payload, code = cli.run({path!r})\n"
+        "assert code == 0 and payload['holds'], payload\n"
+        "layers = ('completion', 'tree', 'alternating', 'extremal', 'principal', 'backward')\n"
+        "loaded = [m for m in layers if 'momentkit.' + m in sys.modules]\n"
+        "assert not loaded, loaded\n")
+
+
 def test_precision_environment_variable(tmp_path):
     from momentkit.numeric import Polynomial, real_roots
     old = os.environ.get("MOMENTKIT_PRECISION")
@@ -215,12 +302,7 @@ def test_import_loads_no_numpy():
     # numpy adds about 0.14 s to every cold call; only the oracle kind needs it
     code = ("import sys, momentkit.cli; "
             "assert 'numpy' not in sys.modules, 'numpy was imported'")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    _run_python_ok(code)
 
 
 def test_classify_file_loads_no_completion_layer(tmp_path):
@@ -238,12 +320,7 @@ def test_classify_file_loads_no_completion_layer(tmp_path):
             "    assert code == 0, payload\n"
             "loaded = [m for m in ('momentkit.completion', 'momentkit.tree') if m in sys.modules]\n"
             "assert not loaded, loaded\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    _run_python_ok(code)
 
 
 def test_oracle_kind(tmp_path):

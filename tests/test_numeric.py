@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from momentkit.errors import DegenerateInput, ShapeError
 from momentkit.numeric import (FormClass, Polynomial, classify_form,
@@ -161,6 +162,59 @@ def test_parse_format_scalar():
     assert isinstance(parse_scalar("0.1", exact=False), float)
     assert format_scalar(F(3, 2)) == "3/2"
     assert format_scalar(F(4, 2)) == "2"
+
+
+def _parse_scalar_by_two_fractions(text, exact=True):
+    """`parse_scalar` as it read every "p/q" before integer pairs got their
+    own path: the reference for the property below."""
+    text = text.strip()
+    if "/" in text:
+        num, den = text.split("/", 1)
+        value = F(num.strip()) / F(den.strip())
+        return value if exact else float(value)
+    return F(text) if exact else float(text)
+
+
+def _outcome(parse, text, exact):
+    try:
+        value = parse(text, exact)
+    except Exception as exc:  # the CLI reports type and message as an input error
+        return type(exc), str(exc)
+    return type(value), repr(value)  # repr: nan equals itself, -0.0 is not 0.0
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\u00a0"])
+_DIGITS = st.from_regex(r"\A[0-9]{1,3}(_?[0-9]{1,3}){0,2}\Z")
+_PART = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.tuples(st.sampled_from(["", "+", "-", "- "]), _DIGITS).map("".join),
+    st.tuples(_DIGITS, st.sampled_from([".", ".5", "e3", "E-2", "._1", "_"])).map("".join),
+    st.sampled_from(["0", "-0", "+0", "00", "1.5", ".5", "5.", "1e400", "inf", "nan",
+                     "0x10", "1/2", "", " ", "abc", "1 2", "١٢"]),
+    st.text(alphabet="0123456789+-_. e/", max_size=6),
+)
+
+
+@example("1/0")
+@example("-3/0")
+@example("6/0")
+@example("0/0")
+@example(" -1_000 / 7 ")
+@example("1/2/3")
+@example("1.5/3")
+@example(" nan ")
+@example("-0/5")
+@given(st.one_of(
+    st.tuples(_SPACE, _PART, _SPACE, _PART, _SPACE).map(lambda t: f"{t[0]}{t[1]}/{t[3]}{t[4]}"),
+    st.tuples(_SPACE, _PART, _SPACE).map("".join),
+))
+def test_parse_scalar_matches_the_two_fraction_parse(text):
+    # integer pairs take one Fraction(p, q); every string gives the value
+    # (and type) the two-Fraction parse gives, or its exception type and
+    # message, exact and float
+    for exact in (True, False):
+        assert _outcome(parse_scalar, text, exact) == \
+            _outcome(_parse_scalar_by_two_fractions, text, exact), (text, exact)
 
 
 def test_float_forms_get_float_witnesses():
