@@ -62,6 +62,8 @@ class CAMeasure:
             return None
         if lo > 0 or not self.zero_mass:
             return row
+        if lo < 0:  # a negative moment of a measure charging zero raises
+            return None
         p, q = self.zero_mass.numerator, self.zero_mass.denominator
         nums = [x * q for x in row.nums]
         nums[0] += p * row.den

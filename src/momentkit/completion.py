@@ -42,11 +42,11 @@ from .extremal import _reciprocal_inf, _schur_quadratic, _schur_threshold
 from .errors import (BadIndex, DegenerateInput, MomentKitError, PreconditionError,
                      Unsupported)
 from .measure import AtomicMeasure, MomentRecurrence, MomentSequence, tilt
-from .numeric import Scalar, format_scalar
+from .numeric import Polynomial, Scalar, format_scalar
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _support_measure, _values,
                          _verdict_index, classify_half_open, classify_ray)
 from . import positivity as _positivity
-from .principal import atom_polynomial, root_bound
+from .principal import _atom_ints, _window_measure, atom_polynomial, root_bound
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
                    MeasureTail, PartialWeights, verify_che_certificate,
                    verify_subnormal_certificate)
@@ -82,22 +82,17 @@ class CompletionCertificate:
             return verify_subnormal_certificate(self.full, self.measures, depth)
         return verify_che_certificate(self.full, self.measures, depth)
 
-    def completed_weights_sq(self, count: Optional[int] = None):
-        """Per class, the squared weights of generations 1..p+8 (first entry
-        is the class first-weight mass), each row in one pass over its
-        measure's moments."""
-        count = count if count is not None else self.partial.p + 8
-        return [(cls.first_mass, *cls.generator.weight_sq_row(count))
-                for cls in self.full.classes]
-
     def to_json(self) -> dict:
+        """The certificate; `weights_sq` holds, per class, the squared
+        weights of generations 1..p+8, the first-weight mass first."""
         out = {
             "kind": self.kind,
             "K": [format_scalar(k) if not isinstance(k, float) else k for k in self.K],
             "sequences": [s.to_json() for s in self.sequences],
             "measures": [mu.to_json() for mu in self.measures],
-            "weights_sq": [[format_scalar(w) for w in row]
-                           for row in self.completed_weights_sq()],
+            "weights_sq": [[format_scalar(cls.first_mass),
+                            *cls.generator.weight_sq_text(self.partial.p + 8)]
+                           for cls in self.full.classes],
             "trunk_sq": [format_scalar(t) for t in self.full.trunk_sq],
             "norm_sq": format_scalar(self.norm_sq) if not isinstance(self.norm_sq, float)
             else self.norm_sq,
@@ -527,12 +522,25 @@ def _certificate_measure(window, first_index: int, full_window, domain):
     """Measure for a completed branch: explicit atoms when they are exact,
     otherwise a moment recurrence seeded with the full extension (exact
     moments either way).  `window` holds the deepest 2K entries, with
-    `full_window` the whole extension starting at `first_index`."""
-    poly = atom_polynomial(window, domain)
-    zero_based = _support_measure(poly, window, domain)
+    `full_window` the whole extension starting at `first_index`.
+
+    An exact window is scaled once: the atom polynomial is read off its
+    bordered pass as integers (`principal._atom_ints`), and its roots and
+    masses on that image (`principal._window_measure`), which the measure
+    of the certificate's indices reads with shifted exponents (`tilt`).  A
+    `Fraction` polynomial is built only for a recurrence.  A float window
+    takes the float path of `atom_polynomial` and `measure_from_poly`."""
+    w = _Window.of(window)
+    if w.floats:
+        poly = atom_polynomial(window, domain)
+        hint = tilt(_support_measure(poly, window, domain), -first_index)
+        return MomentRecurrence(poly, first_index, list(full_window), atoms_hint=hint)
+    ints, num, den = _atom_ints(w, domain)
+    zero_based = _window_measure(ints, w, domain)
     shifted = tilt(zero_based, -first_index)
     if zero_based.exact:
         return shifted
+    poly = Polynomial([Fraction(x * num, den) for x in ints])
     return MomentRecurrence(poly, first_index, list(full_window), atoms_hint=shifted)
 
 

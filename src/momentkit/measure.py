@@ -14,12 +14,12 @@ on (0, 1] of a measure on [0, 1] (`alternating.CAMeasure`).
 
 An exact measure of either kind computes its moments on an integer image,
 built once: on first use, or handed over by the code that built the
-measure.  `principal.measure_from_poly` passes the image it checked the
-window on, and `tilt` builds the tilted measure's image from its parent's,
-so each exact measure has one image.  With the positions P_i / Q and the
-masses U_i / V over common denominators, moment k of an AtomicMeasure is
-sum_i U_i P_i^k / (V Q^k), and for k < 0 the same sum over the reciprocal
-positions.  V need not be the least common denominator: the principal
+measure.  `principal.measure_from_poly` passes the image it read the
+masses on, and `tilt` reads its parent's image with the exponents shifted,
+so a measure and its tilts share one image.  With the positions P_i / Q
+and the masses U_i / V over common denominators, moment k of an
+AtomicMeasure is sum_i U_i P_i^k / (V Q^k), and for k < 0 the same sum
+over the reciprocal positions.  V need not be the least common denominator: the principal
 construction hands over the masses as the numerators U_i of its Lagrange
 form (`numeric._lagrange_masses`) without reducing them.  A
 MomentRecurrence runs its recurrence on the primitive integer polynomial q
@@ -78,10 +78,11 @@ class _Row:
         `Fraction` is normalised."""
         return self.nums[i] * x.denominator == x.numerator * self.denominator(i)
 
-    def ratios(self, start: int = 0) -> list:
-        """v_(i+1) / v_i for i >= start."""
+    def ratios(self, start: int = 0, make=Fraction) -> list:
+        """v_(i+1) / v_i for i >= start, each make(num, den) of its two
+        integer numerators: a `Fraction` by default."""
         nums, steps = self.nums, self.steps
-        return [Fraction(nums[i + 1], nums[i] * steps[i]) for i in range(start, len(nums) - 1)]
+        return [make(nums[i + 1], nums[i] * steps[i]) for i in range(start, len(nums) - 1)]
 
     def sums(self, const: Fraction) -> "_Row":
         """The row of const + v_0 + ... + v_(i-1), i = 0..len(nums)."""
@@ -97,7 +98,7 @@ class _Row:
 
 
 def moment_row(mu, lo: int, hi: int) -> Optional[_Row]:
-    """Moments lo..hi of `mu`, 0 <= lo <= hi, as a `_Row`; None for a float
+    """Moments lo..hi of `mu`, lo <= hi, as a `_Row`; None for a float
     measure or an object without an integer image, whose callers keep
     their own arithmetic for it."""
     row = getattr(mu, "_row", None)
@@ -131,16 +132,18 @@ class _PowerSums:
 class _AtomImage:
     """An exact AtomicMeasure over common denominators: positions P_i / Q
     and masses U_i / V, with the reciprocal positions R_i / S for negative
-    exponents built on first use.  `of` builds it from the atoms; the image
-    of a tilt t^k dmu is read off this one (`tilted`)."""
+    exponents built on first use.  Moment k of the measure is the power sum
+    of exponent e = k + shift: sum_i U_i P_i^e / (V Q^e) for e >= 0, and
+    the same sum over the reciprocal positions for e < 0.  `of` builds it
+    from the atoms, with shift 0; the image of a tilt t^k dmu is this one
+    read with shift + k (`tilted`), on the same power sums."""
 
-    __slots__ = ("V", "Q", "up", "_positions", "_recip", "_down")
+    __slots__ = ("V", "Q", "up", "shift", "_positions", "_recip", "_down")
 
-    def __init__(self, positions: list, masses: list, V: int, bases: list, Q: int,
-                 recip: Optional[tuple] = None):
-        self._positions, self.V, self.Q, self._recip = positions, V, Q, recip
+    def __init__(self, positions: list, masses: list, V: int, bases: list, Q: int):
+        self._positions, self.V, self.Q, self.shift = positions, V, Q, 0
         self.up = _PowerSums(masses, bases)
-        self._down = None
+        self._recip = self._down = None
 
     @classmethod
     def of(cls, atoms) -> "_AtomImage":
@@ -148,9 +151,10 @@ class _AtomImage:
         masses, V = _integer_scale([m for _, m in atoms])
         return cls(positions, masses, V, *_integer_scale(positions))
 
-    def powers(self, k: int) -> tuple:
-        """The power sums and the denominator base that serve exponent k."""
-        if k >= 0:
+    def powers(self, e: int) -> tuple:
+        """The power sums and the denominator base that serve the power sum
+        of exponent e."""
+        if e >= 0:
             return self.up, self.Q
         if self._down is None:
             if self._recip is None:
@@ -162,19 +166,44 @@ class _AtomImage:
         return self._down
 
     def moment(self, k: int) -> Fraction:
-        sums, base = self.powers(k)
-        e = abs(k)
+        e = k + self.shift
+        sums, base = self.powers(e)
+        e = abs(e)
         return Fraction(sums.upto(e)[e], self.V * base ** e)
 
+    def row(self, lo: int, hi: int) -> _Row:
+        """Moments lo..hi, lo <= hi, as a `_Row`.  Over exponents
+        a = lo + shift .. b = hi + shift: the power sums of e >= 0 step by Q,
+        and those of e < 0, when a < 0, sit over the one denominator
+        V S^(-a), so that they step by 1."""
+        a, b = lo + self.shift, hi + self.shift
+        steps = [1 if e < 0 else self.Q for e in range(a, b)]
+        if a >= 0:
+            return _Row(self.up.upto(b)[a:b + 1], self.V * self.Q ** a, steps)
+        down, S = self.powers(a)
+        sums = down.upto(-a)
+        nums = [sums[-e] * S ** (e - a) for e in range(a, min(b + 1, 0))]
+        if b >= 0:
+            scale = S ** -a
+            nums += [x * scale for x in self.up.upto(b)[:b + 1]]
+        return _Row(nums, self.V * S ** -a, steps)
+
     def tilted(self, k: int) -> "_AtomImage":
-        """The image of t^k dmu: the same positions, with masses
-        c_i x_i^e / (V base^e), e = |k|, over the bases that serve
-        exponent k."""
-        sums, base = self.powers(k)
-        e = abs(k)
-        masses = [c * x ** e for c, x in zip(sums.coeffs, sums.bases)]
-        return _AtomImage(self._positions, masses, self.V * base ** e, self.up.bases, self.Q,
-                          self._recip)
+        """The image of t^k dmu: this one with shift + k, sharing its power
+        sums."""
+        view = object.__new__(_AtomImage)
+        view._positions, view.V, view.Q, view.up = self._positions, self.V, self.Q, self.up
+        view._recip, view._down, view.shift = self._recip, self._down, self.shift + k
+        return view
+
+    def masses(self) -> list:
+        """The masses of the measure read, U_i x_i^e / (V base^e) with
+        e = |shift| over the bases that serve exponent shift, each one
+        `Fraction`."""
+        sums, base = self.powers(self.shift)
+        e = abs(self.shift)
+        den = self.V * base ** e
+        return [Fraction(c * x ** e, den) for c, x in zip(sums.coeffs, sums.bases)]
 
 
 @dataclass(frozen=True)
@@ -242,9 +271,7 @@ class AtomicMeasure:
 
     def _row(self, lo: int, hi: int) -> Optional[_Row]:
         image = self._image()
-        if image is None:
-            return None
-        return _Row(image.up.upto(hi)[lo:hi + 1], image.V * image.Q ** lo, [image.Q] * (hi - lo))
+        return None if image is None else image.row(lo, hi)
 
     def scaled(self, factor: Scalar) -> "AtomicMeasure":
         return AtomicMeasure([(p, m * factor) for p, m in self.atoms], exact=self.exact)
@@ -312,14 +339,14 @@ def _imaged(atoms, exact: bool, image: _AtomImage) -> AtomicMeasure:
 
 def tilt(mu: AtomicMeasure, k: int) -> AtomicMeasure:
     """Density tilt t^k dmu: same atoms, masses scaled by pos**k.  An exact
-    measure's tilt reads them off its integer image, U_i P_i^k / (V Q^k),
-    and carries the image they come from (`_AtomImage.tilted`)."""
+    measure's tilt reads its masses and moments off the parent's integer
+    image, with the exponents shifted by k (`_AtomImage.tilted`): no second
+    image is built."""
     image = mu._image()
     if image is None:
         return AtomicMeasure([(pos, m * pos ** k) for pos, m in mu.atoms], exact=mu.exact)
     image = image.tilted(k)
-    return _imaged([(pos, Fraction(c, image.V)) for (pos, _), c in zip(mu.atoms, image.up.coeffs)],
-                   mu.exact, image)
+    return _imaged([(pos, m) for (pos, _), m in zip(mu.atoms, image.masses())], mu.exact, image)
 
 
 @dataclass(frozen=True)

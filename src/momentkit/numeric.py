@@ -83,12 +83,20 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
+    """repr of a float; "p/q", or "p" when q = 1, of an exact value: the
+    `str` of its `Fraction`."""
     if isinstance(x, float):
         return repr(x)
-    x = as_fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(x if isinstance(x, Fraction) else Fraction(x))
+
+
+def format_ratio(num: int, den: int) -> str:
+    """`format_scalar(Fraction(num, den))` of two integers, reduced by one
+    gcd when den > 0 and no `Fraction` is built."""
+    if den <= 0:
+        return format_scalar(Fraction(num, den))
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def as_fraction(x: Scalar) -> Fraction:
@@ -436,9 +444,11 @@ def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
     other seed gets a bracket of relative half-width 2^-BRACKET_BITS, the
     first whose ends have opposite exact signs of the deflated polynomial.
     A rational root of a primitive integer polynomial has a denominator
-    that divides lead, so a bracket narrower than 1/|lead| settles its one
-    candidate k/|lead| when that is a root.  So there are deg p exact roots
-    and brackets, one per seed.  The result
+    that divides lead, so a bracket at most 2^SNAP_BITS times wider than
+    1/|lead| settles its one candidate k/|lead| when that is a root
+    (`_lead_candidate`, on a copy bisected below 1/|lead|); a bracket whose
+    candidate fails is kept as it was.  So there are deg p exact roots and
+    brackets, one per seed.  The result
     stands only when they lie strictly inside (lo, hi) and are pairwise
     disjoint: then each bracket holds a root of the deflated polynomial,
     and the count leaves room for no other, so every root of p is real,
@@ -464,13 +474,11 @@ def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
             a, b, scale = _around(x, bits)
             va, vb = _horner(work, a, scale), _horner(work, b, scale)
             if (va > 0 and vb < 0) or (va < 0 and vb > 0):
-                k = -(-a * lead // scale)
-                if ((b - a) * lead < scale and k * scale <= b * lead
-                        and _horner(work, k, lead) == 0):
-                    root = Fraction(k, lead)
-                    found.append((root, root, None))
-                else:
-                    found.append((Fraction(a, scale), Fraction(b, scale), work))
+                root = None
+                if (b - a) * lead < scale << SNAP_BITS:
+                    root = _lead_candidate(work, a, b, scale, va > 0)
+                found.append((Fraction(a, scale), Fraction(b, scale), work) if root is None
+                             else (root, root, None))
                 break
         else:
             return None
@@ -480,6 +488,27 @@ def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
         return None
     return [RootEnclosure(root=a) if coeffs is None else RootEnclosure(coeffs, a, b)
             for a, b, coeffs in found]
+
+
+def _lead_candidate(work, a: int, b: int, scale: int, positive_at_a: bool) -> Optional[Fraction]:
+    """The rational root of the primitive integer polynomial `work` in the
+    bracket (a/scale, b/scale) of opposite end signs, if any: its
+    denominator divides lead = |work[-1]|, so the bracket is bisected by
+    integer Horner below 1/lead, where k/lead is its one candidate."""
+    lead = abs(work[-1])
+    while (b - a) * lead >= scale:
+        a, b, scale, mid = 2 * a, 2 * b, 2 * scale, a + b
+        value = _horner(work, mid, scale)
+        if value == 0:
+            return Fraction(mid, scale)
+        if (value > 0) == positive_at_a:
+            a = mid
+        else:
+            b = mid
+    k = -(-a * lead // scale)
+    if k * scale <= b * lead and _horner(work, k, lead) == 0:
+        return Fraction(k, lead)
+    return None
 
 
 def _descartes_isolate(work, lo: Fraction, hi: Fraction) -> list:
@@ -548,18 +577,20 @@ def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
     if lo > hi:
         raise ShapeError("empty interval")
     if not floats:
-        return _isolate(p.coeffs, lo, hi)
+        return _isolate(_integer_scale(p.coeffs)[0], lo, hi)
     d = as_fraction(eps * max(1.0, abs(float(lo)), abs(float(hi))))
     return [RootEnclosure(root=e.to_float(lo, hi))
-            for e in _isolate([as_fraction(c) for c in p.coeffs], lo - d, hi + d)]
+            for e in _isolate(_integer_scale([as_fraction(c) for c in p.coeffs])[0],
+                              lo - d, hi + d)]
 
 
-def _isolate(coeffs, lo: Fraction, hi: Fraction) -> list:
-    """`root_enclosures` of the exact, nonzero polynomial `coeffs` on
-    [lo, hi], lo <= hi."""
-    if len(coeffs) == 1:
+def _isolate(ints, lo: Fraction, hi: Fraction) -> list:
+    """`root_enclosures` on [lo, hi], lo <= hi, of the nonzero polynomial
+    with integer coefficients `ints` (any nonzero multiple of it gives the
+    same enclosures: they are made on its primitive part)."""
+    if len(ints) == 1:
         return []
-    work = _primitive(_integer_scale(coeffs)[0])
+    work = _primitive(ints)
     first, last = [], []
     # endpoint roots, then strictly interior isolation
     if _horner(work, lo.numerator, lo.denominator) == 0:
@@ -916,17 +947,17 @@ def _pass_solution(a, r: int) -> tuple:
     return _solve_upper(a[:r], [row[r] for row in a[:r]])
 
 
-def _pass_bordered(a, r: int, unit: int, lam: int) -> list:
-    """Coefficients, lowest degree first, of the bordered-Hankel polynomial
-    det H_r (t^r - sum c_j t^j) of the Hankel rows that `_minor_pass`
-    reduced to `a` in r >= 1 steps over an image whose entry k is
-    unit * lam^k times the form's: c is `_pass_solution`, and
-    det H_r = a[r-1][r-1] / unit^r (Sylvester).  It is the determinant of
-    H_r bordered by the row (h_r, ..., h_(2r-1), t^r) and the column
-    (1, t, ..., t^r).  The pass over a window dilated by lam
-    (`_dilated_scale`) gives p~(t) = lam^(r^2) p(t / lam), so coefficient j
-    of p is that of p~ over lam^(r^2 - j)."""
+def _pass_bordered(a, r: int, unit: int, lam: int) -> tuple:
+    """(ints, num, den) of the Hankel rows that `_minor_pass` reduced to `a`
+    in r >= 1 steps over an image whose entry k is unit * lam^k times the
+    form's: with c = n / d from `_pass_solution`, d > 0, the integers
+    ints = (-n_0, -n_1 lam, ..., -n_(r-1) lam^(r-1), d lam^r) are
+    d lam^r (t^r - sum c_j t^j), the monic support polynomial of the window
+    itself (the pass over a window dilated by lam gives c_j lam^(r - j)),
+    and num / den > 0 times them is the bordered-Hankel polynomial
+    det H_r (t^r - sum c_j t^j), the determinant of H_r bordered by the row
+    (h_r, ..., h_(2r-1), t^r) and the column (1, t, ..., t^r):
+    det H_r = a[r-1][r-1] / (unit^r lam^(r^2 - r)) (Sylvester)."""
     num, den = _pass_solution(a, r)
-    lead, units = a[r - 1][r - 1], unit ** r
-    return ([Fraction(-x * lead, den * units * lam ** (r * r - j)) for j, x in enumerate(num)]
-            + [Fraction(lead, units * lam ** (r * r - r))])
+    ints = [-x * lam ** j for j, x in enumerate(num)] + [den * lam ** r]
+    return ints, a[r - 1][r - 1], ints[-1] * unit ** r * lam ** (r * r - r)

@@ -58,7 +58,7 @@ from typing import Optional, Sequence, Union
 from .errors import DegenerateInput, DomainError, NotAMomentSequence, PreconditionError
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
 from .numeric import (DEFAULT_EPS, FormClass, HankelImage, Polynomial, Scalar, _dilated_scale,
-                      _integer_scale, _minor_pass, _pass_bordered, _pass_class, _pass_solution,
+                      _integer_scale, _minor_pass, _pass_bordered, _pass_class,
                       _to_float, _tolerances, as_fraction, classify_form,
                       count_positive_roots)
 
@@ -398,8 +398,8 @@ def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False,
 
     On a window dilated by lam the pass gives the support polynomial
     p~(t) = lam^r p(t / lam) of the dilated window, so c_j = c~_j / lam^(r-j)
-    (`numeric._pass_bordered` divides the same powers out of the bordered
-    polynomial).
+    (`numeric._pass_bordered` reads p and the bordered polynomial as
+    multiples of one integer vector).
     """
     n = len(w.ints) - 1
     r, a, bounds = w.support_pass()
@@ -413,12 +413,10 @@ def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False,
         return None if inner is None else inner.mul(Polynomial([lo * hi, -(lo + hi), 1]))
     if r == 0:
         return Polynomial([1]) if w.reads_zero() else None
-    if bordered:
-        coeffs = _pass_bordered(a, r, w.unit, w.lam)
-    else:
-        num, den = _pass_solution(a, r)
-        lam = w.lam
-        coeffs = [Fraction(-x, den * lam ** (r - j)) for j, x in enumerate(num)] + [Fraction(1)]
+    ints, num, den = _pass_bordered(a, r, w.unit, w.lam)
+    if not bordered:
+        num, den = 1, ints[-1]
+    coeffs = [Fraction(x * num, den) for x in ints]
     return Polynomial([_to_float(x) for x in coeffs] if w.floats and not exact else coeffs)
 
 

@@ -6,12 +6,13 @@ det H_m (t^m - sum c_j t^j) with H_m c = (s_m, ..., s_(2m-1)) for the window
 or one of its transforms, read from one leading-minor pass of H_m and one
 back substitution (Curto and Fialkow, Houston J. Math. 17 (1991)).  Their
 masses are Gauss-Christoffel weights q(x)/p'(x), q the associated polynomial,
-on one integer image (`numeric.vandermonde_masses`).  On (0, inf) the
+on one integer image of the atoms and the window (`_lagrange_image`; float
+input through `numeric.vandermonde_masses`).  On (0, inf) the
 odd-length case has a unique minimal measure (the same polynomial,
 interval-independent); the even-length case is a one-parameter family
 exposed as a lazy handle.  On (0, 1] the minimal measure is unique in both
-parities.  An exact measure built here keeps the integer image its window
-was checked on, for its moments and its tilts.
+parities.  A measure built here on an exact window keeps the integer image
+its masses were read on, for its moments and its tilts.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DegenerateInput, InsufficientMoments, NotStrictlyPositive
 from .measure import AtomicMeasure, _AtomImage, _imaged
-from .numeric import (HankelImage, Polynomial, Scalar, _dilated_scale, _integer_scale,
+from .numeric import (HankelImage, Polynomial, Scalar, _dilated_scale, _integer_scale, _isolate,
                       _lagrange_masses, _minor_pass, _pass_bordered, _to_float, as_fraction,
                       root_enclosures, root_precision, vandermonde_masses)
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
@@ -59,27 +60,34 @@ def bordered_hankel_poly(window: Sequence[Scalar]) -> Polynomial:
 def _bordered_image(form: HankelImage, floats: bool, lam: int) -> Polynomial:
     """`bordered_hankel_poly` of a window of 2m entries given by its
     integer image over a window dilated by lam (`ints[k]` = `unit` lam^k
-    times entry k, see `positivity._Window`), with float coefficients for
-    float input; the constant 1 for the empty window.
+    times entry k, see `positivity._Window`): `_bordered_ints` as
+    `Fraction`s, rounded for float input; the constant 1 for the empty
+    window."""
+    ints, num, den = _bordered_ints(form, lam)
+    coeffs = [Fraction(x * num, den) for x in ints]
+    return Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
+
+
+def _bordered_ints(form: HankelImage, lam: int) -> tuple:
+    """(ints, num, den): the bordered-Hankel polynomial of the form is
+    num / den > 0 times the integers `ints`.
 
     The polynomial is det H_m (t^m - sum c_j t^j) with
     H_m c = (s_m, ..., s_(2m-1)), the construction of
     `positivity._support_poly(bordered=True)`: one `_minor_pass` of the
     rows of H_m with the column of the right-hand side, m positive pivots,
     and one back substitution (`numeric._pass_bordered`).  It runs without
-    the float zero test, on the exact or binary-exact image, so float
-    input gets its exact polynomial rounded.  lam is the window's own,
-    chosen once by `numeric._dilated_scale` (1 for a float window), and
-    `_pass_bordered` divides it back out.  A leading block H_m that is not
-    positive definite raises DegenerateInput."""
+    the float zero test, on the exact or binary-exact image.  lam is the
+    window's own, chosen once by `numeric._dilated_scale` (1 for a float
+    window), and `_pass_bordered` divides it back out.  A leading block H_m
+    that is not positive definite raises DegenerateInput."""
     m = len(form.ints) // 2
     if m == 0:
-        return Polynomial([1])
+        return [1], 1, 1
     r, a, _ = _minor_pass(HankelImage(form.ints, form.unit), m)
     if r < m:
         raise DegenerateInput("bordered layout needs a positive definite leading block")
-    coeffs = _pass_bordered(a, m, form.unit, lam)
-    return Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
+    return _pass_bordered(a, m, form.unit, lam)
 
 
 def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
@@ -94,6 +102,16 @@ def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
         return bordered_hankel_poly(window)
     w = _Window.of(window)
     return _bordered_image(w.upper(1), w.floats, w.lam).mul_linear(1, -1)
+
+
+def _atom_ints(w: _Window, domain) -> tuple:
+    """`atom_polynomial` of an exact window (even on the ray) as
+    `_bordered_ints` of its image `w`, times 1 - t for an odd window on
+    (0, 1]: the polynomial is num / den > 0 times `ints`."""
+    if isinstance(domain, Ray) or len(w.ints) % 2 == 0:
+        return _bordered_ints(w.hankel(), w.lam)
+    ints, num, den = _bordered_ints(w.upper(1), w.lam)
+    return [x - y for x, y in zip(ints + [0], [0] + ints)], num, den
 
 
 def root_bound(poly: Polynomial) -> Fraction:
@@ -115,42 +133,50 @@ def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
     unattained infimum carries mass ~1e-43); `_atoms_and_image` checks such
     a mass before it stands.
     """
-    pairs, image = _atoms_and_image(poly, window, lo, hi)
-    return pairs, image is not None
+    pairs, _, exact = _atoms_and_image(root_enclosures(poly, lo, hi), poly.degree, window)
+    return pairs, exact
 
 
-def _atoms_and_image(poly: Polynomial, window: Sequence[Scalar], lo: Scalar, hi: Scalar) -> tuple:
-    """`atoms_from_poly` as (pairs, image): `image` is the integer image
-    (`measure._AtomImage`) the exact atoms were checked on, None when they
-    are not exact.  The pairs ascend by position.
+def _atoms_and_image(enclosures: list, degree: int, window: Sequence[Scalar],
+                     scaled: Optional[tuple] = None) -> tuple:
+    """`atoms_from_poly` of the ascending RootEnclosures of a polynomial of
+    degree `degree`, as (pairs, image, exact): `image` is the integer image
+    (`measure._AtomImage`) the masses were read on, None for float input.
+    `scaled` is the window's image (ints, unit, lam) when the caller holds
+    one (`positivity._Window`); otherwise the window is scaled here, once.
 
-    The roots are isolated once.  When every root comes out exact and the
-    window is exact, the masses and the image are read on one integer
-    image of each (`_exact_atoms`).  Otherwise the masses are read at the
-    enclosures' midpoints.  A mass that is nonpositive or below
-    2^-TINY_MASS_BITS of the largest stands only when it is positive and
-    the masses read at the enclosures' lower ends agree with it to half of
-    itself (`_masses_hold`); otherwise every enclosure is narrowed by 2^-64
-    and the masses are read again, up to MASS_REFINEMENTS times."""
-    enclosures = root_enclosures(poly, lo, hi)
-    if len(enclosures) != poly.degree:
+    When every root comes out exact and the window is exact, the masses are
+    read and the window checked on one integer image (`_exact_atoms`).
+    Otherwise the masses are read at the enclosures' midpoints: on their
+    Lagrange image (`_lagrange_image`) for an exact window, by
+    `vandermonde_masses` for float input.  A mass that is nonpositive or
+    below 2^-TINY_MASS_BITS of the largest stands only when it is positive
+    and the masses read at the enclosures' lower ends agree with it to half
+    of itself (`_masses_hold`); otherwise every enclosure is narrowed by
+    2^-64 and the masses are read again, up to MASS_REFINEMENTS times.
+    Coinciding atoms raise DegenerateInput when their masses are read."""
+    if len(enclosures) != degree:
         raise DegenerateInput(
-            f"expected {poly.degree} simple roots in range, found {len(enclosures)}")
+            f"expected {degree} simple roots in range, found {len(enclosures)}")
     window = list(window)
     width = root_precision()
     for _ in range(MASS_REFINEMENTS + 1):
         roots = [e.refine(width) for e in enclosures]
         settled = all(e.root is not None for e in enclosures)
-        if settled and not any(isinstance(v, float) for v in window + roots):
-            return _exact_atoms(roots, window)
-        masses = vandermonde_masses(roots, window)
+        image = None
+        if any(isinstance(v, float) for v in window + roots):
+            masses = vandermonde_masses(roots, window)
+        else:
+            scaled = scaled or (*_integer_scale(window), 1)
+            if settled:
+                return (*_exact_atoms(roots, window, scaled), True)
+            image = _lagrange_image(roots, *scaled)
+            masses = [Fraction(u, image.V) for u in image.up.coeffs]
         if settled or _masses_hold(enclosures, masses, window):
             break
         width /= 2 ** 64
     _positive_masses(masses)
-    if len(set(roots)) != len(roots):
-        raise DegenerateInput("coinciding atoms in principal construction")
-    return list(zip(roots, masses)), None
+    return list(zip(roots, masses)), image, False
 
 
 def _positive_masses(masses):
@@ -171,39 +197,63 @@ def _masses_hold(enclosures, masses, window) -> bool:
     return all(masses[j] > 0 and 2 * abs(masses[j] - lower[j]) < masses[j] for j in small)
 
 
-def _exact_atoms(roots: list, window: list) -> tuple:
-    """`_atoms_and_image` for exact, ascending `roots` and an exact window.
-
-    The roots are P_j / Q and the window S_k / unit, each scaled once; the
-    masses come from them as U_j / V (`numeric._lagrange_masses`), and
-    `measure._AtomImage` is built on P, Q, U and V as they are.  The atoms
-    reproduce the window iff moment k of the image, N_k / (V Q^k), is
-    S_k / unit for every k, that is unit N_k = S_k V Q^k; a window they
-    fail raises DegenerateInput."""
-    if len(window) < len(roots):
+def _lagrange_image(roots: list, S: list, unit: int, lam: int = 1) -> _AtomImage:
+    """The `measure._AtomImage` of exact, ascending `roots` P_j / Q with the
+    masses U_j / V (`numeric._lagrange_masses`) that match the window
+    entries S_k / (unit lam^k), k < len(roots): those of the atoms
+    lam P_j / Q at the dilated entries S_k / unit.  Coinciding roots raise
+    DegenerateInput."""
+    if len(S) < len(roots):
         raise InsufficientMoments("moment window shorter than atom count")
     P, Q = _integer_scale(roots)
-    S, unit = _integer_scale(window)
-    U, V = _lagrange_masses(P, Q, S, unit)
-    _positive_masses(U)
-    image = _AtomImage(roots, U, V, P, Q)
-    power = V
+    U, V = _lagrange_masses([lam * x for x in P] if lam > 1 else P, Q, S, unit)
+    return _AtomImage(roots, U, V, P, Q)
+
+
+def _exact_atoms(roots: list, window: list, scaled: Optional[tuple] = None) -> tuple:
+    """`_atoms_and_image`'s (pairs, image) for exact, ascending `roots` and
+    an exact window with the image (S, unit, lam) `scaled` (by default the
+    window scaled once, lam = 1), on the `_lagrange_image`.  The atoms
+    reproduce the window iff moment k of the image, N_k / (V Q^k), is
+    S_k / (unit lam^k) for every k, that is unit lam^k N_k = S_k V Q^k; a
+    window they fail raises DegenerateInput."""
+    S, unit, lam = scaled or (*_integer_scale(window), 1)
+    image = _lagrange_image(roots, S, unit, lam)
+    _positive_masses(image.up.coeffs)
+    left, right = unit, image.V
     for k, (x, n) in enumerate(zip(S, image.up.upto(len(S) - 1))):
         if k:
-            power *= Q
-        if unit * n != x * power:
+            left, right = left * lam, right * image.Q
+        if left * n != x * right:
             raise DegenerateInput("principal measure fails its moment window")
-    return [(x, Fraction(u, V)) for x, u in zip(roots, U)], image
+    return [(x, Fraction(u, image.V)) for x, u in zip(roots, image.up.coeffs)], image
 
 
 def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
                       lo: Scalar, hi: Scalar) -> AtomicMeasure:
-    """The measure of `atoms_from_poly` (lo >= 0 and no root at 0).  An
-    exact measure carries the integer image its window was checked on."""
-    pairs, image = _atoms_and_image(poly, window, lo, hi)
+    """The measure of `atoms_from_poly` (lo >= 0 and no root at 0).  The
+    measure of an exact window carries the integer image its masses were
+    read on (`_atoms_and_image`)."""
+    return _carrying(*_atoms_and_image(root_enclosures(poly, lo, hi), poly.degree, window))
+
+
+def _window_measure(ints: list, w: _Window, domain) -> AtomicMeasure:
+    """`measure_from_poly` of the polynomial with integer coefficients
+    `ints` (`_atom_ints`) and the exact window of image `w`, on [0, 1] or on
+    [0, 1 + max |c_j| / |c_d|] (Cauchy's bound, read off the integers): the
+    roots are isolated on `ints` and the masses read on `w`, with no
+    `Fraction` polynomial built and no second scaling of the window."""
+    lead = abs(ints[-1])
+    hi = Fraction(1) if isinstance(domain, HalfOpen) else Fraction(lead + max(map(abs, ints)), lead)
+    return _carrying(*_atoms_and_image(_isolate(ints, Fraction(0), hi), len(ints) - 1, w.values,
+                                       (w.ints, w.unit, w.lam)))
+
+
+def _carrying(pairs: list, image, exact: bool) -> AtomicMeasure:
+    """The AtomicMeasure of `_atoms_and_image`'s result, on its image."""
     if image is None:
         return AtomicMeasure(pairs, exact=False)
-    return _imaged(pairs, True, image)
+    return _imaged(pairs, exact, image)
 
 
 def principal_polynomial(values, a: Scalar, b: Scalar,

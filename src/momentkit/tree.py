@@ -15,9 +15,15 @@ and stay rational for inputs like sqrt(2).
 Certificate checks and weight rows take exact moments and geometric sums
 from the integer image of each measure (see `measure`).  A branch identity
 compares a moment or a gamma_n = 1 + tau_0 + ... + tau_(n-1) with an exact
-weight product by one integer cross product, with nothing normalised, and
-a completed weight, a ratio of consecutive moments or of consecutive
-gamma_n, is one quotient of two integer numerators, e.g. G_n / (Q G_(n-1)).
+weight product by one integer cross product, with nothing normalised; a
+trunk level sums its classes' reciprocal moments over the product of their
+denominators (`_trunk_sums`) and compares the sum with its target by one
+cross product; a recurrence's polynomial is compared with the support
+polynomial of its window on integers (`_positive_on`).  A completed weight,
+a ratio of consecutive moments or of consecutive gamma_n, is one quotient
+of two integer numerators, e.g. G_n / (Q G_(n-1)), and the JSON weight rows
+print each reduced by one gcd.  A float, or a measure without an integer
+image, is read by plain arithmetic within the float band instead.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Optional, Union
 
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
 from .measure import MomentRecurrence, MomentSequence, geometric_row, moment_row
-from .numeric import Scalar, as_fraction
+from .numeric import Scalar, _integer_scale, as_fraction, format_ratio, format_scalar
 from .positivity import HalfOpen, Ray, _Window, _determinate_poly
 
 
@@ -162,7 +168,11 @@ class ListTail:
 
 class _RatioTail:
     """Branch weight squares: prescribed squares for generations 2..p, then
-    ratios read from a measure (`_ratios`, given by each subclass)."""
+    ratios read from a measure.  Each subclass gives the ratios at
+    n = lo..hi-1 as ratios of consecutive values of an integer `_Row`
+    (`_ratio_row`: the row and the index they start from, None when the
+    measure has no integer image) and as plain values otherwise
+    (`_ratio_values`)."""
 
     def __init__(self, prefix_sq):
         self.prefix_sq = tuple(_pos_sq(w, "weight square") for w in prefix_sq)
@@ -178,6 +188,24 @@ class _RatioTail:
         row = list(self.prefix_sq[:max(count - 1, 0)])
         return row + self._ratios(len(row), count - 1)
 
+    def weight_sq_text(self, count: int) -> list:
+        """`weight_sq_row(count)` as `format_scalar` prints it; a ratio of
+        an exact measure is printed from its two integer numerators, reduced
+        by one gcd (`numeric.format_ratio`), with no `Fraction` built."""
+        prefix = [format_scalar(x) for x in self.prefix_sq[:max(count - 1, 0)]]
+        found = self._ratio_row(len(prefix), count - 1)
+        if found is None:
+            return prefix + [format_scalar(x) for x in self._ratio_values(len(prefix), count - 1)]
+        row, start = found
+        return prefix + row.ratios(start, format_ratio)
+
+    def _ratios(self, lo: int, hi: int) -> list:
+        found = self._ratio_row(lo, hi)
+        if found is None:
+            return self._ratio_values(lo, hi)
+        row, start = found
+        return row.ratios(start)
+
 
 class MeasureTail(_RatioTail):
     """Branch weight squares from a branch measure: prescribed squares for
@@ -187,13 +215,14 @@ class MeasureTail(_RatioTail):
         super().__init__(prefix_sq)
         self.measure = measure
 
-    def _ratios(self, lo: int, hi: int) -> list:
-        """moment(k + 1) / moment(k) for k = lo..hi-1, each moment taken
-        once; for an exact measure each a quotient of two integer
+    def _ratio_row(self, lo: int, hi: int) -> Optional[tuple]:
+        """moment(k + 1) / moment(k) for k = lo..hi-1: the moments lo..hi
+        of an exact measure, each ratio a quotient of two integer
         numerators."""
         moments = moment_row(self.measure, lo, hi)
-        if moments is not None:
-            return moments.ratios()
+        return None if moments is None else (moments, 0)
+
+    def _ratio_values(self, lo: int, hi: int) -> list:
         moments = [self.measure.moment(k) for k in range(lo, hi + 1)]
         return [b / a for a, b in zip(moments, moments[1:])]
 
@@ -212,13 +241,14 @@ class GeometricSumTail(_RatioTail):
         super().__init__(prefix_sq)
         self.tau = tau
 
-    def _ratios(self, lo: int, hi: int) -> list:
+    def _ratio_row(self, lo: int, hi: int) -> Optional[tuple]:
         """gamma_(n+1) / gamma_n for n = lo..hi-1, with gamma_n run up one
         moment at a time: gamma_n = 1 + tau_0 + ... + tau_(n-1); for an
         exact tau each a quotient of two integer numerators."""
         gammas = geometric_row(self.tau, hi, Fraction(1))
-        if gammas is not None:
-            return gammas.ratios(lo)
+        return None if gammas is None else (gammas, lo)
+
+    def _ratio_values(self, lo: int, hi: int) -> list:
         sums = [Fraction(0)]
         for k in range(hi):
             sums.append(sums[-1] + self.tau.moment(k))
@@ -364,16 +394,23 @@ def _positive_on(mu, domain) -> bool:
     Fialkow, Houston J. Math. 17 (1991)): `_determinate_poly` of the seed
     window, run on to 2d moments, then returns the polynomial up to its
     leading coefficient; it counts the roots by Descartes' rule, exact on
-    that real-rooted polynomial.  Any other object with moments passes."""
+    that real-rooted polynomial.  An exact recurrence compares it on
+    integers: the least common denominator of the monic polynomial's
+    coefficients makes it primitive, as the image's q is.  Any other object
+    with moments passes."""
     rec = getattr(mu, "positive", mu)
     if not isinstance(rec, MomentRecurrence):
         return True
-    q = rec.poly.coeffs
     count = max(len(rec.window), 2 * rec.poly.degree)
     p = _determinate_poly(_Window.of([rec.moment(rec.first_index + k) for k in range(count)]),
                           domain)
-    return (p is not None and p.degree == rec.poly.degree
-            and all(_eq(c, x / q[-1]) for c, x in zip(p.coeffs, q)))
+    if p is None or p.degree != rec.poly.degree:
+        return False
+    image = rec._image()
+    if image is None:
+        q = rec.poly.coeffs
+        return all(_eq(c, x / q[-1]) for c, x in zip(p.coeffs, q))
+    return _integer_scale(p.coeffs)[0] == image.q
 
 
 def _check_counts(w: FullWeights, measures):
@@ -414,11 +451,47 @@ def _holds(values, n: int, x) -> bool:
     return values.equals(n, x)
 
 
+def _trunk_sums(w: FullWeights, measures, top: int) -> Optional[list]:
+    """sum_c first_mass_c * mu_c.moment(-(k + 1)) for k = 0..top, each as
+    (N, D) with D > 0 the product of the denominators of its terms: every
+    moment is read as an integer numerator off its measure's image
+    (`measure.moment_row` of moments -(top + 1)..-1), and nothing is
+    normalised.  None when a first mass or trunk square is a float, or a
+    measure has no integer image."""
+    if any(isinstance(x, float) for x in (*w.trunk_sq, *(c.first_mass for c in w.classes))):
+        return None
+    rows = [moment_row(mu, -(top + 1), -1) for mu in measures]
+    if any(row is None for row in rows):
+        return None
+    sums, dens = [], [row.den for row in rows]
+    for i in range(top + 1):  # moment i - top - 1, of level top - i
+        if i:
+            dens = [den * row.steps[i - 1] for den, row in zip(dens, rows)]
+        n, d = 0, 1
+        for cls, row, den in zip(w.classes, rows, dens):
+            m = cls.first_mass
+            den *= m.denominator
+            n, d = n * den + m.numerator * row.nums[i] * d, d * den
+        sums.append((n, d))
+    return sums[::-1]
+
+
+def _meets(pair: tuple, x, equality: bool) -> bool:
+    """N / D == x, or N / D <= x, for a pair of `_trunk_sums` and an exact
+    x: one integer cross product."""
+    n, d = pair
+    lhs, rhs = n * x.denominator, x.numerator * d
+    return lhs == rhs if equality else lhs <= rhs
+
+
 def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> bool:
     """Check a subnormal certificate exactly: every branch measure is a
     positive measure on (0, inf) whose moments 0..p-1 match the prescribed
     weight products, and the trunk reciprocal-moment chain holds at its
-    kappa + 1 levels.  `depth` bounds only the checks that do not close
+    kappa + 1 levels: at level k, sum_c first_mass_c mu_c(-(k + 1)) equals
+    1 / (lambda_0^2 ... lambda_(-(k-1))^2), or is at most that at k = kappa,
+    read as one integer cross product on the measures' images
+    (`_trunk_sums`).  `depth` bounds only the checks that do not close
     after finitely many steps: the moment identities of a generator that is
     not a MeasureTail over the branch's own measure, and the prefix of an
     infinite trunk."""
@@ -433,14 +506,17 @@ def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> b
     # all-equality chain when the trunk is infinite (checked on its finite
     # prefix); otherwise equalities then a final bound
     top = min(depth, kappa) if w.kappa_infinite else kappa
+    sums = _trunk_sums(w, measures, top)
     for k in range(top + 1):
-        lhs = sum(cls.first_mass * mu.moment(-(k + 1))
-                  for cls, mu in zip(w.classes, measures))
         rhs = 1 / trunk_prod
-        if w.kappa_infinite or k < kappa:
-            _check(_eq(lhs, rhs), f"trunk level {k}: reciprocal sum equality")
+        equality = w.kappa_infinite or k < kappa
+        if sums is not None:
+            held = _meets(sums[k], rhs, equality)
         else:
-            _check(_le(lhs, rhs), f"trunk level {k}: reciprocal sum bound")
+            lhs = sum(cls.first_mass * mu.moment(-(k + 1))
+                      for cls, mu in zip(w.classes, measures))
+            held = _eq(lhs, rhs) if equality else _le(lhs, rhs)
+        _check(held, f"trunk level {k}: reciprocal sum {'equality' if equality else 'bound'}")
         if k < kappa:
             trunk_prod = trunk_prod * w.trunk_sq[k]
     return True
@@ -450,7 +526,12 @@ def verify_che_certificate(w: FullWeights, taus, depth: int = 12) -> bool:
     """Check a completely hyperexpansive certificate exactly: every branch
     measure is a positive measure on (0, 1] without mass at zero whose
     gamma_n = 1 + tau_0 + ... + tau_(n-1), n = 1..p-1, match the prescribed
-    weight products, and the trunk chain holds at its kappa + 1 levels.
+    weight products, and the trunk chain holds at its kappa + 1 levels:
+    1 + T_k S_k equals the branching mass total at k = 0 and
+    lambda_(-(k-1))^2 after, or is at most that at k = kappa, with S_k the
+    mass-weighted sum of the moments -(k + 1) and T_k the product of the
+    first k trunk squares; exactly, S_k is compared with (rhs - 1) / T_k by
+    one integer cross product (`_trunk_sums`).
     The infinite-trunk case checks the isometry conditions directly.
     `depth` bounds only the checks that do not close after finitely many
     steps: the identities of a generator that is not a GeometricSumTail
@@ -474,23 +555,19 @@ def verify_che_certificate(w: FullWeights, taus, depth: int = 12) -> bool:
                     lambda tau, n: 1 + tau.geometric_sum(n),
                     lambda n: f"geometric sum {n} equals the weight product", 1)
     kappa = len(w.trunk_sq)
-    total = w.first_mass_total
-    if kappa == 0:
-        lhs = 1 + sum(cls.first_mass * tau.moment(-1)
-                      for cls, tau in zip(w.classes, taus))
-        _check(_le(lhs, total), "root level: expansion bound")
-        return True
-    lhs = 1 + sum(cls.first_mass * tau.moment(-1)
-                  for cls, tau in zip(w.classes, taus))
-    _check(_eq(lhs, total), "trunk level 0: expansion equality")
     trunk_prod = Fraction(1)
-    for k in range(1, kappa + 1):
-        trunk_prod = trunk_prod * w.trunk_sq[k - 1]
-        lhs = 1 + trunk_prod * sum(cls.first_mass * tau.moment(-(k + 1))
-                                   for cls, tau in zip(w.classes, taus))
-        rhs = w.trunk_sq[k - 1]
-        if k < kappa:
-            _check(_eq(lhs, rhs), f"trunk level {k}: expansion equality")
+    sums = _trunk_sums(w, taus, kappa)
+    for k in range(kappa + 1):
+        if k:
+            trunk_prod = trunk_prod * w.trunk_sq[k - 1]
+        rhs = w.trunk_sq[k - 1] if k else w.first_mass_total
+        equality = k < kappa
+        if sums is not None:
+            held = _meets(sums[k], (rhs - 1) / trunk_prod, equality)
         else:
-            _check(_le(lhs, rhs), f"trunk level {k}: expansion bound")
+            lhs = 1 + trunk_prod * sum(cls.first_mass * tau.moment(-(k + 1))
+                                       for cls, tau in zip(w.classes, taus))
+            held = _eq(lhs, rhs) if equality else _le(lhs, rhs)
+        name = f"trunk level {k}: expansion {'equality' if equality else 'bound'}"
+        _check(held, name if kappa else "root level: expansion bound")
     return True

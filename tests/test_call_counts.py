@@ -32,8 +32,13 @@ and no window decides its lam twice.  Roots are counted only by the
 determinacy tests, by Descartes' rule of signs
 (`numeric.count_positive_roots`).  Atoms are found from certified float
 seeds: a planted rational measure is recovered on every domain with no
-Descartes isolation, and a polynomial whose seeds fail the certificate is
-isolated by one.  An "auto"
+Descartes isolation, even with atom denominators of 43 bits, and a
+polynomial whose seeds fail the certificate is isolated by one.  A
+completion certificate's measure scales its window to integers once,
+builds one image of its atoms, which the measure of the certificate's
+indices reads with shifted exponents, builds a `Fraction` polynomial only
+for a moment recurrence, and reads no mass through `vandermonde_masses` or
+the AtomicMeasure constructor.  An "auto"
 completion solve classifies each given branch window once to read its atom
 counts, and each of a singular window's sub-windows at most once to check
 its index, and computes each level-0 threshold or forced value once,
@@ -54,7 +59,7 @@ from momentkit.backward import ExtensionClass, classify_backward, forced_value
 from momentkit.cli import run
 from momentkit.extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
                                 reciprocal_inf_ray)
-from momentkit.measure import AtomicMeasure, moments
+from momentkit.measure import AtomicMeasure, moments, tilt
 import momentkit.positivity as positivity
 from momentkit.numeric import Polynomial
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, classify, index,
@@ -378,25 +383,96 @@ def test_dilated_windows_keep_the_budgets_and_decide_lam_once(calls, windows, ca
     assert windows["dilations"] == windows["windows"] > 0
 
 
-@pytest.mark.parametrize("mu, domain", [(RAY_MU, Ray()), (UNIT_MU, HalfOpen())])
-def test_certificate_measure_builds_one_image_per_measure(calls, monkeypatch, mu, domain):
+#: (atoms, domain, exact, start, length): certificate measures on both
+#: domains, of indices -2.., whose window is moments start..start+length-1
+#: of the atoms; the irrational pairs (3 +- sqrt 5)/2 and (5 +- sqrt 5)/10,
+#: of mass 1/2 each, have rational moments, so their certificates are
+#: recurrences; 8 moments of the long measures are a dilated window
+CERTIFIED = {
+    "ray-atomic": (RAY_MU, Ray(), True, -2, 4),
+    "half-open-atomic": (UNIT_MU, HalfOpen(), True, -2, 4),
+    "ray-recurrence": (Polynomial([1, -3, 1]), Ray(), False, -2, 4),
+    "half-open-recurrence": (Polynomial([1, -5, 5]), HalfOpen(), False, -2, 4),
+    "ray-dilated": (LONG_RAY_MU, Ray(), True, 0, 8),
+    "half-open-dilated": (LONG_UNIT_MU, HalfOpen(), True, 0, 8),
+}
+
+
+def _recurrence_moments(poly, lo, hi):
+    """Moments lo..hi of the measure of mass 1/2 at each root of the
+    quadratic `poly`, run from s_0 = 1, s_1 = -c_1 / (2 c_2) by its
+    recurrence both ways."""
+    c0, c1, c2 = poly.coeffs
+    moments = {0: F(1), 1: -c1 / (2 * c2)}
+    for k in range(2, hi + 1):
+        moments[k] = -(c1 * moments[k - 1] + c0 * moments[k - 2]) / c2
+    for k in range(-1, lo - 1, -1):
+        moments[k] = -(c1 * moments[k + 1] + c2 * moments[k + 2]) / c0
+    return [moments[k] for k in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFIED))
+def test_certificate_measure_builds_one_image_per_measure(calls, monkeypatch, case):
+    mu, domain, exact, start, size = CERTIFIED[case]
+    lo, hi = start - 2, start + size + 9  # moment k of the certificate is lo + 4 + k here
+    want = (_recurrence_moments(mu, lo, hi) if isinstance(mu, Polynomial)
+            else [mu.moment(k) for k in range(lo, hi + 1)])
+    window, full = want[2:size + 2], want[2:size + 6]
+    assert (positivity._Window.of(window).lam > 1) is (size >= 8)
+    counter = Counter()
+
+    def counting(label, orig, key=lambda *args: True):
+        """Count the calls of `orig` that `key` accepts, through every alias
+        the package modules hold; a call made inside a counted call of the
+        same label is not counted again."""
+        def counted(*args, **kwargs):
+            counter[label] += bool(key(*args)) and not counter[label, "open"]
+            counter[label, "open"] += 1
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                counter[label, "open"] -= 1
+        for module in [m for name, m in sys.modules.items() if name.startswith("momentkit.")]:
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, counted)
+
     builds = []
     init = measure._AtomImage.__init__
 
-    def counted(self, *args, **kwargs):
+    def counted_init(self, *args, **kwargs):
         builds.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(measure._AtomImage, "__init__", counted)
-    window = [mu.moment(k) for k in range(-2, 2)]
-    full = [mu.moment(k) for k in range(-2, 6)]
+    monkeypatch.setattr(measure._AtomImage, "__init__", counted_init)
+    # the window scaled to integers: by `_dilated_scale` in `_Window.of`, or
+    # by `_integer_scale` anywhere
+    for name in ("_dilated_scale", "_integer_scale"):
+        counting("window scaled", getattr(numeric, name), lambda values: list(values) == window)
+    counting("vandermonde_masses", numeric.vandermonde_masses)
+    for label, cls in (("Polynomial", numeric.Polynomial), ("AtomicMeasure", AtomicMeasure)):
+        orig = cls.__init__
+
+        def counted_ctor(self, *args, _label=label, _orig=orig, **kwargs):
+            counter[_label] += 1
+            _orig(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted_ctor)
     certified = completion._certificate_measure(window, -2, full, domain)
-    assert certified == mu
-    assert [certified.moment(k) for k in range(-4, 8)] == [mu.moment(k) for k in range(-4, 8)]
-    # the zero-based measure carries the image its window was checked on,
-    # and the tilt to the certificate's indices the image read off it: two
-    # measures, two images, none built again on the moments asked
-    assert len(builds) == 2 and certified._image() is builds[1]
+    assert isinstance(certified, AtomicMeasure) is exact
+    assert [certified.moment(k) for k in range(-4, size + 8)] == want
+    if exact:
+        assert certified == tilt(mu, start + 2)
+    # one integer image of the window, for the pass, the roots and the
+    # masses; one image of the atoms, which the measure of the certificate's
+    # indices reads with its exponents shifted (the atom hint of a
+    # recurrence alike), none built again on the moments asked
+    assert counter["window scaled"] == 1
+    hint = certified if exact else certified.atoms_hint
+    assert len(builds) == 1 and hint._image().up is builds[0].up
+    # a Fraction polynomial only for a recurrence, and no mass read by
+    # `vandermonde_masses` or atom checked by the AtomicMeasure constructor
+    assert counter["Polynomial"] == (0 if exact else 1)
+    assert counter["vandermonde_masses"] == counter["AtomicMeasure"] == 0
     # the atom polynomial is one full-rank pass: no bordered determinant
     assert _counts(calls) == (0, 1, 0, 0)
 
@@ -415,9 +491,17 @@ def isolations(monkeypatch):
     return counter
 
 
-#: (recover, measure, n): planted rational measures of 4 and 5 atoms seen
+#: atoms of 42, 43 and 26 bits of denominator (`windows` benchmark seed 2412,
+#: problem 102): the bracket of 15/2^43 is wider than 1/|lead| of its
+#: polynomial, so its one candidate k/|lead| is tested on a bisected copy
+LONG_DENOMINATOR_MU = AtomicMeasure([(F(7, 2 ** 42), F(82824, 98328745)),
+                                     (F(15, 2 ** 43), F(368695, 146689304)),
+                                     (F(9, 2 ** 26), F(53051, 59116757))])
+
+#: (recover, measure, n): planted rational measures of 3 to 5 atoms seen
 #: through n + 1 moments, singular and strict, on every domain
 PLANTED_RATIONAL = {
+    "half-open-long-denominators": (minimal_measure_half_open, LONG_DENOMINATOR_MU, 6),
     "ray-singular": (lambda w: recover_minimal_measure(w, Ray()), LONG_RAY_MU, 9),
     "ray-strict": (minimal_measure_ray, LONG_RAY_MU, 7),
     "half-open-singular": (lambda w: recover_minimal_measure(w, HalfOpen()), LONG_UNIT_MU, 9),

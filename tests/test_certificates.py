@@ -19,7 +19,7 @@ from momentkit.cli import run
 from momentkit.completion import (_norm_sq_bound, flat_che_completion, solve_che,
                                   solve_subnormal)
 from momentkit.errors import CertificateInvalid, ZeroAtomError
-from momentkit.measure import AtomicMeasure, MomentRecurrence
+from momentkit.measure import AtomicMeasure, MomentRecurrence, tilt
 from momentkit.numeric import Polynomial, format_scalar
 from momentkit.principal import root_bound
 from momentkit.tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
@@ -192,6 +192,147 @@ def test_mutated_recurrences_rejected(data, mutation, extra):
     with pytest.raises(CertificateInvalid) as err:
         verifier(full, measures, 64)
     assert "positive" in str(err.value)
+
+
+# --------------------------------------------------------------------------
+# trunk identities
+# --------------------------------------------------------------------------
+
+ATOM_IN_RAY = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=16)
+ATOM_IN_HALF_OPEN = st.fractions(min_value=F(1, 4), max_value=1, max_denominator=16)
+
+
+@st.composite
+def planted_trunks(draw):
+    """(che, kappa, pairs, measures, first masses, tails, trunk squares) of
+    a certificate whose trunk identities hold with the last level tight:
+    1-3 classes, kappa 0..2, each class's measure of 1-2 rational atoms
+    built by the AtomicMeasure constructor, reached through a tilt (its
+    image read with shifted exponents), or a MomentRecurrence seeded from
+    some index.  The trunk squares follow from the measures' reciprocal
+    moments S_k = sum_c m_c mu_c(-(k + 1)): t_k = S_k / S_(k+1) with
+    S_0 = 1 on the ray, t_(k-1) = 1 / (1 - T_(k-1) S_k), T the trunk
+    product, with 1 + S_0 = sum_c m_c on (0, 1]."""
+    che, kappa = draw(st.booleans()), draw(st.integers(0, 2))
+    count = draw(st.integers(1, 3))
+    pairs_by_class, measures, tails = [], [], []
+    for _ in range(count):
+        roots = draw(st.lists(ATOM_IN_HALF_OPEN if che else ATOM_IN_RAY, min_size=1, max_size=2,
+                              unique=True))
+        pairs = [(x, draw(MASS)) for x in roots]
+        # a total mass of 1 on the ray; tau(-(kappa + 1)) = 1 / (8 count) on (0, 1]
+        scale = 1 / (8 * count * _moment(pairs, -(kappa + 1))) if che else 1 / _moment(pairs, 0)
+        pairs = [(x, m * scale) for x, m in pairs]
+        kind = draw(st.sampled_from(["atomic", "tilted", "recurrence"]))
+        if kind == "atomic":
+            mu = AtomicMeasure(pairs)
+        elif kind == "tilted":
+            k = draw(st.integers(-1, 3))
+            mu = tilt(AtomicMeasure([(x, m / x ** k) for x, m in pairs]), k)
+        else:
+            mu = _recurrence(pairs, draw(st.integers(-3, 0)), len(pairs) + draw(st.integers(0, 1)))
+        p = draw(st.integers(1, 3))
+        if che:
+            gammas = [1 + sum(_moment(pairs, j) for j in range(n)) for n in range(p)]
+            tails.append(GeometricSumTail([b / a for a, b in zip(gammas, gammas[1:])],
+                                          CAMeasure(0, mu)))
+            measures.append(tails[-1].tau)
+        else:
+            tails.append(MeasureTail([_moment(pairs, n) / _moment(pairs, n - 1) for n in range(1, p)],
+                                     mu))
+            measures.append(mu)
+        pairs_by_class.append(pairs)
+    weights = [draw(st.fractions(min_value=1, max_value=3, max_denominator=8)) for _ in measures]
+    if che:
+        total = sum(w * (1 - _moment(pairs, -1)) for w, pairs in zip(weights, pairs_by_class))
+    else:
+        total = sum(w * _moment(pairs, -1) for w, pairs in zip(weights, pairs_by_class))
+    masses = [w / total for w in weights]
+    sums = [sum(m * _moment(pairs, -(k + 1)) for m, pairs in zip(masses, pairs_by_class))
+            for k in range(kappa + 1)]
+    trunk, prod = [], F(1)
+    for k in range(1, kappa + 1):
+        trunk.append(1 / (1 - prod * sums[k]) if che else sums[k - 1] / sums[k])
+        prod *= trunk[-1]
+    return che, kappa, pairs_by_class, measures, masses, tails, trunk
+
+
+def _trunk_certificate(data, masses=None, trunk=None):
+    che, _, _, measures, planted_masses, tails, planted_trunk = data
+    full = FullWeights(planted_trunk if trunk is None else trunk,
+                       [FullBranch(m, tail, 1) for m, tail in
+                        zip(planted_masses if masses is None else masses, tails)])
+    return full, measures, verify_che_certificate if che else verify_subnormal_certificate
+
+
+def _first_failing_level(data, masses, trunk):
+    """The first trunk level whose identity fails, by plain `Fraction`
+    arithmetic on the planted atoms; None when every level holds."""
+    che, kappa, pairs_by_class = data[:3]
+    prod = F(1)
+    for k in range(kappa + 1):
+        if k:
+            prod *= trunk[k - 1]
+        s = sum(m * _moment(pairs, -(k + 1)) for m, pairs in zip(masses, pairs_by_class))
+        lhs, rhs = (1 + prod * s, trunk[k - 1] if k else sum(masses)) if che else (s, 1 / prod)
+        if lhs > rhs or (k < kappa and lhs != rhs):
+            return k
+    return None
+
+
+def _level_failure(call, level):
+    """Whether `call` raises CertificateInvalid naming trunk level `level`
+    (the root level of a trunk-free CHE certificate)."""
+    with pytest.raises(CertificateInvalid) as err:
+        call()
+    identity = err.value.identity
+    return identity.startswith(f"trunk level {level}:") or identity.startswith("root level")
+
+
+@given(planted_trunks())
+def test_planted_trunk_identities_verify(data):
+    assert _first_failing_level(data, data[4], data[6]) is None
+    full, measures, verifier = _trunk_certificate(data)
+    assert verifier(full, measures, 64)
+
+
+@given(planted_trunks(), st.data())
+def test_moved_first_mass_or_trunk_square_fails_its_trunk_level(data, extra):
+    che, kappa, _, _, masses, _, trunk = data
+    masses, trunk = list(masses), list(trunk)
+    moved = trunk if kappa and extra.draw(st.booleans()) else masses
+    spot = extra.draw(st.integers(0, len(moved) - 1))
+    moved[spot] += extra.draw(st.sampled_from([1, -1])) * F(1, 2 ** 20 * moved[spot].denominator)
+    level = _first_failing_level(data, masses, trunk)
+    if moved is masses or spot + 1 < kappa:
+        # a first mass enters level 0 and t_j level j + 1: an equality there
+        # fails either way
+        assert level == (0 if moved is masses else spot + 1) or (level is None and kappa == 0)
+    full, measures, verifier = _trunk_certificate(data, masses, trunk)
+    if level is None:
+        assert verifier(full, measures, 64)
+    else:
+        assert _level_failure(lambda: verifier(full, measures, 64), level)
+
+
+@given(planted_trunks(), st.data())
+def test_trunk_gap_passes_only_at_the_last_level(data, extra):
+    che, kappa, _, _, masses, _, trunk = data
+    level = extra.draw(st.integers(0, kappa))
+    masses, trunk = list(masses), list(trunk)
+    # a gap lhs < rhs at `level`: through the first masses at level 0, else
+    # through t_(level-1), which the identity at `level` reads first
+    gap = F(1, 1000)
+    if level == 0:
+        masses = [m * (1 + gap if che else 1 - gap) for m in masses]
+    else:
+        trunk[level - 1] *= 1 + gap if che else 1 - gap
+    assert _first_failing_level(data, masses, trunk) == (None if level == kappa else level)
+    full, measures, verifier = _trunk_certificate(data, masses, trunk)
+    if level == kappa:
+        assert verifier(full, measures, 64)
+    else:
+        assert _level_failure(lambda: verifier(full, measures, 64), level)
 
 
 # --------------------------------------------------------------------------
@@ -418,7 +559,7 @@ def test_norm_bound_of_recurrence_without_atoms():
     assert _norm_sq_bound(full, [rec]) == float(root_bound(rec.poly))
 
 
-# The emitted JSON of four certificates, byte for byte: (solver, trunk
+# The emitted JSON of five certificates, byte for byte: (solver, trunk
 # squares, first-weight masses, tails, JSON).  The certificate path reads
 # integer images that need not be reduced (unnormalised masses, rows
 # compared by cross products); the printed values must not show it.
@@ -439,6 +580,32 @@ PINNED_JSON = {
         '32731", "5559159270299452059693/601545891836096638249", "6678716971415923676'
         '17013/72269070513892876776009"]], "trunk_sq": ["20691/33508"], "norm_sq": 9.'
         '241460331045769}'),
+    # two classes and a trunk of two (`subnormal` benchmark seed 13, problem
+    # 20): an atomic measure and a MomentRecurrence, so the trunk sums run
+    # across classes and levels
+    "subnormal_two_classes": (solve_subnormal, ["92520/98549", "417384/1108103"],
+                              ["1120/771", "200/257"], [["397/98"], ["24/7"]],
+        '{"kind": "subnormal", "K": ["1", "2"], "sequences": [{"first_index": -3, "val'
+        'ues": ["941192/62570773", "9604/157609", "98/397", "1", "397/98"]}, {"first_i'
+        'ndex": -3, "values": ["1152111487473679/540611478720000", "14241431741/113478'
+        '48000", "196327/238200", "1", "24/7"]}], "measures": [{"atoms": [{"x": "397/9'
+        '8", "m": "1"}]}, {"recurrence": ["170119103/295516875", "-15440520145589/1407'
+        '8423925000", "19164087072053/105588179437500"], "first_index": -3, "window": '
+        '["1152111487473679/540611478720000", "14241431741/11347848000", "196327/23820'
+        '0", "1", "24/7"], "atoms_approx": {"atoms": [{"x": "5230345774925737/90071992'
+        '54740992", "m": "904478865850414003057300181934188830446134510631092227834404'
+        '68425573449833143/21711883372882844636563190649593119606164803671889817083413'
+        '1815915245797376000"}, {"x": "3074872567040165/562949953421312", "m": "197923'
+        '35491216808720073161250100680018372353507416398939979183132985983609/33924817'
+        '770129444744629985389989249384632505737327839192833096236757155840"}], "exact'
+        '": false}}], "weights_sq": [["1120/771", "397/98", "397/98", "397/98", "397/9'
+        '8", "397/98", "397/98", "397/98", "397/98", "397/98"], ["200/257", "24/7", "5'
+        '2410/10241", "112342305/20715926", "9209617914075/1687396400074", "7952684065'
+        '638567/1456101989668018", "3262203825308844395505/597251875118833474078", "14'
+        '086017182412916692849705/2578880864034151789459886", "11556312931647565665432'
+        '48805875/211573856215466330448828282394", "997991416330610360700870652572447/'
+        '182713011657969111547597924534210"]], "trunk_sq": ["92520/98549", "417384/110'
+        '8103"], "norm_sq": 5.462070914746002}'),
     # one subnormal branch of one atom
     "subnormal_one_atom": (solve_subnormal, ["3/2"], ["2"], [["2"]],
         '{"kind": "subnormal", "K": ["1"], "sequences": [{"first_index": -2, "values"'

@@ -9,10 +9,13 @@ same moments.  The image is taken both as `_AtomImage.of` builds it and as
 the principal construction hands it over (`principal._exact_atoms`, masses
 over the unreduced Lagrange denominator).  A nonpositive position or mass
 raises the constructor's DegenerateInput; a repeated position, which the
-constructor merges, raises DegenerateInput too.  `format_scalar` and
+constructor merges, raises DegenerateInput too.  A tilt reads its parent's
+power sums with shifted exponents: its moment rows, across exponent 0 of
+the parent's image too, must hold the same values.  `format_scalar` and
 `tree._pos_sq` read exact values without re-wrapping a `Fraction`; they
 must agree with the plain `Fraction(x)` forms on every kind of scalar the
-package is handed.
+package is handed, as `format_ratio` of two integers must with the
+`Fraction` of their quotient.
 """
 
 from fractions import Fraction as F
@@ -22,8 +25,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from momentkit.errors import DegenerateInput
-from momentkit.measure import AtomicMeasure, _AtomImage, _imaged, tilt
-from momentkit.numeric import format_scalar
+from momentkit.measure import AtomicMeasure, _AtomImage, _imaged, moment_row, tilt
+from momentkit.numeric import format_ratio, format_scalar
 from momentkit.principal import _exact_atoms
 from momentkit.tree import _pos_sq
 
@@ -68,6 +71,15 @@ def test_imaged_and_tilted_measures_are_the_constructors(atoms, exact, k):
         tilted = tilt(mu, k)
         _same_measure(tilted, AtomicMeasure([(x, m * x ** k) for x, m in atoms], exact=exact))
         assert [tilted.moment(n) for n in MOMENTS] == [_reference(atoms, n + k) for n in MOMENTS]
+        # rows across the exponent 0 of the image the tilt reads, and a tilt
+        # of a tilt, on the same power sums
+        for lo in range(-4, 3):
+            row = moment_row(tilted, lo, lo + 5)
+            assert [row.value(i) for i in range(6)] == [_reference(atoms, lo + i + k)
+                                                       for i in range(6)]
+        twice = tilt(tilted, -k - 1)
+        assert twice._image().up is tilted._image().up
+        assert [twice.moment(n) for n in MOMENTS] == [_reference(atoms, n - 1) for n in MOMENTS]
 
 
 def _raised(call, *args):
@@ -136,3 +148,11 @@ def _outcome(call, *args):
 def test_format_scalar_and_pos_sq_read_scalars_as_fraction_did(x):
     assert _outcome(format_scalar, x) == _outcome(_parent_format, x)
     assert _outcome(_pos_sq, x, "weight") == _outcome(_parent_pos_sq, x, "weight")
+
+
+INTEGERS = st.one_of(st.integers(-10 ** 40, 10 ** 40), st.integers(-3, 3))
+
+
+@given(INTEGERS, INTEGERS)
+def test_format_ratio_prints_the_fraction(num, den):
+    assert _outcome(format_ratio, num, den) == _outcome(lambda: _parent_format(F(num, den)))
