@@ -1,28 +1,27 @@
 """Feasibility solvers for the two completion problems.
 
 Each branch of the tree contributes a moment window built from its squared
-weights; completing the shift means extending every branch window backwards
-(one value per trunk level) so that weighted sums of the new values hit the
-trunk targets -- equalities at every level except the deepest, which is a
-bound.  A slot is *forced* when the requested atom count makes the window
-singular (its value is the exact reciprocal infimum of the next 2K entries)
-and *free* otherwise (any value strictly above the running threshold).
+weights; completing the shift extends every branch window backwards (one
+value per trunk level) so that weighted sums of the new values hit the
+trunk targets -- equalities at every level but the deepest, a bound.  A slot
+is *forced* when the atom count makes the window singular (its value is the
+reciprocal infimum of the next 2K entries), else *free* (any value strictly
+above the running threshold).
 
 Each level's residual is split over the free branches in closed form: a
-branch's next-level value is an exact convex quadratic in the value prepended
-here, so the split minimising the next level's least load follows from equal
-slopes, in rationals.  That decides the next level exactly, except that an
-equality level with no free branch must be met on a two-branch line whose
-step may be irrational (Unknown).  With two or more levels left the minimiser
-is greedy, so uniform and biased splits are tried too.  Certificates are
-verified again by the checker.
+branch's next-level value is an exact convex quadratic in the value
+prepended here, so the split minimising the next level's least load follows
+from equal slopes, in rationals.  That decides the next level exactly, but
+an equality level with no free branch is met on a two-branch line whose
+step may be irrational (Unknown).  With two or more levels left the
+minimiser is greedy, so uniform and biased splits are tried too.
 
-The atom counts K a branch admits are read from one verdict on its given
-window: every 2K at least its length when it is strictly positive, twice
-its index when it is singular (Curto-Fialkow recursiveness), none
-otherwise (`_admissible_two_ks`).  Level 0 prepends to the given windows
-alone, so its thresholds and forced values are computed once per solve and
-shared by every K vector searched (`_level_zero`).
+Each branch is one integer image (`positivity._Window`) from its verdict,
+which reads the atom counts K it admits (`_admissible_two_ks`), to its
+certificate measure, which the checker verifies again: a level extends it
+by `_Window.prepended`, a forced value cuts it by `_Window.prefix`, and each
+threshold, forced value and level quadratic is computed once per solve, in
+one table keyed by image that every K vector searched reads (`_LevelValues`).
 
 `kappa_infinite_probe` is the one answer outside the exact contract: its
 "FeasibleTowardInfinity" is an empirical statement about finite prefixes.
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -39,12 +39,11 @@ from typing import Callable, Optional
 
 from .alternating import CAMeasure, has_ca_extension
 from .extremal import _reciprocal_inf, _schur_quadratic, _schur_threshold
-from .errors import (BadIndex, DegenerateInput, MomentKitError, PreconditionError,
-                     Unsupported)
+from .errors import BadIndex, DegenerateInput, MomentKitError, PreconditionError, Unsupported
 from .measure import AtomicMeasure, MomentRecurrence, MomentSequence, tilt
 from .numeric import Polynomial, Scalar, format_scalar
-from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _support_measure, _values,
-                         _verdict_index, classify_half_open, classify_ray)
+from .positivity import (HalfOpen, Ray, _Window, _classify_limit, _limit_window,
+                         _support_measure, _verdict_index, classify_half_open, classify_ray)
 from . import positivity as _positivity
 from .principal import _atom_ints, _window_measure, atom_polynomial, root_bound
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
@@ -123,33 +122,61 @@ class _DomainOps:
     domain: object
     classify: Callable
 
-    def is_strict(self, seq) -> bool:
-        return self.classify(seq).kind is PositivityClass.STRICTLY_POSITIVE
-
-    def threshold(self, seq) -> Scalar:
-        """Strict-slot threshold for prepending: the reciprocal infimum,
-        exact for exact input.  The search's windows are strictly positive
-        by construction, so it is read from one Schur complement, unless
-        its pass shows otherwise and the window is classified."""
-        w = _Window.of(_values(seq))
+    def threshold(self, w: _Window) -> Scalar:
+        """Strict-slot threshold for prepending to the window w: the
+        reciprocal infimum, exact for exact input, read from one Schur
+        complement (the search's windows are strictly positive by
+        construction) unless its pass shows otherwise."""
         value = _schur_threshold(w, self.domain)
         if value is None:
-            return _reciprocal_inf(w, self.classify(seq), self.domain)
+            return _reciprocal_inf(w, self.classify(w.values), self.domain)
         return value
-
-    def forced(self, seq, big_n):
-        """The value that makes the slot singular: the threshold of the
-        next 2K entries (`backward.forced_value`)."""
-        return self.threshold(seq[:big_n + 1])
 
 
 _RAY_OPS = _DomainOps(Ray(), classify_ray)
 _HALF_OPS = _DomainOps(HalfOpen(), classify_half_open)
 
 
+class _LevelValues(dict):
+    """One solve's thresholds (a forced value is that of a prefix) and
+    `extremal._schur_quadratic` coefficients, keyed by image (`_Window.key`):
+    a quadratic's image (0,) + rest starts at 0, which no searched window's
+    does.  Every 2K vector of the solve reads them from here."""
+
+    def __init__(self, ops: _DomainOps):
+        super().__init__()
+        self.ops = ops
+
+    def threshold(self, w: _Window) -> Scalar:
+        key = w.key()
+        if key not in self:
+            self[key] = self.ops.threshold(w)
+        return self[key]
+
+    def quadratic(self, rest: _Window, theta) -> tuple:
+        """(a, b, c) with next(theta + u) = a u^2 + b u + c, next(x) the
+        threshold of (x,) + rest: a free slot's at the next level (rest the
+        whole window) or a forced one's (rest its first 2K - 1 entries).  x
+        sits only in the border of the Hankel corner whose Schur complement
+        that is, so it is exactly convex quadratic in x (Curto-Fialkow).
+        When the corner's M is not positive definite, no (x,) + rest is
+        strictly positive."""
+        w = rest.prepended(0)
+        key = w.key()
+        if key not in self:
+            self[key] = _schur_quadratic(w, self.ops.domain)
+        if self[key] is None:
+            raise DegenerateInput("next-level window is not strictly positive")
+        a, b, c = self[key]
+        b, c = 2 * a * theta + b, (a * theta + b) * theta + c
+        if not a > 0:
+            raise DegenerateInput("next-level value is not strictly convex")
+        return a, b, c
+
+
 @dataclass
 class _LevelProblem:
-    ops: _DomainOps
+    table: _LevelValues
     masses: tuple           # first-weight mass per class
     big_ns: tuple           # 2K_i - 1 per class
     p_top: int              # length of the given window per class
@@ -168,23 +195,18 @@ def _within_band(lower, target) -> bool:
     return floats and abs(lower - target) <= UNKNOWN_BAND * max(1.0, abs(float(target)))
 
 
-def _quadratic(ops: _DomainOps, rest, theta):
-    """(a, b, c) with next(theta + u) = a u^2 + b u + c, next(x) being the
-    threshold of (x,) + rest: a free slot's threshold at the next level
-    (rest the whole window), or a forced slot's value (rest its first
-    2K - 1 entries).  That value is the Schur complement of the Hankel
-    corner that bounds it, and x sits only in the corner's border, so it is
-    exactly convex quadratic in x (Curto-Fialkow): one pass over the corner
-    gives the coefficients (`extremal._schur_quadratic`).  When the corner's
-    M is not positive definite, no (x,) + rest is strictly positive."""
-    coeffs = _schur_quadratic(rest, ops.domain)
-    if coeffs is None:
-        raise DegenerateInput("next-level window is not strictly positive")
-    a, b, c = coeffs
-    b, c = 2 * a * theta + b, (a * theta + b) * theta + c
-    if not a > 0:
-        raise DegenerateInput("next-level value is not strictly convex")
-    return a, b, c
+def _mass_sum(pairs, start=0) -> Scalar:
+    """start + the sum of m * v over the (m, v) pairs: exact terms over one
+    denominator, normalised once; with a float among them, in floats."""
+    pairs = list(pairs)
+    try:
+        num, den = start.numerator, start.denominator
+        for m, v in pairs:
+            step = m.denominator * v.denominator
+            num, den = num * step + m.numerator * v.numerator * den, den * step
+    except AttributeError:  # a float has no numerator
+        return start + sum(m * v for m, v in pairs)
+    return Fraction(num, den)
 
 
 def _sqrt_below(value):
@@ -206,8 +228,9 @@ class _Split:
     def values(self, u) -> list:
         return [(a * x + b) * x + c for (a, b, c), x in zip(self.quads, u)]
 
-    def load(self, u) -> Scalar:
-        return self.const + sum(m * v for m, v in zip(self.masses, self.values(u)))
+    def load(self, u, values=None) -> Scalar:  # values: those at u, if known
+        values = self.values(u) if values is None else values
+        return _mass_sum(zip(self.masses, values), self.const)
 
     def slope(self, u, i) -> Scalar:
         return 2 * self.quads[i][0] * u[i] + self.quads[i][1]
@@ -220,8 +243,9 @@ class _Split:
         weight = shift = 0
         for k, i in enumerate(order):
             a, b, _ = self.quads[i]
-            weight += self.masses[i] / (2 * a)
-            shift += self.masses[i] * b / (2 * a)
+            share = self.masses[i] / (2 * a)
+            weight += share
+            shift += share * b
             lam = (residual + shift) / weight
             if k + 1 == len(order) or lam <= self.quads[order[k + 1]][1]:
                 break
@@ -261,22 +285,23 @@ class _Split:
         return None
 
 
-def _split_level(problem: _LevelProblem, seqs, forced_vals, thresholds, residual, level):
+def _split_level(problem: _LevelProblem, wins, forced_vals, thresholds, residual, level):
     """The split of two or more free classes minimising level + 1's least
     load: (values, every class's value at level + 1, None), or (None, None,
     (status, reason)) when no split can work or none is rational."""
-    ops, masses, nxt = problem.ops, problem.masses, level + 1
+    table, masses, big_ns, nxt = problem.table, problem.masses, problem.big_ns, level + 1
     target = problem.targets[nxt]
-    free_next = [_slot_is_free(problem.big_ns[c], problem.p_top, nxt) for c in thresholds]
+    free_next = [_slot_is_free(big_ns[c], problem.p_top, nxt) for c in thresholds]
 
-    fixed = {c: ops.forced((v,) + tuple(seqs[c]), problem.big_ns[c])
+    fixed = {c: table.threshold(wins[c].prefix(big_ns[c]).prepended(v))
              for c, v in forced_vals.items()}
     split = _Split([masses[c] for c in thresholds],
-                   [_quadratic(ops, seqs[c] if f else seqs[c][:problem.big_ns[c]], theta)
+                   [table.quadratic(wins[c] if f else wins[c].prefix(big_ns[c]), theta)
                     for (c, theta), f in zip(thresholds.items(), free_next)],
-                   sum(masses[c] * v for c, v in fixed.items()))
-    u = split.water_fill(residual)
-    least = split.load(u)
+                   _mass_sum((masses[c], v) for c, v in fixed.items()))
+    u = lowest = split.water_fill(residual)
+    values = split.values(u)
+    least = split.load(u, values)
     clamped = any(x == 0 for x in u)
     if _within_band(least, target):
         return None, None, (SolveStatus.UNKNOWN,
@@ -300,17 +325,17 @@ def _split_level(problem: _LevelProblem, seqs, forced_vals, thresholds, residual
                                 f"level {level}: the split that meets level {nxt} is irrational")
     elif clamped:
         u = split.off_boundary(u, (target - least) / 2)
-    fixed.update(zip(thresholds, split.values(u)))
+    fixed.update(zip(thresholds, values if u is lowest else split.values(u)))
     return {c: theta + x for (c, theta), x in zip(thresholds.items(), u)}, fixed, None
 
 
-def _search_levels(problem: _LevelProblem, seqs, level: int = 0, known=None):
-    """Recursive level filler.  Returns (status, payload): the completed
-    per-class windows on success, a reason string otherwise.  `known` holds
-    class values at this level (threshold or forced) the caller computed."""
-    ops = problem.ops
+def _search_levels(problem: _LevelProblem, wins, level: int = 0, known=None):
+    """Recursive level filler over the branch images `wins`.  Returns
+    (status, payload): the completed images on success, a reason string
+    otherwise.  `known` holds class values at this level (threshold or
+    forced) the caller computed."""
     if level > problem.kappa:
-        return SolveStatus.FEASIBLE, seqs
+        return SolveStatus.FEASIBLE, wins
     target = problem.targets[level]
     is_bound = (level == problem.kappa)
     known = known or {}
@@ -318,12 +343,13 @@ def _search_levels(problem: _LevelProblem, seqs, level: int = 0, known=None):
     def value(c, free):
         if c in known:
             return known[c]
-        return ops.threshold(seqs[c]) if free else ops.forced(seqs[c], problem.big_ns[c])
+        w = wins[c] if free else wins[c].prefix(problem.big_ns[c] + 1)
+        return problem.table.threshold(w)
 
-    free_idx = [c for c in range(len(seqs))
+    free_idx = [c for c in range(len(wins))
                 if _slot_is_free(problem.big_ns[c], problem.p_top, level)]
-    forced_vals = {c: value(c, False) for c in range(len(seqs)) if c not in free_idx}
-    forced_sum = sum(problem.masses[c] * v for c, v in forced_vals.items())
+    forced_vals = {c: value(c, False) for c in range(len(wins)) if c not in free_idx}
+    forced_sum = _mass_sum((problem.masses[c], v) for c, v in forced_vals.items())
 
     if not free_idx:
         # a float load within the band of the target meets it
@@ -333,11 +359,11 @@ def _search_levels(problem: _LevelProblem, seqs, level: int = 0, known=None):
             rel = "exceeds" if forced_sum > target else "misses"
             return SolveStatus.INFEASIBLE, (
                 f"level {level}: forced load {forced_sum} {rel} target {target}")
-        next_seqs = [(forced_vals[c],) + tuple(seqs[c]) for c in range(len(seqs))]
-        return _search_levels(problem, next_seqs, level + 1)
+        return _search_levels(problem, [w.prepended(forced_vals[c]) for c, w in enumerate(wins)],
+                              level + 1)
 
     thresholds = {c: value(c, True) for c in free_idx}
-    lower = forced_sum + sum(problem.masses[c] * thresholds[c] for c in free_idx)
+    lower = _mass_sum(((problem.masses[c], thresholds[c]) for c in free_idx), forced_sum)
     if _within_band(lower, target):
         return SolveStatus.UNKNOWN, (
             f"level {level}: target within tolerance of the threshold load {lower}")
@@ -359,26 +385,25 @@ def _search_levels(problem: _LevelProblem, seqs, level: int = 0, known=None):
         # the only split; the next level decides it
         points = [shared([1])]
     else:
-        point, nxt_known, failure = _split_level(problem, seqs, forced_vals, thresholds,
+        point, nxt_known, failure = _split_level(problem, wins, forced_vals, thresholds,
                                                  residual, level)
         if failure is not None and failure[0] is SolveStatus.INFEASIBLE:
             return failure
         points = [(point, nxt_known)]
         if problem.kappa - level >= 2:
-            # the minimiser is greedy with two or more levels left
-            points.append(shared([Fraction(1, nfree)] * nfree))
-            for j in range(nfree):
-                biased = [Fraction(1, 50)] * nfree
-                biased[j] = 1 - Fraction(nfree - 1, 50)
-                points.append(shared(biased))
+            # the minimiser is greedy with two or more levels left: uniform
+            # and biased splits too, each built when it is reached
+            biased = ([1 - Fraction(nfree - 1, 50) if i == j else Fraction(1, 50)
+                       for i in range(nfree)] for j in range(nfree))
+            points = itertools.chain(points, map(shared, itertools.chain(
+                [[Fraction(1, nfree)] * nfree], biased)))
 
     first = None
     for point, nxt_known in points:
         outcome = failure  # when the minimiser has no rational point
         if point is not None:
             values = {**forced_vals, **point}
-            outcome = _search_levels(problem, [(values[c],) + tuple(seq)
-                                               for c, seq in enumerate(seqs)],
+            outcome = _search_levels(problem, [w.prepended(values[c]) for c, w in enumerate(wins)],
                                      level + 1, nxt_known)
         if outcome[0] is SolveStatus.FEASIBLE:
             return outcome
@@ -396,33 +421,32 @@ def _branch_k_compatible(ops: _DomainOps, given, big_n: int) -> bool:
     """Can the prescribed window carry a minimal measure with this 2K-1?
     Slots at depth >= given-length - big_n are strict (one suffix check
     suffices), deeper prescribed slots must equal their forced values.
-    The forced value at k reads the window given[k + 1:k + big_n + 2],
-    which must be strictly positive; at k = k0 - 1 that is the suffix
-    already checked, so it is classified once."""
+    The forced value of entry j - 1 reads the window given[j:j + big_n + 1],
+    which must be strictly positive; j = k0 gives the suffix.  Each window
+    is classified once, its M read from the slot pass of its threshold."""
     given = tuple(given)
-    top = len(given) - 1
-    k0 = max(0, top - big_n)
-    if not ops.is_strict(given[k0:]):
-        return False
-    for k in range(k0 - 1, -1, -1):
-        if k < k0 - 1 and not ops.is_strict(given[k + 1:k + big_n + 2]):
+    k0 = max(0, len(given) - 1 - big_n)
+    for j in (range(k0, 0, -1) if k0 else [0]):
+        w = _limit_window(given[j:j + big_n + 1])
+        if not _classify_limit(w, ops.domain, by_slot=True).is_strict:
             return False
-        if given[k] != ops.forced(given[k + 1:], big_n):
+        if j and given[j - 1] != ops.threshold(w):
             return False
     return True
 
 
-def _admissible_two_ks(ops: _DomainOps, given, candidates) -> list:
+def _admissible_two_ks(ops: _DomainOps, w: _Window, candidates) -> list:
     """The 2K of `candidates` that `_branch_k_compatible` admits, read from one
-    verdict on the given window (top its last index).  With 2K - 1 >= top
-    that check is "the window is strictly positive", the same for every
-    such 2K.  With 2K - 1 < top each deeper entry must be the forced value
-    of the next 2K, so the window is the moment window of a measure of
-    index K: singular with that index (Curto-Fialkow recursiveness).  So a
-    strict window admits every 2K >= top + 1, a singular one at most twice
-    its index, checked once, and one that is not positive none."""
+    verdict on the image w of the given window (top its last index), its M
+    read from the slot pass that gives the threshold.  With 2K - 1 >= top
+    that check is "the window is strictly positive".  With 2K - 1 < top each
+    deeper entry must be the forced value of the next 2K: the window is
+    singular with index K (Curto-Fialkow recursiveness).  So a strict window
+    admits every 2K >= top + 1, a singular one at most twice its index,
+    checked once, and one that is not positive none."""
+    given = w.values
     top = len(given) - 1
-    verdict = ops.classify(given)
+    verdict = _classify_limit(w, ops.domain, by_slot=True)
     if verdict.is_strict:
         return [two_k for two_k in candidates if two_k - 1 >= top]
     if not verdict.is_positive:
@@ -433,11 +457,11 @@ def _admissible_two_ks(ops: _DomainOps, given, candidates) -> list:
     return []
 
 
-def _two_k_vectors(ops: _DomainOps, givens, K, two_k_cap: int):
+def _two_k_vectors(ops: _DomainOps, wins, K, two_k_cap: int):
     """The atom-count vectors to search, as 2K per class (even on the ray),
     smallest first; or the Infeasible outcome that rules every one out.  K
     is "auto", which sweeps each 2K in 1..two_k_cap that its given window
-    admits, read from one verdict on that window (`_admissible_two_ks`), or
+    admits, read from one verdict on its image (`_admissible_two_ks`), or
     one K per class: ints on the ray, halves on (0, 1], each checked by
     `_branch_k_compatible`.  An explicit K outside that range, or not such a
     value, raises BadIndex."""
@@ -445,62 +469,42 @@ def _two_k_vectors(ops: _DomainOps, givens, K, two_k_cap: int):
     step, noun = (2, "atom count") if ray else (1, "index")
     if K == "auto":
         options = []
-        for given in givens:
-            opts = _admissible_two_ks(ops, given, range(step, two_k_cap + 1, step))
+        for w in wins:
+            opts = _admissible_two_ks(ops, w, range(step, two_k_cap + 1, step))
             if not opts:
                 return SolveOutcome(SolveStatus.INFEASIBLE,
                                     reason=f"a branch window admits no minimal {noun}")
             options.append(opts)
         return list(itertools.product(*options))  # smallest vectors first
     K = tuple(Fraction(k) for k in K)
-    if len(K) != len(givens):
+    if len(K) != len(wins):
         raise BadIndex(f"one {noun} per branch class is required")
     for k in K:
         if (2 * k).denominator != 1 or (2 * k) % step or not step <= 2 * k <= two_k_cap:
             raise BadIndex(f"{noun} {k} outside [{Fraction(step, 2)}, {Fraction(two_k_cap, 2)}]")
-    for k, given in zip(K, givens):
-        if not _branch_k_compatible(ops, given, int(2 * k) - 1):
+    for k, w in zip(K, wins):
+        if not _branch_k_compatible(ops, w.values, int(2 * k) - 1):
             return SolveOutcome(SolveStatus.INFEASIBLE, reason=(
                 f"prescribed weights incompatible with {k} atoms" if ray
                 else f"prescribed weights incompatible with index {k}"))
     return [tuple(int(2 * k) for k in K)]
 
 
-def _level_zero(problem: _LevelProblem, seqs, table: dict) -> dict:
-    """Every class's level-0 value: the threshold of its whole given window
-    for a free slot, of its first 2K entries for a forced one
-    (`_DomainOps.forced`).  `table` holds them for one solve, keyed by
-    (class, entries used), so no 2K vector computes one again.  They are
-    computed in the order `_search_levels` computes them, forced slots
-    first, so the first error raised is the one it would raise."""
-    frees = [_slot_is_free(n, problem.p_top, 0) for n in problem.big_ns]
-    known = {}
-    for c in sorted(range(len(seqs)), key=frees.__getitem__):
-        key = (c, len(seqs[c]) if frees[c] else problem.big_ns[c] + 1)
-        if key not in table:
-            table[key] = problem.ops.threshold(seqs[c][:key[1]])
-        known[c] = table[key]
-    return known
-
-
-def _solve_vectors(ops, pw: PartialWeights, givens, vectors, p_top, targets,
+def _solve_vectors(ops, pw: PartialWeights, wins, vectors, p_top, targets,
                    certify) -> SolveOutcome:
     """The level search for each 2K vector in turn: the first Feasible one
     is certified; else Unknown if any vector was, else Infeasible with every
-    vector's reason.  K is an int on the ray and a `Fraction` on (0, 1].
-    Level-0 values are computed once per solve (`_level_zero`)."""
+    vector's reason.  K is an int on the ray and a `Fraction` on (0, 1]."""
     masses = tuple(cls.first_mass for cls in pw.classes)
-    seqs = [tuple(g) for g in givens]
-    table = {}
+    table = _LevelValues(ops)
     unknown, reasons = None, []
     for two_ks in vectors:
         vec = tuple(two_k // 2 if isinstance(ops.domain, Ray) else Fraction(two_k, 2)
                     for two_k in two_ks)
-        problem = _LevelProblem(ops, masses, tuple(two_k - 1 for two_k in two_ks),
+        problem = _LevelProblem(table, masses, tuple(two_k - 1 for two_k in two_ks),
                                 p_top, targets, pw.kappa)
         try:
-            known = _level_zero(problem, seqs, table)
-            status, payload = _search_levels(problem, seqs, 0, known)
+            status, payload = _search_levels(problem, wins)
         except MomentKitError as exc:  # kernel guarantees violated along a path
             status, payload = SolveStatus.UNKNOWN, f"K={vec}: search aborted: {exc}"
         if status is SolveStatus.FEASIBLE:
@@ -518,20 +522,20 @@ def _solve_vectors(ops, pw: PartialWeights, givens, vectors, p_top, targets,
 # certificate assembly
 # --------------------------------------------------------------------------
 
-def _certificate_measure(window, first_index: int, full_window, domain):
+def _certificate_measure(w: _Window, first_index: int, full_window, domain):
     """Measure for a completed branch: explicit atoms when they are exact,
     otherwise a moment recurrence seeded with the full extension (exact
-    moments either way).  `window` holds the deepest 2K entries, with
-    `full_window` the whole extension starting at `first_index`.
+    moments either way).  `w` is the search's image of the deepest 2K
+    entries, with `full_window` the whole extension from `first_index`.
 
-    An exact window is scaled once: the atom polynomial is read off its
-    bordered pass as integers (`principal._atom_ints`), and its roots and
-    masses on that image (`principal._window_measure`), which the measure
-    of the certificate's indices reads with shifted exponents (`tilt`).  A
-    `Fraction` polynomial is built only for a recurrence.  A float window
-    takes the float path of `atom_polynomial` and `measure_from_poly`."""
-    w = _Window.of(window)
+    An exact window's atom polynomial is read off that image's bordered
+    pass as integers (`principal._atom_ints`), its roots and masses on the
+    image (`principal._window_measure`), which the certificate's indices
+    read with shifted exponents (`tilt`); a `Fraction` polynomial is built
+    only for a recurrence.  A float window takes the float path of
+    `atom_polynomial` and `measure_from_poly`."""
     if w.floats:
+        window = list(w.values)
         poly = atom_polynomial(window, domain)
         hint = tilt(_support_measure(poly, window, domain), -first_index)
         return MomentRecurrence(poly, first_index, list(full_window), atoms_hint=hint)
@@ -544,24 +548,24 @@ def _certificate_measure(window, first_index: int, full_window, domain):
     return MomentRecurrence(poly, first_index, list(full_window), atoms_hint=shifted)
 
 
-def _branch_measures(ops: _DomainOps, pw: PartialWeights, two_ks, windows) -> tuple:
-    """(sequences, measures): per class, the completed window as a moment
-    sequence from index -kappa - 1, and the `_certificate_measure` of its
-    deepest 2K entries."""
+def _branch_measures(ops: _DomainOps, pw: PartialWeights, two_ks, wins) -> tuple:
+    """(sequences, measures): per class, the completed window (its image in
+    `wins`) as a moment sequence from index -kappa - 1, and the
+    `_certificate_measure` of its deepest 2K entries."""
     first_index = -pw.kappa - 1
     sequences, measures = [], []
-    for two_k, window in zip(two_ks, windows):
-        window = list(window)
+    for two_k, w in zip(two_ks, wins):
+        window = list(w.values)
         sequences.append(MomentSequence(first_index, window))
         if two_k <= len(window):
-            mu = _certificate_measure(window[:two_k], first_index, window, ops.domain)
+            mu = _certificate_measure(w.prefix(two_k), first_index, window, ops.domain)
         else:
             # even-length window at the maximal atom count: extend once more,
             # at the far end of [theta, theta + 8 max(theta, 1)], across which
             # the atom sum (a norm bound) is fractional-linear and falls
-            theta = ops.threshold(window)
+            theta = ops.threshold(w)
             probe = theta + 8 * max(theta, 1)
-            mu = _certificate_measure([probe] + window[:two_k - 1], first_index - 1,
+            mu = _certificate_measure(w.prefix(two_k - 1).prepended(probe), first_index - 1,
                                       [probe] + window, ops.domain)
         measures.append(mu)
     return tuple(sequences), tuple(measures)
@@ -570,8 +574,7 @@ def _branch_measures(ops: _DomainOps, pw: PartialWeights, two_ks, windows) -> tu
 def _norm_sq_bound(full: FullWeights, measures) -> Scalar:
     """Largest of the branching mass, the trunk squares and each measure's
     top atom; a recurrence without atom enclosures gives its root bound."""
-    candidates = [float(full.first_mass_total)]
-    candidates.extend(float(t) for t in full.trunk_sq)
+    candidates = [float(x) for x in (full.first_mass_total, *full.trunk_sq)]
     for mu in measures:
         try:
             candidates.append(float(mu.max_atom()))
@@ -584,21 +587,17 @@ def _norm_sq_bound(full: FullWeights, measures) -> Scalar:
 # subnormal completions
 # --------------------------------------------------------------------------
 
+def _products(factors) -> list:
+    """1, f_0, f_0 f_1, ...: the running products of `factors`."""
+    return list(itertools.accumulate(factors, operator.mul, initial=Fraction(1)))
+
+
 def _given_subnormal_window(cls: BranchClass):
-    seq = [Fraction(1)]
-    for t in cls.tail_sq:
-        seq.append(seq[-1] * t)
-    return tuple(seq)
+    return tuple(_products(cls.tail_sq))
 
 
 def _subnormal_targets(pw: PartialWeights):
-    targets = []
-    prod = Fraction(1)
-    for k in range(pw.kappa + 1):
-        targets.append(1 / prod)
-        if k < pw.kappa:
-            prod = prod * pw.trunk_sq[k]
-    return tuple(targets)
+    return tuple(1 / prod for prod in _products(pw.trunk_sq[:pw.kappa]))
 
 
 def solve_subnormal(pw: PartialWeights, K="auto") -> SolveOutcome:
@@ -606,14 +605,13 @@ def solve_subnormal(pw: PartialWeights, K="auto") -> SolveOutcome:
     whose branch measures have the requested atom counts (K per class, or
     "auto" to sweep the admissible counts)."""
     if pw.first_mass_total == math.inf:
-        return SolveOutcome(SolveStatus.INFEASIBLE,
-                            reason="branching square sum diverges")
-    givens = [_given_subnormal_window(cls) for cls in pw.classes]
+        return SolveOutcome(SolveStatus.INFEASIBLE, reason="branching square sum diverges")
+    wins = [_limit_window(_given_subnormal_window(cls)) for cls in pw.classes]
     # 2K up to the completed window's length p + kappa + 1, rounded up to even
-    vectors = _two_k_vectors(_RAY_OPS, givens, K, (pw.p + pw.kappa + 2) // 2 * 2)
+    vectors = _two_k_vectors(_RAY_OPS, wins, K, (pw.p + pw.kappa + 2) // 2 * 2)
     if isinstance(vectors, SolveOutcome):
         return vectors
-    return _solve_vectors(_RAY_OPS, pw, givens, vectors, pw.p, _subnormal_targets(pw),
+    return _solve_vectors(_RAY_OPS, pw, wins, vectors, pw.p, _subnormal_targets(pw),
                           _subnormal_certificate)
 
 
@@ -633,20 +631,13 @@ def _subnormal_certificate(pw: PartialWeights, two_ks, vec, windows) -> SolveOut
 # --------------------------------------------------------------------------
 
 def _given_che_window(cls: BranchClass):
-    prods = [Fraction(1)]
-    for t in cls.tail_sq:
-        prods.append(prods[-1] * t)
-    return tuple(prods[k + 1] - prods[k] for k in range(len(cls.tail_sq)))
+    prods = _products(cls.tail_sq)
+    return tuple(b - a for a, b in zip(prods, prods[1:]))
 
 
 def _che_targets(pw: PartialWeights):
-    total = pw.first_mass_total
-    targets = [total - 1]
-    prod = Fraction(1)
-    for k in range(1, pw.kappa + 1):
-        prod = prod * pw.trunk_sq[k - 1]
-        targets.append((pw.trunk_sq[k - 1] - 1) / prod)
-    return tuple(targets)
+    prods = _products(pw.trunk_sq[:pw.kappa])[1:]
+    return (pw.first_mass_total - 1,) + tuple((t - 1) / p for t, p in zip(pw.trunk_sq, prods))
 
 
 def solve_che(pw: PartialWeights, K="auto") -> SolveOutcome:
@@ -657,24 +648,19 @@ def solve_che(pw: PartialWeights, K="auto") -> SolveOutcome:
     """
     kappa, p = pw.kappa, pw.p
     if pw.first_mass_total == math.inf:
-        return SolveOutcome(SolveStatus.INFEASIBLE,
-                            reason="branching square sum diverges")
+        return SolveOutcome(SolveStatus.INFEASIBLE, reason="branching square sum diverges")
     if p == 1 or _is_flat(pw):
         return flat_che_completion(pw)
-    for cls in pw.classes:
-        for t in cls.tail_sq:
-            if not t > 1:
-                raise PreconditionError(
-                    "tail weights must exceed 1 for the non-flat solver")
-    givens = [_given_che_window(cls) for cls in pw.classes]
-    vectors = _two_k_vectors(_HALF_OPS, givens, K, p + kappa)
+    if any(not t > 1 for cls in pw.classes for t in cls.tail_sq):
+        raise PreconditionError("tail weights must exceed 1 for the non-flat solver")
+    wins = [_limit_window(_given_che_window(cls)) for cls in pw.classes]
+    vectors = _two_k_vectors(_HALF_OPS, wins, K, p + kappa)
     if isinstance(vectors, SolveOutcome):
         return vectors
     targets = _che_targets(pw)
     if any(t < 0 for t in targets):
-        return SolveOutcome(SolveStatus.INFEASIBLE,
-                            reason="a trunk target is negative")
-    return _solve_vectors(_HALF_OPS, pw, givens, vectors, p - 1, targets, _che_certificate)
+        return SolveOutcome(SolveStatus.INFEASIBLE, reason="a trunk target is negative")
+    return _solve_vectors(_HALF_OPS, pw, wins, vectors, p - 1, targets, _che_certificate)
 
 
 def _che_certificate(pw: PartialWeights, two_ks, vec, windows) -> SolveOutcome:
@@ -689,8 +675,7 @@ def _che_certificate(pw: PartialWeights, two_ks, vec, windows) -> SolveOutcome:
 
 
 def _che_norm_sq(pw: PartialWeights, measures) -> Scalar:
-    candidates = [float(pw.first_mass_total)]
-    candidates.extend(float(t) for t in pw.trunk_sq)
+    candidates = [float(x) for x in (pw.first_mass_total, *pw.trunk_sq)]
     for cls, tau in zip(pw.classes, measures):
         candidates.append(float(1 + tau.total_mass()))
         if cls.tail_sq:
@@ -699,26 +684,15 @@ def _che_norm_sq(pw: PartialWeights, measures) -> Scalar:
 
 
 def _is_flat(pw: PartialWeights) -> bool:
-    tails = {cls.tail_sq for cls in pw.classes}
-    return len(tails) == 1
+    return len({cls.tail_sq for cls in pw.classes}) == 1
 
 
 def _root_sequence(pw: PartialWeights):
     """Vertex moment values of the deepest trunk vertex of the completed
     shift, as far as the prescribed data determines them."""
-    kappa, p = pw.kappa, pw.p
-    c = [Fraction(1)]
-    for n in range(1, kappa + 1):
-        c.append(c[-1] * pw.trunk_sq[kappa - n])
-    tail = pw.classes[0].tail_sq
-    total = pw.first_mass_total
-    prod = Fraction(1)
-    for n in range(kappa + 1, kappa + p + 1):
-        steps = n - kappa
-        if steps >= 2:
-            prod = prod * tail[steps - 2]
-        c.append(c[kappa] * total * prod)
-    return c
+    c = _products(reversed(pw.trunk_sq[:pw.kappa]))
+    tail = pw.classes[0].tail_sq[:pw.p - 1]
+    return c + [c[-1] * pw.first_mass_total * prod for prod in _products(tail)]
 
 
 def flat_che_completion(pw: PartialWeights) -> SolveOutcome:
@@ -729,19 +703,15 @@ def flat_che_completion(pw: PartialWeights) -> SolveOutcome:
     if not _is_flat(pw):
         raise PreconditionError("branch tails differ; flat construction unavailable")
     if pw.first_mass_total == math.inf:
-        return SolveOutcome(SolveStatus.INFEASIBLE,
-                            reason="branching square sum diverges")
+        return SolveOutcome(SolveStatus.INFEASIBLE, reason="branching square sum diverges")
     kappa = pw.kappa
     root_seq = _root_sequence(pw)
     verdict = has_ca_extension(root_seq)
     if not verdict.has_extension:
-        return SolveOutcome(
-            SolveStatus.INFEASIBLE,
-            reason="root vertex sequence has no completely alternating extension")
+        return SolveOutcome(SolveStatus.INFEASIBLE,
+                            reason="root vertex sequence has no completely alternating extension")
     rho = verdict.measure
-    scale = pw.first_mass_total
-    for t in pw.trunk_sq:
-        scale = scale * t
+    *_, scale = itertools.accumulate(pw.trunk_sq, operator.mul, initial=pw.first_mass_total)
     # the root measure is t^-(kappa+1) d(scale * tau) plus its mass at zero
     atoms = AtomicMeasure(
         [(pos, m * pos ** (kappa + 1) / scale) for pos, m in rho.positive.atoms],
@@ -757,22 +727,17 @@ def flat_che_completion(pw: PartialWeights) -> SolveOutcome:
         positive = MomentRecurrence(verdict.poly, first - kappa - 1,
                                     [d / scale for d in deltas], atoms_hint=atoms)
     shared = CAMeasure(0, positive)
-    branches = [FullBranch(cls.first_mass,
-                           GeometricSumTail(cls.tail_sq, shared), cls.count)
+    branches = [FullBranch(cls.first_mass, GeometricSumTail(cls.tail_sq, shared), cls.count)
                 for cls in pw.classes]
     full = FullWeights(pw.trunk_sq, branches)
     taus = [shared] * len(pw.classes)
     verify_che_certificate(full, taus)
     first_index = -kappa - 1
     seq_values = [shared.moment(k) for k in range(first_index, pw.p - 1)]
-    sequences = tuple(MomentSequence(first_index, seq_values)
-                      for _ in pw.classes)
-    idx = Fraction(0)
-    for pos, _ in atoms.atoms:
-        idx += Fraction(1, 2) if pos == 1 else 1
-    cert = CompletionCertificate("che-flat", pw, tuple([idx] * len(pw.classes)),
-                                 sequences, tuple(taus), full,
-                                 _che_norm_sq(pw, taus), root_measure=rho)
+    sequences = tuple(MomentSequence(first_index, seq_values) for _ in pw.classes)
+    idx = sum((Fraction(1, 2) if pos == 1 else 1 for pos, _ in atoms.atoms), Fraction(0))
+    cert = CompletionCertificate("che-flat", pw, tuple([idx] * len(pw.classes)), sequences,
+                                 tuple(taus), full, _che_norm_sq(pw, taus), root_measure=rho)
     return SolveOutcome(SolveStatus.FEASIBLE, cert)
 
 
@@ -802,15 +767,12 @@ def kappa_infinite_probe(trunk_sq_stream, classes, kappa_max: int,
     trunk_sq_stream = list(trunk_sq_stream)
     if len(trunk_sq_stream) < kappa_max:
         raise Unsupported("trunk prefix shorter than the probe range")
-    rows = []
-    norms = []
+    rows, norms = [], []
     for kappa in range(kappa_max + 1):
         pw = PartialWeights(trunk_sq_stream[:kappa], classes)
         outcome = solve_subnormal(pw, K)
-        norm = None
-        if outcome.feasible:
-            norm = float(outcome.certificate.norm_sq)
-            norms.append(norm)
+        norm = float(outcome.certificate.norm_sq) if outcome.feasible else None
+        norms += [norm] if outcome.feasible else []
         rows.append((kappa, outcome.status.value, norm))
         if outcome.status is SolveStatus.INFEASIBLE:
             return ProbeReport("Infeasible", tuple(rows), stopped_at=kappa)

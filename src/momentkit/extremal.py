@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure
-from .numeric import Polynomial, Scalar, _to_float, as_fraction, associated
+from .numeric import Polynomial, Scalar, _to_float, associated
 from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _Window,
                          _classify_limit, _limit_window, _odd_half_open, _values,
                          classify_compact, classify_ray)
@@ -132,19 +132,21 @@ def _schur_threshold(w: _Window, domain) -> Optional[Scalar]:
     corner."""
     m = len(w.ints) // 2
     differences = _odd_half_open(w, domain)
-    value = as_fraction(w.values[0]) if differences else Fraction(0)
+    pivot, corner = 1, 0
     if m:
         r, a, _ = w.slot_pass(domain)
         if r != m:
             return None
-        scale = 1 if differences else w.lam
-        value -= Fraction(scale * a[m][m], w.unit * a[m - 1][m - 1])
+        pivot, corner = a[m - 1][m - 1], (1 if differences else w.lam) * a[m][m]
+    # base = ints[0] / unit on the differences form, over one denominator
+    value = Fraction((w.ints[0] * pivot if differences else 0) - corner, w.unit * pivot)
     return _to_float(value) if w.floats else value
 
 
-def _schur_quadratic(rest, domain) -> Optional[tuple]:
+def _schur_quadratic(w: _Window, domain) -> Optional[tuple]:
     """(a, b, c) with a x^2 + b x + c the `_schur_threshold` of (x,) + rest,
-    for a nonempty strictly positive `rest`; None when its M is not positive
+    for a nonempty strictly positive `rest`, read from w, the image of
+    (0,) + rest (`_Window.prepended`); None when its M is not positive
     definite.  x enters only the first entry of the border, b = x f + u
     with f the first unit vector (e_1 = x, or x - s_0 for an odd window on
     (0, 1], whose base is x), over an M that does not hold x.  So the
@@ -156,7 +158,6 @@ def _schur_quadratic(rest, domain) -> Optional[tuple]:
     (a / lam, b / lam, c / lam), and on the differences form
     (a / lam^2, (b - 1) / lam, c), so lam is multiplied back in (see
     `_schur_threshold`)."""
-    w = _Window.of((0,) + tuple(rest))
     r, a, _ = w.slot_pass(domain)
     m = len(w.ints) // 2
     if r != m:

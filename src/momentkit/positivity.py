@@ -50,6 +50,7 @@ reaches it without loading the completion layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -135,8 +136,9 @@ class _Window:
     """The integer image of a window s_0..s_n: ints[k] = unit * lam^k * s_k,
     the window (on its binary-exact image if any of its data is a float)
     dilated by one integer lam >= 1, chosen once in `of`
-    (`numeric._dilated_scale`; always 1 for a float window), and scaled
-    once by the least common denominator of the dilated entries.
+    (`numeric._dilated_scale`; always 1 for a float window), and scaled by
+    a common denominator of the dilated entries, the least one in `of`;
+    `prepended` and `prefix` extend and cut an image on its own lam.
 
     Every Hankel form of a window that the package decides, and every
     transform it reads a polynomial from, is built here from these
@@ -185,6 +187,34 @@ class _Window:
             return cls(values, ints, unit, [abs(float(v)) for v in values], eps)
         ints, unit, lam = _dilated_scale(values)
         return cls(values, ints, unit, None, eps, lam)
+
+    def prefix(self, n: int) -> "_Window":
+        """s_0..s_(n-1), with this window's lam, over unit / g,
+        g = gcd(unit, ints[:n]): on lam = 1 the (ints, unit) of `of`."""
+        if n >= len(self.ints):
+            return self
+        g = math.gcd(self.unit, *self.ints[:n])
+        return _Window(self.values[:n], [x // g for x in self.ints[:n]], self.unit // g,
+                       self.sizes and self.sizes[:n], self.eps, self.lam)
+
+    def prepended(self, x: Scalar) -> "_Window":
+        """x, s_0, ..., s_n, with this window's lam, over lcm(unit, den x):
+        one product per entry, and on lam = 1 the (ints, unit) of `of`.  A
+        float x makes an exact window a float one, built by `of` if dilated."""
+        floats = self.sizes is not None or isinstance(x, float)
+        if floats and self.lam > 1:
+            return _Window.of((x,) + self.values)
+        p, q = _ratio(x)
+        unit = math.lcm(self.unit, q)
+        step = unit // self.unit * self.lam
+        ints = [p * (unit // q)] + (self.ints if step == 1 else [step * v for v in self.ints])
+        sizes = ([abs(float(x))] + (self.sizes or [abs(float(v)) for v in self.values])
+                 if floats else None)
+        return _Window((x,) + self.values, ints, unit, sizes, self.eps, self.lam)
+
+    def key(self) -> tuple:
+        """(unit, lam, float, *ints): fixes every value read from the window."""
+        return (self.unit, self.lam, self.sizes is not None, *self.ints)
 
     @property
     def floats(self) -> bool:

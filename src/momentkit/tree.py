@@ -394,7 +394,8 @@ def _positive_on(mu, domain) -> bool:
     Fialkow, Houston J. Math. 17 (1991)): `_determinate_poly` of the seed
     window, run on to 2d moments, then returns the polynomial up to its
     leading coefficient; it counts the roots by Descartes' rule, exact on
-    that real-rooted polynomial.  An exact recurrence compares it on
+    that real-rooted polynomial.  An exact recurrence runs it on the
+    integer moments of its own image and compares the polynomial on
     integers: the least common denominator of the monic polynomial's
     coefficients makes it primitive, as the image's q is.  Any other object
     with moments passes."""
@@ -402,8 +403,14 @@ def _positive_on(mu, domain) -> bool:
     if not isinstance(rec, MomentRecurrence):
         return True
     count = max(len(rec.window), 2 * rec.poly.degree)
-    p = _determinate_poly(_Window.of([rec.moment(rec.first_index + k) for k in range(count)]),
-                          domain)
+    row = rec._row(rec.first_index, rec.first_index + count - 1)
+    if row is None:
+        w = _Window.of([rec.moment(rec.first_index + k) for k in range(count)])
+    else:  # the image's moments over the denominator of the last one
+        den = row.denominator(count - 1)
+        w = _Window(None, [x * (den // row.denominator(k)) for k, x in enumerate(row.nums)],
+                    den, None, None)
+    p = _determinate_poly(w, domain)
     if p is None or p.degree != rec.poly.degree:
         return False
     image = rec._image()

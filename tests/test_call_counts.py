@@ -41,8 +41,11 @@ for a moment recurrence, and reads no mass through `vandermonde_masses` or
 the AtomicMeasure constructor.  An "auto"
 completion solve classifies each given branch window once to read its atom
 counts, and each of a singular window's sub-windows at most once to check
-its index, and computes each level-0 threshold or forced value once,
-however many atom-count vectors it searches.
+its index.  It carries each branch through the search on the image of
+its given window, extended by `_Window.prepended` and cut by
+`_Window.prefix`, so the search builds no window with `_Window.of`; and
+it computes each threshold, forced value and level quadratic once per
+distinct image, however many atom-count vectors and levels read it.
 """
 
 import json
@@ -132,17 +135,26 @@ def test_strict_infimum_is_one_pass_after_classification(calls, mu, inf):
                                      (completion._HALF_OPS, UNIT_MU)])
 def test_search_reads_each_level_value_from_one_pass(calls, ops, mu):
     window = tuple(_window(mu, 3))
-    theta = ops.threshold(window)
+    w, table = positivity._Window.of(window), completion._LevelValues(ops)
+    theta = table.threshold(w)
     assert _counts(calls) == (0, 1, 0, 0)
     calls.clear()
-    forced = ops.forced(window, 1)
+    forced = ops.threshold(positivity._Window.of(window[:2]))
+    assert _counts(calls) == (0, 1, 0, 0)
+    calls.clear()
+    assert table.threshold(w.prefix(2)) == forced
     assert _counts(calls) == (0, 1, 0, 0)
     assert theta == mu.moment(-1) and forced == forced_value(window[:2], ops.domain)
-    for rest in (window, window[:2]):
+    for rest in (w, w.prefix(2)):
         calls.clear()
-        a, b, c = completion._quadratic(ops, rest, theta)
+        a, b, c = table.quadratic(rest, theta)
         assert _counts(calls) == (0, 1, 0, 0)
-        assert a + b + c == ops.threshold((theta + 1,) + rest)
+        assert a + b + c == ops.threshold(rest.prepended(theta + 1))
+    # read again, every value comes from the solve's table
+    calls.clear()
+    assert table.threshold(w) == theta and table.threshold(w.prefix(2)) == forced
+    assert table.quadratic(w, theta) == table.quadratic(w, theta)
+    assert _counts(calls) == (0, 0, 0, 0)
 
 
 #: two-class "auto" solves that search several 2K vectors: (solver, ops,
@@ -160,40 +172,64 @@ SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SWEEPS))
-def test_sweep_reads_one_verdict_and_each_level_zero_value_once(monkeypatch, case):
+def _counted_solve(monkeypatch, case):
+    """Run the "auto" solve of SWEEPS[case] and count, per image
+    (`_Window.key`), the Schur passes that give a threshold and a level
+    quadratic, the windows `_Window.of` builds inside the search, and the
+    verdicts per window; with the givens and each searched vector's
+    2K - 1."""
     solve, ops, trunk_sq, masses, tails = SWEEPS[case]
     pw = PartialWeights(trunk_sq, [BranchClass(m, tail, 1) for m, tail in zip(masses, tails)])
     window = (completion._given_subnormal_window if ops is completion._RAY_OPS
               else completion._given_che_window)
     givens = [window(c) for c in pw.classes]
-    classified, thresholds, searched, levels = Counter(), Counter(), [], []
-    classify, threshold, search = ops.classify, completion._DomainOps.threshold, \
-        completion._search_levels
+    counts = {name: Counter() for name in ("classified", "thresholds", "quadratics", "of")}
+    searched, levels = [], []
+    classify, limit, search = ops.classify, completion._classify_limit, completion._search_levels
+    of = positivity._Window.of.__func__
 
     def counted_classify(seq, *args, **kwargs):
-        classified[tuple(seq)] += 1
+        counts["classified"][tuple(seq)] += 1
         return classify(seq, *args, **kwargs)
 
-    def counted_threshold(self, seq):
-        # level-0 values only: a deeper window can equal a given one
-        if not levels or levels[-1] == 0:
-            thresholds[tuple(seq)] += 1
-        return threshold(self, seq)
+    def counted_limit(w, *args, **kwargs):  # a verdict read on an image
+        counts["classified"][tuple(w.values)] += 1
+        return limit(w, *args, **kwargs)
 
-    def counted_search(problem, seqs, level=0, known=None):
+    def counted(name, fn):
+        def call(w, domain):
+            counts[name][w.key()] += 1
+            return fn(w, domain)
+        return call
+
+    def counted_of(cls, *args, **kwargs):
+        counts["of"][bool(levels)] += 1
+        return of(cls, *args, **kwargs)
+
+    def counted_search(problem, wins, level=0, known=None):
         if level == 0:
             searched.append(problem.big_ns)
         levels.append(level)
         try:
-            return search(problem, seqs, level, known)
+            return search(problem, wins, level, known)
         finally:
             levels.pop()
 
     monkeypatch.setattr(ops, "classify", counted_classify)
-    monkeypatch.setattr(completion._DomainOps, "threshold", counted_threshold)
+    monkeypatch.setattr(completion, "_classify_limit", counted_limit)
+    for name, fn in (("thresholds", "_schur_threshold"), ("quadratics", "_schur_quadratic")):
+        monkeypatch.setattr(completion, fn, counted(name, getattr(completion, fn)))
+    monkeypatch.setattr(positivity._Window, "of", classmethod(counted_of))
     monkeypatch.setattr(completion, "_search_levels", counted_search)
     solve(pw, "auto")
+    return givens, searched, counts
+
+
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_sweep_reads_one_verdict_and_each_level_zero_value_once(monkeypatch, case):
+    givens, searched, counts = _counted_solve(monkeypatch, case)
+    classified, thresholds = counts["classified"], counts["thresholds"]
+    classify = SWEEPS[case][1].classify
     assert len(searched) >= 2
     slices = {g[i:j] for g in givens for i in range(len(g)) for j in range(i + 1, len(g) + 1)}
     for given in givens:
@@ -206,10 +242,25 @@ def test_sweep_reads_one_verdict_and_each_level_zero_value_once(monkeypatch, cas
         # each level-0 value (a free slot's threshold of the whole window, a
         # forced slot's of its first 2K entries) once per solve, however
         # many vectors are searched
-        assert all(thresholds[given[:j]] <= 1 for j in range(1, len(given) + 1))
-        assert sum(thresholds[given[:j]] for j in range(1, len(given) + 1)) == len(
-            {min(big_ns[c] + 1, len(given)) for big_ns in searched
+        images = [positivity._Window.of(given[:j]).key() for j in range(1, len(given) + 1)]
+        assert all(thresholds[key] <= 1 for key in images)
+        assert sum(thresholds[key] for key in set(images)) == len(
+            {images[min(big_ns[c] + 1, len(given)) - 1] for big_ns in searched
              for c, g in enumerate(givens) if g == given})
+
+
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_search_builds_no_window_and_reads_each_image_once(monkeypatch, case):
+    _, searched, counts = _counted_solve(monkeypatch, case)
+    assert len(searched) >= 2
+    assert ("singular" in case) is not any(counts["quadratics"])
+    # every window of the search is a given one extended by `prepended` or
+    # cut by `prefix`; and each distinct image's threshold and level
+    # quadratic is computed once per solve, at whatever level or vector it
+    # recurs
+    assert counts["of"][True] == 0
+    assert all(n == 1 for n in counts["thresholds"].values())
+    assert all(n == 1 for n in counts["quadratics"].values())
 
 
 def test_compact_extremes_classify_once(calls):
@@ -457,7 +508,7 @@ def test_certificate_measure_builds_one_image_per_measure(calls, monkeypatch, ca
             counter[_label] += 1
             _orig(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted_ctor)
-    certified = completion._certificate_measure(window, -2, full, domain)
+    certified = completion._certificate_measure(positivity._Window.of(window), -2, full, domain)
     assert isinstance(certified, AtomicMeasure) is exact
     assert [certified.moment(k) for k in range(-4, size + 8)] == want
     if exact:

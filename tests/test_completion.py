@@ -321,8 +321,9 @@ def test_programming_errors_propagate(monkeypatch):
     def broken(self, *args):
         raise ZeroDivisionError("injected")
 
+    # every threshold and forced value, in the search and in the atom-count
+    # checks, is read through `_DomainOps.threshold`
     monkeypatch.setattr(completion._DomainOps, "threshold", broken)
-    monkeypatch.setattr(completion._DomainOps, "forced", broken)
     pw = PartialWeights([1], [BranchClass(1, (4,), 1), BranchClass(1, (4,), 1)])
     with pytest.raises(ZeroDivisionError):
         solve_subnormal(pw, K=(2, 2))

@@ -16,6 +16,15 @@ the parent's image too, must hold the same values.  `format_scalar` and
 must agree with the plain `Fraction(x)` forms on every kind of scalar the
 package is handed, as `format_ratio` of two integers must with the
 `Fraction` of their quotient.
+
+The completion search extends a branch window by `_Window.prepended` and
+cuts it by `_Window.prefix` instead of building each window again.  On
+exact, float and dilated windows (8 entries or more, lam > 1) both must
+read the same rationals as `_Window.of` of the same values, with the same
+float sizes, and on lam = 1 give its very (ints, unit); the Schur
+threshold and level quadratic read from them must be those of `_Window.of`
+on the ray and on (0, 1], where an odd-length window's slot form is built
+on the differences s_k - s_(k+1).
 """
 
 from fractions import Fraction as F
@@ -25,8 +34,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from momentkit.errors import DegenerateInput
+from momentkit.extremal import _schur_quadratic, _schur_threshold
 from momentkit.measure import AtomicMeasure, _AtomImage, _imaged, moment_row, tilt
 from momentkit.numeric import format_ratio, format_scalar
+from momentkit.positivity import HalfOpen, Ray, _Window
 from momentkit.principal import _exact_atoms
 from momentkit.tree import _pos_sq
 
@@ -156,3 +167,55 @@ INTEGERS = st.one_of(st.integers(-10 ** 40, 10 ** 40), st.integers(-3, 3))
 @given(INTEGERS, INTEGERS)
 def test_format_ratio_prints_the_fraction(num, den):
     assert _outcome(format_ratio, num, den) == _outcome(lambda: _parent_format(F(num, den)))
+
+
+@st.composite
+def branch_windows(draw):
+    """(window, x, n): the first 1-12 moments of a planted 1-6 atom measure
+    with atoms k / q over one denominator q (so that a window of 8 entries
+    or more is dilated by lam = q), inside (0, 1) half the time, as exact
+    values or as floats; a value x to prepend, above or below the window's
+    threshold, and a prefix length n."""
+    q = draw(st.integers(2, 40))
+    top = q - 1 if draw(st.booleans()) else 3 * q
+    atoms = draw(st.sets(st.integers(1, top), min_size=1, max_size=6))
+    masses = draw(st.lists(MASS, min_size=len(atoms), max_size=len(atoms)))
+    size = draw(st.integers(1, 12))
+    window = tuple(sum((m * F(k, q) ** j for k, m in zip(sorted(atoms), masses)), F(0))
+                   for j in range(size))
+    x = draw(st.fractions(min_value=F(1, 64), max_value=64, max_denominator=64))
+    if draw(st.booleans()):
+        window, x = tuple(map(float, window)), (float(x) if draw(st.booleans()) else x)
+    elif draw(st.integers(0, 3)) == 0:
+        x = float(x)
+    return window, x, draw(st.integers(1, size))
+
+
+def _rationals(w):
+    return [F(v, w.unit * w.lam ** k) for k, v in enumerate(w.ints)]
+
+
+@given(branch_windows())
+def test_prepended_and_prefix_read_the_window_of_builds(problem):
+    window, x, n = problem
+    w = _Window.of(window)
+    for got, values in ((w.prepended(x), (x,) + window), (w.prefix(n), window[:n])):
+        want = _Window.of(values)
+        assert got.values == values and _rationals(got) == _rationals(want)
+        assert got.floats == want.floats and got.sizes == want.sizes
+        if got.lam == want.lam == 1:
+            assert (got.ints, got.unit) == (want.ints, want.unit)
+        for domain in (Ray(), HalfOpen()):
+            assert _schur_threshold(got, domain) == _schur_threshold(want, domain)
+            assert (_schur_quadratic(got.prepended(0), domain)
+                    == _schur_quadratic(_Window.of((0,) + values), domain))
+
+
+def test_branch_windows_reach_every_kind_of_image():
+    """The strategy above draws dilated windows, whose prepend and prefix
+    keep lam > 1, and float windows (lam = 1)."""
+    atoms = [(F(k, 7), F(1)) for k in (1, 3, 5, 9)]
+    window = tuple(sum((m * a ** j for a, m in atoms), F(0)) for j in range(9))
+    w = _Window.of(window)
+    assert w.lam == 7 and w.prepended(F(2, 3)).lam == 7 and w.prefix(8).lam == 7
+    assert _Window.of(tuple(map(float, window))).prepended(2.5).lam == 1

@@ -46,8 +46,8 @@ import momentkit.positivity as positivity
 import momentkit.principal as principal
 from momentkit.alternating import CAMeasure, has_ca_extension
 from momentkit.backward import ExtensionClass, classify_backward, forced_value
-from momentkit.completion import (_HALF_OPS, _RAY_OPS, _admissible_two_ks,
-                                  _branch_k_compatible, _quadratic)
+from momentkit.completion import (_HALF_OPS, _RAY_OPS, _LevelValues, _admissible_two_ks,
+                                  _branch_k_compatible)
 from momentkit.extremal import (_schur_quadratic, _schur_threshold, reciprocal_inf_half_open,
                                 reciprocal_inf_ray, reciprocal_value_from_poly)
 from momentkit.measure import AtomicMeasure, MomentRecurrence, moments
@@ -57,7 +57,8 @@ from momentkit.numeric import (FormClass, Polynomial, _dilated_scale, _hankel_im
                                classify_form, count_positive_roots, det, det_poly, real_roots,
                                root_enclosures, root_precision, vandermonde_masses)
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window,
-                                  _classify_limit, _determinate_poly, _ends, _support_poly,
+                                  _classify_limit, _determinate_poly, _ends, _limit_window,
+                                  _support_poly,
                                   classify, classify_compact, compact_criterion_matrices, index,
                                   ray_limit_matrices, recover_minimal_measure,
                                   recover_support_and_masses)
@@ -561,7 +562,7 @@ def test_level_quadratic_matches_three_exact_samples(problem, step):
     cases += [(window[:two_k - 1], [forced_value(((x,) + window)[:two_k], domain) for x in xs])
               for two_k in lengths]
     for rest, samples in cases:
-        a, b, c = _quadratic(ops, rest, theta)
+        a, b, c = _LevelValues(ops).quadratic(_Window.of(rest), theta)
         assert [(a * x + b) * x + c for x in (step, 2 * step, 3 * step)] == samples
 
 
@@ -575,7 +576,10 @@ def _admissible(rule, ops, given):
     step = 2 if ops is _RAY_OPS else 1
     candidates = range(step, len(given) + 3, step)
     try:
-        return rule(ops, tuple(given), candidates)
+        # the one verdict is read on the image of the given window, which
+        # refuses what the domain's classify refuses
+        return rule(ops, _limit_window(given) if rule is _admissible_two_ks else tuple(given),
+                    candidates)
     except MomentKitError as exc:
         return type(exc), str(exc)
 
@@ -1022,6 +1026,10 @@ def _undilated():
         yield
 
 
+def _slot_quadratic(rest, domain):
+    return _schur_quadratic(_Window.of((0,) + rest), domain)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -1059,7 +1067,7 @@ def test_dilation_is_invisible(problem):
         assert _determinate_poly(w, domain) == _determinate_poly(plain, domain)
         assert _schur_threshold(w, domain) == _schur_threshold(plain, domain)
         assert _support_poly(w, bordered=True) == _support_poly(plain, bordered=True)
-        calls = [(classify, window, domain), (_schur_quadratic, tuple(window[1:]), domain),
+        calls = [(classify, window, domain), (_slot_quadratic, tuple(window[1:]), domain),
                  (atom_polynomial, window, domain), (ray_limit_matrices, window)]
     dilated = [_outcome(*call) for call in calls]
     with _undilated():
