@@ -27,6 +27,12 @@ zero test per form, scaled entry by entry by the size of the window terms
 that entry is computed from: where the transforms of [a, b] cancel to
 rounding noise, the noise reads as zero, as the exact window's zeros do.
 
+Across calls, `_Window.of` hands back the last two exact windows it handed
+out for equal values and the same eps, with their passes and the verdicts
+that depend on them alone, so the public calls on one window share one image
+and one elimination of each form.  Float windows are never held: their zero
+tests read the float data, which an equal exact key would hide.
+
 A singular window on [a, b] is determinate too.  On every domain its
 measure and index are read from the same support polynomial
 (`_support_poly`): the atoms are its roots in the domain, and the index is
@@ -132,6 +138,9 @@ def _ratio(x: Scalar) -> tuple:
     return x.numerator, x.denominator
 
 
+_held: tuple = ()  # the last two exact windows `_Window.of` handed out, latest first
+
+
 class _Window:
     """The integer image of a window s_0..s_n: ints[k] = unit * lam^k * s_k,
     the window (on its binary-exact image if any of its data is a float)
@@ -169,24 +178,37 @@ class _Window:
     zeros do.  That test does not survive a dilation, so lam is 1 there.
     `sizes` is None for an exact window."""
 
-    __slots__ = ("values", "ints", "unit", "sizes", "eps", "lam", "_support", "_slot", "_inner")
+    __slots__ = ("values", "ints", "unit", "sizes", "eps", "lam", "_support", "_slot", "_inner",
+                 "_kept")
 
     def __init__(self, values, ints: list, unit: int, sizes, eps: Optional[float],
                  lam: int = 1):
         self.values, self.ints, self.unit, self.sizes, self.eps, self.lam = (
             values, ints, unit, sizes, eps, lam)
         self._support = self._slot = self._inner = None
+        self._kept = {}
 
     @classmethod
     def of(cls, values, eps: Optional[float] = None, ends=()) -> "_Window":
-        """The image of `values`, dilated as `numeric._dilated_scale`
-        decides; float tests apply, and lam is 1, when a value or one of
-        the interval `ends` is a float."""
+        """The image of the tuple of `values`, dilated as
+        `numeric._dilated_scale` decides; float tests apply, and lam is 1,
+        when a value or one of the interval `ends` is a float.  The last two
+        exact windows handed out are held (`_held`) and handed back, with
+        their passes and verdicts, for equal values and the same eps, which
+        `prepended` passes on; a float window never is (see the module)."""
+        global _held
+        values = tuple(values)
         if any(isinstance(v, float) for v in values) or any(isinstance(v, float) for v in ends):
             ints, unit = _integer_scale([as_fraction(v) for v in values])
             return cls(values, ints, unit, [abs(float(v)) for v in values], eps)
-        ints, unit, lam = _dilated_scale(values)
-        return cls(values, ints, unit, None, eps, lam)
+        for w in _held:
+            if w.eps == eps and w.values == values:
+                break
+        else:
+            ints, unit, lam = _dilated_scale(values)
+            w = cls(values, ints, unit, None, eps, lam)
+        _held = w, *[x for x in _held if x is not w][:1]
+        return w
 
     def prefix(self, n: int) -> "_Window":
         """s_0..s_(n-1), with this window's lam, over unit / g,
@@ -247,7 +269,8 @@ class _Window:
         moments of (t - a)(b - t) dmu, with this window's lam and the unit
         unit * qa * qb * lam^2; kept, with its own passes, for the last
         [a, b] asked."""
-        if self._inner is None or self._inner[0] != (a, b):
+        inner = self._inner
+        if inner is None or inner[0] != (a, b):
             (pa, qa), (pb, qb), S, w, lam = _ratio(a), _ratio(b), self.ints, self.sizes, self.lam
             mid, low, high = lam * (pa * qb + pb * qa), lam * lam * pa * pb, qa * qb
             ints = [mid * S[k + 1] - low * S[k] - high * S[k + 2] for k in range(len(S) - 2)]
@@ -256,9 +279,16 @@ class _Window:
                 x, y = float(a), float(b)
                 sizes = [abs(x + y) * w[k + 1] + abs(x * y) * w[k] + w[k + 2]
                          for k in range(len(w) - 2)]
-            inner = _Window(None, ints, self.unit * high * lam * lam, sizes, self.eps, lam)
-            self._inner = (a, b), inner
-        return self._inner[1]
+            inner = self._inner = (a, b), _Window(None, ints, self.unit * high * lam * lam,
+                                                  sizes, self.eps, lam)
+        return inner[1]
+
+    def kept(self, key, make):
+        """make(), computed once per key and kept (a verdict on the window)."""
+        value = self._kept.get(key)
+        if value is None:
+            value = self._kept[key] = make()
+        return value
 
     def support_pass(self) -> tuple:
         """The `_minor_pass` of H(s) that `_support_poly` reads: n // 2 + 1
@@ -283,8 +313,8 @@ class _Window:
         base s_0 for even n on (0, 1].  An odd-length window on the ray
         leaves its top moment out: its infimum is that of the prefix.  The
         form is [[e_0, b^T], [b, M]] with b = (e_1, ..., e_m) and
-        M = (e_(i+j)), 1 <= i, j <= m, the limit form `_limit_m`.  Reversed,
-        the entries are again a Hankel form, with the slot as its last
+        M = (e_(i+j)), 1 <= i, j <= m, the limit form (`_limit_verdict`).
+        Reversed, the entries are again a Hankel form, with the slot as its last
         corner, so the pass reduces M in reverse order first: a congruence,
         which keeps M's class, so its leading m x m block decides M.  It
         takes exactly m steps when M is positive definite, since its last
@@ -298,12 +328,13 @@ class _Window:
         that of F over lam in the first case and equal to it in the
         second."""
         differences = _odd_half_open(self, domain)
-        if self._slot is None or self._slot[0] != differences:
+        slot = self._slot
+        if slot is None or slot[0] != differences:
             m = len(self.ints) // 2
             tail = self.upper(1).ints if differences else self.ints
             image = HankelImage(tail[:2 * m][::-1] + [0], self.unit)
-            self._slot = differences, _minor_pass(image, m + 1)
-        return self._slot[1]
+            slot = self._slot = differences, _minor_pass(image, m + 1)
+        return slot[1]
 
     def reads_zero(self) -> bool:
         """Whether every entry reads as zero: relative to the largest for a
@@ -360,7 +391,7 @@ def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> Po
     if len(values) % 2 == 1:
         classes = [w.hankel_class(), w.interior(a, b).hankel_class()]
     else:
-        classes = [classify_form(w.lower(a)), classify_form(w.upper(b))]
+        classes = [_edge_class(w, a=a), _edge_class(w, b=b)]
     if FormClass.INDEFINITE in classes:
         return PositivityVerdict(PositivityClass.NOT_POSITIVE, (a, b))
     if classes == [FormClass.POSITIVE_DEFINITE] * 2:
@@ -371,6 +402,11 @@ def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> Po
     return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, (a, b), support)
 
 
+def _edge_class(w: _Window, a: Scalar = None, b: Scalar = None) -> FormClass:
+    """The class of `w.lower(a)`, or of `w.upper(b)`, kept per end."""
+    return w.kept((a, b), lambda: classify_form(w.lower(a) if b is None else w.upper(b)))
+
+
 def ray_limit_matrices(values: Sequence[Scalar]):
     """The entries of H(s) and of M, H(s shifted by one), largest orders,
     read back from their integer images.  Refuses the empty sequence, as
@@ -378,7 +414,7 @@ def ray_limit_matrices(values: Sequence[Scalar]):
     if not values:
         raise DomainError("empty sequence")
     w, n = _Window.of(values), len(values) - 1
-    return _entries(w.lam, w.hankel(0, n // 2 * 2 + 1), _limit_m(w, Ray()))
+    return _entries(w.lam, w.hankel(0, n // 2 * 2 + 1), w.hankel(1, (n + 1) // 2 * 2))
 
 
 def _limit_window(s, eps: Optional[float] = None) -> _Window:
@@ -387,14 +423,18 @@ def _limit_window(s, eps: Optional[float] = None) -> _Window:
     values = _values(s)
     if not values:
         raise DomainError("empty sequence")
-    _nonneg_check(values, eps)
-    return _Window.of(values, eps)
+    w = _Window.of(values, eps)
+    _nonneg_check(w)
+    return w
 
 
-def _nonneg_check(values, eps):
-    for v in values:
-        if v < 0 and not _reads_zero(v, max(abs(x) for x in values), eps):
-            raise DomainError(f"negative entry {v!r} in a sequence on a positive domain")
+def _nonneg_check(w: _Window):
+    """Refuse a negative entry, read off the sign of its image (unit > 0,
+    lam >= 1); a float one that reads as zero (`_reads_zero`) passes."""
+    if min(w.ints) < 0:
+        for v, x in zip(w.values, w.ints):
+            if x < 0 and not _reads_zero(v, max(abs(y) for y in w.values), w.eps):
+                raise DomainError(f"negative entry {v!r} in a sequence on a positive domain")
 
 
 def _reads_zero(x: Scalar, scale, eps: Optional[float]) -> bool:
@@ -497,16 +537,12 @@ def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
     return p
 
 
-def _limit_m(w: _Window, domain: Domain) -> HankelImage:
-    """M, the limit form under the slot of a prepended value: H of s_1.. on
-    the ray and for odd n on (0, 1], the interior form for even n there."""
-    n = len(w.ints) - 1
-    if isinstance(domain, Ray):
-        return w.hankel(1, (n + 1) // 2 * 2)
-    return w.interior(0, 1).hankel() if n % 2 == 0 else w.lower(0)
-
-
 def _classify_limit(w: _Window, domain: Domain, by_slot: bool = False) -> PositivityVerdict:
+    """`_limit_verdict`, kept on the window per domain."""
+    return w.kept(type(domain), lambda: _limit_verdict(w, domain, by_slot))
+
+
+def _limit_verdict(w: _Window, domain: Domain, by_slot: bool) -> PositivityVerdict:
     """Strict when both limit forms are positive definite (b -> inf, resp.
     a -> 0 at b = 1), else decided by `_determinate_poly`.
 
@@ -515,7 +551,9 @@ def _classify_limit(w: _Window, domain: Domain, by_slot: bool = False) -> Positi
     b s_k - s_(k+1) at b = 1 and M.  With `by_slot` an exact window's M is
     read from `_Window.slot_pass`, whose corner then gives the threshold of
     a prepended value; otherwise, and always for a float window, M is
-    `classify_form`'s.
+    `classify_form`'s on the ray, and on (0, 1] read as `classify_compact`
+    reads [0, 1]: from the interior window's pass for even n, by
+    `_edge_class` (as the first form) for odd n.
 
     So for odd n on (0, 1] a window that is not strict is eliminated twice:
     once for the b s_k - s_(k+1) form, once for H(s) in the determinacy
@@ -528,16 +566,15 @@ def _classify_limit(w: _Window, domain: Domain, by_slot: bool = False) -> Positi
     its p comes with H_r(s) = V^T D V positive definite, which only the
     pass over H(s) shows.  When the first form is positive definite and M
     is not, neither pass is over H(s) either."""
-    n = len(w.ints) - 1
-    if isinstance(domain, Ray) or n % 2 == 0:
-        first = w.hankel_class()
-    else:
-        first = classify_form(w.upper(1))
+    odd_n = isinstance(domain, HalfOpen) and len(w.ints) % 2 == 0
+    first = _edge_class(w, b=1) if odd_n else w.hankel_class()
     if first is FormClass.POSITIVE_DEFINITE:
         if by_slot and not w.floats:
             second = _pass_class(w.slot_pass(domain), len(w.ints) // 2)
+        elif isinstance(domain, Ray):
+            second = classify_form(w.hankel(1, len(w.ints) // 2 * 2))  # H(s_1..)
         else:
-            second = classify_form(_limit_m(w, domain))
+            second = _edge_class(w, a=0) if odd_n else w.interior(0, 1).hankel_class()
         if second is FormClass.POSITIVE_DEFINITE:
             return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE)
     return _determinacy_verdict(w, domain)

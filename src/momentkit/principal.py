@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateInput, InsufficientMoments, NotStrictlyPositive
 from .measure import AtomicMeasure, _AtomImage, _imaged
-from .numeric import (HankelImage, Polynomial, Scalar, _dilated_scale, _integer_scale, _isolate,
-                      _lagrange_masses, _minor_pass, _pass_bordered, _to_float, as_fraction,
-                      root_enclosures, root_precision, vandermonde_masses)
+from .numeric import (HankelImage, Polynomial, Scalar, _integer_scale, _isolate, _lagrange_masses,
+                      _minor_pass, _pass_bordered, _to_float, root_enclosures, root_precision,
+                      vandermonde_masses)
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
                          _limit_window, _support_measure, _support_poly, _values,
                          classify_compact, classify_half_open)
@@ -49,26 +49,26 @@ def bordered_hankel_poly(window: Sequence[Scalar]) -> Polynomial:
     row (s_m, ..., s_(2m-1), t^m) and the column (1, t, ..., t^m); degree
     m.  H_m must be positive definite, as it is for every strictly positive
     window, else DegenerateInput.  See `_bordered_image`."""
-    window = list(window)
+    window = tuple(window)
     if len(window) % 2 != 0 or not window:
         raise DegenerateInput("bordered layout needs an even, nonempty window")
-    floats = any(isinstance(x, float) for x in window)
-    ints, unit, lam = _dilated_scale([as_fraction(x) for x in window])
-    return _bordered_image(HankelImage(ints, unit), floats, lam)
+    w = _Window.of(window)
+    return _bordered_image(HankelImage(w.ints, w.unit), w.floats, w.lam,
+                           None if w.floats else w.support_pass())
 
 
-def _bordered_image(form: HankelImage, floats: bool, lam: int) -> Polynomial:
+def _bordered_image(form: HankelImage, floats: bool, lam: int, minor_pass=None) -> Polynomial:
     """`bordered_hankel_poly` of a window of 2m entries given by its
     integer image over a window dilated by lam (`ints[k]` = `unit` lam^k
     times entry k, see `positivity._Window`): `_bordered_ints` as
     `Fraction`s, rounded for float input; the constant 1 for the empty
     window."""
-    ints, num, den = _bordered_ints(form, lam)
+    ints, num, den = _bordered_ints(form, lam, minor_pass)
     coeffs = [Fraction(x * num, den) for x in ints]
     return Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
 
 
-def _bordered_ints(form: HankelImage, lam: int) -> tuple:
+def _bordered_ints(form: HankelImage, lam: int, minor_pass: Optional[tuple] = None) -> tuple:
     """(ints, num, den): the bordered-Hankel polynomial of the form is
     num / den > 0 times the integers `ints`.
 
@@ -80,11 +80,12 @@ def _bordered_ints(form: HankelImage, lam: int) -> tuple:
     the float zero test, on the exact or binary-exact image.  lam is the
     window's own, chosen once by `numeric._dilated_scale` (1 for a float
     window), and `_pass_bordered` divides it back out.  A leading block H_m
-    that is not positive definite raises DegenerateInput."""
+    that is not positive definite raises DegenerateInput.  `minor_pass` is
+    the pass if the caller holds it (an exact `_Window.support_pass`)."""
     m = len(form.ints) // 2
     if m == 0:
         return [1], 1, 1
-    r, a, _ = _minor_pass(HankelImage(form.ints, form.unit), m)
+    r, a, _ = minor_pass or _minor_pass(HankelImage(form.ints, form.unit), m)
     if r < m:
         raise DegenerateInput("bordered layout needs a positive definite leading block")
     return _pass_bordered(a, m, form.unit, lam)
@@ -233,8 +234,10 @@ def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
                       lo: Scalar, hi: Scalar) -> AtomicMeasure:
     """The measure of `atoms_from_poly` (lo >= 0 and no root at 0).  The
     measure of an exact window carries the integer image its masses were
-    read on (`_atoms_and_image`)."""
-    return _carrying(*_atoms_and_image(root_enclosures(poly, lo, hi), poly.degree, window))
+    read on (`_atoms_and_image`): the window's own, `_Window.of`'s."""
+    w = _Window.of(window)
+    return _carrying(*_atoms_and_image(root_enclosures(poly, lo, hi), poly.degree, window,
+                                       None if w.floats else (w.ints, w.unit, w.lam)))
 
 
 def _window_measure(ints: list, w: _Window, domain) -> AtomicMeasure:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+import momentkit.positivity as positivity
 from momentkit.measure import AtomicMeasure
 
 # property tests replay the same examples on every run and stay short; the
@@ -51,3 +52,10 @@ def random_half_open_measure(rng, atoms, include_one=False):
 @pytest.fixture
 def rng():
     return random.Random(20260809)
+
+
+@pytest.fixture(autouse=True)
+def no_held_windows():
+    """Every test starts with no exact window held by `_Window.of`, so its
+    first call on a window is a cold one whatever ran before it."""
+    positivity._held = ()

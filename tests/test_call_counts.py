@@ -46,6 +46,15 @@ its given window, extended by `_Window.prepended` and cut by
 `_Window.prefix`, so the search builds no window with `_Window.of`; and
 it computes each threshold, forced value and level quadratic once per
 distinct image, however many atom-count vectors and levels read it.
+
+Every budget is that of a cold call.  `_Window.of` holds the last two exact
+windows it handed out, with their passes and verdicts (`tests/conftest.py`
+lets go of them before each test), so a test that warms a window up with a
+reference call, a threshold or a class, lets go of them (`_cold`) before the
+call it counts.  The warm sequence of calls on one window (class, index,
+infimum or extremes, minimal or principal measure, backward extensions, the
+completely alternating extension) scales the window once, masses included,
+runs one pass over its H(s) and eliminates no form twice.
 """
 
 import json
@@ -58,6 +67,7 @@ import pytest
 import momentkit.completion as completion
 import momentkit.measure as measure
 import momentkit.numeric as numeric
+from momentkit.alternating import has_ca_extension
 from momentkit.backward import ExtensionClass, classify_backward, forced_value
 from momentkit.cli import run
 from momentkit.extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
@@ -105,12 +115,19 @@ def _counts(counter):
     return tuple(counter[name] for name in KERNEL)
 
 
+def _cold():
+    """Let go of the windows `_Window.of` holds, so that the call counted
+    next pays for its own image, passes and verdicts."""
+    positivity._held = ()
+
+
 @pytest.mark.parametrize("mu, domain, inf", [(RAY_MU, Ray(), reciprocal_inf_ray),
                                              (UNIT_MU, HalfOpen(), reciprocal_inf_half_open)])
 def test_backward_at_threshold_classifies_each_window_once(calls, mu, domain, inf):
     window = _window(mu, 3)
     theta = inf(window)
     calls.clear()
+    _cold()
     verdict = classify_backward(window, theta, domain)
     assert verdict.kind is ExtensionClass.SINGULAR and verdict.measure == mu
     # the base's first form (H(s) on the ray, b s_k - s_(k+1) on (0, 1] for
@@ -291,6 +308,7 @@ def test_singular_compact_results_read_the_verdict_polynomial(calls, monkeypatch
     assert verdict.kind is PositivityClass.SINGULARLY_POSITIVE
     assert verdict.support == Polynomial([F(15, 4), -4, 1])
     calls.clear()
+    _cold()
     classified = Counter()
     orig = positivity.classify_compact
 
@@ -316,6 +334,7 @@ def test_singular_half_open_measure_reads_the_verdict_polynomial(calls):
     window = _window(UNIT_MU, 5)
     assert classify(window, HalfOpen()).kind is PositivityClass.SINGULARLY_POSITIVE
     calls.clear()
+    _cold()
     assert minimal_measure_half_open(window) == UNIT_MU
     assert _counts(calls)[1:] == (2, 0, 1)
 
@@ -342,6 +361,68 @@ def test_minimal_ray_measure_reads_the_classifying_pass(calls):
     assert _counts(calls) == (1, 2, 0, 0)
 
 
+def _warm_sequence(domain, window):
+    """The calls a caller makes on one strictly positive window: its class,
+    index, infimum or extremes, minimal or principal measure, backward
+    extensions at and above the threshold, and on (0, 1] the completely
+    alternating extension of its partial sums."""
+    if isinstance(domain, Compact):
+        return [lambda: classify(window, domain), lambda: index(window, domain),
+                lambda: principal_compact(window, domain.a, domain.b, PrincipalKind.LOWER),
+                lambda: reciprocal_extremes_compact(window, domain.a, domain.b)]
+    ray = isinstance(domain, Ray)
+    inf = reciprocal_inf_ray if ray else reciprocal_inf_half_open
+    calls = [lambda: classify(window, domain), lambda: index(window, domain),
+             lambda: inf(window),
+             lambda: (minimal_measure_ray if ray else minimal_measure_half_open)(window),
+             lambda: classify_backward(window, inf(window), domain),
+             lambda: classify_backward(window, inf(window) * F(65, 64), domain)]
+    partial = [sum(window[:k], F(1)) for k in range(len(window) + 1)]
+    return calls if ray else calls + [lambda: has_ca_extension(partial)]
+
+
+#: (domain, window, passes): the eliminations of the whole sequence; on the
+#: ray H(s), M (for the class) and the slot pass (for the threshold) of the
+#: window, H(s) of the extension at the threshold, H(s) and M of the one above
+WARM = {"ray": (Ray(), _window(RAY_MU, 3), 6),
+        "half-open": (HalfOpen(), _window(UNIT_MU, 3), 7),
+        "compact": (Compact(1, 4), _window(AtomicMeasure([(F(3, 2), F(1)), (F(2), F(1, 3)),
+                                                          (F(7, 2), F(2))]), 5), 4)}
+
+
+@pytest.mark.parametrize("case", sorted(WARM))
+def test_warm_sequence_scales_the_window_once_and_runs_each_pass_once(monkeypatch, case):
+    domain, window, budget = WARM[case]
+    ints = numeric._dilated_scale(window)[0]
+    scaled, passes = Counter(), Counter()
+    for name in ("_dilated_scale", "_integer_scale", "_minor_pass"):
+        orig = getattr(numeric, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            if _name == "_minor_pass":
+                passes[tuple(args[0].ints), args[0].unit, args[1]] += 1
+                return _orig(*args)
+            # a scaling inside another (`_dilated_scale` of a short window)
+            # is the same one
+            scaled[list(args[0]) == window] += not scaled["open"]
+            scaled["open"] += 1
+            try:
+                return _orig(*args)
+            finally:
+                scaled["open"] -= 1
+        for module in [m for n, m in sys.modules.items() if n.startswith("momentkit.")]:
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, counted)
+    for call in _warm_sequence(domain, window):
+        call()
+    # one image of the window, which every call reads, masses included; one
+    # pass over its H(s), and no form of the sequence eliminated twice
+    assert scaled[True] == 1
+    assert sum(n for (image, _, _), n in passes.items() if list(image) == ints) == 1
+    assert set(passes.values()) == {1} and sum(passes.values()) == budget
+
+
 #: atoms with denominators: 8 moments or more of them are dilated
 LONG_RAY_MU = AtomicMeasure([(F(1, 3), F(1)), (F(2, 5), F(1, 2)), (F(7, 2), F(2, 3)),
                              (F(5), F(1))])
@@ -352,14 +433,18 @@ LONG_COMPACT_MU = AtomicMeasure([*LONG_RAY_MU.atoms, (F(9, 2), F(1, 3))])
 
 @pytest.fixture
 def windows(monkeypatch):
-    """Counter of the windows `_Window.of` builds and of the dilations
-    `numeric._dilated_scale` decides, through every alias."""
-    counter = Counter()
+    """Counter of the windows `_Window.of` builds (a held window handed
+    back again is not counted) and of the dilations `numeric._dilated_scale`
+    decides, through every alias."""
+    counter, built = Counter(), []
     of = positivity._Window.of.__func__
 
     def counted_of(cls, *args, **kwargs):
-        counter["windows"] += 1
-        return of(cls, *args, **kwargs)
+        w = of(cls, *args, **kwargs)
+        if all(w is not x for x in built):
+            built.append(w)
+            counter["windows"] += 1
+        return w
 
     monkeypatch.setattr(positivity._Window, "of", classmethod(counted_of))
     orig = numeric._dilated_scale
@@ -427,6 +512,7 @@ def test_dilated_windows_keep_the_budgets_and_decide_lam_once(calls, windows, ca
     call = prepare(window)
     calls.clear()
     windows.clear()
+    _cold()
     call()
     # the budget of the short window, and one lam per window built:
     # interior windows inherit theirs, and no pass dilates again
@@ -508,6 +594,7 @@ def test_certificate_measure_builds_one_image_per_measure(calls, monkeypatch, ca
             counter[_label] += 1
             _orig(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted_ctor)
+    _cold()
     certified = completion._certificate_measure(positivity._Window.of(window), -2, full, domain)
     assert isinstance(certified, AtomicMeasure) is exact
     assert [certified.moment(k) for k in range(-4, size + 8)] == want

@@ -43,7 +43,6 @@ from hypothesis import example, given, strategies as st
 
 import momentkit.numeric as numeric
 import momentkit.positivity as positivity
-import momentkit.principal as principal
 from momentkit.alternating import CAMeasure, has_ca_extension
 from momentkit.backward import ExtensionClass, classify_backward, forced_value
 from momentkit.completion import (_HALF_OPS, _RAY_OPS, _LevelValues, _admissible_two_ks,
@@ -974,7 +973,8 @@ def test_integer_transforms_are_positive_multiples_of_the_fraction_ones(problem)
         if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
             assert verdict.support == _reference_support(window, ())
         # M decided by the pass to the corner of a prepended value, in reverse
-        # order, gives the same verdict
+        # order, gives the same verdict, on a window built anew
+        positivity._held = ()
         assert _classify_limit(_Window.of(window), domain, by_slot=True) == verdict
 
 
@@ -1020,10 +1020,14 @@ def _plain_scale(values):
 
 @contextlib.contextmanager
 def _undilated():
-    """Every window and bordered image built with lam = 1."""
-    with mock.patch.object(positivity, "_dilated_scale", _plain_scale), \
-            mock.patch.object(principal, "_dilated_scale", _plain_scale):
-        yield
+    """Every window and bordered image built with lam = 1: none of the
+    windows `_Window.of` holds is handed out inside, or kept after."""
+    positivity._held = ()
+    try:
+        with mock.patch.object(positivity, "_dilated_scale", _plain_scale):
+            yield
+    finally:
+        positivity._held = ()
 
 
 def _slot_quadratic(rest, domain):
@@ -1061,9 +1065,11 @@ def test_dilation_is_invisible(problem):
                  (principal_polynomial, window, a, b, PrincipalKind.LOWER),
                  (principal_polynomial, window, a, b, PrincipalKind.UPPER)]
     else:
-        for by_slot in (False, True):
-            assert (_classify_limit(w, domain, by_slot)
-                    == _classify_limit(plain, domain, by_slot))
+        for by_slot in (False, True):  # on new windows: a window keeps its verdict
+            positivity._held = ()
+            assert (_classify_limit(_Window.of(window), domain, by_slot)
+                    == _classify_limit(_Window(window, *_integer_scale(window), None, None),
+                                       domain, by_slot))
         assert _determinate_poly(w, domain) == _determinate_poly(plain, domain)
         assert _schur_threshold(w, domain) == _schur_threshold(plain, domain)
         assert _support_poly(w, bordered=True) == _support_poly(plain, bordered=True)
