@@ -18,8 +18,8 @@ from .errors import DegenerateInput, DomainError, NotAMomentSequence, ZeroAtomEr
 from .measure import (AtomicMeasure, MomentRecurrence, ZERO_MEASURE, _Row, geometric_row,
                       moment_row)
 from .numeric import Polynomial, Scalar
-from .positivity import HalfOpen, PositivityClass, _reads_root, _values, classify_compact
-from .principal import atom_polynomial, atoms_from_poly, measure_from_poly
+from .positivity import HalfOpen, PositivityClass, _reads_root, _values, _Window, classify_compact
+from .principal import _minimal, atoms_from_poly
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,12 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     polynomial of its atoms in (0, 1].
 
     A strictly positive increment window takes its minimal measure on
-    (0, 1], `principal.atom_polynomial`; a singular one its unique measure,
-    from the support polynomial its verdict carries.  A root at 0 is read
-    with the zero test of the index (`positivity._reads_root`), so a float
-    root that rounding moved just inside (0, 1] is put back at 0 and its
-    atom booked as mass at zero."""
+    (0, 1], the one `principal._minimal` keeps on its window (and
+    `minimal_measure_half_open` of the increments reads); a singular one its
+    unique measure, from the support polynomial its verdict carries.  A
+    root at 0 is read with the zero test of the index
+    (`positivity._reads_root`), so a float root that rounding moved just
+    inside (0, 1] is put back at 0 and its atom booked as mass at zero."""
     values = _values(c)
     deltas = [values[k + 1] - values[k] for k in range(len(values) - 1)]
     if not deltas:
@@ -138,8 +139,7 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         return CAExtensionVerdict(False, None, verdict.kind)
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
-        poly = atom_polynomial(deltas, HalfOpen())
-        mu = measure_from_poly(poly, deltas, Fraction(0), Fraction(1))
+        poly, mu = _minimal(_Window.of(deltas), HalfOpen())
         return CAExtensionVerdict(True, CAMeasure(0, mu), verdict.kind, poly)
     if not any(deltas):  # a constant sequence: exact even for float input
         return CAExtensionVerdict(True, ZERO_CA_MEASURE, verdict.kind, Polynomial([1]))

@@ -7,8 +7,10 @@ gives a singularly positive (determinate) extension -- only for odd top
 degree on (0, inf), in both parities on (0, 1] -- and below the infimum the
 extension is not positive at all.  The threshold is an exact rational for
 exact input in both parities; for even top degree on (0, inf) it is not
-attained, so prepending it gives no extension.  The decisions here are made
-by exact Hankel classification of the extended sequence.
+attained, so prepending it gives no extension.  Off an exact window's
+threshold the decisions are exact Hankel classifications of the extended
+sequence; at it, the extension's measure is t^-1 mu, mu the window's minimal
+measure (`principal._minimal`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .extremal import _reciprocal_inf, reciprocal_inf_half_open, reciprocal_inf_
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
                          _determinacy_verdict, _limit_window, _support_measure, _values,
                          classify_half_open, classify_ray)
-from .principal import atom_polynomial
+from .principal import _minimal
 
 
 class ExtensionClass(Enum):
@@ -53,10 +55,13 @@ def _domain_tools(domain):
 def classify_backward(s, x: Scalar, domain=Ray()) -> ExtensionVerdict:
     """Classify the one-step extension (x, s_0, ..., s_n).  The threshold
     comes from the pass that decided the base window's form M (see
-    `extremal._classified_inf`) and a singular extension's measure from the
-    support polynomial its own verdict carries.  At the threshold
-    the corner of the extension's Hankel form has a zero Schur complement,
-    so the extension is not strict and its determinacy test decides it."""
+    `extremal._classified_inf`).  At an exact window's threshold the
+    extension is Singular with the window's minimal measure, or NotExtension
+    for even n on the ray, where the infimum is not attained.  A float
+    window's extension there is not strict (its corner has a zero Schur
+    complement), and its determinacy test decides it.  Otherwise the
+    extension is classified, a singular one's measure read from the support
+    polynomial its verdict carries."""
     classify, _ = _domain_tools(domain)
     w = _limit_window(s)
     base = _classify_limit(w, domain, by_slot=True)
@@ -65,6 +70,10 @@ def classify_backward(s, x: Scalar, domain=Ray()) -> ExtensionVerdict:
     if x < 0:
         raise DomainError("extension value must be nonnegative")
     threshold = _reciprocal_inf(w, base, domain)
+    if x == threshold and not w.floats:
+        if isinstance(domain, Ray) and len(w.ints) % 2:  # even n: not attained
+            return ExtensionVerdict(ExtensionClass.NOT_EXTENSION, threshold)
+        return ExtensionVerdict(ExtensionClass.SINGULAR, threshold, _minimal(w, domain)[1])
     extension = (x,) + w.values
     verdict = (_determinacy_verdict(_Window.of(extension), domain) if x == threshold
                else classify(extension))
@@ -88,7 +97,7 @@ def forced_value(tail: Sequence[Scalar], domain=Ray()) -> Scalar:
 def minimal_measure_window(window, domain) -> AtomicMeasure:
     """Minimal measure of a strictly positive window of even length on the
     ray, or of odd/even length on (0, 1] (2K moments starting deepest)."""
-    return _support_measure(atom_polynomial(window, domain), window, domain)
+    return _minimal(_Window.of(window), domain)[1]
 
 
 def extend_with_index(s, r: int, K, free: Sequence[Scalar] = (),

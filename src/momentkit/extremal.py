@@ -48,7 +48,7 @@ from .numeric import Polynomial, Scalar, _to_float, associated
 from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _Window,
                          _classify_limit, _limit_window, _odd_half_open, _values,
                          classify_compact, classify_ray)
-from .principal import PrincipalKind, measure_from_poly, principal_polynomial
+from .principal import PrincipalKind, _principal_measure, _principal_poly
 
 @dataclass(frozen=True)
 class ExtremalBounds:
@@ -74,19 +74,17 @@ def reciprocal_value_from_poly(poly: Polynomial, values: Sequence[Scalar]) -> Sc
     return -next(associated(poly.coeffs, values), 0) / p0
 
 
-def _principal_values(values, a, b) -> list:
-    """(reciprocal value, atom polynomial) of the lower and the upper
-    principal measure on [a, b], in that order."""
-    pairs = []
-    for kind in (PrincipalKind.LOWER, PrincipalKind.UPPER):
-        poly = principal_polynomial(values, a, b, kind)
-        pairs.append((reciprocal_value_from_poly(poly, values), poly))
-    return pairs
+def _principal_values(w: _Window, a, b) -> list:
+    """(reciprocal value, kind) of the lower and the upper principal measure
+    on [a, b] of the window w, in that order; each value is kept on w beside
+    its polynomial (`principal._principal_poly`)."""
+    return [(w.kept((a, b, kind, "value"), lambda: reciprocal_value_from_poly(
+        _principal_poly(w, a, b, kind), w.values)), kind) for kind in PrincipalKind]
 
 
 def compact_reciprocal_values(values, a, b):
     """(lower-principal value, upper-principal value) on [a, b]."""
-    return tuple(value for value, _ in _principal_values(_values(values), a, b))
+    return tuple(v for v, _ in _principal_values(_Window.of(_values(values), None, (a, b)), a, b))
 
 
 def reciprocal_extremes_compact(s, a: Scalar, b: Scalar) -> ExtremalBounds:
@@ -97,10 +95,11 @@ def reciprocal_extremes_compact(s, a: Scalar, b: Scalar) -> ExtremalBounds:
         raise NotStrictlyPositive("need 0 < a < b")
     if classify_compact(values, a, b).kind is not PositivityClass.STRICTLY_POSITIVE:
         raise NotStrictlyPositive("sequence is not strictly positive on the interval")
-    pairs = sorted(_principal_values(values, a, b), key=lambda pair: pair[0])
+    w = _Window.of(values, None, (a, b))
+    pairs = sorted(_principal_values(w, a, b), key=lambda pair: pair[0])
     if pairs[0][0] == pairs[1][0]:
         raise DegenerateInput("principal reciprocal values coincide")
-    lo, hi = (measure_from_poly(poly, values, a, b) for _, poly in pairs)
+    lo, hi = (_principal_measure(w, a, b, kind) for _, kind in pairs)
     return ExtremalBounds(pairs[0][0], pairs[1][0], lo, hi)
 
 

@@ -30,8 +30,10 @@ rounding noise, the noise reads as zero, as the exact window's zeros do.
 Across calls, `_Window.of` hands back the last two exact windows it handed
 out for equal values and the same eps, with their passes and the verdicts
 that depend on them alone, so the public calls on one window share one image
-and one elimination of each form.  Float windows are never held: their zero
-tests read the float data, which an equal exact key would hide.
+and one elimination of each form, and the measures recovered from them
+(`_Window.kept`), so they isolate each measure's roots once.  Float windows
+are never held: their zero tests read the float data, which an equal exact
+key would hide.
 
 A singular window on [a, b] is determinate too.  On every domain its
 measure and index are read from the same support polynomial
@@ -284,7 +286,10 @@ class _Window:
         return inner[1]
 
     def kept(self, key, make):
-        """make(), computed once per key and kept (a verdict on the window)."""
+        """make(), computed once per key and kept: a verdict on the window,
+        or a measure recovered from it, its polynomial or its reciprocal
+        value.  Keys name a domain, an [a, b] end, or an interval and a
+        principal kind; never a polynomial's coefficients."""
         value = self._kept.get(key)
         if value is None:
             value = self._kept[key] = make()

@@ -27,9 +27,8 @@ from .measure import AtomicMeasure, _AtomImage, _imaged
 from .numeric import (HankelImage, Polynomial, Scalar, _integer_scale, _isolate, _lagrange_masses,
                       _minor_pass, _pass_bordered, _to_float, root_enclosures, root_precision,
                       vandermonde_masses)
-from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
-                         _limit_window, _support_measure, _support_poly, _values,
-                         classify_compact, classify_half_open)
+from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit, _limit_window,
+                         _support_measure, _values, classify_compact, classify_half_open)
 
 
 MASS_REFINEMENTS = 3
@@ -288,8 +287,18 @@ def principal_compact(s, a: Scalar, b: Scalar, kind: PrincipalKind) -> AtomicMea
         raise NotStrictlyPositive("principal measures need 0 < a < b")
     if classify_compact(values, a, b).kind is not PositivityClass.STRICTLY_POSITIVE:
         raise NotStrictlyPositive("sequence is not strictly positive on the interval")
-    poly = principal_polynomial(values, a, b, kind)
-    return measure_from_poly(poly, values, a, b)
+    return _principal_measure(_Window.of(values, None, (a, b)), a, b, kind)
+
+
+def _principal_poly(w: _Window, a: Scalar, b: Scalar, kind: PrincipalKind) -> Polynomial:
+    """`principal_polynomial` of the window w, kept on w per interval and kind."""
+    return w.kept((a, b, kind), lambda: principal_polynomial(w.values, a, b, kind))
+
+
+def _principal_measure(w: _Window, a: Scalar, b: Scalar, kind: PrincipalKind) -> AtomicMeasure:
+    """The principal measure of `_principal_poly`, kept on w beside it."""
+    return w.kept((a, b, kind, "measure"),
+                  lambda: measure_from_poly(_principal_poly(w, a, b, kind), w.values, a, b))
 
 
 @dataclass
@@ -315,9 +324,9 @@ class MinimalRayFamily:
 
 def minimal_measure_ray(s):
     """Minimal-support measure on (0, inf): the unique one for odd top
-    degree, a MinimalRayFamily handle for even top degree.  For odd n the
-    atom polynomial is the bordered-Hankel one, read by `_support_poly`
-    from the pass over H(s) that classified the window, at full rank."""
+    degree, whose atom polynomial `bordered_hankel_poly` reads from the pass
+    over H(s) that classified the window, at full rank (`_minimal`), a
+    MinimalRayFamily handle for even top degree."""
     values = _values(s)
     w = _limit_window(values)
     if _classify_limit(w, Ray()).kind is not PositivityClass.STRICTLY_POSITIVE:
@@ -325,8 +334,7 @@ def minimal_measure_ray(s):
     n = len(values) - 1
     if n % 2 == 0:
         return MinimalRayFamily(values)
-    poly = _support_poly(w, bordered=True)
-    return measure_from_poly(poly, values, Fraction(0), root_bound(poly))
+    return _minimal(w, Ray())[1]
 
 
 def minimal_measure_half_open(s) -> AtomicMeasure:
@@ -340,5 +348,13 @@ def minimal_measure_half_open(s) -> AtomicMeasure:
         raise NotStrictlyPositive("sequence is not positive on (0, 1]")
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
         return _support_measure(verdict.support, values, HalfOpen())
-    return measure_from_poly(atom_polynomial(values, HalfOpen()), values,
-                             Fraction(0), Fraction(1))
+    return _minimal(_Window.of(values), HalfOpen())[1]
+
+
+def _minimal(w: _Window, domain) -> tuple:
+    """(`atom_polynomial`, measure) of the minimal measure of a strictly
+    positive window w on the ray (odd n) or on (0, 1], kept on w per domain."""
+    def make():
+        poly = atom_polynomial(w.values, domain)
+        return poly, _support_measure(poly, w.values, domain)
+    return w.kept(("minimal", type(domain)), make)

@@ -54,7 +54,9 @@ reference call, a threshold or a class, lets go of them (`_cold`) before the
 call it counts.  The warm sequence of calls on one window (class, index,
 infimum or extremes, minimal or principal measure, backward extensions, the
 completely alternating extension) scales the window once, masses included,
-runs one pass over its H(s) and eliminates no form twice.
+runs one pass over its H(s), eliminates no form twice and isolates the roots
+of each measure once: the measures recovered from a held window are kept on
+it, and the backward extension at its threshold reads the minimal one.
 """
 
 import json
@@ -132,10 +134,13 @@ def test_backward_at_threshold_classifies_each_window_once(calls, mu, domain, in
     assert verdict.kind is ExtensionClass.SINGULAR and verdict.measure == mu
     # the base's first form (H(s) on the ray, b s_k - s_(k+1) on (0, 1] for
     # odd n); one pass to the corner of the prepended slot, which decides M
-    # and gives the threshold; at the threshold that corner's Schur
-    # complement is zero, so the extension goes straight to its determinacy
-    # test, whose minor pass gives its support polynomial: 3 eliminations
-    assert _counts(calls) == ((0 if isinstance(domain, Ray) else 1), 3, 0, 1)
+    # and gives the threshold.  At the threshold the verdict follows from
+    # the domain and the parity, and its measure is the window's minimal
+    # one: no extension window, no determinacy test and no root count.  On
+    # the ray its atom polynomial is read from the pass over H(s) at full
+    # rank; on (0, 1] it is the bordered pass over H(s), its one more
+    # elimination
+    assert _counts(calls) == ((0, 2, 0, 0) if isinstance(domain, Ray) else (1, 3, 0, 0))
 
 
 @pytest.mark.parametrize("mu, inf", [(RAY_MU, reciprocal_inf_ray),
@@ -381,24 +386,37 @@ def _warm_sequence(domain, window):
     return calls if ray else calls + [lambda: has_ca_extension(partial)]
 
 
-#: (domain, window, passes): the eliminations of the whole sequence; on the
-#: ray H(s), M (for the class) and the slot pass (for the threshold) of the
-#: window, H(s) of the extension at the threshold, H(s) and M of the one above
-WARM = {"ray": (Ray(), _window(RAY_MU, 3), 6),
-        "half-open": (HalfOpen(), _window(UNIT_MU, 3), 7),
-        "compact": (Compact(1, 4), _window(AtomicMeasure([(F(3, 2), F(1)), (F(2), F(1, 3)),
-                                                          (F(7, 2), F(2))]), 5), 4)}
+COMPACT_MU = AtomicMeasure([(F(3, 2), F(1)), (F(2), F(1, 3)), (F(7, 2), F(2))])
+
+#: (domain, window, passes, isolations): the eliminations and the root
+#: isolations of the whole sequence.  On the ray the passes are H(s), M (for
+#: the class) and the slot pass (for the threshold) of the window, and H(s)
+#: and M of the extension above the threshold; the minimal measure, which
+#: the extension at the threshold reads too, is the one isolation.  On
+#: (0, 1] the completely alternating extension reads that measure as well;
+#: on [a, b] the extremes read the lower principal measure that the
+#: principal measure call isolated.  The odd-length windows have a
+#: transform's bordered pass in place of H(s)'s (b s_k - s_(k+1) at b = 1 on
+#: (0, 1], s_(k+1) - a s_k and b s_k - s_(k+1) on [a, b]), run once each.
+WARM = {"ray": (Ray(), _window(RAY_MU, 3), 5, 1),
+        "half-open": (HalfOpen(), _window(UNIT_MU, 3), 6, 1),
+        "half-open-odd-length": (HalfOpen(), _window(UNIT_MU, 2), 6, 1),
+        "compact": (Compact(1, 4), _window(COMPACT_MU, 5), 4, 2),
+        "compact-odd-length": (Compact(1, 4), _window(COMPACT_MU, 4), 4, 2)}
 
 
 @pytest.mark.parametrize("case", sorted(WARM))
 def test_warm_sequence_scales_the_window_once_and_runs_each_pass_once(monkeypatch, case):
-    domain, window, budget = WARM[case]
+    domain, window, budget, isolations = WARM[case]
     ints = numeric._dilated_scale(window)[0]
     scaled, passes = Counter(), Counter()
-    for name in ("_dilated_scale", "_integer_scale", "_minor_pass"):
+    for name in ("_dilated_scale", "_integer_scale", "_minor_pass", "_isolate"):
         orig = getattr(numeric, name)
 
         def counted(*args, _name=name, _orig=orig):
+            if _name == "_isolate":
+                scaled["isolations"] += 1
+                return _orig(*args)
             if _name == "_minor_pass":
                 passes[tuple(args[0].ints), args[0].unit, args[1]] += 1
                 return _orig(*args)
@@ -417,10 +435,12 @@ def test_warm_sequence_scales_the_window_once_and_runs_each_pass_once(monkeypatc
     for call in _warm_sequence(domain, window):
         call()
     # one image of the window, which every call reads, masses included; one
-    # pass over its H(s), and no form of the sequence eliminated twice
+    # pass over its H(s), no form of the sequence eliminated twice, and each
+    # measure's roots isolated once
     assert scaled[True] == 1
     assert sum(n for (image, _, _), n in passes.items() if list(image) == ints) == 1
     assert set(passes.values()) == {1} and sum(passes.values()) == budget
+    assert scaled["isolations"] == isolations
 
 
 #: atoms with denominators: 8 moments or more of them are dilated
@@ -494,10 +514,10 @@ LONG_CASES = {
     "half-open-inf": (_returns(reciprocal_inf_half_open, want=LONG_UNIT_MU.moment(-1)),
                       (1, 2, 0, 0), LONG_UNIT_MU, 7),
     "ray-backward": (_backward_at_threshold(LONG_RAY_MU, Ray(), reciprocal_inf_ray),
-                     (0, 3, 0, 1), LONG_RAY_MU, 7),
+                     (0, 2, 0, 0), LONG_RAY_MU, 7),
     "half-open-backward": (_backward_at_threshold(LONG_UNIT_MU, HalfOpen(),
                                                   reciprocal_inf_half_open),
-                           (1, 3, 0, 1), LONG_UNIT_MU, 7),
+                           (1, 3, 0, 0), LONG_UNIT_MU, 7),
     "compact-extremes": (_compact_extremes, (0, 4, 0, 0), LONG_COMPACT_MU, 8),
     "ray-index": (_returns(index, Ray(), want=4), (0, 1, 0, 1), LONG_RAY_MU, 9),
     "half-open-index": (_returns(index, HalfOpen(), want=4), (1, 2, 0, 1), LONG_UNIT_MU, 9),

@@ -8,10 +8,16 @@ one window; another eps, float values equal to exact ones and float ends
 do not, and a float window is never held.  A warm call, made while the
 window is held, must give what a cold call gives.  A held window's lazy
 passes must follow the domain and the interval they are asked for, however
-the requests alternate.
+the requests alternate.  The measures recovered from a held window are kept
+on it beside its verdicts, so a warm measure call hands back the measure an
+earlier call isolated, whatever calls came between, and a window let go of
+takes its measures with it.
 """
 
 from fractions import Fraction as F
+
+import sys
+from collections import Counter
 
 import pytest
 
@@ -22,6 +28,7 @@ from momentkit.errors import MomentKitError
 from momentkit.extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
                                 reciprocal_inf_ray)
 from momentkit.measure import AtomicMeasure, moments
+import momentkit.numeric as numeric
 from momentkit.numeric import _dilated_scale
 from momentkit.positivity import (Compact, HalfOpen, Ray, _Window, classify, index,
                                   recover_minimal_measure)
@@ -167,3 +174,108 @@ def test_a_held_window_passes_follow_their_domain_and_interval():
         assert inner.support_pass() == want.support_pass()
         assert inner.hankel_class() is want.hankel_class()
     assert positivity._held == (w,)
+
+
+@pytest.fixture
+def isolations(monkeypatch):
+    """Counter of root isolations (`numeric._isolate`), through every alias."""
+    counter, orig = Counter(), numeric._isolate
+
+    def counted(*args):
+        counter["isolations"] += 1
+        return orig(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("momentkit.")]:
+        for attr, value in list(vars(module).items()):
+            if value is orig:
+                monkeypatch.setattr(module, attr, counted)
+    return counter
+
+
+def _theta(domain, window):
+    return (reciprocal_inf_ray if isinstance(domain, Ray) else reciprocal_inf_half_open)(window)
+
+
+def _measure_calls(case):
+    """Measure calls interleaved on one window: lower and upper principal
+    measures on one [a, b], then on two intervals in turn, and the ray's
+    and (0, 1]'s minimal measures of one window."""
+    if case == "one-interval":
+        window, a, b = _window(COMPACT_MU, 5), F(1), F(4)
+        return [lambda: principal_compact(window, a, b, PrincipalKind.LOWER),
+                lambda: principal_compact(window, a, b, PrincipalKind.UPPER),
+                lambda: reciprocal_extremes_compact(window, a, b),
+                lambda: principal_compact(window, a, b, PrincipalKind.LOWER)]
+    if case == "two-intervals":
+        window = _window(COMPACT_MU, 5)
+        return [lambda: principal_compact(window, F(1), F(4), PrincipalKind.LOWER),
+                lambda: principal_compact(window, F(1, 2), F(5), PrincipalKind.LOWER),
+                lambda: reciprocal_extremes_compact(window, F(1), F(4)),
+                lambda: reciprocal_extremes_compact(window, F(1, 2), F(5)),
+                lambda: principal_compact(window, F(1, 2), F(5), PrincipalKind.UPPER),
+                lambda: principal_compact(window, F(1), F(4), PrincipalKind.UPPER)]
+    window = _window(UNIT_MU, 3)
+    partial = [sum(window[:k], F(1)) for k in range(len(window) + 1)]
+    return [lambda: minimal_measure_ray(window),
+            lambda: minimal_measure_half_open(window),
+            lambda: classify_backward(window, _theta(Ray(), window), Ray()),
+            lambda: classify_backward(window, _theta(HalfOpen(), window), HalfOpen()),
+            lambda: has_ca_extension(partial),
+            lambda: minimal_measure_ray(window)]
+
+
+@pytest.mark.parametrize("case", ["one-interval", "two-intervals", "ray-then-half-open"])
+def test_warm_measure_calls_give_the_cold_outputs(case):
+    calls = _measure_calls(case)
+    cold = []
+    for call in calls:
+        positivity._held = ()
+        cold.append(_outcome(call))
+    positivity._held = ()
+    assert [_outcome(call) for call in calls] == cold
+
+
+def test_a_held_window_keeps_each_measure_once(isolations):
+    window, a, b = _window(COMPACT_MU, 5), F(1), F(4)
+    lower = principal_compact(window, a, b, PrincipalKind.LOWER)
+    bounds = reciprocal_extremes_compact(window, a, b)
+    upper = principal_compact(window, a, b, PrincipalKind.UPPER)
+    # the lower and the upper principal measure, each isolated once and
+    # handed back by every later call on the held window
+    assert isolations["isolations"] == 2
+    assert {id(lower), id(upper)} == {id(bounds.attained_lo), id(bounds.attained_hi)}
+    # the ray's and (0, 1]'s minimal measures of one window are kept apart
+    # (here both are UNIT_MU), and the backward extensions at the two
+    # thresholds read them
+    window = _window(UNIT_MU, 3)
+    isolations.clear()
+    on_ray, on_unit = minimal_measure_ray(window), minimal_measure_half_open(window)
+    at_ray = classify_backward(window, _theta(Ray(), window), Ray()).measure
+    at_unit = classify_backward(window, _theta(HalfOpen(), window), HalfOpen()).measure
+    assert isolations["isolations"] == 2 and on_ray is not on_unit
+    assert at_ray is on_ray and at_unit is on_unit
+    partial = [sum(window[:k], F(1)) for k in range(len(window) + 1)]
+    assert has_ca_extension(partial).measure.positive is on_unit
+    assert isolations["isolations"] == 2
+
+
+def test_a_window_let_go_of_drops_its_measures(isolations):
+    window = _window(UNIT_MU, 3)
+    first = minimal_measure_half_open(window)
+    assert minimal_measure_half_open(window) is first and isolations["isolations"] == 1
+    # two other windows handed out let go of this one, and its measure
+    _Window.of(CATALAN)
+    _Window.of(CATALAN[:4])
+    assert all(w.values != tuple(window) for w in positivity._held)
+    again = minimal_measure_half_open(window)
+    assert again == first and again is not first and isolations["isolations"] == 2
+
+
+def test_a_float_window_keeps_no_measure(isolations):
+    window = [float(v) for v in _window(UNIT_MU, 3)]
+    first = minimal_measure_half_open(window)
+    assert positivity._held == ()
+    second = minimal_measure_half_open(window)
+    # each call isolates the roots again: nothing was kept across them
+    assert second == first and second is not first and isolations["isolations"] == 2
+    assert positivity._held == () and not _Window.of(window)._kept

@@ -76,7 +76,17 @@ def test_backward_at_threshold_matches_recovery_from_scratch(problem):
     theta = _inf(domain)(window)
     verdict = classify_backward(window, theta, domain)
     assert verdict.kind is ExtensionClass.SINGULAR and verdict.threshold == theta
-    assert verdict.measure == tilt(recover_minimal_measure([theta] + window, domain), 1)
+    reference = tilt(recover_minimal_measure([theta] + window, domain), 1)
+    if reference.exact:
+        assert verdict.measure == reference
+    else:
+        # irrational atoms: the same enclosed positions, and masses read on
+        # the window where the reference read them on the extension; see
+        # tests/test_threshold_properties.py for the moments both reproduce
+        assert not verdict.measure.exact
+        assert [x for x, _ in verdict.measure.atoms] == [x for x, _ in reference.atoms]
+        assert all(abs(m - r) < root_precision() * r
+                   for (_, m), (_, r) in zip(verdict.measure.atoms, reference.atoms))
 
 
 @st.composite
