@@ -54,33 +54,26 @@ class CAMeasure:
             raise ZeroAtomError("reciprocal integral of a measure with mass at zero")
         return self.positive.moment(k)
 
-    def _row(self, lo: int, hi: int) -> Optional[_Row]:
+    def _row(self, lo: int, hi: int) -> _Row:
         """`moment_row` of the part on (0, 1], with the mass at zero added to
-        the moment of order 0."""
+        the moment of order 0 (as `moment` adds it, for a float); a negative
+        moment of a measure charging zero raises, as `moment` does."""
+        if lo < 0 and self.zero_mass != 0:
+            raise ZeroAtomError("reciprocal integral of a measure with mass at zero")
         row = moment_row(self.positive, lo, hi)
-        if row is None or isinstance(self.zero_mass, float):
-            return None
-        if lo > 0 or not self.zero_mass:
+        if lo > 0 or not (self.zero_mass or isinstance(self.zero_mass, float)):
             return row
-        if lo < 0:  # a negative moment of a measure charging zero raises
-            return None
+        if row.floats or isinstance(self.zero_mass, float):
+            return _Row.of([self.moment(k) for k in range(lo, hi + 1)])
         p, q = self.zero_mass.numerator, self.zero_mass.denominator
         nums = [x * q for x in row.nums]
         nums[0] += p * row.den
-        return _Row(nums, q * row.den, row.steps)
+        return _Row(nums, q * row.den, row.steps, False)
 
     def geometric_sum(self, n: int) -> Scalar:
-        """Integral of 1 + t + ... + t^(n-1), read off the integer image of
-        the moments."""
-        row = geometric_row(self, n)
-        if row is not None:
-            return row.value(n)
-        total = Fraction(0)
-        if n >= 1:
-            total += self.zero_mass
-        for k in range(n):
-            total += self.positive.moment(k)
-        return total
+        """Integral of 1 + t + ... + t^(n-1), read off the row of the
+        moments."""
+        return geometric_row(self, n).value(n)
 
     def scaled(self, factor: Scalar) -> "CAMeasure":
         return CAMeasure(self.zero_mass * factor, self.positive.scaled(factor))

@@ -64,7 +64,7 @@ def classify_backward(s, x: Scalar, domain=Ray()) -> ExtensionVerdict:
     polynomial its verdict carries."""
     classify, _ = _domain_tools(domain)
     w = _limit_window(s)
-    base = _classify_limit(w, domain, by_slot=True)
+    base = _classify_limit(w, domain)
     if base.kind is not PositivityClass.STRICTLY_POSITIVE:
         raise NotStrictlyPositive("base sequence is not strictly positive")
     if x < 0:

@@ -428,7 +428,7 @@ def _branch_k_compatible(ops: _DomainOps, given, big_n: int) -> bool:
     k0 = max(0, len(given) - 1 - big_n)
     for j in (range(k0, 0, -1) if k0 else [0]):
         w = _limit_window(given[j:j + big_n + 1])
-        if not _classify_limit(w, ops.domain, by_slot=True).is_strict:
+        if not _classify_limit(w, ops.domain).is_strict:
             return False
         if j and given[j - 1] != ops.threshold(w):
             return False
@@ -446,7 +446,7 @@ def _admissible_two_ks(ops: _DomainOps, w: _Window, candidates) -> list:
     checked once, and one that is not positive none."""
     given = w.values
     top = len(given) - 1
-    verdict = _classify_limit(w, ops.domain, by_slot=True)
+    verdict = _classify_limit(w, ops.domain)
     if verdict.is_strict:
         return [two_k for two_k in candidates if two_k - 1 >= top]
     if not verdict.is_positive:

@@ -190,7 +190,7 @@ def _classified_inf(s, domain) -> Scalar:
     """`_reciprocal_inf` of a window classified with M read from the pass
     that gives a strict window's infimum (`positivity._classify_limit`)."""
     w = _limit_window(s)
-    return _reciprocal_inf(w, _classify_limit(w, domain, by_slot=True), domain)
+    return _reciprocal_inf(w, _classify_limit(w, domain), domain)
 
 
 def reciprocal_inf_ray(s) -> Scalar:

@@ -28,8 +28,9 @@ are N_k / (L |q_d|^e) past the window and N_k / (L |q_0|^e) before it.
 Moments, ratios of consecutive moments and geometric sums
 1 + ... + t^(n-1) are read off a run of such numerators (`_Row`), with one
 normalisation per value returned, and none for a value that is only
-compared with an exact one (`_Row.equals`).  Float measures keep float
-arithmetic.
+compared with an exact one (`_Row.equals`).  A float measure, or any other
+object with `moment`, is read on the row of its moments' binary-exact
+images (`_Row.of`).
 
 A measure built on a handed-over image (`_imaged`) trusts what its builder
 already holds: its atoms are `Fraction`s in lowest terms, in the image's
@@ -53,15 +54,26 @@ from .numeric import (Polynomial, Scalar, _integer_scale, as_fraction, format_sc
 
 
 class _Row:
-    """Integer image of the consecutive exact values v_0, v_1, ...:
+    """Integer image of the consecutive values v_0, v_1, ...:
     v_i = nums[i] / (den * steps[0] * ... * steps[i-1]), with den and every
     step a positive integer.  Each value read from it is one `Fraction`
-    normalisation."""
+    normalisation, or on a row of floats (`floats`) one correctly rounded
+    float."""
 
-    __slots__ = ("nums", "den", "steps")
+    __slots__ = ("nums", "den", "steps", "floats")
 
-    def __init__(self, nums: list, den: int, steps: list):
-        self.nums, self.den, self.steps = nums, den, steps
+    def __init__(self, nums: list, den: int, steps: list, floats: bool):
+        self.nums, self.den, self.steps, self.floats = nums, den, steps, floats
+
+    @classmethod
+    def of(cls, values) -> "_Row":
+        """The row of `values`, floats on their binary-exact images; a float
+        that is not finite has none, and raises DegenerateInput."""
+        floats = [v for v in values if isinstance(v, float)]
+        if not all(map(math.isfinite, floats)):
+            raise DegenerateInput(f"values {values!r} are not all finite")
+        ints, den = _integer_scale([as_fraction(v) for v in values])
+        return cls(ints, den, [1] * (len(ints) - 1), bool(floats))
 
     def denominator(self, i: int) -> int:
         """The positive denominator of v_i over which nums[i] is kept."""
@@ -70,17 +82,19 @@ class _Row:
             den *= step
         return den
 
-    def value(self, i: int) -> Fraction:
-        return Fraction(self.nums[i], self.denominator(i))
+    def value(self, i: int) -> Scalar:
+        num, den = self.nums[i], self.denominator(i)
+        return num / den if self.floats else Fraction(num, den)
 
     def equals(self, i: int, x: Fraction) -> bool:
         """v_i == x for an exact x, by one integer cross product: no
         `Fraction` is normalised."""
         return self.nums[i] * x.denominator == x.numerator * self.denominator(i)
 
-    def ratios(self, start: int = 0, make=Fraction) -> list:
+    def ratios(self, start: int = 0, make=None) -> list:
         """v_(i+1) / v_i for i >= start, each make(num, den) of its two
-        integer numerators: a `Fraction` by default."""
+        integer numerators; by default read as `value` reads."""
+        make = make or ((lambda num, den: num / den) if self.floats else Fraction)
         nums, steps = self.nums, self.steps
         return [make(nums[i + 1], nums[i] * steps[i]) for i in range(start, len(nums) - 1)]
 
@@ -94,24 +108,23 @@ class _Row:
                 acc *= self.steps[i - 1]
             acc += q * x
             nums.append(acc)
-        return _Row(nums, q * self.den, [1] + self.steps)
+        return _Row(nums, q * self.den, [1] + self.steps, self.floats)
 
 
-def moment_row(mu, lo: int, hi: int) -> Optional[_Row]:
-    """Moments lo..hi of `mu`, lo <= hi, as a `_Row`; None for a float
-    measure or an object without an integer image, whose callers keep
-    their own arithmetic for it."""
-    row = getattr(mu, "_row", None)
-    return None if row is None else row(lo, hi)
+def moment_row(mu, lo: int, hi: int) -> _Row:
+    """Moments lo..hi of `mu`, lo <= hi, as a `_Row`: an exact measure's
+    own integer image, and for a float measure or any other object with a
+    `moment` method the row of its moments (`_Row.of`)."""
+    row = getattr(mu, "_row", lambda lo, hi: None)(lo, hi)
+    return _Row.of([mu.moment(k) for k in range(lo, hi + 1)]) if row is None else row
 
 
-def geometric_row(tau, hi: int, const: Fraction = Fraction(0)) -> Optional[_Row]:
-    """const + tau_0 + ... + tau_(n-1), n = 0..hi, as a `_Row` (None as for
-    `moment_row`)."""
+def geometric_row(tau, hi: int, const: Fraction = Fraction(0)) -> _Row:
+    """const + tau_0 + ... + tau_(n-1), n = 0..hi, as a `_Row`, summed on
+    the row of tau's moments (`moment_row`)."""
     if hi <= 0:
-        return _Row([const.numerator], const.denominator, [])
-    row = moment_row(tau, 0, hi - 1)
-    return None if row is None else row.sums(const)
+        return _Row([const.numerator], const.denominator, [], False)
+    return moment_row(tau, 0, hi - 1).sums(const)
 
 
 class _PowerSums:
@@ -179,14 +192,14 @@ class _AtomImage:
         a, b = lo + self.shift, hi + self.shift
         steps = [1 if e < 0 else self.Q for e in range(a, b)]
         if a >= 0:
-            return _Row(self.up.upto(b)[a:b + 1], self.V * self.Q ** a, steps)
+            return _Row(self.up.upto(b)[a:b + 1], self.V * self.Q ** a, steps, False)
         down, S = self.powers(a)
         sums = down.upto(-a)
         nums = [sums[-e] * S ** (e - a) for e in range(a, min(b + 1, 0))]
         if b >= 0:
             scale = S ** -a
             nums += [x * scale for x in self.up.upto(b)[:b + 1]]
-        return _Row(nums, self.V * S ** -a, steps)
+        return _Row(nums, self.V * S ** -a, steps, False)
 
     def tilted(self, k: int) -> "_AtomImage":
         """The image of t^k dmu: this one with shift + k, sharing its power
@@ -450,8 +463,8 @@ class _RecurrenceImage:
         if below > 0:  # bring the moments before the window to den(lo)
             c0 = abs(self.q[0])
             nums = [x * c0 ** min(i, below) for i, x in enumerate(nums)]
-        lead = self.q[-1]
-        return _Row(nums, self.den(lo), [lead if k >= self.hi0 else 1 for k in range(lo, hi)])
+        steps = [self.q[-1] if k >= self.hi0 else 1 for k in range(lo, hi)]
+        return _Row(nums, self.den(lo), steps, False)
 
 
 class MomentRecurrence:

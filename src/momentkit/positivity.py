@@ -20,9 +20,9 @@ entries, so it keeps its class, and each reader that turns a pass into a
 number divides lam back out.  One unpivoted leading-minor pass decides a form
 (`numeric.classify_form`), and each form is eliminated at most once per call:
 where H(s) is one of the deciding forms, its pass is run in the shape the
-support polynomial reads and handed on, and on the paths that want the
-threshold of a prepended value, the limit form M is decided by the pass that
-gives that threshold (`_Window.slot_pass`).  A float window is read with one
+support polynomial reads and handed on, and an exact window's limit form M
+is decided by the pass that gives the threshold of a prepended value
+(`_Window.slot_pass`).  A float window is read with one
 zero test per form, scaled entry by entry by the size of the window terms
 that entry is computed from: where the transforms of [a, b] cancel to
 rounding noise, the noise reads as zero, as the exact window's zeros do.
@@ -180,14 +180,12 @@ class _Window:
     zeros do.  That test does not survive a dilation, so lam is 1 there.
     `sizes` is None for an exact window."""
 
-    __slots__ = ("values", "ints", "unit", "sizes", "eps", "lam", "_support", "_slot", "_inner",
-                 "_kept")
+    __slots__ = ("values", "ints", "unit", "sizes", "eps", "lam", "_kept")
 
     def __init__(self, values, ints: list, unit: int, sizes, eps: Optional[float],
                  lam: int = 1):
         self.values, self.ints, self.unit, self.sizes, self.eps, self.lam = (
             values, ints, unit, sizes, eps, lam)
-        self._support = self._slot = self._inner = None
         self._kept = {}
 
     @classmethod
@@ -269,27 +267,26 @@ class _Window:
     def interior(self, a: Scalar, b: Scalar) -> "_Window":
         """The window (a+b) s_(k+1) - ab s_k - s_(k+2), k < n - 1, of the
         moments of (t - a)(b - t) dmu, with this window's lam and the unit
-        unit * qa * qb * lam^2; kept, with its own passes, for the last
-        [a, b] asked."""
-        inner = self._inner
-        if inner is None or inner[0] != (a, b):
-            (pa, qa), (pb, qb), S, w, lam = _ratio(a), _ratio(b), self.ints, self.sizes, self.lam
-            mid, low, high = lam * (pa * qb + pb * qa), lam * lam * pa * pb, qa * qb
-            ints = [mid * S[k + 1] - low * S[k] - high * S[k + 2] for k in range(len(S) - 2)]
-            sizes = None
-            if w is not None:
-                x, y = float(a), float(b)
-                sizes = [abs(x + y) * w[k + 1] + abs(x * y) * w[k] + w[k + 2]
-                         for k in range(len(w) - 2)]
-            inner = self._inner = (a, b), _Window(None, ints, self.unit * high * lam * lam,
-                                                  sizes, self.eps, lam)
-        return inner[1]
+        unit * qa * qb * lam^2; kept, with its own passes, per [a, b]."""
+        return self.kept(("interior", a, b), lambda: self._interior(a, b))
+
+    def _interior(self, a: Scalar, b: Scalar) -> "_Window":
+        (pa, qa), (pb, qb), S, w, lam = _ratio(a), _ratio(b), self.ints, self.sizes, self.lam
+        mid, low, high = lam * (pa * qb + pb * qa), lam * lam * pa * pb, qa * qb
+        ints = [mid * S[k + 1] - low * S[k] - high * S[k + 2] for k in range(len(S) - 2)]
+        sizes = None
+        if w is not None:
+            x, y = float(a), float(b)
+            sizes = [abs(x + y) * w[k + 1] + abs(x * y) * w[k] + w[k + 2]
+                     for k in range(len(w) - 2)]
+        return _Window(None, ints, self.unit * high * lam * lam, sizes, self.eps, lam)
 
     def kept(self, key, make):
-        """make(), computed once per key and kept: a verdict on the window,
-        or a measure recovered from it, its polynomial or its reciprocal
-        value.  Keys name a domain, an [a, b] end, or an interval and a
-        principal kind; never a polynomial's coefficients."""
+        """make(), computed once per key and kept: a pass or the interior
+        window, a verdict on the window, or a measure recovered from it, its
+        polynomial or its reciprocal value.  Keys name a pass, a domain, an
+        [a, b] end, or an interval and a principal kind; never a
+        polynomial's coefficients."""
         value = self._kept.get(key)
         if value is None:
             value = self._kept[key] = make()
@@ -298,9 +295,7 @@ class _Window:
     def support_pass(self) -> tuple:
         """The `_minor_pass` of H(s) that `_support_poly` reads: n // 2 + 1
         rows, with one more column for odd n."""
-        if self._support is None:
-            self._support = _minor_pass(self.hankel(), (len(self.ints) + 1) // 2)
-        return self._support
+        return self.kept("support", lambda: _minor_pass(self.hankel(), (len(self.ints) + 1) // 2))
 
     def hankel_class(self) -> FormClass:
         """Class of H(s_0..s_2m), 2m <= n: the leading block of the support
@@ -333,13 +328,12 @@ class _Window:
         that of F over lam in the first case and equal to it in the
         second."""
         differences = _odd_half_open(self, domain)
-        slot = self._slot
-        if slot is None or slot[0] != differences:
-            m = len(self.ints) // 2
-            tail = self.upper(1).ints if differences else self.ints
-            image = HankelImage(tail[:2 * m][::-1] + [0], self.unit)
-            slot = self._slot = differences, _minor_pass(image, m + 1)
-        return slot[1]
+        return self.kept(("slot", differences), lambda: self._slot_pass(differences))
+
+    def _slot_pass(self, differences: bool) -> tuple:
+        m = len(self.ints) // 2
+        tail = self.upper(1).ints if differences else self.ints
+        return _minor_pass(HankelImage(tail[:2 * m][::-1] + [0], self.unit), m + 1)
 
     def reads_zero(self) -> bool:
         """Whether every entry reads as zero: relative to the largest for a
@@ -450,15 +444,12 @@ def _reads_zero(x: Scalar, scale, eps: Optional[float]) -> bool:
     return abs(x) <= (DEFAULT_EPS if eps is None else eps) * max(1.0, scale)
 
 
-def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False,
-                  exact: bool = False) -> Optional[Polynomial]:
+def _support_poly(w: _Window, ends: tuple = (), exact: bool = False) -> Optional[Polynomial]:
     """Monic support polynomial of the unique measure of a singular window
     (the constant 1 for the zero window), read from its leading moments;
     `ends` are the endpoints that belong to the domain.  None when H(s)
-    shows that the window is not positive.  With `bordered` p is scaled by
-    its leading minor det H_r: the bordered-Hankel polynomial itself, whose
-    coefficients a float window rounds as `principal.bordered_hankel_poly`
-    rounds them.  With `exact` a float window keeps them unrounded.
+    shows that the window is not positive.  With `exact` a float window
+    keeps its coefficients unrounded.
 
     With r positive leading pivots of H(s) before the first zero one (a
     negative pivot means not positive), p is the bordered-Hankel polynomial
@@ -473,8 +464,7 @@ def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False,
 
     On a window dilated by lam the pass gives the support polynomial
     p~(t) = lam^r p(t / lam) of the dilated window, so c_j = c~_j / lam^(r-j)
-    (`numeric._pass_bordered` reads p and the bordered polynomial as
-    multiples of one integer vector).
+    (`numeric._pass_bordered` reads p as a multiple of an integer vector).
     """
     n = len(w.ints) - 1
     r, a, bounds = w.support_pass()
@@ -488,10 +478,8 @@ def _support_poly(w: _Window, ends: tuple = (), bordered: bool = False,
         return None if inner is None else inner.mul(Polynomial([lo * hi, -(lo + hi), 1]))
     if r == 0:
         return Polynomial([1]) if w.reads_zero() else None
-    ints, num, den = _pass_bordered(a, r, w.unit, w.lam)
-    if not bordered:
-        num, den = 1, ints[-1]
-    coeffs = [Fraction(x * num, den) for x in ints]
+    ints = _pass_bordered(a, r, w.unit, w.lam)[0]
+    coeffs = [Fraction(x, ints[-1]) for x in ints]
     return Polynomial([_to_float(x) for x in coeffs] if w.floats and not exact else coeffs)
 
 
@@ -542,23 +530,23 @@ def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
     return p
 
 
-def _classify_limit(w: _Window, domain: Domain, by_slot: bool = False) -> PositivityVerdict:
+def _classify_limit(w: _Window, domain: Domain) -> PositivityVerdict:
     """`_limit_verdict`, kept on the window per domain."""
-    return w.kept(type(domain), lambda: _limit_verdict(w, domain, by_slot))
+    return w.kept(type(domain), lambda: _limit_verdict(w, domain))
 
 
-def _limit_verdict(w: _Window, domain: Domain, by_slot: bool) -> PositivityVerdict:
+def _limit_verdict(w: _Window, domain: Domain) -> PositivityVerdict:
     """Strict when both limit forms are positive definite (b -> inf, resp.
     a -> 0 at b = 1), else decided by `_determinate_poly`.
 
     The forms are H(s) and M on the ray and for even n on (0, 1], H(s)
     read from the pass `_support_poly` reads; for odd n on (0, 1] they are
-    b s_k - s_(k+1) at b = 1 and M.  With `by_slot` an exact window's M is
-    read from `_Window.slot_pass`, whose corner then gives the threshold of
-    a prepended value; otherwise, and always for a float window, M is
-    `classify_form`'s on the ray, and on (0, 1] read as `classify_compact`
-    reads [0, 1]: from the interior window's pass for even n, by
-    `_edge_class` (as the first form) for odd n.
+    b s_k - s_(k+1) at b = 1 and M.  An exact window's M is read from
+    `_Window.slot_pass`, a congruence of M that keeps its class and whose
+    corner then gives the threshold of a prepended value; a float window's
+    is `classify_form`'s on the ray, and on (0, 1] read as
+    `classify_compact` reads [0, 1]: from the interior window's pass for
+    even n, by `_edge_class` (as the first form) for odd n.
 
     So for odd n on (0, 1] a window that is not strict is eliminated twice:
     once for the b s_k - s_(k+1) form, once for H(s) in the determinacy
@@ -574,7 +562,7 @@ def _limit_verdict(w: _Window, domain: Domain, by_slot: bool) -> PositivityVerdi
     odd_n = isinstance(domain, HalfOpen) and len(w.ints) % 2 == 0
     first = _edge_class(w, b=1) if odd_n else w.hankel_class()
     if first is FormClass.POSITIVE_DEFINITE:
-        if by_slot and not w.floats:
+        if not w.floats:
             second = _pass_class(w.slot_pass(domain), len(w.ints) // 2)
         elif isinstance(domain, Ray):
             second = classify_form(w.hankel(1, len(w.ints) // 2 * 2))  # H(s_1..)

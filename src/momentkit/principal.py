@@ -72,13 +72,14 @@ def _bordered_ints(form: HankelImage, lam: int, minor_pass: Optional[tuple] = No
     num / den > 0 times the integers `ints`.
 
     The polynomial is det H_m (t^m - sum c_j t^j) with
-    H_m c = (s_m, ..., s_(2m-1)), the construction of
-    `positivity._support_poly(bordered=True)`: one `_minor_pass` of the
-    rows of H_m with the column of the right-hand side, m positive pivots,
-    and one back substitution (`numeric._pass_bordered`).  It runs without
-    the float zero test, on the exact or binary-exact image.  lam is the
-    window's own, chosen once by `numeric._dilated_scale` (1 for a float
-    window), and `_pass_bordered` divides it back out.  A leading block H_m
+    H_m c = (s_m, ..., s_(2m-1)), det H_m times the monic support
+    polynomial that `positivity._support_poly` reads off the same pass: one
+    `_minor_pass` of the rows of H_m with the column of the right-hand
+    side, m positive pivots, and one back substitution
+    (`numeric._pass_bordered`).  It runs without the float zero test, on
+    the exact or binary-exact image.  lam is the window's own, chosen once
+    by `numeric._dilated_scale` (1 for a float window), and
+    `_pass_bordered` divides it back out.  A leading block H_m
     that is not positive definite raises DegenerateInput.  `minor_pass` is
     the pass if the caller holds it (an exact `_Window.support_pass`)."""
     m = len(form.ints) // 2

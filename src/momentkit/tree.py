@@ -22,8 +22,10 @@ cross product; a recurrence's polynomial is compared with the support
 polynomial of its window on integers (`_positive_on`).  A completed weight,
 a ratio of consecutive moments or of consecutive gamma_n, is one quotient
 of two integer numerators, e.g. G_n / (Q G_(n-1)), and the JSON weight rows
-print each reduced by one gcd.  A float, or a measure without an integer
-image, is read by plain arithmetic within the float band instead.
+print each reduced by one gcd.  Float measures and first masses are read
+the same way, on their binary-exact images (`measure._Row.of`), and the
+float band is applied where a float row or target is compared (`_holds`,
+`_meets`); a value that is not finite fails its identity.
 """
 
 from __future__ import annotations
@@ -170,9 +172,7 @@ class _RatioTail:
     """Branch weight squares: prescribed squares for generations 2..p, then
     ratios read from a measure.  Each subclass gives the ratios at
     n = lo..hi-1 as ratios of consecutive values of an integer `_Row`
-    (`_ratio_row`: the row and the index they start from, None when the
-    measure has no integer image) and as plain values otherwise
-    (`_ratio_values`)."""
+    (`_ratio_row`: the row and the index they start from)."""
 
     def __init__(self, prefix_sq):
         self.prefix_sq = tuple(_pos_sq(w, "weight square") for w in prefix_sq)
@@ -193,17 +193,12 @@ class _RatioTail:
         an exact measure is printed from its two integer numerators, reduced
         by one gcd (`numeric.format_ratio`), with no `Fraction` built."""
         prefix = [format_scalar(x) for x in self.prefix_sq[:max(count - 1, 0)]]
-        found = self._ratio_row(len(prefix), count - 1)
-        if found is None:
-            return prefix + [format_scalar(x) for x in self._ratio_values(len(prefix), count - 1)]
-        row, start = found
-        return prefix + row.ratios(start, format_ratio)
+        row, start = self._ratio_row(len(prefix), count - 1)
+        make = (lambda num, den: format_scalar(num / den)) if row.floats else format_ratio
+        return prefix + row.ratios(start, make)
 
     def _ratios(self, lo: int, hi: int) -> list:
-        found = self._ratio_row(lo, hi)
-        if found is None:
-            return self._ratio_values(lo, hi)
-        row, start = found
+        row, start = self._ratio_row(lo, hi)
         return row.ratios(start)
 
 
@@ -215,16 +210,10 @@ class MeasureTail(_RatioTail):
         super().__init__(prefix_sq)
         self.measure = measure
 
-    def _ratio_row(self, lo: int, hi: int) -> Optional[tuple]:
-        """moment(k + 1) / moment(k) for k = lo..hi-1: the moments lo..hi
-        of an exact measure, each ratio a quotient of two integer
-        numerators."""
-        moments = moment_row(self.measure, lo, hi)
-        return None if moments is None else (moments, 0)
-
-    def _ratio_values(self, lo: int, hi: int) -> list:
-        moments = [self.measure.moment(k) for k in range(lo, hi + 1)]
-        return [b / a for a, b in zip(moments, moments[1:])]
+    def _ratio_row(self, lo: int, hi: int) -> tuple:
+        """moment(k + 1) / moment(k) for k = lo..hi-1: the row of the
+        moments lo..hi, each ratio a quotient of two integer numerators."""
+        return moment_row(self.measure, lo, hi), 0
 
     def sup_weight_sq(self):
         sup = self.measure.max_atom()
@@ -241,19 +230,11 @@ class GeometricSumTail(_RatioTail):
         super().__init__(prefix_sq)
         self.tau = tau
 
-    def _ratio_row(self, lo: int, hi: int) -> Optional[tuple]:
+    def _ratio_row(self, lo: int, hi: int) -> tuple:
         """gamma_(n+1) / gamma_n for n = lo..hi-1, with gamma_n run up one
-        moment at a time: gamma_n = 1 + tau_0 + ... + tau_(n-1); for an
-        exact tau each a quotient of two integer numerators."""
-        gammas = geometric_row(self.tau, hi, Fraction(1))
-        return None if gammas is None else (gammas, lo)
-
-    def _ratio_values(self, lo: int, hi: int) -> list:
-        sums = [Fraction(0)]
-        for k in range(hi):
-            sums.append(sums[-1] + self.tau.moment(k))
-        gammas = [1 + s for s in sums[lo:]]
-        return [b / a for a, b in zip(gammas, gammas[1:])]
+        moment at a time: gamma_n = 1 + tau_0 + ... + tau_(n-1), each ratio
+        a quotient of two integer numerators."""
+        return geometric_row(self.tau, hi, Fraction(1)), lo
 
     def sup_weight_sq(self):
         # gamma ratios decrease toward 1 for measures on (0, 1]
@@ -354,28 +335,25 @@ def is_bounded(w: FullWeights) -> BoundednessVerdict:
 # certificate verification
 # --------------------------------------------------------------------------
 
-def _tolerance(*vals):
-    if any(isinstance(v, float) for v in vals):
-        return 1e-9 * max(1.0, max(abs(float(v)) for v in vals))
-    return 0
+def _tolerance(*vals) -> Optional[float]:
+    """1e-9 relative to the largest operand when one is a float, 0 for
+    exact operands; None, which fails the identity, when one is not
+    finite."""
+    if not any(isinstance(v, float) for v in vals):
+        return 0
+    sizes = [abs(float(v)) for v in vals]
+    return 1e-9 * max(1.0, *sizes) if all(map(math.isfinite, sizes)) else None
 
 
 def _eq(a, b) -> bool:
     """Exact equality for exact operands, tolerance band otherwise.  An
     exact `a` equal to `b` passes at once, so an identity that holds costs
     one comparison and no subtraction; everything else is read against the
-    band (a float `a` always is, so that equal infinities fail)."""
+    band (a float `a` always is)."""
     if a == b and not isinstance(a, float):
         return True
-    return abs(a - b) <= _tolerance(a, b)
-
-
-def _le(a, b) -> bool:
-    """a <= b exactly, or within the band of `_eq`; an exact `a` that is
-    at most `b` passes at once."""
-    if a <= b and not isinstance(a, float):
-        return True
-    return a <= b + _tolerance(a, b)
+    band = _tolerance(a, b)
+    return band is not None and abs(a - b) <= band
 
 
 def _check(condition: bool, identity: str):
@@ -428,14 +406,12 @@ def _check_counts(w: FullWeights, measures):
 
 
 def _check_branches(w: FullWeights, measures, depth: int, domain, where: str,
-                    closes, row, value, name, first: int):
+                    closes, row, name, first: int):
     """The branch checks of both verifiers: each measure mu is positive on
     `domain` (named `where`), then its identity value at n, named name(n),
     is prod_(j=2..n+1) weight_sq(j) for n = first..top.  The values are
     read as integer numerators from row(mu, top), the `measure._Row` of
-    the values at n = 0..top, and compared on the integers (`_holds`);
-    value(mu, n) gives each one when mu has no integer image (row is
-    None)."""
+    the values at n = 0..top, and compared on the integers (`_holds`)."""
     for idx, (cls, mu) in enumerate(zip(w.classes, measures), start=1):
         _check(_positive_on(mu, domain), f"branch {idx}: measure is positive on {where}")
         gen = cls.generator
@@ -446,47 +422,55 @@ def _check_branches(w: FullWeights, measures, depth: int, domain, where: str,
         prod = Fraction(1)
         for n in range(first, top + 1):
             prod = prod * gen.weight_sq(n + 1) if n else prod
-            held = (_eq(value(mu, n), prod) if values is None else _holds(values, n, prod))
-            _check(held, f"branch {idx}: {name(n)}")
+            _check(_holds(values, n, prod), f"branch {idx}: {name(n)}")
 
 
 def _holds(values, n: int, x) -> bool:
     """`_eq` of value n of the `_Row` `values` and x: one integer cross
-    product for an exact x, the float band for a float one."""
-    if isinstance(x, float):
+    product for an exact row and x, the float band for a float row or x."""
+    if values.floats or isinstance(x, float):
         return _eq(values.value(n), x)
     return values.equals(n, x)
 
 
-def _trunk_sums(w: FullWeights, measures, top: int) -> Optional[list]:
+def _trunk_sums(w: FullWeights, measures, top: int) -> list:
     """sum_c first_mass_c * mu_c.moment(-(k + 1)) for k = 0..top, each as
-    (N, D) with D > 0 the product of the denominators of its terms: every
-    moment is read as an integer numerator off its measure's image
-    (`measure.moment_row` of moments -(top + 1)..-1), and nothing is
-    normalised.  None when a first mass or trunk square is a float, or a
-    measure has no integer image."""
-    if any(isinstance(x, float) for x in (*w.trunk_sq, *(c.first_mass for c in w.classes))):
-        return None
+    (N, D, floats) with D > 0 the product of the denominators of its terms:
+    every moment is read as an integer numerator off its measure's row
+    (`measure.moment_row` of moments -(top + 1)..-1), a float first mass on
+    its binary-exact image, and nothing is normalised.  A first mass that
+    is not finite has none: every sum is then that value."""
+    masses = [cls.first_mass for cls in w.classes]
+    bad = [m for m in masses if isinstance(m, float) and not math.isfinite(m)]
+    if bad:
+        return [(sum(bad), 1, True)] * (top + 1)
     rows = [moment_row(mu, -(top + 1), -1) for mu in measures]
-    if any(row is None for row in rows):
-        return None
+    floats = any(isinstance(m, float) for m in masses) or any(row.floats for row in rows)
+    masses = [as_fraction(m) for m in masses]
     sums, dens = [], [row.den for row in rows]
     for i in range(top + 1):  # moment i - top - 1, of level top - i
         if i:
             dens = [den * row.steps[i - 1] for den, row in zip(dens, rows)]
         n, d = 0, 1
-        for cls, row, den in zip(w.classes, rows, dens):
-            m = cls.first_mass
+        for m, row, den in zip(masses, rows, dens):
             den *= m.denominator
             n, d = n * den + m.numerator * row.nums[i] * d, d * den
-        sums.append((n, d))
+        sums.append((n, d, floats))
     return sums[::-1]
 
 
-def _meets(pair: tuple, x, equality: bool) -> bool:
-    """N / D == x, or N / D <= x, for a pair of `_trunk_sums` and an exact
-    x: one integer cross product."""
-    n, d = pair
+def _meets(level: tuple, x, equality: bool, prod) -> bool:
+    """N / D == x, or N / D <= x, for a level (N, D, floats) of
+    `_trunk_sums` when `prod` is None; else 1 + T_k N / D against x, with
+    `prod` = T_k.  Exactly, one integer cross product (N / D against
+    (x - 1) / T_k); with a float, the float lhs within the band of `_eq`."""
+    n, d, floats = level
+    if floats or isinstance(x, float) or isinstance(prod, float):
+        lhs = n / d if prod is None else 1 + prod * (n / d)
+        band = _tolerance(lhs, x)
+        return band is not None and (abs(lhs - x) <= band if equality else lhs <= x + band)
+    if prod is not None:
+        x = (x - 1) / prod
     lhs, rhs = n * x.denominator, x.numerator * d
     return lhs == rhs if equality else lhs <= rhs
 
@@ -505,7 +489,7 @@ def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> b
     _check_counts(w, measures)
     _check_branches(w, measures, depth, Ray(), "(0, inf)",
                     lambda gen, mu: isinstance(gen, MeasureTail) and gen.measure is mu,
-                    lambda mu, top: moment_row(mu, 0, top), lambda mu, n: mu.moment(n),
+                    lambda mu, top: moment_row(mu, 0, top),
                     lambda n: f"moment {n} equals the weight product" if n
                     else "zeroth moment is 1", 0)
     kappa = len(w.trunk_sq)
@@ -515,15 +499,9 @@ def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> b
     top = min(depth, kappa) if w.kappa_infinite else kappa
     sums = _trunk_sums(w, measures, top)
     for k in range(top + 1):
-        rhs = 1 / trunk_prod
         equality = w.kappa_infinite or k < kappa
-        if sums is not None:
-            held = _meets(sums[k], rhs, equality)
-        else:
-            lhs = sum(cls.first_mass * mu.moment(-(k + 1))
-                      for cls, mu in zip(w.classes, measures))
-            held = _eq(lhs, rhs) if equality else _le(lhs, rhs)
-        _check(held, f"trunk level {k}: reciprocal sum {'equality' if equality else 'bound'}")
+        _check(_meets(sums[k], 1 / trunk_prod, equality, None),
+               f"trunk level {k}: reciprocal sum {'equality' if equality else 'bound'}")
         if k < kappa:
             trunk_prod = trunk_prod * w.trunk_sq[k]
     return True
@@ -559,7 +537,6 @@ def verify_che_certificate(w: FullWeights, taus, depth: int = 12) -> bool:
     _check_branches(w, taus, depth, HalfOpen(), "(0, 1]",
                     lambda gen, tau: isinstance(gen, GeometricSumTail) and gen.tau is tau,
                     lambda tau, top: geometric_row(tau, top, Fraction(1)),
-                    lambda tau, n: 1 + tau.geometric_sum(n),
                     lambda n: f"geometric sum {n} equals the weight product", 1)
     kappa = len(w.trunk_sq)
     trunk_prod = Fraction(1)
@@ -569,12 +546,7 @@ def verify_che_certificate(w: FullWeights, taus, depth: int = 12) -> bool:
             trunk_prod = trunk_prod * w.trunk_sq[k - 1]
         rhs = w.trunk_sq[k - 1] if k else w.first_mass_total
         equality = k < kappa
-        if sums is not None:
-            held = _meets(sums[k], (rhs - 1) / trunk_prod, equality)
-        else:
-            lhs = 1 + trunk_prod * sum(cls.first_mass * tau.moment(-(k + 1))
-                                       for cls, tau in zip(w.classes, taus))
-            held = _eq(lhs, rhs) if equality else _le(lhs, rhs)
         name = f"trunk level {k}: expansion {'equality' if equality else 'bound'}"
-        _check(held, name if kappa else "root level: expansion bound")
+        _check(_meets(sums[k], rhs, equality, trunk_prod),
+               name if kappa else "root level: expansion bound")
     return True

@@ -5,7 +5,7 @@ import pytest
 from momentkit.alternating import (CAMeasure, ca_backward_extend, ca_scale,
                                    has_ca_extension)
 from momentkit.errors import DomainError, ZeroAtomError
-from momentkit.measure import AtomicMeasure, MomentRecurrence
+from momentkit.measure import AtomicMeasure, MomentRecurrence, moment_row
 from momentkit.numeric import Polynomial
 from conftest import random_half_open_measure
 
@@ -48,6 +48,10 @@ def test_geometric_sum_matches_moments():
         for n in range(6):
             want = (zero if n else 0) + sum(m * x ** k for x, m in atoms for k in range(n))
             assert tau.geometric_sum(n) == want
+        if zero:  # a negative moment of a measure charging zero: the row raises as `moment` does
+            for read in (lambda: tau.moment(-1), lambda: moment_row(tau, -2, 1)):
+                with pytest.raises(ZeroAtomError):
+                    read()
 
 
 def test_minimal_measure_prefers_zero_free(rng):

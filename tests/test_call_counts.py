@@ -3,9 +3,9 @@ eliminates each of its Hankel forms at most once.
 
 A verdict carries what classification built: on every domain a singular
 verdict holds its support polynomial, so the threshold of a backward
-extension, the singular index, infimum and measure, and the
-principal measures of the compact extremes are read from work already done.
-The support polynomial itself comes out of the pass that gives the leading
+extension, the singular index, infimum and measure, and the principal
+measures of the compact extremes are read from work already done.  The
+support polynomial itself comes out of the pass that gives the leading
 minors, so it costs no bordered determinant, and the same pass decides every
 Hankel form; at full rank it also gives the atom polynomial of the minimal
 measure of an odd-n window on the ray.  Every other bordered-Hankel
@@ -13,14 +13,14 @@ polynomial (principal and minimal measures, certificate measures) is one
 full-rank pass of its own, so no path counts a `det_poly`.  Where H(s) is
 one of the deciding forms (on the ray, and for even n on (0, 1] and on
 [a, b]) its pass is run once, in the shape the support polynomial reads,
-and handed on; so is the interior form for even n on [a, b].  A strict window's threshold is the
-Schur complement of the corner that holds the prepended slot, and the pass
-to that corner reduces the limit form M first, so on the paths that want
-the threshold it decides M too; the completion search reads each
-threshold, forced value and level quadratic from that pass alone, since its
-windows are strictly positive by construction.  The counts below are the
-whole cost of each call in the four kernel functions, counted through every
-alias the package modules import.
+and handed on; so is the interior form for even n on [a, b].  A strict
+window's threshold is the Schur complement of the corner that holds the
+prepended slot, and the pass to that corner reduces the limit form M
+first, so it decides M on every exact window, whether or not a threshold
+follows; the completion search reads each threshold, forced value and level
+quadratic from that pass alone, since its windows are strictly positive by
+construction.  The counts below are the whole cost of each call in the four
+kernel functions, counted through every alias the package modules import.
 The second slot counts that pass, `numeric._minor_pass`, wherever it runs:
 once inside each `classify_form` (the forms that are not handed on), once
 per H(s), once per support polynomial of a window whose H(s) does not
@@ -352,18 +352,18 @@ def test_cli_classify_reads_the_index_from_its_verdict(calls, tmp_path, n, kind)
     path.write_text(json.dumps({"kind": "classify", "domain": "ray",
                                 "sequence": [numeric.format_scalar(v) for v in window]}))
     payload, code = run(str(path))
-    # H(s) is read from its own pass; a singular one stops the limit test
-    # before the shifted form
-    assert calls["classify_form"] == (1 if kind is PositivityClass.STRICTLY_POSITIVE else 0)
+    # H(s) is read from its own pass and M from the slot pass; a singular
+    # H(s) stops the limit test before M
+    assert calls["classify_form"] == 0
     del payload["elapsed_s"]
     assert (payload, code) == ({"class": kind.value, "index": "2"}, 0)
 
 
 def test_minimal_ray_measure_reads_the_classifying_pass(calls):
     assert minimal_measure_ray(_window(RAY_MU, 3)) == RAY_MU
-    # H(s), whose pass at full rank also gives the atom polynomial, and M:
-    # no bordered determinant
-    assert _counts(calls) == (1, 2, 0, 0)
+    # H(s), whose pass at full rank also gives the atom polynomial, and M,
+    # read from the slot pass: no bordered determinant
+    assert _counts(calls) == (0, 2, 0, 0)
 
 
 def _warm_sequence(domain, window):
@@ -389,16 +389,17 @@ def _warm_sequence(domain, window):
 COMPACT_MU = AtomicMeasure([(F(3, 2), F(1)), (F(2), F(1, 3)), (F(7, 2), F(2))])
 
 #: (domain, window, passes, isolations): the eliminations and the root
-#: isolations of the whole sequence.  On the ray the passes are H(s), M (for
-#: the class) and the slot pass (for the threshold) of the window, and H(s)
-#: and M of the extension above the threshold; the minimal measure, which
-#: the extension at the threshold reads too, is the one isolation.  On
+#: isolations of the whole sequence.  On the ray the passes are H(s) and the
+#: slot pass (which decides M for the class and gives the threshold) of the
+#: window, and the same two of the extension above the threshold; the
+#: minimal measure, which the extension at the threshold reads too, is the
+#: one isolation.  On
 #: (0, 1] the completely alternating extension reads that measure as well;
 #: on [a, b] the extremes read the lower principal measure that the
 #: principal measure call isolated.  The odd-length windows have a
 #: transform's bordered pass in place of H(s)'s (b s_k - s_(k+1) at b = 1 on
 #: (0, 1], s_(k+1) - a s_k and b s_k - s_(k+1) on [a, b]), run once each.
-WARM = {"ray": (Ray(), _window(RAY_MU, 3), 5, 1),
+WARM = {"ray": (Ray(), _window(RAY_MU, 3), 4, 1),
         "half-open": (HalfOpen(), _window(UNIT_MU, 3), 6, 1),
         "half-open-odd-length": (HalfOpen(), _window(UNIT_MU, 2), 6, 1),
         "compact": (Compact(1, 4), _window(COMPACT_MU, 5), 4, 2),

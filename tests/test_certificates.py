@@ -5,6 +5,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from momentkit.alternating import CAMeasure
 from momentkit.cli import run
 from momentkit.completion import (_norm_sq_bound, flat_che_completion, solve_che,
                                   solve_subnormal)
-from momentkit.errors import CertificateInvalid, ZeroAtomError
+from momentkit.errors import CertificateInvalid, DegenerateInput, ZeroAtomError
 from momentkit.measure import AtomicMeasure, MomentRecurrence, tilt
 from momentkit.numeric import Polynomial, format_scalar
 from momentkit.principal import root_bound
@@ -454,13 +455,32 @@ def _row_tails():
     return tails
 
 
+def _float_ratios(tail, measure, lo: int, count: int) -> list:
+    """The ratios at n = lo..count-2 of a tail over a float measure: b / a
+    of the float moments for a MeasureTail; for a GeometricSumTail the
+    correctly rounded ratio of the exact sums gamma_n of the moments'
+    binary-exact images."""
+    if isinstance(tail, MeasureTail):
+        moments = [measure.moment(k) for k in range(lo, count)]
+        return [b / a for a, b in zip(moments, moments[1:])]
+    gammas = [F(1)]
+    for k in range(count - 1):
+        gammas.append(gammas[-1] + F(measure.moment(k)))
+    return [float(b / a) for a, b in zip(gammas[lo:], gammas[lo + 1:])]
+
+
 def test_weight_rows_match_weight_sq_for_every_tail_and_count():
+    """Each tail's rows match its weight_sq, and are those of the same tail
+    over a wrapper that has only `moment` (read on the row of its values),
+    printed alike; a float tail's are the float ratios of `_float_ratios`,
+    byte for byte."""
     shapes = set()
     for tail, exact in _row_tails():
         measure = tail.measure if isinstance(tail, MeasureTail) else tail.tau
         positive = getattr(measure, "positive", None)
         shapes.add((type(tail).__name__, type(measure).__name__, type(positive).__name__,
                     getattr(measure, "zero_mass", 0) != 0, exact))
+        wrapped = type(tail)(tail.prefix_sq, _Counting(measure))
         top = len(tail.prefix_sq) + 1
         for count in list(range(top + 5)) + [top + 12]:
             row = tail.weight_sq_row(count)
@@ -471,6 +491,11 @@ def test_weight_rows_match_weight_sq_for_every_tail_and_count():
                     assert got == ref
                 else:
                     assert abs(got - ref) <= 1e-12 * abs(ref)
+            assert wrapped.weight_sq_row(count) == row
+            assert wrapped.weight_sq_text(count) == tail.weight_sq_text(count)
+            if not exact:
+                lo = min(len(tail.prefix_sq), max(count - 1, 0))
+                assert row[lo:] == _float_ratios(tail, measure, lo, count)
     for exact in (True, False):
         assert {("MeasureTail", "AtomicMeasure", "NoneType", False, exact),
                 ("MeasureTail", "MomentRecurrence", "NoneType", False, exact),
@@ -527,6 +552,131 @@ def test_every_certificate_re_verifies_through_the_cli(tmp_path, arithmetic):
         truncated = dict(blob, measures=blob["measures"][:-1])
         payload, code = _verify_run(tmp_path, truncated, arithmetic)
         assert code == 1 and payload["valid"] is False, (cert.kind, payload)
+
+
+def _float_measure(mu):
+    if isinstance(mu, CAMeasure):
+        return CAMeasure(float(mu.zero_mass), _float_measure(mu.positive))
+    if isinstance(mu, AtomicMeasure):
+        return AtomicMeasure([(float(x), float(m)) for x, m in mu.atoms], exact=mu.exact)
+    return MomentRecurrence(Polynomial([float(c) for c in mu.poly.coeffs]), mu.first_index,
+                            [float(v) for v in mu.window], mu.atoms_hint)
+
+
+def _moved(cert, convert, spot=None, factor=1):
+    """The verification of `cert` with its trunk squares, first masses,
+    prescribed squares and measures passed through `convert` (`float` or
+    `F`), and trunk square `spot`, or the first mass of class 1 for spot -1,
+    times `factor`: None when it holds, else the identity it names."""
+    measures = [_float_measure(mu) if convert is float else mu for mu in cert.measures]
+    trunk = [convert(t) for t in cert.full.trunk_sq]
+    masses = [convert(cls.first_mass) for cls in cert.full.classes]
+    if spot is not None:
+        moved = masses if spot < 0 else trunk
+        moved[max(spot, 0)] *= convert(factor)
+    classes = [FullBranch(m, type(cls.generator)([convert(x) for x in cls.generator.prefix_sq],
+                                                 mu), 1)
+               for m, cls, mu in zip(masses, cert.full.classes, measures)]
+    verifier = verify_subnormal_certificate if cert.kind == "subnormal" else verify_che_certificate
+    try:
+        assert verifier(FullWeights(trunk, classes), measures, 64)
+    except CertificateInvalid as err:
+        return err.identity
+    return None
+
+
+def test_float_copies_of_the_certificates_verify_within_the_band():
+    """The float copy of each certificate verifies, and still does with a
+    trunk target moved by 1e-12 relative; moved by 1e-6 it fails where the
+    exact certificate moved alike fails, naming the same identity."""
+    failed = 0
+    for cert in _certificates():
+        assert _moved(cert, float) is None
+        for spot in [-1] + list(range(len(cert.full.trunk_sq))):
+            for delta in (1e-12, -1e-12):
+                assert _moved(cert, float, spot, 1 + delta) is None
+            for delta in (1e-6, -1e-6):
+                want = _moved(cert, F, spot, 1 + delta)
+                assert _moved(cert, float, spot, 1 + delta) == want
+                failed += want is not None
+    assert failed == 15
+
+
+DELTA_2 = AtomicMeasure([(2, 1)])
+#: tau(-1) = 1/8 and tau(-2) = 1/4
+TAU = CAMeasure(0, AtomicMeasure([(F(1, 2), F(1, 16))]))
+
+
+def _one_class(kind, mass, trunk_sq):
+    """The verification of a one-class certificate with one trunk square:
+    delta_2 on the ray, which holds for the mass 2 and the square 3/2, or
+    TAU on (0, 1], for the mass 8/7 and any square of 7/5 or more; None
+    when it holds, else the identity it names."""
+    try:
+        if kind == "subnormal":
+            full = FullWeights([trunk_sq], [FullBranch(mass, MeasureTail([2], DELTA_2), 1)])
+            assert verify_subnormal_certificate(full, [DELTA_2])
+        else:
+            tail = GeometricSumTail([F(17, 16)], TAU)
+            full = FullWeights([trunk_sq], [FullBranch(mass, tail, 1)])
+            assert verify_che_certificate(full, [TAU])
+    except CertificateInvalid as err:
+        return err.identity
+    return None
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_a_first_mass_or_trunk_square_that_is_not_finite_fails(bad):
+    """A non-finite first mass fails trunk level 0, as every finite mass
+    but the one that meets it does; an infinite trunk square fails level 1
+    (on (0, 1] its bound, which every finite square of 7/5 or more meets).
+    A NaN square is refused when the weights are built."""
+    for kind, mass, square, name in (("subnormal", 2.0, 1.5, "reciprocal sum"),
+                                     ("che", 8 / 7, 2.0, "expansion")):
+        assert _one_class(kind, mass, square) is None
+        for wrong in (7.0, 1e300, bad):
+            assert _one_class(kind, wrong, square) == f"trunk level 0: {name} equality"
+        assert _one_class(kind, mass, 1e300) == (
+            "trunk level 1: reciprocal sum bound" if kind == "subnormal" else None)
+        if bad == math.inf:
+            assert _one_class(kind, mass, bad) == f"trunk level 1: {name} bound"
+        else:
+            with pytest.raises(DegenerateInput):
+                _one_class(kind, mass, bad)
+    # trunk-free on (0, 1]: the root bound holds for every finite mass of 8/7 or more
+    tail = GeometricSumTail([F(17, 16)], TAU)
+    assert verify_che_certificate(FullWeights([], [FullBranch(1e300, tail, 1)]), [TAU])
+    with pytest.raises(CertificateInvalid, match="root level: expansion bound"):
+        verify_che_certificate(FullWeights([], [FullBranch(bad, tail, 1)]), [TAU])
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_cli_float_verify_refuses_a_first_mass_or_trunk_square_that_is_not_finite(
+        tmp_path, bad):
+    cert = {"kind": "subnormal", "trunk_sq": ["3/2"], "weights_sq": [["2", "2"]],
+            "measures": [{"atoms": [{"x": "2", "m": "1"}]}]}
+    payload, code = _verify_run(tmp_path, cert, "float")
+    assert code == 0 and payload["valid"]
+    payload, code = _verify_run(tmp_path, dict(cert, weights_sq=[[bad, "2"]]), "float")
+    assert code == 1 and payload["valid"] is False
+    assert payload["error"] == "violated: trunk level 0: reciprocal sum equality"
+    payload, code = _verify_run(tmp_path, dict(cert, trunk_sq=[bad]), "float")
+    if bad == "inf":
+        assert code == 1 and payload["error"] == "violated: trunk level 1: reciprocal sum bound"
+    else:
+        assert code == 1 and payload["error"]["kind"] == "DegenerateInput"
+    che = {"kind": "che", "trunk_sq": [bad], "weights_sq": [["8/7", "17/16"]],
+           "measures": [{"atoms": [{"x": "1/2", "m": "1/16"}]}]}
+    payload, code = _verify_run(tmp_path, dict(che, trunk_sq=["2"]), "float")
+    assert code == 0 and payload["valid"]
+    payload, code = _verify_run(tmp_path, che, "float")
+    if bad == "inf":
+        assert code == 1 and payload["error"] == "violated: trunk level 1: expansion bound"
+    else:
+        assert code == 1 and payload["error"]["kind"] == "DegenerateInput"
+    payload, code = _verify_run(tmp_path, dict(che, trunk_sq=[], weights_sq=[[bad, "17/16"]]),
+                                "float")
+    assert code == 1 and payload["error"] == "violated: root level: expansion bound"
 
 
 def test_recurrence_measure_with_mass_at_zero_is_refused(tmp_path):

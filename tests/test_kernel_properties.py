@@ -816,6 +816,15 @@ def planted_support_windows(draw):
     return domain, size, window
 
 
+def _det_times(window, monic):
+    """`monic` times det H_r of the window's binary-exact image, r its
+    degree (`numeric.det`): the bordered-Hankel polynomial of s_0..s_(2r-1)
+    when `monic` is their support polynomial."""
+    r = monic.degree
+    det_h = det([[as_fraction(window[i + j]) for j in range(r)] for i in range(r)])
+    return Polynomial([c * det_h for c in monic.coeffs])
+
+
 def _monic_bordered(window, r):
     if r == 0:
         return Polynomial([1])
@@ -843,17 +852,18 @@ def test_support_poly_of_the_minor_pass_is_the_monic_bordered_polynomial(problem
        st.integers(1, 4))
 def test_strict_odd_ray_window_reads_its_bordered_polynomial_from_the_pass(atoms, m):
     """The bordered-Hankel polynomial of a strict window s_0..s_(2m-1) on
-    the ray is the full-rank support polynomial scaled by det H_m; float
+    the ray is the full-rank monic support polynomial times det H_m; float
     windows round the same exact coefficients."""
     m = min(m, len(atoms))
     window = [sum((x_m * x ** k for x, x_m in atoms), F(0)) for k in range(2 * m)]
     w = _Window.of(window)
     assert _classify_limit(w, Ray()).is_strict
-    assert _support_poly(w, bordered=True) == bordered_hankel_poly(window)
+    assert bordered_hankel_poly(window) == _det_times(window, _support_poly(w))
     image = [float(v) for v in window]
-    got = _support_poly(_Window.of(image), bordered=True)
-    if got is not None and got.degree == m:
-        assert got == bordered_hankel_poly(image)
+    monic = _support_poly(_Window.of(image), exact=True)
+    if monic is not None and monic.degree == m:
+        want = _det_times(image, monic)
+        assert bordered_hankel_poly(image) == Polynomial([_to_float(c) for c in want.coeffs])
 
 
 @given(planted_support_windows(), st.data())
@@ -972,10 +982,6 @@ def test_integer_transforms_are_positive_multiples_of_the_fraction_ones(problem)
             assert verdict.kind is want
         if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
             assert verdict.support == _reference_support(window, ())
-        # M decided by the pass to the corner of a prepended value, in reverse
-        # order, gives the same verdict, on a window built anew
-        positivity._held = ()
-        assert _classify_limit(_Window.of(window), domain, by_slot=True) == verdict
 
 
 # --------------------------------------------------------------------------
@@ -1065,14 +1071,14 @@ def test_dilation_is_invisible(problem):
                  (principal_polynomial, window, a, b, PrincipalKind.LOWER),
                  (principal_polynomial, window, a, b, PrincipalKind.UPPER)]
     else:
-        for by_slot in (False, True):  # on new windows: a window keeps its verdict
-            positivity._held = ()
-            assert (_classify_limit(_Window.of(window), domain, by_slot)
-                    == _classify_limit(_Window(window, *_integer_scale(window), None, None),
-                                       domain, by_slot))
+        assert _classify_limit(w, domain) == _classify_limit(plain, domain)
         assert _determinate_poly(w, domain) == _determinate_poly(plain, domain)
         assert _schur_threshold(w, domain) == _schur_threshold(plain, domain)
-        assert _support_poly(w, bordered=True) == _support_poly(plain, bordered=True)
+        monic = _support_poly(w)
+        if monic is not None:  # the bordered polynomial of the leading 2r entries
+            r, want = monic.degree, _det_times(window, monic)
+            assert _bordered_image(w.hankel(0, 2 * r), False, w.lam) == want
+            assert _bordered_image(plain.hankel(0, 2 * r), False, 1) == want
         calls = [(classify, window, domain), (_slot_quadratic, tuple(window[1:]), domain),
                  (atom_polynomial, window, domain), (ray_limit_matrices, window)]
     dilated = [_outcome(*call) for call in calls]
@@ -1117,9 +1123,23 @@ def _recurrence(atoms, first, extra):
     return MomentRecurrence(poly, first, window)
 
 
+class _Moments:
+    """A measure seen through its `moment` method alone."""
+
+    def __init__(self, measure):
+        self.moment = measure.moment
+
+
+def _floats(atoms):
+    return AtomicMeasure([(float(x), float(m)) for x, m in atoms])
+
+
 @given(planted_measures(), st.integers(-6, 6), st.integers(0, 2),
        st.permutations(list(ORDERS)))
 def test_image_moments_match_the_plain_sums(atoms, first, extra, order):
+    """Moments and weight rows on the integer image equal the plain sums,
+    also read through `moment` alone; a float measure's rows are b / a of
+    its float moments, byte for byte."""
     mu = AtomicMeasure(atoms)
     rec = _recurrence(atoms, first, extra)
     # asked in any order, so the recurrence runs both ways from its seed
@@ -1129,11 +1149,21 @@ def test_image_moments_match_the_plain_sums(atoms, first, extra, order):
     ratios = [_reference(atoms, k + 1) / _reference(atoms, k) for k in range(16)]
     for measure in (AtomicMeasure(atoms), _recurrence(atoms, first, extra)):
         assert MeasureTail((), measure).weight_sq_row(17) == ratios
+        assert MeasureTail((), _Moments(measure)).weight_sq_row(17) == ratios
+    floats = _floats(atoms)
+    moments = [floats.moment(k) for k in range(17)]
+    ratios = [b / a for a, b in zip(moments, moments[1:])]
+    for measure in (floats, _Moments(floats)):
+        assert MeasureTail((), measure).weight_sq_row(17) == ratios
 
 
 @given(planted_measures(unit=True), MASS, st.integers(-6, 6), st.integers(0, 2),
        st.permutations(list(range(17))))
 def test_image_geometric_sums_match_the_plain_sums(atoms, zero_mass, first, extra, order):
+    """Geometric sums and their weight rows on the integer image equal the
+    plain sums, also read through `moment` alone; a float measure's rows
+    are the correctly rounded ratios of the exact sums of its moments'
+    binary-exact images."""
     ca = CAMeasure(zero_mass, AtomicMeasure(atoms))
     recurrent = CAMeasure(0, _recurrence(atoms, first, extra))
     for n in order:
@@ -1146,3 +1176,12 @@ def test_image_geometric_sums_match_the_plain_sums(atoms, zero_mass, first, extr
                   for n in range(17)]
         ratios = [b / a for a, b in zip(gammas, gammas[1:])]
         assert GeometricSumTail((), tau).weight_sq_row(17) == ratios
+        assert GeometricSumTail((), _Moments(tau)).weight_sq_row(17) == ratios
+    for zero in (0.0, float(zero_mass)):
+        tau = CAMeasure(zero, _floats(atoms))
+        gammas = [F(1)]
+        for k in range(16):
+            gammas.append(gammas[-1] + F(tau.moment(k)))
+        ratios = [float(b / a) for a, b in zip(gammas, gammas[1:])]
+        for measure in (tau, _Moments(tau)):
+            assert GeometricSumTail((), measure).weight_sq_row(17) == ratios

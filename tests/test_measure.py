@@ -1,12 +1,13 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from momentkit.errors import DegenerateInput, ShapeError
-from momentkit.measure import (AtomicMeasure, MomentRecurrence, MomentSequence,
-                               moment, moments, tilt)
+from momentkit.measure import (AtomicMeasure, MomentRecurrence, MomentSequence, _Row,
+                               moment, moment_row, moments, tilt)
 from momentkit.numeric import Polynomial
 from conftest import random_rational_measure
 
@@ -87,3 +88,16 @@ def test_moment_recurrence_matches_atoms(rng):
         rec = MomentRecurrence(poly, lo, window)
         for k in range(-5, 9):
             assert rec.moment(k) == mu.moment(k)
+
+
+def test_rows_of_float_values_read_their_binary_exact_images():
+    row = _Row.of([1, 0.5, F(1, 3)])
+    assert row.floats and [row.value(i) for i in range(3)] == [1.0, 0.5, 1 / 3]
+    assert row.ratios() == [0.5, (1 / 3) / 0.5]
+    assert not _Row.of([1, F(1, 3)]).floats
+    # a float that is not finite has no binary-exact image
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DegenerateInput):
+            _Row.of([1.0, bad])
+    with pytest.raises(DegenerateInput):
+        moment_row(AtomicMeasure([(math.inf, 1.0)]), 0, 2)
