@@ -19,7 +19,7 @@ from .measure import (AtomicMeasure, MomentRecurrence, ZERO_MEASURE, _Row, geome
                       moment_row)
 from .numeric import Polynomial, Scalar
 from .positivity import HalfOpen, PositivityClass, _reads_root, _values, _Window, classify_compact
-from .principal import _minimal, atoms_from_poly
+from .principal import _atom_poly, _minimal, atoms_from_poly
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,9 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         return CAExtensionVerdict(False, None, verdict.kind)
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
-        poly, mu = _minimal(_Window.of(deltas), HalfOpen())
-        return CAExtensionVerdict(True, CAMeasure(0, mu), verdict.kind, poly)
+        w, half = _Window.of(deltas), HalfOpen()
+        return CAExtensionVerdict(True, CAMeasure(0, _minimal(w, half)), verdict.kind,
+                                  _atom_poly(w, half))
     if not any(deltas):  # a constant sequence: exact even for float input
         return CAExtensionVerdict(True, ZERO_CA_MEASURE, verdict.kind, Polynomial([1]))
     support = poly = verdict.support

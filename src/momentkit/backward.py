@@ -73,7 +73,7 @@ def classify_backward(s, x: Scalar, domain=Ray()) -> ExtensionVerdict:
     if x == threshold and not w.floats:
         if isinstance(domain, Ray) and len(w.ints) % 2:  # even n: not attained
             return ExtensionVerdict(ExtensionClass.NOT_EXTENSION, threshold)
-        return ExtensionVerdict(ExtensionClass.SINGULAR, threshold, _minimal(w, domain)[1])
+        return ExtensionVerdict(ExtensionClass.SINGULAR, threshold, _minimal(w, domain))
     extension = (x,) + w.values
     verdict = (_determinacy_verdict(_Window.of(extension), domain) if x == threshold
                else classify(extension))
@@ -97,7 +97,7 @@ def forced_value(tail: Sequence[Scalar], domain=Ray()) -> Scalar:
 def minimal_measure_window(window, domain) -> AtomicMeasure:
     """Minimal measure of a strictly positive window of even length on the
     ray, or of odd/even length on (0, 1] (2K moments starting deepest)."""
-    return _minimal(_Window.of(window), domain)[1]
+    return _minimal(_Window.of(window), domain)
 
 
 def extend_with_index(s, r: int, K, free: Sequence[Scalar] = (),

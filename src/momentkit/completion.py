@@ -18,10 +18,11 @@ minimiser is greedy, so uniform and biased splits are tried too.
 
 Each branch is one integer image (`positivity._Window`) from its verdict,
 which reads the atom counts K it admits (`_admissible_two_ks`), to its
-certificate measure, which the checker verifies again: a level extends it
-by `_Window.prepended`, a forced value cuts it by `_Window.prefix`, and each
-threshold, forced value and level quadratic is computed once per solve, in
-one table keyed by image that every K vector searched reads (`_LevelValues`).
+certificate measure, its minimal measure (`principal._minimal`), which the
+checker verifies again: a level extends it by `_Window.prepended`, a forced
+value cuts it by `_Window.prefix`, and each threshold (`_threshold`), forced
+value and level quadratic is computed once per solve, in one table keyed by
+image that every K vector searched reads (`_LevelValues`).
 
 `kappa_infinite_probe` is the one answer outside the exact contract: its
 "FeasibleTowardInfinity" is an empirical statement about finite prefixes.
@@ -35,17 +36,16 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .alternating import CAMeasure, has_ca_extension
 from .extremal import _reciprocal_inf, _schur_quadratic, _schur_threshold
 from .errors import BadIndex, DegenerateInput, MomentKitError, PreconditionError, Unsupported
 from .measure import AtomicMeasure, MomentRecurrence, MomentSequence, tilt
-from .numeric import Polynomial, Scalar, format_scalar
-from .positivity import (HalfOpen, Ray, _Window, _classify_limit, _limit_window,
-                         _support_measure, _verdict_index, classify_half_open, classify_ray)
+from .numeric import Scalar, format_scalar
+from .positivity import HalfOpen, Ray, _Window, _classify_limit, _limit_window, _verdict_index
 from . import positivity as _positivity
-from .principal import _atom_ints, _window_measure, atom_polynomial, root_bound
+from .principal import _atom_poly, _minimal, root_bound
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
                    MeasureTail, PartialWeights, verify_che_certificate,
                    verify_subnormal_certificate)
@@ -117,24 +117,15 @@ class SolveOutcome:
 # shared level machinery
 # --------------------------------------------------------------------------
 
-@dataclass
-class _DomainOps:
-    domain: object
-    classify: Callable
-
-    def threshold(self, w: _Window) -> Scalar:
-        """Strict-slot threshold for prepending to the window w: the
-        reciprocal infimum, exact for exact input, read from one Schur
-        complement (the search's windows are strictly positive by
-        construction) unless its pass shows otherwise."""
-        value = _schur_threshold(w, self.domain)
-        if value is None:
-            return _reciprocal_inf(w, self.classify(w.values), self.domain)
-        return value
-
-
-_RAY_OPS = _DomainOps(Ray(), classify_ray)
-_HALF_OPS = _DomainOps(HalfOpen(), classify_half_open)
+def _threshold(w: _Window, domain) -> Scalar:
+    """Strict-slot threshold for prepending to the window w: the reciprocal
+    infimum, exact for exact input, read from one Schur complement (the
+    search's windows are strictly positive by construction), or from the
+    verdict on w when its pass shows otherwise."""
+    value = _schur_threshold(w, domain)
+    if value is None:
+        return _reciprocal_inf(w, _classify_limit(w, domain), domain)
+    return value
 
 
 class _LevelValues(dict):
@@ -143,14 +134,14 @@ class _LevelValues(dict):
     a quadratic's image (0,) + rest starts at 0, which no searched window's
     does.  Every 2K vector of the solve reads them from here."""
 
-    def __init__(self, ops: _DomainOps):
+    def __init__(self, domain):
         super().__init__()
-        self.ops = ops
+        self.domain = domain
 
     def threshold(self, w: _Window) -> Scalar:
         key = w.key()
         if key not in self:
-            self[key] = self.ops.threshold(w)
+            self[key] = _threshold(w, self.domain)
         return self[key]
 
     def quadratic(self, rest: _Window, theta) -> tuple:
@@ -164,7 +155,7 @@ class _LevelValues(dict):
         w = rest.prepended(0)
         key = w.key()
         if key not in self:
-            self[key] = _schur_quadratic(w, self.ops.domain)
+            self[key] = _schur_quadratic(w, self.domain)
         if self[key] is None:
             raise DegenerateInput("next-level window is not strictly positive")
         a, b, c = self[key]
@@ -417,7 +408,7 @@ def _search_levels(problem: _LevelProblem, wins, level: int = 0, known=None):
 # index compatibility with the prescribed branch data
 # --------------------------------------------------------------------------
 
-def _branch_k_compatible(ops: _DomainOps, given, big_n: int) -> bool:
+def _branch_k_compatible(domain, given, big_n: int) -> bool:
     """Can the prescribed window carry a minimal measure with this 2K-1?
     Slots at depth >= given-length - big_n are strict (one suffix check
     suffices), deeper prescribed slots must equal their forced values.
@@ -428,14 +419,14 @@ def _branch_k_compatible(ops: _DomainOps, given, big_n: int) -> bool:
     k0 = max(0, len(given) - 1 - big_n)
     for j in (range(k0, 0, -1) if k0 else [0]):
         w = _limit_window(given[j:j + big_n + 1])
-        if not _classify_limit(w, ops.domain).is_strict:
+        if not _classify_limit(w, domain).is_strict:
             return False
-        if j and given[j - 1] != ops.threshold(w):
+        if j and given[j - 1] != _threshold(w, domain):
             return False
     return True
 
 
-def _admissible_two_ks(ops: _DomainOps, w: _Window, candidates) -> list:
+def _admissible_two_ks(domain, w: _Window, candidates) -> list:
     """The 2K of `candidates` that `_branch_k_compatible` admits, read from one
     verdict on the image w of the given window (top its last index), its M
     read from the slot pass that gives the threshold.  With 2K - 1 >= top
@@ -446,18 +437,18 @@ def _admissible_two_ks(ops: _DomainOps, w: _Window, candidates) -> list:
     checked once, and one that is not positive none."""
     given = w.values
     top = len(given) - 1
-    verdict = _classify_limit(w, ops.domain)
+    verdict = _classify_limit(w, domain)
     if verdict.is_strict:
         return [two_k for two_k in candidates if two_k - 1 >= top]
     if not verdict.is_positive:
         return []
-    two_k = int(2 * _verdict_index(given, verdict, ops.domain))
-    if two_k - 1 < top and two_k in candidates and _branch_k_compatible(ops, given, two_k - 1):
+    two_k = int(2 * _verdict_index(given, verdict, domain))
+    if two_k - 1 < top and two_k in candidates and _branch_k_compatible(domain, given, two_k - 1):
         return [two_k]
     return []
 
 
-def _two_k_vectors(ops: _DomainOps, wins, K, two_k_cap: int):
+def _two_k_vectors(domain, wins, K, two_k_cap: int):
     """The atom-count vectors to search, as 2K per class (even on the ray),
     smallest first; or the Infeasible outcome that rules every one out.  K
     is "auto", which sweeps each 2K in 1..two_k_cap that its given window
@@ -465,12 +456,12 @@ def _two_k_vectors(ops: _DomainOps, wins, K, two_k_cap: int):
     one K per class: ints on the ray, halves on (0, 1], each checked by
     `_branch_k_compatible`.  An explicit K outside that range, or not such a
     value, raises BadIndex."""
-    ray = isinstance(ops.domain, Ray)
+    ray = isinstance(domain, Ray)
     step, noun = (2, "atom count") if ray else (1, "index")
     if K == "auto":
         options = []
         for w in wins:
-            opts = _admissible_two_ks(ops, w, range(step, two_k_cap + 1, step))
+            opts = _admissible_two_ks(domain, w, range(step, two_k_cap + 1, step))
             if not opts:
                 return SolveOutcome(SolveStatus.INFEASIBLE,
                                     reason=f"a branch window admits no minimal {noun}")
@@ -483,23 +474,23 @@ def _two_k_vectors(ops: _DomainOps, wins, K, two_k_cap: int):
         if (2 * k).denominator != 1 or (2 * k) % step or not step <= 2 * k <= two_k_cap:
             raise BadIndex(f"{noun} {k} outside [{Fraction(step, 2)}, {Fraction(two_k_cap, 2)}]")
     for k, w in zip(K, wins):
-        if not _branch_k_compatible(ops, w.values, int(2 * k) - 1):
+        if not _branch_k_compatible(domain, w.values, int(2 * k) - 1):
             return SolveOutcome(SolveStatus.INFEASIBLE, reason=(
                 f"prescribed weights incompatible with {k} atoms" if ray
                 else f"prescribed weights incompatible with index {k}"))
     return [tuple(int(2 * k) for k in K)]
 
 
-def _solve_vectors(ops, pw: PartialWeights, wins, vectors, p_top, targets,
+def _solve_vectors(domain, pw: PartialWeights, wins, vectors, p_top, targets,
                    certify) -> SolveOutcome:
     """The level search for each 2K vector in turn: the first Feasible one
     is certified; else Unknown if any vector was, else Infeasible with every
     vector's reason.  K is an int on the ray and a `Fraction` on (0, 1]."""
     masses = tuple(cls.first_mass for cls in pw.classes)
-    table = _LevelValues(ops)
+    table = _LevelValues(domain)
     unknown, reasons = None, []
     for two_ks in vectors:
-        vec = tuple(two_k // 2 if isinstance(ops.domain, Ray) else Fraction(two_k, 2)
+        vec = tuple(two_k // 2 if isinstance(domain, Ray) else Fraction(two_k, 2)
                     for two_k in two_ks)
         problem = _LevelProblem(table, masses, tuple(two_k - 1 for two_k in two_ks),
                                 p_top, targets, pw.kappa)
@@ -526,29 +517,18 @@ def _certificate_measure(w: _Window, first_index: int, full_window, domain):
     """Measure for a completed branch: explicit atoms when they are exact,
     otherwise a moment recurrence seeded with the full extension (exact
     moments either way).  `w` is the search's image of the deepest 2K
-    entries, with `full_window` the whole extension from `first_index`.
-
-    An exact window's atom polynomial is read off that image's bordered
-    pass as integers (`principal._atom_ints`), its roots and masses on the
-    image (`principal._window_measure`), which the certificate's indices
-    read with shifted exponents (`tilt`); a `Fraction` polynomial is built
-    only for a recurrence.  A float window takes the float path of
-    `atom_polynomial` and `measure_from_poly`."""
-    if w.floats:
-        window = list(w.values)
-        poly = atom_polynomial(window, domain)
-        hint = tilt(_support_measure(poly, window, domain), -first_index)
-        return MomentRecurrence(poly, first_index, list(full_window), atoms_hint=hint)
-    ints, num, den = _atom_ints(w, domain)
-    zero_based = _window_measure(ints, w, domain)
-    shifted = tilt(zero_based, -first_index)
-    if zero_based.exact:
+    entries, with `full_window` the whole extension from `first_index`: the
+    atoms are its minimal measure (`principal._minimal`), read at the
+    certificate's indices with shifted exponents (`tilt`), and a
+    `Polynomial` is built only for a recurrence."""
+    shifted = tilt(_minimal(w, domain), -first_index)
+    if shifted.exact:
         return shifted
-    poly = Polynomial([Fraction(x * num, den) for x in ints])
-    return MomentRecurrence(poly, first_index, list(full_window), atoms_hint=shifted)
+    return MomentRecurrence(_atom_poly(w, domain), first_index, list(full_window),
+                            atoms_hint=shifted)
 
 
-def _branch_measures(ops: _DomainOps, pw: PartialWeights, two_ks, wins) -> tuple:
+def _branch_measures(domain, pw: PartialWeights, two_ks, wins) -> tuple:
     """(sequences, measures): per class, the completed window (its image in
     `wins`) as a moment sequence from index -kappa - 1, and the
     `_certificate_measure` of its deepest 2K entries."""
@@ -558,15 +538,15 @@ def _branch_measures(ops: _DomainOps, pw: PartialWeights, two_ks, wins) -> tuple
         window = list(w.values)
         sequences.append(MomentSequence(first_index, window))
         if two_k <= len(window):
-            mu = _certificate_measure(w.prefix(two_k), first_index, window, ops.domain)
+            mu = _certificate_measure(w.prefix(two_k), first_index, window, domain)
         else:
             # even-length window at the maximal atom count: extend once more,
             # at the far end of [theta, theta + 8 max(theta, 1)], across which
             # the atom sum (a norm bound) is fractional-linear and falls
-            theta = ops.threshold(w)
+            theta = _threshold(w, domain)
             probe = theta + 8 * max(theta, 1)
             mu = _certificate_measure(w.prefix(two_k - 1).prepended(probe), first_index - 1,
-                                      [probe] + window, ops.domain)
+                                      [probe] + window, domain)
         measures.append(mu)
     return tuple(sequences), tuple(measures)
 
@@ -608,15 +588,15 @@ def solve_subnormal(pw: PartialWeights, K="auto") -> SolveOutcome:
         return SolveOutcome(SolveStatus.INFEASIBLE, reason="branching square sum diverges")
     wins = [_limit_window(_given_subnormal_window(cls)) for cls in pw.classes]
     # 2K up to the completed window's length p + kappa + 1, rounded up to even
-    vectors = _two_k_vectors(_RAY_OPS, wins, K, (pw.p + pw.kappa + 2) // 2 * 2)
+    vectors = _two_k_vectors(Ray(), wins, K, (pw.p + pw.kappa + 2) // 2 * 2)
     if isinstance(vectors, SolveOutcome):
         return vectors
-    return _solve_vectors(_RAY_OPS, pw, wins, vectors, pw.p, _subnormal_targets(pw),
+    return _solve_vectors(Ray(), pw, wins, vectors, pw.p, _subnormal_targets(pw),
                           _subnormal_certificate)
 
 
 def _subnormal_certificate(pw: PartialWeights, two_ks, vec, windows) -> SolveOutcome:
-    sequences, measures = _branch_measures(_RAY_OPS, pw, two_ks, windows)
+    sequences, measures = _branch_measures(Ray(), pw, two_ks, windows)
     branches = [FullBranch(cls.first_mass, MeasureTail(cls.tail_sq, mu), cls.count)
                 for cls, mu in zip(pw.classes, measures)]
     full = FullWeights(pw.trunk_sq, branches)
@@ -654,17 +634,17 @@ def solve_che(pw: PartialWeights, K="auto") -> SolveOutcome:
     if any(not t > 1 for cls in pw.classes for t in cls.tail_sq):
         raise PreconditionError("tail weights must exceed 1 for the non-flat solver")
     wins = [_limit_window(_given_che_window(cls)) for cls in pw.classes]
-    vectors = _two_k_vectors(_HALF_OPS, wins, K, p + kappa)
+    vectors = _two_k_vectors(HalfOpen(), wins, K, p + kappa)
     if isinstance(vectors, SolveOutcome):
         return vectors
     targets = _che_targets(pw)
     if any(t < 0 for t in targets):
         return SolveOutcome(SolveStatus.INFEASIBLE, reason="a trunk target is negative")
-    return _solve_vectors(_HALF_OPS, pw, wins, vectors, p - 1, targets, _che_certificate)
+    return _solve_vectors(HalfOpen(), pw, wins, vectors, p - 1, targets, _che_certificate)
 
 
 def _che_certificate(pw: PartialWeights, two_ks, vec, windows) -> SolveOutcome:
-    sequences, measures = _branch_measures(_HALF_OPS, pw, two_ks, windows)
+    sequences, measures = _branch_measures(HalfOpen(), pw, two_ks, windows)
     taus = tuple(CAMeasure(0, mu) for mu in measures)
     branches = [FullBranch(cls.first_mass, GeometricSumTail(cls.tail_sq, tau), cls.count)
                 for cls, tau in zip(pw.classes, taus)]

@@ -48,7 +48,7 @@ from .numeric import Polynomial, Scalar, _to_float, associated
 from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _Window,
                          _classify_limit, _limit_window, _odd_half_open, _values,
                          classify_compact, classify_ray)
-from .principal import PrincipalKind, _principal_measure, _principal_poly
+from .principal import PrincipalKind, _atom_poly, _principal_measure
 
 @dataclass(frozen=True)
 class ExtremalBounds:
@@ -77,9 +77,9 @@ def reciprocal_value_from_poly(poly: Polynomial, values: Sequence[Scalar]) -> Sc
 def _principal_values(w: _Window, a, b) -> list:
     """(reciprocal value, kind) of the lower and the upper principal measure
     on [a, b] of the window w, in that order; each value is kept on w beside
-    its polynomial (`principal._principal_poly`)."""
+    its polynomial (`principal._atom_ints`)."""
     return [(w.kept((a, b, kind, "value"), lambda: reciprocal_value_from_poly(
-        _principal_poly(w, a, b, kind), w.values)), kind) for kind in PrincipalKind]
+        _atom_poly(w, (a, b, kind)), w.values)), kind) for kind in PrincipalKind]
 
 
 def compact_reciprocal_values(values, a, b):

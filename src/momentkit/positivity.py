@@ -168,7 +168,7 @@ class _Window:
     window's own entries: it keeps F's class and every sign of its pass,
     and every reader that turns a pass into a number divides lam back out
     (`_support_poly`, `_determinate_poly`, `extremal._schur_threshold`,
-    `extremal._schur_quadratic`, `principal._bordered_image`, `_entries`).
+    `extremal._schur_quadratic`, `principal._bordered_ints`, `_entries`).
     The pass over H(s) that `_support_poly` reads and the pass over the
     form that holds a prepended value (`slot_pass`) are kept, so a call
     eliminates each at most once.

@@ -4,15 +4,19 @@ A strictly positive sequence on [a, b] has exactly two representing measures
 of minimal index.  Their atoms are the roots of bordered-Hankel polynomials,
 det H_m (t^m - sum c_j t^j) with H_m c = (s_m, ..., s_(2m-1)) for the window
 or one of its transforms, read from one leading-minor pass of H_m and one
-back substitution (Curto and Fialkow, Houston J. Math. 17 (1991)).  Their
-masses are Gauss-Christoffel weights q(x)/p'(x), q the associated polynomial,
-on one integer image of the atoms and the window (`_lagrange_image`; float
-input through `numeric.vandermonde_masses`).  On (0, inf) the
-odd-length case has a unique minimal measure (the same polynomial,
-interval-independent); the even-length case is a one-parameter family
-exposed as a lazy handle.  On (0, 1] the minimal measure is unique in both
-parities.  A measure built here on an exact window keeps the integer image
-its masses were read on, for its moments and its tilts.
+back substitution (Curto and Fialkow, Houston J. Math. 17 (1991)), times
+the factor of the ends among the atoms, all built in one place on the
+window's integer image and kept on it (`_atom_ints`; `bordered_hankel_poly`,
+`atom_polynomial` and `principal_polynomial` are views of it).  Their
+masses are Gauss-Christoffel weights q(x)/p'(x), q the associated
+polynomial, on one integer image of the atoms and the window
+(`_window_measure`; float input through `numeric.vandermonde_masses`),
+which a measure of an exact window keeps for its moments and its tilts.  On
+(0, inf) the odd-length case has a unique minimal measure (the same
+polynomial, interval-independent); the even-length case is a one-parameter
+family exposed as a lazy handle.  On (0, 1] the minimal measure is unique
+in both parities: the lower (even length) or upper (odd length) principal
+measure on [0, 1].
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from typing import Optional, Sequence
 from .errors import DegenerateInput, InsufficientMoments, NotStrictlyPositive
 from .measure import AtomicMeasure, _AtomImage, _imaged
 from .numeric import (HankelImage, Polynomial, Scalar, _integer_scale, _isolate, _lagrange_masses,
-                      _minor_pass, _pass_bordered, _to_float, root_enclosures, root_precision,
-                      vandermonde_masses)
+                      _minor_pass, _pass_bordered, _to_float, as_fraction, root_enclosures,
+                      root_precision, vandermonde_masses)
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit, _limit_window,
                          _support_measure, _values, classify_compact, classify_half_open)
 
@@ -47,29 +51,13 @@ def bordered_hankel_poly(window: Sequence[Scalar]) -> Polynomial:
     """det of the Hankel block H_m of a length-2m window bordered by the
     row (s_m, ..., s_(2m-1), t^m) and the column (1, t, ..., t^m); degree
     m.  H_m must be positive definite, as it is for every strictly positive
-    window, else DegenerateInput.  See `_bordered_image`."""
-    window = tuple(window)
-    if len(window) % 2 != 0 or not window:
-        raise DegenerateInput("bordered layout needs an even, nonempty window")
-    w = _Window.of(window)
-    return _bordered_image(HankelImage(w.ints, w.unit), w.floats, w.lam,
-                           None if w.floats else w.support_pass())
-
-
-def _bordered_image(form: HankelImage, floats: bool, lam: int, minor_pass=None) -> Polynomial:
-    """`bordered_hankel_poly` of a window of 2m entries given by its
-    integer image over a window dilated by lam (`ints[k]` = `unit` lam^k
-    times entry k, see `positivity._Window`): `_bordered_ints` as
-    `Fraction`s, rounded for float input; the constant 1 for the empty
-    window."""
-    ints, num, den = _bordered_ints(form, lam, minor_pass)
-    coeffs = [Fraction(x * num, den) for x in ints]
-    return Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
+    window, else DegenerateInput.  A view of `_atom_ints`."""
+    return _atom_poly(_Window.of(window), Ray())
 
 
 def _bordered_ints(form: HankelImage, lam: int, minor_pass: Optional[tuple] = None) -> tuple:
     """(ints, num, den): the bordered-Hankel polynomial of the form is
-    num / den > 0 times the integers `ints`.
+    num / den > 0 times the integers `ints`; [1] for the empty form.
 
     The polynomial is det H_m (t^m - sum c_j t^j) with
     H_m c = (s_m, ..., s_(2m-1)), det H_m times the monic support
@@ -91,28 +79,67 @@ def _bordered_ints(form: HankelImage, lam: int, minor_pass: Optional[tuple] = No
     return _pass_bordered(a, m, form.unit, lam)
 
 
+def _atom_ints(w: _Window, where) -> tuple:
+    """(ints, num, den, rest): the atom polynomial of the measure `where` of
+    the window w (`Ray()` or `HalfOpen()` for the minimal one, (a, b, kind)
+    for a principal one) is num / den > 0 times `ints` times `rest`; kept on
+    w.  It is the `_bordered_ints` of H(s), from the kept `support_pass` of
+    an exact window (even length: on the ray, lower), or of a transform
+    times the end factor: the interior form times (t - a)(b - t) (even,
+    upper), s_(k+1) - a s_k times t - a (odd, lower), b s_k - s_(k+1) times
+    b - t (odd, upper; on (0, 1] at b = 1).  An exact window has the factor
+    multiplied in on integers and `rest` (), a float window in `rest`, which
+    `_atom_poly` multiplies into the rounded bordered part.  H(s) of an
+    odd-length or empty window raises DegenerateInput."""
+    even = len(w.ints) % 2 == 0
+    if isinstance(where, HalfOpen) and not even:
+        where = (0, 1, PrincipalKind.UPPER)
+    elif not isinstance(where, tuple) or (even and where[2] is PrincipalKind.LOWER):
+        where = None  # H(s)
+
+    def make():
+        a, b, kind = where or (None, None, None)
+        if where is None:
+            if not even or not w.ints:
+                raise DegenerateInput("bordered layout needs an even, nonempty window")
+            form, factor = w.hankel(), ()
+        elif even:
+            form, factor = w.interior(a, b).hankel(), (-a * b, a + b, -1)
+        elif kind is PrincipalKind.LOWER:
+            form, factor = w.lower(a), (-a, 1)
+        else:
+            form, factor = w.upper(b), (b, -1)
+        ints, num, den = _bordered_ints(form, w.lam, None if w.floats or factor
+                                        else w.support_pass())
+        if w.floats or not factor:
+            return ints, num, den, factor
+        scaled, scale = _integer_scale(factor)
+        product = [0] * (len(ints) + len(scaled) - 1)
+        for i, x in enumerate(ints):
+            for j, y in enumerate(scaled):
+                product[i + j] += x * y
+        return product, num, den * scale, ()
+    return w.kept(("atoms", where), make)
+
+
+def _atom_poly(w: _Window, where) -> Polynomial:
+    """`_atom_ints` as a `Polynomial`; on a float window the bordered part is
+    rounded first, then the end factor multiplied in."""
+    ints, num, den, rest = _atom_ints(w, where)
+    coeffs = [Fraction(x * num, den) for x in ints]
+    if not w.floats:
+        return Polynomial(coeffs)
+    poly = Polynomial([_to_float(c) for c in coeffs])
+    return poly.mul(Polynomial(rest)) if rest else poly
+
+
 def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
     """Atom polynomial of the minimal measure of a strictly positive window
-    on the ray or on (0, 1]: the bordered-Hankel polynomial of an
-    even-length window, and on (0, 1] for odd length (1 - t) times that of
-    the differences s_k - s_(k+1), whose measure carries the atom 1.  A
-    window that is not strictly positive may raise DegenerateInput (see
-    `_bordered_image`)."""
-    window = list(window)
-    if isinstance(domain, Ray) or len(window) % 2 == 0:
-        return bordered_hankel_poly(window)
-    w = _Window.of(window)
-    return _bordered_image(w.upper(1), w.floats, w.lam).mul_linear(1, -1)
-
-
-def _atom_ints(w: _Window, domain) -> tuple:
-    """`atom_polynomial` of an exact window (even on the ray) as
-    `_bordered_ints` of its image `w`, times 1 - t for an odd window on
-    (0, 1]: the polynomial is num / den > 0 times `ints`."""
-    if isinstance(domain, Ray) or len(w.ints) % 2 == 0:
-        return _bordered_ints(w.hankel(), w.lam)
-    ints, num, den = _bordered_ints(w.upper(1), w.lam)
-    return [x - y for x, y in zip(ints + [0], [0] + ints)], num, den
+    on the ray or on (0, 1] (`_atom_ints`): on (0, 1] for odd length (1 - t)
+    times the bordered-Hankel polynomial of the differences s_k - s_(k+1),
+    whose measure carries the atom 1, else that of the window.  A window
+    that is not strictly positive may raise DegenerateInput."""
+    return _atom_poly(_Window.of(window), domain)
 
 
 def root_bound(poly: Polynomial) -> Fraction:
@@ -240,16 +267,20 @@ def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
                                        None if w.floats else (w.ints, w.unit, w.lam)))
 
 
-def _window_measure(ints: list, w: _Window, domain) -> AtomicMeasure:
-    """`measure_from_poly` of the polynomial with integer coefficients
-    `ints` (`_atom_ints`) and the exact window of image `w`, on [0, 1] or on
-    [0, 1 + max |c_j| / |c_d|] (Cauchy's bound, read off the integers): the
-    roots are isolated on `ints` and the masses read on `w`, with no
-    `Fraction` polynomial built and no second scaling of the window."""
-    lead = abs(ints[-1])
-    hi = Fraction(1) if isinstance(domain, HalfOpen) else Fraction(lead + max(map(abs, ints)), lead)
-    return _carrying(*_atoms_and_image(_isolate(ints, Fraction(0), hi), len(ints) - 1, w.values,
-                                       (w.ints, w.unit, w.lam)))
+def _window_measure(w: _Window, where, lo: Scalar, hi: Optional[Scalar]) -> AtomicMeasure:
+    """The measure of the roots in [lo, hi] of the atom polynomial
+    `_atom_ints` of the window w, hi None for Cauchy's bound (`root_bound`):
+    on an exact window isolated on the integers, its masses read on w's
+    image, with no `Fraction` polynomial built and no second scaling; a
+    float window's on its rounded `_atom_poly`."""
+    if w.floats:
+        poly = _atom_poly(w, where)
+        enclosures = root_enclosures(poly, lo, root_bound(poly) if hi is None else hi)
+        return _carrying(*_atoms_and_image(enclosures, poly.degree, w.values))
+    ints = _atom_ints(w, where)[0]
+    hi = 1 + Fraction(max(map(abs, ints)), abs(ints[-1])) if hi is None else as_fraction(hi)
+    return _carrying(*_atoms_and_image(_isolate(ints, as_fraction(lo), hi), len(ints) - 1,
+                                       w.values, (w.ints, w.unit, w.lam)))
 
 
 def _carrying(pairs: list, image, exact: bool) -> AtomicMeasure:
@@ -265,19 +296,9 @@ def principal_polynomial(values, a: Scalar, b: Scalar,
 
     Valid for any a < b (the Hankel transforms do not need a > 0).  No
     positivity gating happens here, but the window must be strictly positive
-    on [a, b]: its bordered-Hankel polynomial (`_bordered_image`) needs a
-    positive definite leading block and raises DegenerateInput otherwise.
-    """
-    values = _values(values)
-    if len(values) % 2 == 0 and kind is PrincipalKind.LOWER:
-        return bordered_hankel_poly(values)
-    w = _Window.of(values, None, (a, b))
-    if len(values) % 2 == 0:  # (t - a)(b - t) times the interior polynomial
-        inner = w.interior(a, b).hankel()
-        return _bordered_image(inner, w.floats, w.lam).mul(Polynomial([-a * b, a + b, -1]))
-    if kind is PrincipalKind.LOWER:
-        return _bordered_image(w.lower(a), w.floats, w.lam).mul_linear(-a, 1)
-    return _bordered_image(w.upper(b), w.floats, w.lam).mul_linear(b, -1)
+    on [a, b]: its bordered-Hankel polynomial (`_atom_ints`) needs a positive
+    definite leading block and raises DegenerateInput otherwise."""
+    return _atom_poly(_Window.of(_values(values), None, (a, b)), (a, b, kind))
 
 
 def principal_compact(s, a: Scalar, b: Scalar, kind: PrincipalKind) -> AtomicMeasure:
@@ -291,15 +312,9 @@ def principal_compact(s, a: Scalar, b: Scalar, kind: PrincipalKind) -> AtomicMea
     return _principal_measure(_Window.of(values, None, (a, b)), a, b, kind)
 
 
-def _principal_poly(w: _Window, a: Scalar, b: Scalar, kind: PrincipalKind) -> Polynomial:
-    """`principal_polynomial` of the window w, kept on w per interval and kind."""
-    return w.kept((a, b, kind), lambda: principal_polynomial(w.values, a, b, kind))
-
-
 def _principal_measure(w: _Window, a: Scalar, b: Scalar, kind: PrincipalKind) -> AtomicMeasure:
-    """The principal measure of `_principal_poly`, kept on w beside it."""
-    return w.kept((a, b, kind, "measure"),
-                  lambda: measure_from_poly(_principal_poly(w, a, b, kind), w.values, a, b))
+    """The principal measure of the window w on [a, b], kept on w."""
+    return w.kept((a, b, kind, "measure"), lambda: _window_measure(w, (a, b, kind), a, b))
 
 
 @dataclass
@@ -325,9 +340,9 @@ class MinimalRayFamily:
 
 def minimal_measure_ray(s):
     """Minimal-support measure on (0, inf): the unique one for odd top
-    degree, whose atom polynomial `bordered_hankel_poly` reads from the pass
-    over H(s) that classified the window, at full rank (`_minimal`), a
-    MinimalRayFamily handle for even top degree."""
+    degree, whose atom polynomial is read from the pass over H(s) that
+    classified the window, at full rank (`_minimal`), a MinimalRayFamily
+    handle for even top degree."""
     values = _values(s)
     w = _limit_window(values)
     if _classify_limit(w, Ray()).kind is not PositivityClass.STRICTLY_POSITIVE:
@@ -335,7 +350,7 @@ def minimal_measure_ray(s):
     n = len(values) - 1
     if n % 2 == 0:
         return MinimalRayFamily(values)
-    return _minimal(w, Ray())[1]
+    return _minimal(w, Ray())
 
 
 def minimal_measure_half_open(s) -> AtomicMeasure:
@@ -349,13 +364,11 @@ def minimal_measure_half_open(s) -> AtomicMeasure:
         raise NotStrictlyPositive("sequence is not positive on (0, 1]")
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
         return _support_measure(verdict.support, values, HalfOpen())
-    return _minimal(_Window.of(values), HalfOpen())[1]
+    return _minimal(_Window.of(values), HalfOpen())
 
 
-def _minimal(w: _Window, domain) -> tuple:
-    """(`atom_polynomial`, measure) of the minimal measure of a strictly
-    positive window w on the ray (odd n) or on (0, 1], kept on w per domain."""
-    def make():
-        poly = atom_polynomial(w.values, domain)
-        return poly, _support_measure(poly, w.values, domain)
-    return w.kept(("minimal", type(domain)), make)
+def _minimal(w: _Window, domain) -> AtomicMeasure:
+    """The minimal measure of a strictly positive window w on the ray (odd
+    n) or on (0, 1], kept on w per domain."""
+    hi = Fraction(1) if isinstance(domain, HalfOpen) else None
+    return w.kept(("minimal", type(domain)), lambda: _window_measure(w, domain, Fraction(0), hi))

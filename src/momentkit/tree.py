@@ -25,7 +25,8 @@ of two integer numerators, e.g. G_n / (Q G_(n-1)), and the JSON weight rows
 print each reduced by one gcd.  Float measures and first masses are read
 the same way, on their binary-exact images (`measure._Row.of`), and the
 float band is applied where a float row or target is compared (`_holds`,
-`_meets`); a value that is not finite fails its identity.
+`_meets`); a value that is not finite fails its identity, and a first mass
+that is not positive its own (`_check_counts`).
 """
 
 from __future__ import annotations
@@ -399,10 +400,13 @@ def _positive_on(mu, domain) -> bool:
 
 
 def _check_counts(w: FullWeights, measures):
+    """One measure per branch class, at least one, each of positive first mass."""
     if not w.classes:
         raise CertificateInvalid("a certificate needs at least one branch class")
     if len(measures) != len(w.classes):
         raise CertificateInvalid("one measure per branch class is required")
+    for idx, cls in enumerate(w.classes, start=1):
+        _check(cls.first_mass > 0, f"branch {idx}: first mass is positive")
 
 
 def _check_branches(w: FullWeights, measures, depth: int, domain, where: str,

@@ -56,7 +56,10 @@ infimum or extremes, minimal or principal measure, backward extensions, the
 completely alternating extension) scales the window once, masses included,
 runs one pass over its H(s), eliminates no form twice and isolates the roots
 of each measure once: the measures recovered from a held window are kept on
-it, and the backward extension at its threshold reads the minimal one.
+it, and the backward extension at its threshold reads the minimal one.  A
+minimal or principal measure of a held window is read on the integers of its
+atom polynomial and on the held image, so it builds no `Fraction` polynomial
+and no window of its own.
 """
 
 import json
@@ -70,7 +73,8 @@ import momentkit.completion as completion
 import momentkit.measure as measure
 import momentkit.numeric as numeric
 from momentkit.alternating import has_ca_extension
-from momentkit.backward import ExtensionClass, classify_backward, forced_value
+from momentkit.backward import (ExtensionClass, classify_backward, forced_value,
+                                minimal_measure_window)
 from momentkit.cli import run
 from momentkit.extremal import (reciprocal_extremes_compact, reciprocal_inf_half_open,
                                 reciprocal_inf_ray)
@@ -153,25 +157,24 @@ def test_strict_infimum_is_one_pass_after_classification(calls, mu, inf):
     assert _counts(calls) == ((0 if inf is reciprocal_inf_ray else 1), 2, 0, 0)
 
 
-@pytest.mark.parametrize("ops, mu", [(completion._RAY_OPS, RAY_MU),
-                                     (completion._HALF_OPS, UNIT_MU)])
-def test_search_reads_each_level_value_from_one_pass(calls, ops, mu):
+@pytest.mark.parametrize("domain, mu", [(Ray(), RAY_MU), (HalfOpen(), UNIT_MU)])
+def test_search_reads_each_level_value_from_one_pass(calls, domain, mu):
     window = tuple(_window(mu, 3))
-    w, table = positivity._Window.of(window), completion._LevelValues(ops)
+    w, table = positivity._Window.of(window), completion._LevelValues(domain)
     theta = table.threshold(w)
     assert _counts(calls) == (0, 1, 0, 0)
     calls.clear()
-    forced = ops.threshold(positivity._Window.of(window[:2]))
+    forced = completion._threshold(positivity._Window.of(window[:2]), domain)
     assert _counts(calls) == (0, 1, 0, 0)
     calls.clear()
     assert table.threshold(w.prefix(2)) == forced
     assert _counts(calls) == (0, 1, 0, 0)
-    assert theta == mu.moment(-1) and forced == forced_value(window[:2], ops.domain)
+    assert theta == mu.moment(-1) and forced == forced_value(window[:2], domain)
     for rest in (w, w.prefix(2)):
         calls.clear()
         a, b, c = table.quadratic(rest, theta)
         assert _counts(calls) == (0, 1, 0, 0)
-        assert a + b + c == ops.threshold(rest.prepended(theta + 1))
+        assert a + b + c == completion._threshold(rest.prepended(theta + 1), domain)
     # read again, every value comes from the solve's table
     calls.clear()
     assert table.threshold(w) == theta and table.threshold(w.prefix(2)) == forced
@@ -179,17 +182,17 @@ def test_search_reads_each_level_value_from_one_pass(calls, ops, mu):
     assert _counts(calls) == (0, 0, 0, 0)
 
 
-#: two-class "auto" solves that search several 2K vectors: (solver, ops,
+#: two-class "auto" solves that search several 2K vectors: (solver, domain,
 #: trunk squares, first-weight masses, tails); the "singular" ones have a
 #: class whose given window is a one-atom window, forced at level 0
 SWEEPS = {
-    "subnormal": (completion.solve_subnormal, completion._RAY_OPS, (F(280, 139), F(417, 346)),
+    "subnormal": (completion.solve_subnormal, Ray(), (F(280, 139), F(417, 346)),
                   (F(5, 14), F(17, 12)), ((F(20, 9),), (F(2),))),
-    "subnormal-singular": (completion.solve_subnormal, completion._RAY_OPS, (F(1, 10), F(1, 10)),
+    "subnormal-singular": (completion.solve_subnormal, Ray(), (F(1, 10), F(1, 10)),
                            (F(1, 2), F(1, 2)), ((F(2), F(2)), (F(3), F(7, 2)))),
-    "che": (completion.solve_che, completion._HALF_OPS, (F(457, 411), F(5343, 3190)),
+    "che": (completion.solve_che, HalfOpen(), (F(457, 411), F(5343, 3190)),
             (F(256, 457), F(224, 457)), ((F(33, 32),), (F(65, 64),))),
-    "che-singular": (completion.solve_che, completion._HALF_OPS, (F(3, 2), F(2)),
+    "che-singular": (completion.solve_che, HalfOpen(), (F(3, 2), F(2)),
                      (F(1), F(1, 2)), ((F(2), F(5, 4), F(11, 10)), (F(2), F(19, 16), F(81, 76)))),
 }
 
@@ -200,19 +203,15 @@ def _counted_solve(monkeypatch, case):
     quadratic, the windows `_Window.of` builds inside the search, and the
     verdicts per window; with the givens and each searched vector's
     2K - 1."""
-    solve, ops, trunk_sq, masses, tails = SWEEPS[case]
+    solve, domain, trunk_sq, masses, tails = SWEEPS[case]
     pw = PartialWeights(trunk_sq, [BranchClass(m, tail, 1) for m, tail in zip(masses, tails)])
-    window = (completion._given_subnormal_window if ops is completion._RAY_OPS
+    window = (completion._given_subnormal_window if isinstance(domain, Ray)
               else completion._given_che_window)
     givens = [window(c) for c in pw.classes]
     counts = {name: Counter() for name in ("classified", "thresholds", "quadratics", "of")}
     searched, levels = [], []
-    classify, limit, search = ops.classify, completion._classify_limit, completion._search_levels
+    limit, search = completion._classify_limit, completion._search_levels
     of = positivity._Window.of.__func__
-
-    def counted_classify(seq, *args, **kwargs):
-        counts["classified"][tuple(seq)] += 1
-        return classify(seq, *args, **kwargs)
 
     def counted_limit(w, *args, **kwargs):  # a verdict read on an image
         counts["classified"][tuple(w.values)] += 1
@@ -237,7 +236,6 @@ def _counted_solve(monkeypatch, case):
         finally:
             levels.pop()
 
-    monkeypatch.setattr(ops, "classify", counted_classify)
     monkeypatch.setattr(completion, "_classify_limit", counted_limit)
     for name, fn in (("thresholds", "_schur_threshold"), ("quadratics", "_schur_quadratic")):
         monkeypatch.setattr(completion, fn, counted(name, getattr(completion, fn)))
@@ -251,7 +249,7 @@ def _counted_solve(monkeypatch, case):
 def test_sweep_reads_one_verdict_and_each_level_zero_value_once(monkeypatch, case):
     givens, searched, counts = _counted_solve(monkeypatch, case)
     classified, thresholds = counts["classified"], counts["thresholds"]
-    classify = SWEEPS[case][1].classify
+    domain = SWEEPS[case][1]
     assert len(searched) >= 2
     slices = {g[i:j] for g in givens for i in range(len(g)) for j in range(i + 1, len(g) + 1)}
     for given in givens:
@@ -259,7 +257,7 @@ def test_sweep_reads_one_verdict_and_each_level_zero_value_once(monkeypatch, cas
         # checked once by `_branch_k_compatible`, which classifies each of
         # its sub-windows once, the window of the last 2K entries included
         assert classified[given] == 1
-        if not classify(given).is_strict:
+        if not classify(given, domain).is_strict:
             assert max(n for w, n in classified.items() if w in slices and w != given) <= 1
         # each level-0 value (a free slot's threshold of the whole window, a
         # forced slot's of its first 2K entries) once per solve, however
@@ -539,6 +537,56 @@ def test_dilated_windows_keep_the_budgets_and_decide_lam_once(calls, windows, ca
     # interior windows inherit theirs, and no pass dilates again
     assert _counts(calls) == budget
     assert windows["dilations"] == windows["windows"] > 0
+
+
+LOWER, UPPER = PrincipalKind.LOWER, PrincipalKind.UPPER
+
+#: (measure call, domain, window, windows of its own): the minimal and
+#: principal measures of exact windows of both parities, a dilated one
+#: included; the public call's own `_Window.of` calls are its verdict's and,
+#: on (0, 1] and [a, b], the one it reads the measure from
+HELD_MEASURES = {
+    "ray": (minimal_measure_ray, Ray(), _window(RAY_MU, 3), 1),
+    "ray-dilated": (minimal_measure_ray, Ray(), _window(LONG_RAY_MU, 7), 1),
+    "half-open": (minimal_measure_half_open, HalfOpen(), _window(UNIT_MU, 3), 2),
+    "half-open-odd-length": (minimal_measure_half_open, HalfOpen(), _window(UNIT_MU, 2), 2),
+    "half-open-window": (lambda w: minimal_measure_window(w, HalfOpen()), HalfOpen(),
+                         _window(LONG_UNIT_MU, 7), 1),
+    "compact-lower": (lambda w: principal_compact(w, 1, 4, LOWER), Compact(1, 4),
+                      _window(COMPACT_MU, 5), 2),
+    "compact-upper": (lambda w: principal_compact(w, 1, 4, UPPER), Compact(1, 4),
+                      _window(COMPACT_MU, 5), 2),
+    "compact-lower-odd-length": (lambda w: principal_compact(w, 1, 4, LOWER), Compact(1, 4),
+                                 _window(COMPACT_MU, 4), 2),
+    "compact-upper-odd-length": (lambda w: principal_compact(w, 1, 4, UPPER), Compact(1, 4),
+                                 _window(COMPACT_MU, 4), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELD_MEASURES))
+def test_measures_of_a_held_window_build_no_polynomial_and_no_window(monkeypatch, case):
+    measure_of, domain, window, own = HELD_MEASURES[case]
+    assert classify(window, domain).is_strict  # the window is held from here on
+    counter = Counter()
+    of, init = positivity._Window.of.__func__, Polynomial.__init__
+
+    def counted_of(cls, *args, **kwargs):
+        counter["of"] += 1
+        return of(cls, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counter["Polynomial"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(positivity._Window, "of", classmethod(counted_of))
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
+    mu = measure_of(window)
+    # the roots are isolated on the integers of the atom polynomial and the
+    # masses read on the held image: no `Fraction` polynomial is built, and
+    # no window past the public call's own
+    assert counter["Polynomial"] == 0
+    assert counter["of"] == own
+    assert not mu.exact or list(moments(mu, 0, len(window) - 1).values) == window
 
 
 #: (atoms, domain, exact, start, length): certificate measures on both

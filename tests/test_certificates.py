@@ -605,6 +605,7 @@ def test_float_copies_of_the_certificates_verify_within_the_band():
 DELTA_2 = AtomicMeasure([(2, 1)])
 #: tau(-1) = 1/8 and tau(-2) = 1/4
 TAU = CAMeasure(0, AtomicMeasure([(F(1, 2), F(1, 16))]))
+NOT_POSITIVE = "branch 1: first mass is positive"
 
 
 def _one_class(kind, mass, trunk_sq):
@@ -627,15 +628,18 @@ def _one_class(kind, mass, trunk_sq):
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
 def test_a_first_mass_or_trunk_square_that_is_not_finite_fails(bad):
-    """A non-finite first mass fails trunk level 0, as every finite mass
-    but the one that meets it does; an infinite trunk square fails level 1
-    (on (0, 1] its bound, which every finite square of 7/5 or more meets).
-    A NaN square is refused when the weights are built."""
+    """An infinite first mass fails trunk level 0, as every finite mass but
+    the one that meets it does, and a NaN one is not positive; an infinite
+    trunk square fails level 1 (on (0, 1] its bound, which every finite
+    square of 7/5 or more meets).  A NaN square is refused when the weights
+    are built."""
     for kind, mass, square, name in (("subnormal", 2.0, 1.5, "reciprocal sum"),
                                      ("che", 8 / 7, 2.0, "expansion")):
         assert _one_class(kind, mass, square) is None
-        for wrong in (7.0, 1e300, bad):
+        for wrong in (7.0, 1e300):
             assert _one_class(kind, wrong, square) == f"trunk level 0: {name} equality"
+        assert _one_class(kind, bad, square) == (
+            f"trunk level 0: {name} equality" if bad == math.inf else NOT_POSITIVE)
         assert _one_class(kind, mass, 1e300) == (
             "trunk level 1: reciprocal sum bound" if kind == "subnormal" else None)
         if bad == math.inf:
@@ -646,7 +650,8 @@ def test_a_first_mass_or_trunk_square_that_is_not_finite_fails(bad):
     # trunk-free on (0, 1]: the root bound holds for every finite mass of 8/7 or more
     tail = GeometricSumTail([F(17, 16)], TAU)
     assert verify_che_certificate(FullWeights([], [FullBranch(1e300, tail, 1)]), [TAU])
-    with pytest.raises(CertificateInvalid, match="root level: expansion bound"):
+    with pytest.raises(CertificateInvalid, match="root level: expansion bound"
+                       if bad == math.inf else NOT_POSITIVE):
         verify_che_certificate(FullWeights([], [FullBranch(bad, tail, 1)]), [TAU])
 
 
@@ -659,7 +664,8 @@ def test_cli_float_verify_refuses_a_first_mass_or_trunk_square_that_is_not_finit
     assert code == 0 and payload["valid"]
     payload, code = _verify_run(tmp_path, dict(cert, weights_sq=[[bad, "2"]]), "float")
     assert code == 1 and payload["valid"] is False
-    assert payload["error"] == "violated: trunk level 0: reciprocal sum equality"
+    assert payload["error"] == ("violated: trunk level 0: reciprocal sum equality"
+                                if bad == "inf" else f"violated: {NOT_POSITIVE}")
     payload, code = _verify_run(tmp_path, dict(cert, trunk_sq=[bad]), "float")
     if bad == "inf":
         assert code == 1 and payload["error"] == "violated: trunk level 1: reciprocal sum bound"
@@ -676,7 +682,42 @@ def test_cli_float_verify_refuses_a_first_mass_or_trunk_square_that_is_not_finit
         assert code == 1 and payload["error"]["kind"] == "DegenerateInput"
     payload, code = _verify_run(tmp_path, dict(che, trunk_sq=[], weights_sq=[[bad, "17/16"]]),
                                 "float")
-    assert code == 1 and payload["error"] == "violated: root level: expansion bound"
+    assert code == 1 and payload["error"] == ("violated: root level: expansion bound"
+                                              if bad == "inf" else f"violated: {NOT_POSITIVE}")
+
+
+@pytest.mark.parametrize("mass", [-1, 0, -1.0, math.nan], ids=["-1", "0", "-1.0", "nan"])
+def test_a_first_mass_that_is_not_positive_fails(mass):
+    """Without a trunk each chain is one bound, which a first mass of 0 or
+    less can meet: delta_2 on the ray (the mass sum is at most 1 for every
+    mass up to 2), and delta_(1/2) on (0, 1] (1 + 2 m is at most m for
+    m <= -1).  Both verifiers refuse such a mass, and NaN, before any
+    identity reads it, in any class."""
+    half = CAMeasure(0, AtomicMeasure([(F(1, 2), 1)]))
+    for verify, good, bad in (
+            (verify_subnormal_certificate, (2, MeasureTail([2], DELTA_2), DELTA_2),
+             (mass, MeasureTail([2], DELTA_2), DELTA_2)),
+            (verify_che_certificate, (F(8, 7), GeometricSumTail([F(17, 16)], TAU), TAU),
+             (mass, GeometricSumTail([2], half), half))):
+        assert verify(FullWeights([], [FullBranch(good[0], good[1], 1)]), [good[2]])
+        with pytest.raises(CertificateInvalid, match=NOT_POSITIVE):
+            verify(FullWeights([], [FullBranch(bad[0], bad[1], 1)]), [bad[2]])
+        full = FullWeights([], [FullBranch(good[0], good[1], 1), FullBranch(bad[0], bad[1], 1)])
+        with pytest.raises(CertificateInvalid) as err:
+            verify(full, [good[2], bad[2]])
+        assert err.value.identity == "branch 2: first mass is positive"
+
+
+@pytest.mark.parametrize("arithmetic, mass", [
+    ("exact", "-1"), ("exact", "0"), ("exact", "-1.0"),
+    ("float", "-1"), ("float", "0"), ("float", "-1.0"), ("float", "nan")])
+def test_cli_verify_refuses_a_first_mass_that_is_not_positive(tmp_path, arithmetic, mass):
+    for kind, x in (("subnormal", "2"), ("che", "1/2")):
+        cert = {"kind": kind, "trunk_sq": [], "weights_sq": [[mass, "2"]],
+                "measures": [{"atoms": [{"x": x, "m": "1"}]}]}
+        payload, code = _verify_run(tmp_path, cert, arithmetic)
+        assert code == 1 and payload["valid"] is False
+        assert payload["error"] == f"violated: {NOT_POSITIVE}"
 
 
 def test_recurrence_measure_with_mass_at_zero_is_refused(tmp_path):

@@ -318,12 +318,12 @@ def test_subnormal_split_keeps_masses_and_norm_moderate():
 def test_programming_errors_propagate(monkeypatch):
     from momentkit import completion
 
-    def broken(self, *args):
+    def broken(*args):
         raise ZeroDivisionError("injected")
 
     # every threshold and forced value, in the search and in the atom-count
-    # checks, is read through `_DomainOps.threshold`
-    monkeypatch.setattr(completion._DomainOps, "threshold", broken)
+    # checks, is read through `_threshold`
+    monkeypatch.setattr(completion, "_threshold", broken)
     pw = PartialWeights([1], [BranchClass(1, (4,), 1), BranchClass(1, (4,), 1)])
     with pytest.raises(ZeroDivisionError):
         solve_subnormal(pw, K=(2, 2))

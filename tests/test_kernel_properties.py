@@ -45,8 +45,7 @@ import momentkit.numeric as numeric
 import momentkit.positivity as positivity
 from momentkit.alternating import CAMeasure, has_ca_extension
 from momentkit.backward import ExtensionClass, classify_backward, forced_value
-from momentkit.completion import (_HALF_OPS, _RAY_OPS, _LevelValues, _admissible_two_ks,
-                                  _branch_k_compatible)
+from momentkit.completion import _LevelValues, _admissible_two_ks, _branch_k_compatible
 from momentkit.extremal import (_schur_quadratic, _schur_threshold, reciprocal_inf_half_open,
                                 reciprocal_inf_ray, reciprocal_value_from_poly)
 from momentkit.measure import AtomicMeasure, MomentRecurrence, moments
@@ -61,7 +60,7 @@ from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Wind
                                   classify, classify_compact, compact_criterion_matrices, index,
                                   ray_limit_matrices, recover_minimal_measure,
                                   recover_support_and_masses)
-from momentkit.principal import (PrincipalKind, _bordered_image, atom_polynomial,
+from momentkit.principal import (PrincipalKind, _atom_ints, _bordered_ints, atom_polynomial,
                                  atoms_from_poly, bordered_hankel_poly,
                                  minimal_measure_half_open, minimal_measure_ray,
                                  principal_polynomial, root_bound)
@@ -552,7 +551,6 @@ def test_level_quadratic_matches_three_exact_samples(problem, step):
     exact samples, above the window's threshold, of the next threshold and
     of each forced value."""
     domain, window = problem
-    ops = _HALF_OPS if isinstance(domain, HalfOpen) else _RAY_OPS
     inf = reciprocal_inf_half_open if isinstance(domain, HalfOpen) else reciprocal_inf_ray
     theta = inf(window)
     xs = [theta + j * step for j in (1, 2, 3)]
@@ -561,7 +559,7 @@ def test_level_quadratic_matches_three_exact_samples(problem, step):
     cases += [(window[:two_k - 1], [forced_value(((x,) + window)[:two_k], domain) for x in xs])
               for two_k in lengths]
     for rest, samples in cases:
-        a, b, c = _LevelValues(ops).quadratic(_Window.of(rest), theta)
+        a, b, c = _LevelValues(domain).quadratic(_Window.of(rest), theta)
         assert [(a * x + b) * x + c for x in (step, 2 * step, 3 * step)] == samples
 
 
@@ -569,32 +567,32 @@ def test_level_quadratic_matches_three_exact_samples(problem, step):
 # the admissible atom counts of a given branch window
 # --------------------------------------------------------------------------
 
-def _admissible(rule, ops, given):
+def _admissible(rule, domain, given):
     """The 2K in 1..top + 3 (even on the ray) that `rule` admits for the
     given window, or the type and message of the error it raises."""
-    step = 2 if ops is _RAY_OPS else 1
+    step = 2 if isinstance(domain, Ray) else 1
     candidates = range(step, len(given) + 3, step)
     try:
         # the one verdict is read on the image of the given window, which
         # refuses what the domain's classify refuses
-        return rule(ops, _limit_window(given) if rule is _admissible_two_ks else tuple(given),
+        return rule(domain, _limit_window(given) if rule is _admissible_two_ks else tuple(given),
                     candidates)
     except MomentKitError as exc:
         return type(exc), str(exc)
 
 
-def _per_two_k(ops, given, candidates):
+def _per_two_k(domain, given, candidates):
     """The reference: one `_branch_k_compatible` check per 2K."""
-    return [two_k for two_k in candidates if _branch_k_compatible(ops, given, two_k - 1)]
+    return [two_k for two_k in candidates if _branch_k_compatible(domain, given, two_k - 1)]
 
 
-@pytest.mark.parametrize("ops", [_RAY_OPS, _HALF_OPS])
-def test_one_verdict_admits_what_every_per_two_k_check_admits_on_small_windows(ops):
+@pytest.mark.parametrize("domain", [Ray(), HalfOpen()])
+def test_one_verdict_admits_what_every_per_two_k_check_admits_on_small_windows(domain):
     for n in range(1, 6):
         for given in itertools.product(range(1, 5), repeat=n):
             given = tuple(F(v) for v in given)
-            assert _admissible(_admissible_two_ks, ops, given) == \
-                _admissible(_per_two_k, ops, given), given
+            assert _admissible(_admissible_two_ks, domain, given) == \
+                _admissible(_per_two_k, domain, given), given
 
 
 @st.composite
@@ -615,7 +613,7 @@ def planted_given_windows(draw):
     if draw(st.integers(0, 9)) < 3:
         window[draw(st.integers(0, len(window) - 1))] += draw(st.sampled_from((F(1, 7),
                                                                                F(-1, 7))))
-    return (_HALF_OPS if half_open else _RAY_OPS), tuple(window)
+    return (HalfOpen() if half_open else Ray()), tuple(window)
 
 
 @given(planted_given_windows())
@@ -623,8 +621,8 @@ def test_one_verdict_admits_what_every_per_two_k_check_admits_on_planted_windows
     """A strict window admits every 2K >= top + 1, a singular one twice its
     index when its own check passes, one that is not positive none: the
     same lists, and the same errors, as one check per 2K."""
-    ops, given = problem
-    assert _admissible(_admissible_two_ks, ops, given) == _admissible(_per_two_k, ops, given)
+    domain, given = problem
+    assert _admissible(_admissible_two_ks, domain, given) == _admissible(_per_two_k, domain, given)
 
 
 # --------------------------------------------------------------------------
@@ -706,6 +704,15 @@ def planted_bordered_windows(draw):
     return a, b, list(moments(mu, 0, length - 1).values)
 
 
+def _bordered_poly(form, lam, floats):
+    """The bordered-Hankel polynomial of a form of a window dilated by lam,
+    read from `principal._bordered_ints`: its coefficients, rounded once for
+    a float window."""
+    ints, num, den = _bordered_ints(form, lam)
+    coeffs = [F(x * num, den) for x in ints]
+    return Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
+
+
 def _even_forms(w, a, b):
     """The transforms of a `_Window` on [a, b] that have an even number of
     entries."""
@@ -716,7 +723,7 @@ def _even_forms(w, a, b):
 
 @given(planted_bordered_windows())
 def test_bordered_polynomials_are_the_bordered_determinants(problem):
-    """`bordered_hankel_poly` and `_bordered_image`, one full-rank minor pass
+    """`bordered_hankel_poly` and `_bordered_ints`, one full-rank minor pass
     and a back substitution, equal `det_poly` of the bordered layout, for
     exact windows and, rounded once, on the binary-exact image of floats."""
     a, b, window = problem
@@ -736,7 +743,66 @@ def test_bordered_polynomials_are_the_bordered_determinants(problem):
             want = det_poly(_bordered_layout(entries))
             if floats:
                 want = Polynomial([_to_float(c) for c in want.coeffs])
-            assert _bordered_image(form, floats, w.lam) == want
+            assert _bordered_poly(form, w.lam, floats) == want
+
+
+def _form_and_factor(where, s):
+    """The entries of the form whose bordered determinant the atom
+    polynomial of `where` (see `principal._atom_ints`) reads from the window
+    s, and the coefficients of its end factor, () for none."""
+    n = len(s) - 1
+    if not isinstance(where, tuple):  # minimal on the ray (odd n) or on (0, 1]
+        return (s, ()) if n % 2 else ([s[k] - s[k + 1] for k in range(n)], (1, -1))
+    a, b, kind = where
+    if n % 2:
+        return (s, ()) if kind is PrincipalKind.LOWER else (
+            [(a + b) * s[k + 1] - a * b * s[k] - s[k + 2] for k in range(n - 1)],
+            (-a * b, a + b, -1))
+    if kind is PrincipalKind.LOWER:
+        return [s[k + 1] - a * s[k] for k in range(n)], (-a, 1)
+    return [b * s[k] - s[k + 1] for k in range(n)], (b, -1)
+
+
+@given(planted_bordered_windows())
+def test_every_atom_polynomial_is_a_bordered_determinant_times_its_end_factor(problem):
+    """`_atom_ints`, the one function that builds the atom polynomials of
+    the minimal measures on the ray and on (0, 1] (both parities) and of the
+    lower and upper principal measures on [a, b] (both parities), is
+    `det_poly` of the bordered layout of its form times the end factor:
+    exactly on an exact window, on whose integers the factor is multiplied
+    in; on a float window it is the bordered part on the binary-exact image,
+    which its views round before they multiply the factor in.  On (0, 1]
+    the window is that of the measure carried into (0, 1/4] by t -> t / 2b."""
+    a, b, window = problem
+    half = [x / (2 * b) ** k for k, x in enumerate(window)]
+    cases = [(HalfOpen(), half), ((a, b, PrincipalKind.LOWER), window),
+             ((a, b, PrincipalKind.UPPER), window)]
+    cases += [(Ray(), window)] if len(window) % 2 == 0 else []
+    for (where, values), floats in itertools.product(cases, (False, True)):
+        data = [float(v) for v in values] if floats else values
+        form, factor = _form_and_factor(where, [as_fraction(v) for v in data])
+        w = _Window.of(data)
+        if classify_form(form[:-1]) is not FormClass.POSITIVE_DEFINITE:
+            # H(s) of 2m + 2 entries may show more than the atoms, and
+            # rounding may leave a float image singular
+            with pytest.raises(DegenerateInput):
+                _atom_ints(w, where)
+            continue
+        bordered = det_poly(_bordered_layout(form))
+        ints, num, den, rest = _atom_ints(w, where)
+        got = Polynomial([F(x * num, den) for x in ints])
+        if floats:
+            assert got == bordered and rest == factor
+            want = Polynomial([_to_float(c) for c in bordered.coeffs])
+        else:
+            assert rest == ()
+            want = bordered
+        if factor:
+            want = want.mul(Polynomial(factor))
+        assert floats or got == want
+        view = (principal_polynomial(data, *where) if isinstance(where, tuple)
+                else atom_polynomial(data, where))
+        assert view == want
 
 
 @given(planted_bordered_windows())
@@ -783,7 +849,7 @@ def test_bordered_polynomials_refuse_a_vanishing_leading_minor(m, data, floats):
         bordered_hankel_poly(window)
     w = _Window.of(window)
     with pytest.raises(DegenerateInput):
-        _bordered_image(w.hankel(), floats, w.lam)
+        _bordered_ints(w.hankel(), w.lam)
     with pytest.raises(DegenerateInput):
         bordered_hankel_poly([1, 2, 1, 5])
 
@@ -1077,8 +1143,8 @@ def test_dilation_is_invisible(problem):
         monic = _support_poly(w)
         if monic is not None:  # the bordered polynomial of the leading 2r entries
             r, want = monic.degree, _det_times(window, monic)
-            assert _bordered_image(w.hankel(0, 2 * r), False, w.lam) == want
-            assert _bordered_image(plain.hankel(0, 2 * r), False, 1) == want
+            assert _bordered_poly(w.hankel(0, 2 * r), w.lam, False) == want
+            assert _bordered_poly(plain.hankel(0, 2 * r), 1, False) == want
         calls = [(classify, window, domain), (_slot_quadratic, tuple(window[1:]), domain),
                  (atom_polynomial, window, domain), (ray_limit_matrices, window)]
     dilated = [_outcome(*call) for call in calls]
