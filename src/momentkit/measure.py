@@ -14,14 +14,12 @@ on (0, 1] of a measure on [0, 1] (`alternating.CAMeasure`).
 
 An exact measure of either kind computes its moments on an integer image,
 built once: on first use, or handed over by the code that built the
-measure.  `principal.measure_from_poly` passes the image it read the
-masses on, and `tilt` reads its parent's image with the exponents shifted,
-so a measure and its tilts share one image.  With the positions P_i / Q
-and the masses U_i / V over common denominators, moment k of an
-AtomicMeasure is sum_i U_i P_i^k / (V Q^k), and for k < 0 the same sum
-over the reciprocal positions.  V need not be the least common denominator: the principal
-construction hands over the masses as the numerators U_i of its Lagrange
-form (`numeric._lagrange_masses`) without reducing them.  A
+measure.  `principal.measure_from_poly` passes the image of the atoms
+and masses it read, and `tilt` reads its parent's image with the exponents
+shifted, so a measure and its tilts share one image.  With the positions
+P_i / Q and the masses U_i / V over their least common denominators
+(`_AtomImage.of`), moment k of an AtomicMeasure is sum_i U_i P_i^k /
+(V Q^k), and for k < 0 the same sum over the reciprocal positions.  A
 MomentRecurrence runs its recurrence on the primitive integer polynomial q
 and on its seed window scaled by the common denominator L, so its moments
 are N_k / (L |q_d|^e) past the window and N_k / (L |q_0|^e) before it.

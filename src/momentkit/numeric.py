@@ -10,9 +10,9 @@ minors and the Schur complement they leave (Sylvester; Curto and Fialkow).  A
 caller that keeps the pass reads it again for a leading block
 (`_pass_class`), or for a back substitution (`_pass_solution`) that gives a
 support or bordered-Hankel polynomial (`_pass_bordered`), instead of
-eliminating the form twice.  The masses of atoms at given nodes are the
-Lagrange form of their Vandermonde system, read from the associated
-polynomial (`associated`) on one integer image of the nodes and the window
+eliminating the form twice.  The associated polynomial q of an atom
+polynomial p (`associated`) gives the mass q(x)/p'(x) at each root x of
+p; at given nodes that is the Lagrange form of their Vandermonde system
 (`vandermonde_masses`).  Roots are found from float seeds (Laguerre's
 method) that exact signs certify, and isolated by Descartes bisection on the
 primitive integer polynomial when the certificate fails; Descartes' rule of
@@ -44,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import DegenerateInput, InsufficientMoments, ShapeError
+from .errors import DegenerateInput, DomainError, InsufficientMoments, ShapeError
 
 Scalar = Union[Fraction, int, float]
 
@@ -230,6 +230,22 @@ def _primitive(ints) -> list:
     return [c // content for c in ints]
 
 
+def _derivative(coeffs) -> list:
+    return [k * c for k, c in enumerate(coeffs)][1:]
+
+
+def _shares_root(f, g) -> bool:
+    """Whether the integer polynomials f and g share a root, by Euclid's
+    algorithm (`_negated_remainder`); g may have zero leading entries, and
+    g = 0 shares every root."""
+    g = list(g)
+    while g and g[-1] == 0:
+        g.pop()
+    while len(g) > 1:
+        f, g = g, _negated_remainder(f, g)
+    return not g
+
+
 def _deflate(coeffs, root: Fraction) -> list:
     """Quotient by (den t - num) at a root num/den; integral and primitive
     again by Gauss's lemma."""
@@ -288,11 +304,17 @@ def count_positive_roots(coeffs, to_one: bool = False) -> int:
 
 
 def root_precision() -> Fraction:
-    """Target enclosure width for irrational roots (env-overridable)."""
+    """Target enclosure width for irrational roots, and relative width of
+    the masses at them (`principal._masses`): MOMENTKIT_PRECISION if set,
+    a positive finite number (else DomainError)."""
     env = os.environ.get("MOMENTKIT_PRECISION")
-    if env:
-        return abs(as_fraction(parse_scalar(env)))
-    return DEFAULT_ROOT_PRECISION
+    try:
+        width = as_fraction(parse_scalar(env)) if env else DEFAULT_ROOT_PRECISION
+    except (ValueError, ZeroDivisionError):
+        width = 0
+    if width <= 0:
+        raise DomainError(f"MOMENTKIT_PRECISION must be a positive finite number, not {env!r}")
+    return width
 
 
 class RootEnclosure:
@@ -521,10 +543,7 @@ def _descartes_isolate(work, lo: Fraction, hi: Fraction) -> list:
     exact at 0 and 1, and reaches those on small nodes of a squarefree p.
     Its halves carry 2^d q(t / 2) and that shifted by 1; a root at the
     midpoint is settled and deflated out of what later enclosures carry."""
-    f, g = work, _primitive([k * c for k, c in enumerate(work)][1:])
-    while len(g) > 1:
-        f, g = g, _negated_remainder(f, g)
-    if not g:
+    if _shares_root(work, _primitive(_derivative(work))):
         raise DegenerateInput("polynomial has a repeated root")
     (start, stop), den = _integer_scale((lo, hi))
     width, d = stop - start, len(work) - 1
@@ -731,47 +750,29 @@ def vandermonde_masses(atoms: Sequence[Scalar], window: Sequence[Scalar]):
     """Masses m_j at distinct `atoms` x_j that match the first c = len(atoms)
     moments of `window`: the solution of sum_j m_j x_j^k = s_k, k < c, in
     its Lagrange form m_j = q(x_j) / p'(x_j), p = prod (t - x_i) and q its
-    `associated` polynomial, read on one integer image (`_lagrange_masses`).
-    That is O(c^2) integer work in place of an O(c^3) elimination, and it is
-    the same exact solution, for rational roots, enclosure midpoints and
-    floats alike.  Float input runs on its binary-exact image and gets
-    floats back.  Coinciding atoms raise DegenerateInput."""
+    `associated` polynomial.  On the images x_j = P_j / Q and s_k = S_k /
+    unit, prod (Q t - P_i) = Q^c p(t) has the associated polynomial
+    unit Q^c q, so m_j is its `_horner` at P_j over unit Q^c prod_(i != j)
+    (P_j - P_i): O(c^2) integer work, no elimination.  Float input (the
+    package's one use) runs on its binary-exact image and gets floats
+    back.  Coinciding atoms raise DegenerateInput."""
     c = len(atoms)
     if c == 0:
         return []
     if len(window) < c:
         raise InsufficientMoments("moment window shorter than atom count")
-    window = window[:c]
-    floats = any(isinstance(x, float) for x in (*atoms, *window))
-    U, V = _lagrange_masses(*_integer_scale([as_fraction(x) for x in atoms]),
-                            *_integer_scale([as_fraction(v) for v in window]))
-    out = [Fraction(u, V) for u in U]
-    return [_to_float(v) for v in out] if floats else out
-
-
-def _lagrange_masses(P, Q: int, S, unit: int) -> tuple:
-    """(U, V): the masses U_j / V, V > 0, of `vandermonde_masses` at the
-    atoms x_j = P_j / Q, matching the window entries s_k = S_k / unit for
-    k < c = len(P), over one denominator and without a gcd per mass.
-
-    p~(t) = prod (Q t - P_i) = Q^c p(t), and the associated polynomial q~
-    of p~ under S is unit * Q^c * q, so
-
-        m_j = _horner(q~, P_j, Q) / (unit * Q^c * prod_(i != j) (P_j - P_i)),
-
-    and V is unit * Q^c times the least common multiple of the products.
-    Coinciding atoms raise DegenerateInput."""
-    c = len(P)
+    floats = any(isinstance(x, float) for x in (*atoms, *window[:c]))
+    P, Q = _integer_scale([as_fraction(x) for x in atoms])
+    S, unit = _integer_scale([as_fraction(v) for v in window[:c]])
     p = [1]
     for x in P:  # times (Q t - x)
         p = [Q * b - x * a for a, b in zip(p + [0], [0] + p)]
-    q = list(associated(p, S[:c]))
+    q = list(associated(p, S))
     slopes = [math.prod(x - y for i, y in enumerate(P) if i != j) for j, x in enumerate(P)]
     if 0 in slopes:
         raise DegenerateInput("coinciding atoms")
-    common = math.lcm(*slopes)
-    return ([_horner(q, x, Q) * (common // slope) for x, slope in zip(P, slopes)],
-            unit * Q ** c * common)
+    out = [Fraction(_horner(q, x, Q), unit * Q ** c * slope) for x, slope in zip(P, slopes)]
+    return [_to_float(v) for v in out] if floats else out
 
 
 # --------------------------------------------------------------------------

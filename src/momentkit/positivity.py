@@ -491,7 +491,7 @@ def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
     p of degree r is `_support_poly`.  The window passes when p's recurrence
     generates all of it, p(0) != 0, and p has r roots in (0, inf), resp.
     (0, 1]: the masses at those roots that match s_0..s_(r-1) (the
-    Gauss-Christoffel weights q(x)/p'(x) of `numeric.vandermonde_masses`)
+    Gauss-Christoffel weights q(x)/p'(x), `principal._masses`)
     then reproduce s and are positive, as H_r = V^T D V is positive
     definite.  A singular window always passes, its unique measure having
     r atoms.  H_r is positive definite by the choice of r, so p is

@@ -9,14 +9,14 @@ the factor of the ends among the atoms, all built in one place on the
 window's integer image and kept on it (`_atom_ints`; `bordered_hankel_poly`,
 `atom_polynomial` and `principal_polynomial` are views of it).  Their
 masses are Gauss-Christoffel weights q(x)/p'(x), q the associated
-polynomial, on one integer image of the atoms and the window
-(`_window_measure`; float input through `numeric.vandermonde_masses`),
-which a measure of an exact window keeps for its moments and its tilts.  On
-(0, inf) the odd-length case has a unique minimal measure (the same
-polynomial, interval-independent); the even-length case is a one-parameter
-family exposed as a lazy handle.  On (0, 1] the minimal measure is unique
-in both parities: the lower (even length) or upper (odd length) principal
-measure on [0, 1].
+polynomial, read on the atom polynomial p itself and the window's image
+(`_masses`; float input at its float roots, `numeric.vandermonde_masses`).
+A measure of an exact window keeps the image of its atoms for its moments
+and its tilts.  On (0, inf) the odd-length case has a unique minimal
+measure (the same polynomial, interval-independent); the even-length case
+is a one-parameter family exposed as a lazy handle.  On (0, 1] the minimal
+measure is unique in both parities: the lower (even length) or upper (odd
+length) principal measure on [0, 1].
 """
 
 from __future__ import annotations
@@ -28,18 +28,12 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateInput, InsufficientMoments, NotStrictlyPositive
 from .measure import AtomicMeasure, _AtomImage, _imaged
-from .numeric import (HankelImage, Polynomial, Scalar, _integer_scale, _isolate, _lagrange_masses,
-                      _minor_pass, _pass_bordered, _to_float, as_fraction, root_enclosures,
-                      root_precision, vandermonde_masses)
+from .numeric import (HankelImage, Polynomial, Scalar, _derivative, _horner, _integer_scale,
+                      _isolate, _minor_pass, _pass_bordered, _primitive, _shares_root, _to_float,
+                      as_fraction, associated, root_enclosures, root_precision,
+                      vandermonde_masses)
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit, _limit_window,
                          _support_measure, _values, classify_compact, classify_half_open)
-
-
-MASS_REFINEMENTS = 3
-
-#: A mass below 2^-TINY_MASS_BITS of the largest is checked at both ends of
-#: the enclosures before it stands (`_masses_hold`).
-TINY_MASS_BITS = 40
 
 
 class PrincipalKind(Enum):
@@ -142,10 +136,15 @@ def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
     return _atom_poly(_Window.of(window), domain)
 
 
-def root_bound(poly: Polynomial) -> Fraction:
-    """Cauchy bound on the magnitude of the roots."""
-    lead = abs(poly.coeffs[-1])
-    return 1 + max(abs(c) / lead for c in poly.coeffs)
+def root_bound(poly: Polynomial) -> Scalar:
+    """Cauchy bound on |root| (`_cauchy_bound`), a float for float coefficients."""
+    bound = _cauchy_bound(_integer_scale([as_fraction(c) for c in poly.coeffs])[0])
+    return _to_float(bound) if any(isinstance(c, float) for c in poly.coeffs) else bound
+
+
+def _cauchy_bound(ints) -> Fraction:
+    """1 + max |c| / |lead| of integer coefficients, above every |root|."""
+    return 1 + Fraction(max(map(abs, ints)), abs(ints[-1]))
 
 
 def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
@@ -156,131 +155,131 @@ def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
 
     Raises DegenerateInput when the root count falls short of the degree or
     any mass fails to be positive; verifies the full window when the atoms
-    are exact.  A mass computed from enclosures of irrational roots can be
-    far off, or take the wrong sign, when it is tiny (a far atom near an
-    unattained infimum carries mass ~1e-43); `_atoms_and_image` checks such
-    a mass before it stands.
-    """
-    pairs, _, exact = _atoms_and_image(root_enclosures(poly, lo, hi), poly.degree, window)
+    are exact.  A mass at an irrational root is of certain sign and within
+    `root_precision()` relative of the true one (`_atoms_and_image`)."""
+    pairs, _, exact = _atoms_and_image(root_enclosures(poly, lo, hi), poly.coeffs, window)
     return pairs, exact
 
 
-def _atoms_and_image(enclosures: list, degree: int, window: Sequence[Scalar],
+def _atoms_and_image(enclosures: list, p, window: Sequence[Scalar],
                      scaled: Optional[tuple] = None) -> tuple:
-    """`atoms_from_poly` of the ascending RootEnclosures of a polynomial of
-    degree `degree`, as (pairs, image, exact): `image` is the integer image
-    (`measure._AtomImage`) the masses were read on, None for float input.
-    `scaled` is the window's image (ints, unit, lam) when the caller holds
-    one (`positivity._Window`); otherwise the window is scaled here, once.
-
-    When every root comes out exact and the window is exact, the masses are
-    read and the window checked on one integer image (`_exact_atoms`).
-    Otherwise the masses are read at the enclosures' midpoints: on their
-    Lagrange image (`_lagrange_image`) for an exact window, by
-    `vandermonde_masses` for float input.  A mass that is nonpositive or
-    below 2^-TINY_MASS_BITS of the largest stands only when it is positive
-    and the masses read at the enclosures' lower ends agree with it to half
-    of itself (`_masses_hold`); otherwise every enclosure is narrowed by
-    2^-64 and the masses are read again, up to MASS_REFINEMENTS times.
-    Coinciding atoms raise DegenerateInput when their masses are read."""
-    if len(enclosures) != degree:
+    """`atoms_from_poly` of the ascending RootEnclosures of every root of
+    the polynomial with the coefficients `p`, as (pairs, image, exact):
+    `image` is the integer image (`measure._AtomImage`) of the atoms, None
+    for float input.  `scaled` is the window's image (ints, unit, lam) if
+    the caller holds one (`positivity._Window`), else it is made here.  A
+    position is the root or the midpoint of its enclosure narrowed to
+    `root_precision()`, a mass q(x)/p'(x) read on p (`_masses`), so an
+    inexact measure matches s_0..s_(c-1) only to that precision; exact
+    atoms must reproduce the whole window.  Float input reads its masses
+    at its float roots (`vandermonde_masses`)."""
+    if len(enclosures) != len(p) - 1:
         raise DegenerateInput(
-            f"expected {degree} simple roots in range, found {len(enclosures)}")
+            f"expected {len(p) - 1} simple roots in range, found {len(enclosures)}")
     window = list(window)
-    width = root_precision()
-    for _ in range(MASS_REFINEMENTS + 1):
-        roots = [e.refine(width) for e in enclosures]
-        settled = all(e.root is not None for e in enclosures)
-        image = None
-        if any(isinstance(v, float) for v in window + roots):
-            masses = vandermonde_masses(roots, window)
-        else:
-            scaled = scaled or (*_integer_scale(window), 1)
-            if settled:
-                return (*_exact_atoms(roots, window, scaled), True)
-            image = _lagrange_image(roots, *scaled)
-            masses = [Fraction(u, image.V) for u in image.up.coeffs]
-        if settled or _masses_hold(enclosures, masses, window):
-            break
-        width /= 2 ** 64
-    _positive_masses(masses)
-    return list(zip(roots, masses)), image, False
-
-
-def _positive_masses(masses):
-    for mass in masses:
-        if not mass > 0:
-            raise DegenerateInput("nonpositive mass in principal construction")
-
-
-def _masses_hold(enclosures, masses, window) -> bool:
-    """Whether the masses read at the midpoints of `enclosures` can stand
-    (see `_atoms_and_image`)."""
-    top = max(masses)
-    small = [j for j, mass in enumerate(masses) if mass <= 0 or mass * 2 ** TINY_MASS_BITS < top]
-    if not small:
-        return True
-    lower = vandermonde_masses([Fraction(e.lo, e.den) if e.root is None else e.root
-                                for e in enclosures], window)
-    return all(masses[j] > 0 and 2 * abs(masses[j] - lower[j]) < masses[j] for j in small)
-
-
-def _lagrange_image(roots: list, S: list, unit: int, lam: int = 1) -> _AtomImage:
-    """The `measure._AtomImage` of exact, ascending `roots` P_j / Q with the
-    masses U_j / V (`numeric._lagrange_masses`) that match the window
-    entries S_k / (unit lam^k), k < len(roots): those of the atoms
-    lam P_j / Q at the dilated entries S_k / unit.  Coinciding roots raise
-    DegenerateInput."""
-    if len(S) < len(roots):
-        raise InsufficientMoments("moment window shorter than atom count")
-    P, Q = _integer_scale(roots)
-    U, V = _lagrange_masses([lam * x for x in P] if lam > 1 else P, Q, S, unit)
-    return _AtomImage(roots, U, V, P, Q)
-
-
-def _exact_atoms(roots: list, window: list, scaled: Optional[tuple] = None) -> tuple:
-    """`_atoms_and_image`'s (pairs, image) for exact, ascending `roots` and
-    an exact window with the image (S, unit, lam) `scaled` (by default the
-    window scaled once, lam = 1), on the `_lagrange_image`.  The atoms
-    reproduce the window iff moment k of the image, N_k / (V Q^k), is
-    S_k / (unit lam^k) for every k, that is unit lam^k N_k = S_k V Q^k; a
-    window they fail raises DegenerateInput."""
-    S, unit, lam = scaled or (*_integer_scale(window), 1)
-    image = _lagrange_image(roots, S, unit, lam)
-    _positive_masses(image.up.coeffs)
+    roots = [e.refine(root_precision()) for e in enclosures]
+    exact = all(e.root is not None for e in enclosures)
+    floats = any(isinstance(v, float) for v in window + roots)
+    if floats:
+        masses = vandermonde_masses(roots, window)
+    else:
+        S, unit, lam = scaled or (*_integer_scale(window), 1)
+        if len(S) < len(roots):
+            raise InsufficientMoments("moment window shorter than atom count")
+        masses = _masses(p, enclosures, S, unit, lam)
+    if not all(mass > 0 for mass in masses):
+        raise DegenerateInput("nonpositive mass in principal construction")
+    pairs = list(zip(roots, masses))
+    if floats:
+        return pairs, None, False
+    image = _AtomImage.of(pairs)
+    # exact atoms: moment k of the image, N_k / (V Q^k), is S_k / (unit lam^k)
     left, right = unit, image.V
-    for k, (x, n) in enumerate(zip(S, image.up.upto(len(S) - 1))):
+    for k, (x, n) in enumerate(zip(S, image.up.upto(len(S) - 1) if exact else ())):
         if k:
             left, right = left * lam, right * image.Q
         if left * n != x * right:
             raise DegenerateInput("principal measure fails its moment window")
-    return [(x, Fraction(u, image.V)) for x, u in zip(roots, image.up.coeffs)], image
+    return pairs, image, exact
+
+
+def _masses(p, enclosures: list, S: list, unit: int, lam: int) -> list:
+    """The masses at the roots of p for the window with the image S_k =
+    unit lam^k s_k: m = q(lam x) / (unit p'(lam x)), p here the image
+    lam^c p(t / lam), whose roots are the atoms lam x, and q its associated
+    polynomial under S (`numeric.associated`); exact at a rational root,
+    read on its enclosure at an irrational one (`_enclosed_mass`)."""
+    p = _primitive(_integer_scale(p)[0])
+    c = len(p) - 1
+    if lam > 1:
+        p = [x * lam ** (c - k) for k, x in enumerate(p)]
+    q, dp = list(associated(p, S)), _derivative(p)
+    masses = []
+    for e in enclosures:
+        mass = None if e.root is not None else _enclosed_mass(e, p, q, dp, unit, lam)
+        if mass is None:
+            num, den = lam * e.root.numerator, e.root.denominator
+            mass = Fraction(_horner(q, num, den), unit * _horner(dp, num, den))
+        masses.append(mass)
+    return masses
+
+
+def _enclosed_mass(e, p: list, q: list, dp: list, unit: int, lam: int) -> Optional[Fraction]:
+    """`_masses` at the unknown root of p in the RootEnclosure e; None if
+    narrowing e finds it rational.  By Taylor, |f(y) - f(u)| <= w |f'(u)|
+    + w^2 max |f''| on e, u its midpoint and w its half-width, for f = q
+    and p'.  Where |q(u)| and |p'(u)| exceed these bounds, the sign of m is
+    that of q(u) p'(u), exactly, and m lies between the bounds.  Since q
+    interlaces p and q(x) = m p'(x), the smaller m the nearer a root of q
+    to x.  e is narrowed by 2^-32 while a bound is not met, and to about
+    the width the bounds ask for while m is wider than `root_precision()`
+    relative; that ends unless m = 0, when p and q share a root."""
+    dq, ddp = _derivative(q), _derivative(dp)
+    bound_q, bound_dp = ([abs(x) for x in _derivative(f)] for f in (dq, ddp))
+    eps, checked = root_precision(), False
+    while e.root is None:
+        mid, den, w = lam * (e.lo + e.hi), 2 * e.den, lam * (e.hi - e.lo)
+        r = 2 * lam * max(-e.lo, e.hi)
+        a, b = _horner(q, mid, den), _horner(dp, mid, den)
+        ea = w * (abs(_horner(dq, mid, den)) + w * _horner(bound_q, r, den))
+        eb = w * (abs(_horner(ddp, mid, den)) + w * _horner(bound_dp, r, den))
+        if abs(a) > ea and abs(b) > eb:
+            slack = eps.numerator * (abs(a) - ea) * (abs(b) - eb)
+            spread = 2 * eps.denominator * (abs(a) * eb + ea * abs(b))
+            if spread <= slack or (a > 0) != (b > 0):
+                return Fraction(a, unit * b)
+            shrink = Fraction(slack, 2 * spread)
+        elif not checked and _shares_root(p, q):
+            return Fraction(0)
+        else:
+            checked, shrink = True, Fraction(1, 2 ** 32)
+        e.refine(Fraction(e.hi - e.lo, e.den) * shrink)
+    return None
 
 
 def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
                       lo: Scalar, hi: Scalar) -> AtomicMeasure:
-    """The measure of `atoms_from_poly` (lo >= 0 and no root at 0).  The
-    measure of an exact window carries the integer image its masses were
-    read on (`_atoms_and_image`): the window's own, `_Window.of`'s."""
+    """The measure of `atoms_from_poly` (lo >= 0 and no root at 0); for an
+    exact window its masses are read on `_Window.of`'s image of the window,
+    and it carries the integer image of its atoms (`_atoms_and_image`)."""
     w = _Window.of(window)
-    return _carrying(*_atoms_and_image(root_enclosures(poly, lo, hi), poly.degree, window,
+    return _carrying(*_atoms_and_image(root_enclosures(poly, lo, hi), poly.coeffs, window,
                                        None if w.floats else (w.ints, w.unit, w.lam)))
 
 
 def _window_measure(w: _Window, where, lo: Scalar, hi: Optional[Scalar]) -> AtomicMeasure:
-    """The measure of the roots in [lo, hi] of the atom polynomial
-    `_atom_ints` of the window w, hi None for Cauchy's bound (`root_bound`):
-    on an exact window isolated on the integers, its masses read on w's
-    image, with no `Fraction` polynomial built and no second scaling; a
-    float window's on its rounded `_atom_poly`."""
+    """The measure of the roots in [lo, hi] (hi None for `_cauchy_bound`) of
+    the atom polynomial `_atom_ints` of the window w: isolated and its masses
+    read on those integers and on w's image, with no `Fraction` polynomial
+    and no second scaling; a float window's on its rounded `_atom_poly`."""
     if w.floats:
         poly = _atom_poly(w, where)
         enclosures = root_enclosures(poly, lo, root_bound(poly) if hi is None else hi)
-        return _carrying(*_atoms_and_image(enclosures, poly.degree, w.values))
+        return _carrying(*_atoms_and_image(enclosures, poly.coeffs, w.values))
     ints = _atom_ints(w, where)[0]
-    hi = 1 + Fraction(max(map(abs, ints)), abs(ints[-1])) if hi is None else as_fraction(hi)
-    return _carrying(*_atoms_and_image(_isolate(ints, as_fraction(lo), hi), len(ints) - 1,
-                                       w.values, (w.ints, w.unit, w.lam)))
+    hi = _cauchy_bound(ints) if hi is None else as_fraction(hi)
+    return _carrying(*_atoms_and_image(_isolate(ints, as_fraction(lo), hi), ints, w.values,
+                                       (w.ints, w.unit, w.lam)))
 
 
 def _carrying(pairs: list, image, exact: bool) -> AtomicMeasure:

@@ -37,8 +37,9 @@ polynomial whose seeds fail the certificate is isolated by one.  A
 completion certificate's measure scales its window to integers once,
 builds one image of its atoms, which the measure of the certificate's
 indices reads with shifted exponents, builds a `Fraction` polynomial only
-for a moment recurrence, and reads no mass through `vandermonde_masses` or
-the AtomicMeasure constructor.  An "auto"
+for a moment recurrence, and reads no mass through `vandermonde_masses`
+(float input only) or the AtomicMeasure constructor: its masses, exact or
+not, are read on its atom polynomial.  An "auto"
 completion solve classifies each given branch window once to read its atom
 counts, and each of a singular window's sub-windows at most once to check
 its index.  It carries each branch through the search on the image of
@@ -59,7 +60,7 @@ of each measure once: the measures recovered from a held window are kept on
 it, and the backward extension at its threshold reads the minimal one.  A
 minimal or principal measure of a held window is read on the integers of its
 atom polynomial and on the held image, so it builds no `Fraction` polynomial
-and no window of its own.
+and no window of its own, and an inexact one no polynomial from its roots.
 """
 
 import json
@@ -560,6 +561,7 @@ HELD_MEASURES = {
                                  _window(COMPACT_MU, 4), 2),
     "compact-upper-odd-length": (lambda w: principal_compact(w, 1, 4, UPPER), Compact(1, 4),
                                  _window(COMPACT_MU, 4), 2),
+    "ray-irrational": (minimal_measure_ray, Ray(), [1, 3, 11, 45], 1),
 }
 
 
@@ -578,13 +580,28 @@ def test_measures_of_a_held_window_build_no_polynomial_and_no_window(monkeypatch
         counter["Polynomial"] += 1
         init(self, *args, **kwargs)
 
+    def counted_associated(p, s):
+        handed.append(list(p))
+        return associated(p, s)
+
+    handed, associated, lam = [], numeric.associated, positivity._Window.of(window).lam
     monkeypatch.setattr(positivity._Window, "of", classmethod(counted_of))
     monkeypatch.setattr(Polynomial, "__init__", counted_init)
+    for module in [m for name, m in sys.modules.items() if name.startswith("momentkit.")]:
+        for attr, value in list(vars(module).items()):
+            if value is associated:
+                monkeypatch.setattr(module, attr, counted_associated)
     mu = measure_of(window)
     # the roots are isolated on the integers of the atom polynomial and the
-    # masses read on the held image: no `Fraction` polynomial is built, and
-    # no window past the public call's own
+    # masses read on them and on the held image, exact or not: no `Fraction`
+    # polynomial is built, and no window past the public call's own; the
+    # masses of an inexact measure are read on the atom polynomial, and on
+    # no polynomial built from its positions (one that vanishes at all of
+    # them, on the image dilated by lam)
     assert counter["Polynomial"] == 0
+    assert mu.exact or handed and all(
+        any(numeric._horner(p, lam * x.numerator, x.denominator) for x, _ in mu.atoms)
+        for p in handed)
     assert counter["of"] == own
     assert not mu.exact or list(moments(mu, 0, len(window) - 1).values) == window
 

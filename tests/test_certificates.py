@@ -761,16 +761,16 @@ PINNED_JSON = {
         ': ["24719/41775", "11/15", "1", "125/57", "35/3"]}], "measures": [{"recurren'
         'ce": ["104/171", "-14144/25065", "1352/25065"], "first_index": -2, "window":'
         ' ["24719/41775", "11/15", "1", "125/57", "35/3"], "atoms_approx": {"atoms": '
-        '[{"x": "1373685853462445/1125899906842624", "m": "42025331607859557619970691'
-        '96644937514824355396681/4782610556696236957684412628433665569742372470784"},'
-        ' {"x": "2601239831453559/281474976710656", "m": "241698914962614446716248832'
-        '569774160225981926339/1992754398623432065701838595180693987392655196160"}], '
-        '"exact": false}}], "weights_sq": [["15/11", "125/57", "133/25", "274047/3285'
-        '1", "32455127/3562611", "73942176533/8016416369", "8881098135453/96124829492'
-        '9", "20271681080633287/2193631239456891", "2435408468972051167/2635318540482'
-        '32731", "5559159270299452059693/601545891836096638249", "6678716971415923676'
-        '17013/72269070513892876776009"]], "trunk_sq": ["20691/33508"], "norm_sq": 9.'
-        '241460331045769}'),
+        '[{"x": "1373685853462445/1125899906842624", "m": "21853172436086972014767839'
+        '6697129977239968701163401/24869574894820434510027513947363523853750498649702'
+        '4"}, {"x": "2601239831453559/281474976710656", "m": "35376742159254378167780'
+        '0789702451299693614849945550510589563391/29167345893014594982668614565806094'
+        '84891595108821257329884266496"}], "exact": false}}], "weights_sq": [["15/11"'
+        ', "125/57", "133/25", "274047/32851", "32455127/3562611", "73942176533/80164'
+        '16369", "8881098135453/961248294929", "20271681080633287/2193631239456891", '
+        '"2435408468972051167/263531854048232731", "5559159270299452059693/6015458918'
+        '36096638249", "667871697141592367617013/72269070513892876776009"]], "trunk_s'
+        'q": ["20691/33508"], "norm_sq": 9.241460331045769}'),
     # two classes and a trunk of two (`subnormal` benchmark seed 13, problem
     # 20): an atomic measure and a MomentRecurrence, so the trunk sums run
     # across classes and levels
@@ -784,19 +784,20 @@ PINNED_JSON = {
         '8423925000", "19164087072053/105588179437500"], "first_index": -3, "window": '
         '["1152111487473679/540611478720000", "14241431741/11347848000", "196327/23820'
         '0", "1", "24/7"], "atoms_approx": {"atoms": [{"x": "5230345774925737/90071992'
-        '54740992", "m": "904478865850414003057300181934188830446134510631092227834404'
-        '68425573449833143/21711883372882844636563190649593119606164803671889817083413'
-        '1815915245797376000"}, {"x": "3074872567040165/562949953421312", "m": "197923'
-        '35491216808720073161250100680018372353507416398939979183132985983609/33924817'
-        '770129444744629985389989249384632505737327839192833096236757155840"}], "exact'
-        '": false}}], "weights_sq": [["1120/771", "397/98", "397/98", "397/98", "397/9'
-        '8", "397/98", "397/98", "397/98", "397/98", "397/98"], ["200/257", "24/7", "5'
-        '2410/10241", "112342305/20715926", "9209617914075/1687396400074", "7952684065'
-        '638567/1456101989668018", "3262203825308844395505/597251875118833474078", "14'
-        '086017182412916692849705/2578880864034151789459886", "11556312931647565665432'
-        '48805875/211573856215466330448828282394", "997991416330610360700870652572447/'
-        '182713011657969111547597924534210"]], "trunk_sq": ["92520/98549", "417384/110'
-        '8103"], "norm_sq": 5.462070914746002}'),
+        '54740992", "m": "225796008236930706827589147677880164449704015979465497827442'
+        '5085606277296965629571/542020027443462643262403054446308410230307795874442855'
+        '8388175796000223353896960000"}, {"x": "3074872567040165/562949953421312", "m"'
+        ': "14680328301983366730145345582891155689723201206247980852390755005198331239'
+        '2975172969888797/251626425123767067673398012832649281989205867253424200714323'
+        '696244008622491978992048930816"}], "exact": false}}], "weights_sq": [["1120/7'
+        '71", "397/98", "397/98", "397/98", "397/98", "397/98", "397/98", "397/98", "3'
+        '97/98", "397/98"], ["200/257", "24/7", "52410/10241", "112342305/20715926", "'
+        '9209617914075/1687396400074", "7952684065638567/1456101989668018", "326220382'
+        '5308844395505/597251875118833474078", "14086017182412916692849705/25788808640'
+        '34151789459886", "1155631293164756566543248805875/211573856215466330448828282'
+        '394", "997991416330610360700870652572447/182713011657969111547597924534210"]]'
+        ', "trunk_sq": ["92520/98549", "417384/1108103"], "norm_sq": 5.462070914746002'
+        '}'),
     # one subnormal branch of one atom
     "subnormal_one_atom": (solve_subnormal, ["3/2"], ["2"], [["2"]],
         '{"kind": "subnormal", "K": ["1"], "sequences": [{"first_index": -2, "values"'

@@ -288,6 +288,25 @@ def test_precision_environment_variable(tmp_path):
             os.environ["MOMENTKIT_PRECISION"] = old
 
 
+@pytest.mark.parametrize("value", ["0", "-1/1000", "0/7", "abc", "inf", "nan", "1/0", " "])
+def test_precision_environment_variable_refuses_what_is_not_positive(monkeypatch, tmp_path,
+                                                                    value):
+    # a width of 0 once made the refinement of an irrational root loop
+    # forever, a negative one was read as its absolute value, and a word
+    # escaped as ValueError
+    from momentkit.errors import DomainError
+    from momentkit.numeric import root_precision
+    from momentkit.principal import minimal_measure_ray
+    monkeypatch.setenv("MOMENTKIT_PRECISION", value)
+    for call in (root_precision, lambda: minimal_measure_ray([1, 3, 11, 45])):
+        with pytest.raises(DomainError, match="MOMENTKIT_PRECISION"):
+            call()
+    path = _write(tmp_path, "p.json", {"kind": "principal", "domain": "ray",
+                                       "sequence": ["1", "3", "11", "45"]})
+    payload, code = run(path)
+    assert code == 1 and payload["error"]["kind"] == "DomainError"
+
+
 def test_backward_and_ca_kinds(tmp_path):
     path = _write(tmp_path, "bw.json", {"kind": "backward", "domain": "ray",
                                         "sequence": ["2", "3", "5", "9"], "x": "1"})

@@ -6,8 +6,9 @@ measure's image from its parent's.  On planted 1-4-atom measures with atoms
 in [2^-40, 2^40] both must give the measure the AtomicMeasure constructor
 builds from the same atoms: the same atoms, the same `exact` flag and the
 same moments.  The image is taken both as `_AtomImage.of` builds it and as
-the principal construction hands it over (`principal._exact_atoms`, masses
-over the unreduced Lagrange denominator).  A nonpositive position or mass
+the principal construction hands it over (`principal._atoms_and_image` at
+the exact roots of the atoms' integer polynomial, masses q(x)/p'(x)).  A
+nonpositive position or mass
 raises the constructor's DegenerateInput; a repeated position, which the
 constructor merges, raises DegenerateInput too.  A tilt reads its parent's
 power sums with shifted exponents: its moment rows, across exponent 0 of
@@ -36,9 +37,9 @@ from hypothesis import given, strategies as st
 from momentkit.errors import DegenerateInput
 from momentkit.extremal import _schur_quadratic, _schur_threshold
 from momentkit.measure import AtomicMeasure, _AtomImage, _imaged, moment_row, tilt
-from momentkit.numeric import format_ratio, format_scalar
+from momentkit.numeric import RootEnclosure, format_ratio, format_scalar
 from momentkit.positivity import HalfOpen, Ray, _Window
-from momentkit.principal import _exact_atoms
+from momentkit.principal import _atoms_and_image
 from momentkit.tree import _pos_sq
 
 MANTISSA = st.fractions(min_value=1, max_value=2, max_denominator=64)
@@ -67,9 +68,14 @@ def _same_measure(mu, want: AtomicMeasure):
 
 def _principal_image(atoms):
     """The pairs and image the principal construction hands over for these
-    atoms, from their moment window."""
+    atoms, from their moment window and prod (den t - num) over the atoms."""
     window = [_reference(atoms, k) for k in range(2 * len(atoms))]
-    return _exact_atoms([x for x, _ in atoms], window)
+    p = [1]
+    for x, _ in atoms:
+        p = [x.denominator * b - x.numerator * a for a, b in zip(p + [0], [0] + p)]
+    pairs, image, exact = _atoms_and_image([RootEnclosure(root=x) for x, _ in atoms], p, window)
+    assert exact
+    return pairs, image
 
 
 @given(planted_measures(), st.booleans(), st.integers(-4, 4))

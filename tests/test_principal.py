@@ -2,11 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from momentkit.errors import NotStrictlyPositive
+from momentkit.errors import DegenerateInput, NotStrictlyPositive
+from momentkit.extremal import reciprocal_extremes_compact
 from momentkit.measure import AtomicMeasure, moments
-from momentkit.principal import (MinimalRayFamily, PrincipalKind,
+from momentkit.numeric import Polynomial, real_roots, root_precision, vandermonde_masses
+from momentkit.principal import (MinimalRayFamily, PrincipalKind, atoms_from_poly,
                                  minimal_measure_half_open, minimal_measure_ray,
-                                 principal_compact)
+                                 principal_compact, principal_polynomial)
 from conftest import random_half_open_measure, random_rational_measure
 
 
@@ -106,6 +108,41 @@ def test_minimal_measure_ray_far_atom_tiny_mass():
     assert mu.support_size == 2
     assert all(mass > 0 for _, mass in mu.atoms)
     assert 0 < mu.atoms[1][1] < F(1, 10 ** 40) and mu.atoms[1][0] > 10 ** 8
+
+
+def test_upper_principal_mass_far_below_the_largest_is_read_to_precision():
+    # the window of seven planted atoms on [5/24, 12], n = 13: its upper
+    # principal measure has eight atoms, and the one at b = 12 carries
+    # 6.5e-17 of the largest mass; read at the midpoints of the other
+    # atoms' enclosures, that mass was off by 1.03e-2
+    planted = AtomicMeasure([(F(5, 12), F(9, 4)), (F(9, 8), F(1, 3)), (F(8, 7), F(1, 7)),
+                             (F(2), F(7, 3)), (F(20, 9), F(1)), (F(11, 4), F(2, 5)),
+                             (F(6), F(1, 3))])
+    window = list(moments(planted, 0, 13).values)
+    a, b = F(5, 24), F(12)
+    mu = reciprocal_extremes_compact(window, a, b).attained_hi
+    assert not mu.exact and mu.support_size == 8 and mu.atoms[-1][0] == b
+    roots = real_roots(principal_polynomial(window, a, b, PrincipalKind.UPPER), a, b,
+                       precision=F(1, 2 ** 300))
+    reference = vandermonde_masses(roots, window)
+    assert reference[-1] < max(reference) * F(1, 10 ** 16)
+    for (_, mass), want in zip(mu.atoms, reference):
+        assert mass > 0 and abs(mass - want) <= root_precision() * want
+
+
+@pytest.mark.parametrize("poly, window", [
+    ([-2, 6, -5, 1], [1, 1, 1]),  # delta_1: zero masses at the roots 2 +- sqrt 2
+    ([2, -4, 1], [1, 5]),  # a negative mass at 2 - sqrt 2
+    ([2, -4, 1], [0, 1]),
+])
+def test_irrational_atoms_refuse_a_mass_that_is_not_positive(poly, window):
+    # the certified read ends on a zero mass (p and q share a root) and on a
+    # negative one as it does on a positive one
+    with pytest.raises(DegenerateInput, match="nonpositive mass"):
+        atoms_from_poly(Polynomial(poly), window, 0, 4)
+    pairs, exact = atoms_from_poly(Polynomial([2, -4, 1]), [1, 3], 0, 4)
+    assert not exact and [float(m) for _, m in pairs] == pytest.approx([0.5 - 2 ** -1.5,
+                                                                       0.5 + 2 ** -1.5])
 
 
 def test_minimal_measure_ray_even_family():

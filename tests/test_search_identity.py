@@ -31,7 +31,7 @@ CASES = [
      (('4909/4680',), ('379/169',), ('26/11',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '3a8f35d75cb277464d8181315a82825249c6f042e6f0a8d2acb414dfa01abc11'),
+     '8802083a2373b437cefb986de30512662a625e6973d9918919e17ebb3155b1d1'),
     ('subnormal seed 77 #8', 'subnormal', False,
      ('280/139', '417/346'),
      ('5/14', '17/12'),
@@ -52,7 +52,7 @@ CASES = [
      (('11941/1144',), ('7472/1265',), ('24/7',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'fad8022523352822eabc691baddbc251c69525d36fe029a4ba19b988f323b0e9'),
+     'c5030b749a0f5c665a4cf1c0a7126462d6fc27a9af80b7dbb0f85bc8cea79a69'),
     ('subnormal seed 44 #43', 'subnormal', False,
      ('2722765620729/10588293539305', '4402612453643019/17929480874331925'),
      ('169738800/1683837737', '190956150/1683837737', '1018432800/1683837737'),
@@ -66,7 +66,7 @@ CASES = [
      (('478/539', '17641/18403'), ('5285/2552', '145379/66440')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '498486590ba41b0dcffcf958d1371c2c4b53529021a5f56ce3ec3c7aeefe7448'),
+     'a0905eb16007681e2ffe7911a56e827dcc2b0ad6e4b190b7499ea8b6077730ba'),
     ('che seed 13 #24', 'che', False,
      ('7360445/6465911', '252170529/151555210'),
      ('7264256/22081335', '3632128/7360445', '1135040/4416267'),
@@ -89,7 +89,7 @@ CASES = [
       ('35881/35152', '473014/466453')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '9334ed65d466f7e4556bfb50bb8c047e4c4852d46ab43e4aa6fd39ddd4ff4499'),
+     'd784de6ea2519b52f567c3a52dd47245fc7ad2c08530a42dc8b2eb7127dd4151'),
     ('che seed 41 #27', 'che', False,
      ('11124377602754/9410759193363', '56464555160178/35195048410565'),
      ('332044931575/5562188801377', '5312718905200/5562188801377', '569219882700/5562188801377'),
@@ -103,7 +103,7 @@ CASES = [
      (('73/65', '25825/16352'), ('2543/462', '113753/15258')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '14a1ff901329be002ca11377193fe9841a80f1d9cbf5c567ecee2230c1c6d5cd'),
+     'b847da9fac28a1dcc7864fbcd35f9c8b0dcb028b24d50cf465d2f474fd900691'),
     ('che two-class sweep', 'che', False,
      ('457/411', '5343/3190'),
      ('256/457', '224/457'),
