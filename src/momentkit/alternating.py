@@ -19,7 +19,7 @@ from .measure import (AtomicMeasure, MomentRecurrence, ZERO_MEASURE, _Row, geome
                       moment_row)
 from .numeric import Polynomial, Scalar
 from .positivity import HalfOpen, PositivityClass, _reads_root, _values, _Window, classify_compact
-from .principal import _atom_poly, _minimal, atoms_from_poly
+from .principal import _atom_poly, _minimal, _support_atoms
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,9 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     A strictly positive increment window takes its minimal measure on
     (0, 1], the one `principal._minimal` keeps on its window (and
     `minimal_measure_half_open` of the increments reads); a singular one its
-    unique measure, from the support polynomial its verdict carries.  A
-    root at 0 is read with the zero test of the index
+    unique measure, read on the support integers kept on its window
+    (`principal._support_atoms`; float input on the support polynomial its
+    verdict carries).  A root at 0 is read with the zero test of the index
     (`positivity._reads_root`), so a float root that rounding moved just
     inside (0, 1] is put back at 0 and its atom booked as mass at zero."""
     values = _values(c)
@@ -128,7 +129,8 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
         return CAExtensionVerdict(True, ZERO_CA_MEASURE, None, Polynomial([1]))
     if any(d < 0 for d in deltas):
         return CAExtensionVerdict(False, None, PositivityClass.NOT_POSITIVE)
-    verdict = classify_compact(deltas, Fraction(0), Fraction(1))
+    ends = (Fraction(0), Fraction(1))
+    verdict = classify_compact(deltas, *ends)
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         return CAExtensionVerdict(False, None, verdict.kind)
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
@@ -141,7 +143,7 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     if _reads_root(support, 0):
         poly = support.shifted_quotient_at_zero()
         support = poly.mul_linear(0, 1)
-    pairs, exact = atoms_from_poly(support, deltas, Fraction(0), Fraction(1))
+    pairs, _, exact = _support_atoms(_Window.of(deltas, None, ends), support, ends, *ends)
     return CAExtensionVerdict(True, _split_pairs(pairs, exact), verdict.kind, poly)
 
 

@@ -26,9 +26,9 @@ from .measure import AtomicMeasure, MomentSequence, tilt
 from .numeric import Scalar
 from .extremal import _reciprocal_inf, reciprocal_inf_half_open, reciprocal_inf_ray
 from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
-                         _determinacy_verdict, _limit_window, _support_measure, _values,
-                         classify_half_open, classify_ray)
-from .principal import _minimal
+                         _determinacy_verdict, _limit_window, _values, classify_half_open,
+                         classify_ray)
+from .principal import _minimal, _support_measure
 
 
 class ExtensionClass(Enum):
@@ -80,7 +80,7 @@ def classify_backward(s, x: Scalar, domain=Ray()) -> ExtensionVerdict:
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
         return ExtensionVerdict(ExtensionClass.STRICT, threshold)
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        zero_based = _support_measure(verdict.support, extension, domain)
+        zero_based = _support_measure(_Window.of(extension), verdict.support, domain)
         return ExtensionVerdict(ExtensionClass.SINGULAR, threshold,
                                 measure=tilt(zero_based, 1))
     return ExtensionVerdict(ExtensionClass.NOT_EXTENSION, threshold)

@@ -442,7 +442,7 @@ def _admissible_two_ks(domain, w: _Window, candidates) -> list:
         return [two_k for two_k in candidates if two_k - 1 >= top]
     if not verdict.is_positive:
         return []
-    two_k = int(2 * _verdict_index(given, verdict, domain))
+    two_k = int(2 * _verdict_index(given, verdict, domain, w=w))
     if two_k - 1 < top and two_k in candidates and _branch_k_compatible(domain, given, two_k - 1):
         return [two_k]
     return []
@@ -743,7 +743,10 @@ def kappa_infinite_probe(trunk_sq_stream, classes, kappa_max: int,
     that every other answer of the package keeps (exact, or an explicit
     Unknown): it certifies each prefix it ran, not the infinite trunk.  Its
     "Infeasible" and "Unknown", and the status of each per-kappa row, are
-    exact."""
+    exact.  A negative kappa_max, which would run no prefix, raises
+    BadIndex."""
+    if kappa_max < 0:
+        raise BadIndex(f"kappa_max must be nonnegative, not {kappa_max}")
     trunk_sq_stream = list(trunk_sq_stream)
     if len(trunk_sq_stream) < kappa_max:
         raise Unsupported("trunk prefix shorter than the probe range")

@@ -14,7 +14,7 @@ on (0, 1] of a measure on [0, 1] (`alternating.CAMeasure`).
 
 An exact measure of either kind computes its moments on an integer image,
 built once: on first use, or handed over by the code that built the
-measure.  `principal.measure_from_poly` passes the image of the atoms
+measure.  `principal._atoms_and_image` passes the image of the atoms
 and masses it read, and `tilt` reads its parent's image with the exponents
 shifted, so a measure and its tilts share one image.  With the positions
 P_i / Q and the masses U_i / V over their least common denominators

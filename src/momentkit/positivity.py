@@ -36,20 +36,16 @@ are never held: their zero tests read the float data, which an equal exact
 key would hide.
 
 A singular window on [a, b] is determinate too.  On every domain its
-measure and index are read from the same support polynomial
-(`_support_poly`): the atoms are its roots in the domain, and the index is
-its degree less 1/2 for each endpoint of the domain among them.  The
-support polynomial comes from the pass that gives the leading minors of
-H(s): the rank r is read from the minors, and the coefficients from one
-back substitution in the rows that pass has already reduced.
-
-A singular verdict on every domain carries that polynomial
-(`PositivityVerdict.support`): on the ray and on (0, 1] the determinacy test
-has built it already, and on [a, b] it is built once neither form reads
-indefinite and one reads singular.  `index`, `recover_minimal_measure`,
-`extremal.reciprocal_inf_*`, `backward.classify_backward`,
-`principal.minimal_measure_half_open` and `alternating.has_ca_extension`
-take it from the verdict instead of building it again.
+support polynomial is built once, on the window's integers, and kept on
+it (`_support_ints`): the rank r is read from the minors of the pass over
+H(s), the coefficients from one back substitution in the rows that pass
+has reduced.  Its readers take those integers: the determinacy test, the
+index (the degree less 1/2 for each end of the domain that one `_horner`
+finds a root), the unique measure (`principal._support_measure`, whose
+atoms are the roots in the domain) and `tree._positive_on`.  A singular
+verdict carries its monic view (`PositivityVerdict.support`,
+`_support_poly`), rounded on a float window, whose index and measure are
+read on it.
 
 Stampfli's four-weight check (`stampfli_check`) is closed-form arithmetic
 on the squared weights, so it sits here, where the CLI's `stampfli` kind
@@ -67,8 +63,8 @@ from typing import Optional, Sequence, Union
 from .errors import DegenerateInput, DomainError, NotAMomentSequence, PreconditionError
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
 from .numeric import (DEFAULT_EPS, FormClass, HankelImage, Polynomial, Scalar, _dilated_scale,
-                      _integer_scale, _minor_pass, _pass_bordered, _pass_class,
-                      _to_float, _tolerances, as_fraction, classify_form,
+                      _horner, _integer_scale, _minor_pass, _pass_bordered, _pass_class,
+                      _primitive, _to_float, _tolerances, as_fraction, classify_form,
                       count_positive_roots)
 
 
@@ -167,9 +163,9 @@ class _Window:
     a positive multiple of D F D, D = diag(lam^i), F the form in the
     window's own entries: it keeps F's class and every sign of its pass,
     and every reader that turns a pass into a number divides lam back out
-    (`_support_poly`, `_determinate_poly`, `extremal._schur_threshold`,
+    (`_support_ints`, `_determinate_poly`, `extremal._schur_threshold`,
     `extremal._schur_quadratic`, `principal._bordered_ints`, `_entries`).
-    The pass over H(s) that `_support_poly` reads and the pass over the
+    The pass over H(s) that `_support_ints` reads and the pass over the
     form that holds a prepended value (`slot_pass`) are kept, so a call
     eliminates each at most once.
 
@@ -199,6 +195,9 @@ class _Window:
         global _held
         values = tuple(values)
         if any(isinstance(v, float) for v in values) or any(isinstance(v, float) for v in ends):
+            for v in values + tuple(ends):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise DomainError(f"non-finite value {v!r} in a float window")
             ints, unit = _integer_scale([as_fraction(v) for v in values])
             return cls(values, ints, unit, [abs(float(v)) for v in values], eps)
         for w in _held:
@@ -282,18 +281,18 @@ class _Window:
         return _Window(None, ints, self.unit * high * lam * lam, sizes, self.eps, lam)
 
     def kept(self, key, make):
-        """make(), computed once per key and kept: a pass or the interior
-        window, a verdict on the window, or a measure recovered from it, its
+        """make(), computed once per key and kept, None included: a pass or
+        the interior window, a verdict on the window, its support
+        polynomial or determinacy test, or a measure recovered from it, its
         polynomial or its reciprocal value.  Keys name a pass, a domain, an
         [a, b] end, or an interval and a principal kind; never a
         polynomial's coefficients."""
-        value = self._kept.get(key)
-        if value is None:
-            value = self._kept[key] = make()
-        return value
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
 
     def support_pass(self) -> tuple:
-        """The `_minor_pass` of H(s) that `_support_poly` reads: n // 2 + 1
+        """The `_minor_pass` of H(s) that `_support_ints` reads: n // 2 + 1
         rows, with one more column for odd n."""
         return self.kept("support", lambda: _minor_pass(self.hankel(), (len(self.ints) + 1) // 2))
 
@@ -361,7 +360,7 @@ def compact_criterion_matrices(values: Sequence[Scalar], a: Scalar, b: Scalar):
         raise DomainError("compact interval needs a < b")
     if not values:
         raise DomainError("empty sequence")
-    w = _Window.of(values)
+    w = _Window.of(values, None, (a, b))
     if len(values) % 2 == 1:
         return _entries(w.lam, w.hankel(), w.interior(a, b).hankel())
     return _entries(w.lam, w.lower(a), w.upper(b))
@@ -380,7 +379,7 @@ def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> Po
     `_support_poly`; a float window whose support pass reads a negative pivot
     or a nonzero window over a zero s_0 instead is not positive.  For even n
     both forms are windows of their own, H(s) and the interior one, read
-    from the passes `_support_poly` reads."""
+    from the passes `_support_ints` reads."""
     if not a < b:
         raise DomainError("compact interval needs a < b")
     values = _values(s)
@@ -444,90 +443,117 @@ def _reads_zero(x: Scalar, scale, eps: Optional[float]) -> bool:
     return abs(x) <= (DEFAULT_EPS if eps is None else eps) * max(1.0, scale)
 
 
-def _support_poly(w: _Window, ends: tuple = (), exact: bool = False) -> Optional[Polynomial]:
-    """Monic support polynomial of the unique measure of a singular window
-    (the constant 1 for the zero window), read from its leading moments;
-    `ends` are the endpoints that belong to the domain.  None when H(s)
-    shows that the window is not positive.  With `exact` a float window
-    keeps its coefficients unrounded.
+def _times_factor(ints: list, factor: tuple, floats: bool) -> tuple:
+    """(ints', scale, rest): the integer polynomial `ints` times the end
+    factor (coefficients `factor`) is ints' / scale times `rest`.  An exact
+    window multiplies the factor's integer image in (rest ()), a float
+    window keeps it apart in `rest` (`_view`).  The support polynomial and
+    the atom polynomials (`principal._atom_ints`) share this step."""
+    if floats or not factor:
+        return ints, 1, factor
+    scaled, scale = _integer_scale(factor)
+    product = [0] * (len(ints) + len(scaled) - 1)
+    for i, x in enumerate(ints):
+        for j, y in enumerate(scaled):
+            product[i + j] += x * y
+    return product, scale, ()
+
+
+def _support_ints(w: _Window, ends: tuple = ()) -> tuple:
+    """(ints, rest): the support polynomial of the unique measure of a
+    singular window is the primitive integer polynomial `ints`, of positive
+    leading entry ([1] for the zero window), times `rest`; ints is [] when
+    H(s) shows that the window is not positive.  Kept on w per `ends`, the
+    endpoints of the domain, which count only as both ends of [a, b].
 
     With r positive leading pivots of H(s) before the first zero one (a
-    negative pivot means not positive), p is the bordered-Hankel polynomial
-    of s_0..s_(2r-1) made monic: p = t^r - sum c_j t^j with
-    H_r c = (s_r, ..., s_(2r-1)).  That right-hand side is column r of
-    H(s), so the Bareiss pass of the leading minors reduces it along with
-    H_r (`_Window.support_pass`; for odd n, H(s) is given the column
-    s_(m+1)..s_(2m+1) to cover r = m + 1).  A singular window has
-    2r > n + 1 only on [a, b] = `ends`, with n even and both endpoints
-    atoms; p is then (t - a)(t - b) times the support polynomial of the
-    interior window of the other atoms.
+    negative pivot means not positive), p is t^r - sum c_j t^j with
+    H_r c = (s_r, ..., s_(2r-1)), column r of H(s): the pass of the leading
+    minors (`_Window.support_pass`; for odd n, H(s) is given the column
+    s_(m+1)..s_(2m+1) to cover r = m + 1) reduces it along with H_r, and
+    `numeric._pass_bordered` reads p off it, lam divided back out.  A
+    singular window has 2r > n + 1 only on [a, b] = `ends`, with n even and
+    both ends atoms: p is (t - a)(t - b) times the support polynomial of
+    the interior window, the factor kept apart in `rest` on a float window
+    (`_times_factor`)."""
+    ends = ends if len(ends) == 2 else ()
 
-    On a window dilated by lam the pass gives the support polynomial
-    p~(t) = lam^r p(t / lam) of the dilated window, so c_j = c~_j / lam^(r-j)
-    (`numeric._pass_bordered` reads p as a multiple of an integer vector).
-    """
-    n = len(w.ints) - 1
-    r, a, bounds = w.support_pass()
-    if r <= n // 2 and a[r][r] < -bounds[2 * r]:
+    def make():
+        n = len(w.ints) - 1
+        r, a, bounds = w.support_pass()
+        if r <= n // 2 and a[r][r] < -bounds[2 * r]:
+            return [], ()
+        if 2 * r > n + 1:
+            inner = _support_ints(w.interior(*ends))[0] if ends and n >= 2 else []
+            if not inner:
+                return [], ()
+            lo, hi = ends
+            ints, _, rest = _times_factor(inner, (lo * hi, -(lo + hi), 1), w.floats)
+            return ints, rest
+        if r == 0:
+            return ([1] if w.reads_zero() else []), ()
+        return _primitive(_pass_bordered(a, r, w.unit, w.lam)[0]), ()
+    return w.kept(("support", ends), make)
+
+
+def _view(coeffs: list, rest: tuple, floats: bool) -> Polynomial:
+    """The `Polynomial` of the exact `coeffs` times `rest`, the coefficients
+    rounded first where `floats`: the view of a kept integer polynomial."""
+    poly = Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
+    return poly.mul(Polynomial(rest)) if rest else poly
+
+
+def _support_poly(w: _Window, ends: tuple = ()) -> Optional[Polynomial]:
+    """The monic support polynomial that `PositivityVerdict.support`
+    carries, the `_view` of `_support_ints` (on a float window rounded, but
+    the constant 1); None when H(s) shows that the window is not positive."""
+    ints, rest = _support_ints(w, ends)
+    if not ints:
         return None
-    if 2 * r > n + 1:
-        if len(ends) < 2 or n < 2:
-            return None
-        lo, hi = ends
-        inner = _support_poly(w.interior(lo, hi))
-        return None if inner is None else inner.mul(Polynomial([lo * hi, -(lo + hi), 1]))
-    if r == 0:
-        return Polynomial([1]) if w.reads_zero() else None
-    ints = _pass_bordered(a, r, w.unit, w.lam)[0]
-    coeffs = [Fraction(x, ints[-1]) for x in ints]
-    return Polynomial([_to_float(x) for x in coeffs] if w.floats and not exact else coeffs)
+    return _view([Fraction(x, ints[-1]) for x in ints], rest, w.floats and len(ints) > 1)
 
 
 def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
-    """Monic support polynomial of a window that is determinate on the ray
-    or on (0, 1] (the constant 1 for the zero window); None when the window
-    is not positive there.
+    """Monic support polynomial p (`_support_poly`) of a window that is
+    determinate on the ray or on (0, 1] (the constant 1 for the zero
+    window), kept on w per domain; None when the window is not positive
+    there.  It passes when p's recurrence generates all of it, p(0) != 0,
+    and p has r = deg p roots in (0, inf), resp. (0, 1]: the masses at
+    those roots that match s_0..s_(r-1) (`principal._masses`) then
+    reproduce s and are positive, as H_r = V^T D V is positive definite.
+    A singular window always passes, its unique measure having r atoms.
+    H_r is positive definite by the choice of r, so p is real-rooted and
+    Descartes' rule counts its roots exactly (`numeric.count_positive_roots`).
 
-    p of degree r is `_support_poly`.  The window passes when p's recurrence
-    generates all of it, p(0) != 0, and p has r roots in (0, inf), resp.
-    (0, 1]: the masses at those roots that match s_0..s_(r-1) (the
-    Gauss-Christoffel weights q(x)/p'(x), `principal._masses`)
-    then reproduce s and are positive, as H_r = V^T D V is positive
-    definite.  A singular window always passes, its unique measure having
-    r atoms.  H_r is positive definite by the choice of r, so p is
-    real-rooted and Descartes' rule counts its roots exactly
-    (`numeric.count_positive_roots`), none isolated: for a float window on
-    the unrounded p, as a rounded p need not be real-rooted.  The recurrence
-    runs on the integer images of the window and of that p.  Floats read as
-    zero with the tolerance of `_reads_zero` at the bounds |c|_1 max|s| of a
-    recurrence sum and |c|_1 of p(0) and p(1); on (0, 1] a p(1) read as zero
-    puts the root at 1.  On a window dilated by lam the recurrence runs with the image of
-    lam^r p(t / lam), coefficient j times lam^(r-j), which the dilated
-    window obeys exactly when the window obeys p.
-    """
-    exact = _support_poly(w, exact=True)
-    if exact is None or exact.degree == 0:
-        return exact
-    n, r = len(w.ints) - 1, exact.degree
-    ints, den = _integer_scale(exact.coeffs)
-    p, bound, zero = exact, 0, 0
-    if w.floats:
-        p = Polynomial([_to_float(x) for x in exact.coeffs])
-        norm = sum(abs(x) for x in p.coeffs)
-        tol, small = _tolerances(w.eps, [norm * max(w.sizes), norm])
-        bound = tol.numerator * den * w.unit // tol.denominator
-        zero = small.numerator * den // small.denominator  # p(x) = X / den
-    dilated = [q * w.lam ** (r - j) for j, q in enumerate(ints)] if w.lam > 1 else ints
-    S = w.ints
-    for k in range(r, n - r + 1):  # k < r holds by construction
-        if abs(sum(q * S[k + j] for j, q in enumerate(dilated))) > bound:
+    The test reads the integers of `_support_ints`, a float window's
+    unrounded, as a rounded p need not be real-rooted, and the window's
+    image, lam^r p(t / lam) on one dilated by lam.  Floats read as zero
+    with the tolerance of `_reads_zero` at the bounds |c|_1 max|s| of a
+    recurrence sum and |c|_1 of p(0) and p(1), c the rounded coefficients;
+    on (0, 1] a p(1) read as zero puts the root at 1."""
+    def make():
+        p = _support_poly(w)
+        if p is None or p.degree == 0:
+            return p
+        ints = _support_ints(w)[0]
+        n, r, bound, zero = len(w.ints) - 1, len(ints) - 1, 0, 0
+        if w.floats:
+            norm = sum(abs(x) for x in p.coeffs)
+            tol, small = _tolerances(w.eps, [norm * max(w.sizes), norm])
+            bound = tol.numerator * ints[-1] * w.unit // tol.denominator
+            zero = small.numerator * ints[-1] // small.denominator  # p(x) = X / ints[-1]
+        dilated = [q * w.lam ** (r - j) for j, q in enumerate(ints)] if w.lam > 1 else ints
+        S = w.ints
+        for k in range(r, n - r + 1):  # k < r holds by construction
+            if abs(sum(q * S[k + j] for j, q in enumerate(dilated))) > bound:
+                return None
+        half_open = isinstance(domain, HalfOpen)
+        if half_open and abs(sum(ints)) <= zero:  # p(1) reads as zero
+            ints = [ints[0] - sum(ints), *ints[1:]]
+        if abs(ints[0]) <= zero or count_positive_roots(ints, half_open) != r:
             return None
-    half_open = isinstance(domain, HalfOpen)
-    if half_open and abs(sum(ints)) <= zero:  # p(1) reads as zero
-        ints[0] -= sum(ints)
-    if abs(ints[0]) <= zero or count_positive_roots(ints, half_open) != r:
-        return None
-    return p
+        return p
+    return w.kept(("determinate", type(domain)), make)
 
 
 def _classify_limit(w: _Window, domain: Domain) -> PositivityVerdict:
@@ -540,7 +566,7 @@ def _limit_verdict(w: _Window, domain: Domain) -> PositivityVerdict:
     a -> 0 at b = 1), else decided by `_determinate_poly`.
 
     The forms are H(s) and M on the ray and for even n on (0, 1], H(s)
-    read from the pass `_support_poly` reads; for odd n on (0, 1] they are
+    read from the pass `_support_ints` reads; for odd n on (0, 1] they are
     b s_k - s_(k+1) at b = 1 and M.  An exact window's M is read from
     `_Window.slot_pass`, a congruence of M that keeps its class and whose
     corner then gives the threshold of a prepended value; a float window's
@@ -618,61 +644,51 @@ def _ends(domain: Domain) -> tuple:
     return (Fraction(1),) if isinstance(domain, HalfOpen) else ()
 
 
-def _interval(domain: Domain, poly: Polynomial) -> tuple:
-    """[lo, hi] holding the roots of a support polynomial on the domain."""
-    if isinstance(domain, Compact):
-        return domain.a, domain.b
-    if isinstance(domain, HalfOpen):
-        return Fraction(0), Fraction(1)
-    from .principal import root_bound
-    return Fraction(0), root_bound(poly)
-
-
-def _compact_support_poly(values, a: Scalar, b: Scalar) -> Polynomial:
-    """Support polynomial of a singularly positive window on [a, b] (any
-    a < b), read from its verdict."""
+def _compact_singular(values, a: Scalar, b: Scalar) -> tuple:
+    """(w, support): the image of a singularly positive window on [a, b]
+    (any a < b) and the support polynomial its verdict carries."""
     verdict = classify_compact(values, a, b)
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotAMomentSequence("sequence is not positive on the interval")
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
         raise DegenerateInput("sequence is strictly positive; nothing to recover")
-    return verdict.support
+    return _Window.of(values, None, (a, b)), verdict.support
 
 
 def recover_support_and_masses(values, a: Scalar, b: Scalar) -> tuple:
     """(position, mass) pairs of the unique representing measure of a
     singularly positive window on [a, b], and whether they are exact;
-    positions may include a, even a = 0 (the alternating reductions)."""
-    from .principal import atoms_from_poly
+    positions may include a, even a = 0 (the alternating reductions).
+    Read as `recover_minimal_measure` reads the measure."""
+    from .principal import _support_atoms
     values = _values(values)
     if all(v == 0 for v in values):
         return [], True
-    return atoms_from_poly(_compact_support_poly(values, a, b), values, a, b)
-
-
-def _support_measure(poly: Polynomial, values, domain: Domain) -> AtomicMeasure:
-    """The measure whose atoms are the roots of the support polynomial
-    `poly` of `values` in the domain; ZERO_MEASURE for the zero window."""
-    from .principal import measure_from_poly
-    if poly.degree == 0:
-        return ZERO_MEASURE
-    return measure_from_poly(poly, values, *_interval(domain, poly))
+    w, support = _compact_singular(values, a, b)
+    pairs, _, exact = _support_atoms(w, support, (a, b), a, b)
+    return pairs, exact
 
 
 def recover_minimal_measure(s, domain: Domain) -> AtomicMeasure:
     """Unique representing measure of a singularly positive sequence (on
     the ray and on (0, 1] also of any window `_determinate_poly` passes):
-    its atoms are the roots of the support polynomial in the domain."""
+    its atoms are the roots of the support polynomial in the domain.  The
+    polynomial is the one the window's verdict carries, or its kept
+    determinacy test's, and the measure is read on its integers
+    (`principal._support_measure`), so a window classified first builds it
+    once."""
+    from .principal import _support_measure
     values = _values(s)
     if all(v == 0 for v in values):
         return ZERO_MEASURE
     if isinstance(domain, Compact):
-        poly = _compact_support_poly(values, domain.a, domain.b)
+        w, support = _compact_singular(values, domain.a, domain.b)
     else:
-        poly = _determinate_poly(_Window.of(values), domain)
-        if poly is None:
+        w = _Window.of(values)
+        support = _determinate_poly(w, domain)
+        if support is None:
             raise NotAMomentSequence("sequence is not positive on the domain")
-    return _support_measure(poly, values, domain)
+    return _support_measure(w, support, domain)
 
 
 # --------------------------------------------------------------------------
@@ -685,12 +701,20 @@ def _reads_root(poly: Polynomial, x: Scalar, eps: Optional[float] = None) -> boo
     return _reads_zero(poly(x), sum(abs(c * x ** j) for j, c in enumerate(poly.coeffs)), eps)
 
 
-def _singular_index(poly: Polynomial, domain: Domain, eps: Optional[float] = None) -> Fraction:
-    """Index of a singularly positive sequence: the degree of its support
+def _singular_index(w: _Window, support: Polynomial, domain: Domain,
+                    eps: Optional[float] = None) -> Fraction:
+    """Index of a singularly positive window w: the degree of its support
     polynomial p, less 1/2 for each endpoint of the domain that is a root
-    of p (`_reads_root`)."""
-    on_ends = sum(_reads_root(poly, x, eps) for x in _ends(domain))
-    return Fraction(poly.degree) - Fraction(on_ends, 2)
+    of p.  An exact window reads each end x by one `_horner` on the kept
+    integers of p; a float one reads the rounded p its verdict carries
+    (`_reads_root`)."""
+    ends = _ends(domain)
+    if w.floats:
+        on_ends = sum(_reads_root(support, x, eps) for x in ends)
+    else:
+        ints = _support_ints(w, ends)[0]
+        on_ends = sum(_horner(ints, *_ratio(x)) == 0 for x in ends)
+    return Fraction(support.degree) - Fraction(on_ends, 2)
 
 
 def index(s, domain: Domain, eps: Optional[float] = None):
@@ -705,8 +729,10 @@ def index(s, domain: Domain, eps: Optional[float] = None):
 
 
 def _verdict_index(values: Sequence[Scalar], verdict: PositivityVerdict, domain: Domain,
-                   eps: Optional[float] = None):
-    """`index` of `values` read from their verdict on the domain."""
+                   eps: Optional[float] = None, w: Optional[_Window] = None):
+    """`index` of `values` read from their verdict on the domain; `w` is the
+    window the verdict was read on if the caller holds it, else the one
+    `_Window.of` holds."""
     n = len(values) - 1
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotAMomentSequence("sequence is not positive on the domain")
@@ -714,7 +740,9 @@ def _verdict_index(values: Sequence[Scalar], verdict: PositivityVerdict, domain:
         if isinstance(domain, Ray):
             return -((n + 1) // -2)  # ceil((n+1)/2)
         return Fraction(n + 1, 2)
-    idx = _singular_index(verdict.support, domain, eps)
+    if w is None:
+        w = _Window.of(values, eps, _ends(domain))
+    idx = _singular_index(w, verdict.support, domain, eps)
     return int(idx) if isinstance(domain, Ray) else idx
 
 

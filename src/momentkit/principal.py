@@ -5,12 +5,16 @@ of minimal index.  Their atoms are the roots of bordered-Hankel polynomials,
 det H_m (t^m - sum c_j t^j) with H_m c = (s_m, ..., s_(2m-1)) for the window
 or one of its transforms, read from one leading-minor pass of H_m and one
 back substitution (Curto and Fialkow, Houston J. Math. 17 (1991)), times
-the factor of the ends among the atoms, all built in one place on the
-window's integer image and kept on it (`_atom_ints`; `bordered_hankel_poly`,
-`atom_polynomial` and `principal_polynomial` are views of it).  Their
-masses are Gauss-Christoffel weights q(x)/p'(x), q the associated
-polynomial, read on the atom polynomial p itself and the window's image
-(`_masses`; float input at its float roots, `numeric.vandermonde_masses`).
+the factor of the ends among the atoms (`positivity._times_factor`), all
+built in one place on the window's integer image and kept on it
+(`_atom_ints`; `bordered_hankel_poly`, `atom_polynomial` and
+`principal_polynomial` are views of it).  The unique measure of a singular
+window is read the same way from its support polynomial, which
+`positivity._support_ints` keeps on the window (`_support_measure`).  Every
+such measure is isolated on the integers of its polynomial, and its masses
+are Gauss-Christoffel weights q(x)/p'(x), q the associated polynomial, read
+on p itself and the window's image (`_window_atoms`, `_masses`; float input
+on its rounded polynomial, at its float roots, `numeric.vandermonde_masses`).
 A measure of an exact window keeps the image of its atoms for its moments
 and its tilts.  On (0, inf) the odd-length case has a unique minimal
 measure (the same polynomial, interval-independent); the even-length case
@@ -27,13 +31,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, InsufficientMoments, NotStrictlyPositive
-from .measure import AtomicMeasure, _AtomImage, _imaged
+from .measure import ZERO_MEASURE, AtomicMeasure, _AtomImage, _imaged
 from .numeric import (HankelImage, Polynomial, Scalar, _derivative, _horner, _integer_scale,
                       _isolate, _minor_pass, _pass_bordered, _primitive, _shares_root, _to_float,
                       as_fraction, associated, root_enclosures, root_precision,
                       vandermonde_masses)
-from .positivity import (HalfOpen, PositivityClass, Ray, _Window, _classify_limit, _limit_window,
-                         _support_measure, _values, classify_compact, classify_half_open)
+from .positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
+                         _ends, _limit_window, _support_ints, _times_factor, _values, _view,
+                         classify_compact, classify_half_open)
 
 
 class PrincipalKind(Enum):
@@ -55,7 +60,7 @@ def _bordered_ints(form: HankelImage, lam: int, minor_pass: Optional[tuple] = No
 
     The polynomial is det H_m (t^m - sum c_j t^j) with
     H_m c = (s_m, ..., s_(2m-1)), det H_m times the monic support
-    polynomial that `positivity._support_poly` reads off the same pass: one
+    polynomial that `positivity._support_ints` reads off the same pass: one
     `_minor_pass` of the rows of H_m with the column of the right-hand
     side, m positive pivots, and one back substitution
     (`numeric._pass_bordered`).  It runs without the float zero test, on
@@ -105,14 +110,8 @@ def _atom_ints(w: _Window, where) -> tuple:
             form, factor = w.upper(b), (b, -1)
         ints, num, den = _bordered_ints(form, w.lam, None if w.floats or factor
                                         else w.support_pass())
-        if w.floats or not factor:
-            return ints, num, den, factor
-        scaled, scale = _integer_scale(factor)
-        product = [0] * (len(ints) + len(scaled) - 1)
-        for i, x in enumerate(ints):
-            for j, y in enumerate(scaled):
-                product[i + j] += x * y
-        return product, num, den * scale, ()
+        ints, scale, rest = _times_factor(ints, factor, w.floats)
+        return ints, num, den * scale, rest
     return w.kept(("atoms", where), make)
 
 
@@ -120,11 +119,7 @@ def _atom_poly(w: _Window, where) -> Polynomial:
     """`_atom_ints` as a `Polynomial`; on a float window the bordered part is
     rounded first, then the end factor multiplied in."""
     ints, num, den, rest = _atom_ints(w, where)
-    coeffs = [Fraction(x * num, den) for x in ints]
-    if not w.floats:
-        return Polynomial(coeffs)
-    poly = Polynomial([_to_float(c) for c in coeffs])
-    return poly.mul(Polynomial(rest)) if rest else poly
+    return _view([Fraction(x * num, den) for x in ints], rest, w.floats)
 
 
 def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
@@ -157,19 +152,30 @@ def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
     any mass fails to be positive; verifies the full window when the atoms
     are exact.  A mass at an irrational root is of certain sign and within
     `root_precision()` relative of the true one (`_atoms_and_image`)."""
-    pairs, _, exact = _atoms_and_image(root_enclosures(poly, lo, hi), poly.coeffs, window)
+    pairs, _, exact = _poly_atoms(poly, window, lo, hi)
     return pairs, exact
+
+
+def _poly_atoms(poly: Polynomial, window: Sequence[Scalar], lo: Scalar, hi: Scalar,
+                scaled: Optional[tuple] = None) -> tuple:
+    """`_atoms_and_image` of the roots of `poly` in [lo, hi]
+    (`root_enclosures`), on its integer coefficients where they are exact."""
+    coeffs = poly.coeffs
+    if not any(isinstance(c, float) for c in coeffs):
+        coeffs = _integer_scale(coeffs)[0]
+    return _atoms_and_image(root_enclosures(poly, lo, hi), coeffs, window, scaled)
 
 
 def _atoms_and_image(enclosures: list, p, window: Sequence[Scalar],
                      scaled: Optional[tuple] = None) -> tuple:
     """`atoms_from_poly` of the ascending RootEnclosures of every root of
-    the polynomial with the coefficients `p`, as (pairs, image, exact):
-    `image` is the integer image (`measure._AtomImage`) of the atoms, None
-    for float input.  `scaled` is the window's image (ints, unit, lam) if
-    the caller holds one (`positivity._Window`), else it is made here.  A
-    position is the root or the midpoint of its enclosure narrowed to
-    `root_precision()`, a mass q(x)/p'(x) read on p (`_masses`), so an
+    the polynomial with the integer coefficients `p` (any coefficients for
+    float input), as (pairs, image, exact): `image` is the integer image
+    (`measure._AtomImage`) of the atoms, None for float input.  `scaled` is
+    the window's image (ints, unit, lam) if the caller holds one
+    (`positivity._Window`), else it is made here.  A position is the root
+    or the midpoint of its enclosure narrowed to `root_precision()`, read
+    once per measure, a mass q(x)/p'(x) read on p (`_masses`), so an
     inexact measure matches s_0..s_(c-1) only to that precision; exact
     atoms must reproduce the whole window.  Float input reads its masses
     at its float roots (`vandermonde_masses`)."""
@@ -177,7 +183,8 @@ def _atoms_and_image(enclosures: list, p, window: Sequence[Scalar],
         raise DegenerateInput(
             f"expected {len(p) - 1} simple roots in range, found {len(enclosures)}")
     window = list(window)
-    roots = [e.refine(root_precision()) for e in enclosures]
+    eps = root_precision() if enclosures else None
+    roots = [e.refine(eps) for e in enclosures]
     exact = all(e.root is not None for e in enclosures)
     floats = any(isinstance(v, float) for v in window + roots)
     if floats:
@@ -186,7 +193,7 @@ def _atoms_and_image(enclosures: list, p, window: Sequence[Scalar],
         S, unit, lam = scaled or (*_integer_scale(window), 1)
         if len(S) < len(roots):
             raise InsufficientMoments("moment window shorter than atom count")
-        masses = _masses(p, enclosures, S, unit, lam)
+        masses = _masses(p, enclosures, S, unit, lam, eps)
     if not all(mass > 0 for mass in masses):
         raise DegenerateInput("nonpositive mass in principal construction")
     pairs = list(zip(roots, masses))
@@ -203,20 +210,21 @@ def _atoms_and_image(enclosures: list, p, window: Sequence[Scalar],
     return pairs, image, exact
 
 
-def _masses(p, enclosures: list, S: list, unit: int, lam: int) -> list:
-    """The masses at the roots of p for the window with the image S_k =
-    unit lam^k s_k: m = q(lam x) / (unit p'(lam x)), p here the image
-    lam^c p(t / lam), whose roots are the atoms lam x, and q its associated
-    polynomial under S (`numeric.associated`); exact at a rational root,
-    read on its enclosure at an irrational one (`_enclosed_mass`)."""
-    p = _primitive(_integer_scale(p)[0])
+def _masses(p: list, enclosures: list, S: list, unit: int, lam: int, eps: Fraction) -> list:
+    """The masses at the roots of the integer polynomial p for the window
+    with the image S_k = unit lam^k s_k: m = q(lam x) / (unit p'(lam x)),
+    p here the image lam^c p(t / lam), whose roots are the atoms lam x, and
+    q its associated polynomial under S (`numeric.associated`); exact at a
+    rational root, read on its enclosure to `eps` relative at an irrational
+    one (`_enclosed_mass`)."""
+    p = _primitive(p)
     c = len(p) - 1
     if lam > 1:
         p = [x * lam ** (c - k) for k, x in enumerate(p)]
     q, dp = list(associated(p, S)), _derivative(p)
     masses = []
     for e in enclosures:
-        mass = None if e.root is not None else _enclosed_mass(e, p, q, dp, unit, lam)
+        mass = None if e.root is not None else _enclosed_mass(e, p, q, dp, unit, lam, eps)
         if mass is None:
             num, den = lam * e.root.numerator, e.root.denominator
             mass = Fraction(_horner(q, num, den), unit * _horner(dp, num, den))
@@ -224,7 +232,8 @@ def _masses(p, enclosures: list, S: list, unit: int, lam: int) -> list:
     return masses
 
 
-def _enclosed_mass(e, p: list, q: list, dp: list, unit: int, lam: int) -> Optional[Fraction]:
+def _enclosed_mass(e, p: list, q: list, dp: list, unit: int, lam: int,
+                   eps: Fraction) -> Optional[Fraction]:
     """`_masses` at the unknown root of p in the RootEnclosure e; None if
     narrowing e finds it rational.  By Taylor, |f(y) - f(u)| <= w |f'(u)|
     + w^2 max |f''| on e, u its midpoint and w its half-width, for f = q
@@ -232,11 +241,12 @@ def _enclosed_mass(e, p: list, q: list, dp: list, unit: int, lam: int) -> Option
     that of q(u) p'(u), exactly, and m lies between the bounds.  Since q
     interlaces p and q(x) = m p'(x), the smaller m the nearer a root of q
     to x.  e is narrowed by 2^-32 while a bound is not met, and to about
-    the width the bounds ask for while m is wider than `root_precision()`
-    relative; that ends unless m = 0, when p and q share a root."""
+    the width the bounds ask for while m is wider than `eps` relative
+    (`root_precision()`); that ends unless m = 0, when p and q share a
+    root."""
     dq, ddp = _derivative(q), _derivative(dp)
     bound_q, bound_dp = ([abs(x) for x in _derivative(f)] for f in (dq, ddp))
-    eps, checked = root_precision(), False
+    checked = False
     while e.root is None:
         mid, den, w = lam * (e.lo + e.hi), 2 * e.den, lam * (e.hi - e.lo)
         r = 2 * lam * max(-e.lo, e.hi)
@@ -263,23 +273,53 @@ def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
     exact window its masses are read on `_Window.of`'s image of the window,
     and it carries the integer image of its atoms (`_atoms_and_image`)."""
     w = _Window.of(window)
-    return _carrying(*_atoms_and_image(root_enclosures(poly, lo, hi), poly.coeffs, window,
-                                       None if w.floats else (w.ints, w.unit, w.lam)))
+    return _carrying(*_poly_atoms(poly, window, lo, hi,
+                                  None if w.floats else (w.ints, w.unit, w.lam)))
+
+
+def _window_atoms(w: _Window, poly, lo: Scalar, hi: Optional[Scalar]) -> tuple:
+    """`_atoms_and_image` of the roots in [lo, hi] (hi None for
+    `_cauchy_bound`) of an atom polynomial of the window w, kept by its
+    caller: on an exact window `poly` is its integers, the roots isolated
+    and the masses read on them and on w's image, with no `Fraction`
+    polynomial and no second scaling; on a float window it is the rounded
+    `Polynomial`."""
+    if w.floats:
+        enclosures = root_enclosures(poly, lo, root_bound(poly) if hi is None else hi)
+        return _atoms_and_image(enclosures, poly.coeffs, w.values)
+    hi = _cauchy_bound(poly) if hi is None else as_fraction(hi)
+    return _atoms_and_image(_isolate(poly, as_fraction(lo), hi), poly, w.values,
+                            (w.ints, w.unit, w.lam))
 
 
 def _window_measure(w: _Window, where, lo: Scalar, hi: Optional[Scalar]) -> AtomicMeasure:
-    """The measure of the roots in [lo, hi] (hi None for `_cauchy_bound`) of
-    the atom polynomial `_atom_ints` of the window w: isolated and its masses
-    read on those integers and on w's image, with no `Fraction` polynomial
-    and no second scaling; a float window's on its rounded `_atom_poly`."""
-    if w.floats:
-        poly = _atom_poly(w, where)
-        enclosures = root_enclosures(poly, lo, root_bound(poly) if hi is None else hi)
-        return _carrying(*_atoms_and_image(enclosures, poly.coeffs, w.values))
-    ints = _atom_ints(w, where)[0]
-    hi = _cauchy_bound(ints) if hi is None else as_fraction(hi)
-    return _carrying(*_atoms_and_image(_isolate(ints, as_fraction(lo), hi), ints, w.values,
-                                       (w.ints, w.unit, w.lam)))
+    """The measure of the roots in [lo, hi] of the atom polynomial
+    `_atom_ints` of the window w (`_window_atoms`)."""
+    return _carrying(*_window_atoms(
+        w, _atom_poly(w, where) if w.floats else _atom_ints(w, where)[0], lo, hi))
+
+
+def _support_atoms(w: _Window, support: Polynomial, ends: tuple, lo: Scalar,
+                   hi: Optional[Scalar]) -> tuple:
+    """`_window_atoms` of the support polynomial of a singular window w:
+    the integers `positivity._support_ints` keeps on an exact w for the
+    `ends` of its domain, the rounded `support` its verdict carries on a
+    float one."""
+    return _window_atoms(w, support if w.floats else _support_ints(w, ends)[0], lo, hi)
+
+
+def _support_measure(w: _Window, support: Polynomial, domain) -> AtomicMeasure:
+    """The unique measure of a singular window w on the domain, kept on w:
+    the roots of its support polynomial in [a, b], (0, 1] or (0, inf) with
+    their masses (`_support_atoms`); ZERO_MEASURE for the zero window."""
+    if support.degree == 0:
+        return ZERO_MEASURE
+    if isinstance(domain, Compact):
+        lo, hi = domain.a, domain.b
+    else:
+        lo, hi = Fraction(0), (Fraction(1) if isinstance(domain, HalfOpen) else None)
+    return w.kept(("singular", domain), lambda: _carrying(
+        *_support_atoms(w, support, _ends(domain), lo, hi)))
 
 
 def _carrying(pairs: list, image, exact: bool) -> AtomicMeasure:
@@ -361,9 +401,10 @@ def minimal_measure_half_open(s) -> AtomicMeasure:
     verdict = classify_half_open(values)
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotStrictlyPositive("sequence is not positive on (0, 1]")
+    w = _Window.of(values)
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        return _support_measure(verdict.support, values, HalfOpen())
-    return _minimal(_Window.of(values), HalfOpen())
+        return _support_measure(w, verdict.support, HalfOpen())
+    return _minimal(w, HalfOpen())
 
 
 def _minimal(w: _Window, domain) -> AtomicMeasure:

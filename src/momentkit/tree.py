@@ -38,8 +38,8 @@ from typing import Optional, Union
 
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
 from .measure import MomentRecurrence, MomentSequence, geometric_row, moment_row
-from .numeric import Scalar, _integer_scale, as_fraction, format_ratio, format_scalar
-from .positivity import HalfOpen, Ray, _Window, _determinate_poly
+from .numeric import Scalar, as_fraction, format_ratio, format_scalar
+from .positivity import HalfOpen, Ray, _Window, _determinate_poly, _support_ints
 
 
 def _pos_sq(x, what: str):
@@ -375,9 +375,9 @@ def _positive_on(mu, domain) -> bool:
     leading coefficient; it counts the roots by Descartes' rule, exact on
     that real-rooted polynomial.  An exact recurrence runs it on the
     integer moments of its own image and compares the polynomial on
-    integers: the least common denominator of the monic polynomial's
-    coefficients makes it primitive, as the image's q is.  Any other object
-    with moments passes."""
+    integers: the test's kept integers (`positivity._support_ints`) are
+    primitive with a positive leading entry, as the image's q is.  Any
+    other object with moments passes."""
     rec = getattr(mu, "positive", mu)
     if not isinstance(rec, MomentRecurrence):
         return True
@@ -396,7 +396,7 @@ def _positive_on(mu, domain) -> bool:
     if image is None:
         q = rec.poly.coeffs
         return all(_eq(c, x / q[-1]) for c, x in zip(p.coeffs, q))
-    return _integer_scale(p.coeffs)[0] == image.q
+    return _support_ints(w)[0] == image.q
 
 
 def _check_counts(w: FullWeights, measures):

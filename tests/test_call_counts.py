@@ -61,6 +61,10 @@ it, and the backward extension at its threshold reads the minimal one.  A
 minimal or principal measure of a held window is read on the integers of its
 atom polynomial and on the held image, so it builds no `Fraction` polynomial
 and no window of its own, and an inexact one no polynomial from its roots.
+The support polynomial of a singular window is built once on its integers
+and kept on it: the class, index and unique measure of a held window build
+it once, the index reads the domain's ends by integer Horner, and the
+measure is read on those integers, with no coefficient scaled again.
 """
 
 import json
@@ -326,6 +330,58 @@ def test_singular_compact_results_read_the_verdict_polynomial(calls, monkeypatch
     # the interior form: the window is classified once
     assert classified["classify_compact"] == 1
     assert _counts(calls) == (0, 2, 0, 0)
+
+
+#: (domain, measure, n, index): a singular window per domain, with an atom
+#: at the end of (0, 1] and at the lower end of [1, 4]
+HELD_SINGULAR = {
+    "ray": (Ray(), RAY_MU, 5, 2),
+    "half-open": (HalfOpen(), AtomicMeasure([(F(1, 4), F(3)), (F(1), F(1, 2))]), 5, F(3, 2)),
+    "compact": (Compact(1, 4), AtomicMeasure([(F(1), F(1)), (F(5, 2), F(2, 3))]), 4, F(3, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELD_SINGULAR))
+def test_singular_results_of_a_held_window_build_its_support_integers_once(monkeypatch, case):
+    domain, mu, n, want = HELD_SINGULAR[case]
+    window = _window(mu, n)
+    counter, support = Counter(), []
+    pass_bordered, call, scale = numeric._pass_bordered, Polynomial.__call__, numeric._integer_scale
+
+    def counted_bordered(*args, **kwargs):
+        counter["built"] += 1
+        return pass_bordered(*args, **kwargs)
+
+    def counted_call(self, x):
+        counter["evaluated"] += 1
+        return call(self, x)
+
+    def counted_scale(values):
+        values = list(values)
+        if len(values) == len(support) and all(
+                x * support[-1] == c * values[-1] for x, c in zip(values, support)):
+            counter["scaled"] += 1  # a multiple of the support polynomial
+        return scale(values)
+
+    monkeypatch.setattr(positivity, "_pass_bordered", counted_bordered)
+    monkeypatch.setattr(Polynomial, "__call__", counted_call)
+    for module in [m for name, m in sys.modules.items() if name.startswith("momentkit.")]:
+        for attr, value in list(vars(module).items()):
+            if value is scale:
+                monkeypatch.setattr(module, attr, counted_scale)
+    verdict = classify(window, domain)  # the window is held from here on
+    assert verdict.kind is PositivityClass.SINGULARLY_POSITIVE
+    support += verdict.support.coeffs
+    counter["evaluated"] = 0
+    assert index(window, domain) == want
+    # the ends are read by `_horner` on the kept integers
+    assert counter["evaluated"] == 0
+    assert recover_minimal_measure(window, domain) == mu
+    # the support integers are built once, by the classification, and the
+    # measure is isolated and its masses read on them: its coefficients
+    # are never scaled to integers again
+    assert counter["built"] == 1
+    assert counter["scaled"] == 0
 
 
 def test_singular_ray_infimum_reads_the_verdict_polynomial(calls):

@@ -441,3 +441,25 @@ def test_compact_principal_returns_both_principal_measures(tmp_path):
     assert payload["measure"]["atoms"] == [{"x": "1", "m": "1/2"}, {"x": "2", "m": "1/2"}]
     assert payload["upper"]["atoms"] == [{"x": "1/2", "m": "8/49"}, {"x": "5/3", "m": "81/98"},
                                          {"x": "4", "m": "1/98"}]
+
+
+@pytest.mark.parametrize("obj, named", [
+    ({"kind": "classify", "sequence": ["1", "nan"], "domain": "ray"}, "nan"),
+    ({"kind": "classify", "sequence": ["1", "2"], "domain": "compact", "a": "1", "b": "inf"},
+     "inf"),
+    ({"kind": "ca", "sequence": ["1", "inf"]}, "inf"),
+])
+def test_non_finite_float_input_is_a_domain_error(tmp_path, obj, named):
+    # these died with a traceback, exit 1 and no JSON
+    proc = _run_cli(["--float", _write(tmp_path, "p.json", obj)])
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "DomainError" and f"non-finite value {named} " in error["message"]
+
+
+def test_probe_refuses_a_negative_kappa_max(tmp_path):
+    # it exited 0 with FeasibleTowardInfinity and no prefix run
+    path = _write(tmp_path, "probe.json", {"kind": "probe-kappa-inf", "trunk_sq": ["1"],
+                                           "branches_sq": [["1", "1"]], "kappa_max": -1})
+    payload, code = run(path)
+    assert code == 1 and payload["error"]["kind"] == "BadIndex"

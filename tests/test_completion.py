@@ -173,6 +173,12 @@ def test_kappa_probe_stops_at_infeasible():
     assert report.stopped_at == 2
 
 
+def test_kappa_probe_refuses_a_negative_range():
+    # kappa_max = -1 ran no prefix and still reported FeasibleTowardInfinity
+    with pytest.raises(BadIndex, match="kappa_max"):
+        kappa_infinite_probe([1, 1], [BranchClass(1, (), 1)], -1)
+
+
 def test_kappa_probe_monotone_norms():
     # norms reported per prefix form the empirical bound sequence
     report = kappa_infinite_probe([2, F(3, 2), F(5, 4)], [BranchClass(1, (), 1)], 2)

@@ -56,12 +56,12 @@ from momentkit.numeric import (FormClass, Polynomial, _dilated_scale, _hankel_im
                                root_enclosures, root_precision, vandermonde_masses)
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window,
                                   _classify_limit, _determinate_poly, _ends, _limit_window,
-                                  _support_poly,
+                                  _support_ints, _support_poly,
                                   classify, classify_compact, compact_criterion_matrices, index,
                                   ray_limit_matrices, recover_minimal_measure,
                                   recover_support_and_masses)
 from momentkit.principal import (PrincipalKind, _atom_ints, _bordered_ints, atom_polynomial,
-                                 atoms_from_poly, bordered_hankel_poly,
+                                 atoms_from_poly, bordered_hankel_poly, measure_from_poly,
                                  minimal_measure_half_open, minimal_measure_ray,
                                  principal_polynomial, root_bound)
 from momentkit.tree import GeometricSumTail, MeasureTail
@@ -919,14 +919,16 @@ def test_support_poly_of_the_minor_pass_is_the_monic_bordered_polynomial(problem
 def test_strict_odd_ray_window_reads_its_bordered_polynomial_from_the_pass(atoms, m):
     """The bordered-Hankel polynomial of a strict window s_0..s_(2m-1) on
     the ray is the full-rank monic support polynomial times det H_m; float
-    windows round the same exact coefficients."""
+    windows round the same exact coefficients: the unrounded ones of the
+    integers `_support_ints` keeps."""
     m = min(m, len(atoms))
     window = [sum((x_m * x ** k for x, x_m in atoms), F(0)) for k in range(2 * m)]
     w = _Window.of(window)
     assert _classify_limit(w, Ray()).is_strict
     assert bordered_hankel_poly(window) == _det_times(window, _support_poly(w))
     image = [float(v) for v in window]
-    monic = _support_poly(_Window.of(image), exact=True)
+    ints = _support_ints(_Window.of(image))[0]
+    monic = Polynomial([F(x, ints[-1]) for x in ints]) if ints else None
     if monic is not None and monic.degree == m:
         want = _det_times(image, monic)
         assert bordered_hankel_poly(image) == Polynomial([_to_float(c) for c in want.coeffs])
@@ -947,6 +949,76 @@ def test_a_window_off_by_one_over_den_fails_its_moment_check(problem, data):
     window[k] += data.draw(st.sampled_from((1, -1))) * F(1, den)
     with pytest.raises(DegenerateInput, match="principal measure fails its moment window"):
         atoms_from_poly(poly, window, lo, hi)
+
+
+@st.composite
+def planted_singular_measures(draw):
+    """(domain, window): 1-4 atoms on the ray (in [2^-36, 2^40]), on (0, 1]
+    (their images x / (1 + x), and the atom 1) or on [a, b] (the ends
+    too), two of them a third of the time the irrational conjugate pair of
+    mass 1/2 each at the roots of t^2 - 3t + 1, resp. of u^2 - u + 1/5 in
+    (0, 1] mapped onto [a, b], seen through a singular window of 2K + 1 to
+    2K + 3 moments."""
+    kind = draw(st.sampled_from(("ray", "half-open", "compact")))
+    if kind == "ray":
+        domain, atom, pair = Ray(), RATIONAL_ATOM, (F(3), F(1))
+    elif kind == "half-open":
+        domain, pair = HalfOpen(), (F(1), F(1, 5))
+        atom = st.one_of(st.just(F(1)), RATIONAL_ATOM.map(lambda x: x / (1 + x)))
+    else:
+        a = draw(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
+        d = draw(st.fractions(min_value=F(1, 7), max_value=30, max_denominator=7))
+        domain, pair = Compact(a, a + d), (2 * a + d, a * a + a * d + d * d / 5)
+        atom = st.one_of(st.sampled_from([a, a + d]),
+                         RATIONAL_ATOM.map(lambda x: a + d * x / (1 + x)))
+    paired = draw(st.integers(0, 2)) == 0
+    size = draw(st.integers(1, 2 if paired else 4))
+    atoms = sorted(draw(st.sets(atom, min_size=size, max_size=size)))
+    masses = draw(st.lists(POSITIVE, min_size=size, max_size=size))
+    k = size + 2 * paired
+    n = draw(st.integers(2 * k, 2 * k + 2))
+    window = [sum((m * x ** j for x, m in zip(atoms, masses)), F(0)) for j in range(n + 1)]
+    if paired:  # the pair's power sums, by its recurrence
+        (s, p), sums = pair, [F(2), pair[0]]
+        while len(sums) <= n:
+            sums.append(s * sums[-1] - p * sums[-2])
+        window = [v + sums[j] / 2 for j, v in enumerate(window)]
+    return domain, window
+
+
+@given(planted_singular_measures(), st.booleans())
+def test_singular_measures_and_indices_read_on_the_support_integers(problem, floats):
+    """The measure and index of a singular window, read on the integers of
+    its support polynomial (`positivity._support_ints`), are those read from
+    the polynomial its verdict carries: the measure of `measure_from_poly`
+    on the domain (`atoms_from_poly` for `recover_support_and_masses`) and
+    the degree less 1/2 for each end that `_reads_root` reads as a root.
+    Exact windows and their float images, float ends on [a, b]."""
+    domain, window = problem
+    if floats:
+        window = [float(v) for v in window]
+        if isinstance(domain, Compact):
+            domain = Compact(float(domain.a), float(domain.b))
+    verdict = classify(window, domain)
+    if verdict.kind is not PositivityClass.SINGULARLY_POSITIVE:
+        assert floats
+        return
+    support = verdict.support
+    if isinstance(domain, Compact):
+        lo, hi = domain.a, domain.b
+        assert (_outcome(recover_support_and_masses, window, lo, hi)
+                == _outcome(atoms_from_poly, support, window, lo, hi))
+    else:
+        lo, hi = F(0), F(1) if isinstance(domain, HalfOpen) else root_bound(support)
+    got = _outcome(recover_minimal_measure, window, domain)
+    want = _outcome(measure_from_poly, support, window, lo, hi)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.atoms == want.atoms and got.exact is want.exact
+    on_ends = sum(positivity._reads_root(support, x) for x in _ends(domain))
+    idx = support.degree - F(on_ends, 2)
+    assert index(window, domain) == idx and (not isinstance(domain, Ray) or idx.denominator == 1)
 
 
 # --------------------------------------------------------------------------

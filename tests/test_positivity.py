@@ -357,3 +357,20 @@ def test_float_singular_classification_imports_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: classify_ray([1.0, float("nan")]), "nan"),
+    (lambda: classify_half_open([float("inf"), 1.0]), "inf"),
+    (lambda: classify_compact([1.0, 2.0], 1, float("inf")), "inf"),
+    (lambda: classify_compact([1, 2, 3], float("-inf"), 2.0), "-inf"),
+    (lambda: index([1.0, float("nan"), 1.0], Compact(1, 2)), "nan"),
+    (lambda: recover_minimal_measure([1.0, float("inf")], HalfOpen()), "inf"),
+    (lambda: compact_criterion_matrices([1.0, 2.0, 5.0], 1, float("inf")), "inf"),
+])
+def test_non_finite_float_input_is_a_domain_error(call, named):
+    # a float window is imaged in binary-exact fractions, which a nan or an
+    # infinite value or interval end has none of: it escaped as ValueError
+    # or OverflowError
+    with pytest.raises(DomainError, match=f"non-finite value {named} "):
+        call()
