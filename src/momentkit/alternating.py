@@ -5,7 +5,8 @@ increments form a moment sequence on [0, 1]; the representing measure of the
 extension lives on [0, 1] and must be split into a possible atom at zero
 plus a part on (0, 1], because the downstream criteria integrate 1/t
 and are blind to mass at zero only in the controlled way the backward
-extension formula prescribes.
+extension formula prescribes.  That measure is read on the integers kept on
+the increments' window, float increments too (`principal._window_atoms`).
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from .errors import DegenerateInput, DomainError, NotAMomentSequence, ZeroAtomEr
 from .measure import (AtomicMeasure, MomentRecurrence, ZERO_MEASURE, _Row, geometric_row,
                       moment_row)
 from .numeric import Polynomial, Scalar
-from .positivity import HalfOpen, PositivityClass, _reads_root, _values, _Window, classify_compact
-from .principal import _atom_poly, _minimal, _support_atoms
+from .positivity import (HalfOpen, PositivityClass, _reads_root, _support_ints, _values, _Window,
+                         classify_compact)
+from .principal import _atom_poly, _minimal, _window_atoms
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,8 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     (0, 1], the one `principal._minimal` keeps on its window (and
     `minimal_measure_half_open` of the increments reads); a singular one its
     unique measure, read on the support integers kept on its window
-    (`principal._support_atoms`; float input on the support polynomial its
-    verdict carries).  A root at 0 is read with the zero test of the index
+    (`principal._window_atoms`), float input too.  A root at 0 is read on
+    those integers with the zero test of the index
     (`positivity._reads_root`), so a float root that rounding moved just
     inside (0, 1] is put back at 0 and its atom booked as mass at zero."""
     values = _values(c)
@@ -139,11 +141,11 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
                                   _atom_poly(w, half))
     if not any(deltas):  # a constant sequence: exact even for float input
         return CAExtensionVerdict(True, ZERO_CA_MEASURE, verdict.kind, Polynomial([1]))
-    support = poly = verdict.support
-    if _reads_root(support, 0):
-        poly = support.shifted_quotient_at_zero()
-        support = poly.mul_linear(0, 1)
-    pairs, _, exact = _support_atoms(_Window.of(deltas, None, ends), support, ends, *ends)
+    w, poly = _Window.of(deltas, None, ends), verdict.support
+    ints = _support_ints(w, ends)
+    if _reads_root(w, ints, 0):
+        ints, poly = [0, *ints[1:]], poly.shifted_quotient_at_zero()
+    pairs, _, exact = _window_atoms(w, ints, *ends)
     return CAExtensionVerdict(True, _split_pairs(pairs, exact), verdict.kind, poly)
 
 

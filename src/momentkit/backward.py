@@ -60,8 +60,8 @@ def classify_backward(s, x: Scalar, domain=Ray()) -> ExtensionVerdict:
     for even n on the ray, where the infimum is not attained.  A float
     window's extension there is not strict (its corner has a zero Schur
     complement), and its determinacy test decides it.  Otherwise the
-    extension is classified, a singular one's measure read from the support
-    polynomial its verdict carries."""
+    extension is classified, a singular one's measure read on the support
+    integers its verdict built (`principal._support_measure`)."""
     classify, _ = _domain_tools(domain)
     w = _limit_window(s)
     base = _classify_limit(w, domain)
@@ -80,7 +80,7 @@ def classify_backward(s, x: Scalar, domain=Ray()) -> ExtensionVerdict:
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
         return ExtensionVerdict(ExtensionClass.STRICT, threshold)
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        zero_based = _support_measure(_Window.of(extension), verdict.support, domain)
+        zero_based = _support_measure(_Window.of(extension), domain)
         return ExtensionVerdict(ExtensionClass.SINGULAR, threshold,
                                 measure=tilt(zero_based, 1))
     return ExtensionVerdict(ExtensionClass.NOT_EXTENSION, threshold)

@@ -13,21 +13,22 @@ support or bordered-Hankel polynomial (`_pass_bordered`), instead of
 eliminating the form twice.  The associated polynomial q of an atom
 polynomial p (`associated`) gives the mass q(x)/p'(x) at each root x of
 p; at given nodes that is the Lagrange form of their Vandermonde system
-(`vandermonde_masses`).  Roots are found from float seeds (Laguerre's
-method) that exact signs certify, and isolated by Descartes bisection on the
-primitive integer polynomial when the certificate fails; Descartes' rule of
-signs also counts them (`count_positive_roots`).  Signs are read by
-homogeneous Horner at rational points.  `Fraction`s appear only in the
-results.  `det` and `det_poly` are a plain Gaussian elimination over
-`Fraction`s, kept as a reference for the tests; no library path calls them,
-so `_minor_pass` is the package's only fraction-free elimination.
+(`vandermonde_masses`, which no library path calls).  Roots are found from
+float seeds (Laguerre's method) that exact signs certify, and isolated by
+Descartes bisection on the primitive integer polynomial when the
+certificate fails; Descartes' rule of signs also counts them
+(`count_positive_roots`).  Signs are read by homogeneous Horner at rational
+points.  `Fraction`s appear only in the results.  `det` and `det_poly` are
+a plain Gaussian elimination over `Fraction`s, kept as a reference for the
+tests; no library path calls them, so `_minor_pass` is the package's only
+fraction-free elimination.
 
 Exact input (`int` and `fractions.Fraction`) gives exact results.  Input
 containing a `float` runs through the same code on its binary-exact image
-(`as_fraction`) and gets floats back.  A relative tolerance (`eps`, default
-1e-9) applies only where a float is read as zero: an entry of a Schur
-complement in the pass over a Hankel form, relative to the size of the terms
-its entries were computed from, and a root just past an end of its interval.
+(`as_fraction`) and gets floats back, rounded once.  A tolerance (`eps`,
+default 1e-9) applies only where a float is read as zero: an entry of a
+Schur complement in the pass over a Hankel form, relative to the size of the
+terms its entries were computed from, and a root past an end (`_widened`).
 
 Hankel forms here are catastrophically ill-conditioned, and the verdicts the
 rest of the package needs (definite vs. singular vs. indefinite) sit exactly
@@ -581,9 +582,8 @@ def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
     is real, simple and strictly inside (lo, hi).  Otherwise Descartes
     bisection isolates the roots (`_descartes_isolate`).  Either way an
     interval is refined by `RootEnclosure.refine`.  Float input (in p, lo
-    or hi) is isolated on its binary-exact image over [lo - d, hi + d],
-    d = eps * max(1, |lo|, |hi|), so that a root the rounding moved just
-    past an end still counts; each root comes back settled as a float
+    or hi) is isolated on its binary-exact image over the `_widened`
+    interval; each root comes back settled as a float
     (`RootEnclosure.to_float`).  Repeated roots raise DegenerateInput:
     every polynomial this package feeds in here is guaranteed simple by the
     theory (see `count_positive_roots`), so a multiple root signals
@@ -597,10 +597,16 @@ def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
         raise ShapeError("empty interval")
     if not floats:
         return _isolate(_integer_scale(p.coeffs)[0], lo, hi)
-    d = as_fraction(eps * max(1.0, abs(float(lo)), abs(float(hi))))
     return [RootEnclosure(root=e.to_float(lo, hi))
             for e in _isolate(_integer_scale([as_fraction(c) for c in p.coeffs])[0],
-                              lo - d, hi + d)]
+                              *_widened(lo, hi, eps))]
+
+
+def _widened(lo: Fraction, hi: Fraction, eps: float = DEFAULT_EPS) -> tuple:
+    """(lo - d, hi + d), d = eps * max(1, |lo|, |hi|): where float input is
+    isolated, so that a root the rounding moved just past an end counts."""
+    d = as_fraction(eps * max(1.0, abs(float(lo)), abs(float(hi))))
+    return lo - d, hi + d
 
 
 def _isolate(ints, lo: Fraction, hi: Fraction) -> list:
@@ -753,8 +759,8 @@ def vandermonde_masses(atoms: Sequence[Scalar], window: Sequence[Scalar]):
     `associated` polynomial.  On the images x_j = P_j / Q and s_k = S_k /
     unit, prod (Q t - P_i) = Q^c p(t) has the associated polynomial
     unit Q^c q, so m_j is its `_horner` at P_j over unit Q^c prod_(i != j)
-    (P_j - P_i): O(c^2) integer work, no elimination.  Float input (the
-    package's one use) runs on its binary-exact image and gets floats
+    (P_j - P_i): O(c^2) integer work, no elimination.  No library path
+    calls it.  Float input runs on its binary-exact image and gets floats
     back.  Coinciding atoms raise DegenerateInput."""
     c = len(atoms)
     if c == 0:

@@ -39,13 +39,13 @@ A singular window on [a, b] is determinate too.  On every domain its
 support polynomial is built once, on the window's integers, and kept on
 it (`_support_ints`): the rank r is read from the minors of the pass over
 H(s), the coefficients from one back substitution in the rows that pass
-has reduced.  Its readers take those integers: the determinacy test, the
-index (the degree less 1/2 for each end of the domain that one `_horner`
-finds a root), the unique measure (`principal._support_measure`, whose
-atoms are the roots in the domain) and `tree._positive_on`.  A singular
-verdict carries its monic view (`PositivityVerdict.support`,
-`_support_poly`), rounded on a float window, whose index and measure are
-read on it.
+has reduced.  Its readers take those integers, on a float window too: the
+determinacy test, the index (the degree less 1/2 for each end of the
+domain that one `_horner` reads as a root, `_reads_root`), the unique
+measure (`principal._support_measure`, whose atoms are the roots in the
+domain) and `tree._positive_on`.  A singular verdict carries its monic
+view (`PositivityVerdict.support`, `_support_poly`), rounded once on a
+float window.
 
 Stampfli's four-weight check (`stampfli_check`) is closed-form arithmetic
 on the squared weights, so it sits here, where the CLI's `stampfli` kind
@@ -195,9 +195,7 @@ class _Window:
         global _held
         values = tuple(values)
         if any(isinstance(v, float) for v in values) or any(isinstance(v, float) for v in ends):
-            for v in values + tuple(ends):
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise DomainError(f"non-finite value {v!r} in a float window")
+            _finite(values + tuple(ends), "in a float window")
             ints, unit = _integer_scale([as_fraction(v) for v in values])
             return cls(values, ints, unit, [abs(float(v)) for v in values], eps)
         for w in _held:
@@ -435,6 +433,14 @@ def _nonneg_check(w: _Window):
                 raise DomainError(f"negative entry {v!r} in a sequence on a positive domain")
 
 
+def _finite(values, where: str):
+    """Refuse a float among `values` that is not finite, naming it: it has
+    no binary-exact image."""
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DomainError(f"non-finite value {v!r} {where}")
+
+
 def _reads_zero(x: Scalar, scale, eps: Optional[float]) -> bool:
     """x == 0 for exact x; for a float, |x| <= eps * max(1, scale), the zero
     test of the pass over a Hankel form."""
@@ -443,28 +449,26 @@ def _reads_zero(x: Scalar, scale, eps: Optional[float]) -> bool:
     return abs(x) <= (DEFAULT_EPS if eps is None else eps) * max(1.0, scale)
 
 
-def _times_factor(ints: list, factor: tuple, floats: bool) -> tuple:
-    """(ints', scale, rest): the integer polynomial `ints` times the end
-    factor (coefficients `factor`) is ints' / scale times `rest`.  An exact
-    window multiplies the factor's integer image in (rest ()), a float
-    window keeps it apart in `rest` (`_view`).  The support polynomial and
-    the atom polynomials (`principal._atom_ints`) share this step."""
-    if floats or not factor:
-        return ints, 1, factor
+def _times_factor(ints: list, factor: tuple) -> tuple:
+    """(ints', scale): the integer polynomial `ints` times the end factor
+    of exact coefficients `factor` is ints' / scale.  The support polynomial
+    and the atom polynomials (`principal._atom_ints`) share this step."""
+    if not factor:
+        return ints, 1
     scaled, scale = _integer_scale(factor)
     product = [0] * (len(ints) + len(scaled) - 1)
     for i, x in enumerate(ints):
         for j, y in enumerate(scaled):
             product[i + j] += x * y
-    return product, scale, ()
+    return product, scale
 
 
-def _support_ints(w: _Window, ends: tuple = ()) -> tuple:
-    """(ints, rest): the support polynomial of the unique measure of a
-    singular window is the primitive integer polynomial `ints`, of positive
-    leading entry ([1] for the zero window), times `rest`; ints is [] when
-    H(s) shows that the window is not positive.  Kept on w per `ends`, the
-    endpoints of the domain, which count only as both ends of [a, b].
+def _support_ints(w: _Window, ends: tuple = ()) -> list:
+    """The support polynomial of the unique measure of a singular window as
+    an integer polynomial of positive leading entry ([1] for the zero
+    window); [] when H(s) shows that the window is not positive.  Kept on
+    w per `ends`, the endpoints of the domain, which count only as both
+    ends of [a, b].
 
     With r positive leading pivots of H(s) before the first zero one (a
     negative pivot means not positive), p is t^r - sum c_j t^j with
@@ -474,43 +478,40 @@ def _support_ints(w: _Window, ends: tuple = ()) -> tuple:
     `numeric._pass_bordered` reads p off it, lam divided back out.  A
     singular window has 2r > n + 1 only on [a, b] = `ends`, with n even and
     both ends atoms: p is (t - a)(t - b) times the support polynomial of
-    the interior window, the factor kept apart in `rest` on a float window
-    (`_times_factor`)."""
+    the interior window (`_times_factor`), on a float window too."""
     ends = ends if len(ends) == 2 else ()
 
     def make():
         n = len(w.ints) - 1
         r, a, bounds = w.support_pass()
         if r <= n // 2 and a[r][r] < -bounds[2 * r]:
-            return [], ()
+            return []
         if 2 * r > n + 1:
-            inner = _support_ints(w.interior(*ends))[0] if ends and n >= 2 else []
+            inner = _support_ints(w.interior(*ends)) if ends and n >= 2 else []
             if not inner:
-                return [], ()
-            lo, hi = ends
-            ints, _, rest = _times_factor(inner, (lo * hi, -(lo + hi), 1), w.floats)
-            return ints, rest
+                return []
+            lo, hi = map(as_fraction, ends)
+            return _times_factor(inner, (lo * hi, -(lo + hi), 1))[0]
         if r == 0:
-            return ([1] if w.reads_zero() else []), ()
-        return _primitive(_pass_bordered(a, r, w.unit, w.lam)[0]), ()
+            return [1] if w.reads_zero() else []
+        return _primitive(_pass_bordered(a, r, w.unit, w.lam)[0])
     return w.kept(("support", ends), make)
 
 
-def _view(coeffs: list, rest: tuple, floats: bool) -> Polynomial:
-    """The `Polynomial` of the exact `coeffs` times `rest`, the coefficients
-    rounded first where `floats`: the view of a kept integer polynomial."""
-    poly = Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
-    return poly.mul(Polynomial(rest)) if rest else poly
+def _view(coeffs: list, floats: bool) -> Polynomial:
+    """The `Polynomial` of the exact `coeffs`, rounded once where `floats`:
+    the view of a kept integer polynomial."""
+    return Polynomial([_to_float(c) for c in coeffs] if floats else coeffs)
 
 
 def _support_poly(w: _Window, ends: tuple = ()) -> Optional[Polynomial]:
     """The monic support polynomial that `PositivityVerdict.support`
     carries, the `_view` of `_support_ints` (on a float window rounded, but
     the constant 1); None when H(s) shows that the window is not positive."""
-    ints, rest = _support_ints(w, ends)
+    ints = _support_ints(w, ends)
     if not ints:
         return None
-    return _view([Fraction(x, ints[-1]) for x in ints], rest, w.floats and len(ints) > 1)
+    return _view([Fraction(x, ints[-1]) for x in ints], w.floats and len(ints) > 1)
 
 
 def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
@@ -535,7 +536,7 @@ def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
         p = _support_poly(w)
         if p is None or p.degree == 0:
             return p
-        ints = _support_ints(w)[0]
+        ints = _support_ints(w)
         n, r, bound, zero = len(w.ints) - 1, len(ints) - 1, 0, 0
         if w.floats:
             norm = sum(abs(x) for x in p.coeffs)
@@ -644,15 +645,14 @@ def _ends(domain: Domain) -> tuple:
     return (Fraction(1),) if isinstance(domain, HalfOpen) else ()
 
 
-def _compact_singular(values, a: Scalar, b: Scalar) -> tuple:
-    """(w, support): the image of a singularly positive window on [a, b]
-    (any a < b) and the support polynomial its verdict carries."""
+def _compact_singular(values, a: Scalar, b: Scalar) -> _Window:
+    """The image of a singularly positive window on [a, b] (any a < b)."""
     verdict = classify_compact(values, a, b)
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotAMomentSequence("sequence is not positive on the interval")
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
         raise DegenerateInput("sequence is strictly positive; nothing to recover")
-    return _Window.of(values, None, (a, b)), verdict.support
+    return _Window.of(values, None, (a, b))
 
 
 def recover_support_and_masses(values, a: Scalar, b: Scalar) -> tuple:
@@ -660,61 +660,58 @@ def recover_support_and_masses(values, a: Scalar, b: Scalar) -> tuple:
     singularly positive window on [a, b], and whether they are exact;
     positions may include a, even a = 0 (the alternating reductions).
     Read as `recover_minimal_measure` reads the measure."""
-    from .principal import _support_atoms
+    from .principal import _window_atoms
     values = _values(values)
     if all(v == 0 for v in values):
         return [], True
-    w, support = _compact_singular(values, a, b)
-    pairs, _, exact = _support_atoms(w, support, (a, b), a, b)
+    w = _compact_singular(values, a, b)
+    pairs, _, exact = _window_atoms(w, _support_ints(w, (a, b)), a, b)
     return pairs, exact
 
 
 def recover_minimal_measure(s, domain: Domain) -> AtomicMeasure:
     """Unique representing measure of a singularly positive sequence (on
     the ray and on (0, 1] also of any window `_determinate_poly` passes):
-    its atoms are the roots of the support polynomial in the domain.  The
-    polynomial is the one the window's verdict carries, or its kept
-    determinacy test's, and the measure is read on its integers
-    (`principal._support_measure`), so a window classified first builds it
-    once."""
+    its atoms are the roots of the support polynomial in the domain, read
+    on the integers its verdict or its kept determinacy test built
+    (`principal._support_measure`), so a window classified first builds
+    them once."""
     from .principal import _support_measure
     values = _values(s)
     if all(v == 0 for v in values):
         return ZERO_MEASURE
     if isinstance(domain, Compact):
-        w, support = _compact_singular(values, domain.a, domain.b)
+        w = _compact_singular(values, domain.a, domain.b)
     else:
         w = _Window.of(values)
-        support = _determinate_poly(w, domain)
-        if support is None:
+        if _determinate_poly(w, domain) is None:
             raise NotAMomentSequence("sequence is not positive on the domain")
-    return _support_measure(w, support, domain)
+    return _support_measure(w, domain)
 
 
 # --------------------------------------------------------------------------
 # index
 # --------------------------------------------------------------------------
 
-def _reads_root(poly: Polynomial, x: Scalar, eps: Optional[float] = None) -> bool:
-    """Whether the end x of a domain is a root of the support polynomial p:
-    p(x) read by `_reads_zero` at the bound sum |c_j| |x|^j of p(x)."""
-    return _reads_zero(poly(x), sum(abs(c * x ** j) for j, c in enumerate(poly.coeffs)), eps)
+def _reads_root(w: _Window, ints: list, x: Scalar) -> bool:
+    """Whether x = u / v is a root of an integer polynomial of positive
+    leading entry kept on the window w, read by one `_horner` H: H = 0, on a
+    float window the rule of `_reads_zero` for the monic p = ints / lead,
+    |p(x)| <= eps max(1, sum |c_j x^j|), i.e. |H| <= eps max(lead v^d,
+    sum |ints_j| |u|^j v^(d-j))."""
+    u, v = _ratio(x)
+    tol = as_fraction(DEFAULT_EPS if w.eps is None else w.eps) if w.floats else 0
+    scale = max(ints[-1] * v ** (len(ints) - 1), _horner(list(map(abs, ints)), abs(u), v))
+    return abs(_horner(ints, u, v)) <= tol * scale
 
 
-def _singular_index(w: _Window, support: Polynomial, domain: Domain,
-                    eps: Optional[float] = None) -> Fraction:
+def _singular_index(w: _Window, domain: Domain) -> Fraction:
     """Index of a singularly positive window w: the degree of its support
-    polynomial p, less 1/2 for each endpoint of the domain that is a root
-    of p.  An exact window reads each end x by one `_horner` on the kept
-    integers of p; a float one reads the rounded p its verdict carries
-    (`_reads_root`)."""
+    polynomial, less 1/2 for each endpoint of the domain that is a root of
+    it, each read by one `_horner` on its kept integers (`_reads_root`)."""
     ends = _ends(domain)
-    if w.floats:
-        on_ends = sum(_reads_root(support, x, eps) for x in ends)
-    else:
-        ints = _support_ints(w, ends)[0]
-        on_ends = sum(_horner(ints, *_ratio(x)) == 0 for x in ends)
-    return Fraction(support.degree) - Fraction(on_ends, 2)
+    ints = _support_ints(w, ends)
+    return Fraction(len(ints) - 1) - Fraction(sum(_reads_root(w, ints, x) for x in ends), 2)
 
 
 def index(s, domain: Domain, eps: Optional[float] = None):
@@ -742,7 +739,7 @@ def _verdict_index(values: Sequence[Scalar], verdict: PositivityVerdict, domain:
         return Fraction(n + 1, 2)
     if w is None:
         w = _Window.of(values, eps, _ends(domain))
-    idx = _singular_index(w, verdict.support, domain, eps)
+    idx = _singular_index(w, domain)
     return int(idx) if isinstance(domain, Ray) else idx
 
 
@@ -766,6 +763,7 @@ def stampfli_check(l1, l2, l3, l4, squared: bool = False) -> StampfliVerdict:
     the right side being the fourth moment ratio of the recursively
     generated two-atom completion of the first three weights."""
     vals = [l1, l2, l3, l4]
+    _finite(vals, "among the weights")
     vals = [v if isinstance(v, float) else Fraction(v) for v in vals]
     if not all(v > 0 for v in vals):
         raise PreconditionError("weights must be positive")

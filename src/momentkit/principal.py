@@ -13,10 +13,12 @@ window is read the same way from its support polynomial, which
 `positivity._support_ints` keeps on the window (`_support_measure`).  Every
 such measure is isolated on the integers of its polynomial, and its masses
 are Gauss-Christoffel weights q(x)/p'(x), q the associated polynomial, read
-on p itself and the window's image (`_window_atoms`, `_masses`; float input
-on its rounded polynomial, at its float roots, `numeric.vandermonde_masses`).
-A measure of an exact window keeps the image of its atoms for its moments
-and its tilts.  On (0, inf) the odd-length case has a unique minimal
+on p itself and the window's image (`_window_atoms`, `_masses`).  A float
+window runs the same path on its binary-exact image, its roots isolated a
+little past the ends (`numeric._widened`) and clamped back, and each
+position and mass rounded once at the end.  A measure of an exact window
+keeps the image of its atoms for its moments and its tilts.  On (0, inf)
+the odd-length case has a unique minimal
 measure (the same polynomial, interval-independent); the even-length case
 is a one-parameter family exposed as a lazy handle.  On (0, 1] the minimal
 measure is unique in both parities: the lower (even length) or upper (odd
@@ -30,15 +32,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegenerateInput, InsufficientMoments, NotStrictlyPositive
+from .errors import DegenerateInput, InsufficientMoments, NotStrictlyPositive, ShapeError
 from .measure import ZERO_MEASURE, AtomicMeasure, _AtomImage, _imaged
 from .numeric import (HankelImage, Polynomial, Scalar, _derivative, _horner, _integer_scale,
                       _isolate, _minor_pass, _pass_bordered, _primitive, _shares_root, _to_float,
-                      as_fraction, associated, root_enclosures, root_precision,
-                      vandermonde_masses)
+                      _widened, as_fraction, associated, root_precision)
 from .positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
-                         _ends, _limit_window, _support_ints, _times_factor, _values, _view,
-                         classify_compact, classify_half_open)
+                         _ends, _finite, _limit_window, _support_ints, _times_factor, _values,
+                         _view, classify_compact, classify_half_open)
 
 
 class PrincipalKind(Enum):
@@ -79,22 +80,22 @@ def _bordered_ints(form: HankelImage, lam: int, minor_pass: Optional[tuple] = No
 
 
 def _atom_ints(w: _Window, where) -> tuple:
-    """(ints, num, den, rest): the atom polynomial of the measure `where` of
-    the window w (`Ray()` or `HalfOpen()` for the minimal one, (a, b, kind)
-    for a principal one) is num / den > 0 times `ints` times `rest`; kept on
-    w.  It is the `_bordered_ints` of H(s), from the kept `support_pass` of
-    an exact window (even length: on the ray, lower), or of a transform
-    times the end factor: the interior form times (t - a)(b - t) (even,
-    upper), s_(k+1) - a s_k times t - a (odd, lower), b s_k - s_(k+1) times
-    b - t (odd, upper; on (0, 1] at b = 1).  An exact window has the factor
-    multiplied in on integers and `rest` (), a float window in `rest`, which
-    `_atom_poly` multiplies into the rounded bordered part.  H(s) of an
-    odd-length or empty window raises DegenerateInput."""
+    """(ints, num, den): the atom polynomial of the measure `where` of the
+    window w (`Ray()` or `HalfOpen()` for the minimal one, (a, b, kind) for
+    a principal one) is num / den > 0 times `ints`; kept on w.  It is the
+    `_bordered_ints` of H(s), from the kept `support_pass` of an exact
+    window (even length: on the ray, lower), or of a transform times the
+    end factor, multiplied in on integers (`_times_factor`): the interior
+    form times (t - a)(b - t) (even, upper), s_(k+1) - a s_k times t - a
+    (odd, lower), b s_k - s_(k+1) times b - t (odd, upper; on (0, 1] at
+    b = 1).  H(s) of an odd-length or empty window raises DegenerateInput."""
     even = len(w.ints) % 2 == 0
     if isinstance(where, HalfOpen) and not even:
         where = (0, 1, PrincipalKind.UPPER)
     elif not isinstance(where, tuple) or (even and where[2] is PrincipalKind.LOWER):
         where = None  # H(s)
+    else:  # an exact end factor, binary-exact for float ends
+        where = (as_fraction(where[0]), as_fraction(where[1]), where[2])
 
     def make():
         a, b, kind = where or (None, None, None)
@@ -110,16 +111,15 @@ def _atom_ints(w: _Window, where) -> tuple:
             form, factor = w.upper(b), (b, -1)
         ints, num, den = _bordered_ints(form, w.lam, None if w.floats or factor
                                         else w.support_pass())
-        ints, scale, rest = _times_factor(ints, factor, w.floats)
-        return ints, num, den * scale, rest
+        ints, scale = _times_factor(ints, factor)
+        return ints, num, den * scale
     return w.kept(("atoms", where), make)
 
 
 def _atom_poly(w: _Window, where) -> Polynomial:
-    """`_atom_ints` as a `Polynomial`; on a float window the bordered part is
-    rounded first, then the end factor multiplied in."""
-    ints, num, den, rest = _atom_ints(w, where)
-    return _view([Fraction(x * num, den) for x in ints], rest, w.floats)
+    """`_atom_ints` as a `Polynomial`, rounded once on a float window."""
+    ints, num, den = _atom_ints(w, where)
+    return _view([Fraction(x * num, den) for x in ints], w.floats)
 
 
 def atom_polynomial(window: Sequence[Scalar], domain) -> Polynomial:
@@ -151,54 +151,60 @@ def atoms_from_poly(poly: Polynomial, window: Sequence[Scalar],
     Raises DegenerateInput when the root count falls short of the degree or
     any mass fails to be positive; verifies the full window when the atoms
     are exact.  A mass at an irrational root is of certain sign and within
-    `root_precision()` relative of the true one (`_atoms_and_image`)."""
+    `root_precision()` relative of the true one (`_atoms_and_image`).  A
+    float anywhere in the input makes the result floats, read as a float
+    window is read (`_window_atoms`); a non-finite one raises DomainError."""
     pairs, _, exact = _poly_atoms(poly, window, lo, hi)
     return pairs, exact
 
 
-def _poly_atoms(poly: Polynomial, window: Sequence[Scalar], lo: Scalar, hi: Scalar,
-                scaled: Optional[tuple] = None) -> tuple:
-    """`_atoms_and_image` of the roots of `poly` in [lo, hi]
-    (`root_enclosures`), on its integer coefficients where they are exact."""
-    coeffs = poly.coeffs
-    if not any(isinstance(c, float) for c in coeffs):
-        coeffs = _integer_scale(coeffs)[0]
-    return _atoms_and_image(root_enclosures(poly, lo, hi), coeffs, window, scaled)
+def _poly_atoms(poly: Polynomial, window: Sequence[Scalar], lo: Scalar, hi: Scalar) -> tuple:
+    """`_window_atoms` of the roots of `poly` in [lo, hi] on its integer
+    coefficients: on a float window if any input is a float."""
+    if poly.is_zero():
+        raise DegenerateInput("zero polynomial has no isolated roots")
+    given = (*poly.coeffs, lo, hi)
+    _finite(given, "in a polynomial or its interval")
+    if not lo <= hi:
+        raise ShapeError("empty interval")
+    w = _Window.of(window, None, given)  # a float among them makes a float window
+    return _window_atoms(w, _integer_scale([as_fraction(c) for c in poly.coeffs])[0], lo, hi)
 
 
 def _atoms_and_image(enclosures: list, p, window: Sequence[Scalar],
-                     scaled: Optional[tuple] = None) -> tuple:
+                     scaled: Optional[tuple] = None, clamp: Optional[tuple] = None) -> tuple:
     """`atoms_from_poly` of the ascending RootEnclosures of every root of
-    the polynomial with the integer coefficients `p` (any coefficients for
-    float input), as (pairs, image, exact): `image` is the integer image
-    (`measure._AtomImage`) of the atoms, None for float input.  `scaled` is
-    the window's image (ints, unit, lam) if the caller holds one
-    (`positivity._Window`), else it is made here.  A position is the root
-    or the midpoint of its enclosure narrowed to `root_precision()`, read
-    once per measure, a mass q(x)/p'(x) read on p (`_masses`), so an
-    inexact measure matches s_0..s_(c-1) only to that precision; exact
-    atoms must reproduce the whole window.  Float input reads its masses
-    at its float roots (`vandermonde_masses`)."""
+    the polynomial with the integer coefficients `p`, as (pairs, image,
+    exact): `image` is the integer image (`measure._AtomImage`) of the
+    atoms.  `scaled` is the window's image (ints, unit, lam) if the caller
+    holds one (`positivity._Window`), else it is made here.  A position is
+    the root or the midpoint of its enclosure narrowed to
+    `root_precision()`, read once per measure, a mass q(x)/p'(x) read on p
+    (`_masses`), so an inexact measure matches s_0..s_(c-1) only to that
+    precision; exact atoms must reproduce the whole window.  `clamp` is the
+    interval (lo, hi) of a float window: each root is clamped to it and
+    rounded (`RootEnclosure.to_float`) and each mass read to 2^-56 relative,
+    below a float's last bit, and rounded, with no image and no window
+    check, and `exact` is False."""
     if len(enclosures) != len(p) - 1:
         raise DegenerateInput(
             f"expected {len(p) - 1} simple roots in range, found {len(enclosures)}")
-    window = list(window)
-    eps = root_precision() if enclosures else None
-    roots = [e.refine(eps) for e in enclosures]
-    exact = all(e.root is not None for e in enclosures)
-    floats = any(isinstance(v, float) for v in window + roots)
-    if floats:
-        masses = vandermonde_masses(roots, window)
+    S, unit, lam = scaled or (*_integer_scale(list(window)), 1)
+    if len(S) < len(enclosures):
+        raise InsufficientMoments("moment window shorter than atom count")
+    if clamp:
+        eps = Fraction(1, 2 ** 56)
+        roots = [e.to_float(*clamp) for e in enclosures]
     else:
-        S, unit, lam = scaled or (*_integer_scale(window), 1)
-        if len(S) < len(roots):
-            raise InsufficientMoments("moment window shorter than atom count")
-        masses = _masses(p, enclosures, S, unit, lam, eps)
+        eps = root_precision() if enclosures else None
+        roots = [e.refine(eps) for e in enclosures]
+    exact = all(e.root is not None for e in enclosures)
+    masses = _masses(p, enclosures, S, unit, lam, eps)
     if not all(mass > 0 for mass in masses):
         raise DegenerateInput("nonpositive mass in principal construction")
+    if clamp:
+        return [(x, _to_float(mass)) for x, mass in zip(roots, masses)], None, False
     pairs = list(zip(roots, masses))
-    if floats:
-        return pairs, None, False
     image = _AtomImage.of(pairs)
     # exact atoms: moment k of the image, N_k / (V Q^k), is S_k / (unit lam^k)
     left, right = unit, image.V
@@ -272,54 +278,41 @@ def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
     """The measure of `atoms_from_poly` (lo >= 0 and no root at 0); for an
     exact window its masses are read on `_Window.of`'s image of the window,
     and it carries the integer image of its atoms (`_atoms_and_image`)."""
-    w = _Window.of(window)
-    return _carrying(*_poly_atoms(poly, window, lo, hi,
-                                  None if w.floats else (w.ints, w.unit, w.lam)))
+    return _carrying(*_poly_atoms(poly, window, lo, hi))
 
 
-def _window_atoms(w: _Window, poly, lo: Scalar, hi: Optional[Scalar]) -> tuple:
+def _window_atoms(w: _Window, ints: list, lo: Scalar, hi: Optional[Scalar]) -> tuple:
     """`_atoms_and_image` of the roots in [lo, hi] (hi None for
-    `_cauchy_bound`) of an atom polynomial of the window w, kept by its
-    caller: on an exact window `poly` is its integers, the roots isolated
-    and the masses read on them and on w's image, with no `Fraction`
-    polynomial and no second scaling; on a float window it is the rounded
-    `Polynomial`."""
-    if w.floats:
-        enclosures = root_enclosures(poly, lo, root_bound(poly) if hi is None else hi)
-        return _atoms_and_image(enclosures, poly.coeffs, w.values)
-    hi = _cauchy_bound(poly) if hi is None else as_fraction(hi)
-    return _atoms_and_image(_isolate(poly, as_fraction(lo), hi), poly, w.values,
-                            (w.ints, w.unit, w.lam))
+    `_cauchy_bound`) of the integer polynomial `ints`, an atom or support
+    polynomial kept on the window w, read on w's image with no `Fraction`
+    polynomial and no second scaling; on a float window isolated on the
+    `numeric._widened` interval and rounded (`clamp`)."""
+    lo = as_fraction(lo)
+    hi = _cauchy_bound(ints) if hi is None else as_fraction(hi)
+    enclosures = _isolate(ints, *(_widened(lo, hi) if w.floats else (lo, hi)))
+    return _atoms_and_image(enclosures, ints, w.values, (w.ints, w.unit, w.lam),
+                            (lo, hi) if w.floats else None)
 
 
 def _window_measure(w: _Window, where, lo: Scalar, hi: Optional[Scalar]) -> AtomicMeasure:
     """The measure of the roots in [lo, hi] of the atom polynomial
     `_atom_ints` of the window w (`_window_atoms`)."""
-    return _carrying(*_window_atoms(
-        w, _atom_poly(w, where) if w.floats else _atom_ints(w, where)[0], lo, hi))
+    return _carrying(*_window_atoms(w, _atom_ints(w, where)[0], lo, hi))
 
 
-def _support_atoms(w: _Window, support: Polynomial, ends: tuple, lo: Scalar,
-                   hi: Optional[Scalar]) -> tuple:
-    """`_window_atoms` of the support polynomial of a singular window w:
-    the integers `positivity._support_ints` keeps on an exact w for the
-    `ends` of its domain, the rounded `support` its verdict carries on a
-    float one."""
-    return _window_atoms(w, support if w.floats else _support_ints(w, ends)[0], lo, hi)
-
-
-def _support_measure(w: _Window, support: Polynomial, domain) -> AtomicMeasure:
+def _support_measure(w: _Window, domain) -> AtomicMeasure:
     """The unique measure of a singular window w on the domain, kept on w:
-    the roots of its support polynomial in [a, b], (0, 1] or (0, inf) with
-    their masses (`_support_atoms`); ZERO_MEASURE for the zero window."""
-    if support.degree == 0:
+    the roots in [a, b], (0, 1] or (0, inf) of the support polynomial
+    `positivity._support_ints` keeps on w, with their masses
+    (`_window_atoms`); ZERO_MEASURE for the zero window."""
+    ints = _support_ints(w, _ends(domain))
+    if len(ints) == 1:
         return ZERO_MEASURE
     if isinstance(domain, Compact):
         lo, hi = domain.a, domain.b
     else:
         lo, hi = Fraction(0), (Fraction(1) if isinstance(domain, HalfOpen) else None)
-    return w.kept(("singular", domain), lambda: _carrying(
-        *_support_atoms(w, support, _ends(domain), lo, hi)))
+    return w.kept(("singular", domain), lambda: _carrying(*_window_atoms(w, ints, lo, hi)))
 
 
 def _carrying(pairs: list, image, exact: bool) -> AtomicMeasure:
@@ -396,14 +389,14 @@ def minimal_measure_half_open(s) -> AtomicMeasure:
     """The unique minimal-index measure on (0, 1]; the even case of a
     strictly positive sequence always carries the atom 1.  Singularly
     positive sequences are determinate, so their unique measure is returned
-    as well, read from the support polynomial their verdict carries."""
+    as well, read on the support integers their verdict built."""
     values = _values(s)
     verdict = classify_half_open(values)
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotStrictlyPositive("sequence is not positive on (0, 1]")
     w = _Window.of(values)
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        return _support_measure(w, verdict.support, HalfOpen())
+        return _support_measure(w, HalfOpen())
     return _minimal(w, HalfOpen())
 
 

@@ -396,7 +396,7 @@ def _positive_on(mu, domain) -> bool:
     if image is None:
         q = rec.poly.coeffs
         return all(_eq(c, x / q[-1]) for c, x in zip(p.coeffs, q))
-    return _support_ints(w)[0] == image.q
+    return _support_ints(w) == image.q
 
 
 def _check_counts(w: FullWeights, measures):

@@ -38,8 +38,9 @@ completion certificate's measure scales its window to integers once,
 builds one image of its atoms, which the measure of the certificate's
 indices reads with shifted exponents, builds a `Fraction` polynomial only
 for a moment recurrence, and reads no mass through `vandermonde_masses`
-(float input only) or the AtomicMeasure constructor: its masses, exact or
-not, are read on its atom polynomial.  An "auto"
+or the AtomicMeasure constructor: its masses, exact or not, are read on
+its atom polynomial.  So are the masses of every measure of a float window,
+and of float input handed with a polynomial, rounded once.  An "auto"
 completion solve classifies each given branch window once to read its atom
 counts, and each of a singular window's sub-windows at most once to check
 its index.  It carries each branch through the search on the image of
@@ -87,9 +88,9 @@ from momentkit.measure import AtomicMeasure, moments, tilt
 import momentkit.positivity as positivity
 from momentkit.numeric import Polynomial
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, classify, index,
-                                  recover_minimal_measure)
-from momentkit.principal import (PrincipalKind, minimal_measure_half_open, minimal_measure_ray,
-                                 principal_compact)
+                                  recover_minimal_measure, recover_support_and_masses)
+from momentkit.principal import (PrincipalKind, atoms_from_poly, minimal_measure_half_open,
+                                 minimal_measure_ray, principal_compact)
 from momentkit.tree import BranchClass, PartialWeights
 
 KERNEL = ("classify_form", "_minor_pass", "det_poly", "count_positive_roots")
@@ -755,6 +756,59 @@ def test_certificate_measure_builds_one_image_per_measure(calls, monkeypatch, ca
     assert counter["vandermonde_masses"] == counter["AtomicMeasure"] == 0
     # the atom polynomial is one full-rank pass: no bordered determinant
     assert _counts(calls) == (0, 1, 0, 0)
+
+
+def _floats(mu, n):
+    return [float(v) for v in _window(mu, n)]
+
+
+#: a measure whose moments and their partial sums are floats exactly
+DYADIC_MU = AtomicMeasure([(F(1, 4), F(1, 2)), (F(1, 2), F(1, 2))])
+
+
+def _partial_sums(window):
+    """1, 1 + s_0, 1 + s_0 + s_1, ...: a sequence whose increments are the window."""
+    c = [1.0]
+    for v in window:
+        c.append(c[-1] + v)
+    return c
+
+
+#: float windows and the measure each call reads from them: minimal,
+#: principal and singular, on every domain, and handed a polynomial
+FLOAT_MEASURES = {
+    "ray-minimal": lambda: minimal_measure_ray(_floats(RAY_MU, 3)).atoms,
+    "ray-singular": lambda: recover_minimal_measure(_floats(RAY_MU, 5), Ray()).atoms,
+    "half-open-minimal": lambda: minimal_measure_half_open(_floats(UNIT_MU, 2)).atoms,
+    "half-open-singular": lambda: minimal_measure_half_open(_floats(UNIT_MU, 5)).atoms,
+    "compact-upper": lambda: principal_compact(_floats(COMPACT_MU, 4), 1.0, 4.0,
+                                               PrincipalKind.UPPER).atoms,
+    "compact-singular": lambda: recover_support_and_masses(_floats(COMPACT_MU, 6), 1.0, 4.0)[0],
+    "ca-singular": lambda: has_ca_extension(_partial_sums(_floats(DYADIC_MU, 4)))
+    .measure.positive.atoms,
+    "from-poly": lambda: atoms_from_poly(Polynomial([2.0, -3.0, 1.0]), [2.0, 3.0], 0, 4)[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_MEASURES))
+def test_float_measures_read_no_mass_through_vandermonde_masses(monkeypatch, case):
+    # a float window's measure is read on its kept integers as an exact
+    # one's is, its masses by `principal._masses`, and rounded once: no
+    # mass is solved at the rounded roots
+    counter = Counter()
+    orig = numeric.vandermonde_masses
+
+    def counted(*args, **kwargs):
+        counter["vandermonde_masses"] += 1
+        return orig(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("momentkit.")]:
+        for attr, value in list(vars(module).items()):
+            if value is orig:
+                monkeypatch.setattr(module, attr, counted)
+    atoms = FLOAT_MEASURES[case]()
+    assert atoms and all(isinstance(x, float) and isinstance(m, float) for x, m in atoms)
+    assert counter["vandermonde_masses"] == 0
 
 
 @pytest.fixture

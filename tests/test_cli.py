@@ -448,9 +448,11 @@ def test_compact_principal_returns_both_principal_measures(tmp_path):
     ({"kind": "classify", "sequence": ["1", "2"], "domain": "compact", "a": "1", "b": "inf"},
      "inf"),
     ({"kind": "ca", "sequence": ["1", "inf"]}, "inf"),
+    ({"kind": "stampfli", "weights_sq": ["1", "2", "3", "inf"]}, "inf"),
 ])
 def test_non_finite_float_input_is_a_domain_error(tmp_path, obj, named):
-    # these died with a traceback, exit 1 and no JSON
+    # the first three died with a traceback, exit 1 and no JSON; the
+    # stampfli file exited 0 with "lhs": "inf"
     proc = _run_cli(["--float", _write(tmp_path, "p.json", obj)])
     assert proc.returncode == 1, proc.stderr
     error = json.loads(proc.stdout)["error"]

@@ -13,6 +13,10 @@ measures with endpoint atoms.  Planted rational atoms in [2^-40, 2^40]
 round-trip exactly through singular recovery, the minimal measures of
 strict windows, the backward extension at its threshold and the completely
 alternating extension.
+The measures of float windows (minimal, principal, singular and the
+completely alternating extension's) are checked against the exact reading
+of the integer polynomial kept on the window's binary-exact image, each
+root enclosed to 2^-200, rounded once.
 The Lagrange-form masses are checked against their defining moment
 identity, and the support and bordered-Hankel polynomials read from the
 leading-minor pass against `det_poly` of the bordered layout, for extreme,
@@ -43,6 +47,7 @@ from hypothesis import example, given, strategies as st
 
 import momentkit.numeric as numeric
 import momentkit.positivity as positivity
+import momentkit.principal as principal
 from momentkit.alternating import CAMeasure, has_ca_extension
 from momentkit.backward import ExtensionClass, classify_backward, forced_value
 from momentkit.completion import _LevelValues, _admissible_two_ks, _branch_k_compatible
@@ -63,7 +68,7 @@ from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, _Wind
 from momentkit.principal import (PrincipalKind, _atom_ints, _bordered_ints, atom_polynomial,
                                  atoms_from_poly, bordered_hankel_poly, measure_from_poly,
                                  minimal_measure_half_open, minimal_measure_ray,
-                                 principal_polynomial, root_bound)
+                                 principal_compact, principal_polynomial, root_bound)
 from momentkit.tree import GeometricSumTail, MeasureTail
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -768,11 +773,11 @@ def test_every_atom_polynomial_is_a_bordered_determinant_times_its_end_factor(pr
     """`_atom_ints`, the one function that builds the atom polynomials of
     the minimal measures on the ray and on (0, 1] (both parities) and of the
     lower and upper principal measures on [a, b] (both parities), is
-    `det_poly` of the bordered layout of its form times the end factor:
-    exactly on an exact window, on whose integers the factor is multiplied
-    in; on a float window it is the bordered part on the binary-exact image,
-    which its views round before they multiply the factor in.  On (0, 1]
-    the window is that of the measure carried into (0, 1/4] by t -> t / 2b."""
+    `det_poly` of the bordered layout of its form times the end factor,
+    exactly, the factor multiplied in on integers: on an exact window, and
+    on the binary-exact image of a float one, whose views round it once.
+    On (0, 1] the window is that of the measure carried into (0, 1/4] by
+    t -> t / 2b."""
     a, b, window = problem
     half = [x / (2 * b) ** k for k, x in enumerate(window)]
     cases = [(HalfOpen(), half), ((a, b, PrincipalKind.LOWER), window),
@@ -788,18 +793,13 @@ def test_every_atom_polynomial_is_a_bordered_determinant_times_its_end_factor(pr
             with pytest.raises(DegenerateInput):
                 _atom_ints(w, where)
             continue
-        bordered = det_poly(_bordered_layout(form))
-        ints, num, den, rest = _atom_ints(w, where)
-        got = Polynomial([F(x * num, den) for x in ints])
-        if floats:
-            assert got == bordered and rest == factor
-            want = Polynomial([_to_float(c) for c in bordered.coeffs])
-        else:
-            assert rest == ()
-            want = bordered
+        want = det_poly(_bordered_layout(form))
         if factor:
             want = want.mul(Polynomial(factor))
-        assert floats or got == want
+        ints, num, den = _atom_ints(w, where)
+        assert Polynomial([F(x * num, den) for x in ints]) == want
+        if floats:
+            want = Polynomial([_to_float(c) for c in want.coeffs])
         view = (principal_polynomial(data, *where) if isinstance(where, tuple)
                 else atom_polynomial(data, where))
         assert view == want
@@ -927,7 +927,7 @@ def test_strict_odd_ray_window_reads_its_bordered_polynomial_from_the_pass(atoms
     assert _classify_limit(w, Ray()).is_strict
     assert bordered_hankel_poly(window) == _det_times(window, _support_poly(w))
     image = [float(v) for v in window]
-    ints = _support_ints(_Window.of(image))[0]
+    ints = _support_ints(_Window.of(image))
     monic = Polynomial([F(x, ints[-1]) for x in ints]) if ints else None
     if monic is not None and monic.degree == m:
         want = _det_times(image, monic)
@@ -986,14 +986,54 @@ def planted_singular_measures(draw):
     return domain, window
 
 
+def _float_reading(ints, w, lo, hi):
+    """The (position, mass) pairs of the roots in [lo, hi] (hi None for the
+    Cauchy bound) of an integer polynomial kept on the float window w, read
+    as the float contract reads them, but with each root enclosed to
+    2^-200 and the masses solved at those roots from the window's
+    binary-exact moments (`vandermonde_masses`): each root clamped to
+    [lo, hi] and rounded once, each mass rounded once.  DegenerateInput
+    when the roots fall short of the degree."""
+    lo = as_fraction(lo)
+    hi = principal._cauchy_bound(ints) if hi is None else as_fraction(hi)
+    enclosures = numeric._isolate(ints, *numeric._widened(lo, hi))
+    if len(enclosures) < len(ints) - 1:
+        raise DegenerateInput("fewer roots than the degree")
+    roots = [e.refine(F(1, 2 ** 200)) for e in enclosures]
+    masses = vandermonde_masses(roots, [as_fraction(v) for v in w.values])
+    return [(_to_float(min(max(x, lo), hi)), _to_float(m)) for x, m in zip(roots, masses)]
+
+
+def _within(got, want, rel=1e-12) -> bool:
+    """Pairs of floats within `rel` relative of `want`'s, entry by entry."""
+    return len(got) == len(want) and all(
+        isinstance(x, float) and abs(x - y) <= rel * abs(y)
+        for pair, ref in zip(got, want) for x, y in zip(pair, ref))
+
+
+def _reads_as(op, reading) -> bool:
+    """The pairs `op()` returns are `_within` those of `reading()`, or both
+    raise DegenerateInput."""
+    try:
+        want = reading()
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput):
+            op()
+        return True
+    return _within(op(), want)
+
+
 @given(planted_singular_measures(), st.booleans())
 def test_singular_measures_and_indices_read_on_the_support_integers(problem, floats):
     """The measure and index of a singular window, read on the integers of
-    its support polynomial (`positivity._support_ints`), are those read from
-    the polynomial its verdict carries: the measure of `measure_from_poly`
-    on the domain (`atoms_from_poly` for `recover_support_and_masses`) and
-    the degree less 1/2 for each end that `_reads_root` reads as a root.
-    Exact windows and their float images, float ends on [a, b]."""
+    its support polynomial (`positivity._support_ints`).  On an exact window
+    they are those read from the polynomial its verdict carries: the
+    measure of `measure_from_poly` on the domain (`atoms_from_poly` for
+    `recover_support_and_masses`) and the degree less 1/2 for each end that
+    is a root.  On its float image, with float ends on [a, b], the measure
+    is the integers read at 2^-200 and rounded (`_float_reading`), and an
+    end counts where the unrounded monic polynomial reads as zero with the
+    pass's tolerance, |p(x)| <= eps max(1, sum |c_j x^j|)."""
     domain, window = problem
     if floats:
         window = [float(v) for v in window]
@@ -1003,22 +1043,145 @@ def test_singular_measures_and_indices_read_on_the_support_integers(problem, flo
     if verdict.kind is not PositivityClass.SINGULARLY_POSITIVE:
         assert floats
         return
-    support = verdict.support
+    support, ends = verdict.support, _ends(domain)
     if isinstance(domain, Compact):
         lo, hi = domain.a, domain.b
-        assert (_outcome(recover_support_and_masses, window, lo, hi)
-                == _outcome(atoms_from_poly, support, window, lo, hi))
     else:
         lo, hi = F(0), F(1) if isinstance(domain, HalfOpen) else root_bound(support)
-    got = _outcome(recover_minimal_measure, window, domain)
-    want = _outcome(measure_from_poly, support, window, lo, hi)
-    if isinstance(want, tuple):
-        assert got == want
+    if floats:
+        w = _Window.of(window, None, ends)
+        ints = _support_ints(w, ends)
+
+        def want():
+            return _float_reading(ints, w, lo, None if isinstance(domain, Ray) else hi)
+        assert _reads_as(lambda: recover_minimal_measure(window, domain).atoms, want)
+        if isinstance(domain, Compact):
+            assert _reads_as(lambda: recover_support_and_masses(window, lo, hi)[0], want)
+        monic = [F(x, ints[-1]) for x in ints]
+        on_ends = sum(abs(sum(c * as_fraction(x) ** j for j, c in enumerate(monic)))
+                      <= as_fraction(numeric.DEFAULT_EPS) * max(
+                          1, sum(abs(c * as_fraction(x) ** j) for j, c in enumerate(monic)))
+                      for x in ends)
     else:
-        assert got.atoms == want.atoms and got.exact is want.exact
-    on_ends = sum(positivity._reads_root(support, x) for x in _ends(domain))
+        if isinstance(domain, Compact):
+            assert (_outcome(recover_support_and_masses, window, lo, hi)
+                    == _outcome(atoms_from_poly, support, window, lo, hi))
+        got = _outcome(recover_minimal_measure, window, domain)
+        want = _outcome(measure_from_poly, support, window, lo, hi)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.atoms == want.atoms and got.exact is want.exact
+        on_ends = sum(support(x) == 0 for x in ends)
     idx = support.degree - F(on_ends, 2)
     assert index(window, domain) == idx and (not isinstance(domain, Ray) or idx.denominator == 1)
+
+
+@st.composite
+def planted_float_windows(draw):
+    """(domain, window): the float image of the window of 1-4 atoms on the
+    ray, on (0, 1] (the atom 1 too) or on [a, b] (both ends too, float ends),
+    seen through K to 2K + 3 moments: strict or singular."""
+    domain, size, window = draw(planted_support_windows().filter(lambda p: p[1] > 0))
+    n = draw(st.integers(size - 1, len(window) - 1))
+    if isinstance(domain, Compact):
+        domain = Compact(float(domain.a), float(domain.b))
+    return domain, [float(v) for v in window[:n + 1]]
+
+
+def _float_cases(domain, window):
+    """(operation, reading) pairs of a float window: each returns (position,
+    mass) pairs, the operation's and `_float_reading`'s of the integers it
+    reads (`_atom_ints`, `_support_ints`)."""
+    verdict = classify(window, domain)
+    if not verdict.is_positive:
+        return []
+    ends = _ends(domain)
+    if isinstance(domain, Compact):
+        a, b = domain.a, domain.b
+        w = _Window.of(window, None, ends)
+        if verdict.is_strict:
+            return [(lambda kind=kind: principal_compact(window, a, b, kind).atoms,
+                     lambda kind=kind: _float_reading(_atom_ints(w, (a, b, kind))[0], w, a, b))
+                    for kind in PrincipalKind]
+        want = lambda: _float_reading(_support_ints(w, ends), w, a, b)  # noqa: E731
+        return [(lambda: recover_minimal_measure(window, domain).atoms, want),
+                (lambda: recover_support_and_masses(window, a, b)[0], want)]
+    w, hi = _Window.of(window), F(1) if isinstance(domain, HalfOpen) else None
+    if not verdict.is_strict:
+        return [(lambda: recover_minimal_measure(window, domain).atoms,
+                 lambda: _float_reading(_support_ints(w), w, 0, hi))]
+    if isinstance(domain, HalfOpen):
+        return [(lambda: minimal_measure_half_open(window).atoms,
+                 lambda: _float_reading(_atom_ints(w, domain)[0], w, 0, hi))]
+    if len(window) % 2 == 1:  # a MinimalRayFamily
+        return []
+    return [(lambda: minimal_measure_ray(window).atoms,
+             lambda: _float_reading(_atom_ints(w, domain)[0], w, 0, hi))]
+
+
+def _ca_case(window):
+    """`has_ca_extension` of the partial sums 1, 1 + s_0, ... of a window on
+    (0, 1], as its mass at zero (the pair (0, mass)) and its atoms on
+    (0, 1], and its `_float_reading` on the increments it reads; None when
+    those increments are not positive on [0, 1]."""
+    c = [1.0]
+    for v in window:
+        c.append(c[-1] + v)
+    deltas = [c[k + 1] - c[k] for k in range(len(window))]
+    ends = (F(0), F(1))
+    if not classify_compact(deltas, *ends).is_positive:
+        return None
+
+    def got():
+        # no mass at zero is the exact 0 on float input too
+        measure = has_ca_extension(c).measure
+        return [(0.0, float(measure.zero_mass)), *measure.positive.atoms]
+
+    def want():
+        if classify_compact(deltas, *ends).is_strict:
+            w = _Window.of(deltas)
+            return [(0.0, 0.0), *_float_reading(_atom_ints(w, HalfOpen())[0], w, *ends)]
+        w = _Window.of(deltas, None, ends)
+        ints = _support_ints(w, ends)
+        if positivity._reads_root(w, ints, 0):
+            ints = [0, *ints[1:]]
+        pairs = _float_reading(ints, w, *ends)
+        return [(0.0, sum(m for x, m in pairs if x == 0)), *[p for p in pairs if p[0] != 0]]
+    return got, want
+
+
+def _float_image(domain, atoms, n):
+    """(domain, window) of the float image of the moments s_0..s_n of the
+    (atom, mass) pairs, float ends on [a, b]."""
+    if isinstance(domain, Compact):
+        domain = Compact(float(domain.a), float(domain.b))
+    return domain, [float(sum(m * x ** k for x, m in atoms)) for k in range(n + 1)]
+
+
+@given(planted_float_windows())
+# close atoms on [a, b], one at an end: the masses solved at the rounded
+# roots of a rounded polynomial were off by 1.4e-8 and 9.0e-9 relative
+@example(_float_image(Compact(F(80, 9), F(632, 63)),
+                      [(F(80, 9), F(13, 8)), (F(587, 63), F(55, 8)), (F(596, 63), F(59, 8))], 5))
+@example(_float_image(Compact(F(32, 9), F(998, 63)),
+                      [(F(643, 72), F(13, 4)), (F(2831, 252), F(63, 8)), (F(7597, 504), F(5, 4)),
+                       (F(998, 63), F(21, 4))], 11))
+def test_float_measures_are_their_kept_integers_read_exactly_and_rounded(problem):
+    """The float contract: the minimal and principal measures of a float
+    window (`minimal_measure_ray`, `minimal_measure_half_open`,
+    `principal_compact`), its singular measure (`recover_minimal_measure`,
+    `recover_support_and_masses`) and the measure of `has_ca_extension` on
+    increments are the exact reading of the integers kept on the window's
+    binary-exact image, rounded once: each position and mass is within
+    1e-12 relative of `_float_reading` of those integers, which encloses
+    each root to 2^-200."""
+    domain, window = problem
+    cases = _float_cases(domain, window)
+    if isinstance(domain, HalfOpen):
+        cases += [_ca_case(window) or (list, list)]
+    for op, reading in cases:
+        assert _reads_as(op, reading)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from momentkit.measure import moments
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray,
                                   classify, classify_compact, classify_half_open,
                                   classify_ray, compact_criterion_matrices, index,
-                                  ray_limit_matrices, recover_minimal_measure)
+                                  ray_limit_matrices, recover_minimal_measure, stampfli_check)
 from conftest import random_half_open_measure, random_rational_measure
 
 S = PositivityClass.STRICTLY_POSITIVE
@@ -367,10 +367,13 @@ def test_float_singular_classification_imports_no_numpy():
     (lambda: index([1.0, float("nan"), 1.0], Compact(1, 2)), "nan"),
     (lambda: recover_minimal_measure([1.0, float("inf")], HalfOpen()), "inf"),
     (lambda: compact_criterion_matrices([1.0, 2.0, 5.0], 1, float("inf")), "inf"),
+    (lambda: stampfli_check(1, 2, 3, float("inf")), "inf"),
+    (lambda: stampfli_check(1.0, float("nan"), 3.0, 4.0, squared=True), "nan"),
 ])
 def test_non_finite_float_input_is_a_domain_error(call, named):
     # a float window is imaged in binary-exact fractions, which a nan or an
     # infinite value or interval end has none of: it escaped as ValueError
-    # or OverflowError
+    # or OverflowError.  An infinite Stampfli weight held (lhs inf), and a
+    # nan one was "not positive"
     with pytest.raises(DomainError, match=f"non-finite value {named} "):
         call()

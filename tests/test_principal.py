@@ -2,13 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from momentkit.errors import DegenerateInput, NotStrictlyPositive
+from momentkit.errors import DegenerateInput, DomainError, NotStrictlyPositive
 from momentkit.extremal import reciprocal_extremes_compact
 from momentkit.measure import AtomicMeasure, moments
 from momentkit.numeric import Polynomial, real_roots, root_precision, vandermonde_masses
 from momentkit.principal import (MinimalRayFamily, PrincipalKind, atoms_from_poly,
-                                 minimal_measure_half_open, minimal_measure_ray,
-                                 principal_compact, principal_polynomial)
+                                 measure_from_poly, minimal_measure_half_open,
+                                 minimal_measure_ray, principal_compact, principal_polynomial)
 from conftest import random_half_open_measure, random_rational_measure
 
 
@@ -186,3 +186,26 @@ def test_minimal_measure_half_open_long_denominator_atom_is_exact():
     assert mu.exact
     assert mu.atoms == ((F(15, 2 ** 43), F(800685, 513396617)),
                         (F(1, 2 ** 27), F(302971, 481145532)))
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: atoms_from_poly(Polynomial([float("nan"), 1.0]), [1.0, 2.0], 0, 4), "nan"),
+    (lambda: atoms_from_poly(Polynomial([-1.5, 1.0]), [1.0, 2.0], 0, float("inf")), "inf"),
+    (lambda: measure_from_poly(Polynomial([-1.5, 1.0]), [1.0, float("-inf")], 0, 4), "-inf"),
+])
+def test_polynomial_readers_refuse_non_finite_float_input(call, named):
+    # a nan coefficient escaped as ValueError and an infinite end as
+    # OverflowError, from the binary-exact image they do not have
+    with pytest.raises(DomainError, match=f"non-finite value {named} "):
+        call()
+
+
+def test_polynomial_readers_read_float_input_as_a_float_window():
+    # a float anywhere makes every position and mass a float, read on the
+    # binary-exact image and rounded once: the atom 3/2 of mass 1 (a float
+    # window alone left the exact root of an exact polynomial a Fraction)
+    for pairs in (atoms_from_poly(Polynomial([-1.5, 1.0]), [1, F(3, 2)], 0, 4)[0],
+                  atoms_from_poly(Polynomial([-3, 2]), [1.0, 1.5], 0, 4)[0],
+                  measure_from_poly(Polynomial([-3, 2]), [1, F(3, 2)], 0, 4.0).atoms):
+        assert [tuple(map(type, pair)) for pair in pairs] == [(float, float)]
+        assert list(pairs) == [(1.5, 1.0)]
