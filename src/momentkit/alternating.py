@@ -16,11 +16,11 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import DegenerateInput, DomainError, NotAMomentSequence, ZeroAtomError
-from .measure import (AtomicMeasure, MomentRecurrence, ZERO_MEASURE, _Row, geometric_row,
-                      moment_row)
+from .measure import (AtomicMeasure, MomentRecurrence, ZERO_MEASURE, _exact, _Row,
+                      geometric_row, moment_row)
 from .numeric import Polynomial, Scalar
-from .positivity import (HalfOpen, PositivityClass, _reads_root, _support_ints, _values, _Window,
-                         classify_compact)
+from .positivity import (HalfOpen, PositivityClass, _reads_root, _support_ints, _values,
+                         _verdict_window, classify_compact)
 from .principal import _atom_poly, _minimal, _window_atoms
 
 
@@ -46,31 +46,28 @@ class CAMeasure:
         object.__setattr__(self, "positive", positive)
 
     def total_mass(self) -> Scalar:
-        return self.zero_mass + self.positive.moment(0)
+        return self._row(0, 0).value(0)
 
     def moment(self, k: int) -> Scalar:
         """t^k integral over [0, 1]; negative k requires no mass at zero."""
-        if k == 0:
-            return self.total_mass()
         if k < 0 and self.zero_mass != 0:
             raise ZeroAtomError("reciprocal integral of a measure with mass at zero")
-        return self.positive.moment(k)
+        return self.positive.moment(k) if k else self.total_mass()
 
     def _row(self, lo: int, hi: int) -> _Row:
-        """`moment_row` of the part on (0, 1], with the mass at zero added to
-        the moment of order 0 (as `moment` adds it, for a float); a negative
-        moment of a measure charging zero raises, as `moment` does."""
+        """`moment_row` of the part on (0, 1], with the mass at zero (a float
+        one, even 0.0, making a row of floats) added to the moment of order
+        0; a negative moment of a measure charging zero raises, as `moment` does."""
         if lo < 0 and self.zero_mass != 0:
             raise ZeroAtomError("reciprocal integral of a measure with mass at zero")
         row = moment_row(self.positive, lo, hi)
-        if lo > 0 or not (self.zero_mass or isinstance(self.zero_mass, float)):
+        floats = isinstance(self.zero_mass, float)
+        if lo > 0 or not (self.zero_mass or floats):
             return row
-        if row.floats or isinstance(self.zero_mass, float):
-            return _Row.of([self.moment(k) for k in range(lo, hi + 1)])
-        p, q = self.zero_mass.numerator, self.zero_mass.denominator
-        nums = [x * q for x in row.nums]
-        nums[0] += p * row.den
-        return _Row(nums, q * row.den, row.steps, False)
+        zero = _exact([self.zero_mass])[0]
+        nums = [x * zero.denominator for x in row.nums]
+        nums[0] += zero.numerator * row.den
+        return _Row(nums, zero.denominator * row.den, row.steps, row.floats or floats)
 
     def geometric_sum(self, n: int) -> Scalar:
         """Integral of 1 + t + ... + t^(n-1), read off the row of the
@@ -100,17 +97,6 @@ class CAExtensionVerdict:
     poly: Optional[Polynomial] = None
 
 
-def _split_pairs(pairs, exact: bool) -> CAMeasure:
-    zero_mass = Fraction(0)
-    atoms = []
-    for pos, mass in pairs:
-        if pos == 0:
-            zero_mass += mass
-        else:
-            atoms.append((pos, mass))
-    return CAMeasure(zero_mass, AtomicMeasure(atoms, exact=exact))
-
-
 def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     """Does (c_0, ..., c_n) start a completely alternating sequence?
     On success carries a minimal-index representing measure of the
@@ -124,29 +110,31 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     (`principal._window_atoms`), float input too.  A root at 0 is read on
     those integers with the zero test of the index
     (`positivity._reads_root`), so a float root that rounding moved just
-    inside (0, 1] is put back at 0 and its atom booked as mass at zero."""
+    inside (0, 1] is put back at 0 and its atom booked as mass at zero, a
+    float on float input (0.0 where there is none)."""
     values = _values(c)
+    zero = 0.0 if any(isinstance(v, float) for v in values) else 0
     deltas = [values[k + 1] - values[k] for k in range(len(values) - 1)]
-    if not deltas:
-        return CAExtensionVerdict(True, ZERO_CA_MEASURE, None, Polynomial([1]))
     if any(d < 0 for d in deltas):
         return CAExtensionVerdict(False, None, PositivityClass.NOT_POSITIVE)
+    if not any(deltas):  # one value, or a constant sequence
+        kind = PositivityClass.SINGULARLY_POSITIVE if deltas else None
+        return CAExtensionVerdict(True, CAMeasure(zero), kind, Polynomial([1]))
     ends = (Fraction(0), Fraction(1))
     verdict = classify_compact(deltas, *ends)
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         return CAExtensionVerdict(False, None, verdict.kind)
+    w = _verdict_window(deltas, verdict, None, ends)
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
-        w, half = _Window.of(deltas), HalfOpen()
-        return CAExtensionVerdict(True, CAMeasure(0, _minimal(w, half)), verdict.kind,
-                                  _atom_poly(w, half))
-    if not any(deltas):  # a constant sequence: exact even for float input
-        return CAExtensionVerdict(True, ZERO_CA_MEASURE, verdict.kind, Polynomial([1]))
-    w, poly = _Window.of(deltas, None, ends), verdict.support
-    ints = _support_ints(w, ends)
+        return CAExtensionVerdict(True, CAMeasure(zero, _minimal(w, HalfOpen())), verdict.kind,
+                                  _atom_poly(w, HalfOpen()))
+    ints, poly = _support_ints(w, ends), verdict.support
     if _reads_root(w, ints, 0):
         ints, poly = [0, *ints[1:]], poly.shifted_quotient_at_zero()
     pairs, _, exact = _window_atoms(w, ints, *ends)
-    return CAExtensionVerdict(True, _split_pairs(pairs, exact), verdict.kind, poly)
+    measure = CAMeasure(zero + sum(m for x, m in pairs if x == 0),
+                        AtomicMeasure([(x, m) for x, m in pairs if x != 0], exact))
+    return CAExtensionVerdict(True, measure, verdict.kind, poly)
 
 
 def ca_scale(c: Sequence[Scalar], factor: Scalar):

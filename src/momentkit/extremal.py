@@ -11,7 +11,9 @@ q being the associated polynomial of the atom polynomial p under the window
 (`numeric.associated`, whose values at the atoms also give the masses),
 applied to the two principal polynomials, then ordered by comparison; this
 sidesteps any orientation bookkeeping and stays rational even when the atoms
-are irrational.
+are irrational.  It is one integer sum over the integers of p kept on the
+window and the window's image (`_reciprocal_value`), with one `Fraction`
+per value, rounded once on a float window.
 
 On (0, inf) the supremum is unbounded (witnessed constructively) and the
 infimum is exact in both parities: attained by the minimal measure for odd
@@ -28,11 +30,9 @@ one of the window's two limit forms, first, so `reciprocal_inf_*` decide M
 from it as well (for exact input): a strict window costs the pass of its
 other limit form and this one.  A value prepended one level earlier sits
 only in the border b over the same M, so the infimum is an exact quadratic
-in it (`_schur_quadratic`), read from the same kind of pass.  Polynomials are
-used only where a measure is wanted: the principal measures on [a, b],
-whose values come from the identity above, and the unique measure of a
-singular window, whose infimum is its reciprocal moment, -q(0)/p(0) by the
-same identity with p its support polynomial.
+in it (`_schur_quadratic`), read from the same kind of pass.  A singular
+window's infimum is the reciprocal moment of its unique measure: the
+identity above, with p its support polynomial.
 """
 
 from __future__ import annotations
@@ -44,11 +44,12 @@ from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure
-from .numeric import Polynomial, Scalar, _to_float, associated
+from .numeric import (Polynomial, Scalar, _integer_scale, _read, _to_float, as_fraction,
+                      associated)
 from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _Window,
-                         _classify_limit, _limit_window, _odd_half_open, _values,
+                         _classify_limit, _limit_window, _odd_half_open, _support_ints, _values,
                          classify_compact, classify_ray)
-from .principal import PrincipalKind, _atom_poly, _principal_measure
+from .principal import PrincipalKind, _atom_ints, _dilated, _principal_measure
 
 @dataclass(frozen=True)
 class ExtremalBounds:
@@ -65,21 +66,30 @@ def reciprocal_value_from_poly(poly: Polynomial, values: Sequence[Scalar]) -> Sc
     """-q(0)/p(0) for a polynomial p vanishing at every atom of a measure
     whose leading moments are `values`, q being its associated polynomial
     (`numeric.associated`); equals the measure's reciprocal integral.
-    Needs deg(p) <= len(values) and p(0) != 0."""
-    p0 = poly.coeffs[0]
-    if p0 == 0:
+    Needs deg(p) <= len(values) and p(0) != 0.  A view of `_reciprocal_value`,
+    on a float window if the input holds a float (as `atoms_from_poly`)."""
+    w = _Window.of(values, None, poly.coeffs)
+    return _reciprocal_value(w, _integer_scale([as_fraction(c) for c in poly.coeffs])[0])
+
+
+def _reciprocal_value(w: _Window, p: list) -> Scalar:
+    """-q(0)/p(0) for an integer polynomial p kept on the window w: on w's
+    image S, -lam Q(0) / (unit P(0)), P the `principal._dilated` p that
+    `principal._masses` reads and Q its associated polynomial under S."""
+    if p[0] == 0:
         raise DegenerateInput("atom polynomial vanishes at zero")
-    if poly.degree > len(values):
+    if len(p) - 1 > len(w.ints):
         raise DegenerateInput("moment window too short for the sigma functional")
-    return -next(associated(poly.coeffs, values), 0) / p0
+    P = _dilated(p, w.lam)
+    return _read(-w.lam * next(associated(P, w.ints), 0), w.unit * P[0], w.floats)
 
 
 def _principal_values(w: _Window, a, b) -> list:
     """(reciprocal value, kind) of the lower and the upper principal measure
-    on [a, b] of the window w, in that order; each value is kept on w beside
-    its polynomial (`principal._atom_ints`)."""
-    return [(w.kept((a, b, kind, "value"), lambda: reciprocal_value_from_poly(
-        _atom_poly(w, (a, b, kind)), w.values)), kind) for kind in PrincipalKind]
+    on [a, b] of the window w, in that order; each value is read on its
+    polynomial's integers and kept on w beside them (`principal._atom_ints`)."""
+    return [(w.kept((a, b, kind, "value"), lambda: _reciprocal_value(
+        w, _atom_ints(w, (a, b, kind))[0])), kind) for kind in PrincipalKind]
 
 
 def compact_reciprocal_values(values, a, b):
@@ -138,8 +148,7 @@ def _schur_threshold(w: _Window, domain) -> Optional[Scalar]:
             return None
         pivot, corner = a[m - 1][m - 1], (1 if differences else w.lam) * a[m][m]
     # base = ints[0] / unit on the differences form, over one denominator
-    value = Fraction((w.ints[0] * pivot if differences else 0) - corner, w.unit * pivot)
-    return _to_float(value) if w.floats else value
+    return _read((w.ints[0] * pivot if differences else 0) - corner, w.unit * pivot, w.floats)
 
 
 def _schur_quadratic(w: _Window, domain) -> Optional[tuple]:
@@ -173,16 +182,15 @@ def _schur_quadratic(w: _Window, domain) -> Optional[tuple]:
 def _reciprocal_inf(w: _Window, verdict: PositivityVerdict, domain) -> Scalar:
     """Reciprocal infimum on the ray or on (0, 1] of a window whose verdict
     on that domain is `verdict` (see `reciprocal_inf_ray`): a singular
-    window's as the reciprocal moment of its unique measure, read from its
-    support polynomial by the associated polynomial
-    (`reciprocal_value_from_poly`, exact even when the atoms are
-    irrational), a strict one's as the Schur complement
+    window's as the reciprocal moment of its unique measure, read on its
+    support integers (`positivity._support_ints`, `_reciprocal_value`, exact
+    for irrational atoms too), a strict one's as the Schur complement
     `_schur_threshold`."""
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         where = "(0, inf)" if isinstance(domain, Ray) else "(0, 1]"
         raise NotStrictlyPositive(f"sequence is not positive on {where}")
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
-        return reciprocal_value_from_poly(verdict.support, w.values)
+        return _reciprocal_value(w, _support_ints(w))
     return _schur_threshold(w, domain)  # M was found positive definite
 
 

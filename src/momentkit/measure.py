@@ -12,8 +12,8 @@ polynomial's linear recurrence, so certificates stay exactly verifiable even
 when the atoms themselves only have enclosures.  Either kind can be the part
 on (0, 1] of a measure on [0, 1] (`alternating.CAMeasure`).
 
-An exact measure of either kind computes its moments on an integer image,
-built once: on first use, or handed over by the code that built the
+A measure of either kind computes its moments on an integer image, built
+once: on first use, or handed over by the code that built the
 measure.  `principal._atoms_and_image` passes the image of the atoms
 and masses it read, and `tilt` reads its parent's image with the exponents
 shifted, so a measure and its tilts share one image.  With the positions
@@ -26,17 +26,19 @@ are N_k / (L |q_d|^e) past the window and N_k / (L |q_0|^e) before it.
 Moments, ratios of consecutive moments and geometric sums
 1 + ... + t^(n-1) are read off a run of such numerators (`_Row`), with one
 normalisation per value returned, and none for a value that is only
-compared with an exact one (`_Row.equals`).  A float measure, or any other
-object with `moment`, is read on the row of its moments' binary-exact
-images (`_Row.of`).
+compared with an exact one (`_Row.equals`).  Float data enters the image
+on its binary-exact images (a non-finite float raises DegenerateInput,
+`_exact`), and each value read off it is rounded once; any other object
+with `moment` is read on the row of its moments' images (`_Row.of`).
 
 A measure built on a handed-over image (`_imaged`) trusts what its builder
-already holds: its atoms are `Fraction`s in lowest terms, in the image's
-order, and the image's integers are theirs.  They are not re-wrapped,
-merged or sorted.  What the AtomicMeasure constructor would check is still
-checked, on the image's integers: every position and mass is positive
-(else the constructor's DegenerateInput), and the positions ascend
-strictly, so that none repeats (else DegenerateInput too).
+already holds: its atoms are `Fraction`s in lowest terms, or the floats
+its image rounds to, in the image's order, and the image's integers are
+theirs.  They are not re-wrapped, merged or sorted.  What the AtomicMeasure
+constructor would check is still checked, on the image's integers: every
+position and mass is positive (else the constructor's DegenerateInput),
+and the positions ascend strictly, so that none repeats (else
+DegenerateInput too).
 """
 
 from __future__ import annotations
@@ -47,8 +49,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, InsufficientMoments, ShapeError
-from .numeric import (Polynomial, Scalar, _integer_scale, as_fraction, format_scalar,
+from .numeric import (Polynomial, Scalar, _integer_scale, _read, as_fraction, format_scalar,
                       parse_scalar)
+
+
+def _exact(values) -> list:
+    """`values`, floats on their binary-exact images; a non-finite float raises DegenerateInput."""
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DegenerateInput(f"value {v!r} is not finite")
+    return [as_fraction(v) if isinstance(v, float) else v for v in values]
 
 
 class _Row:
@@ -65,13 +75,9 @@ class _Row:
 
     @classmethod
     def of(cls, values) -> "_Row":
-        """The row of `values`, floats on their binary-exact images; a float
-        that is not finite has none, and raises DegenerateInput."""
-        floats = [v for v in values if isinstance(v, float)]
-        if not all(map(math.isfinite, floats)):
-            raise DegenerateInput(f"values {values!r} are not all finite")
-        ints, den = _integer_scale([as_fraction(v) for v in values])
-        return cls(ints, den, [1] * (len(ints) - 1), bool(floats))
+        """The row of `values`, floats on their binary-exact images."""
+        ints, den = _integer_scale(_exact(values))
+        return cls(ints, den, [1] * (len(ints) - 1), any(isinstance(v, float) for v in values))
 
     def denominator(self, i: int) -> int:
         """The positive denominator of v_i over which nums[i] is kept."""
@@ -81,8 +87,7 @@ class _Row:
         return den
 
     def value(self, i: int) -> Scalar:
-        num, den = self.nums[i], self.denominator(i)
-        return num / den if self.floats else Fraction(num, den)
+        return _read(self.nums[i], self.denominator(i), self.floats)
 
     def equals(self, i: int, x: Fraction) -> bool:
         """v_i == x for an exact x, by one integer cross product: no
@@ -92,7 +97,7 @@ class _Row:
     def ratios(self, start: int = 0, make=None) -> list:
         """v_(i+1) / v_i for i >= start, each make(num, den) of its two
         integer numerators; by default read as `value` reads."""
-        make = make or ((lambda num, den: num / den) if self.floats else Fraction)
+        make = make or (lambda num, den: _read(num, den, self.floats))
         nums, steps = self.nums, self.steps
         return [make(nums[i + 1], nums[i] * steps[i]) for i in range(start, len(nums) - 1)]
 
@@ -110,11 +115,12 @@ class _Row:
 
 
 def moment_row(mu, lo: int, hi: int) -> _Row:
-    """Moments lo..hi of `mu`, lo <= hi, as a `_Row`: an exact measure's
-    own integer image, and for a float measure or any other object with a
-    `moment` method the row of its moments (`_Row.of`)."""
-    row = getattr(mu, "_row", lambda lo, hi: None)(lo, hi)
-    return _Row.of([mu.moment(k) for k in range(lo, hi + 1)]) if row is None else row
+    """Moments lo..hi of `mu`, lo <= hi, as a `_Row`: a measure's own
+    integer image, and for any other object with a `moment` method the row
+    of its moments (`_Row.of`)."""
+    if hasattr(mu, "_row"):
+        return mu._row(lo, hi)
+    return _Row.of([mu.moment(k) for k in range(lo, hi + 1)])
 
 
 def geometric_row(tau, hi: int, const: Fraction = Fraction(0)) -> _Row:
@@ -141,26 +147,30 @@ class _PowerSums:
 
 
 class _AtomImage:
-    """An exact AtomicMeasure over common denominators: positions P_i / Q
-    and masses U_i / V, with the reciprocal positions R_i / S for negative
+    """An AtomicMeasure over common denominators: positions P_i / Q and
+    masses U_i / V, with the reciprocal positions R_i / S for negative
     exponents built on first use.  Moment k of the measure is the power sum
     of exponent e = k + shift: sum_i U_i P_i^e / (V Q^e) for e >= 0, and
     the same sum over the reciprocal positions for e < 0.  `of` builds it
     from the atoms, with shift 0; the image of a tilt t^k dmu is this one
-    read with shift + k (`tilted`), on the same power sums."""
+    read with shift + k (`tilted`), on the same power sums; of float atoms
+    (`floats`), it is the image of their binary-exact images."""
 
-    __slots__ = ("V", "Q", "up", "shift", "_positions", "_recip", "_down")
+    __slots__ = ("V", "Q", "up", "shift", "floats", "_positions", "_recip", "_down")
 
-    def __init__(self, positions: list, masses: list, V: int, bases: list, Q: int):
+    def __init__(self, positions: list, masses: list, V: int, bases: list, Q: int,
+                 floats: bool = False):
         self._positions, self.V, self.Q, self.shift = positions, V, Q, 0
-        self.up = _PowerSums(masses, bases)
+        self.up, self.floats = _PowerSums(masses, bases), floats
         self._recip = self._down = None
 
     @classmethod
-    def of(cls, atoms) -> "_AtomImage":
+    def of(cls, atoms, floats: bool = False) -> "_AtomImage":
+        if floats:
+            atoms = [_exact(atom) for atom in atoms]
         positions = [x for x, _ in atoms]
         masses, V = _integer_scale([m for _, m in atoms])
-        return cls(positions, masses, V, *_integer_scale(positions))
+        return cls(positions, masses, V, *_integer_scale(positions), floats)
 
     def powers(self, e: int) -> tuple:
         """The power sums and the denominator base that serve the power sum
@@ -176,11 +186,11 @@ class _AtomImage:
             self._down = _PowerSums(self.up.coeffs, bases), S
         return self._down
 
-    def moment(self, k: int) -> Fraction:
+    def moment(self, k: int) -> Scalar:
         e = k + self.shift
         sums, base = self.powers(e)
         e = abs(e)
-        return Fraction(sums.upto(e)[e], self.V * base ** e)
+        return _read(sums.upto(e)[e], self.V * base ** e, self.floats)
 
     def row(self, lo: int, hi: int) -> _Row:
         """Moments lo..hi, lo <= hi, as a `_Row`.  Over exponents
@@ -190,31 +200,32 @@ class _AtomImage:
         a, b = lo + self.shift, hi + self.shift
         steps = [1 if e < 0 else self.Q for e in range(a, b)]
         if a >= 0:
-            return _Row(self.up.upto(b)[a:b + 1], self.V * self.Q ** a, steps, False)
+            return _Row(self.up.upto(b)[a:b + 1], self.V * self.Q ** a, steps, self.floats)
         down, S = self.powers(a)
         sums = down.upto(-a)
         nums = [sums[-e] * S ** (e - a) for e in range(a, min(b + 1, 0))]
         if b >= 0:
             scale = S ** -a
             nums += [x * scale for x in self.up.upto(b)[:b + 1]]
-        return _Row(nums, self.V * S ** -a, steps, False)
+        return _Row(nums, self.V * S ** -a, steps, self.floats)
 
     def tilted(self, k: int) -> "_AtomImage":
         """The image of t^k dmu: this one with shift + k, sharing its power
         sums."""
         view = object.__new__(_AtomImage)
         view._positions, view.V, view.Q, view.up = self._positions, self.V, self.Q, self.up
-        view._recip, view._down, view.shift = self._recip, self._down, self.shift + k
+        view._recip, view._down, view.floats = self._recip, self._down, self.floats
+        view.shift = self.shift + k
         return view
 
     def masses(self) -> list:
         """The masses of the measure read, U_i x_i^e / (V base^e) with
         e = |shift| over the bases that serve exponent shift, each one
-        `Fraction`."""
+        `Fraction`, rounded once on the image of float atoms."""
         sums, base = self.powers(self.shift)
         e = abs(self.shift)
         den = self.V * base ** e
-        return [Fraction(c * x ** e, den) for c, x in zip(sums.coeffs, sums.bases)]
+        return [_read(c * x ** e, den, self.floats) for c, x in zip(sums.coeffs, sums.bases)]
 
 
 @dataclass(frozen=True)
@@ -264,25 +275,20 @@ class AtomicMeasure:
             raise DegenerateInput("zero measure has no largest atom")
         return self.atoms[-1][0]
 
-    def _image(self) -> Optional[_AtomImage]:
-        """The integer image, built on first use; None when an atom holds a
-        float."""
-        image = self.__dict__.get("_img", self)
-        if image is self:
-            floats = any(isinstance(v, float) for atom in self.atoms for v in atom)
-            image = None if floats else _AtomImage.of(self.atoms)
+    def _image(self) -> _AtomImage:
+        """The integer image, built on first use."""
+        image = self.__dict__.get("_img")
+        if image is None:
+            image = _AtomImage.of(self.atoms, any(isinstance(v, float) for a in self.atoms
+                                                  for v in a))
             object.__setattr__(self, "_img", image)
         return image
 
     def moment(self, k: int) -> Scalar:
-        image = self._image()
-        if image is None:
-            return sum((m * pos ** k for pos, m in self.atoms), Fraction(0))
-        return image.moment(k)
+        return self._image().moment(k)
 
-    def _row(self, lo: int, hi: int) -> Optional[_Row]:
-        image = self._image()
-        return None if image is None else image.row(lo, hi)
+    def _row(self, lo: int, hi: int) -> _Row:
+        return self._image().row(lo, hi)
 
     def scaled(self, factor: Scalar) -> "AtomicMeasure":
         return AtomicMeasure([(p, m * factor) for p, m in self.atoms], exact=self.exact)
@@ -324,11 +330,12 @@ def _imaged(atoms, exact: bool, image: _AtomImage) -> AtomicMeasure:
     built from that image without a second pass over the atoms.
 
     `image` holds the same atoms in the same order, and each atom is an
-    exact (position, mass) pair of `Fraction`s in lowest terms: that is
-    trusted, not re-read.  What AtomicMeasure would read is checked on the
-    image's integers: positions P_i / Q and masses U_i / V with Q, V > 0,
-    so P_i > 0 and U_i > 0 in the order AtomicMeasure checks them (raising
-    its DegenerateInput), and P_i strictly ascending, since the atoms are
+    exact (position, mass) pair of `Fraction`s in lowest terms, or the
+    floats an image of float atoms rounds to: that is trusted, not re-read.
+    What AtomicMeasure would read is checked on the image's integers:
+    positions P_i / Q and masses U_i / V with Q, V > 0, so P_i > 0 and
+    U_i > 0 in the order AtomicMeasure checks them (raising its
+    DegenerateInput), and P_i strictly ascending, since the atoms are
     neither merged nor sorted here (a repeated or out-of-order position
     raises DegenerateInput too)."""
     atoms = tuple(atoms)
@@ -336,7 +343,7 @@ def _imaged(atoms, exact: bool, image: _AtomImage) -> AtomicMeasure:
     for (pos, mass), p, u in zip(atoms, image.up.bases, image.up.coeffs):
         if not p > 0:
             raise DegenerateInput(f"atom position {pos!r} is not positive")
-        if not u > 0:
+        if not u > 0 or image.floats and not mass > 0:  # a float mass may round to 0
             raise DegenerateInput(f"atom mass {mass!r} is not positive")
         if not p > last:
             raise DegenerateInput(f"atom position {pos!r} repeats or is out of order")
@@ -349,14 +356,11 @@ def _imaged(atoms, exact: bool, image: _AtomImage) -> AtomicMeasure:
 
 
 def tilt(mu: AtomicMeasure, k: int) -> AtomicMeasure:
-    """Density tilt t^k dmu: same atoms, masses scaled by pos**k.  An exact
-    measure's tilt reads its masses and moments off the parent's integer
-    image, with the exponents shifted by k (`_AtomImage.tilted`): no second
-    image is built."""
-    image = mu._image()
-    if image is None:
-        return AtomicMeasure([(pos, m * pos ** k) for pos, m in mu.atoms], exact=mu.exact)
-    image = image.tilted(k)
+    """Density tilt t^k dmu: same atoms, masses scaled by pos**k.  The tilt
+    reads its masses and moments off the parent's integer image, with the
+    exponents shifted by k (`_AtomImage.tilted`): no second image is
+    built."""
+    image = mu._image().tilted(k)
     return _imaged([(pos, m) for (pos, _), m in zip(mu.atoms, image.masses())], mu.exact, image)
 
 
@@ -416,15 +420,17 @@ class _RecurrenceImage:
     itself.  Moment k is nums[k] / den(k), den(k) = L q_d^(k - hi0) past the
     window and L |q_0|^(lo0 - k) before it.  Each step keeps the d
     numerators it reads over the denominator of the newest one, so it is d
-    integer products and a sum."""
+    integer products and a sum.  Float data enters on its binary-exact
+    images (`floats`, `_exact`)."""
 
-    __slots__ = ("q", "L", "lo0", "hi0", "lo", "hi", "nums", "_head", "_tail")
+    __slots__ = ("q", "L", "lo0", "hi0", "lo", "hi", "nums", "floats", "_head", "_tail")
 
     def __init__(self, poly: Polynomial, first_index: int, window):
-        coeffs = _integer_scale(poly.coeffs)[0]
+        self.floats = any(isinstance(v, float) for v in (*poly.coeffs, *window))
+        coeffs = _integer_scale(_exact(poly.coeffs))[0]
         content = math.gcd(*coeffs) if coeffs[-1] > 0 else -math.gcd(*coeffs)
         self.q = [c // content for c in coeffs]
-        ints, self.L = _integer_scale(window)
+        ints, self.L = _integer_scale(_exact(window))
         d = len(coeffs) - 1
         self.lo0 = self.lo = first_index
         self.hi0 = self.hi = first_index + len(ints) - 1
@@ -462,7 +468,7 @@ class _RecurrenceImage:
             c0 = abs(self.q[0])
             nums = [x * c0 ** min(i, below) for i, x in enumerate(nums)]
         steps = [self.q[-1] if k >= self.hi0 else 1 for k in range(lo, hi)]
-        return _Row(nums, self.den(lo), steps, False)
+        return _Row(nums, self.den(lo), steps, self.floats)
 
 
 class MomentRecurrence:
@@ -471,9 +477,9 @@ class MomentRecurrence:
     Seeded with a window of moments s_{first_index}.. and the polynomial
     q_0 + q_1 t + ... + q_d t^d vanishing at every atom, so
     sum_j q_j s_{n+j} = 0 for all integers n.  q_0 != 0 since atoms are
-    positive, which makes the recurrence run backwards too.  Exact moments
-    come from the integer image (`_RecurrenceImage`), built on the first
-    moment asked outside the seed window.
+    positive, which makes the recurrence run backwards too.  Moments come
+    from the integer image (`_RecurrenceImage`), built on the first moment
+    asked outside the seed window, and are kept.
     """
 
     def __init__(self, poly: Polynomial, first_index: int,
@@ -489,42 +495,19 @@ class MomentRecurrence:
         self.first_index = first_index
         self.window = tuple(v if isinstance(v, float) else as_fraction(v) for v in window)
         self._cache = {first_index + i: v for i, v in enumerate(self.window)}
-        self._lo = first_index
-        self._hi = first_index + len(window) - 1
-        self._floats = any(isinstance(v, float) for v in self.window + poly.coeffs)
         self._img = None
 
-    def _image(self) -> Optional[_RecurrenceImage]:
-        if self._floats:
-            return None
+    def _image(self) -> _RecurrenceImage:
         if self._img is None:
             self._img = _RecurrenceImage(self.poly, self.first_index, self.window)
         return self._img
 
-    def _row(self, lo: int, hi: int) -> Optional[_Row]:
-        image = self._image()
-        return None if image is None else image.row(lo, hi)
+    def _row(self, lo: int, hi: int) -> _Row:
+        return self._image().row(lo, hi)
 
     def moment(self, k: int) -> Scalar:
-        if k in self._cache:
-            return self._cache[k]
-        image = self._image()
-        if image is not None:
-            image.reach(k)
-            self._cache[k] = Fraction(image.nums[k], image.den(k))
-            return self._cache[k]
-        q = self.poly.coeffs
-        d = self.poly.degree
-        while self._hi < k:
-            n = self._hi - d + 1
-            val = -sum(q[j] * self._cache[n + j] for j in range(d)) / q[d]
-            self._hi += 1
-            self._cache[self._hi] = val
-        while self._lo > k:
-            n = self._lo - 1
-            val = -sum(q[j] * self._cache[n + j] for j in range(1, d + 1)) / q[0]
-            self._lo -= 1
-            self._cache[self._lo] = val
+        if k not in self._cache:
+            self._cache[k] = self._image().row(k, k).value(0)
         return self._cache[k]
 
     def max_atom(self) -> Scalar:

@@ -115,6 +115,12 @@ def _to_float(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _read(num: int, den: int, floats: bool) -> Scalar:
+    """num / den, one `Fraction`, rounded once where `floats`."""
+    value = Fraction(num, den)
+    return _to_float(value) if floats else value
+
+
 def _integer_scale(values) -> tuple:
     """(ints, L) for exact `values`: L is their least common denominator and
     ints[i] = L * values[i], computed without rational arithmetic."""

@@ -33,7 +33,7 @@ that depend on them alone, so the public calls on one window share one image
 and one elimination of each form, and the measures recovered from them
 (`_Window.kept`), so they isolate each measure's roots once.  Float windows
 are never held: their zero tests read the float data, which an equal exact
-key would hide.
+key would hide; a float verdict carries its window instead (`_with_window`).
 
 A singular window on [a, b] is determinate too.  On every domain its
 support polynomial is built once, on the window's integers, and kept on
@@ -388,14 +388,25 @@ def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> Po
         classes = [w.hankel_class(), w.interior(a, b).hankel_class()]
     else:
         classes = [_edge_class(w, a=a), _edge_class(w, b=b)]
-    if FormClass.INDEFINITE in classes:
-        return PositivityVerdict(PositivityClass.NOT_POSITIVE, (a, b))
+    kind, support = PositivityClass.NOT_POSITIVE, None
     if classes == [FormClass.POSITIVE_DEFINITE] * 2:
-        return PositivityVerdict(PositivityClass.STRICTLY_POSITIVE, (a, b))
-    support = _support_poly(w, (a, b))
-    if support is None:
-        return PositivityVerdict(PositivityClass.NOT_POSITIVE, (a, b))
-    return PositivityVerdict(PositivityClass.SINGULARLY_POSITIVE, (a, b), support)
+        kind = PositivityClass.STRICTLY_POSITIVE
+    elif FormClass.INDEFINITE not in classes:
+        support = _support_poly(w, (a, b))
+        kind = kind if support is None else PositivityClass.SINGULARLY_POSITIVE
+    return _with_window(w, PositivityVerdict(kind, (a, b), support))
+
+
+def _with_window(w: _Window, verdict: PositivityVerdict) -> PositivityVerdict:
+    """`verdict`, carrying w if it is a float window (`_verdict_window`)."""
+    if w.floats:
+        object.__setattr__(verdict, "_window", w)
+    return verdict
+
+
+def _verdict_window(values, verdict: PositivityVerdict, eps=None, ends=()) -> _Window:
+    """The window `verdict` was read on: the float one it carries, else held."""
+    return getattr(verdict, "_window", None) or _Window.of(values, eps, ends)
 
 
 def _edge_class(w: _Window, a: Scalar = None, b: Scalar = None) -> FormClass:
@@ -559,7 +570,7 @@ def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
 
 def _classify_limit(w: _Window, domain: Domain) -> PositivityVerdict:
     """`_limit_verdict`, kept on the window per domain."""
-    return w.kept(type(domain), lambda: _limit_verdict(w, domain))
+    return w.kept(type(domain), lambda: _with_window(w, _limit_verdict(w, domain)))
 
 
 def _limit_verdict(w: _Window, domain: Domain) -> PositivityVerdict:
@@ -652,7 +663,7 @@ def _compact_singular(values, a: Scalar, b: Scalar) -> _Window:
         raise NotAMomentSequence("sequence is not positive on the interval")
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
         raise DegenerateInput("sequence is strictly positive; nothing to recover")
-    return _Window.of(values, None, (a, b))
+    return _verdict_window(values, verdict, None, (a, b))
 
 
 def recover_support_and_masses(values, a: Scalar, b: Scalar) -> tuple:
@@ -728,8 +739,8 @@ def index(s, domain: Domain, eps: Optional[float] = None):
 def _verdict_index(values: Sequence[Scalar], verdict: PositivityVerdict, domain: Domain,
                    eps: Optional[float] = None, w: Optional[_Window] = None):
     """`index` of `values` read from their verdict on the domain; `w` is the
-    window the verdict was read on if the caller holds it, else the one
-    `_Window.of` holds."""
+    window the verdict was read on if the caller holds it, else the one the
+    verdict carries or `_Window.of` holds (`_verdict_window`)."""
     n = len(values) - 1
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotAMomentSequence("sequence is not positive on the domain")
@@ -738,7 +749,7 @@ def _verdict_index(values: Sequence[Scalar], verdict: PositivityVerdict, domain:
             return -((n + 1) // -2)  # ceil((n+1)/2)
         return Fraction(n + 1, 2)
     if w is None:
-        w = _Window.of(values, eps, _ends(domain))
+        w = _verdict_window(values, verdict, eps, _ends(domain))
     idx = _singular_index(w, domain)
     return int(idx) if isinstance(domain, Ray) else idx
 

@@ -39,7 +39,7 @@ from .numeric import (HankelImage, Polynomial, Scalar, _derivative, _horner, _in
                       _widened, as_fraction, associated, root_precision)
 from .positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
                          _ends, _finite, _limit_window, _support_ints, _times_factor, _values,
-                         _view, classify_compact, classify_half_open)
+                         _verdict_window, _view, classify_compact, classify_half_open)
 
 
 class PrincipalKind(Enum):
@@ -223,10 +223,7 @@ def _masses(p: list, enclosures: list, S: list, unit: int, lam: int, eps: Fracti
     q its associated polynomial under S (`numeric.associated`); exact at a
     rational root, read on its enclosure to `eps` relative at an irrational
     one (`_enclosed_mass`)."""
-    p = _primitive(p)
-    c = len(p) - 1
-    if lam > 1:
-        p = [x * lam ** (c - k) for k, x in enumerate(p)]
+    p = _dilated(_primitive(p), lam)
     q, dp = list(associated(p, S)), _derivative(p)
     masses = []
     for e in enclosures:
@@ -236,6 +233,12 @@ def _masses(p: list, enclosures: list, S: list, unit: int, lam: int, eps: Fracti
             mass = Fraction(_horner(q, num, den), unit * _horner(dp, num, den))
         masses.append(mass)
     return masses
+
+
+def _dilated(p: list, lam: int) -> list:
+    """lam^c p(t / lam), c = deg p: the image of p on a window dilated by lam."""
+    c = len(p) - 1
+    return [x * lam ** (c - k) for k, x in enumerate(p)] if lam > 1 else p
 
 
 def _enclosed_mass(e, p: list, q: list, dp: list, unit: int, lam: int,
@@ -394,7 +397,7 @@ def minimal_measure_half_open(s) -> AtomicMeasure:
     verdict = classify_half_open(values)
     if verdict.kind is PositivityClass.NOT_POSITIVE:
         raise NotStrictlyPositive("sequence is not positive on (0, 1]")
-    w = _Window.of(values)
+    w = _verdict_window(values, verdict)
     if verdict.kind is PositivityClass.SINGULARLY_POSITIVE:
         return _support_measure(w, HalfOpen())
     return _minimal(w, HalfOpen())

@@ -23,10 +23,10 @@ polynomial of its window on integers (`_positive_on`).  A completed weight,
 a ratio of consecutive moments or of consecutive gamma_n, is one quotient
 of two integer numerators, e.g. G_n / (Q G_(n-1)), and the JSON weight rows
 print each reduced by one gcd.  Float measures and first masses are read
-the same way, on their binary-exact images (`measure._Row.of`), and the
-float band is applied where a float row or target is compared (`_holds`,
-`_meets`); a value that is not finite fails its identity, and a first mass
-that is not positive its own (`_check_counts`).
+the same way, on their binary-exact images, rounded once; the float band
+is applied where a float row or target is compared (`_holds`, `_meets`).
+A first mass that is not finite fails its identity, one that is not
+positive its own (`_check_counts`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Optional, Union
 
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
 from .measure import MomentRecurrence, MomentSequence, geometric_row, moment_row
-from .numeric import Scalar, as_fraction, format_ratio, format_scalar
+from .numeric import Scalar, _read, as_fraction, format_ratio, format_scalar
 from .positivity import HalfOpen, Ray, _Window, _determinate_poly, _support_ints
 
 
@@ -195,7 +195,7 @@ class _RatioTail:
         by one gcd (`numeric.format_ratio`), with no `Fraction` built."""
         prefix = [format_scalar(x) for x in self.prefix_sq[:max(count - 1, 0)]]
         row, start = self._ratio_row(len(prefix), count - 1)
-        make = (lambda num, den: format_scalar(num / den)) if row.floats else format_ratio
+        make = (lambda n, d: format_scalar(_read(n, d, True))) if row.floats else format_ratio
         return prefix + row.ratios(start, make)
 
     def _ratios(self, lo: int, hi: int) -> list:
@@ -373,18 +373,20 @@ def _positive_on(mu, domain) -> bool:
     Fialkow, Houston J. Math. 17 (1991)): `_determinate_poly` of the seed
     window, run on to 2d moments, then returns the polynomial up to its
     leading coefficient; it counts the roots by Descartes' rule, exact on
-    that real-rooted polynomial.  An exact recurrence runs it on the
-    integer moments of its own image and compares the polynomial on
-    integers: the test's kept integers (`positivity._support_ints`) are
-    primitive with a positive leading entry, as the image's q is.  Any
-    other object with moments passes."""
+    that real-rooted polynomial.  It runs on the moments of the
+    recurrence's own image, and compares the polynomial on integers: the
+    test's kept integers (`positivity._support_ints`) are primitive with a
+    positive leading entry, as the image's q is.  A float recurrence
+    (`row.floats`) runs on the float window of its moments, as its residual
+    reads as zero only with the float zero test, and compares within `_eq`.
+    Any other object with moments passes."""
     rec = getattr(mu, "positive", mu)
     if not isinstance(rec, MomentRecurrence):
         return True
     count = max(len(rec.window), 2 * rec.poly.degree)
     row = rec._row(rec.first_index, rec.first_index + count - 1)
-    if row is None:
-        w = _Window.of([rec.moment(rec.first_index + k) for k in range(count)])
+    if row.floats:
+        w = _Window.of([row.value(k) for k in range(count)])
     else:  # the image's moments over the denominator of the last one
         den = row.denominator(count - 1)
         w = _Window(None, [x * (den // row.denominator(k)) for k, x in enumerate(row.nums)],
@@ -392,11 +394,9 @@ def _positive_on(mu, domain) -> bool:
     p = _determinate_poly(w, domain)
     if p is None or p.degree != rec.poly.degree:
         return False
-    image = rec._image()
-    if image is None:
-        q = rec.poly.coeffs
-        return all(_eq(c, x / q[-1]) for c, x in zip(p.coeffs, q))
-    return _support_ints(w) == image.q
+    if row.floats:
+        return all(_eq(c, x / rec.poly.coeffs[-1]) for c, x in zip(p.coeffs, rec.poly.coeffs))
+    return _support_ints(w) == rec._image().q
 
 
 def _check_counts(w: FullWeights, measures):

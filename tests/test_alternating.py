@@ -18,6 +18,21 @@ def test_has_ca_extension_examples():
     assert v.has_extension and v.measure.total_mass() == 0
 
 
+@pytest.mark.parametrize("c, kind", [([0.125], None), ([1.0, 1.0, 1.0], "SingularlyPositive"),
+                                     ([1.0, 2.0, 2.5], "StrictlyPositive"),
+                                     ([1.0, 2.0, 2.5, 2.75], "SingularlyPositive"),
+                                     ([1.0, 3.0, 4.0, 4.5, 4.75], "SingularlyPositive")])
+def test_float_ca_extensions_carry_a_float_zero_mass(c, kind):
+    # one value, a constant sequence, strict increments and singular ones
+    # with no atom at 0: on float input the mass at zero is the float 0.0,
+    # and every moment of the measure a float
+    v = has_ca_extension(c)
+    assert v.has_extension and (v.increment_class and v.increment_class.value) == kind
+    assert isinstance(v.measure.zero_mass, float) and v.measure.zero_mass == 0
+    assert isinstance(v.measure.total_mass(), float)
+    assert moment_row(v.measure, 0, 3).floats
+
+
 def test_reconstruction_identity(rng):
     # c_0 plus geometric sums of the measure reproduce the sequence exactly;
     # data is sized so the minimal-index measure is the generator itself

@@ -811,6 +811,44 @@ def test_float_measures_read_no_mass_through_vandermonde_masses(monkeypatch, cas
     assert counter["vandermonde_masses"] == 0
 
 
+#: float windows read after their classification, and the kernel calls of
+#: each reader: the moments of δ_1 + δ_(5/2) on [1, 4] and of
+#: δ_(1/2) + δ_(1/3) on the ray and on (0, 1] (n = 4, singular), and the
+#: partial sums of δ_(1/2) + δ_1, whose increments are singular on [0, 1]
+ENDS_MU = AtomicMeasure([(F(1), F(1)), (F(5, 2), F(1))])
+THIRDS_MU = AtomicMeasure([(F(1, 3), F(1)), (F(1, 2), F(1))])
+HALF_ONE_MU = AtomicMeasure([(F(1, 2), F(1)), (F(1), F(1))])
+FLOAT_READERS = {
+    "compact-classify": (lambda: classify(_floats(ENDS_MU, 4), Compact(1.0, 4.0)).kind,
+                         PositivityClass.SINGULARLY_POSITIVE, (0, 2, 0, 0)),
+    "compact-index": (lambda: index(_floats(ENDS_MU, 4), Compact(1.0, 4.0)), F(3, 2),
+                      (0, 2, 0, 0)),
+    "compact-measure": (lambda: recover_minimal_measure(_floats(ENDS_MU, 4),
+                                                        Compact(1.0, 4.0)).atoms,
+                        ((1.0, 1.0), (2.5, 1.0)), (0, 2, 0, 0)),
+    "compact-support": (lambda: recover_support_and_masses(_floats(ENDS_MU, 4), 1.0, 4.0),
+                        ([(1.0, 1.0), (2.5, 1.0)], False), (0, 2, 0, 0)),
+    "ray-index": (lambda: index(_floats(THIRDS_MU, 4), Ray()), 2, (0, 1, 0, 1)),
+    "half-open-index": (lambda: index(_floats(THIRDS_MU, 4), HalfOpen()), 2, (0, 1, 0, 1)),
+    "ca-singular": (lambda: has_ca_extension(_partial_sums(_floats(HALF_ONE_MU, 4)))
+                    .measure.positive.atoms, ((0.5, 1.0), (1.0, 1.0)), (0, 2, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_READERS))
+def test_float_readers_read_on_the_window_their_verdict_was_read_on(calls, case):
+    # `_Window.of` holds no float window, so a float verdict carries the
+    # window it was read on and its readers take it from there: the index,
+    # the singular measure and the completely alternating extension
+    # eliminate no form of it again, as on a held exact window.  On [a, b]
+    # the two passes are H(s) and the interior form; on the ray and on
+    # (0, 1] the one pass is the singular H(s), with its determinacy test's
+    # root count
+    op, want, counts = FLOAT_READERS[case]
+    assert op() == want
+    assert _counts(calls) == counts
+
+
 @pytest.fixture
 def isolations(monkeypatch):
     """Counter of the Descartes isolations run while the test runs."""

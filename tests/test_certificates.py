@@ -456,10 +456,10 @@ def _row_tails():
 
 
 def _float_ratios(tail, measure, lo: int, count: int) -> list:
-    """The ratios at n = lo..count-2 of a tail over a float measure: b / a
-    of the float moments for a MeasureTail; for a GeometricSumTail the
-    correctly rounded ratio of the exact sums gamma_n of the moments'
-    binary-exact images."""
+    """The ratios at n = lo..count-2 of a tail over an object whose
+    `moment` returns floats: b / a of the float moments for a MeasureTail;
+    for a GeometricSumTail the correctly rounded ratio of the exact sums
+    gamma_n of the moments' binary-exact images."""
     if isinstance(tail, MeasureTail):
         moments = [measure.moment(k) for k in range(lo, count)]
         return [b / a for a, b in zip(moments, moments[1:])]
@@ -469,11 +469,36 @@ def _float_ratios(tail, measure, lo: int, count: int) -> list:
     return [float(b / a) for a, b in zip(gammas[lo:], gammas[lo + 1:])]
 
 
+def _binary_exact(measure):
+    """The exact measure of a float measure's binary-exact data: its atoms,
+    or its polynomial and seed window, and its mass at zero."""
+    if isinstance(measure, CAMeasure):
+        return CAMeasure(F(measure.zero_mass), _binary_exact(measure.positive))
+    if isinstance(measure, MomentRecurrence):
+        return MomentRecurrence(Polynomial([F(c) for c in measure.poly.coeffs]),
+                                measure.first_index, [F(v) for v in measure.window])
+    return AtomicMeasure([(F(x), F(m)) for x, m in measure.atoms])
+
+
+def _rounded_ratios(tail, measure, lo: int, count: int) -> list:
+    """The correctly rounded ratios at n = lo..count-2 of a tail over an
+    exact measure: of its moments for a MeasureTail, of its sums gamma_n
+    for a GeometricSumTail."""
+    if isinstance(tail, MeasureTail):
+        values = [measure.moment(k) for k in range(lo, count)]
+    else:
+        values = [1 + sum((measure.moment(k) for k in range(n)), F(0)) for n in range(lo, count)]
+    return [float(b / a) for a, b in zip(values, values[1:])]
+
+
 def test_weight_rows_match_weight_sq_for_every_tail_and_count():
     """Each tail's rows match its weight_sq, and are those of the same tail
     over a wrapper that has only `moment` (read on the row of its values),
-    printed alike; a float tail's are the float ratios of `_float_ratios`,
-    byte for byte."""
+    printed alike.  A float tail's own rows are the correctly rounded
+    ratios of `_rounded_ratios` over its measure's binary-exact data, and
+    those of its wrapper the float ratios of `_float_ratios` of the float
+    moments the wrapper reads, each byte for byte and printed as
+    `format_scalar` prints it."""
     shapes = set()
     for tail, exact in _row_tails():
         measure = tail.measure if isinstance(tail, MeasureTail) else tail.tau
@@ -491,11 +516,18 @@ def test_weight_rows_match_weight_sq_for_every_tail_and_count():
                     assert got == ref
                 else:
                     assert abs(got - ref) <= 1e-12 * abs(ref)
-            assert wrapped.weight_sq_row(count) == row
-            assert wrapped.weight_sq_text(count) == tail.weight_sq_text(count)
-            if not exact:
-                lo = min(len(tail.prefix_sq), max(count - 1, 0))
-                assert row[lo:] == _float_ratios(tail, measure, lo, count)
+            if exact:
+                assert wrapped.weight_sq_row(count) == row
+                assert wrapped.weight_sq_text(count) == tail.weight_sq_text(count)
+                continue
+            lo = min(len(tail.prefix_sq), max(count - 1, 0))
+            assert row[lo:] == _rounded_ratios(tail, _binary_exact(measure), lo, count)
+            unwrapped = wrapped.weight_sq_row(count)
+            assert unwrapped[:lo] == row[:lo]
+            assert unwrapped[lo:] == _float_ratios(tail, measure, lo, count)
+            for got, text in ((row, tail.weight_sq_text(count)),
+                              (unwrapped, wrapped.weight_sq_text(count))):
+                assert text == [format_scalar(x) for x in got]
     for exact in (True, False):
         assert {("MeasureTail", "AtomicMeasure", "NoneType", False, exact),
                 ("MeasureTail", "MomentRecurrence", "NoneType", False, exact),

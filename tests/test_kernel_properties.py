@@ -29,7 +29,10 @@ the `Fraction` formulas they replace, and every verdict against
 `_Window.of`, gives every verdict, polynomial, threshold and entry that its
 lam = 1 image gives.
 The moments and geometric sums that measures read off their integer images
-are checked against the plain sums over planted atoms.  The atom counts a
+are checked against the plain sums over planted atoms, and those of float
+measures (atoms and tilts, recurrences, measures on [0, 1] with a float
+mass at zero), with the reciprocal values of float windows, against the
+exact reading of their binary-exact data, rounded once.  The atom counts a
 given branch window admits, read from one verdict, are checked against one
 `_branch_k_compatible` check per count, on every small window and on
 planted ones.
@@ -51,9 +54,10 @@ import momentkit.principal as principal
 from momentkit.alternating import CAMeasure, has_ca_extension
 from momentkit.backward import ExtensionClass, classify_backward, forced_value
 from momentkit.completion import _LevelValues, _admissible_two_ks, _branch_k_compatible
-from momentkit.extremal import (_schur_quadratic, _schur_threshold, reciprocal_inf_half_open,
+from momentkit.extremal import (_schur_quadratic, _schur_threshold, compact_reciprocal_values,
+                                reciprocal_extremes_compact, reciprocal_inf_half_open,
                                 reciprocal_inf_ray, reciprocal_value_from_poly)
-from momentkit.measure import AtomicMeasure, MomentRecurrence, moments
+from momentkit.measure import AtomicMeasure, MomentRecurrence, moment_row, moments, tilt
 from momentkit.errors import DegenerateInput, MomentKitError
 from momentkit.numeric import (FormClass, Polynomial, _dilated_scale, _hankel_image,
                                _integer_scale, _minor_pass, _to_float, as_fraction,
@@ -1134,9 +1138,10 @@ def _ca_case(window):
         return None
 
     def got():
-        # no mass at zero is the exact 0 on float input too
+        # the mass at zero is a float on float input, 0.0 where there is none
         measure = has_ca_extension(c).measure
-        return [(0.0, float(measure.zero_mass)), *measure.positive.atoms]
+        assert isinstance(measure.zero_mass, float)
+        return [(0.0, measure.zero_mass), *measure.positive.atoms]
 
     def want():
         if classify_compact(deltas, *ends).is_strict:
@@ -1435,12 +1440,19 @@ def _floats(atoms):
     return AtomicMeasure([(float(x), float(m)) for x, m in atoms])
 
 
+def _binary_exact(atoms):
+    """The float atoms' binary-exact images."""
+    return [(F(float(x)), F(float(m))) for x, m in atoms]
+
+
 @given(planted_measures(), st.integers(-6, 6), st.integers(0, 2),
        st.permutations(list(ORDERS)))
 def test_image_moments_match_the_plain_sums(atoms, first, extra, order):
     """Moments and weight rows on the integer image equal the plain sums,
-    also read through `moment` alone; a float measure's rows are b / a of
-    its float moments, byte for byte."""
+    also read through `moment` alone.  A float measure's moments and rows
+    are the correctly rounded plain sums and ratios of its binary-exact
+    atoms, and read through `moment` alone its rows are b / a of those
+    float moments, byte for byte."""
     mu = AtomicMeasure(atoms)
     rec = _recurrence(atoms, first, extra)
     # asked in any order, so the recurrence runs both ways from its seed
@@ -1451,20 +1463,23 @@ def test_image_moments_match_the_plain_sums(atoms, first, extra, order):
     for measure in (AtomicMeasure(atoms), _recurrence(atoms, first, extra)):
         assert MeasureTail((), measure).weight_sq_row(17) == ratios
         assert MeasureTail((), _Moments(measure)).weight_sq_row(17) == ratios
-    floats = _floats(atoms)
+    floats, exact = _floats(atoms), _binary_exact(atoms)
     moments = [floats.moment(k) for k in range(17)]
-    ratios = [b / a for a, b in zip(moments, moments[1:])]
-    for measure in (floats, _Moments(floats)):
-        assert MeasureTail((), measure).weight_sq_row(17) == ratios
+    assert moments == [float(_reference(exact, k)) for k in range(17)]
+    assert MeasureTail((), floats).weight_sq_row(17) == [
+        float(_reference(exact, k + 1) / _reference(exact, k)) for k in range(16)]
+    assert MeasureTail((), _Moments(floats)).weight_sq_row(17) == [
+        b / a for a, b in zip(moments, moments[1:])]
 
 
 @given(planted_measures(unit=True), MASS, st.integers(-6, 6), st.integers(0, 2),
        st.permutations(list(range(17))))
 def test_image_geometric_sums_match_the_plain_sums(atoms, zero_mass, first, extra, order):
     """Geometric sums and their weight rows on the integer image equal the
-    plain sums, also read through `moment` alone; a float measure's rows
-    are the correctly rounded ratios of the exact sums of its moments'
-    binary-exact images."""
+    plain sums, also read through `moment` alone.  A float measure's rows
+    are the correctly rounded ratios of the exact sums of its binary-exact
+    atoms and mass at zero, and read through `moment` alone those of the
+    exact sums of its float moments' binary-exact images."""
     ca = CAMeasure(zero_mass, AtomicMeasure(atoms))
     recurrent = CAMeasure(0, _recurrence(atoms, first, extra))
     for n in order:
@@ -1478,11 +1493,119 @@ def test_image_geometric_sums_match_the_plain_sums(atoms, zero_mass, first, extr
         ratios = [b / a for a, b in zip(gammas, gammas[1:])]
         assert GeometricSumTail((), tau).weight_sq_row(17) == ratios
         assert GeometricSumTail((), _Moments(tau)).weight_sq_row(17) == ratios
+    exact = _binary_exact(atoms)
     for zero in (0.0, float(zero_mass)):
         tau = CAMeasure(zero, _floats(atoms))
+        gammas = [1 + (F(zero) if n else 0) + sum((_reference(exact, k) for k in range(n)), F(0))
+                  for n in range(17)]
+        assert GeometricSumTail((), tau).weight_sq_row(17) == [
+            float(b / a) for a, b in zip(gammas, gammas[1:])]
         gammas = [F(1)]
         for k in range(16):
             gammas.append(gammas[-1] + F(tau.moment(k)))
-        ratios = [float(b / a) for a, b in zip(gammas, gammas[1:])]
-        for measure in (tau, _Moments(tau)):
-            assert GeometricSumTail((), measure).weight_sq_row(17) == ratios
+        assert GeometricSumTail((), _Moments(tau)).weight_sq_row(17) == [
+            float(b / a) for a, b in zip(gammas, gammas[1:])]
+
+
+def _rounded(got, want):
+    """Floats `got`, byte for byte the correctly rounded exact `want`."""
+    assert all(isinstance(x, float) for x in got)
+    return [x.hex() for x in got] == [float(x).hex() for x in want]
+
+
+def _recurrence_moment(coeffs, first, window, k):
+    """Moment k of the recurrence sum_j c_j s_(n+j) = 0 seeded with
+    `window` from index `first`, run in `Fraction`s."""
+    values, d = dict(enumerate(window, first)), len(coeffs) - 1
+    lo, hi = first, first + len(window) - 1
+    while hi < k:
+        hi += 1
+        values[hi] = -sum(coeffs[j] * values[hi - d + j] for j in range(d)) / coeffs[d]
+    while lo > k:
+        lo -= 1
+        values[lo] = -sum(coeffs[j] * values[lo + j] for j in range(1, d + 1)) / coeffs[0]
+    return values[k]
+
+
+def _float_reciprocal_cases(domain, window):
+    """(got, want) pairs of the reciprocal values of a float window: a
+    strict one's principal values on [a, b] and the extremes they order,
+    against the exact values of its binary-exact image; a singular one's
+    infimum on the ray or on (0, 1], against -q(0)/p(0) summed in
+    `Fraction`s on the support integers kept on the window."""
+    verdict = classify(window, domain)
+    exact = [F(v) for v in window]
+    if isinstance(domain, Compact):
+        if not verdict.is_strict:
+            return []
+        a, b = domain.a, domain.b
+        values = compact_reciprocal_values(exact, F(a), F(b))
+        cases = [(list(compact_reciprocal_values(window, a, b)), values)]
+        if float(values[0]) != float(values[1]):
+            bounds = reciprocal_extremes_compact(window, a, b)
+            cases.append(([bounds.t_lo, bounds.t_hi], sorted(values)))
+        return cases
+    if verdict.kind is not PositivityClass.SINGULARLY_POSITIVE:
+        return []
+    p = _support_ints(_Window.of(window))
+    want = -sum(p[k] * exact[k - 1] for k in range(1, len(p))) / F(p[0])
+    inf = reciprocal_inf_ray if isinstance(domain, Ray) else reciprocal_inf_half_open
+    return [([inf(window)], [want])]
+
+
+@given(planted_measures(), planted_measures(unit=True), MASS, st.integers(-6, 6),
+       st.integers(0, 2), st.permutations(range(-4, 11)), planted_float_windows())
+def test_float_readings_are_their_binary_exact_data_read_exactly(
+        atoms, unit_atoms, zero_mass, first, extra, order, problem):
+    """Every moment, row value, ratio and tilt mass of a float measure, and
+    every reciprocal value of a float window, is the exact reading of its
+    binary-exact data rounded once, byte for byte: an AtomicMeasure and its
+    tilts (plain sums over the binary-exact atoms), a MomentRecurrence
+    asked below and above its seed (its recurrence run in `Fraction`s on
+    its binary-exact polynomial and window), a CAMeasure with a float mass
+    at zero, 0.0 too, and the principal values, extremes and singular
+    infima of `_float_reciprocal_cases`."""
+    mu, exact = _floats(atoms), _binary_exact(atoms)
+    assert _rounded([mu.moment(k) for k in range(-6, 7)],
+                    [_reference(exact, k) for k in range(-6, 7)])
+    row = moment_row(mu, -3, 6)
+    assert _rounded([row.value(i) for i in range(10)], [_reference(exact, k) for k in range(-3, 7)])
+    assert _rounded(row.ratios(), [_reference(exact, k + 1) / _reference(exact, k)
+                                   for k in range(-3, 6)])
+    for j in (-2, 1, 3):
+        tilted = tilt(mu, j)
+        assert [x for x, _ in tilted.atoms] == [x for x, _ in mu.atoms]
+        assert _rounded([m for _, m in tilted.atoms], [m * x ** j for x, m in exact])
+        assert _rounded([tilted.moment(k) for k in range(-3, 4)],
+                        [_reference(exact, k + j) for k in range(-3, 4)])
+
+    poly = Polynomial([1])
+    for x, _ in atoms:
+        poly = poly.mul(Polynomial([-x, 1]))
+    coeffs = [float(c) for c in poly.coeffs]
+    window = [float(_reference(atoms, first + i)) for i in range(len(atoms) + extra)]
+    rec = MomentRecurrence(Polynomial(coeffs), first, window)
+    want = [_recurrence_moment([F(c) for c in coeffs], first, [F(v) for v in window], first + i)
+            for i in range(-4, 11)]
+    assert _rounded([rec.moment(first + i) for i in order], [want[i + 4] for i in order])
+    row = moment_row(MomentRecurrence(Polynomial(coeffs), first, window), first - 4, first + 10)
+    assert _rounded([row.value(i) for i in range(15)], want)
+    assert _rounded(row.ratios(), [b / a for a, b in zip(want, want[1:])])
+
+    unit, unit_exact = _floats(unit_atoms), _binary_exact(unit_atoms)
+    for zero in (0.0, float(zero_mass)):
+        tau = CAMeasure(zero, unit)
+        want = [(F(zero) if k == 0 else 0) + _reference(unit_exact, k) for k in range(9)]
+        assert _rounded([tau.moment(k) for k in range(9)], want)
+        assert _rounded([tau.total_mass()], want[:1])
+        row = moment_row(tau, 0, 8)
+        assert _rounded([row.value(i) for i in range(9)], want)
+        assert _rounded(row.ratios(), [b / a for a, b in zip(want, want[1:])])
+        assert _rounded([tau.geometric_sum(n) for n in range(1, 9)],
+                        [sum(want[:n]) for n in range(1, 9)])
+    row = moment_row(CAMeasure(0.0, unit), -3, 3)
+    assert _rounded([row.value(i) for i in range(7)],
+                    [_reference(unit_exact, k) for k in range(-3, 4)])
+
+    for got, want in _float_reciprocal_cases(*problem):
+        assert _rounded(got, want)

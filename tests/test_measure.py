@@ -101,3 +101,36 @@ def test_rows_of_float_values_read_their_binary_exact_images():
             _Row.of([1.0, bad])
     with pytest.raises(DegenerateInput):
         moment_row(AtomicMeasure([(math.inf, 1.0)]), 0, 2)
+
+
+
+#: float measures with one non-finite datum: an atom, a mass (the
+#: constructor refuses any other non-finite one), a recurrence coefficient
+#: and a seed value
+NON_FINITE = [lambda bad: AtomicMeasure([(math.inf, 1.0)]),
+              lambda bad: AtomicMeasure([(2.0, math.inf)]),
+              lambda bad: MomentRecurrence(Polynomial([-2.0, bad, 1.0]), 0, [1.0, 2.0]),
+              lambda bad: MomentRecurrence(Polynomial([-2.0, 1.0]), 0, [bad])]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("build", NON_FINITE, ids=["atom", "mass", "coefficient", "seed"])
+def test_non_finite_float_data_has_no_image(build, bad):
+    # a float measure reads every moment off the image of its binary-exact
+    # data, which a non-finite datum lacks
+    mu = build(bad)
+    with pytest.raises(DegenerateInput):
+        mu.moment(3)
+    with pytest.raises(DegenerateInput):
+        moment_row(mu, -1, 1)
+    if isinstance(mu, AtomicMeasure):
+        with pytest.raises(DegenerateInput):
+            tilt(mu, 1)
+
+
+def test_float_tilt_refuses_a_mass_that_rounds_to_zero():
+    # the tilt's mass 1e-400 is positive on the image and 0.0 once rounded
+    with pytest.raises(DegenerateInput):
+        tilt(AtomicMeasure([(1e-200, 1.0), (2.0, 1.0)]), 2)
+    assert tilt(AtomicMeasure([(1e-100, 1.0), (2.0, 1.0)]), 2).atoms == ((1e-100, 1e-200),
+                                                                          (2.0, 4.0))

@@ -9,7 +9,9 @@ of that seed's stream), among them multi-vector sweeps that search up to 23
 atom-count vectors, three-class searches over two levels, two completed on
 a biased fallback split, an equality level met on an irrational split
 (Unknown), and float copies of two planted problems whose forced level is
-one ulp off its target.
+one ulp off its target.  The weight rows and atom masses of those float
+certificates are the exact readings of their measures' binary-exact data,
+rounded once (`test_float_certificates_read_their_measures_exactly`).
 """
 
 import hashlib
@@ -19,6 +21,9 @@ from fractions import Fraction
 import pytest
 
 from momentkit.completion import solve_che, solve_subnormal
+from momentkit.measure import MomentRecurrence
+from momentkit.numeric import Polynomial
+from momentkit.principal import minimal_measure_ray
 from momentkit.tree import BranchClass, PartialWeights
 
 #: (label, solver, float copy, trunk squares, first-weight masses, tails,
@@ -117,14 +122,14 @@ CASES = [
      (('5/3', '5/3'), ('3', '3')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'e59cf6b8a0686f18ee3000c28dd5b102de5134fadfa827ded522d579064d0005'),
+     '27b87b35529f0aa07549d2b28a7ad16e08f100eeb4277c125a045c51373ab08f'),
     ('float copy, seed 42 #46', 'subnormal', True,
      ('2496/2039', '79521/148205'),
      ('39/80', '39/80', '117/160'),
      (('6', '6'), ('13/5', '13/5'), ('1', '1')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '5847369bb1d3b9cf4eafc19a86c25738d75051753891088b2b2ce8e3e574771d'),
+     '97f93be94c87b2cdb81aa2b6beb034eb98ee203caee25f04c1cfd9239e12f82e'),
 ]
 
 
@@ -132,14 +137,40 @@ def _scalar(text: str, floats: bool):
     return float(Fraction(text)) if floats else Fraction(text)
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
-def test_outputs_are_pinned(case):
-    _, solver, floats, trunk_sq, masses, tails, status, reason, certificate = case
+def _solve(case):
+    _, solver, floats, trunk_sq, masses, tails, *_ = case
     pw = PartialWeights([_scalar(t, floats) for t in trunk_sq],
                         [BranchClass(_scalar(m, floats), tuple(_scalar(t, floats) for t in tail), 1)
                          for m, tail in zip(masses, tails)])
-    out = (solve_subnormal if solver == "subnormal" else solve_che)(pw, "auto")
+    return (solve_subnormal if solver == "subnormal" else solve_che)(pw, "auto")
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+def test_outputs_are_pinned(case):
+    _, solver, floats, trunk_sq, masses, tails, status, reason, certificate = case
+    out = _solve(case)
     assert out.status.value == status
     assert hashlib.sha256((out.reason or "").encode()).hexdigest() == reason
     got = out.certificate and json.dumps(out.certificate.to_json(), sort_keys=True).encode()
     assert (got and hashlib.sha256(got).hexdigest()) == certificate
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case[2]], ids=lambda case: case[0])
+def test_float_certificates_read_their_measures_exactly(case):
+    """Each completed weight of a pinned float certificate is the correctly
+    rounded ratio of the exact moments of its recurrence's binary-exact
+    polynomial and window, and each atom mass of its `atoms_approx` the
+    exact tilt of the window's minimal measure (on the ray, from its
+    binary-exact atoms), rounded once."""
+    cert = _solve(case).certificate
+    for mu, cls in zip(cert.measures, cert.full.classes):
+        assert isinstance(mu, MomentRecurrence)
+        exact = MomentRecurrence(Polynomial([Fraction(c) for c in mu.poly.coeffs]),
+                                 mu.first_index, [Fraction(v) for v in mu.window])
+        p = len(cls.generator.prefix_sq)
+        assert cls.generator.weight_sq_row(12)[p:] == [
+            float(exact.moment(k + 1) / exact.moment(k)) for k in range(p, 11)]
+        parent = minimal_measure_ray(mu.window[:2 * mu.poly.degree])
+        assert [x for x, _ in mu.atoms_hint.atoms] == [x for x, _ in parent.atoms]
+        assert [m for _, m in mu.atoms_hint.atoms] == [
+            float(Fraction(m) * Fraction(x) ** -mu.first_index) for x, m in parent.atoms]
