@@ -11,10 +11,10 @@ the increments' window, float increments too (`principal._window_atoms`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._record import FrozenRecord
 from .errors import DegenerateInput, DomainError, NotAMomentSequence, ZeroAtomError
 from .measure import (AtomicMeasure, MomentRecurrence, ZERO_MEASURE, _exact, _Row,
                       geometric_row, moment_row)
@@ -24,14 +24,12 @@ from .positivity import (HalfOpen, PositivityClass, _reads_root, _support_ints, 
 from .principal import _atom_poly, _minimal, _window_atoms
 
 
-@dataclass(frozen=True)
-class CAMeasure:
+class CAMeasure(FrozenRecord):
     """Measure on [0, 1]: optional mass at zero plus a part on (0, 1],
     either an AtomicMeasure or, when its atoms are irrational, a
     MomentRecurrence (whose `atoms_hint` holds their enclosures)."""
 
-    zero_mass: Scalar
-    positive: Union[AtomicMeasure, MomentRecurrence]
+    _fields = ("zero_mass", "positive")
 
     def __init__(self, zero_mass: Scalar,
                  positive: Union[AtomicMeasure, MomentRecurrence] = ZERO_MEASURE):
@@ -42,8 +40,7 @@ class CAMeasure:
         for pos, _ in getattr(positive, "atoms", ()):
             if pos > 1:
                 raise DegenerateInput("atoms must lie in (0, 1]")
-        object.__setattr__(self, "zero_mass", zero_mass)
-        object.__setattr__(self, "positive", positive)
+        self.__dict__.update(zero_mass=zero_mass, positive=positive)
 
     def total_mass(self) -> Scalar:
         return self._row(0, 0).value(0)
@@ -88,13 +85,16 @@ class CAMeasure:
 ZERO_CA_MEASURE = CAMeasure(0, ZERO_MEASURE)
 
 
-@dataclass(frozen=True)
-class CAExtensionVerdict:
-    has_extension: bool
-    measure: Optional[CAMeasure] = None
-    increment_class: Optional[PositivityClass] = None
-    #: polynomial vanishing at the atoms of `measure.positive`, none at 0
-    poly: Optional[Polynomial] = None
+class CAExtensionVerdict(FrozenRecord):
+    """poly vanishes at the atoms of `measure.positive`, and not at 0."""
+
+    _fields = ("has_extension", "measure", "increment_class", "poly")
+
+    def __init__(self, has_extension: bool, measure: Optional[CAMeasure] = None,
+                 increment_class: Optional[PositivityClass] = None,
+                 poly: Optional[Polynomial] = None):
+        self.__dict__.update(has_extension=has_extension, measure=measure,
+                             increment_class=increment_class, poly=poly)
 
 
 def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
@@ -145,11 +145,12 @@ def ca_scale(c: Sequence[Scalar], factor: Scalar):
     return tuple(factor * v for v in _values(c))
 
 
-@dataclass(frozen=True)
-class CABackwardResult:
-    ok: bool
-    rho: Optional[CAMeasure] = None
-    violated: Optional[str] = None
+class CABackwardResult(FrozenRecord):
+    _fields = ("ok", "rho", "violated")
+
+    def __init__(self, ok: bool, rho: Optional[CAMeasure] = None,
+                 violated: Optional[str] = None):
+        self.__dict__.update(ok=ok, rho=rho, violated=violated)
 
     @property
     def zero_mass_is_zero(self) -> Optional[bool]:

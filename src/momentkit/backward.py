@@ -15,11 +15,11 @@ measure (`principal._minimal`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import FrozenRecord
 from .errors import (ArityError, BadIndex, DomainError, InfeasibleChoice,
                      NotStrictlyPositive, OutOfRange)
 from .measure import AtomicMeasure, MomentSequence, tilt
@@ -37,11 +37,12 @@ class ExtensionClass(Enum):
     NOT_EXTENSION = "NotExtension"
 
 
-@dataclass(frozen=True)
-class ExtensionVerdict:
-    kind: ExtensionClass
-    threshold: Scalar
-    measure: Optional[AtomicMeasure] = None
+class ExtensionVerdict(FrozenRecord):
+    _fields = ("kind", "threshold", "measure")
+
+    def __init__(self, kind: ExtensionClass, threshold: Scalar,
+                 measure: Optional[AtomicMeasure] = None):
+        self.__dict__.update(kind=kind, threshold=threshold, measure=measure)
 
 
 def _domain_tools(domain):

@@ -33,11 +33,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
+from ._record import FrozenRecord, Record
 from .alternating import CAMeasure, has_ca_extension
 from .extremal import _reciprocal_inf, _schur_quadratic, _schur_threshold
 from .errors import BadIndex, DegenerateInput, MomentKitError, PreconditionError, Unsupported
@@ -65,16 +65,16 @@ class SolveStatus(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass
-class CompletionCertificate:
-    kind: str
-    partial: PartialWeights
-    K: tuple
-    sequences: tuple
-    measures: tuple
-    full: FullWeights
-    norm_sq: Scalar
-    root_measure: Optional[CAMeasure] = None
+class CompletionCertificate(Record):
+    _fields = ("kind", "partial", "K", "sequences", "measures", "full", "norm_sq",
+               "root_measure")
+
+    def __init__(self, kind: str, partial: PartialWeights, K: tuple, sequences: tuple,
+                 measures: tuple, full: FullWeights, norm_sq: Scalar,
+                 root_measure: Optional[CAMeasure] = None):
+        self.kind, self.partial, self.K, self.sequences = kind, partial, K, sequences
+        self.measures, self.full, self.norm_sq = measures, full, norm_sq
+        self.root_measure = root_measure
 
     def verify(self, depth: int = 12) -> bool:
         if self.kind == "subnormal":
@@ -101,12 +101,15 @@ class CompletionCertificate:
         return out
 
 
-@dataclass
-class SolveOutcome:
-    status: SolveStatus
-    certificate: Optional[CompletionCertificate] = None
-    reason: Optional[str] = None
-    details: dict = field(default_factory=dict)
+class SolveOutcome(Record):
+    """details defaults to a fresh empty dict."""
+
+    _fields = ("status", "certificate", "reason", "details")
+
+    def __init__(self, status: SolveStatus, certificate: Optional[CompletionCertificate] = None,
+                 reason: Optional[str] = None, details: Optional[dict] = None):
+        self.status, self.certificate, self.reason = status, certificate, reason
+        self.details = {} if details is None else details
 
     @property
     def feasible(self) -> bool:
@@ -165,14 +168,17 @@ class _LevelValues(dict):
         return a, b, c
 
 
-@dataclass
-class _LevelProblem:
-    table: _LevelValues
-    masses: tuple           # first-weight mass per class
-    big_ns: tuple           # 2K_i - 1 per class
-    p_top: int              # length of the given window per class
-    targets: tuple          # per level, the right-hand side for the mass sum
-    kappa: int              # deepest level index; that level is the bound
+class _LevelProblem(Record):
+    _fields = ("table", "masses", "big_ns", "p_top", "targets", "kappa")
+
+    def __init__(self, table: _LevelValues, masses: tuple, big_ns: tuple, p_top: int,
+                 targets: tuple, kappa: int):
+        self.table = table
+        self.masses = masses    # first-weight mass per class
+        self.big_ns = big_ns    # 2K_i - 1 per class
+        self.p_top = p_top      # length of the given window per class
+        self.targets = targets  # per level, the right-hand side for the mass sum
+        self.kappa = kappa      # deepest level index; that level is the bound
 
 
 def _slot_is_free(big_n: int, p_top: int, level: int) -> bool:
@@ -208,13 +214,13 @@ def _sqrt_below(value):
     return Fraction(math.isqrt(value.numerator * value.denominator), value.denominator)
 
 
-@dataclass
-class _Split:
+class _Split(Record):
     """A level's split over its free classes and the least load of the next
     level, const + sum m_c q_c(u_c), u_c the value above the threshold."""
-    masses: list
-    quads: list
-    const: Scalar
+    _fields = ("masses", "quads", "const")
+
+    def __init__(self, masses: list, quads: list, const: Scalar):
+        self.masses, self.quads, self.const = masses, quads, const
 
     def values(self, u) -> list:
         return [(a * x + b) * x + c for (a, b, c), x in zip(self.quads, u)]
@@ -725,12 +731,14 @@ def flat_che_completion(pw: PartialWeights) -> SolveOutcome:
 # probes and classical checks
 # --------------------------------------------------------------------------
 
-@dataclass
-class ProbeReport:
-    verdict: str           # "FeasibleTowardInfinity" | "Infeasible" | "Unknown"
-    per_kappa: tuple       # (kappa, status name, norm_sq or None)
-    uniform_norm_sq: Optional[float] = None
-    stopped_at: Optional[int] = None
+class ProbeReport(Record):
+    _fields = ("verdict", "per_kappa", "uniform_norm_sq", "stopped_at")
+
+    def __init__(self, verdict: str, per_kappa: tuple, uniform_norm_sq: Optional[float] = None,
+                 stopped_at: Optional[int] = None):
+        self.verdict = verdict      # "FeasibleTowardInfinity" | "Infeasible" | "Unknown"
+        self.per_kappa = per_kappa  # (kappa, status name, norm_sq or None)
+        self.uniform_norm_sq, self.stopped_at = uniform_norm_sq, stopped_at
 
 
 def kappa_infinite_probe(trunk_sq_stream, classes, kappa_max: int,
@@ -765,10 +773,12 @@ def kappa_infinite_probe(trunk_sq_stream, classes, kappa_max: int,
                        uniform_norm_sq=max(norms) if norms else None)
 
 
-@dataclass(frozen=True)
-class FlatnessVerdict:
-    two_flat: bool
-    witness: Optional[tuple] = None  # (class index, generation, value, reference)
+class FlatnessVerdict(FrozenRecord):
+    _fields = ("two_flat", "witness")
+
+    def __init__(self, two_flat: bool, witness: Optional[tuple] = None):
+        # witness: (class index, generation, value, reference)
+        self.__dict__.update(two_flat=two_flat, witness=witness)
 
 
 def flatness_verifier(w: FullWeights, r: int, taus=None, depth: int = 12) -> FlatnessVerdict:

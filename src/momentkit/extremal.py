@@ -38,10 +38,10 @@ identity above, with p its support polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import FrozenRecord
 from .errors import ConvergenceError, DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure
 from .numeric import (Polynomial, Scalar, _integer_scale, _read, _to_float, as_fraction,
@@ -51,15 +51,16 @@ from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _Win
                          classify_compact, classify_ray)
 from .principal import PrincipalKind, _atom_ints, _dilated, _principal_measure
 
-@dataclass(frozen=True)
-class ExtremalBounds:
+class ExtremalBounds(FrozenRecord):
     """Extremal reciprocal integrals and the measures attaining them.
     t_hi is math.inf (with attained_hi None) on unbounded domains."""
 
-    t_lo: Scalar
-    t_hi: Scalar
-    attained_lo: Optional[AtomicMeasure] = None
-    attained_hi: Optional[AtomicMeasure] = None
+    _fields = ("t_lo", "t_hi", "attained_lo", "attained_hi")
+
+    def __init__(self, t_lo: Scalar, t_hi: Scalar, attained_lo: Optional[AtomicMeasure] = None,
+                 attained_hi: Optional[AtomicMeasure] = None):
+        self.__dict__.update(t_lo=t_lo, t_hi=t_hi, attained_lo=attained_lo,
+                             attained_hi=attained_hi)
 
 
 def reciprocal_value_from_poly(poly: Polynomial, values: Sequence[Scalar]) -> Scalar:

@@ -44,20 +44,25 @@ DegenerateInput too).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import FrozenRecord
 from .errors import DegenerateInput, InsufficientMoments, ShapeError
 from .numeric import (Polynomial, Scalar, _integer_scale, _read, as_fraction, format_scalar,
                       parse_scalar)
 
 
+def _finite(v: float, what: str):
+    if not math.isfinite(v):
+        raise DegenerateInput(f"{what} {v!r} is not finite")
+
+
 def _exact(values) -> list:
     """`values`, floats on their binary-exact images; a non-finite float raises DegenerateInput."""
     for v in values:
-        if isinstance(v, float) and not math.isfinite(v):
-            raise DegenerateInput(f"value {v!r} is not finite")
+        if isinstance(v, float):
+            _finite(v, "value")
     return [as_fraction(v) if isinstance(v, float) else v for v in values]
 
 
@@ -228,34 +233,36 @@ class _AtomImage:
         return [_read(c * x ** e, den, self.floats) for c, x in zip(sums.coeffs, sums.bases)]
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(FrozenRecord):
     """Finite positive combination of point masses on (0, inf).
 
     Atoms are stored sorted by position; exactly coinciding positions are
     merged at construction so measure equality is literal equality.
     The `exact` flag records whether atom positions are exact values or
-    refined rational enclosure midpoints.
+    refined rational enclosure midpoints.  A float position or mass that is
+    not finite raises DegenerateInput.
     """
 
-    atoms: tuple
-    exact: bool = True
+    _fields = ("atoms", "exact")
 
     def __init__(self, atoms, exact: bool = True):
         merged = {}
         for pos, mass in atoms:
-            if not isinstance(pos, float):
+            if isinstance(pos, float):
+                _finite(pos, "atom position")
+            else:
                 pos = as_fraction(pos)
-            if not isinstance(mass, float):
+            if isinstance(mass, float):
+                _finite(mass, "atom mass")
+            else:
                 mass = as_fraction(mass)
             if not pos > 0:
                 raise DegenerateInput(f"atom position {pos!r} is not positive")
             if not mass > 0:
                 raise DegenerateInput(f"atom mass {mass!r} is not positive")
             merged[pos] = merged[pos] + mass if pos in merged else mass
-        object.__setattr__(self, "atoms",
-                           tuple(sorted(merged.items(), key=lambda it: it[0])))
-        object.__setattr__(self, "exact", bool(exact))
+        self.__dict__.update(atoms=tuple(sorted(merged.items(), key=lambda it: it[0])),
+                             exact=bool(exact))
 
     @property
     def support_size(self) -> int:
@@ -281,7 +288,7 @@ class AtomicMeasure:
         if image is None:
             image = _AtomImage.of(self.atoms, any(isinstance(v, float) for a in self.atoms
                                                   for v in a))
-            object.__setattr__(self, "_img", image)
+            self.__dict__["_img"] = image
         return image
 
     def moment(self, k: int) -> Scalar:
@@ -337,10 +344,15 @@ def _imaged(atoms, exact: bool, image: _AtomImage) -> AtomicMeasure:
     U_i > 0 in the order AtomicMeasure checks them (raising its
     DegenerateInput), and P_i strictly ascending, since the atoms are
     neither merged nor sorted here (a repeated or out-of-order position
-    raises DegenerateInput too)."""
+    raises DegenerateInput too).  The floats of a float image are checked
+    to be finite as AtomicMeasure checks them: a tilt's float masses may
+    round past the float range."""
     atoms = tuple(atoms)
     last = 0
     for (pos, mass), p, u in zip(atoms, image.up.bases, image.up.coeffs):
+        if image.floats:
+            _finite(pos, "atom position")
+            _finite(mass, "atom mass")
         if not p > 0:
             raise DegenerateInput(f"atom position {pos!r} is not positive")
         if not u > 0 or image.floats and not mass > 0:  # a float mass may round to 0
@@ -349,9 +361,7 @@ def _imaged(atoms, exact: bool, image: _AtomImage) -> AtomicMeasure:
             raise DegenerateInput(f"atom position {pos!r} repeats or is out of order")
         last = p
     mu = object.__new__(AtomicMeasure)
-    object.__setattr__(mu, "atoms", atoms)
-    object.__setattr__(mu, "exact", bool(exact))
-    object.__setattr__(mu, "_img", image)
+    mu.__dict__.update(atoms=atoms, exact=bool(exact), _img=image)
     return mu
 
 
@@ -364,12 +374,10 @@ def tilt(mu: AtomicMeasure, k: int) -> AtomicMeasure:
     return _imaged([(pos, m) for (pos, _), m in zip(mu.atoms, image.masses())], mu.exact, image)
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(FrozenRecord):
     """Contiguous window of nonnegative moments s_{first_index}..s_{last}."""
 
-    first_index: int
-    values: tuple
+    _fields = ("first_index", "values")
 
     def __init__(self, first_index: int, values: Sequence[Scalar]):
         values = tuple(v if isinstance(v, float) else as_fraction(v) for v in values)
@@ -379,8 +387,7 @@ class MomentSequence:
             # the sign of an exact value is its numerator's
             if (v if isinstance(v, float) else v.numerator) < 0:
                 raise DegenerateInput(f"negative moment value {v!r}")
-        object.__setattr__(self, "first_index", int(first_index))
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(first_index=int(first_index), values=values)
 
     def __len__(self) -> int:
         return len(self.values)

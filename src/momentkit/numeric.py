@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
+from ._record import FrozenRecord
 from .errors import DegenerateInput, DomainError, InsufficientMoments, ShapeError
 
 Scalar = Union[Fraction, int, float]
@@ -164,21 +164,20 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 # polynomials
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(FrozenRecord):
     """Dense univariate polynomial, coefficients lowest degree first.
 
     Trailing zero coefficients are stripped at construction; the zero
     polynomial is represented by an empty coefficient tuple.
     """
 
-    coeffs: tuple
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Scalar]):
         coeffs = [c if isinstance(c, (Fraction, float)) else Fraction(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self.__dict__.update(coeffs=tuple(coeffs))
 
     @property
     def degree(self) -> int:

@@ -12,29 +12,29 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .measure import AtomicMeasure
 from .positivity import Compact, Domain, HalfOpen, PositivityClass
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    trials: int = 100
-    atoms_min: int = 1
-    atoms_max: int = 4
-    position_num_max: int = 24
-    position_den_max: int = 12
-    mass_num_max: int = 12
-    mass_den_max: int = 8
-    seed: int = 0
-    resolution: int = 900
-    grid_q: int = 10
-    half_open: bool = False
+class OracleConfig(FrozenRecord):
+    _fields = ("trials", "atoms_min", "atoms_max", "position_num_max", "position_den_max",
+               "mass_num_max", "mass_den_max", "seed", "resolution", "grid_q", "half_open")
+
+    def __init__(self, trials: int = 100, atoms_min: int = 1, atoms_max: int = 4,
+                 position_num_max: int = 24, position_den_max: int = 12,
+                 mass_num_max: int = 12, mass_den_max: int = 8, seed: int = 0,
+                 resolution: int = 900, grid_q: int = 10, half_open: bool = False):
+        self.__dict__.update(
+            trials=trials, atoms_min=atoms_min, atoms_max=atoms_max,
+            position_num_max=position_num_max, position_den_max=position_den_max,
+            mass_num_max=mass_num_max, mass_den_max=mass_den_max, seed=seed,
+            resolution=resolution, grid_q=grid_q, half_open=half_open)
 
 
 def random_measure(cfg: OracleConfig, trial: int = 0,

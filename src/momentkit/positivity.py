@@ -55,11 +55,11 @@ reaches it without loading the completion layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._record import FrozenRecord
 from .errors import DegenerateInput, DomainError, NotAMomentSequence, PreconditionError
 from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
 from .numeric import (DEFAULT_EPS, FormClass, HankelImage, Polynomial, Scalar, _dilated_scale,
@@ -72,25 +72,22 @@ from .numeric import (DEFAULT_EPS, FormClass, HankelImage, Polynomial, Scalar, _
 # domains
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Compact:
-    a: Scalar
-    b: Scalar
+class Compact(FrozenRecord):
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if not self.a < self.b:
+    def __init__(self, a: Scalar, b: Scalar):
+        if not a < b:
             raise DomainError("compact interval needs a < b")
-        if not self.a > 0:
+        if not a > 0:
             raise DomainError("compact domain lives inside (0, inf)")
+        self.__dict__.update(a=a, b=b)
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(FrozenRecord):
     pass
 
 
-@dataclass(frozen=True)
-class HalfOpen:
+class HalfOpen(FrozenRecord):
     pass
 
 
@@ -103,13 +100,16 @@ class PositivityClass(Enum):
     STRICTLY_POSITIVE = "StrictlyPositive"
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
-    kind: PositivityClass
-    #: interval the verdict was decided on (set by classify_compact only)
-    interval: Optional[tuple] = None
-    #: monic support polynomial of a singular window (set on every domain)
-    support: Optional[Polynomial] = None
+class PositivityVerdict(FrozenRecord):
+    """A window's class.  `interval` is the interval the verdict was decided
+    on (set by classify_compact only); `support` is the monic support
+    polynomial of a singular window (set on every domain)."""
+
+    _fields = ("kind", "interval", "support")
+
+    def __init__(self, kind: PositivityClass, interval: Optional[tuple] = None,
+                 support: Optional[Polynomial] = None):
+        self.__dict__.update(kind=kind, interval=interval, support=support)
 
     @property
     def is_positive(self) -> bool:
@@ -400,7 +400,7 @@ def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> Po
 def _with_window(w: _Window, verdict: PositivityVerdict) -> PositivityVerdict:
     """`verdict`, carrying w if it is a float window (`_verdict_window`)."""
     if w.floats:
-        object.__setattr__(verdict, "_window", w)
+        verdict.__dict__["_window"] = w
     return verdict
 
 
@@ -758,11 +758,11 @@ def _verdict_index(values: Sequence[Scalar], verdict: PositivityVerdict, domain:
 # Stampfli's four-weight check
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StampfliVerdict:
-    holds: bool
-    lhs: Scalar
-    rhs: Scalar
+class StampfliVerdict(FrozenRecord):
+    _fields = ("holds", "lhs", "rhs")
+
+    def __init__(self, holds: bool, lhs: Scalar, rhs: Scalar):
+        self.__dict__.update(holds=holds, lhs=lhs, rhs=rhs)
 
 
 def stampfli_check(l1, l2, l3, l4, squared: bool = False) -> StampfliVerdict:

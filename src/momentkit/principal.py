@@ -27,11 +27,11 @@ length) principal measure on [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import Record
 from .errors import DegenerateInput, InsufficientMoments, NotStrictlyPositive, ShapeError
 from .measure import ZERO_MEASURE, AtomicMeasure, _AtomImage, _imaged
 from .numeric import (HankelImage, Polynomial, Scalar, _derivative, _horner, _integer_scale,
@@ -352,13 +352,15 @@ def _principal_measure(w: _Window, a: Scalar, b: Scalar, kind: PrincipalKind) ->
     return w.kept((a, b, kind, "measure"), lambda: _window_measure(w, (a, b, kind), a, b))
 
 
-@dataclass
-class MinimalRayFamily:
+class MinimalRayFamily(Record):
     """Lazy handle over the minimal-support measures of an even-length
     strictly positive sequence on (0, inf), keyed by the reciprocal moment
     x in (threshold, inf)."""
 
-    sequence: tuple
+    _fields = ("sequence",)
+
+    def __init__(self, sequence: tuple):
+        self.sequence = sequence
 
     @property
     def atom_count(self) -> int:

@@ -32,10 +32,10 @@ positive its own (`_check_counts`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import FrozenRecord
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
 from .measure import MomentRecurrence, MomentSequence, geometric_row, moment_row
 from .numeric import Scalar, _read, as_fraction, format_ratio, format_scalar
@@ -50,50 +50,43 @@ def _pos_sq(x, what: str):
     return x
 
 
-@dataclass(frozen=True)
-class TreeShape:
+class TreeShape(FrozenRecord):
     """eta branches (math.inf allowed), trunk length kappa >= 0
     (math.inf means the one-sided infinite trunk)."""
 
-    eta: Union[int, float]
-    kappa: Union[int, float]
+    _fields = ("eta", "kappa")
 
-    def __post_init__(self):
-        if self.eta != math.inf and (int(self.eta) != self.eta or self.eta < 1):
+    def __init__(self, eta: Union[int, float], kappa: Union[int, float]):
+        if eta != math.inf and (int(eta) != eta or eta < 1):
             raise DegenerateInput("eta must be a positive integer or inf")
-        if self.kappa != math.inf and (int(self.kappa) != self.kappa or self.kappa < 0):
+        if kappa != math.inf and (int(kappa) != kappa or kappa < 0):
             raise DegenerateInput("kappa must be a nonnegative integer or inf")
+        self.__dict__.update(eta=eta, kappa=kappa)
 
 
-@dataclass(frozen=True)
-class BranchClass:
+class BranchClass(FrozenRecord):
     """A group of branches sharing their squared weights from generation 2
     on.  first_mass is the total squared first weight over the group
     (math.inf for an infinite group with a fixed positive first weight);
     count is None for infinite groups."""
 
-    first_mass: Scalar
-    tail_sq: tuple
-    count: Optional[int] = 1
+    _fields = ("first_mass", "tail_sq", "count")
 
     def __init__(self, first_mass, tail_sq=(), count=1):
         if first_mass != math.inf:
             first_mass = _pos_sq(first_mass, "first-weight mass")
         tail_sq = tuple(_pos_sq(t, "branch weight square") for t in tail_sq)
-        object.__setattr__(self, "first_mass", first_mass)
-        object.__setattr__(self, "tail_sq", tail_sq)
-        object.__setattr__(self, "count", count)
+        self.__dict__.update(first_mass=first_mass, tail_sq=tail_sq, count=count)
 
 
-@dataclass(frozen=True)
-class PartialWeights:
+class PartialWeights(FrozenRecord):
     """Prescribed data of the completion problem: trunk squared weights
     (lambda_0^2, lambda_{-1}^2, ..., lambda_{-(kappa-1)}^2) and branch
-    classes with p prescribed generations (tail_sq has length p-1)."""
+    classes with p prescribed generations (tail_sq has length p-1).
+    first_mass_total, the classes' first-weight masses summed, is read once
+    here; it is not a field."""
 
-    trunk_sq: tuple
-    classes: tuple
-    p: int
+    _fields = ("trunk_sq", "classes", "p")
 
     def __init__(self, trunk_sq, classes, p=None):
         trunk_sq = tuple(_pos_sq(t, "trunk weight square") for t in trunk_sq)
@@ -108,9 +101,8 @@ class PartialWeights:
             p = depth
         if p != depth:
             raise DegenerateInput(f"p={p} inconsistent with tails of length {depth - 1}")
-        object.__setattr__(self, "trunk_sq", trunk_sq)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "p", int(p))
+        self.__dict__.update(trunk_sq=trunk_sq, classes=classes, p=int(p),
+                             first_mass_total=sum(c.first_mass for c in classes))
 
     @property
     def kappa(self) -> int:
@@ -121,10 +113,6 @@ class PartialWeights:
         if any(c.count is None for c in self.classes):
             return math.inf
         return sum(c.count for c in self.classes)
-
-    @property
-    def first_mass_total(self):
-        return sum(c.first_mass for c in self.classes)
 
     @staticmethod
     def from_branch_lists(trunk_sq, branches_sq, counts=None) -> "PartialWeights":
@@ -245,36 +233,31 @@ class GeometricSumTail(_RatioTail):
         return sup
 
 
-@dataclass(frozen=True)
-class FullBranch:
-    first_mass: Scalar
-    generator: object
-    count: Optional[int] = 1
+class FullBranch(FrozenRecord):
+    _fields = ("first_mass", "generator", "count")
+
+    def __init__(self, first_mass: Scalar, generator: object, count: Optional[int] = 1):
+        self.__dict__.update(first_mass=first_mass, generator=generator, count=count)
 
 
-@dataclass(frozen=True)
-class FullWeights:
+class FullWeights(FrozenRecord):
     """A completed weight assignment: finite trunk prefix plus per-class
     branch generators.  kappa_infinite marks shifts whose trunk extends
-    isometrically to the left."""
+    isometrically to the left.  first_mass_total, as on PartialWeights, is
+    read once here and is not a field."""
 
-    trunk_sq: tuple
-    classes: tuple
-    kappa_infinite: bool = False
+    _fields = ("trunk_sq", "classes", "kappa_infinite")
 
     def __init__(self, trunk_sq, classes, kappa_infinite=False):
-        object.__setattr__(self, "trunk_sq",
-                           tuple(_pos_sq(t, "trunk weight square") for t in trunk_sq))
-        object.__setattr__(self, "classes", tuple(classes))
-        object.__setattr__(self, "kappa_infinite", bool(kappa_infinite))
+        classes = tuple(classes)
+        self.__dict__.update(
+            trunk_sq=tuple(_pos_sq(t, "trunk weight square") for t in trunk_sq),
+            classes=classes, kappa_infinite=bool(kappa_infinite),
+            first_mass_total=sum(c.first_mass for c in classes))
 
     @property
     def kappa(self):
         return math.inf if self.kappa_infinite else len(self.trunk_sq)
-
-    @property
-    def first_mass_total(self):
-        return sum(c.first_mass for c in self.classes)
 
     def branch_weight_sq(self, i: int, j: int):
         return self.classes[i - 1].generator.weight_sq(j)
@@ -312,10 +295,12 @@ def vertex_moments(w: FullWeights, u, n: int) -> MomentSequence:
     return MomentSequence(0, out)
 
 
-@dataclass(frozen=True)
-class BoundednessVerdict:
-    bounded: bool
-    norm_sq_bound: Scalar  # sup over vertices of the outgoing square sums
+class BoundednessVerdict(FrozenRecord):
+    _fields = ("bounded", "norm_sq_bound")
+
+    def __init__(self, bounded: bool, norm_sq_bound: Scalar):
+        # norm_sq_bound: sup over vertices of the outgoing square sums
+        self.__dict__.update(bounded=bounded, norm_sq_bound=norm_sq_bound)
 
 
 def is_bounded(w: FullWeights) -> BoundednessVerdict:

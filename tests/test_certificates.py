@@ -3,7 +3,6 @@ finite, and the emitted JSON and weight rows match the generators."""
 
 import argparse
 import copy
-import dataclasses
 import json
 import math
 import os
@@ -17,8 +16,8 @@ from hypothesis import assume, given, strategies as st
 import momentkit
 from momentkit.alternating import CAMeasure
 from momentkit.cli import run
-from momentkit.completion import (_norm_sq_bound, flat_che_completion, solve_che,
-                                  solve_subnormal)
+from momentkit.completion import (CompletionCertificate, _norm_sq_bound, flat_che_completion,
+                                  solve_che, solve_subnormal)
 from momentkit.errors import CertificateInvalid, DegenerateInput, ZeroAtomError
 from momentkit.measure import AtomicMeasure, MomentRecurrence, tilt
 from momentkit.numeric import Polynomial, format_scalar
@@ -372,7 +371,9 @@ def _counted(cert):
             gen.measure = mu
         classes.append(FullBranch(cls.first_mass, gen, cls.count))
     full = FullWeights(cert.full.trunk_sq, classes)
-    return dataclasses.replace(cert, measures=tuple(measures), full=full), measures
+    return CompletionCertificate(cert.kind, cert.partial, cert.K, cert.sequences,
+                                 tuple(measures), full, cert.norm_sq,
+                                 cert.root_measure), measures
 
 
 def _seed7_problem2():

@@ -342,6 +342,20 @@ def test_classify_file_loads_no_completion_layer(tmp_path):
     _run_python_ok(code)
 
 
+def test_cold_calls_of_every_kind_import_no_dataclasses(tmp_path):
+    # the record types are plain classes: no CLI kind but `oracle`, whose
+    # numpy and scipy import dataclasses themselves, loads the module
+    paths = [_write(tmp_path, f"{kind}.json", obj) for kind, obj in BATCH_KINDS.items()]
+    certificate = run(paths[list(BATCH_KINDS).index("subnormal")])[0]["certificate"]
+    paths.append(_write(tmp_path, "verify.json", {"kind": "verify", "certificate": certificate}))
+    _run_python_ok(
+        "import sys, momentkit.cli as cli\n"
+        f"for path in {paths!r}:\n"
+        "    payload, code = cli.run(path)\n"
+        "    assert code in (0, 1) and 'error' not in payload, payload\n"
+        "assert 'dataclasses' not in sys.modules\n")
+
+
 def test_oracle_kind(tmp_path):
     # (3, 2, 3/2) is strictly positive on (0, 1] with reciprocal infimum 5
     path = _write(tmp_path, "oracle.json", {"kind": "oracle", "domain": "half-open",

@@ -104,11 +104,10 @@ def test_rows_of_float_values_read_their_binary_exact_images():
 
 
 
-#: float measures with one non-finite datum: an atom, a mass (the
-#: constructor refuses any other non-finite one), a recurrence coefficient
-#: and a seed value
-NON_FINITE = [lambda bad: AtomicMeasure([(math.inf, 1.0)]),
-              lambda bad: AtomicMeasure([(2.0, math.inf)]),
+#: float measures with one non-finite datum: an atom, a mass, a recurrence
+#: coefficient and a seed value
+NON_FINITE = [lambda bad: AtomicMeasure([(bad, 1.0)]),
+              lambda bad: AtomicMeasure([(2.0, bad)]),
               lambda bad: MomentRecurrence(Polynomial([-2.0, bad, 1.0]), 0, [1.0, 2.0]),
               lambda bad: MomentRecurrence(Polynomial([-2.0, 1.0]), 0, [bad])]
 
@@ -117,7 +116,12 @@ NON_FINITE = [lambda bad: AtomicMeasure([(math.inf, 1.0)]),
 @pytest.mark.parametrize("build", NON_FINITE, ids=["atom", "mass", "coefficient", "seed"])
 def test_non_finite_float_data_has_no_image(build, bad):
     # a float measure reads every moment off the image of its binary-exact
-    # data, which a non-finite datum lacks
+    # data, which a non-finite datum lacks; an atomic measure refuses the
+    # datum already when it is built
+    if build in NON_FINITE[:2]:
+        with pytest.raises(DegenerateInput, match="is not finite"):
+            build(bad)
+        return
     mu = build(bad)
     with pytest.raises(DegenerateInput):
         mu.moment(3)
@@ -126,6 +130,24 @@ def test_non_finite_float_data_has_no_image(build, bad):
     if isinstance(mu, AtomicMeasure):
         with pytest.raises(DegenerateInput):
             tilt(mu, 1)
+
+
+@pytest.mark.parametrize("atoms, message", [([(math.inf, 1.0)], "atom position inf"),
+                                             ([(2.0, math.inf)], "atom mass inf")],
+                         ids=["position", "mass"])
+def test_float_atomic_measure_refuses_a_non_finite_atom_when_built(atoms, message):
+    with pytest.raises(DegenerateInput, match=f"{message} is not finite"):
+        AtomicMeasure(atoms, exact=False)
+
+
+def test_float_tilt_refuses_a_mass_that_rounds_past_the_float_range():
+    # the tilt's mass 1e400 is finite on the image and inf once rounded;
+    # the exact tilt keeps it
+    mu = AtomicMeasure([(1e-200, 1.0), (2.0, 1.0)], exact=False)
+    with pytest.raises(DegenerateInput, match="atom mass inf is not finite"):
+        tilt(mu, -2)
+    exact = AtomicMeasure([(F(1e-200), 1), (2, 1)])
+    assert tilt(exact, -2).atoms[0][1] == 1 / F(1e-200) ** 2
 
 
 def test_float_tilt_refuses_a_mass_that_rounds_to_zero():
