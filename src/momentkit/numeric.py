@@ -38,6 +38,7 @@ option.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from enum import Enum
@@ -335,31 +336,34 @@ class RootEnclosure:
     certified float seed, narrower than `root_precision()` for most roots,
     or an interval of the Descartes bisection; `coeffs` has the roots
     settled before the enclosure was made deflated out, none at an end.
+    `irrational` is True when the root is proven irrational: its bracket's
+    one candidate k/|lead| failed (`_lead_candidate`).
     """
 
-    __slots__ = ("coeffs", "lo", "hi", "den", "root")
+    __slots__ = ("coeffs", "lo", "hi", "den", "root", "irrational")
 
-    def __init__(self, coeffs=None, lo: Optional[Fraction] = None,
-                 hi: Optional[Fraction] = None, root: Optional[Scalar] = None):
-        self.coeffs, self.root = coeffs, root
-        if root is None:
-            (self.lo, self.hi), self.den = _integer_scale((lo, hi))
+    def __init__(self, coeffs=None, lo: int = 0, hi: int = 0, den: int = 1,
+                 root: Optional[Scalar] = None, irrational: bool = False):
+        self.coeffs, self.lo, self.hi, self.den, self.root = coeffs, lo, hi, den, root
+        self.irrational = irrational
 
     def refine(self, width) -> Scalar:
         """The root when it is known (see `root`), otherwise the midpoint of
         an enclosure of width <= `width`.  A rational root num/den in lowest
         terms is found whenever den^2 * width < 1: it is then the simplest
-        rational of the final enclosure."""
+        rational of the final enclosure.  A root proven irrational is never
+        tested for one."""
         if self.root is not None:
             return self.root
         coeffs, lo, hi, den = self.coeffs, self.lo, self.hi, self.den
         width = Fraction(width)
         lo_positive = _horner(coeffs, lo, den) > 0
+        snap = not self.irrational
         rounds = 0
         while (hi - lo) * width.denominator > width.numerator * den:
             # the snap only shortens the loop: once the simplest rational of
             # an enclosure is the root, it is the simplest of every later one
-            if rounds & (rounds - 1) == 0 and self._try_exact_root(lo, hi, den):
+            if snap and rounds & (rounds - 1) == 0 and self._try_exact_root(lo, hi, den):
                 return self.root
             lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
             value = _horner(coeffs, mid, den)
@@ -372,10 +376,10 @@ class RootEnclosure:
                 hi = mid
             rounds += 1
         self.lo, self.hi, self.den = lo, hi, den
-        if self._try_exact_root(lo, hi, den):
+        if snap and self._try_exact_root(lo, hi, den):
             return self.root
         mid = Fraction(lo + hi, 2 * den)
-        if _horner(coeffs, mid.numerator, mid.denominator) == 0:
+        if snap and _horner(coeffs, mid.numerator, mid.denominator) == 0:
             self.root = mid
         return mid
 
@@ -470,12 +474,13 @@ def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
     Each seed's simplest rational within 2^-SNAP_BITS of it, relative, is
     tested by integer Horner and, when it is a root, deflated out.  Each
     other seed gets a bracket of relative half-width 2^-BRACKET_BITS, the
-    first whose ends have opposite exact signs of the deflated polynomial.
-    A rational root of a primitive integer polynomial has a denominator
-    that divides lead, so a bracket at most 2^SNAP_BITS times wider than
-    1/|lead| settles its one candidate k/|lead| when that is a root
-    (`_lead_candidate`, on a copy bisected below 1/|lead|); a bracket whose
-    candidate fails is kept as it was.  So there are deg p exact roots and
+    first whose ends have opposite exact signs of the deflated polynomial,
+    kept on its integer ends.  A rational root of a primitive integer
+    polynomial has a denominator that divides lead, so a bracket at most
+    2^SNAP_BITS times wider than 1/|lead| settles its one candidate k/|lead|
+    when that is a root (`_lead_candidate`, on a copy bisected below
+    1/|lead|); a bracket whose candidate fails is kept as it was, and its
+    root is proven irrational.  So there are deg p exact roots and
     brackets, one per seed.  The result
     stands only when they lie strictly inside (lo, hi) and are pairwise
     disjoint: then each bracket holds a root of the deflated polynomial,
@@ -491,9 +496,8 @@ def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
     for x in seeds:
         num, q = _simplest(*_around(x, SNAP_BITS))
         if _horner(work, num, q) == 0:
-            root = Fraction(num, q)
-            found.append((root, root, None))
-            work = _deflate(work, root)
+            found.append(_exact_root(Fraction(num, q)))
+            work = _deflate(work, found[-1].root)
         else:
             rest.append(x)
     lead = abs(work[-1])
@@ -502,20 +506,31 @@ def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
             a, b, scale = _around(x, bits)
             va, vb = _horner(work, a, scale), _horner(work, b, scale)
             if (va > 0 and vb < 0) or (va < 0 and vb > 0):
-                root = None
-                if (b - a) * lead < scale << SNAP_BITS:
-                    root = _lead_candidate(work, a, b, scale, va > 0)
-                found.append((Fraction(a, scale), Fraction(b, scale), work) if root is None
-                             else (root, root, None))
+                tested = (b - a) * lead < scale << SNAP_BITS
+                root = _lead_candidate(work, a, b, scale, va > 0) if tested else None
+                found.append(RootEnclosure(work, a, b, scale, irrational=tested) if root is None
+                             else _exact_root(root))
                 break
         else:
             return None
-    found.sort(key=lambda item: item[0])
-    if not lo < found[0][0] or not found[-1][1] < hi or any(
-            not left[1] < right[0] for left, right in zip(found, found[1:])):
+    found = _ascending(found)
+    first, last = found[0], found[-1]
+    if (first.lo * lo.denominator <= lo.numerator * first.den
+            or hi.numerator * last.den <= last.hi * hi.denominator
+            or any(right.lo * left.den <= left.hi * right.den
+                   for left, right in zip(found, found[1:]))):
         return None
-    return [RootEnclosure(root=a) if coeffs is None else RootEnclosure(coeffs, a, b)
-            for a, b, coeffs in found]
+    return found
+
+
+def _exact_root(root: Fraction) -> RootEnclosure:
+    """The RootEnclosure of a rational root, its ends the root."""
+    return RootEnclosure(None, root.numerator, root.numerator, root.denominator, root)
+
+
+def _ascending(found: list) -> list:
+    """RootEnclosures sorted by their lower ends, compared exactly on integers."""
+    return sorted(found, key=functools.cmp_to_key(lambda u, v: u.lo * v.den - v.lo * u.den))
 
 
 def _lead_candidate(work, a: int, b: int, scale: int, positive_at_a: bool) -> Optional[Fraction]:
@@ -559,18 +574,15 @@ def _descartes_isolate(work, lo: Fraction, hi: Fraction) -> list:
         a, scale, q = stack.pop()
         count = _variations(_shifted(q[::-1]))
         if count == 1:
-            found.append((Fraction(a, scale), Fraction(a + width, scale), work))
+            found.append(RootEnclosure(work, a, a + width, scale))
         elif count > 1:
             left = [x << (d - i) for i, x in enumerate(q)]
             right = _shifted(left)
             if right[0] == 0:
-                root = Fraction(2 * a + width, 2 * scale)
-                found.append((root, root, None))
-                work = _deflate(work, root)
+                found.append(_exact_root(Fraction(2 * a + width, 2 * scale)))
+                work = _deflate(work, found[-1].root)
             stack += [(2 * a + width, 2 * scale, right), (2 * a, 2 * scale, left)]
-    found.sort(key=lambda item: item[0])
-    return [RootEnclosure(root=a) if coeffs is None else RootEnclosure(coeffs, a, b)
-            for a, b, coeffs in found]
+    return _ascending(found)
 
 
 def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
@@ -583,10 +595,11 @@ def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
     from float seeds certified exactly (`_seeded`): a rational root whose
     seed snaps to it, or whose bracket is narrow enough to test its one
     candidate, comes out exact, every other root as a narrow bracket around
-    its seed.  The certificate holds only when every root of what is left
-    is real, simple and strictly inside (lo, hi).  Otherwise Descartes
-    bisection isolates the roots (`_descartes_isolate`).  Either way an
-    interval is refined by `RootEnclosure.refine`.  Float input (in p, lo
+    its seed, marked `irrational` when its candidate failed.  The
+    certificate holds only when every root of what is left is real, simple
+    and strictly inside (lo, hi).  Otherwise Descartes bisection isolates
+    the roots (`_descartes_isolate`).  Either way an interval is refined by
+    `RootEnclosure.refine`.  Float input (in p, lo
     or hi) is isolated on its binary-exact image over the `_widened`
     interval; each root comes back settled as a float
     (`RootEnclosure.to_float`).  Repeated roots raise DegenerateInput:

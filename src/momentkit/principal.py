@@ -13,7 +13,9 @@ window is read the same way from its support polynomial, which
 `positivity._support_ints` keeps on the window (`_support_measure`).  Every
 such measure is isolated on the integers of its polynomial, and its masses
 are Gauss-Christoffel weights q(x)/p'(x), q the associated polynomial, read
-on p itself and the window's image (`_window_atoms`, `_masses`).  A float
+on p itself and the window's image (`_window_atoms`, `_masses`); the atom
+hint of a completion certificate's recurrence is read where isolation left
+the roots, to 2^-HINT_BITS relative (`_minimal_hint`).  A float
 window runs the same path on its binary-exact image, its roots isolated a
 little past the ends (`numeric._widened`) and clamped back, and each
 position and mass rounded once at the end.  A measure of an exact window
@@ -27,6 +29,7 @@ length) principal measure on [0, 1].
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -216,15 +219,20 @@ def _atoms_and_image(enclosures: list, p, window: Sequence[Scalar],
     return pairs, image, exact
 
 
-def _masses(p: list, enclosures: list, S: list, unit: int, lam: int, eps: Fraction) -> list:
+def _masses(p: list, enclosures: list, S: list, unit: int, lam: int, eps: Fraction,
+            shift: int = 0) -> list:
     """The masses at the roots of the integer polynomial p for the window
     with the image S_k = unit lam^k s_k: m = q(lam x) / (unit p'(lam x)),
     p here the image lam^c p(t / lam), whose roots are the atoms lam x, and
     q its associated polynomial under S (`numeric.associated`); exact at a
     rational root, read on its enclosure to `eps` relative at an irrational
-    one (`_enclosed_mass`)."""
+    one (`_enclosed_mass`).  With shift >= 0 they are the masses m x^shift
+    of t^shift dmu: q is read times t^shift, over unit lam^shift, and p'
+    padded to the same length, so that both keep one homogeneous degree."""
     p = _dilated(_primitive(p), lam)
     q, dp = list(associated(p, S)), _derivative(p)
+    if shift:
+        q, dp, unit = [0] * shift + q, dp + [0] * shift, unit * lam ** shift
     masses = []
     for e in enclosures:
         mass = None if e.root is not None else _enclosed_mass(e, p, q, dp, unit, lam, eps)
@@ -284,15 +292,26 @@ def measure_from_poly(poly: Polynomial, window: Sequence[Scalar],
     return _carrying(*_poly_atoms(poly, window, lo, hi))
 
 
-def _window_atoms(w: _Window, ints: list, lo: Scalar, hi: Optional[Scalar]) -> tuple:
-    """`_atoms_and_image` of the roots in [lo, hi] (hi None for
+def _window_roots(w: _Window, ints: list, lo: Scalar, hi: Optional[Scalar]) -> tuple:
+    """(enclosures, lo, hi): the roots in [lo, hi] (hi None for
     `_cauchy_bound`) of the integer polynomial `ints`, an atom or support
-    polynomial kept on the window w, read on w's image with no `Fraction`
-    polynomial and no second scaling; on a float window isolated on the
-    `numeric._widened` interval and rounded (`clamp`)."""
+    polynomial kept on the window w, isolated on those integers; on a float
+    window on the `numeric._widened` interval."""
     lo = as_fraction(lo)
     hi = _cauchy_bound(ints) if hi is None else as_fraction(hi)
-    enclosures = _isolate(ints, *(_widened(lo, hi) if w.floats else (lo, hi)))
+    return _isolate(ints, *(_widened(lo, hi) if w.floats else (lo, hi))), lo, hi
+
+
+def _window_atoms(w: _Window, ints: list, lo: Scalar, hi: Optional[Scalar],
+                  enclosures: Optional[list] = None) -> tuple:
+    """`_atoms_and_image` of the roots in [lo, hi] of the integer
+    polynomial `ints` kept on the window w (`_window_roots`; `enclosures`
+    if the caller isolated them there, lo and hi then the `Fraction` ends
+    `_window_roots` gave), read on w's image with no `Fraction` polynomial
+    and no second scaling; on a float window clamped to [lo, hi] and
+    rounded (`clamp`)."""
+    if enclosures is None:
+        enclosures, lo, hi = _window_roots(w, ints, lo, hi)
     return _atoms_and_image(enclosures, ints, w.values, (w.ints, w.unit, w.lam),
                             (lo, hi) if w.floats else None)
 
@@ -405,8 +424,69 @@ def minimal_measure_half_open(s) -> AtomicMeasure:
     return _minimal(w, HalfOpen())
 
 
-def _minimal(w: _Window, domain) -> AtomicMeasure:
+def _minimal_roots(w: _Window, domain) -> tuple:
+    """(ints, enclosures, lo, hi): the atom polynomial `_atom_ints` of the
+    minimal measure of a strictly positive window w on the ray (odd n) or
+    on (0, 1], and its `_window_roots` in [0, inf) or [0, 1]."""
+    ints = _atom_ints(w, domain)[0]
+    return (ints, *_window_roots(w, ints, Fraction(0),
+                                 Fraction(1) if isinstance(domain, HalfOpen) else None))
+
+
+def _minimal(w: _Window, domain, held: Optional[tuple] = None) -> AtomicMeasure:
     """The minimal measure of a strictly positive window w on the ray (odd
-    n) or on (0, 1], kept on w per domain."""
-    hi = Fraction(1) if isinstance(domain, HalfOpen) else None
-    return w.kept(("minimal", type(domain)), lambda: _window_measure(w, domain, Fraction(0), hi))
+    n) or on (0, 1], kept on w per domain; `held` is its `_minimal_roots`
+    if the caller isolated them."""
+    def make():
+        ints, enclosures, lo, hi = held or _minimal_roots(w, domain)
+        return _carrying(*_window_atoms(w, ints, lo, hi, enclosures))
+    return w.kept(("minimal", type(domain)), make)
+
+
+#: Bits of the relative precision 2^-HINT_BITS of an atom hint
+#: (`_minimal_hint`): each of its positions and masses lies within
+#: 2^-HINT_BITS, relative, of the atom or mass it stands for.
+HINT_BITS = 24
+
+
+def _minimal_hint(w: _Window, held: tuple, shift: int) -> tuple:
+    """(hint, top): the atoms of t^shift dmu, shift >= 0, mu the minimal
+    measure of w whose `_minimal_roots` are `held`, as an inexact
+    AtomicMeasure of floats, and top >= its largest atom, exactly (the
+    root, or the upper end of its enclosure; rounded up to a float on a
+    float window).
+
+    Each position and mass is within 2^-HINT_BITS relative of the atom and
+    mass it stands for.  A position is a root, or the midpoint of its
+    enclosure as isolated, narrowed only while the enclosure is wider than
+    2^-HINT_BITS of its lower end (a Descartes interval): the midpoint is
+    then within 2^-(HINT_BITS + 1) of the root.  A mass is read by
+    `_masses` to 2^-(HINT_BITS + 1) relative, its sign certified.  Both
+    are rounded once to floats, unless one rounds to 0 or past the float
+    range, when the hint keeps them exact.  A float window's positions are
+    clamped to its interval, as `_atoms_and_image` clamps them."""
+    ints, enclosures, lo, hi = held
+    if len(enclosures) != len(ints) - 1:
+        raise DegenerateInput(
+            f"expected {len(ints) - 1} simple roots in range, found {len(enclosures)}")
+    masses = _masses(ints, enclosures, w.ints, w.unit, w.lam,
+                     Fraction(1, 2 << HINT_BITS), shift)
+    if not all(mass > 0 for mass in masses):
+        raise DegenerateInput("nonpositive mass in principal construction")
+    pairs = []
+    for e, mass in zip(enclosures, masses):
+        while e.root is None and (e.hi - e.lo) << HINT_BITS > e.lo:
+            e.refine(Fraction(e.lo, e.den << HINT_BITS) if e.lo > 0
+                     else Fraction(e.hi - e.lo, 2 * e.den))
+        x = e.root if e.root is not None else Fraction(e.lo + e.hi, 2 * e.den)
+        pairs.append((min(max(x, lo), hi) if w.floats else x, mass))
+    top = enclosures[-1].root
+    if top is None:
+        top = Fraction(enclosures[-1].hi, enclosures[-1].den)
+    if w.floats:
+        up = _to_float(top)
+        top = up if up >= top else math.nextafter(up, math.inf)
+    rounded = [(_to_float(x), _to_float(m)) for x, m in pairs]
+    if all(0 < v < math.inf for pair in rounded for v in pair):
+        pairs = rounded
+    return AtomicMeasure(pairs, exact=False), top

@@ -35,12 +35,18 @@ seeds: a planted rational measure is recovered on every domain with no
 Descartes isolation, even with atom denominators of 43 bits, and a
 polynomial whose seeds fail the certificate is isolated by one.  A
 completion certificate's measure scales its window to integers once,
-builds one image of its atoms, which the measure of the certificate's
-indices reads with shifted exponents, builds a `Fraction` polynomial only
-for a moment recurrence, and reads no mass through `vandermonde_masses`
-or the AtomicMeasure constructor: its masses, exact or not, are read on
-its atom polynomial.  So are the masses of every measure of a float window,
-and of float input handed with a polynomial, rounded once.  An "auto"
+builds one image of its atoms if they are exact, which the measure of the
+certificate's indices reads with shifted exponents, builds a `Fraction`
+polynomial only for a moment recurrence, and reads no mass through
+`vandermonde_masses`: its masses, exact or not, are read on its atom
+polynomial.  So are the masses of every measure of a float window, and
+of float input handed with a polynomial, rounded once.  A recurrence
+builds no image of its atoms: its hint is the floats read at the
+isolation brackets, the AtomicMeasure constructor's only call, and its
+moments run on the primitive integer polynomial the certificate held,
+which `_integer_scale` never rescales.  No root proven irrational
+(`RootEnclosure.irrational`) is tested for a rational one over the
+`subnormal` benchmark problems of one seed, certificates included.  An "auto"
 completion solve classifies each given branch window once to read its atom
 counts, and each of a singular window's sub-windows at most once to check
 its index.  It carries each branch through the search on the image of
@@ -68,10 +74,12 @@ it once, the index reads the domain's ends by integer Horner, and the
 measure is read on those integers, with no coefficient scaled again.
 """
 
+import importlib.util
 import json
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +94,7 @@ from momentkit.extremal import (reciprocal_extremes_compact, reciprocal_inf_half
                                 reciprocal_inf_ray)
 from momentkit.measure import AtomicMeasure, moments, tilt
 import momentkit.positivity as positivity
+import momentkit.principal as principal
 from momentkit.numeric import Polynomial
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray, classify, index,
                                   recover_minimal_measure, recover_support_and_masses)
@@ -726,9 +735,11 @@ def test_certificate_measure_builds_one_image_per_measure(calls, monkeypatch, ca
 
     monkeypatch.setattr(measure._AtomImage, "__init__", counted_init)
     # the window scaled to integers: by `_dilated_scale` in `_Window.of`, or
-    # by `_integer_scale` anywhere
+    # by `_integer_scale` anywhere; `scaled` lists every list either is handed
+    scaled = []
     for name in ("_dilated_scale", "_integer_scale"):
-        counting("window scaled", getattr(numeric, name), lambda values: list(values) == window)
+        counting("window scaled", getattr(numeric, name),
+                 lambda values: scaled.append(list(values)) or list(values) == window)
     counting("vandermonde_masses", numeric.vandermonde_masses)
     for label, cls in (("Polynomial", numeric.Polynomial), ("AtomicMeasure", AtomicMeasure)):
         orig = cls.__init__
@@ -745,15 +756,33 @@ def test_certificate_measure_builds_one_image_per_measure(calls, monkeypatch, ca
         assert certified == tilt(mu, start + 2)
     # one integer image of the window, for the pass, the roots and the
     # masses; one image of the atoms, which the measure of the certificate's
-    # indices reads with its exponents shifted (the atom hint of a
-    # recurrence alike), none built again on the moments asked
+    # indices reads with its exponents shifted, none built again on the
+    # moments asked
     assert counter["window scaled"] == 1
-    hint = certified if exact else certified.atoms_hint
-    assert len(builds) == 1 and hint._image().up is builds[0].up
+    if exact:
+        assert len(builds) == 1 and certified._image().up is builds[0].up
+    else:
+        # a recurrence builds no image of its atoms: its hint is read at the
+        # isolation brackets, as floats within 2^-HINT_BITS relative of the
+        # atoms (here each of mass 1/2), and its top bound is above the top
+        # root; its moments run on the primitive integer polynomial the
+        # certificate held, so `_integer_scale` scales the seed window once
+        # and never the polynomial
+        assert builds == []
+        rel = F(1, 2 ** principal.HINT_BITS)
+        for x, m in certified.atoms_hint.atoms:
+            assert isinstance(x, float) and isinstance(m, float)
+            lo, hi = F(x) * (1 - rel), F(x) * (1 + rel)
+            assert (mu(lo) > 0) != (mu(hi) > 0)
+            assert abs(F(m) - F(1, 2)) <= rel / 2
+        top = certified.max_atom()
+        assert top >= F(certified.atoms_hint.max_atom()) and mu(top) > 0
+        assert scaled.count(list(full)) == 1 and list(certified.poly.coeffs) not in scaled
     # a Fraction polynomial only for a recurrence, and no mass read by
-    # `vandermonde_masses` or atom checked by the AtomicMeasure constructor
-    assert counter["Polynomial"] == (0 if exact else 1)
-    assert counter["vandermonde_masses"] == counter["AtomicMeasure"] == 0
+    # `vandermonde_masses`; the AtomicMeasure constructor checks only the
+    # float atoms of a recurrence's hint
+    assert counter["Polynomial"] == counter["AtomicMeasure"] == (0 if exact else 1)
+    assert counter["vandermonde_masses"] == 0
     # the atom polynomial is one full-rank pass: no bordered determinant
     assert _counts(calls) == (0, 1, 0, 0)
 
@@ -904,6 +933,49 @@ def test_certified_seeds_need_no_descartes_isolation(isolations):
     assert [e.root for e in enclosures] == [None, F(1, 3), None, F(3, 4)]
     for e, root in zip(enclosures[::2], (0.276393202250021, 0.723606797749979)):
         assert e.lo < root * e.den < e.hi and (e.hi - e.lo) * 2 ** 40 < e.den
+        # each bracket's one candidate k/|lead| failed: its root is irrational
+        assert e.irrational
+
+
+def _bench_corpus():
+    """perfbench/corpus.py, loaded from its file: the benchmark's seeded
+    problem streams, built with the standard library alone."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("momentkit_bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_root_proven_irrational_is_tested_for_a_rational_one(monkeypatch):
+    # the `subnormal` benchmark problems of seed 77 (4 blocks), certificates
+    # included: an enclosure whose root `_seeded` proved irrational is never
+    # snapped to a simplest rational (`RootEnclosure._try_exact_root`),
+    # while the enclosures with no such proof still are
+    tried, proven = Counter(), Counter()
+    try_exact, minimal_roots = numeric.RootEnclosure._try_exact_root, completion._minimal_roots
+
+    def counted_try(self, *args):
+        tried[self.irrational] += 1
+        return try_exact(self, *args)
+
+    def counted_roots(w, domain):
+        held = minimal_roots(w, domain)
+        proven["certificate roots"] += sum(e.irrational for e in held[1])
+        return held
+
+    monkeypatch.setattr(numeric.RootEnclosure, "_try_exact_root", counted_try)
+    monkeypatch.setattr(completion, "_minimal_roots", counted_roots)
+    feasible = 0
+    for problem in _bench_corpus().problems("subnormal", 77, 4):
+        pw = PartialWeights(problem["trunk_sq"], [BranchClass(m, tail, 1) for m, tail
+                                                  in zip(problem["masses"], problem["tails"])])
+        out = completion.solve_subnormal(pw, "auto")
+        if out.certificate is not None:
+            out.certificate.to_json()
+            feasible += 1
+    assert feasible > 0 and proven["certificate roots"] > 0
+    assert tried[True] == 0 and tried[False] > 0
 
 
 @pytest.mark.parametrize("poly", [

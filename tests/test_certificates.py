@@ -788,22 +788,20 @@ def test_norm_bound_of_recurrence_without_atoms():
 # integer images that need not be reduced (unnormalised masses, rows
 # compared by cross products); the printed values must not show it.
 PINNED_JSON = {
-    # a subnormal branch with irrational atoms: a MomentRecurrence with its enclosures
+    # a subnormal branch with irrational atoms: a MomentRecurrence with its
+    # float atom hint (`principal._minimal_hint`)
     "subnormal_recurrence": (solve_subnormal, ["20691/33508"], ["15/11"], [["125/57", "133/25"]],
-        '{"kind": "subnormal", "K": ["2"], "sequences": [{"first_index": -2, "values"'
-        ': ["24719/41775", "11/15", "1", "125/57", "35/3"]}], "measures": [{"recurren'
-        'ce": ["104/171", "-14144/25065", "1352/25065"], "first_index": -2, "window":'
-        ' ["24719/41775", "11/15", "1", "125/57", "35/3"], "atoms_approx": {"atoms": '
-        '[{"x": "1373685853462445/1125899906842624", "m": "21853172436086972014767839'
-        '6697129977239968701163401/24869574894820434510027513947363523853750498649702'
-        '4"}, {"x": "2601239831453559/281474976710656", "m": "35376742159254378167780'
-        '0789702451299693614849945550510589563391/29167345893014594982668614565806094'
-        '84891595108821257329884266496"}], "exact": false}}], "weights_sq": [["15/11"'
-        ', "125/57", "133/25", "274047/32851", "32455127/3562611", "73942176533/80164'
-        '16369", "8881098135453/961248294929", "20271681080633287/2193631239456891", '
-        '"2435408468972051167/263531854048232731", "5559159270299452059693/6015458918'
-        '36096638249", "667871697141592367617013/72269070513892876776009"]], "trunk_s'
-        'q": ["20691/33508"], "norm_sq": 9.241460331045769}'),
+        '{"kind": "subnormal", "K": ["2"], "sequences": [{"first_index": -2, "values":'
+        ' ["24719/41775", "11/15", "1", "125/57", "35/3"]}], "measures": [{"recurrence'
+        '": ["104/171", "-14144/25065", "1352/25065"], "first_index": -2, "window": ["'
+        '24719/41775", "11/15", "1", "125/57", "35/3"], "atoms_approx": {"atoms": [{"x'
+        '": "1.2200781304926922", "m": "0.8787111371428513"}, {"x": "9.241460331045769'
+        '", "m": "0.12128886285714255"}], "exact": false}}], "weights_sq": [["15/11", '
+        '"125/57", "133/25", "274047/32851", "32455127/3562611", "73942176533/80164163'
+        '69", "8881098135453/961248294929", "20271681080633287/2193631239456891", "243'
+        '5408468972051167/263531854048232731", "5559159270299452059693/601545891836096'
+        '638249", "667871697141592367617013/72269070513892876776009"]], "trunk_sq": ["'
+        '20691/33508"], "norm_sq": 9.2414603310459}'),
     # two classes and a trunk of two (`subnormal` benchmark seed 13, problem
     # 20): an atomic measure and a MomentRecurrence, so the trunk sums run
     # across classes and levels
@@ -816,21 +814,16 @@ PINNED_JSON = {
         '8", "m": "1"}]}, {"recurrence": ["170119103/295516875", "-15440520145589/1407'
         '8423925000", "19164087072053/105588179437500"], "first_index": -3, "window": '
         '["1152111487473679/540611478720000", "14241431741/11347848000", "196327/23820'
-        '0", "1", "24/7"], "atoms_approx": {"atoms": [{"x": "5230345774925737/90071992'
-        '54740992", "m": "225796008236930706827589147677880164449704015979465497827442'
-        '5085606277296965629571/542020027443462643262403054446308410230307795874442855'
-        '8388175796000223353896960000"}, {"x": "3074872567040165/562949953421312", "m"'
-        ': "14680328301983366730145345582891155689723201206247980852390755005198331239'
-        '2975172969888797/251626425123767067673398012832649281989205867253424200714323'
-        '696244008622491978992048930816"}], "exact": false}}], "weights_sq": [["1120/7'
-        '71", "397/98", "397/98", "397/98", "397/98", "397/98", "397/98", "397/98", "3'
-        '97/98", "397/98"], ["200/257", "24/7", "52410/10241", "112342305/20715926", "'
-        '9209617914075/1687396400074", "7952684065638567/1456101989668018", "326220382'
-        '5308844395505/597251875118833474078", "14086017182412916692849705/25788808640'
-        '34151789459886", "1155631293164756566543248805875/211573856215466330448828282'
-        '394", "997991416330610360700870652572447/182713011657969111547597924534210"]]'
-        ', "trunk_sq": ["92520/98549", "417384/1108103"], "norm_sq": 5.462070914746002'
-        '}'),
+        '0", "1", "24/7"], "atoms_approx": {"atoms": [{"x": "0.580685030607346", "m": '
+        '"0.4165824080374653"}, {"x": "5.462070914746002", "m": "0.5834175919625588"}]'
+        ', "exact": false}}], "weights_sq": [["1120/771", "397/98", "397/98", "397/98"'
+        ', "397/98", "397/98", "397/98", "397/98", "397/98", "397/98"], ["200/257", "2'
+        '4/7", "52410/10241", "112342305/20715926", "9209617914075/1687396400074", "79'
+        '52684065638567/1456101989668018", "3262203825308844395505/5972518751188334740'
+        '78", "14086017182412916692849705/2578880864034151789459886", "115563129316475'
+        '6566543248805875/211573856215466330448828282394", "99799141633061036070087065'
+        '2572447/182713011657969111547597924534210"]], "trunk_sq": ["92520/98549", "41'
+        '7384/1108103"], "norm_sq": 5.4620709147460795}'),
     # one subnormal branch of one atom
     "subnormal_one_atom": (solve_subnormal, ["3/2"], ["2"], [["2"]],
         '{"kind": "subnormal", "K": ["1"], "sequences": [{"first_index": -2, "values"'

@@ -73,6 +73,23 @@ def test_equal_exact_values_share_one_held_window():
     assert _Window.of(CATALAN, 1e-6) is not e
 
 
+def test_a_float_equal_to_a_held_value_makes_a_float_window():
+    # the held windows are looked up before the values are scanned for
+    # floats; one float among exact values equal to a held window's, or a
+    # float end, still makes a float window: (1.0,) == (1,) in Python
+    w = _Window.of(CATALAN)
+    for i in (0, 3, len(CATALAN) - 1):
+        mixed = CATALAN[:i] + [float(CATALAN[i])] + CATALAN[i + 1:]
+        assert tuple(mixed) == w.values
+        got = _Window.of(mixed)
+        assert got is not w and got.floats and got.lam == 1 and got.values == tuple(mixed)
+        assert positivity._held == (w,)
+    got = _Window.of(CATALAN, None, (1, 4.0))
+    assert got is not w and got.floats and positivity._held == (w,)
+    # exact values of other types (Fraction for int) share the held window
+    assert _Window.of([F(v) for v in CATALAN], None, (1, F(4))) is w
+
+
 def _calls(domain, window):
     """(name, call) for the public calls a caller makes on one window."""
     if isinstance(domain, Compact):

@@ -9,9 +9,10 @@ of that seed's stream), among them multi-vector sweeps that search up to 23
 atom-count vectors, three-class searches over two levels, two completed on
 a biased fallback split, an equality level met on an irrational split
 (Unknown), and float copies of two planted problems whose forced level is
-one ulp off its target.  The weight rows and atom masses of those float
-certificates are the exact readings of their measures' binary-exact data,
-rounded once (`test_float_certificates_read_their_measures_exactly`).
+one ulp off its target.  The weight rows of those float certificates are
+the exact readings of their measures' binary-exact data, rounded once, and
+their atom hints lie within 2^-HINT_BITS, relative, of the exact reading
+(`test_float_certificates_read_their_measures_exactly`).
 """
 
 import hashlib
@@ -23,7 +24,7 @@ import pytest
 from momentkit.completion import solve_che, solve_subnormal
 from momentkit.measure import MomentRecurrence
 from momentkit.numeric import Polynomial
-from momentkit.principal import minimal_measure_ray
+from momentkit.principal import HINT_BITS, minimal_measure_ray
 from momentkit.tree import BranchClass, PartialWeights
 
 #: (label, solver, float copy, trunk squares, first-weight masses, tails,
@@ -36,7 +37,7 @@ CASES = [
      (('4909/4680',), ('379/169',), ('26/11',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '8802083a2373b437cefb986de30512662a625e6973d9918919e17ebb3155b1d1'),
+     '6d781f38ae3125bbf4f42e67f42650e9533d685b3132a830b7c7f060acd7a675'),
     ('subnormal seed 77 #8', 'subnormal', False,
      ('280/139', '417/346'),
      ('5/14', '17/12'),
@@ -57,7 +58,7 @@ CASES = [
      (('11941/1144',), ('7472/1265',), ('24/7',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'c5030b749a0f5c665a4cf1c0a7126462d6fc27a9af80b7dbb0f85bc8cea79a69'),
+     '1d47b255dbe3ea0725ed6e4156be818146d9902559713926b3d75b007c1f7ef5'),
     ('subnormal seed 44 #43', 'subnormal', False,
      ('2722765620729/10588293539305', '4402612453643019/17929480874331925'),
      ('169738800/1683837737', '190956150/1683837737', '1018432800/1683837737'),
@@ -71,7 +72,7 @@ CASES = [
      (('478/539', '17641/18403'), ('5285/2552', '145379/66440')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'a0905eb16007681e2ffe7911a56e827dcc2b0ad6e4b190b7499ea8b6077730ba'),
+     'df92e68277445df752c999816a54de2675b7f7f61872cb808878dd7cb1988563'),
     ('che seed 13 #24', 'che', False,
      ('7360445/6465911', '252170529/151555210'),
      ('7264256/22081335', '3632128/7360445', '1135040/4416267'),
@@ -94,7 +95,7 @@ CASES = [
       ('35881/35152', '473014/466453')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'd784de6ea2519b52f567c3a52dd47245fc7ad2c08530a42dc8b2eb7127dd4151'),
+     '3061e3b09bae006624dd4c92fa290ce219d15f84f6fbee90c60f939d520404d6'),
     ('che seed 41 #27', 'che', False,
      ('11124377602754/9410759193363', '56464555160178/35195048410565'),
      ('332044931575/5562188801377', '5312718905200/5562188801377', '569219882700/5562188801377'),
@@ -108,7 +109,7 @@ CASES = [
      (('73/65', '25825/16352'), ('2543/462', '113753/15258')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'b847da9fac28a1dcc7864fbcd35f9c8b0dcb028b24d50cf465d2f474fd900691'),
+     '1051de78f90c6869e5b4b462f439f0464daaa00e098c2378a9d95bf5c82dc5a3'),
     ('che two-class sweep', 'che', False,
      ('457/411', '5343/3190'),
      ('256/457', '224/457'),
@@ -122,14 +123,14 @@ CASES = [
      (('5/3', '5/3'), ('3', '3')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '27b87b35529f0aa07549d2b28a7ad16e08f100eeb4277c125a045c51373ab08f'),
+     'a40cb2c28e16471e9c1977230d538b46678e4057bc3a7db7f1cb2efb501b902a'),
     ('float copy, seed 42 #46', 'subnormal', True,
      ('2496/2039', '79521/148205'),
      ('39/80', '39/80', '117/160'),
      (('6', '6'), ('13/5', '13/5'), ('1', '1')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '97f93be94c87b2cdb81aa2b6beb034eb98ee203caee25f04c1cfd9239e12f82e'),
+     '2d3f75e64df682618d313d8a0ca1ece6cecffa3ba31349c0835c71b93d3b1133'),
 ]
 
 
@@ -159,9 +160,10 @@ def test_outputs_are_pinned(case):
 def test_float_certificates_read_their_measures_exactly(case):
     """Each completed weight of a pinned float certificate is the correctly
     rounded ratio of the exact moments of its recurrence's binary-exact
-    polynomial and window, and each atom mass of its `atoms_approx` the
-    exact tilt of the window's minimal measure (on the ray, from its
-    binary-exact atoms), rounded once."""
+    polynomial and window, and each atom of its `atoms_approx` a float
+    within 2^-HINT_BITS relative (`principal._minimal_hint`) of the
+    window's minimal measure on the ray, each mass of its exact tilt (from
+    its binary-exact atoms)."""
     cert = _solve(case).certificate
     for mu, cls in zip(cert.measures, cert.full.classes):
         assert isinstance(mu, MomentRecurrence)
@@ -171,6 +173,10 @@ def test_float_certificates_read_their_measures_exactly(case):
         assert cls.generator.weight_sq_row(12)[p:] == [
             float(exact.moment(k + 1) / exact.moment(k)) for k in range(p, 11)]
         parent = minimal_measure_ray(mu.window[:2 * mu.poly.degree])
-        assert [x for x, _ in mu.atoms_hint.atoms] == [x for x, _ in parent.atoms]
-        assert [m for _, m in mu.atoms_hint.atoms] == [
-            float(Fraction(m) * Fraction(x) ** -mu.first_index) for x, m in parent.atoms]
+        rel = Fraction(1, 2 ** HINT_BITS)
+        assert len(mu.atoms_hint.atoms) == len(parent.atoms)
+        for (x, m), (want_x, want_m) in zip(mu.atoms_hint.atoms, parent.atoms):
+            want_m = Fraction(want_m) * Fraction(want_x) ** -mu.first_index
+            assert isinstance(x, float) and isinstance(m, float)
+            assert abs(Fraction(x) - Fraction(want_x)) <= rel * Fraction(want_x)
+            assert abs(Fraction(m) - want_m) <= rel * want_m
