@@ -42,7 +42,7 @@ from .alternating import CAMeasure, has_ca_extension
 from .extremal import _reciprocal_inf, _schur_quadratic, _schur_threshold
 from .errors import BadIndex, DegenerateInput, MomentKitError, PreconditionError, Unsupported
 from .measure import AtomicMeasure, MomentRecurrence, MomentSequence, tilt
-from .numeric import Scalar, _primitive, format_scalar, root_precision
+from .numeric import Scalar, format_scalar, root_precision
 from .positivity import HalfOpen, Ray, _Window, _classify_limit, _limit_window, _verdict_index
 from . import positivity as _positivity
 from .principal import _atom_poly, _minimal, _minimal_hint, _minimal_roots, root_bound
@@ -529,21 +529,20 @@ def _certificate_measure(w: _Window, first_index: int, full_window, domain):
     to `root_precision()`, as `principal._minimal` reads it.  When every
     root of an exact window is rational, that measure (`_minimal`) is read
     at the certificate's indices with shifted exponents (`tilt`).
-    Otherwise the recurrence, on the primitive integers of its polynomial,
-    carries the atoms of the shifted measure as they stand at isolation,
-    to 2^-HINT_BITS relative, with an exact bound on the top one
-    (`principal._minimal_hint`); only then is a `Polynomial` built."""
+    Otherwise the recurrence carries the atoms of the shifted measure as
+    they stand at isolation, to 2^-HINT_BITS relative, its top position at
+    or above the top atom (`principal._minimal_hint`); only then is a
+    `Polynomial` built."""
     held = _minimal_roots(w, domain)
-    ints, enclosures = held[:2]
+    enclosures = held[1]
     if not w.floats:
         for e in enclosures:
             if e.root is None and not e.irrational:
                 e.refine(root_precision())
         if all(e.root is not None for e in enclosures):
             return tilt(_minimal(w, domain, held), -first_index)
-    hint, top = _minimal_hint(w, held, -first_index)
-    return MomentRecurrence(_atom_poly(w, domain), first_index, list(full_window), hint, top,
-                            None if w.floats else _primitive(ints))
+    return MomentRecurrence(_atom_poly(w, domain), first_index, list(full_window),
+                            atoms_hint=_minimal_hint(w, held, -first_index))
 
 
 def _branch_measures(domain, pw: PartialWeights, two_ks, wins) -> tuple:

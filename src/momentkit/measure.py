@@ -423,25 +423,22 @@ class MomentSequence(FrozenRecord):
 
 class _RecurrenceImage:
     """A moment recurrence in integers: q is the atom polynomial made
-    primitive with q_d > 0 (from `primitive`, of either sign, if the
-    caller holds it), and the seed window s_lo0..s_hi0 is L times itself.
-    Moment k is nums[k] / den(k), den(k) = L q_d^(k - hi0) past the window
-    and L |q_0|^(lo0 - k) before it.  Each step keeps the d numerators it
-    reads over the denominator of the newest one, so it is d integer
-    products and a sum.  Float data enters on its binary-exact images
-    (`floats`, `_exact`)."""
+    primitive with q_d > 0, and the seed window s_lo0..s_hi0 is L times
+    itself.  Moment k is nums[k] / den(k), den(k) = L q_d^(k - hi0) past the
+    window and L |q_0|^(lo0 - k) before it.  Each step keeps the d
+    numerators it reads over the denominator of the newest one, so it is d
+    integer products and a sum.  Float data enters on its binary-exact
+    images (`floats`, `_exact`)."""
 
     __slots__ = ("q", "L", "lo0", "hi0", "lo", "hi", "nums", "floats", "_head", "_tail")
 
-    def __init__(self, poly: Polynomial, first_index: int, window, primitive=None):
+    def __init__(self, poly: Polynomial, first_index: int, window):
         self.floats = any(isinstance(v, float) for v in (*poly.coeffs, *window))
-        if primitive is None:
-            coeffs = _integer_scale(_exact(poly.coeffs))[0]
-            content = math.gcd(*coeffs)
-            primitive = [c // content for c in coeffs]
-        self.q = primitive if primitive[-1] > 0 else [-c for c in primitive]
+        coeffs = _integer_scale(_exact(poly.coeffs))[0]
+        content = math.gcd(*coeffs) if coeffs[-1] > 0 else -math.gcd(*coeffs)
+        self.q = [c // content for c in coeffs]
         ints, self.L = _integer_scale(_exact(window))
-        d = len(primitive) - 1
+        d = len(coeffs) - 1
         self.lo0 = self.lo = first_index
         self.hi0 = self.hi = first_index + len(ints) - 1
         self.nums = dict(zip(range(first_index, self.hi + 1), ints))
@@ -489,16 +486,11 @@ class MomentRecurrence:
     sum_j q_j s_{n+j} = 0 for all integers n.  q_0 != 0 since atoms are
     positive, which makes the recurrence run backwards too.  Moments come
     from the integer image (`_RecurrenceImage`), built on the first moment
-    asked outside the seed window, and are kept; `primitive` is the
-    primitive integer polynomial of `poly`, of either sign, if the caller
-    holds it, so that the image does not rescale `poly`.  `atoms_hint`
-    approximates the atoms, and `atom_bound`, if given, is an upper bound
-    on them that `max_atom` returns instead of the hint's largest position.
+    asked outside the seed window, and are kept.
     """
 
     def __init__(self, poly: Polynomial, first_index: int,
-                 window: Sequence[Scalar], atoms_hint: Optional[AtomicMeasure] = None,
-                 atom_bound: Optional[Scalar] = None, primitive: Optional[list] = None):
+                 window: Sequence[Scalar], atoms_hint: Optional[AtomicMeasure] = None):
         if poly.degree < 1:
             raise DegenerateInput("atom polynomial must be nonconstant")
         if poly.coeffs[0] == 0:
@@ -506,7 +498,7 @@ class MomentRecurrence:
         if len(window) < poly.degree:
             raise InsufficientMoments("seed window shorter than recurrence order")
         self.poly = poly
-        self.atoms_hint, self.atom_bound, self.primitive = atoms_hint, atom_bound, primitive
+        self.atoms_hint = atoms_hint
         self.first_index = first_index
         self.window = tuple(v if isinstance(v, float) else as_fraction(v) for v in window)
         self._cache = {first_index + i: v for i, v in enumerate(self.window)}
@@ -514,7 +506,7 @@ class MomentRecurrence:
 
     def _image(self) -> _RecurrenceImage:
         if self._img is None:
-            self._img = _RecurrenceImage(self.poly, self.first_index, self.window, self.primitive)
+            self._img = _RecurrenceImage(self.poly, self.first_index, self.window)
         return self._img
 
     def _row(self, lo: int, hi: int) -> _Row:
@@ -526,8 +518,6 @@ class MomentRecurrence:
         return self._cache[k]
 
     def max_atom(self) -> Scalar:
-        if self.atom_bound is not None:
-            return self.atom_bound
         if self.atoms_hint is not None:
             return self.atoms_hint.max_atom()
         raise DegenerateInput("no atom enclosure attached")
@@ -535,15 +525,14 @@ class MomentRecurrence:
     def scaled(self, factor: Scalar) -> "MomentRecurrence":
         """factor * mu: the same recurrence on the scaled seed window."""
         hint = None if self.atoms_hint is None else self.atoms_hint.scaled(factor)
-        return MomentRecurrence(self.poly, self.first_index, [v * factor for v in self.window],
-                                hint, self.atom_bound, self.primitive)
+        return MomentRecurrence(self.poly, self.first_index,
+                                [v * factor for v in self.window], hint)
 
     def tilted(self, k: int) -> "MomentRecurrence":
         """t^k dmu, whose moment n is s_{n+k}: the same recurrence and seed
         window, indexed from first_index - k."""
         hint = None if self.atoms_hint is None else self.atoms_hint.tilted(k)
-        return MomentRecurrence(self.poly, self.first_index - k, self.window, hint,
-                                self.atom_bound, self.primitive)
+        return MomentRecurrence(self.poly, self.first_index - k, self.window, hint)
 
     def to_json(self) -> dict:
         """The polynomial and the seed window, however far `moment` has run
@@ -554,3 +543,4 @@ class MomentRecurrence:
         if self.atoms_hint is not None:
             out["atoms_approx"] = self.atoms_hint.to_json()
         return out
+

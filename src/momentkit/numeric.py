@@ -391,14 +391,20 @@ class RootEnclosure:
             return True
         return False
 
+    def narrow(self, bits: int) -> None:
+        """Unless the root is known, narrow the enclosure to a width of at
+        most 2^-bits of its larger end in magnitude; that ends, since the
+        root is not 0, and leaves lo and hi of one sign."""
+        while self.root is None:
+            top = max(abs(self.lo), abs(self.hi))
+            if (self.hi - self.lo) << bits <= top:
+                break
+            self.refine(Fraction(top, self.den << bits))
+
     def to_float(self, lo: Fraction, hi: Fraction) -> float:
         """The root clamped to [lo, hi] as a float: the midpoint of an enclosure
         narrowed to 2^-64 of its ends, which rounds as the root unless nearer a tie."""
-        while self.root is None:
-            top = max(abs(self.lo), abs(self.hi))
-            if (self.hi - self.lo) << 64 <= top:
-                break
-            self.refine(Fraction(top, self.den << 64))
+        self.narrow(64)
         x = self.root if self.root is not None else Fraction(self.lo + self.hi, 2 * self.den)
         return _to_float(min(max(x, lo), hi))
 

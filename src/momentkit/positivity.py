@@ -191,21 +191,17 @@ class _Window:
         when a value or one of the interval `ends` is a float.  The last two
         exact windows handed out are held (`_held`) and handed back, with
         their passes and verdicts, for equal values and the same eps, which
-        `prepended` passes on; a float window never is (see the module).
-        The held windows are looked up first: values equal to a held
-        window's and of the same types are exact, so only a miss, or a
-        match of other types, scans the values for floats ((1.0,) == (1,))."""
+        `prepended` passes on; a float window never is (see the module)."""
         global _held
         values = tuple(values)
-        floats = any(isinstance(v, float) for v in ends)
-        w = next((w for w in _held if w.eps == eps and w.values == values), None)
-        if w is None or list(map(type, w.values)) != list(map(type, values)):
-            floats = floats or any(isinstance(v, float) for v in values)
-        if floats:
+        if any(isinstance(v, float) for v in values) or any(isinstance(v, float) for v in ends):
             _finite(values + tuple(ends), "in a float window")
             ints, unit = _integer_scale([as_fraction(v) for v in values])
             return cls(values, ints, unit, [abs(float(v)) for v in values], eps)
-        if w is None:
+        for w in _held:
+            if w.eps == eps and w.values == values:
+                break
+        else:
             ints, unit, lam = _dilated_scale(values)
             w = cls(values, ints, unit, None, eps, lam)
         _held = w, *[x for x in _held if x is not w][:1]

@@ -189,9 +189,7 @@ def _atoms_and_image(enclosures: list, p, window: Sequence[Scalar],
     rounded (`RootEnclosure.to_float`) and each mass read to 2^-56 relative,
     below a float's last bit, and rounded, with no image and no window
     check, and `exact` is False."""
-    if len(enclosures) != len(p) - 1:
-        raise DegenerateInput(
-            f"expected {len(p) - 1} simple roots in range, found {len(enclosures)}")
+    _one_per_root(enclosures, p)
     S, unit, lam = scaled or (*_integer_scale(list(window)), 1)
     if len(S) < len(enclosures):
         raise InsufficientMoments("moment window shorter than atom count")
@@ -203,8 +201,6 @@ def _atoms_and_image(enclosures: list, p, window: Sequence[Scalar],
         roots = [e.refine(eps) for e in enclosures]
     exact = all(e.root is not None for e in enclosures)
     masses = _masses(p, enclosures, S, unit, lam, eps)
-    if not all(mass > 0 for mass in masses):
-        raise DegenerateInput("nonpositive mass in principal construction")
     if clamp:
         return [(x, _to_float(mass)) for x, mass in zip(roots, masses)], None, False
     pairs = list(zip(roots, masses))
@@ -219,6 +215,14 @@ def _atoms_and_image(enclosures: list, p, window: Sequence[Scalar],
     return pairs, image, exact
 
 
+def _one_per_root(enclosures: list, p: list) -> None:
+    """Raise DegenerateInput unless there is one enclosure per root of the
+    integer polynomial p."""
+    if len(enclosures) != len(p) - 1:
+        raise DegenerateInput(
+            f"expected {len(p) - 1} simple roots in range, found {len(enclosures)}")
+
+
 def _masses(p: list, enclosures: list, S: list, unit: int, lam: int, eps: Fraction,
             shift: int = 0) -> list:
     """The masses at the roots of the integer polynomial p for the window
@@ -228,7 +232,8 @@ def _masses(p: list, enclosures: list, S: list, unit: int, lam: int, eps: Fracti
     rational root, read on its enclosure to `eps` relative at an irrational
     one (`_enclosed_mass`).  With shift >= 0 they are the masses m x^shift
     of t^shift dmu: q is read times t^shift, over unit lam^shift, and p'
-    padded to the same length, so that both keep one homogeneous degree."""
+    padded to the same length, so that both keep one homogeneous degree.
+    Raises DegenerateInput unless every mass is positive."""
     p = _dilated(_primitive(p), lam)
     q, dp = list(associated(p, S)), _derivative(p)
     if shift:
@@ -240,6 +245,8 @@ def _masses(p: list, enclosures: list, S: list, unit: int, lam: int, eps: Fracti
             num, den = lam * e.root.numerator, e.root.denominator
             mass = Fraction(_horner(q, num, den), unit * _horner(dp, num, den))
         masses.append(mass)
+    if not all(mass > 0 for mass in masses):
+        raise DegenerateInput("nonpositive mass in principal construction")
     return masses
 
 
@@ -449,44 +456,36 @@ def _minimal(w: _Window, domain, held: Optional[tuple] = None) -> AtomicMeasure:
 HINT_BITS = 24
 
 
-def _minimal_hint(w: _Window, held: tuple, shift: int) -> tuple:
-    """(hint, top): the atoms of t^shift dmu, shift >= 0, mu the minimal
-    measure of w whose `_minimal_roots` are `held`, as an inexact
-    AtomicMeasure of floats, and top >= its largest atom, exactly (the
-    root, or the upper end of its enclosure; rounded up to a float on a
-    float window).
+def _minimal_hint(w: _Window, held: tuple, shift: int) -> AtomicMeasure:
+    """The atoms of t^shift dmu, shift >= 0, mu the minimal measure of w
+    whose `_minimal_roots` are `held`, as an inexact AtomicMeasure of
+    floats whose top position is exactly at or above the top atom.
 
     Each position and mass is within 2^-HINT_BITS relative of the atom and
-    mass it stands for.  A position is a root, or the midpoint of its
-    enclosure as isolated, narrowed only while the enclosure is wider than
-    2^-HINT_BITS of its lower end (a Descartes interval): the midpoint is
-    then within 2^-(HINT_BITS + 1) of the root.  A mass is read by
+    mass it stands for.  Each enclosure is narrowed to 2^-(HINT_BITS + 1)
+    of its ends (`RootEnclosure.narrow`), which a seeded bracket already
+    is; a position is the root, or the midpoint of its enclosure, and the
+    top one the upper end of its enclosure, rounded up.  A mass is read by
     `_masses` to 2^-(HINT_BITS + 1) relative, its sign certified.  Both
     are rounded once to floats, unless one rounds to 0 or past the float
     range, when the hint keeps them exact.  A float window's positions are
     clamped to its interval, as `_atoms_and_image` clamps them."""
     ints, enclosures, lo, hi = held
-    if len(enclosures) != len(ints) - 1:
-        raise DegenerateInput(
-            f"expected {len(ints) - 1} simple roots in range, found {len(enclosures)}")
+    _one_per_root(enclosures, ints)
     masses = _masses(ints, enclosures, w.ints, w.unit, w.lam,
                      Fraction(1, 2 << HINT_BITS), shift)
-    if not all(mass > 0 for mass in masses):
-        raise DegenerateInput("nonpositive mass in principal construction")
-    pairs = []
-    for e, mass in zip(enclosures, masses):
-        while e.root is None and (e.hi - e.lo) << HINT_BITS > e.lo:
-            e.refine(Fraction(e.lo, e.den << HINT_BITS) if e.lo > 0
-                     else Fraction(e.hi - e.lo, 2 * e.den))
-        x = e.root if e.root is not None else Fraction(e.lo + e.hi, 2 * e.den)
-        pairs.append((min(max(x, lo), hi) if w.floats else x, mass))
-    top = enclosures[-1].root
-    if top is None:
-        top = Fraction(enclosures[-1].hi, enclosures[-1].den)
+    xs = []
+    for e in enclosures:
+        e.narrow(HINT_BITS + 1)
+        xs.append(e.root if e.root is not None else Fraction(e.lo + e.hi, 2 * e.den))
+    if xs and enclosures[-1].root is None:
+        xs[-1] = Fraction(enclosures[-1].hi, enclosures[-1].den)
     if w.floats:
-        up = _to_float(top)
-        top = up if up >= top else math.nextafter(up, math.inf)
-    rounded = [(_to_float(x), _to_float(m)) for x, m in pairs]
+        xs = [min(max(x, lo), hi) for x in xs]
+    rounded = [_to_float(x) for x in xs]
+    if xs and rounded[-1] < xs[-1]:
+        rounded[-1] = math.nextafter(rounded[-1], math.inf)
+    rounded = [(x, _to_float(m)) for x, m in zip(rounded, masses)]
     if all(0 < v < math.inf for pair in rounded for v in pair):
-        pairs = rounded
-    return AtomicMeasure(pairs, exact=False), top
+        return AtomicMeasure(rounded, exact=False)
+    return AtomicMeasure(list(zip(xs, masses)), exact=False)

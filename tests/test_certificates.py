@@ -795,7 +795,7 @@ PINNED_JSON = {
         ' ["24719/41775", "11/15", "1", "125/57", "35/3"]}], "measures": [{"recurrence'
         '": ["104/171", "-14144/25065", "1352/25065"], "first_index": -2, "window": ["'
         '24719/41775", "11/15", "1", "125/57", "35/3"], "atoms_approx": {"atoms": [{"x'
-        '": "1.2200781304926922", "m": "0.8787111371428513"}, {"x": "9.241460331045769'
+        '": "1.2200781304926922", "m": "0.8787111371428513"}, {"x": "9.2414603310459'
         '", "m": "0.12128886285714255"}], "exact": false}}], "weights_sq": [["15/11", '
         '"125/57", "133/25", "274047/32851", "32455127/3562611", "73942176533/80164163'
         '69", "8881098135453/961248294929", "20271681080633287/2193631239456891", "243'
@@ -815,7 +815,7 @@ PINNED_JSON = {
         '8423925000", "19164087072053/105588179437500"], "first_index": -3, "window": '
         '["1152111487473679/540611478720000", "14241431741/11347848000", "196327/23820'
         '0", "1", "24/7"], "atoms_approx": {"atoms": [{"x": "0.580685030607346", "m": '
-        '"0.4165824080374653"}, {"x": "5.462070914746002", "m": "0.5834175919625588"}]'
+        '"0.4165824080374653"}, {"x": "5.46207091474608", "m": "0.5834175919625588"}]'
         ', "exact": false}}], "weights_sq": [["1120/771", "397/98", "397/98", "397/98"'
         ', "397/98", "397/98", "397/98", "397/98", "397/98", "397/98"], ["200/257", "2'
         '4/7", "52410/10241", "112342305/20715926", "9209617914075/1687396400074", "79'
@@ -823,7 +823,7 @@ PINNED_JSON = {
         '78", "14086017182412916692849705/2578880864034151789459886", "115563129316475'
         '6566543248805875/211573856215466330448828282394", "99799141633061036070087065'
         '2572447/182713011657969111547597924534210"]], "trunk_sq": ["92520/98549", "41'
-        '7384/1108103"], "norm_sq": 5.4620709147460795}'),
+        '7384/1108103"], "norm_sq": 5.46207091474608}'),
     # one subnormal branch of one atom
     "subnormal_one_atom": (solve_subnormal, ["3/2"], ["2"], [["2"]],
         '{"kind": "subnormal", "K": ["1"], "sequences": [{"first_index": -2, "values"'

@@ -7,8 +7,8 @@ read where isolation left the roots (`principal._minimal_hint`): each
 position is the midpoint of its enclosure, each mass the Gauss-Christoffel
 weight of the shifted measure read to half the stated precision, and both
 are printed as floats within 2^-HINT_BITS, relative, of the atom and mass
-they stand for.  `max_atom` is the upper end of the top enclosure, exactly
-at or above the top atom.
+they stand for.  The top position is the upper end of its enclosure,
+rounded up, so `max_atom` is exactly at or above the top atom.
 
 The windows drawn here are strictly positive and come from planted rational
 measures: 2k - 2 moments of k atoms on the ray, whose minimal measure has
@@ -22,8 +22,10 @@ the weight that sympy reads off the Vandermonde system at the roots, to 60
 digits; `max_atom` must be at or above the largest root, counted exactly by
 sympy.  So must the hints of dilated windows, and a hint whose floats would
 round to 0 or past the float range keeps its exact values, within the same
-precision.  CLI `verify` accepts a certificate with the new hint and one printed
-before it, whose masses are exact fractions of over 100 characters.
+precision.  A float window whose lower root the rounding moved just below
+0 is refused, as its float minimal measure is.  CLI `verify` accepts a
+certificate with the new hint and one printed before it, whose masses are
+exact fractions of over 100 characters.
 """
 
 import json
@@ -34,13 +36,14 @@ import sympy
 from hypothesis import assume, given, strategies as st
 
 from momentkit import completion
+from momentkit import principal
 from momentkit.cli import run
+from momentkit.errors import DegenerateInput
 from momentkit.measure import AtomicMeasure, MomentRecurrence, moments
 from momentkit.numeric import _horner, _integer_scale
 from momentkit.positivity import HalfOpen, Ray, _Window
-from momentkit.principal import HINT_BITS
 
-REL = F(1, 2 ** HINT_BITS)
+REL = F(1, 2 ** principal.HINT_BITS)
 DIGITS = 60
 
 
@@ -141,6 +144,24 @@ def test_a_hint_past_the_float_range_keeps_its_exact_values():
     assert all(isinstance(v, F) for atom in mu.atoms_hint.atoms for v in atom)
     assert float(mu.atoms_hint.atoms[0][1]) == 0
     _check_hint(mu, window, 3)
+
+
+#: a float window on the ray: the minimal measure of its binary-exact image
+#: has a root near -2.8e-16, just below 0, which the float window counts
+#: since it is isolated a little past the ends (`numeric._widened`)
+BELOW_ZERO = [2.668823961965253, 3.0382269281812655, 8.470331178298421, 23.614598897983896]
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2, 3])
+def test_a_float_root_just_below_zero_is_refused_as_the_measure_refuses_it(shift):
+    enclosures = principal._minimal_roots(_Window.of(BELOW_ZERO), Ray())[1]
+    assert enclosures[0].root is None and enclosures[0].hi < 0
+    # the root is clamped to 0, where no atom sits: the hint's narrowing
+    # ends, and the hint is refused as the float minimal measure is
+    with pytest.raises(DegenerateInput):
+        completion._certificate_measure(_Window.of(BELOW_ZERO), -shift, BELOW_ZERO, Ray())
+    with pytest.raises(DegenerateInput):
+        principal._minimal(_Window.of(BELOW_ZERO), Ray())
 
 
 #: (trunk squares, first-weight masses, tails) of a subnormal problem whose

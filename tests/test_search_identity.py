@@ -37,7 +37,7 @@ CASES = [
      (('4909/4680',), ('379/169',), ('26/11',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '6d781f38ae3125bbf4f42e67f42650e9533d685b3132a830b7c7f060acd7a675'),
+     'ff31359fa9f44feab91022e0524f500186e6c8b8b39c5fefe3fb2064bef4b555'),
     ('subnormal seed 77 #8', 'subnormal', False,
      ('280/139', '417/346'),
      ('5/14', '17/12'),
@@ -58,7 +58,7 @@ CASES = [
      (('11941/1144',), ('7472/1265',), ('24/7',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '1d47b255dbe3ea0725ed6e4156be818146d9902559713926b3d75b007c1f7ef5'),
+     '70a0e2890ab5c3bcd761f32b2afae522bc6792c267c4711d847d14c2777cb512'),
     ('subnormal seed 44 #43', 'subnormal', False,
      ('2722765620729/10588293539305', '4402612453643019/17929480874331925'),
      ('169738800/1683837737', '190956150/1683837737', '1018432800/1683837737'),
@@ -72,7 +72,7 @@ CASES = [
      (('478/539', '17641/18403'), ('5285/2552', '145379/66440')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'df92e68277445df752c999816a54de2675b7f7f61872cb808878dd7cb1988563'),
+     '6fa6b238f8df3bdab58f0a79801ccb79feea3b887935a5fbba64fd2794fd0b58'),
     ('che seed 13 #24', 'che', False,
      ('7360445/6465911', '252170529/151555210'),
      ('7264256/22081335', '3632128/7360445', '1135040/4416267'),
@@ -95,7 +95,7 @@ CASES = [
       ('35881/35152', '473014/466453')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '3061e3b09bae006624dd4c92fa290ce219d15f84f6fbee90c60f939d520404d6'),
+     'b35ec12a8b66362c8c0910020df75c64638235910fed867864b7d5ca74f07afb'),
     ('che seed 41 #27', 'che', False,
      ('11124377602754/9410759193363', '56464555160178/35195048410565'),
      ('332044931575/5562188801377', '5312718905200/5562188801377', '569219882700/5562188801377'),
@@ -109,7 +109,7 @@ CASES = [
      (('73/65', '25825/16352'), ('2543/462', '113753/15258')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '1051de78f90c6869e5b4b462f439f0464daaa00e098c2378a9d95bf5c82dc5a3'),
+     'cb0ccfdf7ee2b35fbe2a9fd5e41b30ced302b55ae7228c3ec0b76e9e9dcccd3c'),
     ('che two-class sweep', 'che', False,
      ('457/411', '5343/3190'),
      ('256/457', '224/457'),
@@ -123,14 +123,14 @@ CASES = [
      (('5/3', '5/3'), ('3', '3')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'a40cb2c28e16471e9c1977230d538b46678e4057bc3a7db7f1cb2efb501b902a'),
+     'b55a4a74c6f95ff51d7ad39fec6ed891e6bb6ad255af66be15a23c8d10d67d6a'),
     ('float copy, seed 42 #46', 'subnormal', True,
      ('2496/2039', '79521/148205'),
      ('39/80', '39/80', '117/160'),
      (('6', '6'), ('13/5', '13/5'), ('1', '1')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '2d3f75e64df682618d313d8a0ca1ece6cecffa3ba31349c0835c71b93d3b1133'),
+     '86b598ede9f518b4bab4e7341978ac76848bddd2dc9fd3675ff38ad322cce13e'),
 ]
 
 
