@@ -21,7 +21,7 @@ from .measure import (AtomicMeasure, MomentRecurrence, ZERO_MEASURE, _exact, _Ro
 from .numeric import Polynomial, Scalar
 from .positivity import (HalfOpen, PositivityClass, _reads_root, _support_ints, _values,
                          _verdict_window, classify_compact)
-from .principal import _atom_poly, _minimal, _window_atoms
+from .principal import _atom_poly, _minimal, _minimal_roots, _window_atoms, _window_roots
 
 
 class CAMeasure(FrozenRecord):
@@ -111,7 +111,10 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
     those integers with the zero test of the index
     (`positivity._reads_root`), so a float root that rounding moved just
     inside (0, 1] is put back at 0 and its atom booked as mass at zero, a
-    float on float input (0.0 where there is none)."""
+    float on float input (0.0 where there is none).  A positive verdict
+    keeps `_held`, (w, roots, first): the increments' window, read from
+    increment `first` (1 past a mass at zero), and the polynomial and roots
+    of the part on (0, 1], as `principal._minimal_roots` gives them."""
     values = _values(c)
     zero = 0.0 if any(isinstance(v, float) for v in values) else 0
     deltas = [values[k + 1] - values[k] for k in range(len(values) - 1)]
@@ -126,15 +129,22 @@ def has_ca_extension(c: Sequence[Scalar]) -> CAExtensionVerdict:
         return CAExtensionVerdict(False, None, verdict.kind)
     w = _verdict_window(deltas, verdict, None, ends)
     if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
-        return CAExtensionVerdict(True, CAMeasure(zero, _minimal(w, HalfOpen())), verdict.kind,
-                                  _atom_poly(w, HalfOpen()))
-    ints, poly = _support_ints(w, ends), verdict.support
-    if _reads_root(w, ints, 0):
-        ints, poly = [0, *ints[1:]], poly.shifted_quotient_at_zero()
-    pairs, _, exact = _window_atoms(w, ints, *ends)
-    measure = CAMeasure(zero + sum(m for x, m in pairs if x == 0),
-                        AtomicMeasure([(x, m) for x, m in pairs if x != 0], exact))
-    return CAExtensionVerdict(True, measure, verdict.kind, poly)
+        measure, poly = CAMeasure(zero, _minimal(w, HalfOpen())), _atom_poly(w, HalfOpen())
+        held = w, _minimal_roots(w, HalfOpen()), 0
+    else:
+        ints, poly = _support_ints(w, ends), verdict.support
+        first = int(_reads_root(w, ints, 0))
+        if first:
+            ints, poly = [0, *ints[1:]], poly.shifted_quotient_at_zero()
+        enclosures, lo, hi = _window_roots(w, ints, *ends)
+        pairs, _, exact = _window_atoms(w, ints, lo, hi, enclosures)
+        measure = CAMeasure(zero + sum(m for x, m in pairs if x == 0),
+                            AtomicMeasure([(x, m) for x, m in pairs if x != 0], exact))
+        roots = [e for e, (x, _) in zip(enclosures, pairs) if x != 0]
+        held = w, (ints[first:], roots, lo, hi), first
+    out = CAExtensionVerdict(True, measure, verdict.kind, poly)
+    out.__dict__["_held"] = held
+    return out
 
 
 def ca_scale(c: Sequence[Scalar], factor: Scalar):

@@ -41,8 +41,8 @@ from ._record import FrozenRecord, Record
 from .alternating import CAMeasure, has_ca_extension
 from .extremal import _reciprocal_inf, _schur_quadratic, _schur_threshold
 from .errors import BadIndex, DegenerateInput, MomentKitError, PreconditionError, Unsupported
-from .measure import AtomicMeasure, MomentRecurrence, MomentSequence, tilt
-from .numeric import Scalar, format_scalar, root_precision
+from .measure import MomentRecurrence, MomentSequence, tilt
+from .numeric import Scalar, _to_float, format_scalar, root_precision
 from .positivity import HalfOpen, Ray, _Window, _classify_limit, _limit_window, _verdict_index
 from . import positivity as _positivity
 from .principal import _atom_poly, _minimal, _minimal_hint, _minimal_roots, root_bound
@@ -487,11 +487,11 @@ def _two_k_vectors(domain, wins, K, two_k_cap: int):
     return [tuple(int(2 * k) for k in K)]
 
 
-def _solve_vectors(domain, pw: PartialWeights, wins, vectors, p_top, targets,
-                   certify) -> SolveOutcome:
+def _solve_vectors(domain, pw: PartialWeights, wins, vectors, p_top, targets) -> SolveOutcome:
     """The level search for each 2K vector in turn: the first Feasible one
-    is certified; else Unknown if any vector was, else Infeasible with every
-    vector's reason.  K is an int on the ray and a `Fraction` on (0, 1]."""
+    is certified, "subnormal" on the ray and "che" on (0, 1]; else Unknown
+    if any vector was, else Infeasible with every vector's reason.  K is an
+    int on the ray and a `Fraction` on (0, 1]."""
     masses = tuple(cls.first_mass for cls in pw.classes)
     table = _LevelValues(domain)
     unknown, reasons = None, []
@@ -505,7 +505,8 @@ def _solve_vectors(domain, pw: PartialWeights, wins, vectors, p_top, targets,
         except MomentKitError as exc:  # kernel guarantees violated along a path
             status, payload = SolveStatus.UNKNOWN, f"K={vec}: search aborted: {exc}"
         if status is SolveStatus.FEASIBLE:
-            return certify(pw, two_ks, vec, payload)
+            return _certified("subnormal" if isinstance(domain, Ray) else "che", pw, vec,
+                              *_branch_measures(domain, pw, two_ks, payload))
         if status is SolveStatus.UNKNOWN:
             unknown = payload
         else:
@@ -519,65 +520,82 @@ def _solve_vectors(domain, pw: PartialWeights, wins, vectors, p_top, targets,
 # certificate assembly
 # --------------------------------------------------------------------------
 
-def _certificate_measure(w: _Window, first_index: int, full_window, domain):
-    """Measure for a completed branch: explicit atoms when they are exact,
-    otherwise a moment recurrence seeded with the full extension (exact
-    moments either way).  `w` is the search's image of the deepest 2K
-    entries, with `full_window` the whole extension from `first_index`: the
-    atoms are its minimal measure, whose polynomial is isolated once
-    (`principal._minimal_roots`).  A root not proven irrational is refined
-    to `root_precision()`, as `principal._minimal` reads it.  When every
-    root of an exact window is rational, that measure (`_minimal`) is read
-    at the certificate's indices with shifted exponents (`tilt`).
-    Otherwise the recurrence carries the atoms of the shifted measure as
-    they stand at isolation, to 2^-HINT_BITS relative, its top position at
-    or above the top atom (`principal._minimal_hint`); only then is a
-    `Polynomial` built."""
-    held = _minimal_roots(w, domain)
+def _certificate_measure(w: _Window, held: tuple, atoms, poly, first_index: int, full_window):
+    """Measure of a completed branch, t^-first_index dmu, mu the measure
+    of the window w whose atom polynomial and roots, isolated once, are
+    `held` (as `principal._minimal_roots` gives them): explicit atoms when
+    they are exact, otherwise a moment recurrence seeded with `full_window`
+    from `first_index` (exact moments either way).  A root not proven
+    irrational is refined to `root_precision()`, as `principal._minimal`
+    reads it.  When every root of an exact window is rational, `atoms()`,
+    mu, is read with shifted exponents (`tilt`).  Otherwise the recurrence
+    runs on `poly()`, which vanishes at the atoms, and carries them as they
+    stand at isolation, to 2^-HINT_BITS relative, its top position at or
+    above the top atom (`principal._minimal_hint`)."""
     enclosures = held[1]
     if not w.floats:
         for e in enclosures:
             if e.root is None and not e.irrational:
                 e.refine(root_precision())
         if all(e.root is not None for e in enclosures):
-            return tilt(_minimal(w, domain, held), -first_index)
-    return MomentRecurrence(_atom_poly(w, domain), first_index, list(full_window),
+            return tilt(atoms(), -first_index)
+    return MomentRecurrence(poly(), first_index, list(full_window),
                             atoms_hint=_minimal_hint(w, held, -first_index))
 
 
 def _branch_measures(domain, pw: PartialWeights, two_ks, wins) -> tuple:
     """(sequences, measures): per class, the completed window (its image in
     `wins`) as a moment sequence from index -kappa - 1, and the
-    `_certificate_measure` of its deepest 2K entries."""
-    first_index = -pw.kappa - 1
+    `_certificate_measure` of the minimal measure of its deepest 2K
+    entries."""
     sequences, measures = [], []
     for two_k, w in zip(two_ks, wins):
-        window = list(w.values)
-        sequences.append(MomentSequence(first_index, window))
-        if two_k <= len(window):
-            mu = _certificate_measure(w.prefix(two_k), first_index, window, domain)
-        else:
+        window, start = list(w.values), -pw.kappa - 1
+        sequences.append(MomentSequence(start, window))
+        w = w.prefix(two_k)
+        if two_k > len(window):
             # even-length window at the maximal atom count: extend once more,
             # at the far end of [theta, theta + 8 max(theta, 1)], across which
             # the atom sum (a norm bound) is fractional-linear and falls
             theta = _threshold(w, domain)
             probe = theta + 8 * max(theta, 1)
-            mu = _certificate_measure(w.prefix(two_k - 1).prepended(probe), first_index - 1,
-                                      [probe] + window, domain)
-        measures.append(mu)
+            w, start, window = w.prefix(two_k - 1).prepended(probe), start - 1, [probe] + window
+        measures.append(_certificate_measure(
+            w, _minimal_roots(w, domain), lambda w=w: _minimal(w, domain),
+            lambda w=w: _atom_poly(w, domain), start, window))
     return tuple(sequences), tuple(measures)
 
 
 def _norm_sq_bound(full: FullWeights, measures) -> Scalar:
-    """Largest of the branching mass, the trunk squares and each measure's
-    top atom; a recurrence without atom enclosures gives its root bound."""
-    candidates = [float(x) for x in (full.first_mass_total, *full.trunk_sq)]
-    for mu in measures:
+    """Largest of the branching mass, the trunk squares and per class a
+    measure's top atom (a recurrence's root bound without atom enclosures),
+    or a tau's 1 + tau[0, 1] and the tail squares, as saturating floats."""
+    candidates = [full.first_mass_total, *full.trunk_sq]
+    for cls, mu in zip(full.classes, measures):
+        if isinstance(mu, CAMeasure):
+            candidates += [1 + mu.total_mass(), *cls.generator.prefix_sq]
+            continue
         try:
-            candidates.append(float(mu.max_atom()))
+            candidates.append(mu.max_atom())
         except DegenerateInput:
-            candidates.append(float(root_bound(mu.poly)))
-    return max(candidates)
+            candidates.append(root_bound(mu.poly))
+    return max(map(_to_float, candidates))
+
+
+def _certified(kind: str, pw: PartialWeights, K: tuple, sequences: tuple, measures,
+               root_measure: Optional[CAMeasure] = None) -> SolveOutcome:
+    """The Feasible outcome of a "subnormal", "che" or "che-flat"
+    completion: each class's tail reads its branch measure (on [0, 1] but
+    for "subnormal"), and the full weights are verified as the kind's."""
+    tail = MeasureTail
+    if kind != "subnormal":
+        measures, tail = tuple(CAMeasure(0, mu) for mu in measures), GeometricSumTail
+    full = FullWeights(pw.trunk_sq, [FullBranch(cls.first_mass, tail(cls.tail_sq, mu), cls.count)
+                                     for cls, mu in zip(pw.classes, measures)])
+    cert = CompletionCertificate(kind, pw, K, sequences, measures, full,
+                                 _norm_sq_bound(full, measures), root_measure)
+    cert.verify()
+    return SolveOutcome(SolveStatus.FEASIBLE, cert)
 
 
 # --------------------------------------------------------------------------
@@ -608,19 +626,7 @@ def solve_subnormal(pw: PartialWeights, K="auto") -> SolveOutcome:
     vectors = _two_k_vectors(Ray(), wins, K, (pw.p + pw.kappa + 2) // 2 * 2)
     if isinstance(vectors, SolveOutcome):
         return vectors
-    return _solve_vectors(Ray(), pw, wins, vectors, pw.p, _subnormal_targets(pw),
-                          _subnormal_certificate)
-
-
-def _subnormal_certificate(pw: PartialWeights, two_ks, vec, windows) -> SolveOutcome:
-    sequences, measures = _branch_measures(Ray(), pw, two_ks, windows)
-    branches = [FullBranch(cls.first_mass, MeasureTail(cls.tail_sq, mu), cls.count)
-                for cls, mu in zip(pw.classes, measures)]
-    full = FullWeights(pw.trunk_sq, branches)
-    verify_subnormal_certificate(full, measures)
-    cert = CompletionCertificate("subnormal", pw, vec, sequences, measures, full,
-                                 _norm_sq_bound(full, measures))
-    return SolveOutcome(SolveStatus.FEASIBLE, cert)
+    return _solve_vectors(Ray(), pw, wins, vectors, pw.p, _subnormal_targets(pw))
 
 
 # --------------------------------------------------------------------------
@@ -657,27 +663,7 @@ def solve_che(pw: PartialWeights, K="auto") -> SolveOutcome:
     targets = _che_targets(pw)
     if any(t < 0 for t in targets):
         return SolveOutcome(SolveStatus.INFEASIBLE, reason="a trunk target is negative")
-    return _solve_vectors(HalfOpen(), pw, wins, vectors, p - 1, targets, _che_certificate)
-
-
-def _che_certificate(pw: PartialWeights, two_ks, vec, windows) -> SolveOutcome:
-    sequences, measures = _branch_measures(HalfOpen(), pw, two_ks, windows)
-    taus = tuple(CAMeasure(0, mu) for mu in measures)
-    branches = [FullBranch(cls.first_mass, GeometricSumTail(cls.tail_sq, tau), cls.count)
-                for cls, tau in zip(pw.classes, taus)]
-    full = FullWeights(pw.trunk_sq, branches)
-    verify_che_certificate(full, taus)
-    cert = CompletionCertificate("che", pw, vec, sequences, taus, full, _che_norm_sq(pw, taus))
-    return SolveOutcome(SolveStatus.FEASIBLE, cert)
-
-
-def _che_norm_sq(pw: PartialWeights, measures) -> Scalar:
-    candidates = [float(x) for x in (pw.first_mass_total, *pw.trunk_sq)]
-    for cls, tau in zip(pw.classes, measures):
-        candidates.append(float(1 + tau.total_mass()))
-        if cls.tail_sq:
-            candidates.append(float(max(cls.tail_sq)))
-    return max(candidates)
+    return _solve_vectors(HalfOpen(), pw, wins, vectors, p - 1, targets)
 
 
 def _is_flat(pw: PartialWeights) -> bool:
@@ -701,41 +687,25 @@ def flat_che_completion(pw: PartialWeights) -> SolveOutcome:
         raise PreconditionError("branch tails differ; flat construction unavailable")
     if pw.first_mass_total == math.inf:
         return SolveOutcome(SolveStatus.INFEASIBLE, reason="branching square sum diverges")
-    kappa = pw.kappa
-    root_seq = _root_sequence(pw)
-    verdict = has_ca_extension(root_seq)
+    verdict = has_ca_extension(_root_sequence(pw))
     if not verdict.has_extension:
         return SolveOutcome(SolveStatus.INFEASIBLE,
                             reason="root vertex sequence has no completely alternating extension")
-    rho = verdict.measure
-    *_, scale = itertools.accumulate(pw.trunk_sq, operator.mul, initial=pw.first_mass_total)
-    # the root measure is t^-(kappa+1) d(scale * tau) plus its mass at zero
-    atoms = AtomicMeasure(
-        [(pos, m * pos ** (kappa + 1) / scale) for pos, m in rho.positive.atoms],
-        exact=rho.positive.exact)
-    positive = atoms
-    if not atoms.exact:
-        # enclosure midpoints of irrational atoms: take exact moments from
-        # the increments rho represents, t^k drho = c_{k+1} - c_k, past the
-        # mass at zero, which only c_1 - c_0 sees, run on by the recurrence
-        # of the zero-free polynomial of rho's atoms on (0, 1]
-        first = 1 if rho.zero_mass else 0
-        deltas = [root_seq[k + 1] - root_seq[k] for k in range(first, len(root_seq) - 1)]
-        positive = MomentRecurrence(verdict.poly, first - kappa - 1,
-                                    [d / scale for d in deltas], atoms_hint=atoms)
-    shared = CAMeasure(0, positive)
-    branches = [FullBranch(cls.first_mass, GeometricSumTail(cls.tail_sq, shared), cls.count)
-                for cls in pw.classes]
-    full = FullWeights(pw.trunk_sq, branches)
-    taus = [shared] * len(pw.classes)
-    verify_che_certificate(full, taus)
-    first_index = -kappa - 1
-    seq_values = [shared.moment(k) for k in range(first_index, pw.p - 1)]
-    sequences = tuple(MomentSequence(first_index, seq_values) for _ in pw.classes)
-    idx = sum((Fraction(1, 2) if pos == 1 else 1 for pos, _ in atoms.atoms), Fraction(0))
-    cert = CompletionCertificate("che-flat", pw, tuple([idx] * len(pw.classes)), sequences,
-                                 tuple(taus), full, _che_norm_sq(pw, taus), root_measure=rho)
-    return SolveOutcome(SolveStatus.FEASIBLE, cert)
+    rho, first_index = verdict.measure, -pw.kappa - 1
+    mu = rho.positive
+    if mu.atoms:
+        # the root measure is t^-(kappa+1) d(scale * tau) plus its mass at
+        # zero: tau is t^(kappa+1) drho / scale, read on the increments
+        # from `first` over scale, which represent t^first drho / scale
+        w, roots, first = verdict._held
+        *_, scale = itertools.accumulate(pw.trunk_sq, operator.mul, initial=pw.first_mass_total)
+        w = _Window.of([d / scale for d in w.values[first:]])
+        mu = _certificate_measure(w, roots, lambda: tilt(rho.positive.scaled(1 / scale), first),
+                                  lambda: verdict.poly, first_index + first, w.values)
+    sequence = MomentSequence(first_index, [mu.moment(k) for k in range(first_index, pw.p - 1)])
+    idx = sum((Fraction(1, 2) if pos == 1 else 1 for pos, _ in rho.positive.atoms), Fraction(0))
+    n = len(pw.classes)
+    return _certified("che-flat", pw, (idx,) * n, (sequence,) * n, (mu,) * n, rho)
 
 
 # --------------------------------------------------------------------------

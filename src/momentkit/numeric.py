@@ -86,19 +86,28 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
 
 def format_scalar(x: Scalar) -> str:
     """repr of a float; "p/q", or "p" when q = 1, of an exact value: the
-    `str` of its `Fraction`."""
+    `str` of its `Fraction`, through `decimal` past the int digit limit."""
     if isinstance(x, float):
         return repr(x)
-    return str(x if isinstance(x, Fraction) else Fraction(x))
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal
+        num, den = str(Decimal(x.numerator)), str(Decimal(x.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def format_ratio(num: int, den: int) -> str:
     """`format_scalar(Fraction(num, den))` of two integers, reduced by one
-    gcd when den > 0 and no `Fraction` is built."""
+    gcd when den > 0 and no `Fraction` is built within the digit limit."""
     if den <= 0:
         return format_scalar(Fraction(num, den))
     g = math.gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
+    try:
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
+    except ValueError:  # past Python's limit on the digits of an int's str
+        return format_scalar(Fraction(num, den))
 
 
 def as_fraction(x: Scalar) -> Fraction:
@@ -313,8 +322,12 @@ def count_positive_roots(coeffs, to_one: bool = False) -> int:
 def root_precision() -> Fraction:
     """Target enclosure width for irrational roots, and relative width of
     the masses at them (`principal._masses`): MOMENTKIT_PRECISION if set,
-    a positive finite number (else DomainError)."""
-    env = os.environ.get("MOMENTKIT_PRECISION")
+    a positive finite number (else DomainError), parsed once per value."""
+    return _precision(os.environ.get("MOMENTKIT_PRECISION"))
+
+
+@functools.lru_cache(maxsize=8)
+def _precision(env: Optional[str]) -> Fraction:
     try:
         width = as_fraction(parse_scalar(env)) if env else DEFAULT_ROOT_PRECISION
     except (ValueError, ZeroDivisionError):
@@ -336,34 +349,36 @@ class RootEnclosure:
     certified float seed, narrower than `root_precision()` for most roots,
     or an interval of the Descartes bisection; `coeffs` has the roots
     settled before the enclosure was made deflated out, none at an end.
-    `irrational` is True when the root is proven irrational: its bracket's
-    one candidate k/|lead| failed (`_lead_candidate`).
+    `irrational` is True when the root is proven irrational: the
+    enclosure's one candidate k/|lead| failed (`_test_lead`).
     """
 
     __slots__ = ("coeffs", "lo", "hi", "den", "root", "irrational")
 
     def __init__(self, coeffs=None, lo: int = 0, hi: int = 0, den: int = 1,
-                 root: Optional[Scalar] = None, irrational: bool = False):
+                 root: Optional[Scalar] = None):
         self.coeffs, self.lo, self.hi, self.den, self.root = coeffs, lo, hi, den, root
-        self.irrational = irrational
+        self.irrational = False
 
     def refine(self, width) -> Scalar:
         """The root when it is known (see `root`), otherwise the midpoint of
         an enclosure of width <= `width`.  A rational root num/den in lowest
         terms is found whenever den^2 * width < 1: it is then the simplest
-        rational of the final enclosure.  A root proven irrational is never
-        tested for one."""
+        rational of the final enclosure, and whatever den once the enclosure
+        is at most 2^SNAP_BITS times wider than 1/|lead| (`_test_lead`).  A
+        root proven irrational is never tested for one."""
         if self.root is not None:
             return self.root
         coeffs, lo, hi, den = self.coeffs, self.lo, self.hi, self.den
         width = Fraction(width)
         lo_positive = _horner(coeffs, lo, den) > 0
-        snap = not self.irrational
         rounds = 0
         while (hi - lo) * width.denominator > width.numerator * den:
             # the snap only shortens the loop: once the simplest rational of
             # an enclosure is the root, it is the simplest of every later one
-            if snap and rounds & (rounds - 1) == 0 and self._try_exact_root(lo, hi, den):
+            if not self.irrational and (
+                    rounds & (rounds - 1) == 0 and self._try_exact_root(lo, hi, den)
+                    or self._test_lead(lo, hi, den, lo_positive)):
                 return self.root
             lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
             value = _horner(coeffs, mid, den)
@@ -376,12 +391,38 @@ class RootEnclosure:
                 hi = mid
             rounds += 1
         self.lo, self.hi, self.den = lo, hi, den
-        if snap and self._try_exact_root(lo, hi, den):
+        if not self.irrational and (self._try_exact_root(lo, hi, den)
+                                    or self._test_lead(lo, hi, den, lo_positive)):
             return self.root
         mid = Fraction(lo + hi, 2 * den)
-        if snap and _horner(coeffs, mid.numerator, mid.denominator) == 0:
+        if not self.irrational and _horner(coeffs, mid.numerator, mid.denominator) == 0:
             self.root = mid
         return mid
+
+    def _test_lead(self, a: int, b: int, scale: int, positive_at_a: bool) -> bool:
+        """Whether the root is rational, tested once [a/scale, b/scale] is at
+        most 2^SNAP_BITS times wider than 1/lead, lead = |coeffs[-1]|:
+        bisected below 1/lead, it holds the one candidate k/lead of a rational
+        root, which settles `root` or proves it `irrational`."""
+        lead = abs(self.coeffs[-1])
+        if (b - a) * lead >= scale << SNAP_BITS:
+            return False
+        while (b - a) * lead >= scale:
+            a, b, scale, mid = 2 * a, 2 * b, 2 * scale, a + b
+            value = _horner(self.coeffs, mid, scale)
+            if value == 0:
+                self.root = Fraction(mid, scale)
+                return True
+            if (value > 0) == positive_at_a:
+                a = mid
+            else:
+                b = mid
+        k = -(-a * lead // scale)
+        if k * scale <= b * lead and _horner(self.coeffs, k, lead) == 0:
+            self.root = Fraction(k, lead)
+            return True
+        self.irrational = True
+        return False
 
     def _try_exact_root(self, lo: int, hi: int, den: int) -> bool:
         """Settle `root` if the simplest rational in [lo/den, hi/den] is one."""
@@ -481,13 +522,11 @@ def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
     tested by integer Horner and, when it is a root, deflated out.  Each
     other seed gets a bracket of relative half-width 2^-BRACKET_BITS, the
     first whose ends have opposite exact signs of the deflated polynomial,
-    kept on its integer ends.  A rational root of a primitive integer
-    polynomial has a denominator that divides lead, so a bracket at most
-    2^SNAP_BITS times wider than 1/|lead| settles its one candidate k/|lead|
-    when that is a root (`_lead_candidate`, on a copy bisected below
-    1/|lead|); a bracket whose candidate fails is kept as it was, and its
-    root is proven irrational.  So there are deg p exact roots and
-    brackets, one per seed.  The result
+    kept on its integer ends.  A bracket at most 2^SNAP_BITS times wider
+    than 1/|lead| tests its one candidate k/|lead| as it is made
+    (`RootEnclosure._test_lead`), and is kept, its root proven irrational,
+    when it fails.  So there are deg p exact roots and brackets, one per
+    seed.  The result
     stands only when they lie strictly inside (lo, hi) and are pairwise
     disjoint: then each bracket holds a root of the deflated polynomial,
     and the count leaves room for no other, so every root of p is real,
@@ -506,16 +545,14 @@ def _seeded(work, lo: Fraction, hi: Fraction) -> Optional[list]:
             work = _deflate(work, found[-1].root)
         else:
             rest.append(x)
-    lead = abs(work[-1])
     for x in rest:
         for bits in BRACKET_BITS:
             a, b, scale = _around(x, bits)
             va, vb = _horner(work, a, scale), _horner(work, b, scale)
             if (va > 0 and vb < 0) or (va < 0 and vb > 0):
-                tested = (b - a) * lead < scale << SNAP_BITS
-                root = _lead_candidate(work, a, b, scale, va > 0) if tested else None
-                found.append(RootEnclosure(work, a, b, scale, irrational=tested) if root is None
-                             else _exact_root(root))
+                e = RootEnclosure(work, a, b, scale)
+                e._test_lead(a, b, scale, va > 0)
+                found.append(e if e.root is None else _exact_root(e.root))
                 break
         else:
             return None
@@ -537,27 +574,6 @@ def _exact_root(root: Fraction) -> RootEnclosure:
 def _ascending(found: list) -> list:
     """RootEnclosures sorted by their lower ends, compared exactly on integers."""
     return sorted(found, key=functools.cmp_to_key(lambda u, v: u.lo * v.den - v.lo * u.den))
-
-
-def _lead_candidate(work, a: int, b: int, scale: int, positive_at_a: bool) -> Optional[Fraction]:
-    """The rational root of the primitive integer polynomial `work` in the
-    bracket (a/scale, b/scale) of opposite end signs, if any: its
-    denominator divides lead = |work[-1]|, so the bracket is bisected by
-    integer Horner below 1/lead, where k/lead is its one candidate."""
-    lead = abs(work[-1])
-    while (b - a) * lead >= scale:
-        a, b, scale, mid = 2 * a, 2 * b, 2 * scale, a + b
-        value = _horner(work, mid, scale)
-        if value == 0:
-            return Fraction(mid, scale)
-        if (value > 0) == positive_at_a:
-            a = mid
-        else:
-            b = mid
-    k = -(-a * lead // scale)
-    if k * scale <= b * lead and _horner(work, k, lead) == 0:
-        return Fraction(k, lead)
-    return None
 
 
 def _descartes_isolate(work, lo: Fraction, hi: Fraction) -> list:
@@ -669,14 +685,14 @@ def real_roots(p: Polynomial, lo: Scalar, hi: Scalar,
     Exact input is isolated by `root_enclosures`; rational roots come back
     exact and irrational ones narrowed to enclosures of the requested width
     (their midpoints are returned).  A rational root num/den is exact in
-    three ways: its float seed snaps to it, its seed's bracket is narrower
-    than 1/|lead| of the primitive integer polynomial and its one candidate
-    is tested (`_seeded`), or den^2 * w < 1, w the width of its final
-    enclosure (at most `width`), so that it is the simplest rational there
-    (`RootEnclosure.refine`).  A root none of these reaches may come back as
-    an enclosure midpoint like an irrational one.  Float input gets floats,
-    refined to float precision whatever the width.  Repeated roots raise
-    DegenerateInput; see `root_enclosures`.
+    three ways: its float seed snaps to it, its enclosure gets at most
+    2^SNAP_BITS times wider than 1/|lead| of the integer polynomial and its
+    one candidate is tested (`RootEnclosure._test_lead`), or den^2 * w < 1,
+    w the width of its final enclosure (at most `width`), so that it is the
+    simplest rational there (`RootEnclosure.refine`).  A root none of these
+    reaches may come back as an enclosure midpoint like an irrational one.
+    Float input gets floats, refined to float precision whatever the width.
+    Repeated roots raise DegenerateInput; see `root_enclosures`.
     """
     enclosures = root_enclosures(p, lo, hi, eps)
     width = precision if precision is not None else root_precision()

@@ -434,18 +434,20 @@ def minimal_measure_half_open(s) -> AtomicMeasure:
 def _minimal_roots(w: _Window, domain) -> tuple:
     """(ints, enclosures, lo, hi): the atom polynomial `_atom_ints` of the
     minimal measure of a strictly positive window w on the ray (odd n) or
-    on (0, 1], and its `_window_roots` in [0, inf) or [0, 1]."""
-    ints = _atom_ints(w, domain)[0]
-    return (ints, *_window_roots(w, ints, Fraction(0),
-                                 Fraction(1) if isinstance(domain, HalfOpen) else None))
-
-
-def _minimal(w: _Window, domain, held: Optional[tuple] = None) -> AtomicMeasure:
-    """The minimal measure of a strictly positive window w on the ray (odd
-    n) or on (0, 1], kept on w per domain; `held` is its `_minimal_roots`
-    if the caller isolated them."""
+    on (0, 1], and its `_window_roots` in [0, inf) or [0, 1], isolated once
+    and kept on w per domain."""
     def make():
-        ints, enclosures, lo, hi = held or _minimal_roots(w, domain)
+        ints = _atom_ints(w, domain)[0]
+        return (ints, *_window_roots(w, ints, Fraction(0),
+                                     Fraction(1) if isinstance(domain, HalfOpen) else None))
+    return w.kept(("minimal roots", type(domain)), make)
+
+
+def _minimal(w: _Window, domain) -> AtomicMeasure:
+    """The minimal measure of a strictly positive window w on the ray (odd
+    n) or on (0, 1], read on its `_minimal_roots` and kept on w per domain."""
+    def make():
+        ints, enclosures, lo, hi = _minimal_roots(w, domain)
         return _carrying(*_window_atoms(w, ints, lo, hi, enclosures))
     return w.kept(("minimal", type(domain)), make)
 
@@ -457,9 +459,10 @@ HINT_BITS = 24
 
 
 def _minimal_hint(w: _Window, held: tuple, shift: int) -> AtomicMeasure:
-    """The atoms of t^shift dmu, shift >= 0, mu the minimal measure of w
-    whose `_minimal_roots` are `held`, as an inexact AtomicMeasure of
-    floats whose top position is exactly at or above the top atom.
+    """The atoms of t^shift dmu, shift >= 0, mu the measure of w whose atom
+    polynomial and roots are `held`, as `_minimal_roots` gives them, as an
+    inexact AtomicMeasure of floats whose top position is exactly at or
+    above the top atom.
 
     Each position and mass is within 2^-HINT_BITS relative of the atom and
     mass it stands for.  Each enclosure is narrowed to 2^-(HINT_BITS + 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import momentkit.positivity as positivity
+from momentkit import completion, principal
 from momentkit.measure import AtomicMeasure
 
 # property tests replay the same examples on every run and stay short; the
@@ -47,6 +48,15 @@ def random_half_open_measure(rng, atoms, include_one=False):
     pairs = [(p, Fraction(rng.randint(1, 12), rng.randint(1, 8)))
              for p in sorted(positions)]
     return AtomicMeasure(pairs)
+
+
+def branch_measure(w, first_index, window, domain):
+    """The certificate measure of a completed branch whose deepest 2K
+    entries are the window w, as `completion._branch_measures` builds it:
+    `completion._certificate_measure` of the minimal measure of w."""
+    return completion._certificate_measure(
+        w, principal._minimal_roots(w, domain), lambda: principal._minimal(w, domain),
+        lambda: principal._atom_poly(w, domain), first_index, window)
 
 
 @pytest.fixture

@@ -101,6 +101,8 @@ from momentkit.principal import (PrincipalKind, atoms_from_poly, minimal_measure
                                  minimal_measure_ray, principal_compact)
 from momentkit.tree import BranchClass, PartialWeights
 
+from conftest import branch_measure
+
 KERNEL = ("classify_form", "_minor_pass", "det_poly", "count_positive_roots")
 
 RAY_MU = AtomicMeasure([(F(1, 2), F(1)), (F(3), F(2, 3))])
@@ -746,7 +748,7 @@ def test_certificate_measure_builds_one_image_per_measure(calls, monkeypatch, ca
             _orig(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted_ctor)
     _cold()
-    certified = completion._certificate_measure(positivity._Window.of(window), -2, full, domain)
+    certified = branch_measure(positivity._Window.of(window), -2, full, domain)
     assert isinstance(certified, AtomicMeasure) is exact
     assert [certified.moment(k) for k in range(-4, size + 8)] == want
     if exact:

@@ -97,6 +97,26 @@ def test_float_flat_che_books_the_mass_at_zero(tmp_path, obj):
     assert code == 0 and checked["valid"]
 
 
+#: Feasible files whose certificates hold an exact value past the float
+#: range: their norm bounds once raised OverflowError, and the weight rows
+#: of the first print integers of more than 4300 digits
+OVERFLOW_FILES = [
+    {"kind": "subnormal", "trunk_sq": ["3/8"],
+     "classes": [{"first_sq": "1/2", "tail_sq": ["7/3e-500"], "count": 1}]},
+    {"kind": "flat-che", "trunk_sq": ["1e400"],
+     "classes": [{"first_sq": "3/2", "tail_sq": [], "count": 1}]},
+]
+
+
+@pytest.mark.parametrize("obj", OVERFLOW_FILES)
+def test_a_certificate_past_the_float_range_prints_as_json(tmp_path, obj):
+    proc = _run_cli([_write(tmp_path, "big.json", obj)])
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "Feasible"
+    assert payload["certificate"]["norm_sq"] == float("inf")
+
+
 def test_classify_example_exit_code(tmp_path):
     path = _write(tmp_path, "c.json", {"kind": "classify", "domain": "ray",
                                        "sequence": ["1", "2", "3"]})

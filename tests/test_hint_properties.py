@@ -23,7 +23,10 @@ digits; `max_atom` must be at or above the largest root, counted exactly by
 sympy.  So must the hints of dilated windows, and a hint whose floats would
 round to 0 or past the float range keeps its exact values, within the same
 precision.  A float window whose lower root the rounding moved just below
-0 is refused, as its float minimal measure is.  CLI `verify` accepts a
+0 is refused, as its float minimal measure is.  The shared measure of a
+flat completely hyperexpansive certificate is read the same way on the
+root vertex's increments, strictly positive, singular, or singular with
+mass at zero, and its hint must meet the same bounds.  CLI `verify` accepts a
 certificate with the new hint and one printed before it, whose masses are
 exact fractions of over 100 characters.
 """
@@ -42,6 +45,9 @@ from momentkit.errors import DegenerateInput
 from momentkit.measure import AtomicMeasure, MomentRecurrence, moments
 from momentkit.numeric import _horner, _integer_scale
 from momentkit.positivity import HalfOpen, Ray, _Window
+from momentkit.tree import BranchClass, PartialWeights
+
+from conftest import branch_measure
 
 REL = F(1, 2 ** principal.HINT_BITS)
 DIGITS = 60
@@ -107,7 +113,7 @@ def _check_hint(mu, window, shift):
 @given(planted())
 def test_hint_is_within_its_stated_precision(problem):
     domain, window, first_index = problem
-    mu = completion._certificate_measure(_Window.of(window), first_index, window, domain)
+    mu = branch_measure(_Window.of(window), first_index, window, domain)
     assume(isinstance(mu, MomentRecurrence))
     assert all(isinstance(v, float) for atom in mu.atoms_hint.atoms for v in atom)
     _check_hint(mu, window, -first_index)
@@ -128,7 +134,7 @@ def test_hint_of_a_dilated_window_is_within_its_stated_precision(case):
     domain, atoms = DILATED[case]
     window = list(moments(AtomicMeasure(atoms), 0, 7).values)
     w = _Window.of(window)
-    mu = completion._certificate_measure(w, -2, window, domain)
+    mu = branch_measure(w, -2, window, domain)
     assert w.lam > 1 and isinstance(mu, MomentRecurrence)
     _check_hint(mu, window, 2)
 
@@ -139,11 +145,38 @@ def test_a_hint_past_the_float_range_keeps_its_exact_values():
     tiny = F(1, 10 ** 110)
     planted_mu = AtomicMeasure([(tiny, F(1)), (3 * tiny, F(2)), (7 * tiny, F(1, 3))])
     window = list(moments(planted_mu, 0, 3).values)
-    mu = completion._certificate_measure(_Window.of(window), -3, window, Ray())
+    mu = branch_measure(_Window.of(window), -3, window, Ray())
     assert isinstance(mu, MomentRecurrence)
     assert all(isinstance(v, F) for atom in mu.atoms_hint.atoms for v in atom)
     assert float(mu.atoms_hint.atoms[0][1]) == 0
     _check_hint(mu, window, 3)
+
+
+#: flat completely hyperexpansive problems whose shared branch measure has
+#: irrational atoms: the root vertex's increments are strictly positive,
+#: then those of 1/2 delta_a + 1/2 delta_b, a, b = (5 +- sqrt 5) / 10, and
+#: then of that plus delta_0, a mass at zero
+FLAT_PROBLEMS = {
+    "strict": PartialWeights(
+        [F(169957, 150040), F(217558, 115981)],
+        [BranchClass(m, (F(188533, 181648), F(962996, 942665)), 1)
+         for m in (F(1271536, 6628323), F(5812736, 6628323))]),
+    "singular": PartialWeights(
+        [], [BranchClass(2, (F(5, 4), F(28, 25), F(15, 14), F(157, 150)), 1)]),
+    "singular with mass at zero": PartialWeights(
+        [], [BranchClass(3, (F(7, 6), F(38, 35), F(20, 19), F(207, 200), F(212, 207)), 1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAT_PROBLEMS))
+def test_flat_hint_is_within_its_stated_precision(case):
+    cert = completion.flat_che_completion(FLAT_PROBLEMS[case]).certificate
+    assert (cert.root_measure.zero_mass > 0) is (case == "singular with mass at zero")
+    mu = cert.measures[0].positive
+    assert isinstance(mu, MomentRecurrence) and cert.verify(64)
+    assert all(isinstance(v, float) for atom in mu.atoms_hint.atoms for v in atom)
+    # the seed window holds the moments of t^first_index dmu from 0
+    _check_hint(mu, list(mu.window), -mu.first_index)
 
 
 #: a float window on the ray: the minimal measure of its binary-exact image
@@ -159,7 +192,7 @@ def test_a_float_root_just_below_zero_is_refused_as_the_measure_refuses_it(shift
     # the root is clamped to 0, where no atom sits: the hint's narrowing
     # ends, and the hint is refused as the float minimal measure is
     with pytest.raises(DegenerateInput):
-        completion._certificate_measure(_Window.of(BELOW_ZERO), -shift, BELOW_ZERO, Ray())
+        branch_measure(_Window.of(BELOW_ZERO), -shift, BELOW_ZERO, Ray())
     with pytest.raises(DegenerateInput):
         principal._minimal(_Window.of(BELOW_ZERO), Ray())
 

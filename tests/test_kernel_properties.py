@@ -360,6 +360,28 @@ def test_seeded_isolation_matches_descartes_and_sympy(problem):
                 assert count(r - width / 2, r + width / 2) - len(near) == 1
 
 
+@st.composite
+def longer_denominator_roots(draw):
+    """A rational in [-8, 8] in lowest terms over 2^e or 3^e, above 2^20."""
+    base, e = draw(st.sampled_from([(2, st.integers(21, 40)), (3, st.integers(14, 25))]))
+    den = base ** draw(e)
+    k = draw(st.integers(-8 * den // base, 8 * den // base - 1))
+    return F(base * k + 1, den)
+
+
+@given(longer_denominator_roots(), st.integers(0, 31))
+def test_a_descartes_enclosure_settles_its_one_candidate(root, bits):
+    # a rational root whose denominator is too long for the simplest-rational
+    # snap at this width: refined to w with w |lead| < 2^32, its Descartes
+    # enclosure tests the one candidate k/|lead| and settles the root
+    poly = Polynomial([-2, 0, 1]).mul_linear(-root, 1)
+    work = numeric._primitive(numeric._integer_scale(poly.coeffs)[0])
+    width = F(2 ** bits, abs(work[-1]))
+    assert root.denominator ** 2 * width >= 1
+    bound = principal._cauchy_bound(work)
+    assert root in [e.refine(width) for e in numeric._descartes_isolate(work, -bound, bound)]
+
+
 UNIT_EXTREME = st.builds(lambda m, e: F(m, 16) / F(2) ** e,
                          st.integers(1, 15), st.integers(0, 36))
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from momentkit.errors import DegenerateInput, ShapeError
 from momentkit.numeric import (FormClass, Polynomial, classify_form,
-                               det, det_poly, parse_scalar, format_scalar,
+                               det, det_poly, format_ratio, parse_scalar, format_scalar,
                                real_roots, simplest_between, vandermonde_masses)
 from conftest import random_rational_measure
 
@@ -154,6 +154,20 @@ def test_det_and_solve(rng):
 def test_vandermonde_masses():
     masses = vandermonde_masses([F(1), F(2)], [F(2), F(3)])
     assert masses == [F(1), F(1)]
+
+
+def test_exact_values_past_the_int_digit_limit_print_in_full():
+    # Python 3.11+ refuses the str of an int of more than 4300 digits; an
+    # exact value prints all its digits all the same, read back here in
+    # chunks short enough for int()
+    num = 7 ** 6000
+
+    def read(digits):
+        return sum(int(digits[max(0, k - 1000):k]) * 10 ** (len(digits) - k)
+                   for k in range(len(digits), 0, -1000))
+    text = format_scalar(F(num, 3))
+    assert text == format_ratio(2 * num, 6) and text.endswith("/3")
+    assert read(text[:-2]) == num and format_scalar(F(num)) == text[:-2]
 
 
 def test_parse_format_scalar():

@@ -10,7 +10,7 @@ import pytest
 import momentkit
 
 from momentkit.errors import DegenerateInput, DomainError, NotAMomentSequence
-from momentkit.measure import moments
+from momentkit.measure import AtomicMeasure, moments
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray,
                                   classify, classify_compact, classify_half_open,
                                   classify_ray, compact_criterion_matrices, index,
@@ -377,3 +377,16 @@ def test_non_finite_float_input_is_a_domain_error(call, named):
     # nan one was "not positive"
     with pytest.raises(DomainError, match=f"non-finite value {named} "):
         call()
+
+
+def test_a_singular_ray_window_with_a_long_lead_recovers_exact_atoms():
+    # `windows` benchmark seed 3749, problem 97: the roots of the support
+    # polynomial, whose leading coefficient is long, are isolated by
+    # Descartes bisection, and the atom 7/2^22 came back as the midpoint of
+    # its enclosure; it is settled once the enclosure is narrow enough to
+    # test its one candidate k/|lead|
+    atoms = AtomicMeasure([(F(3, 2 ** 21), F(116533, 97941971)),
+                           (F(7, 2 ** 22), F(446686, 361654681)),
+                           (F(1879048192), F(545237, 21089856))])
+    mu = recover_minimal_measure(moments(atoms, 0, 6).values, Ray())
+    assert mu.exact and mu == atoms
