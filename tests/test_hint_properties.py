@@ -169,8 +169,13 @@ FLAT_PROBLEMS = {
 
 
 @pytest.mark.parametrize("case", sorted(FLAT_PROBLEMS))
-def test_flat_hint_is_within_its_stated_precision(case):
+def test_flat_hint_is_within_its_stated_precision(case, monkeypatch):
+    # the hint is read on the roots isolated for the root measure: one
+    # isolation per solve
+    isolations, isolate = [], principal._isolate
+    monkeypatch.setattr(principal, "_isolate", lambda *a: isolations.append(a) or isolate(*a))
     cert = completion.flat_che_completion(FLAT_PROBLEMS[case]).certificate
+    assert len(isolations) == 1
     assert (cert.root_measure.zero_mass > 0) is (case == "singular with mass at zero")
     mu = cert.measures[0].positive
     assert isinstance(mu, MomentRecurrence) and cert.verify(64)
