@@ -12,16 +12,18 @@ the increments' window, float increments too (`principal._window_atoms`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ._record import FrozenRecord
 from .errors import DegenerateInput, DomainError, NotAMomentSequence, ZeroAtomError
-from .measure import (AtomicMeasure, MomentRecurrence, ZERO_MEASURE, _exact, _Row,
-                      geometric_row, moment_row)
+from .measure import AtomicMeasure, ZERO_MEASURE, _exact, _Row, geometric_row, moment_row
 from .numeric import Polynomial, Scalar
 from .positivity import (HalfOpen, PositivityClass, _reads_root, _support_ints, _values,
                          _verdict_window, classify_compact)
 from .principal import _atom_poly, _minimal, _minimal_roots, _window_atoms, _window_roots
+
+if TYPE_CHECKING:
+    from ._recurrence import MomentRecurrence
 
 
 class CAMeasure(FrozenRecord):

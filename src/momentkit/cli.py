@@ -4,10 +4,16 @@ Exit codes: 0 feasible/positive/valid, 1 infeasible/not-positive/invalid,
 2 unknown, 3 input error.  All scalars travel as strings ("p/q" or decimal)
 so exact values survive the round trip.
 
-A cold call loads only what its problem kind needs: the window layers
-(`numeric`, `measure`, `positivity`) at import, every other layer inside
-the handler that uses it, so a `classify` or `stampfli` file never loads
-`completion` or `tree`, and only the `oracle` kind loads numpy.
+A cold call compiles only what its problem kind runs.  Importing this
+module loads the window layers (`numeric`, `measure`, `positivity`); every
+other layer is imported inside the handler that uses it.  The handlers of
+the tree kinds and of `verify` live in `_cli_trees`, which `run` imports
+when a file of such a kind comes.  Code that only those kinds, certificates
+or tests run lives in private siblings of the layers (`_roots`,
+`_recurrence`, `_recovery`, `_extension`), whose public names the layers
+serve on first use (`momentkit._serve`).  So a `classify` or `stampfli`
+file loads neither `completion` nor `tree` nor a sibling, and only the
+`oracle` kind loads numpy.
 
 `--batch DIR` solves the directory's files one after another in this
 process, in sorted order, so each layer is imported once per batch.  A
@@ -26,8 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import MomentKitError
-from .measure import AtomicMeasure, MomentRecurrence
-from .numeric import Polynomial, format_scalar, parse_scalar
+from .measure import AtomicMeasure
+from .numeric import format_scalar, parse_scalar
 from .positivity import (Compact, HalfOpen, PositivityClass, Ray, _verdict_index, classify,
                          stampfli_check)
 
@@ -77,14 +83,6 @@ def _parse_seq(items, exact):
     return [_scalar(v, exact) for v in _as_list(items)]
 
 
-def _branch(items, exact):
-    """The weights of one branch, a nonempty list."""
-    vals = _parse_seq(items, exact)
-    if not vals:
-        raise InputError("empty branch")
-    return vals
-
-
 def _domain(obj, exact):
     kind = _field(obj, "domain", "ray")
     if kind == "ray":
@@ -94,49 +92,6 @@ def _domain(obj, exact):
     if kind == "compact":
         return Compact(_scalar(_field(obj, "a"), exact), _scalar(_field(obj, "b"), exact))
     raise InputError(f"unknown domain {kind!r}")
-
-
-def _partial_weights(obj, exact):
-    from .tree import BranchClass, PartialWeights
-    if "trunk_sq" in obj:
-        trunk_sq = _parse_seq(obj["trunk_sq"], exact)
-    else:
-        trunk = _parse_seq(_field(obj, "trunk", []), exact)
-        trunk_sq = [t * t for t in trunk]
-    classes = []
-    if "branch_l1_sq_sum" in obj:
-        classes.append(BranchClass(_scalar(obj["branch_l1_sq_sum"], exact), (), None))
-    for spec in _as_list(_field(obj, "classes", [])):
-        first = _scalar(_field(spec, "first_sq"), exact)
-        tail = _parse_seq(_field(spec, "tail_sq", []), exact)
-        classes.append(BranchClass(first, tuple(tail), spec.get("count", 1)))
-    for br in _as_list(_field(obj, "branches_sq", [])):
-        vals = _branch(br, exact)
-        classes.append(BranchClass(vals[0], tuple(vals[1:]), 1))
-    for br in _as_list(_field(obj, "branches", [])):
-        vals = _branch(br, exact)
-        classes.append(BranchClass(vals[0] * vals[0],
-                                   tuple(v * v for v in vals[1:]), 1))
-    return PartialWeights(trunk_sq, classes)
-
-
-def _k_arg(obj):
-    k = _field(obj, "K", "auto")
-    if k == "auto":
-        return "auto"
-    return [_parsed(lambda v: Fraction(str(v)), v) for v in _as_list(k)]
-
-
-def _solve_payload(outcome) -> tuple:
-    from .completion import SolveStatus
-    payload = {"status": outcome.status.value}
-    if outcome.reason:
-        payload["reason"] = outcome.reason
-    if outcome.certificate is not None:
-        payload["certificate"] = outcome.certificate.to_json()
-    code = {SolveStatus.FEASIBLE: EXIT_OK, SolveStatus.INFEASIBLE: EXIT_NEGATIVE,
-            SolveStatus.UNKNOWN: EXIT_UNKNOWN}[outcome.status]
-    return payload, code
 
 
 def _run_classify(obj, exact, options):
@@ -191,7 +146,7 @@ def _run_t_value(obj, exact, options):
 
 
 def _run_backward(obj, exact, options):
-    from .backward import ExtensionClass, classify_backward, extend_with_index
+    from .backward import ExtensionClass, classify_backward
     seq = _parse_seq(_field(obj, "sequence"), exact)
     domain = _domain(obj, exact)
     if "x" in obj:
@@ -201,6 +156,7 @@ def _run_backward(obj, exact, options):
             payload["measure"] = verdict.measure.to_json()
         code = EXIT_OK if verdict.kind is not ExtensionClass.NOT_EXTENSION else EXIT_NEGATIVE
         return payload, code
+    from ._extension import extend_with_index
     sequence, measure = extend_with_index(
         seq, _int(obj, "r"), _parsed(lambda v: Fraction(str(v)), _field(obj, "K")),
         _parse_seq(_field(obj, "free", []), exact), domain)
@@ -232,37 +188,6 @@ def _run_ca(obj, exact, options):
     return payload, EXIT_OK
 
 
-def _run_subnormal(obj, exact, options):
-    from .completion import solve_subnormal
-    return _solve_payload(solve_subnormal(_partial_weights(obj, exact), _k_arg(obj)))
-
-
-def _run_che(obj, exact, options):
-    from .completion import solve_che
-    return _solve_payload(solve_che(_partial_weights(obj, exact), _k_arg(obj)))
-
-
-def _run_flat_che(obj, exact, options):
-    from .completion import flat_che_completion
-    return _solve_payload(flat_che_completion(_partial_weights(obj, exact)))
-
-
-def _run_probe(obj, exact, options):
-    from .completion import kappa_infinite_probe
-    trunk_sq = _parse_seq(_field(obj, "trunk_sq"), exact)
-    pw = _partial_weights({**obj, "trunk_sq": []}, exact)
-    report = kappa_infinite_probe(trunk_sq, pw.classes, _int(obj, "kappa_max"),
-                                  _k_arg(obj))
-    payload = {"verdict": report.verdict,
-               "per_kappa": [{"kappa": k, "status": s, "norm_sq": n}
-                             for k, s, n in report.per_kappa]}
-    if report.uniform_norm_sq is not None:
-        payload["uniform_norm_sq"] = report.uniform_norm_sq
-    code = {"FeasibleTowardInfinity": EXIT_OK, "Infeasible": EXIT_NEGATIVE,
-            "Unknown": EXIT_UNKNOWN}[report.verdict]
-    return payload, code
-
-
 def _run_stampfli(obj, exact, options):
     squared = "weights_sq" in obj
     vals = _parse_seq(_field(obj, "weights_sq" if squared else "weights"), exact)
@@ -272,53 +197,6 @@ def _run_stampfli(obj, exact, options):
     payload = {"holds": verdict.holds, "lhs": format_scalar(verdict.lhs),
                "rhs": format_scalar(verdict.rhs)}
     return payload, EXIT_OK if verdict.holds else EXIT_NEGATIVE
-
-
-def _rebuild_measure(obj, exact):
-    recurrence = _field(obj, "recurrence", None)
-    if recurrence is not None:
-        poly = Polynomial(_parse_seq(recurrence, exact))
-        window = _parse_seq(_field(obj, "window"), exact)
-        hint = None
-        if "atoms_approx" in obj:
-            hint = _parsed(lambda o: AtomicMeasure.from_json(o, exact), obj["atoms_approx"])
-        return MomentRecurrence(poly, _int(obj, "first_index"), window, hint)
-    return _parsed(lambda o: AtomicMeasure.from_json(o, exact), obj)
-
-
-def _run_verify(obj, exact, options):
-    from .alternating import CAMeasure
-    from .tree import (FullBranch, FullWeights, GeometricSumTail, MeasureTail,
-                       verify_che_certificate, verify_subnormal_certificate)
-    cert = _field(obj, "certificate")
-    trunk_sq = _parse_seq(_field(cert, "trunk_sq"), exact)
-    kind = _field(cert, "kind")
-    if kind not in ("subnormal", "che", "che-flat"):
-        raise InputError(f"unknown certificate kind {kind!r}")
-    subnormal = kind == "subnormal"
-    measures = []
-    for measure_obj in _as_list(_field(cert, "measures")):
-        mu = _rebuild_measure(measure_obj, exact)
-        if not subnormal:
-            mu = CAMeasure(_scalar(_field(measure_obj, "zero_mass", "0"), exact), mu)
-        measures.append(mu)
-    classes = []
-    # one class per row, even past the last measure: the verifier then
-    # refuses a certificate whose measures and rows differ in number
-    for i, row in enumerate(_as_list(_field(cert, "weights_sq"))):
-        row = _branch(row, exact)
-        p = _int(obj, "p", _field(cert, "p", len(row)))
-        mu = measures[i] if i < len(measures) else None
-        gen = MeasureTail(row[1:p], mu) if subnormal else GeometricSumTail(row[1:p], mu)
-        classes.append(FullBranch(row[0], gen, 1))
-    full = FullWeights(trunk_sq, classes)
-    depth = _parsed(int, options.get("depth", 12))
-    verifier = verify_subnormal_certificate if subnormal else verify_che_certificate
-    try:
-        verifier(full, measures, depth)
-    except MomentKitError as exc:
-        return {"valid": False, "error": str(exc)}, EXIT_NEGATIVE
-    return {"valid": True, "depth": depth}, EXIT_OK
 
 
 def _run_oracle_verify(obj, exact, options):
@@ -338,18 +216,20 @@ def _run_oracle_verify(obj, exact, options):
     return payload, code
 
 
+#: problem kind -> its handler, or the name of its handler in `_cli_trees`,
+#: which `run` imports when a file of that kind comes
 _HANDLERS = {
     "classify": _run_classify,
     "principal": _run_principal,
     "t-value": _run_t_value,
     "backward": _run_backward,
     "ca": _run_ca,
-    "subnormal": _run_subnormal,
-    "che": _run_che,
-    "flat-che": _run_flat_che,
-    "probe-kappa-inf": _run_probe,
+    "subnormal": "_run_subnormal",
+    "che": "_run_che",
+    "flat-che": "_run_flat_che",
+    "probe-kappa-inf": "_run_probe",
     "stampfli": _run_stampfli,
-    "verify": _run_verify,
+    "verify": "_run_verify",
     "oracle": _run_oracle_verify,
 }
 
@@ -371,6 +251,9 @@ def run(path, flags=None) -> tuple:
         handler = _HANDLERS.get(kind) if isinstance(kind, str) else None
         if handler is None:
             raise InputError(f"unknown problem kind {kind!r}")
+        if isinstance(handler, str):
+            from . import _cli_trees
+            handler = getattr(_cli_trees, handler)
         payload, code = handler(obj, exact, options)
     except InputError as exc:
         return {"error": {"kind": "input", "message": str(exc)}}, EXIT_INPUT
@@ -435,4 +318,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # `python -m momentkit.cli` runs this module as __main__; registered
+    # under its own name as well, it is the module `_cli_trees` imports its
+    # readers from, not a second copy compiled again, whose InputError
+    # `run` would not catch
+    sys.modules.setdefault("momentkit.cli", sys.modules[__name__])
     sys.exit(main())

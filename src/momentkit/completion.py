@@ -38,14 +38,17 @@ from fractions import Fraction
 from typing import Optional
 
 from ._record import FrozenRecord, Record
+from ._recurrence import MomentRecurrence
 from .alternating import CAMeasure, has_ca_extension
-from .extremal import _reciprocal_inf, _schur_quadratic, _schur_threshold
+from .extremal import _reciprocal_inf, _schur_threshold
 from .errors import BadIndex, DegenerateInput, MomentKitError, PreconditionError, Unsupported
-from .measure import MomentRecurrence, MomentSequence, tilt
+from .measure import AtomicMeasure, MomentSequence, tilt
 from .numeric import Scalar, _to_float, format_scalar, root_precision
-from .positivity import HalfOpen, Ray, _Window, _classify_limit, _limit_window, _verdict_index
+from .positivity import (HalfOpen, Ray, _Window, _classify_limit, _limit_window, _odd_half_open,
+                         _verdict_index)
 from . import positivity as _positivity
-from .principal import _atom_poly, _minimal, _minimal_hint, _minimal_roots, root_bound
+from .principal import (HINT_BITS, _atom_poly, _masses, _minimal, _minimal_roots,
+                        _one_per_root, root_bound)
 from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
                    MeasureTail, PartialWeights, verify_che_certificate,
                    verify_subnormal_certificate)
@@ -131,9 +134,37 @@ def _threshold(w: _Window, domain) -> Scalar:
     return value
 
 
+def _schur_quadratic(w: _Window, domain) -> Optional[tuple]:
+    """(a, b, c) with a x^2 + b x + c the `extremal._schur_threshold` of
+    (x,) + rest, for a nonempty strictly positive `rest`, read from w, the
+    image of (0,) + rest (`_Window.prepended`); None when its M is not
+    positive definite.  x enters only the first entry of the border,
+    b = x f + u with f the first unit vector (e_1 = x, or x - s_0 for an odd
+    window on (0, 1], whose base is x), over an M that does not hold x.  So the
+    infimum is (M^-1)_00 x^2 + 2 f^T M^-1 u x + u^T M^-1 u, plus x for an
+    odd window on (0, 1], and one slot pass at x = 0 gives all three:
+    (M^-1)_00 = D_(m-1) / D_m from two pivots, f^T M^-1 u from the last
+    row that the pass reduced (M is in reverse order there) and
+    u^T M^-1 u from the corner.  On a window dilated by lam these read
+    (a / lam, b / lam, c / lam), and on the differences form
+    (a / lam^2, (b - 1) / lam, c), so lam is multiplied back in (see
+    `extremal._schur_threshold`).  Only the level search reads it."""
+    r, a, _ = w.slot_pass(domain)
+    m = len(w.ints) // 2
+    if r != m:
+        return None
+    differences = _odd_half_open(w, domain)
+    pivot, unit, lam = a[m - 1][m - 1], w.unit, w.lam
+    square, scale = (lam * lam, 1) if differences else (lam, lam)
+    quad = (Fraction(square * unit * (a[m - 2][m - 2] if m > 1 else 1), pivot),
+            Fraction(2 * lam * a[m - 1][m], pivot) + int(differences),
+            Fraction(-scale * a[m][m], unit * pivot))
+    return tuple(map(_to_float, quad)) if w.floats else quad
+
+
 class _LevelValues(dict):
     """One solve's thresholds (a forced value is that of a prefix) and
-    `extremal._schur_quadratic` coefficients, keyed by image (`_Window.key`):
+    `_schur_quadratic` coefficients, keyed by image (`_Window.key`):
     a quadratic's image (0,) + rest starts at 0, which no searched window's
     does.  Every 2K vector of the solve reads them from here."""
 
@@ -520,6 +551,42 @@ def _solve_vectors(domain, pw: PartialWeights, wins, vectors, p_top, targets) ->
 # certificate assembly
 # --------------------------------------------------------------------------
 
+def _minimal_hint(w: _Window, held: tuple, shift: int) -> AtomicMeasure:
+    """The atoms of t^shift dmu, shift >= 0, mu the measure of w whose atom
+    polynomial and roots are `held`, as `_minimal_roots` gives them, as an
+    inexact AtomicMeasure of floats whose top position is exactly at or
+    above the top atom.
+
+    Each position and mass is within 2^-HINT_BITS relative of the atom and
+    mass it stands for.  Each enclosure is narrowed to 2^-(HINT_BITS + 1)
+    of its ends (`RootEnclosure.narrow`), which a seeded bracket already
+    is; a position is the root, or the midpoint of its enclosure, and the
+    top one the upper end of its enclosure, rounded up.  A mass is read by
+    `_masses` to 2^-(HINT_BITS + 1) relative, its sign certified.  Both
+    are rounded once to floats, unless one rounds to 0 or past the float
+    range, when the hint keeps them exact.  A float window's positions are
+    clamped to its interval, as `_atoms_and_image` clamps them."""
+    ints, enclosures, lo, hi = held
+    _one_per_root(enclosures, ints)
+    masses = _masses(ints, enclosures, w.ints, w.unit, w.lam,
+                     Fraction(1, 2 << HINT_BITS), shift)
+    xs = []
+    for e in enclosures:
+        e.narrow(HINT_BITS + 1)
+        xs.append(e.root if e.root is not None else Fraction(e.lo + e.hi, 2 * e.den))
+    if xs and enclosures[-1].root is None:
+        xs[-1] = Fraction(enclosures[-1].hi, enclosures[-1].den)
+    if w.floats:
+        xs = [min(max(x, lo), hi) for x in xs]
+    rounded = [_to_float(x) for x in xs]
+    if xs and rounded[-1] < xs[-1]:
+        rounded[-1] = math.nextafter(rounded[-1], math.inf)
+    rounded = [(x, _to_float(m)) for x, m in zip(rounded, masses)]
+    if all(0 < v < math.inf for pair in rounded for v in pair):
+        return AtomicMeasure(rounded, exact=False)
+    return AtomicMeasure(list(zip(xs, masses)), exact=False)
+
+
 def _certificate_measure(w: _Window, held: tuple, atoms, poly, first_index: int, full_window):
     """Measure of a completed branch, t^-first_index dmu, mu the measure
     of the window w whose atom polynomial and roots, isolated once, are
@@ -531,7 +598,7 @@ def _certificate_measure(w: _Window, held: tuple, atoms, poly, first_index: int,
     mu, is read with shifted exponents (`tilt`).  Otherwise the recurrence
     runs on `poly()`, which vanishes at the atoms, and carries them as they
     stand at isolation, to 2^-HINT_BITS relative, its top position at or
-    above the top atom (`principal._minimal_hint`)."""
+    above the top atom (`_minimal_hint`)."""
     enclosures = held[1]
     if not w.floats:
         for e in enclosures:

@@ -30,7 +30,7 @@ one of the window's two limit forms, first, so `reciprocal_inf_*` decide M
 from it as well (for exact input): a strict window costs the pass of its
 other limit form and this one.  A value prepended one level earlier sits
 only in the border b over the same M, so the infimum is an exact quadratic
-in it (`_schur_quadratic`), read from the same kind of pass.  A singular
+in it (`completion._schur_quadratic`), read from the same kind of pass.  A singular
 window's infimum is the reciprocal moment of its unique measure: the
 identity above, with p its support polynomial.
 """
@@ -44,8 +44,7 @@ from typing import Optional, Sequence
 from ._record import FrozenRecord
 from .errors import ConvergenceError, DegenerateInput, NotStrictlyPositive
 from .measure import AtomicMeasure
-from .numeric import (Polynomial, Scalar, _integer_scale, _read, _to_float, as_fraction,
-                      associated)
+from .numeric import Polynomial, Scalar, _integer_scale, _read, as_fraction, associated
 from .positivity import (HalfOpen, PositivityClass, PositivityVerdict, Ray, _Window,
                          _classify_limit, _limit_window, _odd_half_open, _support_ints, _values,
                          classify_compact, classify_ray)
@@ -150,34 +149,6 @@ def _schur_threshold(w: _Window, domain) -> Optional[Scalar]:
         pivot, corner = a[m - 1][m - 1], (1 if differences else w.lam) * a[m][m]
     # base = ints[0] / unit on the differences form, over one denominator
     return _read((w.ints[0] * pivot if differences else 0) - corner, w.unit * pivot, w.floats)
-
-
-def _schur_quadratic(w: _Window, domain) -> Optional[tuple]:
-    """(a, b, c) with a x^2 + b x + c the `_schur_threshold` of (x,) + rest,
-    for a nonempty strictly positive `rest`, read from w, the image of
-    (0,) + rest (`_Window.prepended`); None when its M is not positive
-    definite.  x enters only the first entry of the border, b = x f + u
-    with f the first unit vector (e_1 = x, or x - s_0 for an odd window on
-    (0, 1], whose base is x), over an M that does not hold x.  So the
-    infimum is (M^-1)_00 x^2 + 2 f^T M^-1 u x + u^T M^-1 u, plus x for an
-    odd window on (0, 1], and one slot pass at x = 0 gives all three:
-    (M^-1)_00 = D_(m-1) / D_m from two pivots, f^T M^-1 u from the last
-    row that the pass reduced (M is in reverse order there) and
-    u^T M^-1 u from the corner.  On a window dilated by lam these read
-    (a / lam, b / lam, c / lam), and on the differences form
-    (a / lam^2, (b - 1) / lam, c), so lam is multiplied back in (see
-    `_schur_threshold`)."""
-    r, a, _ = w.slot_pass(domain)
-    m = len(w.ints) // 2
-    if r != m:
-        return None
-    differences = _odd_half_open(w, domain)
-    pivot, unit, lam = a[m - 1][m - 1], w.unit, w.lam
-    square, scale = (lam * lam, 1) if differences else (lam, lam)
-    quad = (Fraction(square * unit * (a[m - 2][m - 2] if m > 1 else 1), pivot),
-            Fraction(2 * lam * a[m - 1][m], pivot) + int(differences),
-            Fraction(-scale * a[m][m], unit * pivot))
-    return tuple(map(_to_float, quad)) if w.floats else quad
 
 
 def _reciprocal_inf(w: _Window, verdict: PositivityVerdict, domain) -> Scalar:

@@ -12,16 +12,20 @@ caller that keeps the pass reads it again for a leading block
 support or bordered-Hankel polynomial (`_pass_bordered`), instead of
 eliminating the form twice.  The associated polynomial q of an atom
 polynomial p (`associated`) gives the mass q(x)/p'(x) at each root x of
-p; at given nodes that is the Lagrange form of their Vandermonde system
-(`vandermonde_masses`, which no library path calls).  Roots are found from
-float seeds (Laguerre's method) that exact signs certify, and isolated by
-Descartes bisection on the primitive integer polynomial when the
-certificate fails; Descartes' rule of signs also counts them
-(`count_positive_roots`).  Signs are read by homogeneous Horner at rational
-points.  `Fraction`s appear only in the results.  `det` and `det_poly` are
-a plain Gaussian elimination over `Fraction`s, kept as a reference for the
-tests; no library path calls them, so `_minor_pass` is the package's only
-fraction-free elimination.
+p.  Roots are found from float seeds (Laguerre's method) that exact signs
+certify (`_isolate`), and isolated by Descartes bisection on the primitive
+integer polynomial when the certificate fails; Descartes' rule of signs
+also counts them (`count_positive_roots`).  Signs are read by homogeneous
+Horner at rational points.  `Fraction`s appear only in the results.  `det`
+and `det_poly` are a plain Gaussian elimination over `Fraction`s, kept as a
+reference for the tests; no library path calls them, so `_minor_pass` is
+the package's only fraction-free elimination.
+
+The Descartes fallback, the root isolation entry points `real_roots` and
+`root_enclosures`, and the test references `simplest_between` and
+`vandermonde_masses` (masses at given nodes, the Lagrange form of their
+Vandermonde system) live in `_roots`, which a window call does not compile;
+this module serves their public names on first use (`momentkit._serve`).
 
 Exact input (`int` and `fractions.Fraction`) gives exact results.  Input
 containing a `float` runs through the same code on its binary-exact image
@@ -45,8 +49,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
+from . import _serve
 from ._record import FrozenRecord
-from .errors import DegenerateInput, DomainError, InsufficientMoments, ShapeError
+from .errors import DegenerateInput, DomainError, ShapeError
+
+__getattr__, __dir__ = _serve(__name__, {
+    "_roots": ("real_roots", "root_enclosures", "simplest_between", "vandermonde_masses")})
 
 Scalar = Union[Fraction, int, float]
 
@@ -68,7 +76,9 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
     ``p/q`` of two integers with q != 0 is read as one `Fraction(p, q)`;
     every other ``p/q`` is the quotient of two `Fraction` parses, which
     also gives the errors (a "_" is left to them, because `Fraction` reads
-    one only from Python 3.11 on).
+    one only from Python 3.11 on).  An integer past Python's limit on the
+    digits of an int's str, as `format_scalar` prints a long exact value,
+    is read through `decimal` (`_long_int`).
     """
     text = text.strip()
     if "/" in text:
@@ -76,12 +86,33 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
         try:
             p, q = (int(num), int(den)) if "_" not in text else (0, 0)
         except ValueError:
-            p = q = 0
+            p, q = _long_int(num.strip()), _long_int(den.strip())
+            if p is None or q is None:
+                p = q = 0
         value = Fraction(p, q) if q else Fraction(num.strip()) / Fraction(den.strip())
         return value if exact else float(value)
     if exact:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError:
+            value = _long_int(text)
+            if value is None:
+                raise
+            return Fraction(value)
     return float(text)
+
+
+def _long_int(text: str) -> Optional[int]:
+    """The int of an ASCII string of digits, sign optional, read through
+    `decimal`, which has no limit on their number: the inverse of
+    `format_scalar`'s fallback.  None for any other string.  The limit of
+    `int` is not lifted, because `sys.set_int_max_str_digits` acts on the
+    whole process."""
+    body = text[1:] if text[:1] in ("+", "-") else text
+    if not (body.isascii() and body.isdigit()):
+        return None
+    from decimal import Decimal
+    return int(Decimal(text))
 
 
 def format_scalar(x: Scalar) -> str:
@@ -161,13 +192,6 @@ def _simplest(lo: int, hi: int, den: int) -> tuple:
         a, b, c, d = d, c - whole * d, b, rest
         p1, p0, q1, q0 = p1 * whole + p0, p1, q1 * whole + q0, q1
     return p1 * tail + p0, q1 * tail + q0
-
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Rational with the smallest denominator in the closed interval [lo, hi]."""
-    lo, hi = sorted((Fraction(lo), Fraction(hi)))
-    (lo_n, hi_n), den = _integer_scale((lo, hi))
-    return Fraction(*_simplest(lo_n, hi_n, den))
 
 
 # --------------------------------------------------------------------------
@@ -250,18 +274,6 @@ def _derivative(coeffs) -> list:
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
-def _shares_root(f, g) -> bool:
-    """Whether the integer polynomials f and g share a root, by Euclid's
-    algorithm (`_negated_remainder`); g may have zero leading entries, and
-    g = 0 shares every root."""
-    g = list(g)
-    while g and g[-1] == 0:
-        g.pop()
-    while len(g) > 1:
-        f, g = g, _negated_remainder(f, g)
-    return not g
-
-
 def _deflate(coeffs, root: Fraction) -> list:
     """Quotient by (den t - num) at a root num/den; integral and primitive
     again by Gauss's lemma."""
@@ -272,24 +284,6 @@ def _deflate(coeffs, root: Fraction) -> list:
         acc = (coeffs[i] + num * acc) // den
         out[i - 1] = acc
     return out
-
-
-def _negated_remainder(f, g) -> list:
-    """Primitive part of -rem(f, g), reached by scaling f by |lead(g)| (a
-    positive factor) before each reduction step; [] when g divides f."""
-    f = list(f)
-    lead = g[-1]
-    factor, orient = abs(lead), (1 if lead > 0 else -1)
-    dg = len(g) - 1
-    while len(f) > dg:
-        top = f[-1] * orient
-        shift = len(f) - 1 - dg
-        f = [c * factor for c in f]
-        for i, c in enumerate(g):
-            f[shift + i] -= top * c
-        while f and f[-1] == 0:
-            f.pop()
-    return _primitive([-c for c in f]) if f else []
 
 
 def _shifted(coeffs, by: int = 1) -> list:
@@ -576,76 +570,16 @@ def _ascending(found: list) -> list:
     return sorted(found, key=functools.cmp_to_key(lambda u, v: u.lo * v.den - v.lo * u.den))
 
 
-def _descartes_isolate(work, lo: Fraction, hi: Fraction) -> list:
-    """`_isolate`'s interior RootEnclosures of the primitive integer
-    polynomial `work`, deg >= 2, nonzero at lo and hi, by Descartes
-    bisection (Collins and Akritas, 1976), the fallback of `_seeded`; a
-    repeated root (gcd(p, p') != 1) raises DegenerateInput.  A node
-    (a, a + width) / scale carries q(t), a positive multiple of p on it
-    mapped to (0, 1); var((1 + t)^d q(1 / (1 + t))) bounds its roots, is
-    exact at 0 and 1, and reaches those on small nodes of a squarefree p.
-    Its halves carry 2^d q(t / 2) and that shifted by 1; a root at the
-    midpoint is settled and deflated out of what later enclosures carry."""
-    if _shares_root(work, _primitive(_derivative(work))):
-        raise DegenerateInput("polynomial has a repeated root")
-    (start, stop), den = _integer_scale((lo, hi))
-    width, d = stop - start, len(work) - 1
-    q = _shifted([c * den ** (d - i) for i, c in enumerate(work)], start)
-    found, stack = [], [(start, den, [c * width ** i for i, c in enumerate(q)])]
-    while stack:
-        a, scale, q = stack.pop()
-        count = _variations(_shifted(q[::-1]))
-        if count == 1:
-            found.append(RootEnclosure(work, a, a + width, scale))
-        elif count > 1:
-            left = [x << (d - i) for i, x in enumerate(q)]
-            right = _shifted(left)
-            if right[0] == 0:
-                found.append(_exact_root(Fraction(2 * a + width, 2 * scale)))
-                work = _deflate(work, found[-1].root)
-            stack += [(2 * a + width, 2 * scale, right), (2 * a, 2 * scale, left)]
-    return _ascending(found)
-
-
-def root_enclosures(p: Polynomial, lo: Scalar, hi: Scalar,
-                    eps: float = DEFAULT_EPS) -> list:
-    """Every real root of `p` in [lo, hi], ascending, as a RootEnclosure.
-
-    Roots at lo and hi come out exact and are deflated out of the primitive
-    integer polynomial.  A linear remainder has its root settled exactly.
-    What is left of degree 2 or more is first solved
-    from float seeds certified exactly (`_seeded`): a rational root whose
-    seed snaps to it, or whose bracket is narrow enough to test its one
-    candidate, comes out exact, every other root as a narrow bracket around
-    its seed, marked `irrational` when its candidate failed.  The
-    certificate holds only when every root of what is left is real, simple
-    and strictly inside (lo, hi).  Otherwise Descartes bisection isolates
-    the roots (`_descartes_isolate`).  Either way an interval is refined by
-    `RootEnclosure.refine`.  Float input (in p, lo
-    or hi) is isolated on its binary-exact image over the `_widened`
-    interval; each root comes back settled as a float
-    (`RootEnclosure.to_float`).  Repeated roots raise DegenerateInput:
-    every polynomial this package feeds in here is guaranteed simple by the
-    theory (see `count_positive_roots`), so a multiple root signals
-    corrupted input.
-    """
-    if p.is_zero():
-        raise DegenerateInput("zero polynomial has no isolated roots")
-    floats = any(isinstance(x, float) for x in (*p.coeffs, lo, hi))
-    lo, hi = as_fraction(lo), as_fraction(hi)
-    if lo > hi:
-        raise ShapeError("empty interval")
-    if not floats:
-        return _isolate(_integer_scale(p.coeffs)[0], lo, hi)
-    return [RootEnclosure(root=e.to_float(lo, hi))
-            for e in _isolate(_integer_scale([as_fraction(c) for c in p.coeffs])[0],
-                              *_widened(lo, hi, eps))]
-
-
 def _widened(lo: Fraction, hi: Fraction, eps: float = DEFAULT_EPS) -> tuple:
     """(lo - d, hi + d), d = eps * max(1, |lo|, |hi|): where float input is
-    isolated, so that a root the rounding moved just past an end counts."""
-    d = as_fraction(eps * max(1.0, abs(float(lo)), abs(float(hi))))
+    isolated, so that a root the rounding moved just past an end counts.  A
+    d past the float range raises DomainError naming the interval."""
+    ends = _to_float(lo), _to_float(hi)
+    d = eps * max(1.0, *map(abs, ends))
+    if not math.isfinite(d):
+        raise DomainError(f"float roots sought on [{ends[0]!r}, {ends[1]!r}], "
+                          "an interval past the float range")
+    d = as_fraction(d)
     return lo - d, hi + d
 
 
@@ -673,30 +607,9 @@ def _isolate(ints, lo: Fraction, hi: Fraction) -> list:
         return first + [RootEnclosure(root=x) for x in inside if lo < x < hi] + last
     interior = _seeded(work, lo, hi)
     if interior is None:
+        from ._roots import _descartes_isolate
         interior = _descartes_isolate(work, lo, hi)
     return first + interior + last
-
-
-def real_roots(p: Polynomial, lo: Scalar, hi: Scalar,
-               precision: Optional[Fraction] = None,
-               eps: float = DEFAULT_EPS) -> list:
-    """All real roots of `p` in [lo, hi], ascending.
-
-    Exact input is isolated by `root_enclosures`; rational roots come back
-    exact and irrational ones narrowed to enclosures of the requested width
-    (their midpoints are returned).  A rational root num/den is exact in
-    three ways: its float seed snaps to it, its enclosure gets at most
-    2^SNAP_BITS times wider than 1/|lead| of the integer polynomial and its
-    one candidate is tested (`RootEnclosure._test_lead`), or den^2 * w < 1,
-    w the width of its final enclosure (at most `width`), so that it is the
-    simplest rational there (`RootEnclosure.refine`).  A root none of these
-    reaches may come back as an enclosure midpoint like an irrational one.
-    Float input gets floats, refined to float precision whatever the width.
-    Repeated roots raise DegenerateInput; see `root_enclosures`.
-    """
-    enclosures = root_enclosures(p, lo, hi, eps)
-    width = precision if precision is not None else root_precision()
-    return [e.refine(width) for e in enclosures]
 
 
 # --------------------------------------------------------------------------
@@ -792,35 +705,6 @@ def associated(p: Sequence, s: Sequence):
         yield sum(p[k] * s[k - 1 - i] for k in range(i + 1, d + 1))
 
 
-def vandermonde_masses(atoms: Sequence[Scalar], window: Sequence[Scalar]):
-    """Masses m_j at distinct `atoms` x_j that match the first c = len(atoms)
-    moments of `window`: the solution of sum_j m_j x_j^k = s_k, k < c, in
-    its Lagrange form m_j = q(x_j) / p'(x_j), p = prod (t - x_i) and q its
-    `associated` polynomial.  On the images x_j = P_j / Q and s_k = S_k /
-    unit, prod (Q t - P_i) = Q^c p(t) has the associated polynomial
-    unit Q^c q, so m_j is its `_horner` at P_j over unit Q^c prod_(i != j)
-    (P_j - P_i): O(c^2) integer work, no elimination.  No library path
-    calls it.  Float input runs on its binary-exact image and gets floats
-    back.  Coinciding atoms raise DegenerateInput."""
-    c = len(atoms)
-    if c == 0:
-        return []
-    if len(window) < c:
-        raise InsufficientMoments("moment window shorter than atom count")
-    floats = any(isinstance(x, float) for x in (*atoms, *window[:c]))
-    P, Q = _integer_scale([as_fraction(x) for x in atoms])
-    S, unit = _integer_scale([as_fraction(v) for v in window[:c]])
-    p = [1]
-    for x in P:  # times (Q t - x)
-        p = [Q * b - x * a for a, b in zip(p + [0], [0] + p)]
-    q = list(associated(p, S))
-    slopes = [math.prod(x - y for i, y in enumerate(P) if i != j) for j, x in enumerate(P)]
-    if 0 in slopes:
-        raise DegenerateInput("coinciding atoms")
-    out = [Fraction(_horner(q, x, Q), unit * Q ** c * slope) for x, slope in zip(P, slopes)]
-    return [_to_float(v) for v in out] if floats else out
-
-
 # --------------------------------------------------------------------------
 # Hankel forms
 # --------------------------------------------------------------------------
@@ -849,9 +733,14 @@ class HankelImage(NamedTuple):
 def _tolerances(eps: Optional[float], sizes) -> list:
     """Zero thresholds eps * max(1, w_k) (eps defaults to DEFAULT_EPS), w_k
     being the size of the terms entry k was computed from, as exact
-    rationals."""
+    rationals.  A threshold past the float range, of float input near its
+    end, raises DomainError naming the size."""
     tol = DEFAULT_EPS if eps is None else eps
-    return [as_fraction(tol * max(1.0, w)) for w in sizes]
+    tols = [tol * max(1.0, w) for w in sizes]
+    for w, t in zip(sizes, tols):
+        if not math.isfinite(t):
+            raise DomainError(f"float input of size {w!r} has a zero test past the float range")
+    return [as_fraction(t) for t in tols]
 
 
 def _hankel_image(entries, eps: Optional[float] = None,

@@ -45,7 +45,10 @@ domain that one `_horner` reads as a root, `_reads_root`), the unique
 measure (`principal._support_measure`, whose atoms are the roots in the
 domain) and `tree._positive_on`.  A singular verdict carries its monic
 view (`PositivityVerdict.support`, `_support_poly`), rounded once on a
-float window.
+float window.  The public readers of that measure
+(`recover_minimal_measure`, `recover_support_and_masses`) and the criterion
+matrices live in `_recovery`, which no command-line kind loads; this module
+serves their names on first use (`momentkit._serve`).
 
 Stampfli's four-weight check (`stampfli_check`) is closed-form arithmetic
 on the squared weights, so it sits here, where the CLI's `stampfli` kind
@@ -59,13 +62,18 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from . import _serve
 from ._record import FrozenRecord
-from .errors import DegenerateInput, DomainError, NotAMomentSequence, PreconditionError
-from .measure import AtomicMeasure, MomentSequence, ZERO_MEASURE
+from .errors import DomainError, NotAMomentSequence, PreconditionError
+from .measure import MomentSequence
 from .numeric import (DEFAULT_EPS, FormClass, HankelImage, Polynomial, Scalar, _dilated_scale,
                       _horner, _integer_scale, _minor_pass, _pass_bordered, _pass_class,
                       _primitive, _to_float, _tolerances, as_fraction, classify_form,
                       count_positive_roots)
+
+__getattr__, __dir__ = _serve(__name__, {
+    "_recovery": ("compact_criterion_matrices", "ray_limit_matrices",
+                  "recover_minimal_measure", "recover_support_and_masses")})
 
 
 # --------------------------------------------------------------------------
@@ -131,7 +139,11 @@ def _values(s) -> tuple:
 # --------------------------------------------------------------------------
 
 def _ratio(x: Scalar) -> tuple:
-    """(p, q) with x = p / q, q > 0; binary-exact for a float."""
+    """(p, q) with x = p / q, q > 0; binary-exact for a float.  A float past
+    the float range, as a value the completion search computes from float
+    input near its end may be, raises DomainError naming it."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise DomainError(f"float value {x!r} is past the float range")
     x = as_fraction(x)
     return x.numerator, x.denominator
 
@@ -164,7 +176,8 @@ class _Window:
     window's own entries: it keeps F's class and every sign of its pass,
     and every reader that turns a pass into a number divides lam back out
     (`_support_ints`, `_determinate_poly`, `extremal._schur_threshold`,
-    `extremal._schur_quadratic`, `principal._bordered_ints`, `_entries`).
+    `completion._schur_quadratic`, `principal._bordered_ints`,
+    `_recovery._entries`).
     The pass over H(s) that `_support_ints` reads and the pass over the
     form that holds a prepended value (`slot_pass`) are kept, so a call
     eliminates each at most once.
@@ -347,29 +360,6 @@ def _odd_half_open(w: _Window, domain: Domain) -> bool:
     return isinstance(domain, HalfOpen) and len(w.ints) % 2 == 1
 
 
-def compact_criterion_matrices(values: Sequence[Scalar], a: Scalar, b: Scalar):
-    """The entries of the two Hankel forms whose joint nonnegativity decides
-    positivity on [a, b], read back from their integer images (`_Window`).
-    Even length 2m+1: s itself and the transform
-    s'_k = (a+b) s_(k+1) - ab s_k - s_(k+2); odd length 2m+2: the
-    transforms s_(k+1) - a s_k and b s_k - s_(k+1).  Refuses what
-    `classify_compact` refuses: a >= b and the empty sequence."""
-    if not a < b:
-        raise DomainError("compact interval needs a < b")
-    if not values:
-        raise DomainError("empty sequence")
-    w = _Window.of(values, None, (a, b))
-    if len(values) % 2 == 1:
-        return _entries(w.lam, w.hankel(), w.interior(a, b).hankel())
-    return _entries(w.lam, w.lower(a), w.upper(b))
-
-
-def _entries(lam: int, *forms: HankelImage) -> tuple:
-    """The entries of forms given by their integer images over a window
-    dilated by lam: entry k is ints[k] / (unit * lam^k)."""
-    return tuple([Fraction(x, f.unit * lam ** k) for k, x in enumerate(f.ints)] for f in forms)
-
-
 def classify_compact(s, a: Scalar, b: Scalar, eps: Optional[float] = None) -> PositivityVerdict:
     """Classify a sequence on [a, b].  Accepts a <= 0 as well (the Hankel
     criteria are valid for any a < b); domain objects stay restricted to
@@ -412,16 +402,6 @@ def _verdict_window(values, verdict: PositivityVerdict, eps=None, ends=()) -> _W
 def _edge_class(w: _Window, a: Scalar = None, b: Scalar = None) -> FormClass:
     """The class of `w.lower(a)`, or of `w.upper(b)`, kept per end."""
     return w.kept((a, b), lambda: classify_form(w.lower(a) if b is None else w.upper(b)))
-
-
-def ray_limit_matrices(values: Sequence[Scalar]):
-    """The entries of H(s) and of M, H(s shifted by one), largest orders,
-    read back from their integer images.  Refuses the empty sequence, as
-    `classify_ray` does."""
-    if not values:
-        raise DomainError("empty sequence")
-    w, n = _Window.of(values), len(values) - 1
-    return _entries(w.lam, w.hankel(0, n // 2 * 2 + 1), w.hankel(1, (n + 1) // 2 * 2))
 
 
 def _limit_window(s, eps: Optional[float] = None) -> _Window:
@@ -542,7 +522,9 @@ def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
     image, lam^r p(t / lam) on one dilated by lam.  Floats read as zero
     with the tolerance of `_reads_zero` at the bounds |c|_1 max|s| of a
     recurrence sum and |c|_1 of p(0) and p(1), c the rounded coefficients;
-    on (0, 1] a p(1) read as zero puts the root at 1."""
+    on (0, 1] a p(1) read as zero puts the root at 1.  A float window whose
+    bound |c|_1 max|s| passes the float range raises DomainError, naming
+    its largest value."""
     def make():
         p = _support_poly(w)
         if p is None or p.degree == 0:
@@ -550,8 +532,11 @@ def _determinate_poly(w: _Window, domain: Domain) -> Optional[Polynomial]:
         ints = _support_ints(w)
         n, r, bound, zero = len(w.ints) - 1, len(ints) - 1, 0, 0
         if w.floats:
-            norm = sum(abs(x) for x in p.coeffs)
-            tol, small = _tolerances(w.eps, [norm * max(w.sizes), norm])
+            norm, top = sum(abs(x) for x in p.coeffs), max(w.sizes)
+            if not math.isfinite(norm * top):
+                raise DomainError(f"float value of size {top!r} is too large for the "
+                                  "zero test of the determinacy test")
+            tol, small = _tolerances(w.eps, [norm * top, norm])
             bound = tol.numerator * ints[-1] * w.unit // tol.denominator
             zero = small.numerator * ints[-1] // small.denominator  # p(x) = X / ints[-1]
         dilated = [q * w.lam ** (r - j) for j, q in enumerate(ints)] if w.lam > 1 else ints
@@ -646,7 +631,7 @@ def classify(s, domain: Domain, eps: Optional[float] = None) -> PositivityVerdic
 
 
 # --------------------------------------------------------------------------
-# singular-case measure recovery
+# index
 # --------------------------------------------------------------------------
 
 def _ends(domain: Domain) -> tuple:
@@ -655,54 +640,6 @@ def _ends(domain: Domain) -> tuple:
         return domain.a, domain.b
     return (Fraction(1),) if isinstance(domain, HalfOpen) else ()
 
-
-def _compact_singular(values, a: Scalar, b: Scalar) -> _Window:
-    """The image of a singularly positive window on [a, b] (any a < b)."""
-    verdict = classify_compact(values, a, b)
-    if verdict.kind is PositivityClass.NOT_POSITIVE:
-        raise NotAMomentSequence("sequence is not positive on the interval")
-    if verdict.kind is PositivityClass.STRICTLY_POSITIVE:
-        raise DegenerateInput("sequence is strictly positive; nothing to recover")
-    return _verdict_window(values, verdict, None, (a, b))
-
-
-def recover_support_and_masses(values, a: Scalar, b: Scalar) -> tuple:
-    """(position, mass) pairs of the unique representing measure of a
-    singularly positive window on [a, b], and whether they are exact;
-    positions may include a, even a = 0 (the alternating reductions).
-    Read as `recover_minimal_measure` reads the measure."""
-    from .principal import _window_atoms
-    values = _values(values)
-    if all(v == 0 for v in values):
-        return [], True
-    w = _compact_singular(values, a, b)
-    pairs, _, exact = _window_atoms(w, _support_ints(w, (a, b)), a, b)
-    return pairs, exact
-
-
-def recover_minimal_measure(s, domain: Domain) -> AtomicMeasure:
-    """Unique representing measure of a singularly positive sequence (on
-    the ray and on (0, 1] also of any window `_determinate_poly` passes):
-    its atoms are the roots of the support polynomial in the domain, read
-    on the integers its verdict or its kept determinacy test built
-    (`principal._support_measure`), so a window classified first builds
-    them once."""
-    from .principal import _support_measure
-    values = _values(s)
-    if all(v == 0 for v in values):
-        return ZERO_MEASURE
-    if isinstance(domain, Compact):
-        w = _compact_singular(values, domain.a, domain.b)
-    else:
-        w = _Window.of(values)
-        if _determinate_poly(w, domain) is None:
-            raise NotAMomentSequence("sequence is not positive on the domain")
-    return _support_measure(w, domain)
-
-
-# --------------------------------------------------------------------------
-# index
-# --------------------------------------------------------------------------
 
 def _reads_root(w: _Window, ints: list, x: Scalar) -> bool:
     """Whether x = u / v is a root of an integer polynomial of positive

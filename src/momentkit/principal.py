@@ -15,7 +15,7 @@ such measure is isolated on the integers of its polynomial, and its masses
 are Gauss-Christoffel weights q(x)/p'(x), q the associated polynomial, read
 on p itself and the window's image (`_window_atoms`, `_masses`); the atom
 hint of a completion certificate's recurrence is read where isolation left
-the roots, to 2^-HINT_BITS relative (`_minimal_hint`).  A float
+the roots, to 2^-HINT_BITS relative (`completion._minimal_hint`).  A float
 window runs the same path on its binary-exact image, its roots isolated a
 little past the ends (`numeric._widened`) and clamped back, and each
 position and mass rounded once at the end.  A measure of an exact window
@@ -29,7 +29,6 @@ length) principal measure on [0, 1].
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -38,8 +37,8 @@ from ._record import Record
 from .errors import DegenerateInput, InsufficientMoments, NotStrictlyPositive, ShapeError
 from .measure import ZERO_MEASURE, AtomicMeasure, _AtomImage, _imaged
 from .numeric import (HankelImage, Polynomial, Scalar, _derivative, _horner, _integer_scale,
-                      _isolate, _minor_pass, _pass_bordered, _primitive, _shares_root, _to_float,
-                      _widened, as_fraction, associated, root_precision)
+                      _isolate, _minor_pass, _pass_bordered, _primitive, _to_float, _widened,
+                      as_fraction, associated, root_precision)
 from .positivity import (Compact, HalfOpen, PositivityClass, Ray, _Window, _classify_limit,
                          _ends, _finite, _limit_window, _support_ints, _times_factor, _values,
                          _verdict_window, _view, classify_compact, classify_half_open)
@@ -230,17 +229,21 @@ def _masses(p: list, enclosures: list, S: list, unit: int, lam: int, eps: Fracti
     p here the image lam^c p(t / lam), whose roots are the atoms lam x, and
     q its associated polynomial under S (`numeric.associated`); exact at a
     rational root, read on its enclosure to `eps` relative at an irrational
-    one (`_enclosed_mass`).  With shift >= 0 they are the masses m x^shift
-    of t^shift dmu: q is read times t^shift, over unit lam^shift, and p'
-    padded to the same length, so that both keep one homogeneous degree.
+    one (`_enclosed_mass`, on the derivatives `_taylor` builds once per
+    call).  With shift >= 0 they are the masses m x^shift of t^shift dmu:
+    q is read times t^shift, over unit lam^shift, and p' padded to the same
+    length, so that both keep one homogeneous degree.
     Raises DegenerateInput unless every mass is positive."""
     p = _dilated(_primitive(p), lam)
     q, dp = list(associated(p, S)), _derivative(p)
     if shift:
         q, dp, unit = [0] * shift + q, dp + [0] * shift, unit * lam ** shift
-    masses = []
+    masses, taylor = [], None
     for e in enclosures:
-        mass = None if e.root is not None else _enclosed_mass(e, p, q, dp, unit, lam, eps)
+        mass = None
+        if e.root is None:
+            taylor = taylor or _taylor(p, q, dp)
+            mass = _enclosed_mass(e, taylor, unit, lam, eps)
         if mass is None:
             num, den = lam * e.root.numerator, e.root.denominator
             mass = Fraction(_horner(q, num, den), unit * _horner(dp, num, den))
@@ -256,20 +259,29 @@ def _dilated(p: list, lam: int) -> list:
     return [x * lam ** (c - k) for k, x in enumerate(p)] if lam > 1 else p
 
 
-def _enclosed_mass(e, p: list, q: list, dp: list, unit: int, lam: int,
+def _taylor(p: list, q: list, dp: list) -> tuple:
+    """(p, q, dq, dp, ddp, bound_q, bound_dp): what `_enclosed_mass` reads
+    at every irrational root of p, built once per `_masses` call; bound_f
+    holds the absolute values of the coefficients of f'', for f = q and p'."""
+    dq, ddp = _derivative(q), _derivative(dp)
+    bound_q, bound_dp = ([abs(x) for x in _derivative(f)] for f in (dq, ddp))
+    return p, q, dq, dp, ddp, bound_q, bound_dp
+
+
+def _enclosed_mass(e, taylor: tuple, unit: int, lam: int,
                    eps: Fraction) -> Optional[Fraction]:
     """`_masses` at the unknown root of p in the RootEnclosure e; None if
     narrowing e finds it rational.  By Taylor, |f(y) - f(u)| <= w |f'(u)|
     + w^2 max |f''| on e, u its midpoint and w its half-width, for f = q
-    and p'.  Where |q(u)| and |p'(u)| exceed these bounds, the sign of m is
-    that of q(u) p'(u), exactly, and m lies between the bounds.  Since q
+    and p', read on `taylor` (`_taylor`).  Where |q(u)| and |p'(u)| exceed
+    these bounds, the sign of m is that of q(u) p'(u), exactly, and m lies
+    between the bounds.  Since q
     interlaces p and q(x) = m p'(x), the smaller m the nearer a root of q
     to x.  e is narrowed by 2^-32 while a bound is not met, and to about
     the width the bounds ask for while m is wider than `eps` relative
     (`root_precision()`); that ends unless m = 0, when p and q share a
     root."""
-    dq, ddp = _derivative(q), _derivative(dp)
-    bound_q, bound_dp = ([abs(x) for x in _derivative(f)] for f in (dq, ddp))
+    p, q, dq, dp, ddp, bound_q, bound_dp = taylor
     checked = False
     while e.root is None:
         mid, den, w = lam * (e.lo + e.hi), 2 * e.den, lam * (e.hi - e.lo)
@@ -283,9 +295,11 @@ def _enclosed_mass(e, p: list, q: list, dp: list, unit: int, lam: int,
             if spread <= slack or (a > 0) != (b > 0):
                 return Fraction(a, unit * b)
             shrink = Fraction(slack, 2 * spread)
-        elif not checked and _shares_root(p, q):
-            return Fraction(0)
         else:
+            if not checked:
+                from ._roots import _shares_root
+                if _shares_root(p, q):
+                    return Fraction(0)
             checked, shrink = True, Fraction(1, 2 ** 32)
         e.refine(Fraction(e.hi - e.lo, e.den) * shrink)
     return None
@@ -397,7 +411,7 @@ class MinimalRayFamily(Record):
         return reciprocal_inf_ray(self.sequence)
 
     def __call__(self, x: Scalar) -> AtomicMeasure:
-        from .backward import minimal_measure_with_reciprocal
+        from ._extension import minimal_measure_with_reciprocal
         return minimal_measure_with_reciprocal(self.sequence, x)
 
 
@@ -453,42 +467,6 @@ def _minimal(w: _Window, domain) -> AtomicMeasure:
 
 
 #: Bits of the relative precision 2^-HINT_BITS of an atom hint
-#: (`_minimal_hint`): each of its positions and masses lies within
+#: (`completion._minimal_hint`): each of its positions and masses lies within
 #: 2^-HINT_BITS, relative, of the atom or mass it stands for.
 HINT_BITS = 24
-
-
-def _minimal_hint(w: _Window, held: tuple, shift: int) -> AtomicMeasure:
-    """The atoms of t^shift dmu, shift >= 0, mu the measure of w whose atom
-    polynomial and roots are `held`, as `_minimal_roots` gives them, as an
-    inexact AtomicMeasure of floats whose top position is exactly at or
-    above the top atom.
-
-    Each position and mass is within 2^-HINT_BITS relative of the atom and
-    mass it stands for.  Each enclosure is narrowed to 2^-(HINT_BITS + 1)
-    of its ends (`RootEnclosure.narrow`), which a seeded bracket already
-    is; a position is the root, or the midpoint of its enclosure, and the
-    top one the upper end of its enclosure, rounded up.  A mass is read by
-    `_masses` to 2^-(HINT_BITS + 1) relative, its sign certified.  Both
-    are rounded once to floats, unless one rounds to 0 or past the float
-    range, when the hint keeps them exact.  A float window's positions are
-    clamped to its interval, as `_atoms_and_image` clamps them."""
-    ints, enclosures, lo, hi = held
-    _one_per_root(enclosures, ints)
-    masses = _masses(ints, enclosures, w.ints, w.unit, w.lam,
-                     Fraction(1, 2 << HINT_BITS), shift)
-    xs = []
-    for e in enclosures:
-        e.narrow(HINT_BITS + 1)
-        xs.append(e.root if e.root is not None else Fraction(e.lo + e.hi, 2 * e.den))
-    if xs and enclosures[-1].root is None:
-        xs[-1] = Fraction(enclosures[-1].hi, enclosures[-1].den)
-    if w.floats:
-        xs = [min(max(x, lo), hi) for x in xs]
-    rounded = [_to_float(x) for x in xs]
-    if xs and rounded[-1] < xs[-1]:
-        rounded[-1] = math.nextafter(rounded[-1], math.inf)
-    rounded = [(x, _to_float(m)) for x, m in zip(rounded, masses)]
-    if all(0 < v < math.inf for pair in rounded for v in pair):
-        return AtomicMeasure(rounded, exact=False)
-    return AtomicMeasure(list(zip(xs, masses)), exact=False)

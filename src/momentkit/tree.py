@@ -36,8 +36,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ._record import FrozenRecord
+from ._recurrence import MomentRecurrence
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
-from .measure import MomentRecurrence, MomentSequence, geometric_row, moment_row
+from .measure import MomentSequence, geometric_row, moment_row
 from .numeric import Scalar, _read, as_fraction, format_ratio, format_scalar
 from .positivity import HalfOpen, Ray, _Window, _determinate_poly, _support_ints
 

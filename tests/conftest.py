@@ -5,8 +5,15 @@ import pytest
 from hypothesis import settings
 
 import momentkit.positivity as positivity
-from momentkit import completion, principal
+from momentkit import (_cli_trees, _extension, _recovery, _recurrence,  # noqa: F401
+                       _roots, completion, principal)
 from momentkit.measure import AtomicMeasure
+
+# Every module is loaded before a test runs: a test that counts the calls of
+# a function through each alias the package's modules hold must find the
+# aliases that the private siblings (`_roots`, `_recurrence`, `_recovery`,
+# `_extension`, `_cli_trees`) import, and no sibling may first load while
+# such a count is patched in, or it would keep the counting wrapper.
 
 # property tests replay the same examples on every run and stay short; the
 # deep profile replays more of them (--hypothesis-profile=deep)

@@ -82,6 +82,8 @@ from pathlib import Path
 
 import pytest
 
+import momentkit._recovery as recovery
+import momentkit._roots as roots
 import momentkit.completion as completion
 import momentkit.measure as measure
 import momentkit.numeric as numeric
@@ -335,7 +337,9 @@ def test_singular_compact_results_read_the_verdict_polynomial(calls, monkeypatch
         classified["classify_compact"] += 1
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(positivity, "classify_compact", counted)
+    # the index calls it in `positivity`, the measure in `_recovery`
+    for module in (positivity, recovery):
+        monkeypatch.setattr(module, "classify_compact", counted)
     assert recover(window, domain) == (2 if recover is index else mu)
     # H(s), whose pass gives the support polynomial the verdict carries, and
     # the interior form: the window is classified once
@@ -876,13 +880,13 @@ def test_float_readers_read_on_the_window_their_verdict_was_read_on(calls, case)
 def isolations(monkeypatch):
     """Counter of the Descartes isolations run while the test runs."""
     counter = Counter()
-    isolate = numeric._descartes_isolate
+    isolate = roots._descartes_isolate
 
     def counted(*args, **kwargs):
         counter["descartes"] += 1
         return isolate(*args, **kwargs)
 
-    monkeypatch.setattr(numeric, "_descartes_isolate", counted)
+    monkeypatch.setattr(roots, "_descartes_isolate", counted)
     return counter
 
 

@@ -789,7 +789,7 @@ def test_norm_bound_of_recurrence_without_atoms():
 # compared by cross products); the printed values must not show it.
 PINNED_JSON = {
     # a subnormal branch with irrational atoms: a MomentRecurrence with its
-    # float atom hint (`principal._minimal_hint`)
+    # float atom hint (`completion._minimal_hint`)
     "subnormal_recurrence": (solve_subnormal, ["20691/33508"], ["15/11"], [["125/57", "133/25"]],
         '{"kind": "subnormal", "K": ["2"], "sequences": [{"first_index": -2, "values":'
         ' ["24719/41775", "11/15", "1", "125/57", "35/3"]}], "measures": [{"recurrence'

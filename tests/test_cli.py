@@ -117,6 +117,66 @@ def test_a_certificate_past_the_float_range_prints_as_json(tmp_path, obj):
     assert payload["certificate"]["norm_sq"] == float("inf")
 
 
+def test_a_certificate_past_the_int_digit_limit_reads_back(tmp_path):
+    # its weight rows print integers of more than 4300 digits, which int()
+    # refuses: `verify` exited 3, "cannot parse '3722088223795311999...'"
+    proc = _run_cli([_write(tmp_path, "big.json", OVERFLOW_FILES[0])])
+    certificate = json.loads(proc.stdout)["certificate"]
+    assert max(len(v) for row in certificate["weights_sq"] for v in row) > 4300
+    proc = _run_cli([_write(tmp_path, "verify.json",
+                            {"kind": "verify", "certificate": certificate})])
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["valid"] is True
+
+
+#: float files near the ends of the float range, each of which ended in an
+#: OverflowError traceback and exit 1, and the end of its DomainError
+NEAR_RANGE_END = [
+    # the zero test of the determinacy test, |c|_1 max|s| (numeric._tolerances)
+    *[({"kind": kind, "domain": "half-open", "sequence": ["5/4", "1e308"], "x": "3"},
+       "is too large for the zero test of the determinacy test")
+      for kind in ("classify", "principal", "t-value", "backward")],
+    # the zero test of an [a, b] transform (numeric._tolerances)
+    ({"kind": "classify", "domain": "compact", "a": "1", "b": "1e300",
+      "sequence": ["1", "1e308", "1e308"]}, "has a zero test past the float range"),
+    # the interval a float atom polynomial is isolated on (numeric._widened)
+    ({"kind": "subnormal", "trunk_sq": ["3/8"],
+      "classes": [{"first_sq": "1/2", "tail_sq": ["1e308"], "count": 1}]},
+     "an interval past the float range"),
+]
+
+
+@pytest.mark.parametrize("obj, message", NEAR_RANGE_END)
+def test_float_input_near_the_range_end_is_a_domain_error(tmp_path, obj, message):
+    proc = _run_cli(["--float", _write(tmp_path, "p.json", obj)])
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "DomainError" and error["message"].endswith(message)
+
+
+def test_a_search_value_past_the_float_range_ends_the_vector(tmp_path):
+    # a split over a class of mass 5e-324 prepends inf to its window
+    # (positivity._ratio): an OverflowError traceback and exit 1 before
+    obj = {"kind": "subnormal", "trunk_sq": ["3/8"],
+           "classes": [{"first_sq": "5e-324", "tail_sq": ["2", "3"], "count": 1}]}
+    proc = _run_cli(["--float", _write(tmp_path, "p.json", obj)])
+    assert proc.returncode == 2, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "Unknown"
+    assert payload["reason"].endswith("float value inf is past the float range")
+
+
+def test_a_cold_call_of_a_tree_kind_reads_its_file_with_the_running_cli(tmp_path):
+    # under `python -m momentkit.cli` the tree kinds' handlers (`_cli_trees`)
+    # raise the InputError of the cli module that runs: an input error of
+    # theirs exits 3 with JSON, as one of the window kinds' does
+    path = _write(tmp_path, "bad.json", {"kind": "subnormal", "trunk_sq": [],
+                                         "branches_sq": [[]]})
+    proc = _run_cli([path])
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["error"] == {"kind": "input", "message": "empty branch"}
+
+
 def test_classify_example_exit_code(tmp_path):
     path = _write(tmp_path, "c.json", {"kind": "classify", "domain": "ray",
                                        "sequence": ["1", "2", "3"]})

@@ -3,7 +3,7 @@
 A branch whose minimal measure has an irrational atom is certified by a
 `MomentRecurrence`: its polynomial and seed window give every moment
 exactly, and its `atoms_approx` only approximates the atoms.  That hint is
-read where isolation left the roots (`principal._minimal_hint`): each
+read where isolation left the roots (`completion._minimal_hint`): each
 position is the midpoint of its enclosure, each mass the Gauss-Christoffel
 weight of the shifted measure read to half the stated precision, and both
 are printed as floats within 2^-HINT_BITS, relative, of the atom and mass

@@ -35,7 +35,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from momentkit.errors import DegenerateInput
-from momentkit.extremal import _schur_quadratic, _schur_threshold
+from momentkit.completion import _schur_quadratic
+from momentkit.extremal import _schur_threshold
 from momentkit.measure import AtomicMeasure, _AtomImage, _imaged, moment_row, tilt
 from momentkit.numeric import RootEnclosure, format_ratio, format_scalar
 from momentkit.positivity import HalfOpen, Ray, _Window

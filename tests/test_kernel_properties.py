@@ -48,13 +48,15 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
+import momentkit._roots as roots
 import momentkit.numeric as numeric
 import momentkit.positivity as positivity
 import momentkit.principal as principal
 from momentkit.alternating import CAMeasure, has_ca_extension
 from momentkit.backward import ExtensionClass, classify_backward, forced_value
-from momentkit.completion import _LevelValues, _admissible_two_ks, _branch_k_compatible
-from momentkit.extremal import (_schur_quadratic, _schur_threshold, compact_reciprocal_values,
+from momentkit.completion import (_LevelValues, _admissible_two_ks, _branch_k_compatible,
+                                  _schur_quadratic)
+from momentkit.extremal import (_schur_threshold, compact_reciprocal_values,
                                 reciprocal_extremes_compact, reciprocal_inf_half_open,
                                 reciprocal_inf_ray, reciprocal_value_from_poly)
 from momentkit.measure import AtomicMeasure, MomentRecurrence, moment_row, moments, tilt
@@ -379,7 +381,7 @@ def test_a_descartes_enclosure_settles_its_one_candidate(root, bits):
     width = F(2 ** bits, abs(work[-1]))
     assert root.denominator ** 2 * width >= 1
     bound = principal._cauchy_bound(work)
-    assert root in [e.refine(width) for e in numeric._descartes_isolate(work, -bound, bound)]
+    assert root in [e.refine(width) for e in roots._descartes_isolate(work, -bound, bound)]
 
 
 UNIT_EXTREME = st.builds(lambda m, e: F(m, 16) / F(2) ** e,

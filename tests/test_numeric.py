@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from momentkit.errors import DegenerateInput, ShapeError
-from momentkit.numeric import (FormClass, Polynomial, classify_form,
+from momentkit.errors import DegenerateInput, DomainError, ShapeError
+from momentkit.numeric import (FormClass, Polynomial, _widened, classify_form,
                                det, det_poly, format_ratio, parse_scalar, format_scalar,
                                real_roots, simplest_between, vandermonde_masses)
 from conftest import random_rational_measure
@@ -168,6 +168,24 @@ def test_exact_values_past_the_int_digit_limit_print_in_full():
     text = format_scalar(F(num, 3))
     assert text == format_ratio(2 * num, 6) and text.endswith("/3")
     assert read(text[:-2]) == num and format_scalar(F(num)) == text[:-2]
+
+
+def test_exact_values_past_the_int_digit_limit_read_back():
+    # `parse_scalar` reads what `format_scalar` prints past the limit, whole
+    # or "p/q" and of either sign, through `decimal`; int() refuses it
+    num = 7 ** 6000
+    for x in (F(num, 3), F(-num, 3), F(num), F(3, num)):
+        assert parse_scalar(format_scalar(x)) == x
+    assert parse_scalar(format_scalar(F(-num))) == -num
+    with pytest.raises(ValueError):
+        parse_scalar("+-5")
+
+
+def test_a_widening_past_the_float_range_is_a_domain_error():
+    # the float(hi) of a root bound past the float range raised OverflowError
+    with pytest.raises(DomainError, match="past the float range"):
+        _widened(F(0), F(10) ** 400)
+    assert _widened(F(0), F(1)) == (F(-1e-9), 1 + F(1e-9))
 
 
 def test_parse_format_scalar():

@@ -14,7 +14,8 @@ from momentkit.measure import AtomicMeasure, moments
 from momentkit.positivity import (Compact, HalfOpen, PositivityClass, Ray,
                                   classify, classify_compact, classify_half_open,
                                   classify_ray, compact_criterion_matrices, index,
-                                  ray_limit_matrices, recover_minimal_measure, stampfli_check)
+                                  ray_limit_matrices, recover_minimal_measure, stampfli_check,
+                                  _Window)
 from conftest import random_half_open_measure, random_rational_measure
 
 S = PositivityClass.STRICTLY_POSITIVE
@@ -390,3 +391,16 @@ def test_a_singular_ray_window_with_a_long_lead_recovers_exact_atoms():
                            (F(1879048192), F(545237, 21089856))])
     mu = recover_minimal_measure(moments(atoms, 0, 6).values, Ray())
     assert mu.exact and mu == atoms
+
+
+def test_float_windows_near_the_range_end_are_domain_errors():
+    # each raised OverflowError: the determinacy test's zero test at
+    # |c|_1 max|s| (`_determinate_poly`), a zero test of the [a, b]
+    # transforms (`numeric._tolerances`), and a value the completion search
+    # prepends (`_ratio`)
+    with pytest.raises(DomainError, match="size 1e[+]308 is too large"):
+        classify_half_open([1.25, 1e308])
+    with pytest.raises(DomainError, match="past the float range"):
+        classify_compact([1.0, 1e308, 1e308], 1.0, 1e300)
+    with pytest.raises(DomainError, match="float value inf is past the float range"):
+        _Window.of([1.0, 2.0]).prepended(float("inf"))

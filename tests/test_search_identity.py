@@ -161,7 +161,7 @@ def test_float_certificates_read_their_measures_exactly(case):
     """Each completed weight of a pinned float certificate is the correctly
     rounded ratio of the exact moments of its recurrence's binary-exact
     polynomial and window, and each atom of its `atoms_approx` a float
-    within 2^-HINT_BITS relative (`principal._minimal_hint`) of the
+    within 2^-HINT_BITS relative (`completion._minimal_hint`) of the
     window's minimal measure on the ray, each mass of its exact tilt (from
     its binary-exact atoms)."""
     cert = _solve(case).certificate
