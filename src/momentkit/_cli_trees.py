@@ -4,20 +4,19 @@
 `cli.run` imports this module when a file of one of these kinds comes, so
 a window kind's call does not compile it; it reads its files with `cli`'s
 readers.  Each handler imports the layers it uses when it runs, as `cli`'s
-own handlers do: a `verify` file loads the verifiers in `tree` but not the
-completion search.
+own handlers do: a `verify` file loads `tree` but not the completion
+search.  `verify` reads only its envelope, `p` and `--depth`; the
+certificate is read and verified by `tree.CompletionCertificate`
+(`from_json`, `verify`), as the library verifies its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._recurrence import MomentRecurrence
 from .cli import (EXIT_NEGATIVE, EXIT_OK, EXIT_UNKNOWN, InputError, _as_list, _field, _int,
                   _parse_seq, _parsed, _scalar)
 from .errors import MomentKitError
-from .measure import AtomicMeasure
-from .numeric import Polynomial
 
 
 def _branch(items, exact):
@@ -102,49 +101,14 @@ def _run_probe(obj, exact, options):
     return payload, code
 
 
-def _rebuild_measure(obj, exact):
-    recurrence = _field(obj, "recurrence", None)
-    if recurrence is not None:
-        poly = Polynomial(_parse_seq(recurrence, exact))
-        window = _parse_seq(_field(obj, "window"), exact)
-        hint = None
-        if "atoms_approx" in obj:
-            hint = _parsed(lambda o: AtomicMeasure.from_json(o, exact), obj["atoms_approx"])
-        return MomentRecurrence(poly, _int(obj, "first_index"), window, hint)
-    return _parsed(lambda o: AtomicMeasure.from_json(o, exact), obj)
-
-
 def _run_verify(obj, exact, options):
-    from .tree import (FullBranch, FullWeights, GeometricSumTail, MeasureTail,
-                       verify_che_certificate, verify_subnormal_certificate)
-    cert = _field(obj, "certificate")
-    trunk_sq = _parse_seq(_field(cert, "trunk_sq"), exact)
-    kind = _field(cert, "kind")
-    if kind not in ("subnormal", "che", "che-flat"):
-        raise InputError(f"unknown certificate kind {kind!r}")
-    subnormal = kind == "subnormal"
-    if not subnormal:  # a subnormal certificate has no mass at zero to read
-        from .alternating import CAMeasure
-    measures = []
-    for measure_obj in _as_list(_field(cert, "measures")):
-        mu = _rebuild_measure(measure_obj, exact)
-        if not subnormal:
-            mu = CAMeasure(_scalar(_field(measure_obj, "zero_mass", "0"), exact), mu)
-        measures.append(mu)
-    classes = []
-    # one class per row, even past the last measure: the verifier then
-    # refuses a certificate whose measures and rows differ in number
-    for i, row in enumerate(_as_list(_field(cert, "weights_sq"))):
-        row = _branch(row, exact)
-        p = _int(obj, "p", _field(cert, "p", len(row)))
-        mu = measures[i] if i < len(measures) else None
-        gen = MeasureTail(row[1:p], mu) if subnormal else GeometricSumTail(row[1:p], mu)
-        classes.append(FullBranch(row[0], gen, 1))
-    full = FullWeights(trunk_sq, classes)
+    from .tree import CompletionCertificate
+    # the envelope's p, when given, stands for the certificate's own
+    cert = _parsed(lambda c: CompletionCertificate.from_json(
+        {**c, "p": obj["p"]} if "p" in obj else c, exact), _field(obj, "certificate"))
     depth = _parsed(int, options.get("depth", 12))
-    verifier = verify_subnormal_certificate if subnormal else verify_che_certificate
     try:
-        verifier(full, measures, depth)
+        cert.verify(depth)
     except MomentKitError as exc:
         return {"valid": False, "error": str(exc)}, EXIT_NEGATIVE
     return {"valid": True, "depth": depth}, EXIT_OK

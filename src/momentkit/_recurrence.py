@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateInput, InsufficientMoments
 from .measure import AtomicMeasure, _exact, _Row
-from .numeric import Polynomial, Scalar, _integer_scale, as_fraction, format_scalar
+from .numeric import (Polynomial, Scalar, _integer_scale, as_fraction, format_scalar,
+                      parse_scalar)
 
 
 class _RecurrenceImage:
@@ -141,3 +142,13 @@ class MomentRecurrence:
         if self.atoms_hint is not None:
             out["atoms_approx"] = self.atoms_hint.to_json()
         return out
+
+    @staticmethod
+    def from_json(obj: dict, exact_parse: bool = True) -> "MomentRecurrence":
+        def scalars(items):
+            return [parse_scalar(str(v), exact_parse) for v in items]
+
+        hint = obj.get("atoms_approx")
+        hint = None if hint is None else AtomicMeasure.from_json(hint, exact_parse)
+        return MomentRecurrence(Polynomial(scalars(obj["recurrence"])), int(obj["first_index"]),
+                                scalars(obj["window"]), hint)

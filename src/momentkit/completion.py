@@ -47,11 +47,8 @@ from .numeric import Scalar, _to_float, format_scalar, root_precision
 from .positivity import (HalfOpen, Ray, _Window, _classify_limit, _limit_window, _odd_half_open,
                          _verdict_index)
 from . import positivity as _positivity
-from .principal import (HINT_BITS, _atom_poly, _masses, _minimal, _minimal_roots,
-                        _one_per_root, root_bound)
-from .tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
-                   MeasureTail, PartialWeights, verify_che_certificate,
-                   verify_subnormal_certificate)
+from .principal import HINT_BITS, _atom_poly, _masses, _minimal, _minimal_roots, _one_per_root
+from .tree import BranchClass, CompletionCertificate, FullWeights, PartialWeights
 
 UNKNOWN_BAND = 1e-9
 
@@ -66,42 +63,6 @@ class SolveStatus(Enum):
     FEASIBLE = "Feasible"
     INFEASIBLE = "Infeasible"
     UNKNOWN = "Unknown"
-
-
-class CompletionCertificate(Record):
-    _fields = ("kind", "partial", "K", "sequences", "measures", "full", "norm_sq",
-               "root_measure")
-
-    def __init__(self, kind: str, partial: PartialWeights, K: tuple, sequences: tuple,
-                 measures: tuple, full: FullWeights, norm_sq: Scalar,
-                 root_measure: Optional[CAMeasure] = None):
-        self.kind, self.partial, self.K, self.sequences = kind, partial, K, sequences
-        self.measures, self.full, self.norm_sq = measures, full, norm_sq
-        self.root_measure = root_measure
-
-    def verify(self, depth: int = 12) -> bool:
-        if self.kind == "subnormal":
-            return verify_subnormal_certificate(self.full, self.measures, depth)
-        return verify_che_certificate(self.full, self.measures, depth)
-
-    def to_json(self) -> dict:
-        """The certificate; `weights_sq` holds, per class, the squared
-        weights of generations 1..p+8, the first-weight mass first."""
-        out = {
-            "kind": self.kind,
-            "K": [format_scalar(k) if not isinstance(k, float) else k for k in self.K],
-            "sequences": [s.to_json() for s in self.sequences],
-            "measures": [mu.to_json() for mu in self.measures],
-            "weights_sq": [[format_scalar(cls.first_mass),
-                            *cls.generator.weight_sq_text(self.partial.p + 8)]
-                           for cls in self.full.classes],
-            "trunk_sq": [format_scalar(t) for t in self.full.trunk_sq],
-            "norm_sq": format_scalar(self.norm_sq) if not isinstance(self.norm_sq, float)
-            else self.norm_sq,
-        }
-        if self.root_measure is not None:
-            out["root_measure"] = self.root_measure.to_json()
-        return out
 
 
 class SolveOutcome(Record):
@@ -332,12 +293,12 @@ def _split_level(problem: _LevelProblem, wins, forced_vals, thresholds, residual
     least = split.load(u, values)
     clamped = any(x == 0 for x in u)
     if _within_band(least, target):
-        return None, None, (SolveStatus.UNKNOWN,
-                            f"level {nxt}: target within tolerance of least load {least}")
+        return None, None, (SolveStatus.UNKNOWN, f"level {nxt}: target within tolerance of "
+                                                 f"least load {format_scalar(least)}")
     if least > target or (least == target and (any(free_next) or clamped)):
         return None, None, (SolveStatus.INFEASIBLE,
-                            f"level {nxt}: least load {least} over the splits of level "
-                            f"{level} precludes target {target}")
+                            f"level {nxt}: least load {format_scalar(least)} over the splits "
+                            f"of level {level} precludes target {format_scalar(target)}")
     if least < target and not any(free_next) and nxt < problem.kappa:
         # an equality level with no free class: its load must meet the
         # target; a convex load is greatest at a vertex of the simplex
@@ -345,8 +306,9 @@ def _split_level(problem: _LevelProblem, wins, forced_vals, thresholds, residual
                   for k in range(len(u)))
         if top <= target:
             return None, None, (SolveStatus.INFEASIBLE,
-                                f"level {nxt}: greatest load {top} over the splits of level "
-                                f"{level} misses target {target}")
+                                f"level {nxt}: greatest load {format_scalar(top)} over the "
+                                f"splits of level {level} misses target "
+                                f"{format_scalar(target)}")
         u = split.meet(split.off_boundary(u, (target - least) / 2) if clamped else u, target)
         if u is None:
             return None, None, (SolveStatus.UNKNOWN,
@@ -386,7 +348,8 @@ def _search_levels(problem: _LevelProblem, wins, level: int = 0, known=None):
         if not ok:
             rel = "exceeds" if forced_sum > target else "misses"
             return SolveStatus.INFEASIBLE, (
-                f"level {level}: forced load {forced_sum} {rel} target {target}")
+                f"level {level}: forced load {format_scalar(forced_sum)} {rel} target "
+                f"{format_scalar(target)}")
         return _search_levels(problem, [w.prepended(forced_vals[c]) for c, w in enumerate(wins)],
                               level + 1)
 
@@ -394,10 +357,12 @@ def _search_levels(problem: _LevelProblem, wins, level: int = 0, known=None):
     lower = _mass_sum(((problem.masses[c], thresholds[c]) for c in free_idx), forced_sum)
     if _within_band(lower, target):
         return SolveStatus.UNKNOWN, (
-            f"level {level}: target within tolerance of the threshold load {lower}")
+            f"level {level}: target within tolerance of the threshold load "
+            f"{format_scalar(lower)}")
     if lower >= target:
         return SolveStatus.INFEASIBLE, (
-            f"level {level}: threshold load {lower} precludes target {target}")
+            f"level {level}: threshold load {format_scalar(lower)} precludes target "
+            f"{format_scalar(target)}")
     residual = target - lower
     nfree = len(free_idx)
 
@@ -633,34 +598,11 @@ def _branch_measures(domain, pw: PartialWeights, two_ks, wins) -> tuple:
     return tuple(sequences), tuple(measures)
 
 
-def _norm_sq_bound(full: FullWeights, measures) -> Scalar:
-    """Largest of the branching mass, the trunk squares and per class a
-    measure's top atom (a recurrence's root bound without atom enclosures),
-    or a tau's 1 + tau[0, 1] and the tail squares, as saturating floats."""
-    candidates = [full.first_mass_total, *full.trunk_sq]
-    for cls, mu in zip(full.classes, measures):
-        if isinstance(mu, CAMeasure):
-            candidates += [1 + mu.total_mass(), *cls.generator.prefix_sq]
-            continue
-        try:
-            candidates.append(mu.max_atom())
-        except DegenerateInput:
-            candidates.append(root_bound(mu.poly))
-    return max(map(_to_float, candidates))
-
-
 def _certified(kind: str, pw: PartialWeights, K: tuple, sequences: tuple, measures,
                root_measure: Optional[CAMeasure] = None) -> SolveOutcome:
-    """The Feasible outcome of a "subnormal", "che" or "che-flat"
-    completion: each class's tail reads its branch measure (on [0, 1] but
-    for "subnormal"), and the full weights are verified as the kind's."""
-    tail = MeasureTail
-    if kind != "subnormal":
-        measures, tail = tuple(CAMeasure(0, mu) for mu in measures), GeometricSumTail
-    full = FullWeights(pw.trunk_sq, [FullBranch(cls.first_mass, tail(cls.tail_sq, mu), cls.count)
-                                     for cls, mu in zip(pw.classes, measures)])
-    cert = CompletionCertificate(kind, pw, K, sequences, measures, full,
-                                 _norm_sq_bound(full, measures), root_measure)
+    """The Feasible outcome of a completion of kind `kind`, its certificate
+    built and verified through that kind's entry in `tree`."""
+    cert = CompletionCertificate.of(kind, pw, K, sequences, measures, root_measure)
     cert.verify()
     return SolveOutcome(SolveStatus.FEASIBLE, cert)
 
@@ -837,7 +779,7 @@ def flatness_verifier(w: FullWeights, r: int, taus=None, depth: int = 12) -> Fla
     if r < 2:
         raise PreconditionError("flatness is defined from generation 2 on")
     if taus is not None:
-        verify_che_certificate(w, taus, depth)
+        CompletionCertificate("che", None, None, None, taus, w, None).verify(depth)
     # r-flatness precondition
     ref = w.classes[0]
     for idx, cls in enumerate(w.classes[1:], start=2):

@@ -78,7 +78,8 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
     also gives the errors (a "_" is left to them, because `Fraction` reads
     one only from Python 3.11 on).  An integer past Python's limit on the
     digits of an int's str, as `format_scalar` prints a long exact value,
-    is read through `decimal` (`_long_int`).
+    is read through `decimal` (`_long_int`).  In float mode a ``p/q``
+    whose quotient is past the float range raises DomainError naming it.
     """
     text = text.strip()
     if "/" in text:
@@ -90,7 +91,13 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
             if p is None or q is None:
                 p = q = 0
         value = Fraction(p, q) if q else Fraction(num.strip()) / Fraction(den.strip())
-        return value if exact else float(value)
+        if exact:
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            shown = repr(text) if len(text) <= 40 else f"{text[:37]!r}..."
+            raise DomainError(f"{shown} is past the float range") from None
     if exact:
         try:
             return Fraction(text)

@@ -1,5 +1,5 @@
 """Directed trees with one branching point: weights, boundedness, vertex
-moment sequences, and certificate verification.
+moment sequences, and completion certificates.
 
 The tree has a trunk of kappa vertices 0, -1, ..., -(kappa-1) feeding a
 single branching vertex 0 with eta outgoing branches (i, 1), (i, 2), ...
@@ -27,6 +27,16 @@ the same way, on their binary-exact images, rounded once; the float band
 is applied where a float row or target is compared (`_holds`, `_meets`).
 A first mass that is not finite fails its identity, one that is not
 positive its own (`_check_counts`).
+
+A completion certificate (`CompletionCertificate`) is of kind "subnormal",
+"che" or "che-flat", and one table, `_KINDS`, maps each kind to all that
+depends on it: the domain of its measures, its tail type, whether a measure
+is the part on (0, 1] of an `alternating.CAMeasure`, its verifier and its
+norm_sq formula.  The solvers build a certificate (`CompletionCertificate.of`),
+CLI `verify` reads one back (`from_json`), and both verify it with the one
+`verify`: the kind's verifier, then every other claim it prints, each when
+present (`_check_claims`): norm_sq, K, sequences and a flat certificate's
+root measure.  A new kind is one more entry in the table.
 """
 
 from __future__ import annotations
@@ -35,11 +45,12 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._record import FrozenRecord
+from ._record import FrozenRecord, Record
 from ._recurrence import MomentRecurrence
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
-from .measure import MomentSequence, geometric_row, moment_row
-from .numeric import Scalar, _read, as_fraction, format_ratio, format_scalar
+from .measure import AtomicMeasure, MomentSequence, geometric_row, moment_row
+from .numeric import (Scalar, _horner, _read, _shifted, _to_float, _variations, as_fraction,
+                      format_ratio, format_scalar, parse_scalar)
 from .positivity import HalfOpen, Ray, _Window, _determinate_poly, _support_ints
 
 
@@ -160,9 +171,9 @@ class ListTail:
 
 class _RatioTail:
     """Branch weight squares: prescribed squares for generations 2..p, then
-    ratios read from a measure.  Each subclass gives the ratios at
-    n = lo..hi-1 as ratios of consecutive values of an integer `_Row`
-    (`_ratio_row`: the row and the index they start from)."""
+    ratios read from a measure, its `source`.  Each subclass gives the
+    ratios at n = lo..hi-1 as ratios of consecutive values of an integer
+    `_Row` (`_ratio_row`: the row and the index they start from)."""
 
     def __init__(self, prefix_sq):
         self.prefix_sq = tuple(_pos_sq(w, "weight square") for w in prefix_sq)
@@ -200,6 +211,8 @@ class MeasureTail(_RatioTail):
         super().__init__(prefix_sq)
         self.measure = measure
 
+    source = property(lambda self: self.measure)
+
     def _ratio_row(self, lo: int, hi: int) -> tuple:
         """moment(k + 1) / moment(k) for k = lo..hi-1: the row of the
         moments lo..hi, each ratio a quotient of two integer numerators."""
@@ -219,6 +232,8 @@ class GeometricSumTail(_RatioTail):
     def __init__(self, prefix_sq, tau):
         super().__init__(prefix_sq)
         self.tau = tau
+
+    source = property(lambda self: self.tau)
 
     def _ratio_row(self, lo: int, hi: int) -> tuple:
         """gamma_(n+1) / gamma_n for n = lo..hi-1, with gamma_n run up one
@@ -395,19 +410,22 @@ def _check_counts(w: FullWeights, measures):
         _check(cls.first_mass > 0, f"branch {idx}: first mass is positive")
 
 
-def _check_branches(w: FullWeights, measures, depth: int, domain, where: str,
-                    closes, row, name, first: int):
+def _check_branches(w: FullWeights, measures, depth: int, kind: str, where: str,
+                    row, name, first: int):
     """The branch checks of both verifiers: each measure mu is positive on
-    `domain` (named `where`), then its identity value at n, named name(n),
-    is prod_(j=2..n+1) weight_sq(j) for n = first..top.  The values are
-    read as integer numerators from row(mu, top), the `measure._Row` of
-    the values at n = 0..top, and compared on the integers (`_holds`)."""
+    the domain of the certificate kind `kind` (`_KINDS`, named `where`),
+    then its identity value at n, named name(n), is
+    prod_(j=2..n+1) weight_sq(j) for n = first..top.  The values are read
+    as integer numerators from row(mu, top), the `measure._Row` of the
+    values at n = 0..top, and compared on the integers (`_holds`)."""
+    kind = _KINDS[kind]
     for idx, (cls, mu) in enumerate(zip(w.classes, measures), start=1):
-        _check(_positive_on(mu, domain), f"branch {idx}: measure is positive on {where}")
+        _check(_positive_on(mu, kind.domain), f"branch {idx}: measure is positive on {where}")
         gen = cls.generator
-        # past generation p the weights of a tail over mu itself are read
-        # from mu (`closes`), so the identity at n >= p follows from n - 1
-        top = len(gen.prefix_sq) if closes(gen, mu) else depth
+        # past generation p the weights of the kind's tail over mu itself
+        # are read from mu, so the identity at n >= p follows from n - 1
+        closes = isinstance(gen, kind.tail) and gen.source is mu
+        top = len(gen.prefix_sq) if closes else depth
         values = row(mu, top)
         prod = Fraction(1)
         for n in range(first, top + 1):
@@ -477,8 +495,7 @@ def verify_subnormal_certificate(w: FullWeights, measures, depth: int = 12) -> b
     not a MeasureTail over the branch's own measure, and the prefix of an
     infinite trunk."""
     _check_counts(w, measures)
-    _check_branches(w, measures, depth, Ray(), "(0, inf)",
-                    lambda gen, mu: isinstance(gen, MeasureTail) and gen.measure is mu,
+    _check_branches(w, measures, depth, "subnormal", "(0, inf)",
                     lambda mu, top: moment_row(mu, 0, top),
                     lambda n: f"moment {n} equals the weight product" if n
                     else "zeroth moment is 1", 0)
@@ -524,8 +541,7 @@ def verify_che_certificate(w: FullWeights, taus, depth: int = 12) -> bool:
                 _check(_eq(cls.generator.weight_sq(j), 1),
                        f"branch {idx}: isometry weights are 1")
         return True
-    _check_branches(w, taus, depth, HalfOpen(), "(0, 1]",
-                    lambda gen, tau: isinstance(gen, GeometricSumTail) and gen.tau is tau,
+    _check_branches(w, taus, depth, "che", "(0, 1]",
                     lambda tau, top: geometric_row(tau, top, Fraction(1)),
                     lambda n: f"geometric sum {n} equals the weight product", 1)
     kappa = len(w.trunk_sq)
@@ -540,3 +556,290 @@ def verify_che_certificate(w: FullWeights, taus, depth: int = 12) -> bool:
         _check(_meets(sums[k], rhs, equality, trunk_prod),
                name if kappa else "root level: expansion bound")
     return True
+
+
+# --------------------------------------------------------------------------
+# completion certificates
+# --------------------------------------------------------------------------
+
+class _Kind(FrozenRecord):
+    """What a certificate kind fixes: the domain of its measures, the tail
+    that reads a class's weights from its measure, whether a measure is the
+    part on (0, 1] of an `alternating.CAMeasure` (an atom at 1 then counts
+    1/2 in K, the index), whether it is flat and prints a root measure, its
+    verifier, and its norm_sq formula: `norm_terms(full, measures)`, the
+    values norm_sq bounds and the measures whose atoms it bounds."""
+
+    _fields = ("domain", "tail", "on_unit", "flat", "verifier", "norm_terms")
+
+    def __init__(self, domain, tail, on_unit, flat, verifier, norm_terms):
+        self.__dict__.update(domain=domain, tail=tail, on_unit=on_unit, flat=flat,
+                             verifier=verifier, norm_terms=norm_terms)
+
+    def measure(self, mu, zero_mass=0):
+        """mu as a branch measure of the kind: on (0, 1] the part of a
+        CAMeasure with `zero_mass` at zero (so a subnormal one loads no
+        `alternating`)."""
+        if not self.on_unit:
+            return mu
+        from .alternating import CAMeasure
+        return CAMeasure(zero_mass, mu)
+
+    def read(self, obj: dict, exact_parse: bool):
+        """A measure a certificate prints, read back as a `measure`."""
+        cls = MomentRecurrence if obj.get("recurrence") is not None else AtomicMeasure
+        zero = parse_scalar(str(obj.get("zero_mass", "0")), exact_parse) if self.on_unit else 0
+        return self.measure(cls.from_json(obj, exact_parse), zero)
+
+
+def _ray_terms(full: FullWeights, measures) -> tuple:
+    """What a subnormal norm_sq bounds: the branching mass, the trunk
+    squares, and the atoms of each measure (so every weight read from it)."""
+    return [full.first_mass_total, *full.trunk_sq], list(measures)
+
+
+def _unit_terms(full: FullWeights, taus) -> tuple:
+    """What a completely hyperexpansive norm_sq bounds: the branching mass,
+    the trunk squares, and per class 1 + tau[0, 1] and its prescribed tail
+    squares (the gamma ratios past them fall toward 1)."""
+    values, _ = _ray_terms(full, ())
+    for cls, tau in zip(full.classes, taus):
+        values += [1 + tau.total_mass(), *cls.generator.prefix_sq]
+    return values, []
+
+
+# each entry is a module attribute of its own, so that perfbench's tracer,
+# which swaps a verifier for a wrapper in every module object holding it,
+# reaches the table too
+_SUBNORMAL = _Kind(Ray(), MeasureTail, False, False, verify_subnormal_certificate, _ray_terms)
+_CHE = _Kind(HalfOpen(), GeometricSumTail, True, False, verify_che_certificate, _unit_terms)
+_CHE_FLAT = _Kind(HalfOpen(), GeometricSumTail, True, True, verify_che_certificate, _unit_terms)
+
+#: certificate kind -> everything that depends on it
+_KINDS = {"subnormal": _SUBNORMAL, "che": _CHE, "che-flat": _CHE_FLAT}
+
+
+def _top_atom(mu) -> Scalar:
+    """A measure's top atom; a recurrence's is its hint's top position,
+    at or above it, or without a hint the Cauchy root bound."""
+    try:
+        return mu.max_atom()
+    except DegenerateInput:
+        from .principal import root_bound
+        return root_bound(mu.poly)
+
+
+def _norm_sq_bound(kind: _Kind, full: FullWeights, measures) -> float:
+    """The largest of what the kind's norm_sq bounds (`_Kind.norm_terms`),
+    each measure read at its top atom (`_top_atom`), as saturating floats."""
+    values, tops = kind.norm_terms(full, measures)
+    return max(map(_to_float, values + [_top_atom(mu) for mu in tops]))
+
+
+def _at_most(x, norm: float) -> bool:
+    """x <= norm, an exact x rounded as `_norm_sq_bound` rounds it, a
+    float x within the band of `_eq`."""
+    if isinstance(x, float):
+        return x <= norm or _eq(x, norm)
+    return _to_float(x) <= norm
+
+
+def _atoms_at_most(mu, norm: float) -> bool:
+    """No atom of mu lies above norm.  A recurrence's polynomial q,
+    real-rooted once `_positive_on` has accepted it, has no root above
+    norm = u / v exactly when v^d q((t + u) / v) has no sign variation
+    (Descartes), read on the integers of its image; a float one at norm
+    widened by the band.  The atom hint is not read.  Any other object
+    with moments passes."""
+    if isinstance(mu, AtomicMeasure):
+        return not mu.atoms or _at_most(mu.max_atom(), norm)
+    if not isinstance(mu, MomentRecurrence) or norm == math.inf:
+        return True
+    image = mu._image()
+    u, v = as_fraction(norm + _tolerance(norm) if image.floats else norm).as_integer_ratio()
+    d = len(image.q) - 1
+    return _variations(_shifted([c * v ** (d - j) for j, c in enumerate(image.q)], u)) == 0
+
+
+def _atom_count(mu, at_one) -> Optional[Scalar]:
+    """Atoms of mu (of its part on (0, 1]), one at 1 counting `at_one`: a
+    recurrence's are the roots of its polynomial, its degree less
+    1 - at_one when q(1) = 0, by one integer Horner sum (for a float
+    recurrence within the band, relative to sum |q_j|).  None for any
+    other object with moments."""
+    mu = getattr(mu, "positive", mu)
+    if isinstance(mu, AtomicMeasure):
+        return sum((at_one if x == 1 else 1 for x, _ in mu.atoms), Fraction(0))
+    if not isinstance(mu, MomentRecurrence):
+        return None
+    image = mu._image()
+    h = _horner(image.q, 1, 1)
+    at_root = _eq(_read(h, sum(map(abs, image.q)), True), 0) if image.floats else h == 0
+    return mu.poly.degree - (1 - at_one) * at_root
+
+
+def _check_root(full: FullWeights, measures, rho):
+    """A flat certificate's root measure rho is that of the completely
+    alternating moment sequence of the deepest trunk vertex: its mass is
+    that vertex's squared weight less 1, and its part on (0, 1] is
+    scale t^-(kappa + 1) dmu for each class's measure mu, scale being the
+    branching mass times the trunk squares (`completion.flat_che_completion`
+    builds mu so).  The parts are compared on their moments 0..2d-1, d the
+    larger atom count: two measures of at most d atoms with those moments
+    equal are equal.  A root measure of inexact atoms (irrational ones at
+    their enclosures' midpoints, "exact": false) is not checked."""
+    if not getattr(rho.positive, "exact", True):
+        return
+    kappa = len(full.trunk_sq)
+    weight = full.trunk_sq[-1] if kappa else full.first_mass_total
+    _check(_eq(rho.total_mass(), weight - 1), "root measure: mass is the root weight less 1")
+    scale = full.first_mass_total
+    for t in full.trunk_sq:
+        scale = scale * t
+    for idx, mu in enumerate(measures, start=1):
+        top = 2 * int(max(_atom_count(rho, 1), _atom_count(mu, 1) or 0)) - 1
+        if top < 0:
+            continue
+        ours, theirs = moment_row(rho.positive, 0, top), moment_row(mu, -kappa - 1, top - kappa - 1)
+        _check(all(_holds(ours, k, scale * theirs.value(k)) for k in range(top + 1)),
+               f"branch {idx}: root measure is the branch measure's")
+
+
+def _check_claims(kind: _Kind, cert) -> None:
+    """The fields a certificate prints beside its weights and measures,
+    each when present: norm_sq is at least every value it bounds and no
+    atom it bounds lies above it (`_Kind.norm_terms`), K[i] is measure
+    i's atom count (`_atom_count`, an atom at 1 counting 1/2 on (0, 1]),
+    sequences[i] are measure i's moments from their first index, read by
+    one `moment_row` and compared on its integers (`_holds`), and a flat
+    certificate's root measure is its branch measures' (`_check_root`)."""
+    full, measures = cert.full, cert.measures
+    if cert.norm_sq is not None:
+        norm = _to_float(cert.norm_sq)
+        values, tops = kind.norm_terms(full, measures)
+        _check(all(_at_most(x, norm) for x in values), "norm_sq bounds the squared weights")
+        for idx, mu in enumerate(tops, start=1):
+            _check(_atoms_at_most(mu, norm), f"branch {idx}: norm_sq bounds the measure's atoms")
+    if cert.K is not None:
+        _check(len(cert.K) == len(measures), "one K per branch class")
+        at_one = Fraction(1, 2) if kind.on_unit else 1
+        for idx, (k, mu) in enumerate(zip(cert.K, measures), start=1):
+            count = _atom_count(mu, at_one)
+            _check(count is None or count == k, f"branch {idx}: K is the measure's atom count")
+    if cert.sequences is not None:
+        _check(len(cert.sequences) == len(measures), "one sequence per branch class")
+        for idx, (seq, mu) in enumerate(zip(cert.sequences, measures), start=1):
+            row = moment_row(mu, seq.first_index, seq.last_index)
+            _check(all(_holds(row, j, x) for j, x in enumerate(seq.values)),
+                   f"branch {idx}: sequence holds the measure's moments")
+    if kind.flat and cert.root_measure is not None:
+        _check_root(full, measures, cert.root_measure)
+
+
+def _list(items) -> list:
+    if not isinstance(items, list):
+        raise TypeError(f"expected a list, got {items!r}")
+    return items
+
+
+class CompletionCertificate(Record):
+    """A Feasible completion of kind "subnormal", "che" or "che-flat":
+    `_KINDS` holds everything its kind decides, so a certificate is built
+    (`of`), read back (`from_json`) and verified (`verify`) through that
+    table alone.  K, sequences, norm_sq and root_measure are the claims
+    the certificate prints beside its weights; one read from JSON has no
+    `partial`, and None for a claim it does not print."""
+
+    _fields = ("kind", "partial", "K", "sequences", "measures", "full", "norm_sq",
+               "root_measure")
+
+    def __init__(self, kind: str, partial: Optional[PartialWeights], K: Optional[tuple],
+                 sequences: Optional[tuple], measures: tuple, full: FullWeights,
+                 norm_sq: Optional[Scalar], root_measure=None):
+        self.kind, self.partial, self.K, self.sequences = kind, partial, K, sequences
+        self.measures, self.full, self.norm_sq = measures, full, norm_sq
+        self.root_measure = root_measure
+
+    @classmethod
+    def of(cls, kind: str, partial: PartialWeights, K: tuple, sequences: tuple, measures,
+           root_measure=None) -> "CompletionCertificate":
+        """The certificate of a completion of `partial` whose class i reads
+        measures[i] past its prescribed weights, with the norm_sq bound
+        of its kind (`_norm_sq_bound`)."""
+        entry = _KINDS[kind]
+        measures = tuple(entry.measure(mu) for mu in measures)
+        full = FullWeights(partial.trunk_sq, [
+            FullBranch(c.first_mass, entry.tail(c.tail_sq, mu), c.count)
+            for c, mu in zip(partial.classes, measures)])
+        return cls(kind, partial, K, sequences, measures, full,
+                   _norm_sq_bound(entry, full, measures), root_measure)
+
+    def verify(self, depth: int = 12) -> bool:
+        """The kind's verifier, to `depth` where a check does not close
+        after finitely many steps, then every claim the certificate holds
+        (`_check_claims`); raises CertificateInvalid naming the first
+        violated identity."""
+        kind = _KINDS[self.kind]
+        kind.verifier(self.full, self.measures, depth)
+        _check_claims(kind, self)
+        return True
+
+    def to_json(self) -> dict:
+        """The certificate; `weights_sq` holds, per class, the squared
+        weights of generations 1..p+8, the first-weight mass first.  A
+        claim that is None is left out."""
+        def scalar(x):
+            return x if x is None or isinstance(x, float) else format_scalar(x)
+
+        out = {
+            "kind": self.kind,
+            "K": None if self.K is None else [scalar(k) for k in self.K],
+            "sequences": None if self.sequences is None else [s.to_json() for s in self.sequences],
+            "measures": [mu.to_json() for mu in self.measures],
+            "weights_sq": [[format_scalar(cls.first_mass),
+                            *cls.generator.weight_sq_text(len(cls.generator.prefix_sq) + 9)]
+                           for cls in self.full.classes],
+            "trunk_sq": [format_scalar(t) for t in self.full.trunk_sq],
+            "norm_sq": scalar(self.norm_sq),
+            "root_measure": None if self.root_measure is None else self.root_measure.to_json(),
+        }
+        return {key: value for key, value in out.items() if value is not None}
+
+    @staticmethod
+    def from_json(obj: dict, exact_parse: bool = True) -> "CompletionCertificate":
+        """A certificate as `to_json` prints it.  Class i reads measure i
+        past the first p - 1 entries after its first mass, p being obj's
+        "p" or the row's length.  There is one class per row, even past
+        the last measure, so that `verify` refuses a certificate whose
+        measures and rows differ in number.  A malformed field raises
+        KeyError, TypeError or ValueError (an unknown kind too)."""
+        kind = obj["kind"]
+        entry = _KINDS.get(kind) if isinstance(kind, str) else None
+        if entry is None:
+            raise ValueError(f"unknown certificate kind {kind!r}")
+
+        def scalars(items):
+            return [parse_scalar(str(v), exact_parse) for v in _list(items)]
+
+        trunk_sq = scalars(obj["trunk_sq"])
+        measures = tuple(entry.read(m, exact_parse) for m in _list(obj["measures"]))
+        classes = []
+        for i, row in enumerate(_list(obj["weights_sq"])):
+            row = scalars(row)
+            if not row:
+                raise ValueError("empty branch")
+            p = int(obj.get("p", len(row)))
+            mu = measures[i] if i < len(measures) else None
+            classes.append(FullBranch(row[0], entry.tail(row[1:p], mu), 1))
+        full = FullWeights(trunk_sq, classes)
+        K = tuple(scalars(obj["K"])) if "K" in obj else None
+        sequences = None
+        if "sequences" in obj:
+            sequences = tuple(MomentSequence.from_json(s, exact_parse)
+                              for s in _list(obj["sequences"]))
+        norm_sq = obj.get("norm_sq")
+        if norm_sq is not None and not isinstance(norm_sq, float):
+            norm_sq = parse_scalar(str(norm_sq), exact_parse)
+        root = obj.get("root_measure") if entry.flat else None
+        root = None if root is None else entry.read(root, exact_parse)
+        return CompletionCertificate(kind, None, K, sequences, measures, full, norm_sq, root)

@@ -16,14 +16,14 @@ from hypothesis import assume, given, strategies as st
 import momentkit
 from momentkit.alternating import CAMeasure
 from momentkit.cli import run
-from momentkit.completion import (CompletionCertificate, _norm_sq_bound, flat_che_completion,
-                                  solve_che, solve_subnormal)
+from momentkit.completion import (CompletionCertificate, flat_che_completion, solve_che,
+                                  solve_subnormal)
 from momentkit.errors import CertificateInvalid, DegenerateInput, ZeroAtomError
 from momentkit.measure import AtomicMeasure, MomentRecurrence, tilt
 from momentkit.numeric import Polynomial, format_scalar
 from momentkit.principal import root_bound
-from momentkit.tree import (BranchClass, FullBranch, FullWeights, GeometricSumTail,
-                            MeasureTail, PartialWeights, verify_che_certificate,
+from momentkit.tree import (_SUBNORMAL, BranchClass, FullBranch, FullWeights, GeometricSumTail,
+                            MeasureTail, PartialWeights, _norm_sq_bound, verify_che_certificate,
                             verify_subnormal_certificate)
 
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(momentkit.__file__))
@@ -780,7 +780,7 @@ def test_norm_bound_of_recurrence_without_atoms():
     pairs = [(F(1, 2), F(1, 2)), (F(5), F(1, 2))]
     rec = _recurrence(pairs, 0, 2)
     full = FullWeights([], [FullBranch(F(1, 4), MeasureTail([], rec), 1)])
-    assert _norm_sq_bound(full, [rec]) == float(root_bound(rec.poly))
+    assert _norm_sq_bound(_SUBNORMAL, full, [rec]) == float(root_bound(rec.poly))
 
 
 # The emitted JSON of five certificates, byte for byte: (solver, trunk

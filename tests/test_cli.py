@@ -129,6 +129,19 @@ def test_a_certificate_past_the_int_digit_limit_reads_back(tmp_path):
     assert json.loads(proc.stdout)["valid"] is True
 
 
+def test_a_certificate_past_the_float_range_reads_in_float_mode_as_a_domain_error(tmp_path):
+    # read with --float, a weight whose quotient is past the float range
+    # ended in an OverflowError traceback and exit 1
+    proc = _run_cli([_write(tmp_path, "big.json", OVERFLOW_FILES[0])])
+    certificate = json.loads(proc.stdout)["certificate"]
+    proc = _run_cli([_write(tmp_path, "verify.json",
+                            {"kind": "verify", "certificate": certificate}), "--float"])
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "DomainError"
+    assert error["message"].endswith("'... is past the float range")
+
+
 #: float files near the ends of the float range, each of which ended in an
 #: OverflowError traceback and exit 1, and the end of its DomainError
 NEAR_RANGE_END = [

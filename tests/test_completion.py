@@ -354,3 +354,26 @@ def test_float_forced_level_within_band(trunk_sq, masses, tails):
     out = solve_subnormal(pw, K="auto")
     assert out.status is SolveStatus.FEASIBLE, out.reason
     assert out.certificate.verify(64)
+
+
+def test_a_reason_past_the_int_digit_limit_prints():
+    # the benchmark generator's planted `che` problem 23 of
+    # random.Random("scale3:5:3:3") at kappa = 5, p = 3, three classes: the
+    # reason of a K vector the search rules out holds values past Python's
+    # 4300-digit limit on an int's str, where an f-string raised ValueError
+    # before the Feasible vector was reached
+    trunk_sq = ["666581755230269527575550/609938043303863243940781",
+                "1219876086607726487881562/1068371796904620427177293",
+                "22435807734997028970723153/17990147918384772714665479",
+                "16622896676587529988350902596/10580493471528694466041446893",
+                "224856647256927814792312829370036/21526002952397552540437642449755"]
+    masses = ["19289670837530745129456/25637759816548827983675",
+              "3214945139588457521576/25637759816548827983675",
+              "4822417709382686282364/25637759816548827983675"]
+    tails = [["8401857/7883009", "79504685/75616713"], ["1444087/1429387", "79923801/79424785"],
+             ["170215153/168597988", "1710980779/1702151530"]]
+    pw = PartialWeights([F(t) for t in trunk_sq],
+                        [BranchClass(F(m), tuple(map(F, tail)), 1)
+                         for m, tail in zip(masses, tails)])
+    out = solve_che(pw, K="auto")
+    assert out.status is SolveStatus.FEASIBLE, out.reason

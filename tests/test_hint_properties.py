@@ -248,7 +248,13 @@ def test_cli_verify_accepts_new_and_old_hints(tmp_path):
         assert new[key] == OLD_CERTIFICATE[key]
     for key in ("recurrence", "first_index", "window"):
         assert new["measures"][0][key] == OLD_CERTIFICATE["measures"][0][key]
-    for cert in (new, OLD_CERTIFICATE):
+    for cert in (new, dict(OLD_CERTIFICATE, norm_sq=new["norm_sq"])):
         checked, code = run(_write(tmp_path, "verify.json",
                                    {"kind": "verify", "certificate": cert}))
         assert code == 0 and checked["valid"]
+    # the old norm_sq is the old hint's top position rounded to nearest,
+    # which lies below the top atom: a claim `verify` refuses
+    checked, code = run(_write(tmp_path, "verify.json",
+                               {"kind": "verify", "certificate": OLD_CERTIFICATE}))
+    assert code == 1
+    assert checked["error"] == "violated: branch 1: norm_sq bounds the measure's atoms"

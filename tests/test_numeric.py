@@ -236,6 +236,9 @@ _PART = st.one_of(
 @example("1.5/3")
 @example(" nan ")
 @example("-0/5")
+@example("7/3e-500")
+@example("-1e400/3")
+@example(" 1" + "0" * 400 + "/7 ")
 @given(st.one_of(
     st.tuples(_SPACE, _PART, _SPACE, _PART, _SPACE).map(lambda t: f"{t[0]}{t[1]}/{t[3]}{t[4]}"),
     st.tuples(_SPACE, _PART, _SPACE).map("".join),
@@ -243,10 +246,16 @@ _PART = st.one_of(
 def test_parse_scalar_matches_the_two_fraction_parse(text):
     # integer pairs take one Fraction(p, q); every string gives the value
     # (and type) the two-Fraction parse gives, or its exception type and
-    # message, exact and float
+    # message, exact and float; a float quotient past the float range,
+    # where float(Fraction) raises OverflowError, is a DomainError naming
+    # the stripped string (its first 37 characters when longer than 40)
     for exact in (True, False):
-        assert _outcome(parse_scalar, text, exact) == \
-            _outcome(_parse_scalar_by_two_fractions, text, exact), (text, exact)
+        want = _outcome(_parse_scalar_by_two_fractions, text, exact)
+        if want[0] is OverflowError:
+            stripped = text.strip()
+            shown = repr(stripped) if len(stripped) <= 40 else f"{stripped[:37]!r}..."
+            want = (DomainError, f"{shown} is past the float range")
+        assert _outcome(parse_scalar, text, exact) == want, (text, exact)
 
 
 def test_float_forms_get_float_witnesses():
