@@ -45,7 +45,11 @@ class CAMeasure(FrozenRecord):
         self.__dict__.update(zero_mass=zero_mass, positive=positive)
 
     def total_mass(self) -> Scalar:
-        return self._row(0, 0).value(0)
+        """The mass on [0, 1], read once and kept."""
+        mass = self.__dict__.get("_mass")
+        if mass is None:
+            mass = self.__dict__["_mass"] = self._row(0, 0).value(0)
+        return mass
 
     def moment(self, k: int) -> Scalar:
         """t^k integral over [0, 1]; negative k requires no mass at zero."""

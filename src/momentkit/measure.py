@@ -104,12 +104,11 @@ class _Row:
         `Fraction` is normalised."""
         return self.nums[i] * x.denominator == x.numerator * self.denominator(i)
 
-    def ratios(self, start: int = 0, make=None) -> list:
-        """v_(i+1) / v_i for i >= start, each make(num, den) of its two
-        integer numerators; by default read as `value` reads."""
-        make = make or (lambda num, den: _read(num, den, self.floats))
-        nums, steps = self.nums, self.steps
-        return [make(nums[i + 1], nums[i] * steps[i]) for i in range(start, len(nums) - 1)]
+    def ratios(self, start: int = 0) -> list:
+        """v_(i+1) / v_i for i >= start, each read as `value` reads, from
+        its two integer numerators."""
+        nums, steps, floats = self.nums, self.steps, self.floats
+        return [_read(nums[i + 1], nums[i] * steps[i], floats) for i in range(start, len(nums) - 1)]
 
     def sums(self, const: Fraction) -> "_Row":
         """The row of const + v_0 + ... + v_(i-1), i = 0..len(nums)."""

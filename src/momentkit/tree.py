@@ -21,10 +21,11 @@ denominators (`_trunk_sums`) and compares the sum with its target by one
 cross product; a recurrence's polynomial is compared with the support
 polynomial of its window on integers (`_positive_on`).  A completed weight,
 a ratio of consecutive moments or of consecutive gamma_n, is one quotient
-of two integer numerators, e.g. G_n / (Q G_(n-1)), and the JSON weight rows
-print each reduced by one gcd.  Float measures and first masses are read
-the same way, on their binary-exact images, rounded once; the float band
-is applied where a float row or target is compared (`_holds`, `_meets`).
+of two integer numerators, e.g. G_n / (Q G_(n-1)); the JSON weight rows
+print only the prescribed generations 1..p, the measures give the rest.
+Float measures and first masses are read the same way, on their
+binary-exact images, rounded once; the float band is applied where a
+float row or target is compared (`_holds`, `_meets`).
 A first mass that is not finite fails its identity, one that is not
 positive its own (`_check_counts`).
 
@@ -50,7 +51,7 @@ from ._recurrence import MomentRecurrence
 from .errors import CertificateInvalid, DegenerateInput, Unsupported, ZeroAtomError
 from .measure import AtomicMeasure, MomentSequence, geometric_row, moment_row
 from .numeric import (Scalar, _horner, _read, _shifted, _to_float, _variations, as_fraction,
-                      format_ratio, format_scalar, parse_scalar)
+                      format_scalar, parse_scalar)
 from .positivity import HalfOpen, Ray, _Window, _determinate_poly, _support_ints
 
 
@@ -188,15 +189,6 @@ class _RatioTail:
         """weight_sq(j) for j = 2..count."""
         row = list(self.prefix_sq[:max(count - 1, 0)])
         return row + self._ratios(len(row), count - 1)
-
-    def weight_sq_text(self, count: int) -> list:
-        """`weight_sq_row(count)` as `format_scalar` prints it; a ratio of
-        an exact measure is printed from its two integer numerators, reduced
-        by one gcd (`numeric.format_ratio`), with no `Fraction` built."""
-        prefix = [format_scalar(x) for x in self.prefix_sq[:max(count - 1, 0)]]
-        row, start = self._ratio_row(len(prefix), count - 1)
-        make = (lambda n, d: format_scalar(_read(n, d, True))) if row.floats else format_ratio
-        return prefix + row.ratios(start, make)
 
     def _ratios(self, lo: int, hi: int) -> list:
         row, start = self._ratio_row(lo, hi)
@@ -786,8 +778,11 @@ class CompletionCertificate(Record):
 
     def to_json(self) -> dict:
         """The certificate; `weights_sq` holds, per class, the squared
-        weights of generations 1..p+8, the first-weight mass first.  A
-        claim that is None is left out."""
+        weights of the prescribed generations 1..p, the first-weight mass
+        first.  A later generation j is not printed: its square is the
+        ratio of the measure's moments j - 1 and j - 2 (subnormal) or of
+        gamma_(j-1) and gamma_(j-2) (che), as `FullWeights.branch_weight_sq`
+        reads it.  A claim that is None is left out."""
         def scalar(x):
             return x if x is None or isinstance(x, float) else format_scalar(x)
 
@@ -796,8 +791,7 @@ class CompletionCertificate(Record):
             "K": None if self.K is None else [scalar(k) for k in self.K],
             "sequences": None if self.sequences is None else [s.to_json() for s in self.sequences],
             "measures": [mu.to_json() for mu in self.measures],
-            "weights_sq": [[format_scalar(cls.first_mass),
-                            *cls.generator.weight_sq_text(len(cls.generator.prefix_sq) + 9)]
+            "weights_sq": [[format_scalar(x) for x in (cls.first_mass, *cls.generator.prefix_sq)]
                            for cls in self.full.classes],
             "trunk_sq": [format_scalar(t) for t in self.full.trunk_sq],
             "norm_sq": scalar(self.norm_sq),

@@ -118,9 +118,11 @@ def test_a_certificate_past_the_float_range_prints_as_json(tmp_path, obj):
 
 
 def test_a_certificate_past_the_int_digit_limit_reads_back(tmp_path):
-    # its weight rows print integers of more than 4300 digits, which int()
-    # refuses: `verify` exited 3, "cannot parse '3722088223795311999...'"
-    proc = _run_cli([_write(tmp_path, "big.json", OVERFLOW_FILES[0])])
+    # its weight row prints a prescribed square of more than 4300 digits,
+    # which int() refuses: `verify` exited 3 with "cannot parse '...'"
+    big = dict(OVERFLOW_FILES[0], classes=[{"first_sq": "1/2", "tail_sq": ["7/3e-5000"],
+                                            "count": 1}])
+    proc = _run_cli([_write(tmp_path, "big.json", big)])
     certificate = json.loads(proc.stdout)["certificate"]
     assert max(len(v) for row in certificate["weights_sq"] for v in row) > 4300
     proc = _run_cli([_write(tmp_path, "verify.json",

@@ -243,9 +243,11 @@ def test_cli_verify_accepts_new_and_old_hints(tmp_path):
     assert [len(atom["m"]) < 25 for atom in hint] == [True, True]
     old_masses = [atom["m"] for atom in OLD_CERTIFICATE["measures"][0]["atoms_approx"]["atoms"]]
     assert [len(m) for m in old_masses] == [103, 128]
-    # the exact parts are the old certificate's; only the hint and the norm moved
-    for key in ("kind", "K", "sequences", "weights_sq", "trunk_sq"):
+    # the exact parts are the old certificate's, whose rows also printed the
+    # eight generations past p = 3; only the hint and the norm moved
+    for key in ("kind", "K", "sequences", "trunk_sq"):
         assert new[key] == OLD_CERTIFICATE[key]
+    assert new["weights_sq"] == [row[:3] for row in OLD_CERTIFICATE["weights_sq"]]
     for key in ("recurrence", "first_index", "window"):
         assert new["measures"][0][key] == OLD_CERTIFICATE["measures"][0][key]
     for cert in (new, dict(OLD_CERTIFICATE, norm_sq=new["norm_sq"])):

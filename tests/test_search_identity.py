@@ -37,7 +37,7 @@ CASES = [
      (('4909/4680',), ('379/169',), ('26/11',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'ff31359fa9f44feab91022e0524f500186e6c8b8b39c5fefe3fb2064bef4b555'),
+     '4c2c90e58e17b23879795b81543b9fbd03618bed4ca30d4f35bc6e6b4ba951b4'),
     ('subnormal seed 77 #8', 'subnormal', False,
      ('280/139', '417/346'),
      ('5/14', '17/12'),
@@ -58,7 +58,7 @@ CASES = [
      (('11941/1144',), ('7472/1265',), ('24/7',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '70a0e2890ab5c3bcd761f32b2afae522bc6792c267c4711d847d14c2777cb512'),
+     '928f59f9a319867c3d5a0223d718d628a1b8c5aca48d9aac0ff165fa2f406e96'),
     ('subnormal seed 44 #43', 'subnormal', False,
      ('2722765620729/10588293539305', '4402612453643019/17929480874331925'),
      ('169738800/1683837737', '190956150/1683837737', '1018432800/1683837737'),
@@ -72,14 +72,14 @@ CASES = [
      (('478/539', '17641/18403'), ('5285/2552', '145379/66440')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '6fa6b238f8df3bdab58f0a79801ccb79feea3b887935a5fbba64fd2794fd0b58'),
+     '8583344221c00836953d2f9b28a0c06edad699834e8bbd7fec01ab8aa882962c'),
     ('che seed 13 #24', 'che', False,
      ('7360445/6465911', '252170529/151555210'),
      ('7264256/22081335', '3632128/7360445', '1135040/4416267'),
      (('283/256',), ('200141/195085',), ('131/128',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'df1d6fbb82d42c6d319caf8370197815c800ce8f8d9bf838b11f4c848106b66f'),
+     'e2be2bea30bde72b49a03dd82685f5511688b574ebbe4cb6fe19d38d0641f2d2'),
     ('che seed 77 #14', 'che', False,
      ('278019507932331/245944234158866', '860804819556031/505576380491040'),
      ('66161248375600/92673169310777', '9451606910800/92673169310777',
@@ -87,7 +87,7 @@ CASES = [
      (('137789/126125',), ('24433/24352',), ('30998/30773',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '4cee6fe034b4600f249702d401118cae2ee7fac456d93984f84162d5eca60ed5'),
+     '1c37654ba77d90b4fb94c80995207567248b88d748875fe2e36849340b4dc842'),
     ('che seed 13 #25', 'che', False,
      ('96003787117/77118184810', '107965458734/54483426859'),
      ('37160098560/96003787117', '9909359616/13714826731', '774168720/13714826731'),
@@ -95,42 +95,42 @@ CASES = [
       ('35881/35152', '473014/466453')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'b35ec12a8b66362c8c0910020df75c64638235910fed867864b7d5ca74f07afb'),
+     '8e0ae64f1b2a48e1413c8db3183926c983f53a3b5c7e0b7d2ced4adf50818445'),
     ('che seed 41 #27', 'che', False,
      ('11124377602754/9410759193363', '56464555160178/35195048410565'),
      ('332044931575/5562188801377', '5312718905200/5562188801377', '569219882700/5562188801377'),
      (('823/775',), ('21818563/19985776',), ('689/686',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'f8a1b326be1398ec5e08a36d296281b5777d15bdb87a5fd34ff35744a9e4d04d'),
+     '836afb26285cfd2f7e6ad71e72b24dcac95b688e2b7d04dcf484512d47339758'),
     ('subnormal seed 303 (moderate split)', 'subnormal', False,
      ('4967099865/5072317937', '918084474279063/3604497452852708'),
      ('36465/142702', '24310/10193'),
      (('73/65', '25825/16352'), ('2543/462', '113753/15258')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'cb0ccfdf7ee2b35fbe2a9fd5e41b30ced302b55ae7228c3ec0b76e9e9dcccd3c'),
+     '9c1e56240a4fdf4ae59b20fb73a5e8d5f7f96827a607925fedf7784044c353cd'),
     ('che two-class sweep', 'che', False,
      ('457/411', '5343/3190'),
      ('256/457', '224/457'),
      (('33/32',), ('65/64',)),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'cc6dfd533302d3e2cb10fd2b2aeaae7bbb3389216034c99195ee482493817728'),
+     '7a539f3cd24502f1aba26a5a9adb649c2e74ab36032b0b34deae648b1c5a2eb5'),
     ('float copy, seed 41 #0', 'subnormal', True,
      ('195/107', '1605/1826'),
      ('35/26', '15/26'),
      (('5/3', '5/3'), ('3', '3')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     'b55a4a74c6f95ff51d7ad39fec6ed891e6bb6ad255af66be15a23c8d10d67d6a'),
+     '19ef9ef7d5414f89bd3b43c03b9e56587750abd08d950ca65d032cff7e783f88'),
     ('float copy, seed 42 #46', 'subnormal', True,
      ('2496/2039', '79521/148205'),
      ('39/80', '39/80', '117/160'),
      (('6', '6'), ('13/5', '13/5'), ('1', '1')),
      'Feasible',
      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-     '86b598ede9f518b4bab4e7341978ac76848bddd2dc9fd3675ff38ad322cce13e'),
+     '639f656f8e91fe536f812551cc790833b3bd6050a930fa1810df734bbdaa822a'),
 ]
 
 
